@@ -35,12 +35,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Files (workspace-relative, `/`-separated) exempt from the **raw-lock**
-/// rule: the ranked wrappers themselves and the offline `parking_lot` shim
-/// they replaced.
-pub const RAW_LOCK_WHITELIST: &[&str] = &[
-    "crates/analyze/src/sync.rs",
-    "crates/shims/parking_lot/src/lib.rs",
-];
+/// rule: the ranked wrappers themselves.
+pub const RAW_LOCK_WHITELIST: &[&str] = &["crates/analyze/src/sync.rs"];
 
 /// One rule violation at a specific source location.
 #[derive(Debug, Clone, PartialEq, Eq)]

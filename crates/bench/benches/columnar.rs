@@ -190,8 +190,9 @@ fn main() {
 
         // Byte-identity guard: both plans must answer identically before
         // their wall-clocks mean anything.
-        let packed_pairs =
-            ops::similarity_join_packed(&columnar, &filter, &columnar, &filter, join_tau, &pool);
+        let packed_pairs = ops::similarity_join_packed(
+            &columnar, &filter, &columnar, &filter, join_tau, None, &pool,
+        );
         let mat_rows = columnar.scan(&filter, Projection::Full, &pool).patches;
         let mat_pairs = ops::similarity_join_balltree(&mat_rows, &mat_rows, join_tau, &pool);
         assert_eq!(
@@ -200,8 +201,10 @@ fn main() {
         );
 
         let packed_s = median_secs(reps, || {
-            ops::similarity_join_packed(&columnar, &filter, &columnar, &filter, join_tau, &pool)
-                .len()
+            ops::similarity_join_packed(
+                &columnar, &filter, &columnar, &filter, join_tau, None, &pool,
+            )
+            .len()
         });
         let mat_s = median_secs(reps, || {
             let l = columnar.scan(&filter, Projection::Full, &pool).patches;

@@ -3,34 +3,33 @@
 //! The paper's optimizer amortizes expensive work — scans, featurization,
 //! index probes — *across* queries instead of re-running it per request. A
 //! [`QueryBatch`] is that story at the session level: an application hands
-//! the session K declarative queries at once, and the batch planner groups
-//! the compatible ones so they share physical work:
+//! the session K declarative queries at once, [`QueryBatch::plan`] makes
+//! every physical decision for them once — snapshots, cache keys, cache
+//! replays, one [`JoinPlan`] per join — and the resulting [`PlannedBatch`]
+//! is priced ([`PlannedBatch::estimate_us`]) and run ([`PlannedBatch::run`])
+//! as planned. [`QueryBatch::run`] is `plan()?.run()`; a single query
+//! (`Session::join_collections`, `Session::dedup_collection`) is a batch of
+//! one. Compatible members share physical work:
 //!
-//! * **similarity joins and dedups** over the same collection snapshots
-//!   share one on-the-fly Ball-Tree build and one morsel-sharded probe pass
-//!   per distinct probe relation — the pass probes at the group's outer
-//!   radius and demultiplexes candidates against each member's own
-//!   threshold and predicate ([`ops::similarity_join_balltree_multi`]);
-//! * on a [`Device::GpuSim`] session, joins over the same snapshot pair
-//!   share one all-pairs kernel dispatch: the distance matrix is computed
-//!   once and the launch + transfer overhead is paid once for the whole
-//!   group ([`deeplens_exec::Executor::threshold_join_multi`]);
+//! * **tree joins and dedups** that index the same snapshot share one
+//!   on-the-fly Ball-Tree build and one morsel-sharded probe pass per
+//!   distinct probe relation — the pass probes at the group's outer radius
+//!   and demultiplexes candidates against each member's own threshold and
+//!   predicate ([`ops::similarity_join_balltree_multi`]);
+//! * **all-pairs offloads** over the same snapshot pair share one kernel
+//!   dispatch: the distance matrix is computed once and the launch +
+//!   transfer overhead is paid once for the whole group;
 //! * **index probes** against the same prebuilt Ball-Tree index share the
-//!   snapshot and the index, with the K probes sharded over the session's
-//!   morsel pool.
+//!   snapshot and the index, sharded over the session's morsel pool.
 //!
 //! **Compatibility** is decided by snapshot identity, not by name: every
 //! collection a batch mentions is resolved to one consistent snapshot up
-//! front ([`crate::shared::SharedCatalog::snapshot_many`]), and queries group when they
-//! agree on the snapshot the shared pass scans (for tree joins, the side
-//! the tree is built over — the smaller relation, exactly the side the
-//! serial path would index). Incompatible queries still execute correctly;
-//! they simply share nothing.
+//! front ([`crate::shared::SharedCatalog::snapshot_many`]). Incompatible
+//! queries still execute correctly; they simply share nothing.
 //!
 //! **Determinism**: results come back in query order, and each member's
-//! result is byte-identical to issuing that query alone through the
-//! session's serial methods against the same snapshots
-//! ([`QueryBatch::run_serial`] is that reference path, verbatim).
+//! result is byte-identical to issuing that query alone against the same
+//! snapshots ([`QueryBatch::run_serial`] is that reference path).
 //!
 //! **Admission**: a batch is *one* admission unit. However many members it
 //! carries, it executes on the session's single thread slice
@@ -43,19 +42,17 @@ use deeplens_exec::Device;
 
 use crate::cache::{fingerprint, CachedResult};
 use crate::catalog::PatchCollection;
-use crate::ops::{self, BatchJoinMember};
+use crate::ops::{self, BatchJoinMember, PairPredicate};
+use crate::optimizer::{CostModel, DevicePlanner};
 use crate::patch::Patch;
+use crate::plan::{self, JoinPlan};
+use crate::scan::ScanFilter;
 use crate::session::Session;
 use crate::Result;
 
 /// A θ-predicate attached to a batched similarity join, called as
 /// `pred(left_patch, right_patch)` in the query's own orientation.
 pub type JoinPredicate = Arc<dyn Fn(&Patch, &Patch) -> bool + Send + Sync>;
-
-/// The batch's resolved scan sources: one snapshot per distinct collection
-/// (first-use order) and, per query, the positions of its collections in
-/// that list.
-type ResolvedSnapshots = (Vec<Arc<PatchCollection>>, Vec<Vec<usize>>);
 
 /// One declarative query inside a [`QueryBatch`].
 #[derive(Clone)]
@@ -168,49 +165,110 @@ impl BatchResult {
     }
 }
 
+impl BatchQuery {
+    /// The collections this query reads, in the order
+    /// [`BatchQuery::cache_key`] takes their snapshots.
+    fn collections(&self) -> Vec<&str> {
+        match self {
+            BatchQuery::SimilarityJoin { left, right, .. } => vec![left, right],
+            BatchQuery::Dedup { collection, .. } | BatchQuery::IndexProbe { collection, .. } => {
+                vec![collection]
+            }
+        }
+    }
+
+    /// The result-cache fingerprint of this query over `snaps` (its
+    /// collections' resolved snapshots, in query order), or `None` when it is
+    /// uncacheable: an unversioned snapshot, or a host θ-predicate.
+    pub fn cache_key(&self, snaps: &[&PatchCollection]) -> Option<Vec<u8>> {
+        match self {
+            BatchQuery::SimilarityJoin {
+                predicate: Some(_), ..
+            } => None,
+            BatchQuery::SimilarityJoin { tau, .. } => {
+                fingerprint::join_key(snaps[0].version(), snaps[1].version(), *tau)
+            }
+            BatchQuery::Dedup { tau, .. } => fingerprint::dedup_key(snaps[0].version(), *tau),
+            BatchQuery::IndexProbe {
+                index, probe, tau, ..
+            } => fingerprint::probe_key(snaps[0].version(), index, probe, *tau),
+        }
+    }
+}
+
 /// A batch of declarative queries accepted by one [`Session`]
-/// ([`Session::batch`]). Enqueue members, then [`QueryBatch::run`].
+/// ([`Session::batch`]). Enqueue members, then [`QueryBatch::run`] — or
+/// [`QueryBatch::plan`] first, to price the batch before running it.
 #[derive(Debug)]
 pub struct QueryBatch<'s> {
     session: &'s Session,
     queries: Vec<BatchQuery>,
 }
 
-/// How one tree-join member maps back onto the shared pass.
-struct BallMember {
+/// One join or dedup member of a planned group.
+struct JoinMember {
     query: usize,
-    /// Index into the resolved snapshot list for the probe side.
-    probes: usize,
     tau: f32,
-    probe_is_left: bool,
     predicate: Option<JoinPredicate>,
-    /// `Some(n)` when the member is a dedup over `n` patches: pairs are
+    /// `Some(n)` when the member is a dedup over `n` patches: its pairs are
     /// clustered after the pass.
     cluster_n: Option<usize>,
 }
 
-/// One shared Ball-Tree pass: every member joins against the same indexed
-/// snapshot.
-struct BallGroup {
-    /// Index into the resolved snapshot list for the indexed side.
-    indexed: usize,
-    members: Vec<BallMember>,
+impl JoinMember {
+    fn predicate(&self) -> Option<PairPredicate<'_>> {
+        self.predicate.as_deref().map(|p| p as PairPredicate<'_>)
+    }
+
+    fn result(&self, pairs: Vec<(u32, u32)>) -> BatchResult {
+        match self.cluster_n {
+            Some(n) => BatchResult::Clusters(ops::cluster_from_pairs(n, &pairs)),
+            None => BatchResult::Pairs(pairs),
+        }
+    }
 }
 
-/// One shared GPU all-pairs dispatch: members agree on the `(left, right)`
-/// snapshot pair and differ only in threshold / predicate.
-struct GpuGroup {
+/// One Ball-Tree over snapshot `indexed`, shared by every member that
+/// indexes it; each `(member, probe relation, probe_is_left)` probes with its
+/// own relation. Collections are positions in [`PlannedBatch::snaps`].
+struct TreeGroup {
+    indexed: usize,
+    members: Vec<(JoinMember, usize, bool)>,
+}
+
+/// Members over one exact `(left, right)` snapshot pair under one non-tree
+/// plan: packed, GPU all-pairs (one dispatch), or nested.
+struct PairGroup {
+    plan: JoinPlan,
     left: usize,
     right: usize,
-    members: Vec<(usize, f32, Option<JoinPredicate>)>,
+    members: Vec<JoinMember>,
 }
 
-/// One shared prebuilt-index probe pass.
+/// `(query, probe, tau)` probes of one prebuilt index.
 struct ProbeGroup {
     collection: usize,
     index: String,
-    /// `(query_idx, probe, tau)` members.
     members: Vec<(usize, Vec<f32>, f32)>,
+}
+
+/// A [`QueryBatch`] with its physical decisions made: snapshots resolved,
+/// cache consulted, and every remaining member assigned to a shared pass
+/// under one [`JoinPlan`]. [`PlannedBatch::estimate_us`] prices exactly the
+/// passes [`PlannedBatch::run`] then executes, against the snapshots the
+/// plan holds — however long the value waits in between.
+pub struct PlannedBatch<'s> {
+    session: &'s Session,
+    model: CostModel,
+    snaps: Vec<Arc<PatchCollection>>,
+    /// Per member: the key its fresh result is cached under after the run
+    /// (`None`: uncacheable, or already cache-resident).
+    keys: Vec<Option<Vec<u8>>>,
+    /// Per member: the result the cache already held.
+    results: Vec<Option<BatchResult>>,
+    trees: Vec<TreeGroup>,
+    pairs: Vec<PairGroup>,
+    probes: Vec<ProbeGroup>,
 }
 
 impl<'s> QueryBatch<'s> {
@@ -297,239 +355,272 @@ impl<'s> QueryBatch<'s> {
         self.queries.len() - 1
     }
 
-    /// Resolve every collection the batch mentions to one consistent
-    /// snapshot (first-use order). Returns the snapshot list and, per
-    /// query, the positions of its collections in that list.
-    fn resolve_snapshots(&self) -> Result<ResolvedSnapshots> {
+    /// Make every physical decision of the batch, once: resolve each
+    /// mentioned collection to one consistent snapshot
+    /// ([`crate::shared::SharedCatalog::snapshot_many`], first-use order),
+    /// derive each member's cache key, replay the members the result cache
+    /// already holds (one counted lookup each), choose a [`JoinPlan`] for
+    /// every other join and dedup on the session's device, and group the
+    /// members that can share a pass.
+    pub fn plan(self) -> Result<PlannedBatch<'s>> {
+        let QueryBatch { session, queries } = self;
         let mut names: Vec<&str> = Vec::new();
-        let mut per_query: Vec<Vec<usize>> = Vec::with_capacity(self.queries.len());
-        for q in &self.queries {
-            let qnames: Vec<&str> = match q {
-                BatchQuery::SimilarityJoin { left, right, .. } => vec![left, right],
-                BatchQuery::Dedup { collection, .. }
-                | BatchQuery::IndexProbe { collection, .. } => vec![collection],
-            };
-            let mut slots = Vec::with_capacity(qnames.len());
-            for name in qnames {
-                let i = match names.iter().position(|n| *n == name) {
-                    Some(i) => i,
-                    None => {
-                        names.push(name);
-                        names.len() - 1
-                    }
-                };
-                slots.push(i);
-            }
-            per_query.push(slots);
+        let mut slots: Vec<Vec<usize>> = Vec::with_capacity(queries.len());
+        for q in &queries {
+            let of_query = q.collections().into_iter().map(|name| {
+                names.iter().position(|n| *n == name).unwrap_or_else(|| {
+                    names.push(name);
+                    names.len() - 1
+                })
+            });
+            slots.push(of_query.collect());
         }
-        let snaps = self.session.catalog.snapshot_many(&names)?;
-        Ok((snaps, per_query))
-    }
+        let snaps = session.catalog.snapshot_many(&names)?;
 
-    /// Execute the batch: one shared pass per compatible group, results
-    /// demultiplexed into query order. Each member's result is
-    /// byte-identical to issuing that query alone against the same
-    /// snapshots ([`QueryBatch::run_serial`]).
-    ///
-    /// The whole batch runs as **one admission unit** on the session's
-    /// thread slice, and every snapshot is taken once up front — concurrent
-    /// writers publishing new versions mid-batch cannot tear the scan.
-    pub fn run(self) -> Result<Vec<BatchResult>> {
-        let (snaps, per_query) = self.resolve_snapshots()?;
-        let pool = self.session.pool();
-        let gpu = self.session.device() == Device::GpuSim;
-
-        // Snapshot-keyed fingerprints, per member, over the versions this
-        // batch resolved (None = uncacheable: unversioned snapshot or a
-        // host θ-predicate). A hit replays the byte-identical result of a
-        // previous execution and skips the member's grouping entirely.
-        let cache = self.session.catalog.result_cache();
-        let keys: Vec<Option<Vec<u8>>> = self
-            .queries
-            .iter()
-            .enumerate()
-            .map(|(qi, q)| match q {
-                BatchQuery::SimilarityJoin { tau, predicate, .. } => match predicate {
-                    Some(_) => None,
-                    None => fingerprint::join_key(
-                        snaps[per_query[qi][0]].version(),
-                        snaps[per_query[qi][1]].version(),
-                        *tau,
-                    ),
-                },
-                BatchQuery::Dedup { tau, .. } => {
-                    fingerprint::dedup_key(snaps[per_query[qi][0]].version(), *tau)
-                }
-                BatchQuery::IndexProbe {
-                    index, probe, tau, ..
-                } => fingerprint::probe_key(snaps[per_query[qi][0]].version(), index, probe, *tau),
-            })
-            .collect();
-        let mut from_cache = vec![false; self.queries.len()];
-
-        let mut ball_groups: Vec<BallGroup> = Vec::new();
-        let mut gpu_groups: Vec<GpuGroup> = Vec::new();
-        let mut probe_groups: Vec<ProbeGroup> = Vec::new();
-        let mut results: Vec<Option<BatchResult>> = (0..self.queries.len()).map(|_| None).collect();
-
-        for (qi, q) in self.queries.iter().enumerate() {
-            if let Some(key) = &keys[qi] {
-                if let Some(CachedResult::Batch(cached)) = cache.get(key) {
-                    results[qi] = Some(cached);
-                    from_cache[qi] = true;
-                    continue;
-                }
+        let cache = session.catalog.result_cache();
+        let device = session.device();
+        let model = CostModel::default();
+        let mut keys = Vec::with_capacity(queries.len());
+        let mut results = Vec::with_capacity(queries.len());
+        let (mut trees, mut pairs, mut probes) = (Vec::new(), Vec::new(), Vec::new());
+        for (qi, (q, slots)) in queries.into_iter().zip(slots).enumerate() {
+            let of_query: Vec<&PatchCollection> = slots.iter().map(|&i| &*snaps[i]).collect();
+            let key = q.cache_key(&of_query);
+            if let Some(CachedResult::Batch(hit)) = key.as_ref().and_then(|k| cache.get(k)) {
+                keys.push(None);
+                results.push(Some(hit));
+                continue;
             }
-            match q {
+            keys.push(key);
+            results.push(None);
+            let (plan, left, right, tau, predicate, cluster_n) = match q {
                 BatchQuery::SimilarityJoin { tau, predicate, .. } => {
-                    let (l, r) = (per_query[qi][0], per_query[qi][1]);
-                    if !gpu {
-                        // Packed peel-off: a member whose snapshots both
-                        // carry live columnar backings and whose cost
-                        // estimate favors the packed plan runs chunk-direct
-                        // here — same pair set as the shared Ball-Tree pass
-                        // it skips.
-                        if let Some(pairs) = ops::packed_join_pair_if_preferred(
-                            &snaps[l],
-                            &snaps[r],
-                            *tau,
-                            predicate
-                                .as_deref()
-                                .map(|p| p as &(dyn Fn(&Patch, &Patch) -> bool + Sync)),
-                            &pool,
-                        ) {
-                            results[qi] = Some(BatchResult::Pairs(pairs));
-                            continue;
-                        }
-                    }
-                    if gpu {
-                        // The GPU path joins (left × right) as-is: group by
-                        // the exact snapshot pair.
-                        match gpu_groups.iter_mut().find(|g| g.left == l && g.right == r) {
-                            Some(g) => g.members.push((qi, *tau, predicate.clone())),
-                            None => gpu_groups.push(GpuGroup {
-                                left: l,
-                                right: r,
-                                members: vec![(qi, *tau, predicate.clone())],
-                            }),
-                        }
-                    } else {
-                        // The serial path indexes the smaller side (ties go
-                        // left): members group on that indexed snapshot.
-                        let index_left = snaps[l].len() <= snaps[r].len();
-                        let (indexed, probes) = if index_left { (l, r) } else { (r, l) };
-                        let member = BallMember {
-                            query: qi,
-                            probes,
-                            tau: *tau,
-                            probe_is_left: !index_left,
-                            predicate: predicate.clone(),
-                            cluster_n: None,
-                        };
-                        Self::insert_ball(&mut ball_groups, indexed, member);
-                    }
+                    let plan = JoinPlan::choose(of_query[0], of_query[1], device, &model);
+                    (plan, slots[0], slots[1], tau, predicate, None)
                 }
                 BatchQuery::Dedup { tau, .. } => {
-                    let c = per_query[qi][0];
-                    if !gpu {
-                        if let Some(clusters) =
-                            ops::packed_dedup_if_preferred(&snaps[c], *tau, &pool)
-                        {
-                            results[qi] = Some(BatchResult::Clusters(clusters));
-                            continue;
-                        }
-                    }
-                    let member = BallMember {
-                        query: qi,
-                        probes: c,
-                        tau: *tau,
-                        probe_is_left: false,
-                        predicate: None,
-                        cluster_n: Some(snaps[c].len()),
-                    };
-                    Self::insert_ball(&mut ball_groups, c, member);
+                    let plan = JoinPlan::choose_dedup(of_query[0], device, &model);
+                    (plan, slots[0], slots[0], tau, None, Some(of_query[0].len()))
                 }
                 BatchQuery::IndexProbe {
                     index, probe, tau, ..
                 } => {
-                    let c = per_query[qi][0];
-                    match probe_groups
+                    let collection = slots[0];
+                    let member = (qi, probe, tau);
+                    match probes
                         .iter_mut()
-                        .find(|g| g.collection == c && g.index == *index)
+                        .find(|g: &&mut ProbeGroup| g.collection == collection && g.index == index)
                     {
-                        Some(g) => g.members.push((qi, probe.clone(), *tau)),
-                        None => probe_groups.push(ProbeGroup {
-                            collection: c,
-                            index: index.clone(),
-                            members: vec![(qi, probe.clone(), *tau)],
+                        Some(g) => g.members.push(member),
+                        None => probes.push(ProbeGroup {
+                            collection,
+                            index,
+                            members: vec![member],
                         }),
                     }
+                    continue;
+                }
+            };
+            let member = JoinMember {
+                query: qi,
+                tau,
+                predicate,
+                cluster_n,
+            };
+            if let JoinPlan::BallTree { index_left } = plan {
+                // Members group on the snapshot the tree is built over.
+                let (indexed, probed) = if index_left {
+                    (left, right)
+                } else {
+                    (right, left)
+                };
+                let member = (member, probed, !index_left);
+                match trees
+                    .iter_mut()
+                    .find(|g: &&mut TreeGroup| g.indexed == indexed)
+                {
+                    Some(g) => g.members.push(member),
+                    None => trees.push(TreeGroup {
+                        indexed,
+                        members: vec![member],
+                    }),
+                }
+            } else {
+                match pairs
+                    .iter_mut()
+                    .find(|g: &&mut PairGroup| (g.plan, g.left, g.right) == (plan, left, right))
+                {
+                    Some(g) => g.members.push(member),
+                    None => pairs.push(PairGroup {
+                        plan,
+                        left,
+                        right,
+                        members: vec![member],
+                    }),
                 }
             }
         }
+        Ok(PlannedBatch {
+            session,
+            model,
+            snaps,
+            keys,
+            results,
+            trees,
+            pairs,
+            probes,
+        })
+    }
 
-        // Shared Ball-Tree passes (CPU joins + dedups).
-        for group in &ball_groups {
-            let indexed = &snaps[group.indexed].patches;
-            let members: Vec<BatchJoinMember> = group
+    /// Plan and execute the batch as **one admission unit** on the session's
+    /// thread slice: one shared pass per compatible group, results
+    /// demultiplexed into query order, each byte-identical to issuing that
+    /// query alone against the same snapshots ([`QueryBatch::run_serial`]).
+    pub fn run(self) -> Result<Vec<BatchResult>> {
+        self.plan()?.run()
+    }
+
+    /// The serial reference path: every member issued alone, in order, as a
+    /// batch of one. [`QueryBatch::run`] is byte-identical to this when no
+    /// concurrent writer republishes a mentioned collection mid-batch.
+    pub fn run_serial(self) -> Result<Vec<BatchResult>> {
+        let mut out = Vec::with_capacity(self.queries.len());
+        for q in self.queries {
+            out.push(self.session.run_one(q)?);
+        }
+        Ok(out)
+    }
+}
+
+impl PlannedBatch<'_> {
+    /// Estimated wall-clock (µs) of [`PlannedBatch::run`]: the cost model's
+    /// units for exactly the planned passes — one build plus a
+    /// [`CostModel::batched_index_join_cost`] per probe relation of a shared
+    /// tree, [`CostModel::packed_join_cost`] per packed member,
+    /// [`CostModel::nested_loop_cost`] per all-pairs dispatch or nested
+    /// member, [`CostModel::probe_cost`] per index probe, nothing for
+    /// cache-resident members — bridged to time by `planner` on the device
+    /// each pass runs on ([`JoinPlan::device`]). The floor is 1 µs.
+    pub fn estimate_us(&self, planner: &DevicePlanner) -> f64 {
+        let model = &self.model;
+        let threads = self.session.effective_threads();
+        let pool = Device::ParallelCpu(threads);
+        let bridge = |device: Device, units: f64, bytes: usize| {
+            planner.estimate_us(device, units / planner.units_per_us, bytes)
+        };
+        let mut total = 0.0;
+        for group in &self.trees {
+            let indexed = &self.snaps[group.indexed].patches;
+            // (probe relation, its member count), first-use order.
+            let mut passes: Vec<(usize, usize)> = Vec::new();
+            for (_, probed, _) in &group.members {
+                match passes.iter_mut().find(|(p, _)| p == probed) {
+                    Some((_, k)) => *k += 1,
+                    None => passes.push((*probed, 1)),
+                }
+            }
+            let mut units = 0.0;
+            for (i, (probed, k)) in passes.into_iter().enumerate() {
+                let probed = &self.snaps[probed].patches;
+                let dim = plan::join_dim(indexed, probed);
+                units += model.batched_index_join_cost(indexed.len(), probed.len(), dim, k);
+                if i > 0 {
+                    // The tree is built once for the whole group.
+                    units -= model.build_cost(indexed.len(), dim);
+                }
+            }
+            total += bridge(pool, units, 0);
+        }
+        for group in &self.pairs {
+            let (l, r) = (&self.snaps[group.left], &self.snaps[group.right]);
+            let dim = plan::join_dim(&l.patches, &r.patches);
+            let k = group.members.len() as f64;
+            let all_pairs = model.nested_loop_cost(l.len(), r.len(), dim);
+            let units = match group.plan {
+                JoinPlan::Packed => {
+                    let chunk_rows = l.columnar_chunk_rows().unwrap_or_default();
+                    k * model.packed_join_cost(l.len(), r.len(), dim, chunk_rows)
+                }
+                // One dispatch computes the distance matrix for every member.
+                JoinPlan::GpuAllPairs => all_pairs,
+                _ => k * all_pairs,
+            };
+            let bytes = (l.len() + r.len()) * dim * 4;
+            total += bridge(group.plan.device(threads), units, bytes);
+        }
+        for group in &self.probes {
+            let col = &self.snaps[group.collection];
+            let dim = plan::feature_dim(&col.patches).max(1);
+            let units = group.members.len() as f64 * model.probe_cost(col.len(), dim);
+            total += bridge(pool, units, 0);
+        }
+        total.max(1.0)
+    }
+
+    /// Execute the planned passes and return every member's result in query
+    /// order, caching the freshly computed ones.
+    pub fn run(self) -> Result<Vec<BatchResult>> {
+        let snaps = &self.snaps;
+        let mut results = self.results;
+        let pool = self.session.pool();
+        for group in &self.trees {
+            let passes: Vec<BatchJoinMember> = group
                 .members
                 .iter()
-                .map(|m| BatchJoinMember {
-                    probes: &snaps[m.probes].patches,
+                .map(|(m, probed, probe_is_left)| BatchJoinMember {
+                    probes: &snaps[*probed].patches,
                     tau: m.tau,
-                    probe_is_left: m.probe_is_left,
-                    predicate: m
-                        .predicate
-                        .as_deref()
-                        .map(|p| p as &(dyn Fn(&Patch, &Patch) -> bool + Sync)),
+                    probe_is_left: *probe_is_left,
+                    predicate: m.predicate(),
                 })
                 .collect();
-            let outs = ops::similarity_join_balltree_multi(indexed, &members, &pool);
-            for (m, pairs) in group.members.iter().zip(outs) {
-                results[m.query] = Some(match m.cluster_n {
-                    Some(n) => BatchResult::Clusters(ops::cluster_from_pairs(n, &pairs)),
-                    None => BatchResult::Pairs(pairs),
-                });
+            let indexed = &snaps[group.indexed].patches;
+            let outs = ops::similarity_join_balltree_multi(indexed, &passes, &pool);
+            for ((m, _, _), pairs) in group.members.iter().zip(outs) {
+                results[m.query] = Some(m.result(pairs));
             }
         }
-
-        // Shared GPU all-pairs dispatches.
-        for group in &gpu_groups {
-            let left = &snaps[group.left].patches;
-            let right = &snaps[group.right].patches;
-            if left
-                .iter()
-                .chain(right)
-                .any(|p| p.data.features().is_none())
-            {
-                // Ragged feature matrix: the serial GPU path falls back to
-                // the nested kernel per query; so does the batch.
-                for (qi, tau, pred) in &group.members {
-                    let pairs = ops::similarity_join_nested(left, right, *tau);
-                    results[*qi] = Some(BatchResult::Pairs(Self::filter_pairs(
-                        pairs, left, right, pred,
-                    )));
+        for group in &self.pairs {
+            let (left, right) = (&snaps[group.left], &snaps[group.right]);
+            if group.plan == JoinPlan::Packed {
+                let live = "a packed plan is only chosen over live backings";
+                let (lc, rc) = (left.columnar().expect(live), right.columnar().expect(live));
+                let all = ScanFilter::All;
+                for m in &group.members {
+                    results[m.query] = Some(match m.cluster_n {
+                        Some(_) => BatchResult::Clusters(ops::dedup_similarity_packed(
+                            lc, &all, m.tau, &pool,
+                        )),
+                        None => BatchResult::Pairs(ops::similarity_join_packed(
+                            lc,
+                            &all,
+                            rc,
+                            &all,
+                            m.tau,
+                            m.predicate(),
+                            &pool,
+                        )),
+                    });
                 }
                 continue;
             }
-            let a = ops::feature_matrix(left)?;
-            let b = ops::feature_matrix(right)?;
-            let taus: Vec<f32> = group.members.iter().map(|(_, t, _)| *t).collect();
-            let outs = self.session.executor().threshold_join_multi(&a, &b, &taus);
-            for ((qi, _, pred), mut pairs) in group.members.iter().zip(outs) {
-                pairs.sort_unstable();
-                results[*qi] = Some(BatchResult::Pairs(Self::filter_pairs(
-                    pairs, left, right, pred,
-                )));
+            let specs: Vec<_> = group
+                .members
+                .iter()
+                .map(|m| (m.tau, m.predicate()))
+                .collect();
+            let outs = group
+                .plan
+                .run_rows(&left.patches, &right.patches, &specs, &pool)?;
+            for (m, pairs) in group.members.iter().zip(outs) {
+                results[m.query] = Some(m.result(pairs));
             }
         }
-
-        // Shared prebuilt-index probe passes: the K probes shard over the
-        // session pool, each performing the identical lookup the serial
-        // path would.
-        for group in &probe_groups {
+        // The K probes shard over the session pool, each performing the
+        // identical lookup a lone probe would.
+        for group in &self.probes {
             let col = &snaps[group.collection];
-            let hits: Vec<Result<Vec<u32>>> = pool
+            let hits = pool
                 .run_morsels(group.members.len(), 1, |range| {
                     range
                         .map(|i| {
@@ -539,8 +630,7 @@ impl<'s> QueryBatch<'s> {
                         .collect::<Vec<_>>()
                 })
                 .into_iter()
-                .flatten()
-                .collect();
+                .flatten();
             for ((qi, _, _), hit) in group.members.iter().zip(hits) {
                 results[*qi] = Some(BatchResult::Hits(hit?));
             }
@@ -548,77 +638,15 @@ impl<'s> QueryBatch<'s> {
 
         let results: Vec<BatchResult> = results
             .into_iter()
-            .map(|r| r.expect("member executed"))
+            .map(|r| r.expect("every member is cache-resident or in a group"))
             .collect();
-        // Populate the cache with the freshly computed members (cache hits
-        // are already resident; re-inserting them would only churn the LRU).
-        for ((key, result), served) in keys.into_iter().zip(&results).zip(from_cache) {
-            if let (Some(key), false) = (key, served) {
+        let cache = self.session.catalog.result_cache();
+        for (key, result) in self.keys.into_iter().zip(&results) {
+            if let Some(key) = key {
                 cache.insert(key, CachedResult::Batch(result.clone()));
             }
         }
         Ok(results)
-    }
-
-    /// The serial reference path: issue every query one at a time through
-    /// the session's own methods, in order. [`QueryBatch::run`] is
-    /// byte-identical to this when no concurrent writer republishes a
-    /// mentioned collection mid-batch.
-    pub fn run_serial(self) -> Result<Vec<BatchResult>> {
-        let mut out = Vec::with_capacity(self.queries.len());
-        for q in &self.queries {
-            out.push(match q {
-                BatchQuery::SimilarityJoin {
-                    left,
-                    right,
-                    tau,
-                    predicate,
-                } => {
-                    let pairs = self.session.join_collections(left, right, *tau)?;
-                    let l = self.session.catalog.snapshot(left)?;
-                    let r = self.session.catalog.snapshot(right)?;
-                    BatchResult::Pairs(Self::filter_pairs(pairs, &l.patches, &r.patches, predicate))
-                }
-                BatchQuery::Dedup { collection, tau } => {
-                    BatchResult::Clusters(self.session.dedup_collection(collection, *tau)?)
-                }
-                BatchQuery::IndexProbe {
-                    collection,
-                    index,
-                    probe,
-                    tau,
-                } => {
-                    let col = self.session.catalog.snapshot(collection)?;
-                    BatchResult::Hits(col.lookup_similar(index, probe, *tau)?)
-                }
-            });
-        }
-        Ok(out)
-    }
-
-    fn insert_ball(groups: &mut Vec<BallGroup>, indexed: usize, member: BallMember) {
-        match groups.iter_mut().find(|g| g.indexed == indexed) {
-            Some(g) => g.members.push(member),
-            None => groups.push(BallGroup {
-                indexed,
-                members: vec![member],
-            }),
-        }
-    }
-
-    fn filter_pairs(
-        pairs: Vec<(u32, u32)>,
-        left: &[Patch],
-        right: &[Patch],
-        pred: &Option<JoinPredicate>,
-    ) -> Vec<(u32, u32)> {
-        match pred {
-            None => pairs,
-            Some(p) => pairs
-                .into_iter()
-                .filter(|&(l, r)| p(&left[l as usize], &right[r as usize]))
-                .collect(),
-        }
     }
 }
 
@@ -784,5 +812,73 @@ mod tests {
             b.dedup("small", 3.0);
             b.run_serial().unwrap()
         });
+    }
+
+    #[test]
+    fn estimate_is_at_the_floor_when_every_member_is_cache_resident() {
+        let s = seeded_session(Device::Avx);
+        let planner = DevicePlanner::default();
+        let cold = mixed_batch(&s).plan().unwrap();
+        assert!(cold.estimate_us(&planner) > 1.0, "cold members cost work");
+        cold.run().unwrap();
+        let warm = mixed_batch(&s).plan().unwrap();
+        assert_eq!(warm.estimate_us(&planner), 1.0);
+        assert_eq!(warm.run().unwrap(), mixed_batch(&s).run_serial().unwrap());
+    }
+
+    #[test]
+    fn shared_tree_pass_is_priced_as_one_batched_join_not_k_singles() {
+        let s = seeded_session(Device::Avx);
+        let model = CostModel::default();
+        let planner = DevicePlanner::default();
+        let price = |k: usize| {
+            let mut b = s.batch();
+            for i in 0..k {
+                b.similarity_join("small", "large", 1.0 + i as f32);
+            }
+            b.plan().unwrap().estimate_us(&planner)
+        };
+        // 60 × 220 × 6 on one vectorized core: the units are the µs bridge.
+        let bridge = |k| model.batched_index_join_cost(60, 220, 6, k) / planner.units_per_us;
+        assert_eq!(price(1), bridge(1));
+        assert_eq!(price(4), bridge(4));
+        assert!(
+            price(4) < 2.0 * price(1),
+            "members share the build and pass"
+        );
+    }
+
+    #[test]
+    fn packed_cost_is_charged_exactly_when_the_plan_is_packed() {
+        let s = seeded_session(Device::Avx);
+        s.catalog.materialize("a", feat_patches(20, 6, 4));
+        s.catalog.materialize("b", feat_patches(18, 6, 5));
+        let model = CostModel::default();
+        let planner = DevicePlanner::default();
+        let price = || {
+            let mut b = s.batch();
+            b.similarity_join_filtered("a", "b", 2.0, Arc::new(|_: &Patch, _: &Patch| true));
+            b.plan().unwrap().estimate_us(&planner)
+        };
+        let plan = || {
+            let (a, b) = (
+                s.catalog.snapshot("a").unwrap(),
+                s.catalog.snapshot("b").unwrap(),
+            );
+            JoinPlan::choose(&a, &b, Device::Avx, &model)
+        };
+        assert_eq!(plan(), JoinPlan::BallTree { index_left: false });
+        assert_eq!(
+            price(),
+            model.batched_index_join_cost(18, 20, 6, 1) / planner.units_per_us
+        );
+        s.build_columnar("a").unwrap();
+        s.build_columnar("b").unwrap();
+        assert_eq!(plan(), JoinPlan::Packed);
+        let chunk_rows = crate::scan::DEFAULT_CHUNK_ROWS;
+        assert_eq!(
+            price(),
+            model.packed_join_cost(20, 18, 6, chunk_rows) / planner.units_per_us
+        );
     }
 }

@@ -23,8 +23,9 @@ use crate::scan::{row_scan, ColumnarPatches, Projection, ScanFilter, ScanResult}
 use crate::value::Value;
 use crate::{DlError, Result};
 
-/// Process-wide count of scans that found a *live* (row-count-current)
-/// columnar backing on their collection.
+/// Process-wide count of live (row-count-current) columnar backings an
+/// operator actually read: one per scan served off its chunks, one per
+/// distinct side of a join or dedup planned packed.
 static COLUMNAR_HITS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of scans that found a backing but had to bypass it
 /// because it was stale (row count disagreed with the collection).
@@ -44,7 +45,8 @@ static INDEX_DELTA_MAINTAINED: AtomicU64 = AtomicU64::new(0);
 /// merge threshold and were collapsed into a full rebuild.
 static INDEX_DELTA_MERGES: AtomicU64 = AtomicU64::new(0);
 
-/// Scans served by a live columnar backing since process start.
+/// Scans and packed joins served by a live columnar backing since process
+/// start (a backing the planner inspected but routed around is not a hit).
 ///
 /// Together with [`columnar_backing_stale`] this gives the backing hit/stale
 /// rate the serve stats endpoint reports.
@@ -60,6 +62,10 @@ pub fn columnar_backing_stale() -> u64 {
 /// Columnar backings rebuilt by re-materializes since process start.
 pub fn columnar_backings_rebuilt() -> u64 {
     COLUMNAR_REBUILT.load(Ordering::Relaxed)
+}
+
+pub(crate) fn note_columnar_hits(backings: u64) {
+    COLUMNAR_HITS.fetch_add(backings, Ordering::Relaxed);
 }
 
 pub(crate) fn note_columnar_rebuilt() {
@@ -426,15 +432,13 @@ impl PatchCollection {
 
     /// The columnar backing **iff it is current** (row count agrees with the
     /// collection). A stale backing — patches mutated after the build — is
-    /// never returned. Each call bumps the process-wide backing hit or
-    /// stale counter ([`columnar_backing_hits`] / [`columnar_backing_stale`])
-    /// so the serve stats endpoint can report the rates.
+    /// never returned, and bumps [`columnar_backing_stale`]. A live one is
+    /// counted ([`columnar_backing_hits`]) by whoever goes on to read it —
+    /// [`PatchCollection::scan`], or the join planner when it plans packed —
+    /// not by this look.
     pub fn live_columnar(&self) -> Option<&ColumnarPatches> {
         match &self.columnar {
-            Some(c) if c.len() == self.patches.len() => {
-                COLUMNAR_HITS.fetch_add(1, Ordering::Relaxed);
-                Some(c)
-            }
+            Some(c) if c.len() == self.patches.len() => Some(c),
             Some(_) => {
                 COLUMNAR_STALE.fetch_add(1, Ordering::Relaxed);
                 None
@@ -454,7 +458,10 @@ impl PatchCollection {
         pool: &WorkerPool,
     ) -> ScanResult {
         match self.live_columnar() {
-            Some(c) => c.scan(filter, projection, pool),
+            Some(c) => {
+                note_columnar_hits(1);
+                c.scan(filter, projection, pool)
+            }
             None => row_scan(&self.patches, filter, projection),
         }
     }

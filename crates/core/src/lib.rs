@@ -32,6 +32,8 @@
 //!   queries, invalidated for free by the catalog's version counters.
 //! * [`optimizer`] — the cost model (non-linear join costs, §7.4.1), device
 //!   placement (§7.4.2), and accuracy-aware plan ordering (§7.4.3).
+//! * [`plan`] — the one physical plan a similarity join is priced and run
+//!   under ([`plan::JoinPlan`]).
 //! * [`session`] — a facade tying catalog, devices and ETL together.
 //!
 //! ```
@@ -62,6 +64,7 @@ pub mod lineage;
 pub mod ops;
 pub mod optimizer;
 pub mod patch;
+pub mod plan;
 pub mod scan;
 pub mod session;
 pub mod shared;
@@ -84,6 +87,7 @@ pub mod prelude {
     pub use crate::ops;
     pub use crate::optimizer::{AccuracyProfile, CostModel, DevicePlanner, JoinStrategy};
     pub use crate::patch::{ImgRef, Patch, PatchData, PatchId};
+    pub use crate::plan::JoinPlan;
     pub use crate::scan::{
         ColumnarPatches, Projection, ScanFilter, ScanResult, ScanStats, DEFAULT_CHUNK_ROWS,
     };

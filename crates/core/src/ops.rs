@@ -26,8 +26,8 @@ use deeplens_exec::{Executor, Matrix, WorkerPool};
 use deeplens_index::BallTree;
 
 use crate::catalog::PatchCollection;
-use crate::optimizer::CostModel;
 use crate::patch::Patch;
+use crate::plan;
 use crate::scan::{ColumnarPatches, PackedScan, Projection, ScanFilter};
 use crate::value::Value;
 use crate::{DlError, Result};
@@ -240,11 +240,9 @@ pub fn similarity_join_nested(left: &[Patch], right: &[Patch], tau: f32) -> Vec<
 }
 
 /// On-the-fly Ball-Tree similarity join: index the smaller relation, probe
-/// with the larger (§5). Returns `(left_idx, right_idx)` pairs within `tau`.
-///
-/// Both phases run on `pool`: the index builds with parallel subtree
-/// morsels and the probe relation shards over morsels against the shared
-/// tree. The sorted output is byte-identical across thread counts.
+/// with the larger (§5). Returns `(left_idx, right_idx)` pairs within `tau`,
+/// sorted and byte-identical across thread counts — the one-member case of
+/// [`similarity_join_balltree_multi`].
 pub fn similarity_join_balltree(
     left: &[Patch],
     right: &[Patch],
@@ -254,44 +252,36 @@ pub fn similarity_join_balltree(
     if left.is_empty() || right.is_empty() {
         return vec![];
     }
-    let index_left = left.len() <= right.len();
+    let index_left = plan::index_left(left.len(), right.len());
+    similarity_join_balltree_pair(left, right, index_left, &[(tau, None)], pool)
+        .pop()
+        .unwrap_or_default()
+}
+
+/// One shared tree over `left` (if `index_left`) or `right`, probed with the
+/// other side once for all `(tau, predicate)` members of the pair.
+pub(crate) fn similarity_join_balltree_pair(
+    left: &[Patch],
+    right: &[Patch],
+    index_left: bool,
+    members: &[(f32, Option<PairPredicate<'_>>)],
+    pool: &WorkerPool,
+) -> Vec<Vec<(u32, u32)>> {
     let (indexed, probes) = if index_left {
         (left, right)
     } else {
         (right, left)
     };
-    let vectors: Vec<Vec<f32>> = indexed
+    let members: Vec<BatchJoinMember> = members
         .iter()
-        .filter_map(|p| p.data.features().map(<[f32]>::to_vec))
-        .collect();
-    if vectors.len() != indexed.len() {
-        // Some patches lack features; fall back to the nested variant which
-        // skips them pair-wise. (Its left-major order is already sorted.)
-        return similarity_join_nested(left, right, tau);
-    }
-    let tree = BallTree::from_vectors_parallel(&vectors, pool.threads());
-    let mut out: Vec<(u32, u32)> = pool
-        .run_morsels(probes.len(), pool.morsel_size(probes.len()), |range| {
-            let mut part = Vec::new();
-            for j in range {
-                let Some(f) = probes[j].data.features() else {
-                    continue;
-                };
-                for hit in tree.range_query(f, tau) {
-                    if index_left {
-                        part.push((hit, j as u32));
-                    } else {
-                        part.push((j as u32, hit));
-                    }
-                }
-            }
-            part
+        .map(|&(tau, predicate)| BatchJoinMember {
+            probes,
+            tau,
+            probe_is_left: !index_left,
+            predicate,
         })
-        .into_iter()
-        .flatten()
         .collect();
-    out.sort_unstable();
-    out
+    similarity_join_balltree_multi(indexed, &members, pool)
 }
 
 // --------------------------------------------------------------------------
@@ -593,37 +583,9 @@ pub fn packed_blocks(scan: &PackedScan) -> Vec<PackedBlock<'_>> {
         .collect()
 }
 
-/// Dimensionality of the first feature payload in `patches` (0 if none):
-/// the cost model's `dim` input for routing decisions.
-fn feature_dim(patches: &[Patch]) -> usize {
-    patches
-        .iter()
-        .find_map(|p| p.data.features().map(<[f32]>::len))
-        .unwrap_or(0)
-}
-
-/// Packed-form similarity join: zone-pruned packed scans on both sides feed
-/// the surviving feature blocks straight to the block-form threshold kernel
-/// — no row is materialized anywhere on this path
-/// ([`crate::scan::rows_materialized`] does not move).
-///
-/// Pair indices are positions in each side's *filtered* output, exactly the
-/// indices a scan-then-join over the materialized patches would emit; under
-/// [`ScanFilter::All`] they are collection positions. The pair set is
-/// byte-identical to the row-path joins (the kernels share the distance
-/// expression), sorted.
-pub fn similarity_join_packed(
-    left: &ColumnarPatches,
-    filter_left: &ScanFilter,
-    right: &ColumnarPatches,
-    filter_right: &ScanFilter,
-    tau: f32,
-    pool: &WorkerPool,
-) -> Vec<(u32, u32)> {
-    let ls = left.scan_packed(filter_left, pool);
-    let rs = right.scan_packed(filter_right, pool);
-    packed::packed_threshold_join(&packed_blocks(&ls), &packed_blocks(&rs), tau, pool)
-}
+/// A shareable θ-predicate over a candidate pair, called as
+/// `pred(left_patch, right_patch)` (`Sync` so morsel workers may consult it).
+pub type PairPredicate<'a> = &'a (dyn Fn(&Patch, &Patch) -> bool + Sync);
 
 /// Late materialization for a packed join: assemble only the rows named by
 /// `outs` (filtered-output indices), keyed back by those indices.
@@ -637,27 +599,35 @@ fn late_materialize(
     outs.iter().copied().zip(patches).collect()
 }
 
-/// [`similarity_join_packed`] with a θ-predicate over the matched patches.
+/// Packed-form similarity join: zone-pruned packed scans on both sides feed
+/// the surviving feature blocks straight to the block-form threshold kernel.
+/// Without a predicate no row is materialized anywhere on this path
+/// ([`crate::scan::rows_materialized`] does not move); with one, only the
+/// rows that appear in a *candidate pair* are late-materialized for the
+/// θ-check, so an unselective scan with a selective `tau` still never
+/// assembles non-matching rows.
 ///
-/// The distance kernel runs purely over packed blocks; only the rows that
-/// appear in a *candidate pair* are then late-materialized for the
-/// predicate, so an arbitrarily unselective scan with a selective `tau`
-/// still never assembles non-matching rows. Candidate order (sorted) is
-/// preserved through the predicate, matching the row path's
-/// filter-after-join semantics.
-pub fn similarity_join_packed_filtered(
+/// Pair indices are positions in each side's *filtered* output, exactly the
+/// indices a scan-then-join over the materialized patches would emit; under
+/// [`ScanFilter::All`] they are collection positions. The pair set is
+/// byte-identical to the row-path joins (the kernels share the distance
+/// expression), sorted, with the predicate applied filter-after-join.
+pub fn similarity_join_packed(
     left: &ColumnarPatches,
     filter_left: &ScanFilter,
     right: &ColumnarPatches,
     filter_right: &ScanFilter,
     tau: f32,
-    predicate: impl Fn(&Patch, &Patch) -> bool,
+    predicate: Option<PairPredicate<'_>>,
     pool: &WorkerPool,
 ) -> Vec<(u32, u32)> {
     let ls = left.scan_packed(filter_left, pool);
     let rs = right.scan_packed(filter_right, pool);
     let mut pairs =
         packed::packed_threshold_join(&packed_blocks(&ls), &packed_blocks(&rs), tau, pool);
+    let Some(predicate) = predicate else {
+        return pairs;
+    };
     if pairs.is_empty() {
         return pairs;
     }
@@ -681,97 +651,6 @@ pub fn dedup_similarity_packed(
     let scan = col.scan_packed(filter, pool);
     let pairs = packed::packed_dedup_pairs(&packed_blocks(&scan), tau, pool);
     cluster_from_pairs(scan.matched(), &pairs)
-}
-
-/// A shareable θ-predicate over a candidate pair, as the packed routing
-/// probe accepts it (`Sync` so morsel workers may consult it).
-pub type PairPredicate<'a> = &'a (dyn Fn(&Patch, &Patch) -> bool + Sync);
-
-/// The packed routing probe: runs the join in packed form iff both
-/// collections carry a **live** columnar backing and the cost model
-/// estimates the packed plan cheaper ([`CostModel::prefer_packed_join`]).
-/// Returns `None` when the row path should run instead — batched execution
-/// uses this to peel packed-eligible members off its shared Ball-Tree pass.
-///
-/// With a predicate, candidate pairs surface from the packed kernel and only
-/// their rows are late-materialized for the θ-check (filter-after-join, the
-/// row path's semantics).
-pub fn packed_join_pair_if_preferred(
-    left: &PatchCollection,
-    right: &PatchCollection,
-    tau: f32,
-    predicate: Option<PairPredicate<'_>>,
-    pool: &WorkerPool,
-) -> Option<Vec<(u32, u32)>> {
-    let lc = left.live_columnar()?;
-    let rc = right.live_columnar()?;
-    let dim = feature_dim(&left.patches).max(feature_dim(&right.patches));
-    if !CostModel::default().prefer_packed_join(
-        left.len(),
-        right.len(),
-        dim.max(1),
-        lc.chunk_rows(),
-    ) {
-        return None;
-    }
-    Some(match predicate {
-        Some(p) => similarity_join_packed_filtered(
-            lc,
-            &ScanFilter::All,
-            rc,
-            &ScanFilter::All,
-            tau,
-            p,
-            pool,
-        ),
-        None => similarity_join_packed(lc, &ScanFilter::All, rc, &ScanFilter::All, tau, pool),
-    })
-}
-
-/// Dedup counterpart of [`packed_join_pair_if_preferred`]: packed-form
-/// clusters iff the backing is live and the self-join routes packed,
-/// `None` otherwise.
-pub fn packed_dedup_if_preferred(
-    col: &PatchCollection,
-    tau: f32,
-    pool: &WorkerPool,
-) -> Option<Vec<Vec<u32>>> {
-    let c = col.live_columnar()?;
-    let dim = feature_dim(&col.patches);
-    if !CostModel::default().prefer_packed_join(col.len(), col.len(), dim.max(1), c.chunk_rows()) {
-        return None;
-    }
-    Some(dedup_similarity_packed(c, &ScanFilter::All, tau, pool))
-}
-
-/// Collection-level similarity join with packed-vs-materialize routing.
-///
-/// When both collections carry a live columnar backing and the cost model
-/// estimates the packed plan cheaper ([`CostModel::prefer_packed_join`]),
-/// the join runs in packed form straight off the chunks; otherwise it runs
-/// the row-path Ball-Tree join. Both paths emit the identical sorted pair
-/// set (that equivalence is proptested), so the routing decision affects
-/// wall-clock only — never results.
-pub fn similarity_join_collections(
-    left: &PatchCollection,
-    right: &PatchCollection,
-    tau: f32,
-    pool: &WorkerPool,
-) -> Vec<(u32, u32)> {
-    packed_join_pair_if_preferred(left, right, tau, None, pool)
-        .unwrap_or_else(|| similarity_join_balltree(&left.patches, &right.patches, tau, pool))
-}
-
-/// Collection-level deduplication with the same packed-vs-materialize
-/// routing as [`similarity_join_collections`]; results are byte-identical
-/// on either path.
-pub fn dedup_similarity_collection(
-    col: &PatchCollection,
-    tau: f32,
-    pool: &WorkerPool,
-) -> Vec<Vec<u32>> {
-    packed_dedup_if_preferred(col, tau, pool)
-        .unwrap_or_else(|| dedup_similarity(&col.patches, tau, pool))
 }
 
 #[cfg(test)]
@@ -873,6 +752,13 @@ mod tests {
         assert_eq!(c, d);
     }
 
+    /// The brute-force reference the multi-join members are held to.
+    fn oracle(left: &[Patch], right: &[Patch], tau: f32) -> Vec<(u32, u32)> {
+        let mut pairs = similarity_join_nested(left, right, tau);
+        pairs.sort_unstable();
+        pairs
+    }
+
     #[test]
     fn multi_join_members_match_serial_issuance() {
         let indexed: Vec<Patch> = (0..40)
@@ -895,23 +781,11 @@ mod tests {
             let got = similarity_join_balltree_multi(&indexed, &members, &pool);
             assert_eq!(got.len(), 4);
             // Members 0/1: indexed is the left relation (pairs (hit, probe)).
-            assert_eq!(
-                got[0],
-                similarity_join_balltree(&indexed, &probes_a, 1.5, &pool)
-            );
-            assert_eq!(
-                got[1],
-                similarity_join_balltree(&indexed, &probes_a, 3.0, &pool)
-            );
+            assert_eq!(got[0], oracle(&indexed, &probes_a, 1.5));
+            assert_eq!(got[1], oracle(&indexed, &probes_a, 3.0));
             // Members 2/3: probe relation is the left side.
-            assert_eq!(
-                got[2],
-                similarity_join_balltree(&probes_b, &indexed, 2.0, &pool)
-            );
-            assert_eq!(
-                got[3],
-                similarity_join_balltree(&probes_a, &indexed, 0.4, &pool)
-            );
+            assert_eq!(got[2], oracle(&probes_b, &indexed, 2.0));
+            assert_eq!(got[3], oracle(&probes_a, &indexed, 0.4));
         }
     }
 
@@ -932,7 +806,7 @@ mod tests {
             predicate: Some(&pred),
         }];
         let got = similarity_join_balltree_multi(&indexed, &members, &pool);
-        let expect: Vec<(u32, u32)> = similarity_join_balltree(&indexed, &probes, 1.0, &pool)
+        let expect: Vec<(u32, u32)> = oracle(&indexed, &probes, 1.0)
             .into_iter()
             .filter(|&(l, r)| pred(&indexed[l as usize], &probes[r as usize]))
             .collect();
@@ -955,14 +829,8 @@ mod tests {
             BatchJoinMember::new(&probes, 2.0, true),
         ];
         let got = similarity_join_balltree_multi(&indexed, &members, &pool);
-        assert_eq!(
-            got[0],
-            similarity_join_balltree(&indexed, &probes, 1.0, &pool)
-        );
-        assert_eq!(
-            got[1],
-            similarity_join_balltree(&probes, &indexed, 2.0, &pool)
-        );
+        assert_eq!(got[0], oracle(&indexed, &probes, 1.0));
+        assert_eq!(got[1], oracle(&probes, &indexed, 2.0));
     }
 
     #[test]

@@ -521,198 +521,21 @@ impl DevicePlanner {
         }
         best
     }
-
-    /// Estimated wall-clock (µs) of a similarity join executed as
-    /// `strategy` on `device`. Tree strategies include build + probe cost;
-    /// the probe phase is the morsel-sharded part the parallel CPU
-    /// accelerates, and the build fans out as subtree morsels on the same
-    /// pool, so the whole cost routes through the device's scaling model.
-    pub fn join_estimate_us(
-        &self,
-        model: &CostModel,
-        strategy: JoinStrategy,
-        n_left: usize,
-        n_right: usize,
-        dim: usize,
-        device: Device,
-    ) -> f64 {
-        let units = match strategy {
-            JoinStrategy::NestedLoop => model.nested_loop_cost(n_left, n_right, dim),
-            JoinStrategy::IndexLeft => model.index_join_cost(n_left, n_right, dim),
-            JoinStrategy::IndexRight => model.index_join_cost(n_right, n_left, dim),
-        };
-        let bytes = (n_left + n_right) * dim * 4;
-        self.estimate_us(device, units / self.units_per_us, bytes)
-    }
-
-    /// Estimated wall-clock (µs) of one prebuilt Ball-Tree range probe over
-    /// an `n`-patch collection in `dim` dimensions on `device`. The probe is
-    /// a pointer-chasing traversal, so it is modeled at the single probe's
-    /// [`CostModel::probe_cost`] with only the query vector moving — the
-    /// serving front end weighs admission of probe requests with this.
-    pub fn probe_estimate_us(
-        &self,
-        model: &CostModel,
-        n: usize,
-        dim: usize,
-        device: Device,
-    ) -> f64 {
-        let bytes = dim * 4;
-        self.estimate_us(device, model.probe_cost(n, dim) / self.units_per_us, bytes)
-    }
-
-    /// Estimated wall-clock (µs) of a chunked-columnar collection scan over
-    /// `rows` patches (`chunk_rows` per chunk, `row_bytes` of payload per
-    /// row) with the zone maps skipping `skip_rate` of the chunks, on
-    /// `device`. Only the surviving fraction's bytes move — late
-    /// materialization never touches pruned chunks' payloads.
-    pub fn scan_estimate_us(
-        &self,
-        model: &CostModel,
-        rows: usize,
-        chunk_rows: usize,
-        skip_rate: f64,
-        row_bytes: usize,
-        device: Device,
-    ) -> f64 {
-        let units = model.columnar_scan_cost(rows, chunk_rows, skip_rate);
-        let surviving = 1.0 - skip_rate.clamp(0.0, 1.0);
-        let bytes = (rows as f64 * surviving * row_bytes as f64) as usize;
-        self.estimate_us(device, units / self.units_per_us, bytes)
-    }
-
-    /// Choose a device for a chunked-columnar scan. Chunk decode is
-    /// host-side work on the collection's resident chunks (like tree
-    /// probes, it never offloads), so the race is across the CPU lattice
-    /// only — scalar, vectorized, and this session's parallel slice.
-    pub fn place_scan(
-        &self,
-        model: &CostModel,
-        rows: usize,
-        chunk_rows: usize,
-        skip_rate: f64,
-        row_bytes: usize,
-    ) -> Device {
-        let mut best = Device::Cpu;
-        let mut best_us = f64::INFINITY;
-        for device in self.candidates() {
-            if device == Device::GpuSim {
-                continue;
-            }
-            let us = self.scan_estimate_us(model, rows, chunk_rows, skip_rate, row_bytes, device);
-            if us < best_us {
-                best = device;
-                best_us = us;
-            }
-        }
-        best
-    }
-
-    /// Jointly choose a join strategy and a device for an `n_left × n_right`
-    /// similarity join in `dim` dimensions.
-    ///
-    /// The tree variants (`IndexLeft`/`IndexRight`) are CPU-side operators —
-    /// pointer-chasing probes do not offload — so they compete across the
-    /// scalar/vectorized/parallel CPU backends, while the simulated GPU
-    /// enters the race with the all-pairs kernel only (the paper's Fig. 8
-    /// query-time offload). Ties break toward the earlier (lower-overhead)
-    /// candidate.
-    pub fn place_join(
-        &self,
-        model: &CostModel,
-        n_left: usize,
-        n_right: usize,
-        dim: usize,
-    ) -> (JoinStrategy, Device) {
-        let mut best = (JoinStrategy::NestedLoop, Device::Cpu);
-        let mut best_us = f64::INFINITY;
-        for device in self.candidates() {
-            let strategies: &[JoinStrategy] = if device == Device::GpuSim {
-                &[JoinStrategy::NestedLoop]
-            } else {
-                &[
-                    JoinStrategy::NestedLoop,
-                    JoinStrategy::IndexLeft,
-                    JoinStrategy::IndexRight,
-                ]
-            };
-            for &strategy in strategies {
-                let us = self.join_estimate_us(model, strategy, n_left, n_right, dim, device);
-                if us < best_us {
-                    best = (strategy, device);
-                    best_us = us;
-                }
-            }
-        }
-        best
-    }
-
-    /// Estimated wall-clock (µs) of the packed join plan
-    /// ([`CostModel::packed_join_cost`]) on `device`. Chunk decode and the
-    /// block-form kernel are host-side work on resident chunks (the packed
-    /// path exists to *avoid* moving rows), so GPU offload is not in this
-    /// race — callers pass CPU-lattice devices only.
-    pub fn packed_join_estimate_us(
-        &self,
-        model: &CostModel,
-        rows_left: usize,
-        rows_right: usize,
-        dim: usize,
-        chunk_rows: usize,
-        device: Device,
-    ) -> f64 {
-        let units = model.packed_join_cost(rows_left, rows_right, dim, chunk_rows);
-        let bytes = (rows_left + rows_right) * dim * 4;
-        self.estimate_us(device, units / self.units_per_us, bytes)
-    }
-
-    /// Whether to run a similarity join over columnar-backed collections in
-    /// packed form, and on which device: races the packed plan across the
-    /// CPU lattice against the materialize-then-join plan at its own best
-    /// strategy/device placement, and returns `(packed?, device)` for the
-    /// winner.
-    pub fn place_packed_join(
-        &self,
-        model: &CostModel,
-        rows_left: usize,
-        rows_right: usize,
-        dim: usize,
-        chunk_rows: usize,
-    ) -> (bool, Device) {
-        let mut best_packed = (Device::Cpu, f64::INFINITY);
-        for device in self.candidates() {
-            if device == Device::GpuSim {
-                continue;
-            }
-            let us =
-                self.packed_join_estimate_us(model, rows_left, rows_right, dim, chunk_rows, device);
-            if us < best_packed.1 {
-                best_packed = (device, us);
-            }
-        }
-        let (strategy, mat_device) = self.place_join(model, rows_left, rows_right, dim);
-        let mat_us = self.join_estimate_us(model, strategy, rows_left, rows_right, dim, mat_device)
-            + model.materialize_row_cost * (rows_left + rows_right) as f64 / self.units_per_us;
-        if best_packed.1 <= mat_us {
-            (true, best_packed.0)
-        } else {
-            (false, mat_device)
-        }
-    }
 }
 
-/// The planner's verdict on a batch of `k` compatible similarity joins:
-/// the device the batch should run on, the estimated wall-clock of the
-/// batched (shared-pass) execution, and the estimated wall-clock of issuing
-/// the same `k` queries serially at their individually best placement.
+/// The planner's verdict on a batch of `k` ETL pipelines over one shared
+/// frame window ([`DevicePlanner::place_batched_etl`]): the device the batch
+/// should run on, the estimated wall-clock of the batched (shared-scan)
+/// execution, and the estimated wall-clock of issuing the same `k` runs
+/// serially at their individually best placement.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPlacement {
     /// Device the batched pass should execute on.
     pub device: Device,
     /// Estimated wall-clock (µs) of the batch as one shared pass.
     pub batched_us: f64,
-    /// Estimated wall-clock (µs) of `k` serial issuances at their best
-    /// individual placement.
+    /// Estimated wall-clock (µs) of `k` serial runs at their best individual
+    /// placement.
     pub serial_us: f64,
 }
 
@@ -733,73 +556,6 @@ impl BatchPlacement {
 }
 
 impl DevicePlanner {
-    /// Estimated wall-clock (µs) of a batch of `k` compatible similarity
-    /// joins (`n_idx` indexed side, `n_probe` probe side, `dim`-d) executed
-    /// as **one unit** on `device`.
-    ///
-    /// CPU backends run the shared Ball-Tree pass
-    /// ([`CostModel::batched_index_join_cost`]); the simulated GPU runs the
-    /// all-pairs kernel once — its distance matrix already serves every
-    /// member, so extra members cost only the demux residual — and pays
-    /// launch + transfer **once** for the whole batch (that single payment
-    /// is the GPU's multi-query amortization).
-    pub fn batched_join_estimate_us(
-        &self,
-        model: &CostModel,
-        n_idx: usize,
-        n_probe: usize,
-        dim: usize,
-        k: usize,
-        device: Device,
-    ) -> f64 {
-        if k == 0 {
-            return 0.0;
-        }
-        let units = match device {
-            Device::GpuSim => {
-                let scan = model.nested_loop_cost(n_idx, n_probe, dim);
-                scan * (1.0 + (k - 1) as f64 * BATCH_RESIDUAL_FRACTION)
-            }
-            _ => model.batched_index_join_cost(n_idx, n_probe, dim, k),
-        };
-        let bytes = (n_idx + n_probe) * dim * 4;
-        self.estimate_us(device, units / self.units_per_us, bytes)
-    }
-
-    /// Cost a batch of `k` compatible similarity joins as **one admission
-    /// unit** against `k` independent placements.
-    ///
-    /// The batched side ranks the [`DevicePlanner::candidates`] — which
-    /// already carry only this session's thread slice, so a batch never
-    /// claims more of the machine than the single query it replaces (the
-    /// multi-session composition rule). The serial side is `k` times the
-    /// best single-query plan from [`DevicePlanner::place_join`].
-    pub fn place_batched_join(
-        &self,
-        model: &CostModel,
-        n_idx: usize,
-        n_probe: usize,
-        dim: usize,
-        k: usize,
-    ) -> BatchPlacement {
-        let mut best = Device::Cpu;
-        let mut best_us = f64::INFINITY;
-        for device in self.candidates() {
-            let us = self.batched_join_estimate_us(model, n_idx, n_probe, dim, k, device);
-            if us < best_us {
-                best = device;
-                best_us = us;
-            }
-        }
-        let (strategy, single_device) = self.place_join(model, n_idx, n_probe, dim);
-        let single_us = self.join_estimate_us(model, strategy, n_idx, n_probe, dim, single_device);
-        BatchPlacement {
-            device: best,
-            batched_us: best_us,
-            serial_us: k as f64 * single_us,
-        }
-    }
-
     /// Estimated wall-clock (µs) of a batch of `k` ETL pipelines sharing
     /// one scan of `frames` frames on `device`.
     ///
@@ -1139,61 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn join_placement_routes_large_probes_to_parallel_cpu() {
-        let planner = planner_fixture();
-        let model = CostModel::default();
-        // Large asymmetric low-dimensional join: the Ball-Tree prunes well
-        // at dim 4, so indexing the small side beats the GPU's all-pairs
-        // kernel — and the probe work amortizes the pool's spawn overhead.
-        let (strategy, device) = planner.place_join(&model, 2_000, 500_000, 4);
-        assert_eq!(strategy, JoinStrategy::IndexLeft);
-        assert_eq!(
-            device,
-            Device::ParallelCpu(4),
-            "probe phase should fan out over the morsel pool"
-        );
-        // The pick is the planner's own minimum.
-        let picked = planner.join_estimate_us(&model, strategy, 2_000, 500_000, 4, device);
-        for d in [Device::Cpu, Device::Avx] {
-            assert!(picked <= planner.join_estimate_us(&model, strategy, 2_000, 500_000, 4, d));
-        }
-        // In high dimension the tree degenerates toward a scan and the GPU's
-        // all-pairs kernel takes over — the Fig. 7 / Fig. 8 interplay.
-        let (hi_strategy, hi_device) = planner.place_join(&model, 2_000, 500_000, 64);
-        assert_eq!(hi_strategy, JoinStrategy::NestedLoop);
-        assert_eq!(hi_device, Device::GpuSim);
-    }
-
-    #[test]
-    fn join_placement_keeps_tiny_joins_serial() {
-        let planner = planner_fixture();
-        let model = CostModel::default();
-        let (strategy, device) = planner.place_join(&model, 8, 8, 8);
-        assert_eq!(strategy, JoinStrategy::NestedLoop);
-        assert_eq!(
-            device,
-            Device::Avx,
-            "a few dozen distance evals never pay for thread spawns"
-        );
-    }
-
-    #[test]
-    fn join_placement_never_offloads_tree_probes_to_gpu() {
-        let planner = planner_fixture();
-        let model = CostModel::default();
-        for (l, r) in [(100, 100), (5_000, 5_000), (1_000, 2_000_000)] {
-            let (strategy, device) = planner.place_join(&model, l, r, 32);
-            if device == Device::GpuSim {
-                assert_eq!(
-                    strategy,
-                    JoinStrategy::NestedLoop,
-                    "GPU only runs the all-pairs kernel"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn batched_cost_degenerates_and_grows_sublinearly() {
         let m = CostModel::default();
         assert_eq!(m.batched_index_join_cost(2_000, 50_000, 12, 0), 0.0);
@@ -1215,44 +916,6 @@ mod tests {
             "4 members must cost well under 4 serial joins"
         );
         assert!(c8 < 8.0 * c1 * 0.5);
-    }
-
-    #[test]
-    fn batch_placement_beats_serial_issuance() {
-        let planner = planner_fixture();
-        let model = CostModel::default();
-        for k in [2usize, 4, 8] {
-            let p = planner.place_batched_join(&model, 2_000, 200_000, 8, k);
-            assert!(p.worthwhile(), "a compatible batch of {k} must win");
-            assert!(
-                p.speedup() > 1.5,
-                "k={k}: expected >1.5x aggregate speedup, got {:.2}",
-                p.speedup()
-            );
-        }
-        // A batch of one is exactly one query: no phantom gain.
-        let p1 = planner.place_batched_join(&model, 2_000, 200_000, 8, 1);
-        assert!((p1.speedup() - 1.0).abs() < 0.35, "got {:.3}", p1.speedup());
-    }
-
-    #[test]
-    fn batch_is_one_admission_unit_under_contention() {
-        // With 4 sessions sharing the machine the candidates carry a
-        // 1-thread slice; a batch must be costed on that slice, not on the
-        // whole machine — same admission rule as a single query.
-        let contended = planner_fixture().for_sessions(4);
-        let model = CostModel::default();
-        let p = contended.place_batched_join(&model, 1_000, 50_000, 8, 4);
-        if let Device::ParallelCpu(t) = p.device {
-            assert_eq!(
-                t,
-                contended.session_cpu_threads(),
-                "batch exceeded its slice"
-            );
-        }
-        // Batching still wins under contention (the sharing is algorithmic,
-        // not a thread-count trick).
-        assert!(p.worthwhile());
     }
 
     #[test]
@@ -1349,32 +1012,6 @@ mod tests {
     }
 
     #[test]
-    fn gpu_batch_amortizes_one_transfer() {
-        let planner = planner_fixture();
-        let model = CostModel::default();
-        // High dimension: the single-query winner is the GPU all-pairs
-        // kernel (see join_placement_routes_large_probes_to_parallel_cpu).
-        // Batched, the GPU pays its launch + transfer once for all members,
-        // so the batched estimate is far below k single offloads.
-        let k = 6;
-        let batched =
-            planner.batched_join_estimate_us(&model, 2_000, 500_000, 64, k, Device::GpuSim);
-        let single = planner.join_estimate_us(
-            &model,
-            JoinStrategy::NestedLoop,
-            2_000,
-            500_000,
-            64,
-            Device::GpuSim,
-        );
-        assert!(batched < k as f64 * single * 0.5);
-        assert_eq!(
-            planner.batched_join_estimate_us(&model, 2_000, 500_000, 64, 0, Device::GpuSim),
-            0.0
-        );
-    }
-
-    #[test]
     fn columnar_scan_cost_rewards_selectivity() {
         let m = CostModel::default();
         assert_eq!(m.columnar_scan_cost(0, 1024, 0.5), 0.0);
@@ -1396,35 +1033,6 @@ mod tests {
         );
         // Degenerate chunk size clamps to one row per chunk.
         assert!(m.columnar_scan_cost(10, 0, 0.0) > 0.0);
-    }
-
-    #[test]
-    fn scan_placement_stays_on_cpu_and_scales() {
-        let planner = planner_fixture();
-        let model = CostModel::default();
-        // Scans never offload: chunk decode is host-side.
-        for rows in [100usize, 100_000, 10_000_000] {
-            let device = planner.place_scan(&model, rows, 1024, 0.0, 64);
-            assert_ne!(device, Device::GpuSim, "rows={rows}");
-        }
-        // A tiny scan stays serial; a big unselective scan fans out.
-        assert_eq!(planner.place_scan(&model, 512, 64, 0.0, 64), Device::Avx);
-        assert_eq!(
-            planner.place_scan(&model, 1_000_000, 1024, 0.0, 64),
-            Device::ParallelCpu(4)
-        );
-        // High skip rates shrink the work until the spawn overhead stops
-        // paying for itself and the planner returns to the single core.
-        assert_eq!(
-            planner.place_scan(&model, 1_000_000, 1024, 0.999, 64),
-            Device::Avx
-        );
-        // The pick is the planner's own minimum over the CPU lattice.
-        let picked = planner.place_scan(&model, 10_000_000, 1024, 0.0, 64);
-        let picked_us = planner.scan_estimate_us(&model, 10_000_000, 1024, 0.0, 64, picked);
-        for d in [Device::Cpu, Device::Avx, Device::ParallelCpu(4)] {
-            assert!(picked_us <= planner.scan_estimate_us(&model, 10_000_000, 1024, 0.0, 64, d));
-        }
     }
 
     #[test]

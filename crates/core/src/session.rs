@@ -26,11 +26,13 @@ use deeplens_analyze::sync::{LockRank, OrderedMutex};
 use deeplens_codec::{FrameCache, Image};
 use deeplens_exec::{Device, Executor, WorkerPool};
 
-use crate::batch::{BatchResult, QueryBatch};
+use crate::batch::{BatchQuery, BatchResult, QueryBatch};
 use crate::cache::{fingerprint, CachedResult};
 use crate::etl::{Pipeline, PipelineBatch};
 use crate::ops;
+use crate::optimizer::{CostModel, DevicePlanner};
 use crate::patch::Patch;
+use crate::plan::{self, JoinPlan};
 use crate::shared::SharedCatalog;
 use crate::Result;
 
@@ -191,73 +193,47 @@ impl Session {
     }
 
     /// Similarity join on the session's device: `(left_idx, right_idx)`
-    /// pairs within `tau`, sorted. CPU devices run the on-the-fly Ball-Tree
-    /// join on the session pool; the simulated GPU offloads the all-pairs
-    /// kernel. Every device returns the identical pair set — patches
-    /// without features never match (they are skipped pair-wise on every
-    /// path, including the GPU's, which falls back to the nested kernel
-    /// rather than erroring on a ragged feature matrix).
+    /// pairs within `tau`, sorted. The physical plan is
+    /// [`JoinPlan::choose_rows`]'s — Ball-Tree on the session pool for CPU
+    /// devices, the all-pairs offload on the simulated GPU — and every
+    /// device returns the identical pair set: patches without features
+    /// never match on any of them.
     pub fn similarity_join(
         &self,
         left: &[Patch],
         right: &[Patch],
         tau: f32,
     ) -> Result<Vec<(u32, u32)>> {
-        match self.device {
-            Device::GpuSim => {
-                if left
-                    .iter()
-                    .chain(right)
-                    .any(|p| p.data.features().is_none())
-                {
-                    // The dense all-pairs kernel needs a rectangular feature
-                    // matrix; mirror the CPU paths' skip-featureless
-                    // semantics instead of surfacing a schema error.
-                    return Ok(ops::similarity_join_nested(left, right, tau));
-                }
-                let mut pairs = ops::similarity_join_executor(left, right, tau, &self.executor())?;
-                pairs.sort_unstable();
-                Ok(pairs)
-            }
-            _ => Ok(ops::similarity_join_balltree(
-                left,
-                right,
-                tau,
-                &self.pool(),
-            )),
-        }
+        let mut out = JoinPlan::choose_rows(left, right, self.device).run_rows(
+            left,
+            right,
+            &[(tau, None)],
+            &self.pool(),
+        )?;
+        Ok(out.pop().unwrap_or_default())
     }
 
-    /// [`Session::similarity_join`] over two materialized collections:
-    /// consistent snapshots of `left` and `right` are taken from the shared
-    /// catalog and joined on the session's device — concurrent writers
-    /// cannot perturb the scan.
-    ///
-    /// CPU devices route through the collection-level packed-vs-materialize
-    /// decision ([`ops::similarity_join_collections`]): when both snapshots
-    /// carry a live columnar backing and the cost model favors it, the join
-    /// consumes packed feature chunks directly instead of the row path. The
-    /// pair set is byte-identical either way.
+    /// Run `query` alone, as a batch of one.
+    pub(crate) fn run_one(&self, query: BatchQuery) -> Result<BatchResult> {
+        let mut batch = self.batch();
+        batch.push(query);
+        let mut results = batch.run()?;
+        Ok(results.pop().expect("a batch of one yields one result"))
+    }
+
+    /// [`Session::similarity_join`] over two materialized collections — a
+    /// [`Session::batch`] of one: consistent snapshots, the result cache,
+    /// and the planner's packed / Ball-Tree / offload choice all apply.
     pub fn join_collections(&self, left: &str, right: &str, tau: f32) -> Result<Vec<(u32, u32)>> {
-        let l = self.catalog.snapshot(left)?;
-        let r = self.catalog.snapshot(right)?;
-        // Snapshot-keyed result cache: a hit replays the byte-identical
-        // pair set of a previous execution over these exact versions.
-        let cache = self.catalog.result_cache();
-        let key = fingerprint::join_key(l.version(), r.version(), tau);
-        if let Some(key) = &key {
-            if let Some(CachedResult::Batch(BatchResult::Pairs(pairs))) = cache.get(key) {
-                return Ok(pairs);
-            }
+        match self.run_one(BatchQuery::SimilarityJoin {
+            left: left.to_string(),
+            right: right.to_string(),
+            tau,
+            predicate: None,
+        })? {
+            BatchResult::Pairs(pairs) => Ok(pairs),
+            other => unreachable!("a similarity join yields pairs, not {other:?}"),
         }
-        let pairs = match self.device {
-            Device::GpuSim => self.similarity_join(&l.patches, &r.patches, tau)?,
-            _ => ops::similarity_join_collections(&l, &r, tau, &self.pool()),
-        };
-        if let Some(key) = key {
-            cache.insert(key, CachedResult::Batch(BatchResult::Pairs(pairs.clone())));
-        }
-        Ok(pairs)
     }
 
     /// Similarity deduplication (§5 q4) on the session pool: clusters of
@@ -266,27 +242,17 @@ impl Session {
         ops::dedup_similarity(patches, tau, &self.pool())
     }
 
-    /// [`Session::dedup`] over a materialized collection, with the
-    /// collection-level packed-vs-materialize routing
-    /// ([`ops::dedup_similarity_collection`]). Clusters are byte-identical
-    /// to deduplicating the snapshot's patches directly.
+    /// [`Session::dedup`] over a materialized collection — a
+    /// [`Session::batch`] of one. Clusters are byte-identical to
+    /// deduplicating the snapshot's patches directly.
     pub fn dedup_collection(&self, collection: &str, tau: f32) -> Result<Vec<Vec<u32>>> {
-        let col = self.catalog.snapshot(collection)?;
-        let cache = self.catalog.result_cache();
-        let key = fingerprint::dedup_key(col.version(), tau);
-        if let Some(key) = &key {
-            if let Some(CachedResult::Batch(BatchResult::Clusters(clusters))) = cache.get(key) {
-                return Ok(clusters);
-            }
+        match self.run_one(BatchQuery::Dedup {
+            collection: collection.to_string(),
+            tau,
+        })? {
+            BatchResult::Clusters(clusters) => Ok(clusters),
+            other => unreachable!("a dedup yields clusters, not {other:?}"),
         }
-        let clusters = ops::dedup_similarity_collection(&col, tau, &self.pool());
-        if let Some(key) = key {
-            cache.insert(
-                key,
-                CachedResult::Batch(BatchResult::Clusters(clusters.clone())),
-            );
-        }
-        Ok(clusters)
     }
 
     /// Generic θ-join on the session pool.
@@ -305,6 +271,25 @@ impl Session {
     pub fn build_ball_index(&self, collection: &str, index_name: &str) -> Result<()> {
         self.catalog
             .build_ball_index(collection, index_name, self.effective_threads())
+    }
+
+    /// Estimated wall-clock (µs) of [`Session::build_ball_index`] over
+    /// `collection` on this session's thread slice — what a server admits
+    /// the build on. An unknown collection prices at the 1 µs floor; the
+    /// build itself answers `NotFound`.
+    pub fn build_ball_index_estimate_us(&self, collection: &str, planner: &DevicePlanner) -> f64 {
+        let Ok(col) = self.catalog.snapshot(collection) else {
+            return 1.0;
+        };
+        let dim = plan::feature_dim(&col.patches).max(1);
+        let units = CostModel::default().build_cost(col.len(), dim);
+        planner
+            .estimate_us(
+                Device::ParallelCpu(self.effective_threads()),
+                units / planner.units_per_us,
+                0,
+            )
+            .max(1.0)
     }
 
     /// Build the chunked-columnar scan backing of `collection` so that

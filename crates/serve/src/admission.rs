@@ -1,8 +1,8 @@
 //! Cost-weighted admission control with bounded queuing and load shedding.
 //!
 //! Every request entering the server carries a **cost estimate** in
-//! microseconds of single-core vectorized work (produced by the
-//! [`DevicePlanner`]-based costing in [`crate::server`]). The controller
+//! microseconds (for a batch, the estimate of its own plan, bridged by the
+//! [`DevicePlanner`] — see [`crate::server`]). The controller
 //! admits requests against a global in-flight budget:
 //!
 //! * while the sum of admitted costs stays within
@@ -24,9 +24,9 @@
 //! the head and capacity is available, so admission order is arrival order —
 //! a flood of cheap requests cannot starve an expensive one at the head. The
 //! controller's lock carries [`LockRank::AdmissionQueue`], the outermost
-//! rank in the workspace order: a request blocks here before touching any
-//! engine state, and nothing may be held while entering the controller
-//! (checked at runtime under `debug_assertions`).
+//! rank in the workspace order: a planned request waits here holding
+//! snapshots (`Arc`s), never a lock — nothing may be held while entering
+//! the controller (checked at runtime under `debug_assertions`).
 //!
 //! [`DevicePlanner`]: deeplens_core::optimizer::DevicePlanner
 //! [`Overloaded`]: Overloaded

@@ -8,13 +8,14 @@
 //! clients exactly as they do to in-process ones.
 //!
 //! Every executing request passes **cost-weighted admission**
-//! ([`crate::admission`]): its wall-clock is estimated with the
-//! [`DevicePlanner`] (joins via [`DevicePlanner::place_join`], dedups as
-//! self-joins, probes via [`DevicePlanner::probe_estimate_us`], writes by
-//! data volume), weighted against the global in-flight budget, queued to a
-//! bounded depth, and shed with [`Response::Overloaded`] past it.
-//! Admitted requests execute through [`Session::batch`] and reply with
-//! results byte-identical to direct in-process execution.
+//! ([`crate::admission`]). A `Batch` is planned first
+//! ([`QueryBatch::plan`](deeplens_core::batch::QueryBatch::plan)), admitted
+//! on that plan's own
+//! [`estimate_us`](deeplens_core::batch::PlannedBatch::estimate_us) —
+//! queued to a bounded depth, shed with [`Response::Overloaded`] past it —
+//! and then the same planned value runs: what is admitted is what executes,
+//! on the snapshots it was priced on. Writes are priced by data volume,
+//! index builds by [`Session::build_ball_index_estimate_us`].
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -25,8 +26,7 @@ use std::time::Duration;
 
 use deeplens_analyze::sync::{LockRank, OrderedMutex};
 
-use deeplens_core::batch::BatchQuery;
-use deeplens_core::optimizer::{CostModel, DevicePlanner};
+use deeplens_core::optimizer::DevicePlanner;
 use deeplens_core::patch::{ImgRef, Patch};
 use deeplens_core::session::Session;
 use deeplens_core::shared::SharedCatalog;
@@ -145,7 +145,6 @@ pub fn serve(catalog: Arc<SharedCatalog>, config: ServerConfig) -> std::io::Resu
                             admission: admission.clone(),
                             shutdown: shutdown.clone(),
                             planner,
-                            model: CostModel::default(),
                             device: config.device,
                             max_frame_bytes: config.max_frame_bytes,
                         };
@@ -176,7 +175,6 @@ struct Connection {
     admission: Arc<AdmissionController>,
     shutdown: Arc<AtomicBool>,
     planner: DevicePlanner,
-    model: CostModel,
     device: Device,
     max_frame_bytes: usize,
 }
@@ -231,7 +229,7 @@ impl Connection {
                     continue;
                 }
             };
-            let response = self.handle(&session, &request);
+            let response = self.handle(&session, request);
             if self.reply(&mut stream, &response).is_err() {
                 return;
             }
@@ -247,7 +245,7 @@ impl Connection {
     /// Dispatch one request. Executing requests pass admission first; the
     /// permit spans execution so the in-flight budget reflects running
     /// work.
-    fn handle(&self, session: &Session, request: &Request) -> Response {
+    fn handle(&self, session: &Session, request: Request) -> Response {
         match request {
             Request::Ping => Response::Pong,
             Request::Stats => Response::Stats(ServeStats {
@@ -263,172 +261,54 @@ impl Connection {
                 cache_evictions: self.catalog.result_cache().evictions(),
                 delta_merges: deeplens_core::catalog::index_delta_merges(),
             }),
-            executing => {
-                let cost_us = self.request_cost_us(executing);
-                let permit = match self.admission.admit(cost_us) {
-                    Ok(p) => p,
-                    Err(_) => return Response::Overloaded,
-                };
-                let response = self.execute(session, executing);
-                drop(permit);
-                response
-            }
-        }
-    }
-
-    fn execute(&self, session: &Session, request: &Request) -> Response {
-        match request {
             Request::Batch(queries) => {
                 let mut batch = session.batch();
                 for q in queries {
-                    batch.push(q.clone());
+                    batch.push(q);
                 }
-                match batch.run() {
+                // Plan, admit on the plan's own estimate, run that plan.
+                let planned = match batch.plan() {
+                    Ok(p) => p,
+                    Err(e) => return Response::Error(e.to_string()),
+                };
+                self.admitted(planned.estimate_us(&self.planner), || match planned.run() {
                     Ok(results) => Response::Results(results),
                     Err(e) => Response::Error(e.to_string()),
-                }
+                })
             }
             Request::Materialize { name, rows } => {
-                let mut ids = self.catalog.reserve_patch_ids(rows.len() as u64);
-                let patches: Vec<Patch> = rows
-                    .iter()
-                    .enumerate()
-                    .map(|(i, row)| {
-                        Patch::features(ids.alloc(), ImgRef::frame("wire", i as u64), row.clone())
-                    })
-                    .collect();
-                self.catalog.materialize(name, patches);
-                Response::Ack
-            }
-            Request::BuildIndex { collection, index } => {
-                match session.build_ball_index(collection, index) {
-                    Ok(()) => Response::Ack,
-                    Err(e) => Response::Error(e.to_string()),
-                }
-            }
-            // `handle` answers these without admission; replying an error
-            // here (rather than panicking the connection thread) keeps the
-            // request paths panic-free even if routing ever regresses.
-            Request::Ping | Request::Stats => {
-                Response::Error("internal: non-executing request routed to execute".into())
-            }
-        }
-    }
-
-    /// Estimated cost (µs of single-core vectorized work) of one request —
-    /// the weight admission charges against the in-flight budget. The
-    /// planner divides the machine across the currently active sessions,
-    /// so the same query costs more on a crowded server.
-    fn request_cost_us(&self, request: &Request) -> f64 {
-        let planner = self
-            .planner
-            .for_sessions(self.catalog.active_sessions().max(1));
-        let cost = match request {
-            Request::Ping | Request::Stats => 0.0,
-            Request::Batch(queries) => queries
-                .iter()
-                .map(|q| self.query_cost_us(&planner, q))
-                .sum(),
-            Request::Materialize { rows, .. } => {
                 // A write is a copy: charge the float volume at the
                 // vectorized throughput bridge.
                 let floats: usize = rows.iter().map(Vec::len).sum();
-                floats as f64 / planner.units_per_us
+                self.admitted(floats as f64 / self.planner.units_per_us, || {
+                    let mut ids = self.catalog.reserve_patch_ids(rows.len() as u64);
+                    let patches: Vec<Patch> = rows
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, row)| {
+                            Patch::features(ids.alloc(), ImgRef::frame("wire", i as u64), row)
+                        })
+                        .collect();
+                    self.catalog.materialize(&name, patches);
+                    Response::Ack
+                })
             }
-            Request::BuildIndex { collection, .. } => {
-                let (n, dim) = self.collection_shape(collection);
-                self.model.build_cost(n, dim) / planner.units_per_us
-            }
-        };
-        cost.max(1.0)
-    }
-
-    fn query_cost_us(&self, planner: &DevicePlanner, query: &BatchQuery) -> f64 {
-        // A member whose snapshot-keyed result is resident in the catalog's
-        // result cache executes as a clone, not a join: re-price it to zero
-        // (the request-level clamp keeps the admission floor at 1 µs). The
-        // peek races with eviction and with concurrent writers, but a stale
-        // answer here only misprices admission — execution consults the
-        // cache again and always returns correct bytes.
-        if self
-            .cached_query_key(query)
-            .is_some_and(|key| self.catalog.result_cache().peek(&key))
-        {
-            return 0.0;
-        }
-        match query {
-            BatchQuery::SimilarityJoin { left, right, .. } => {
-                let (nl, dim) = self.collection_shape(left);
-                let (nr, _) = self.collection_shape(right);
-                let (strategy, device) = planner.place_join(&self.model, nl, nr, dim);
-                planner.join_estimate_us(&self.model, strategy, nl, nr, dim, device)
-            }
-            BatchQuery::Dedup { collection, .. } => {
-                // A dedup is a self-join plus linear clustering; the join
-                // dominates.
-                let (n, dim) = self.collection_shape(collection);
-                let (strategy, device) = planner.place_join(&self.model, n, n, dim);
-                planner.join_estimate_us(&self.model, strategy, n, n, dim, device)
-            }
-            BatchQuery::IndexProbe { collection, .. } => {
-                let (n, dim) = self.collection_shape(collection);
-                planner.probe_estimate_us(&self.model, n, dim, Device::Avx)
-            }
-        }
-    }
-
-    /// The result-cache fingerprint `query` would be served under against
-    /// the catalog's *current* snapshot versions, or `None` when the query
-    /// is uncacheable (missing collection, unversioned snapshot, or a
-    /// θ-predicate — the last cannot arrive over the wire).
-    fn cached_query_key(&self, query: &BatchQuery) -> Option<Vec<u8>> {
-        use deeplens_core::cache::fingerprint;
-        match query {
-            BatchQuery::SimilarityJoin {
-                left,
-                right,
-                tau,
-                predicate,
-            } => {
-                if predicate.is_some() {
-                    return None;
-                }
-                fingerprint::join_key(
-                    self.catalog.snapshot(left).ok()?.version(),
-                    self.catalog.snapshot(right).ok()?.version(),
-                    *tau,
-                )
-            }
-            BatchQuery::Dedup { collection, tau } => {
-                fingerprint::dedup_key(self.catalog.snapshot(collection).ok()?.version(), *tau)
-            }
-            BatchQuery::IndexProbe {
-                collection,
-                index,
-                probe,
-                tau,
-            } => fingerprint::probe_key(
-                self.catalog.snapshot(collection).ok()?.version(),
-                index,
-                probe,
-                *tau,
+            Request::BuildIndex { collection, index } => self.admitted(
+                session.build_ball_index_estimate_us(&collection, &self.planner),
+                || match session.build_ball_index(&collection, &index) {
+                    Ok(()) => Response::Ack,
+                    Err(e) => Response::Error(e.to_string()),
+                },
             ),
         }
     }
 
-    /// `(len, feature dim)` of a collection for costing; unknown names cost
-    /// as empty (execution will answer `NotFound` after a cheap admission).
-    fn collection_shape(&self, name: &str) -> (usize, usize) {
-        match self.catalog.snapshot(name) {
-            Ok(col) => {
-                let dim = col
-                    .patches
-                    .first()
-                    .and_then(|p| p.data.features())
-                    .map_or(8, <[f32]>::len);
-                (col.len(), dim)
-            }
-            Err(_) => (0, 8),
+    /// Run `work` under an admission permit of `cost_us` (estimated µs on
+    /// the connection's session), or shed it.
+    fn admitted(&self, cost_us: f64, work: impl FnOnce() -> Response) -> Response {
+        match self.admission.admit(cost_us) {
+            Ok(_permit) => work(),
+            Err(_) => Response::Overloaded,
         }
     }
 

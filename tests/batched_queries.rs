@@ -26,34 +26,111 @@ fn feature_patches(n: u64, dim: usize, seed: u64) -> Vec<Patch> {
 /// three collections of distinct sizes plus a Ball-Tree index on the
 /// largest.
 fn corpus_session(threads: usize, shards: usize) -> Session {
+    plan_corpus_session(Device::ParallelCpu(threads), shards, false)
+}
+
+/// The corpus widened so every [`JoinPlan`] is reachable: `wee` is small
+/// enough to plan packed once `backed`, and `odd` carries a featureless
+/// straggler row, which forces the nested fallback wherever it must be
+/// indexed (CPU) or stacked into a matrix (GPU).
+fn plan_corpus_session(device: Device, shards: usize, backed: bool) -> Session {
     let catalog = Arc::new(SharedCatalog::with_shards(shards));
     let mut s = Session::ephemeral_attached(catalog).unwrap();
-    s.set_device(Device::ParallelCpu(threads));
+    s.set_device(device);
+    let mut odd = feature_patches(25, 5, 55);
+    odd.push(Patch::empty(PatchId(25), ImgRef::frame("t", 25)));
+    s.catalog.materialize("wee", feature_patches(16, 5, 44));
+    s.catalog.materialize("odd", odd);
     s.catalog.materialize("tiny", feature_patches(40, 5, 11));
     s.catalog.materialize("mid", feature_patches(130, 5, 22));
     s.catalog.materialize("big", feature_patches(400, 5, 33));
     s.build_ball_index("big", "by_feat").unwrap();
+    if backed {
+        for name in COLS {
+            s.build_columnar(name).unwrap();
+        }
+    }
     s
 }
 
 const TAUS: [f32; 5] = [0.8, 1.5, 2.5, 4.0, 6.5];
-const COLS: [&str; 3] = ["tiny", "mid", "big"];
+const COLS: [&str; 5] = ["tiny", "mid", "big", "wee", "odd"];
+
+fn even_id_sum(l: &Patch, r: &Patch) -> bool {
+    (l.id.0 + r.id.0).is_multiple_of(2)
+}
 
 /// Decode a generated query spec into a batch member.
 fn push_query(batch: &mut QueryBatch<'_>, spec: (u8, usize, usize, usize)) {
     let (kind, a, b, t) = spec;
     let tau = TAUS[t % TAUS.len()];
     match kind % 4 {
-        0 | 1 => {
-            batch.similarity_join(COLS[a % 3], COLS[b % 3], tau);
+        0 => {
+            batch.similarity_join(COLS[a % 5], COLS[b % 5], tau);
+        }
+        1 => {
+            let pred: JoinPredicate = Arc::new(even_id_sum);
+            batch.similarity_join_filtered(COLS[a % 5], COLS[b % 5], tau, pred);
         }
         2 => {
-            batch.dedup(COLS[a % 3], tau);
+            batch.dedup(COLS[a % 5], tau);
         }
         _ => {
             let probe: Vec<f32> = (0..5).map(|i| ((a + b + i) % 9) as f32).collect();
             batch.index_probe("big", "by_feat", probe, tau);
         }
+    }
+}
+
+/// The batch `specs` decode to, plus three fixed members that ride along so
+/// every plan is reached in every case, whatever the random members pick.
+fn anchored<'s>(s: &'s Session, specs: &[(u8, usize, usize, usize)]) -> QueryBatch<'s> {
+    let mut batch = s.batch();
+    for &spec in specs {
+        push_query(&mut batch, spec);
+    }
+    batch.similarity_join("wee", "wee", 1.5);
+    batch.similarity_join("mid", "odd", 2.5);
+    batch.similarity_join("mid", "big", 1.5);
+    batch
+}
+
+/// One member's answer by brute force over the session's snapshots.
+fn oracle(s: &Session, query: &BatchQuery) -> BatchResult {
+    let rows = |name: &str| s.catalog.snapshot(name).unwrap().patches.clone();
+    match query {
+        BatchQuery::SimilarityJoin {
+            left,
+            right,
+            tau,
+            predicate,
+        } => {
+            let (l, r) = (rows(left), rows(right));
+            let mut pairs = ops::similarity_join_nested(&l, &r, *tau);
+            if let Some(p) = predicate {
+                pairs.retain(|&(i, j)| p(&l[i as usize], &r[j as usize]));
+            }
+            BatchResult::Pairs(pairs)
+        }
+        BatchQuery::Dedup { collection, tau } => {
+            BatchResult::Clusters(ops::dedup_bruteforce(&rows(collection), *tau))
+        }
+        BatchQuery::IndexProbe {
+            collection,
+            probe,
+            tau,
+            ..
+        } => BatchResult::Hits(
+            (0u32..)
+                .zip(&rows(collection))
+                .filter(|(_, p)| {
+                    let f = p.data.features().unwrap();
+                    let d2: f32 = f.iter().zip(probe).map(|(a, b)| (a - b) * (a - b)).sum();
+                    d2 <= tau * tau
+                })
+                .map(|(i, _)| i)
+                .collect(),
+        ),
     }
 }
 
@@ -158,39 +235,57 @@ fn batch_and_concurrent_sessions_compose() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// A `QueryBatch` of K random compatible queries (joins, dedups, index
-    /// probes over a shared corpus) returns byte-identical results to
-    /// serial issuance — across 1/2/4 worker threads and 1/16 catalog
-    /// shards, with every configuration agreeing on the bytes.
+    /// A `QueryBatch` of K random compatible queries (plain and filtered
+    /// joins, dedups, index probes over a shared corpus) returns
+    /// byte-identical results to serial issuance *and* to the brute-force
+    /// oracle — across 1/2/4 worker threads, the vectorized core and the
+    /// simulated GPU, 1/16 catalog shards, backed and unbacked collections
+    /// (so the packed, Ball-Tree, GPU all-pairs and nested plans all run),
+    /// with every configuration agreeing on the bytes.
     #[test]
     fn random_batches_byte_identical_to_serial(
-        specs in prop::collection::vec((0u8..4, 0usize..3, 0usize..3, 0usize..5), 4..9),
+        specs in prop::collection::vec((0u8..4, 0usize..5, 0usize..5, 0usize..5), 4..9),
     ) {
+        let devices = [
+            Device::ParallelCpu(1),
+            Device::ParallelCpu(2),
+            Device::ParallelCpu(4),
+            Device::Avx,
+            Device::GpuSim,
+        ];
+        let model = CostModel::default();
+        let mut reached = Vec::new();
         let mut reference: Option<Vec<BatchResult>> = None;
-        for shards in [1usize, 16] {
-            for threads in [1usize, 2, 4] {
-                let s = corpus_session(threads, shards);
-                let mut batch = s.batch();
-                for &spec in &specs {
-                    push_query(&mut batch, spec);
+        for (shards, backed) in [(1usize, false), (1, true), (16, false), (16, true)] {
+            for device in devices {
+                let s = plan_corpus_session(device, shards, backed);
+                let snap = |name: &str| s.catalog.snapshot(name).unwrap();
+                for (l, r) in [("wee", "wee"), ("mid", "odd"), ("mid", "big")] {
+                    reached.push(JoinPlan::choose(&snap(l), &snap(r), device, &model));
                 }
+                let batch = anchored(&s, &specs);
+                let queries = batch.queries().to_vec();
                 let got = batch.run().unwrap();
+                let want = anchored(&s, &specs).run_serial().unwrap();
 
-                let mut serial = s.batch();
-                for &spec in &specs {
-                    push_query(&mut serial, spec);
+                let shape = format!("{device:?} / {shards} shards / backed={backed}");
+                prop_assert_eq!(&got, &want, "{}", shape);
+                for (q, r) in queries.iter().zip(&got) {
+                    prop_assert_eq!(r, &oracle(&s, q), "{} vs oracle: {:?}", shape, q);
                 }
-                let want = serial.run_serial().unwrap();
-
-                prop_assert_eq!(&got, &want, "{} threads / {} shards", threads, shards);
                 match &reference {
                     None => reference = Some(got),
-                    Some(r) => prop_assert_eq!(
-                        r, &got,
-                        "{} threads / {} shards diverged from reference", threads, shards
-                    ),
+                    Some(r) => prop_assert_eq!(r, &got, "{} diverged from reference", shape),
                 }
             }
+        }
+        for plan in [
+            JoinPlan::Packed,
+            JoinPlan::BallTree { index_left: true },
+            JoinPlan::GpuAllPairs,
+            JoinPlan::Nested,
+        ] {
+            prop_assert!(reached.contains(&plan), "{:?} never planned", plan);
         }
     }
 }

@@ -107,6 +107,11 @@ fn eight_readers_one_writer_byte_identical_to_serial() {
                 let reference = &reference;
                 scope.spawn(move || {
                     let s = Session::ephemeral_attached(shared).unwrap();
+                    // Cached joins finish in microseconds: hold the readers
+                    // until the writer is demonstrably running beside them.
+                    while writer_rounds.load(Ordering::Acquire) == 0 {
+                        std::thread::yield_now();
+                    }
                     for iter in 0..20 {
                         // Byte-identical join against the serial reference.
                         let pairs = s.join_collections("left", "right", 2.5).unwrap();

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use deeplens::core::ops;
 use deeplens::prelude::{
-    ColumnarPatches, ImgRef, Patch, PatchCollection, PatchId, ScanFilter, Session, Value,
-    WorkerPool,
+    ColumnarPatches, CostModel, Device, ImgRef, JoinPlan, Patch, PatchCollection, PatchId,
+    ScanFilter, Session, Value, WorkerPool,
 };
 
 /// Deterministic LCG so proptest shrinks over the seed, not the rows.
@@ -107,7 +107,7 @@ proptest! {
                 let rc = ColumnarPatches::from_patches(&right, chunk_rows);
                 for threads in [1usize, 2, 4] {
                     let pool = WorkerPool::new(threads);
-                    let got = ops::similarity_join_packed(&lc, &filter, &rc, &filter, tau, &pool);
+                    let got = ops::similarity_join_packed(&lc, &filter, &rc, &filter, tau, None, &pool);
                     prop_assert_eq!(
                         &got, &want_join,
                         "join: chunk_rows={} threads={} filter={:?}",
@@ -146,8 +146,8 @@ proptest! {
                 let rc = ColumnarPatches::from_patches(&right, chunk_rows);
                 for threads in [1usize, 2, 4] {
                     let pool = WorkerPool::new(threads);
-                    let got = ops::similarity_join_packed_filtered(
-                        &lc, &filter, &rc, &filter, tau, pred, &pool,
+                    let got = ops::similarity_join_packed(
+                        &lc, &filter, &rc, &filter, tau, Some(&pred), &pool,
                     );
                     prop_assert_eq!(
                         &got, &want,
@@ -160,43 +160,56 @@ proptest! {
     }
 }
 
-/// The collection-level routing entries are output-invisible: with or
-/// without a live columnar backing (packed or row plan), the same pairs and
-/// clusters come back, and the session front door agrees.
+/// The planner's routing is output-invisible: with or without a live
+/// columnar backing (packed or Ball-Tree plan, the latter over ragged rows
+/// falling back to the nested loop), the session front door returns the
+/// pairs and clusters of the brute-force reference.
 #[test]
 fn routing_is_output_invisible() {
     let tau = 1.5f32;
-    let left = random_feature_patches(5, 80, 2);
-    let right = random_feature_patches(6, 60, 2);
-    let pool = WorkerPool::new(2);
+    let left = random_feature_patches(5, 20, 2);
+    let right = random_feature_patches(6, 14, 2);
+    let row_pairs = ops::similarity_join_nested(&left, &right, tau);
+    let row_clusters = ops::dedup_bruteforce(&left, tau);
+    let model = CostModel::default();
 
-    let mut l_plain = PatchCollection::from_patches(left.clone());
-    let mut r_plain = PatchCollection::from_patches(right.clone());
-    let row_pairs = ops::similarity_join_collections(&l_plain, &r_plain, tau, &pool);
-    let row_clusters = ops::dedup_similarity_collection(&l_plain, tau, &pool);
+    let session = Session::ephemeral().unwrap();
+    session.catalog.materialize("l", left.clone());
+    session.catalog.materialize("r", right.clone());
+    let (l, r) = (snapshot(&session, "l"), snapshot(&session, "r"));
+    assert_ne!(
+        JoinPlan::choose(&l, &r, Device::Avx, &model),
+        JoinPlan::Packed,
+        "nothing to go packed over yet"
+    );
+    assert_eq!(session.join_collections("l", "r", tau).unwrap(), row_pairs);
+    assert_eq!(session.dedup_collection("l", tau).unwrap(), row_clusters);
 
-    l_plain.build_columnar(16);
-    r_plain.build_columnar(16);
+    // Backing both sides republishes them (new versions, so nothing above
+    // replays from the result cache) and flips the plan to packed.
+    session.catalog.build_columnar_chunked("l", 16).unwrap();
+    session.catalog.build_columnar_chunked("r", 16).unwrap();
+    let (l, r) = (snapshot(&session, "l"), snapshot(&session, "r"));
     assert_eq!(
-        ops::similarity_join_collections(&l_plain, &r_plain, tau, &pool),
+        JoinPlan::choose(&l, &r, Device::Avx, &model),
+        JoinPlan::Packed
+    );
+    assert_eq!(
+        JoinPlan::choose_dedup(&l, Device::Avx, &model),
+        JoinPlan::Packed
+    );
+    assert_eq!(
+        session.join_collections("l", "r", tau).unwrap(),
         row_pairs,
         "packed routing changed the pair set"
     );
     assert_eq!(
-        ops::dedup_similarity_collection(&l_plain, tau, &pool),
+        session.dedup_collection("l", tau).unwrap(),
         row_clusters,
         "packed routing changed the clusters"
     );
+}
 
-    // Session front door: backed and unbacked collections join identically.
-    let session = Session::ephemeral().unwrap();
-    session.catalog.materialize("l", left.clone());
-    session.catalog.materialize("r", right.clone());
-    let unbacked = session.join_collections("l", "r", tau).unwrap();
-    session.catalog.build_columnar_chunked("l", 16).unwrap();
-    session.catalog.build_columnar_chunked("r", 16).unwrap();
-    assert_eq!(session.join_collections("l", "r", tau).unwrap(), unbacked);
-    assert_eq!(unbacked, row_pairs);
-    let d_unbacked = session.dedup_collection("l", tau).unwrap();
-    assert_eq!(d_unbacked, row_clusters);
+fn snapshot(session: &Session, name: &str) -> std::sync::Arc<PatchCollection> {
+    session.catalog.snapshot(name).unwrap()
 }

@@ -3,14 +3,16 @@
 //! variant assembles only the rows that appear in candidate pairs, never
 //! the non-matching remainder.
 //!
-//! `rows_materialized` is process-global, so every assertion lives in this
-//! one test function (integration test binaries run their tests in threads;
-//! a second materializing test in this file would race the deltas).
+//! `rows_materialized` and `columnar_backing_hits` are process-global, so
+//! every assertion lives in this one test function (integration test
+//! binaries run their tests in threads; a second test in this file would
+//! race the deltas).
 
+use deeplens::core::catalog::columnar_backing_hits;
 use deeplens::core::ops;
 use deeplens::core::scan::rows_materialized;
 use deeplens::prelude::{
-    ColumnarPatches, ImgRef, Patch, PatchId, Projection, ScanFilter, WorkerPool,
+    ColumnarPatches, ImgRef, Patch, PatchId, Projection, ScanFilter, Session, WorkerPool,
 };
 
 fn patches(n: usize) -> Vec<Patch> {
@@ -39,7 +41,7 @@ fn packed_path_never_materializes_non_matching_rows() {
 
     // Plain packed join: zero rows assembled, on any path.
     let before = rows_materialized();
-    let pairs = ops::similarity_join_packed(&lc, &filter, &rc, &filter, tau, &pool);
+    let pairs = ops::similarity_join_packed(&lc, &filter, &rc, &filter, tau, None, &pool);
     assert!(!pairs.is_empty(), "fixture must produce matches");
     assert_eq!(
         rows_materialized() - before,
@@ -66,15 +68,9 @@ fn packed_path_never_materializes_non_matching_rows() {
         (l.len() + r.len()) as u64
     };
     let before = rows_materialized();
-    let filtered = ops::similarity_join_packed_filtered(
-        &lc,
-        &filter,
-        &rc,
-        &filter,
-        tau,
-        |a, b| a.get_str("label") == b.get_str("label"),
-        &pool,
-    );
+    let same_label = |a: &Patch, b: &Patch| a.get_str("label") == b.get_str("label");
+    let filtered =
+        ops::similarity_join_packed(&lc, &filter, &rc, &filter, tau, Some(&same_label), &pool);
     let assembled = rows_materialized() - before;
     assert!(!filtered.is_empty());
     assert!(
@@ -98,4 +94,42 @@ fn packed_path_never_materializes_non_matching_rows() {
         scanned.patches.len() as u64,
         "materializing scan counts each assembled row"
     );
+
+    // Backing hits count uses, not looks. Two backed 600-row collections sit
+    // past the packed/Ball-Tree crossover: the planner inspects both
+    // backings, plans the tree, and reads no chunk — no hit. (It used to
+    // report two for the join and one for the dedup.)
+    let session = Session::ephemeral().unwrap();
+    for (name, rows) in [("wide_a", 600), ("wide_b", 600), ("narrow", 16)] {
+        session.catalog.materialize(name, patches(rows));
+        session.build_columnar(name).unwrap();
+    }
+    let before = columnar_backing_hits();
+    assert!(!session
+        .join_collections("wide_a", "wide_b", tau)
+        .unwrap()
+        .is_empty());
+    assert!(!session.dedup_collection("wide_a", tau).unwrap().is_empty());
+    assert_eq!(
+        columnar_backing_hits(),
+        before,
+        "a Ball-Tree-planned join read no backing"
+    );
+    // A 16-row pair plans packed and reads both backings; its dedup reads
+    // one.
+    assert!(!session
+        .join_collections("narrow", "narrow", tau)
+        .unwrap()
+        .is_empty());
+    assert_eq!(
+        columnar_backing_hits() - before,
+        1,
+        "self-join: one backing"
+    );
+    session.catalog.materialize("narrow_b", patches(16));
+    session.build_columnar("narrow_b").unwrap();
+    session.join_collections("narrow", "narrow_b", tau).unwrap();
+    assert_eq!(columnar_backing_hits() - before, 3, "two distinct backings");
+    session.dedup_collection("narrow", tau).unwrap();
+    assert_eq!(columnar_backing_hits() - before, 4);
 }
