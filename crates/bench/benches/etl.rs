@@ -175,20 +175,11 @@ fn main() {
             .unwrap_or(f64::NAN)
     };
 
-    // The planner's view of the same sweep, with host-calibrated constants
+    // Host-calibrated planner constants, recorded with the artifact
     // (`DevicePlanner::calibrated` measures units_per_us and
     // spawn_overhead_us at startup; under CRITERION_QUICK it returns the
     // defaults so smoke timings stay unperturbed).
     let planner = DevicePlanner::calibrated();
-    let model = CostModel::default();
-    let predicted = planner.place_batched_etl(&model, n_frames, 2_000.0, 200.0, 4);
-    println!(
-        "bench etl/planner: calibrated units_per_us {:.1}, spawn_overhead_us {:.1}, predicted K=4 speedup {:.2}x on {:?}",
-        planner.units_per_us,
-        planner.spawn_overhead_us,
-        predicted.speedup(),
-        predicted.device,
-    );
 
     let mut sections: Vec<(&str, String)> =
         vec![("bench", "\"etl\"".into()), ("quick", quick.to_string())];

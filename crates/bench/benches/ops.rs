@@ -99,11 +99,11 @@ fn main() {
                     f: Box::new(|img| img.mean_color().to_vec()),
                 },
             ));
-            let mut catalog = Catalog::new();
+            let catalog = SharedCatalog::new();
             pipe.run(
                 frames.iter().enumerate().map(|(i, f)| (i as u64, f)),
                 "cam",
-                &mut catalog,
+                &catalog,
                 "tiles",
                 &pool,
             )

@@ -45,14 +45,17 @@ fn main() {
 
     // q2: hash index build charged to DL.
     let (_, bl) = time(|| q2_baseline(&traffic));
-    let mut traffic2 = traffic;
     let (_, dl) = time(|| {
-        traffic2
+        traffic
             .catalog
-            .collection_mut("traffic_dets")
-            .expect("materialized")
-            .build_hash_index("by_label", "label");
-        q2_optimized(&traffic2.catalog)
+            .build_hash_index("traffic_dets", "by_label", "label")
+            .expect("materialized");
+        q2_optimized(
+            &traffic
+                .catalog
+                .snapshot("traffic_dets")
+                .expect("materialized"),
+        )
     });
     table.row(&[
         "q2 vehicles".to_string(),

@@ -53,7 +53,7 @@ pub struct TrafficEtl {
     /// Featurized detection patches (one per detector output).
     pub detections: Vec<Patch>,
     /// Catalog holding the materialized `traffic_dets` collection.
-    pub catalog: Catalog,
+    pub catalog: SharedCatalog,
 }
 
 /// Run detection + featurization + depth annotation over the traffic feed.
@@ -68,7 +68,7 @@ pub fn traffic_etl(
     let dataset = TrafficDataset::generate(scale, seed);
     let detector = ObjectDetector::new(detector_cfg, device);
     let depth_model = DepthModel::default_on(device);
-    let catalog = Catalog::new();
+    let catalog = SharedCatalog::new();
     let mut detections = Vec::new();
 
     // Frames stream through the detector in batches, as real inference
@@ -129,7 +129,6 @@ pub fn traffic_etl(
         t0 = t1;
     }
 
-    let mut catalog = catalog;
     catalog.materialize("traffic_dets", detections.clone());
     TrafficEtl {
         dataset,
@@ -152,14 +151,14 @@ pub struct PcEtl {
     /// OCR string patches (children of image patches).
     pub ocr_patches: Vec<Patch>,
     /// Catalog holding `pc_images` and `pc_strings`.
-    pub catalog: Catalog,
+    pub catalog: SharedCatalog,
 }
 
 /// Featurize every PC image and OCR every embedded string.
 pub fn pc_etl(scale: f64, seed: u64, device: Device) -> PcEtl {
     let dataset = PcDataset::generate(scale, seed);
     let ocr = OcrEngine::default_on(device);
-    let catalog = Catalog::new();
+    let catalog = SharedCatalog::new();
     let mut image_patches = Vec::with_capacity(dataset.images.len());
     let mut ocr_patches = Vec::new();
 
@@ -188,7 +187,6 @@ pub fn pc_etl(scale: f64, seed: u64, device: Device) -> PcEtl {
         image_patches.push(patch);
     }
 
-    let mut catalog = catalog;
     catalog.materialize("pc_images", image_patches.clone());
     catalog.materialize("pc_strings", ocr_patches.clone());
     PcEtl {
@@ -208,7 +206,7 @@ pub struct FootballEtl {
     /// Jersey OCR patches (children of detections).
     pub ocr_patches: Vec<Patch>,
     /// Catalog holding `football_dets` and `football_ocr`.
-    pub catalog: Catalog,
+    pub catalog: SharedCatalog,
 }
 
 /// Detect players in every clip and OCR their jersey numbers.
@@ -216,7 +214,7 @@ pub fn football_etl(scale: f64, seed: u64, device: Device) -> FootballEtl {
     let dataset = FootballDataset::generate(scale, seed);
     let detector = ObjectDetector::default_on(device);
     let ocr = OcrEngine::default_on(device);
-    let catalog = Catalog::new();
+    let catalog = SharedCatalog::new();
     let mut detections = Vec::new();
     let mut ocr_patches = Vec::new();
 
@@ -268,7 +266,6 @@ pub fn football_etl(scale: f64, seed: u64, device: Device) -> FootballEtl {
         }
     }
 
-    let mut catalog = catalog;
     catalog.materialize("football_dets", detections.clone());
     catalog.materialize("football_ocr", ocr_patches.clone());
     FootballEtl {
@@ -301,7 +298,7 @@ mod tests {
             .count();
         assert!(people_with_depth > 0, "q6 needs depth-annotated people");
         assert_eq!(
-            etl.catalog.collection("traffic_dets").unwrap().len(),
+            etl.catalog.snapshot("traffic_dets").unwrap().len(),
             etl.detections.len()
         );
     }

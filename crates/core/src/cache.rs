@@ -19,8 +19,8 @@
 //! version that has never been seen before: post-write queries build keys
 //! that cannot match any cached entry, and stale entries age out of the
 //! LRU instead of being hunted down. A collection that has never been
-//! published with a version (`version() == 0`, e.g. one inside a plain
-//! session-local `Catalog`) is never cached — [`fingerprint`] builders
+//! published with a version (`version() == 0`, e.g. a free-standing
+//! `PatchCollection::from_patches`) is never cached — [`fingerprint`] builders
 //! return `None` for it, as they do for queries that cannot be
 //! fingerprinted at all (θ-predicate joins carry host closures).
 //!

@@ -16,7 +16,6 @@ use std::sync::Arc;
 use deeplens_exec::WorkerPool;
 use deeplens_index::{BallTree, DeltaBallTree, RTree, Rect, SortedRunIndex};
 
-use crate::lineage::LineageStore;
 use crate::optimizer::CostModel;
 use crate::patch::{Patch, PatchId};
 use crate::scan::{row_scan, ColumnarPatches, Projection, ScanFilter, ScanResult};
@@ -31,8 +30,8 @@ static COLUMNAR_HITS: AtomicU64 = AtomicU64::new(0);
 /// because it was stale (row count disagreed with the collection).
 static COLUMNAR_STALE: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of columnar backings rebuilt by a re-materialize
-/// carrying a prior backing forward (see [`Catalog::materialize`] /
-/// `SharedCatalog::materialize`).
+/// carrying a prior backing forward (see
+/// [`SharedCatalog::materialize`](crate::shared::SharedCatalog::materialize)).
 static COLUMNAR_REBUILT: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of columnar backings built *eagerly* by a materialize
 /// because `CostModel::prefer_columnar_backing` predicted a win (no explicit
@@ -310,8 +309,9 @@ impl PatchCollection {
     }
 
     /// Carry a replaced collection's physical design forward onto this
-    /// freshly materialized one — the single pass both materialize paths
-    /// ([`Catalog::materialize`] and `SharedCatalog::materialize`) run:
+    /// freshly materialized one — the single pass
+    /// [`SharedCatalog::materialize`](crate::shared::SharedCatalog::materialize)
+    /// runs:
     ///
     /// * the **columnar backing** is rebuilt at the prior granularity (or
     ///   built eagerly when [`CostModel::prefer_columnar_backing`] predicts
@@ -554,8 +554,9 @@ impl PatchIdRange {
         }
     }
 
-    /// A real reservation of `n` ids starting at `start` (the catalogs'
-    /// allocators construct these; see [`Catalog::reserve_patch_ids`]).
+    /// A real reservation of `n` ids starting at `start` (the catalog's
+    /// allocator constructs these; see
+    /// [`SharedCatalog::reserve_patch_ids`](crate::shared::SharedCatalog::reserve_patch_ids)).
     pub(crate) fn from_reservation(start: u64, n: u64) -> Self {
         PatchIdRange {
             start,
@@ -583,113 +584,16 @@ impl PatchIdRange {
     }
 }
 
-/// The session catalog: named collections, the lineage store, and the patch
-/// id allocator.
-#[derive(Debug, Default)]
-pub struct Catalog {
-    collections: HashMap<String, PatchCollection>,
-    /// The lineage graph across all collections.
-    pub lineage: LineageStore,
-    next_id: AtomicU64,
-}
-
-impl Catalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocate a fresh patch id.
-    pub fn next_patch_id(&self) -> PatchId {
-        PatchId(self.next_id.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Reserve `n` consecutive patch ids in one step (the morsel-friendly
-    /// bulk form of [`Catalog::next_patch_id`]).
-    pub fn reserve_patch_ids(&self, n: u64) -> PatchIdRange {
-        let start = self.next_id.fetch_add(n, Ordering::Relaxed);
-        PatchIdRange::from_reservation(start, n)
-    }
-
-    /// Materialize `patches` under `name`, recording their lineage.
-    ///
-    /// Replaces any existing collection of that name and returns the
-    /// replaced collection (patches, indexes, and through them its recorded
-    /// lineage) so the caller can detect — and recover from — a clobber.
-    /// The historical signature returned nothing, which let two writers
-    /// overwrite each other invisibly; use [`Catalog::materialize_new`] to
-    /// make a name conflict a hard error instead.
-    ///
-    /// The replaced collection's physical design is carried forward in one
-    /// pass ([`PatchCollection::carry_from`]): a columnar backing is
-    /// rebuilt at the same granularity (counted via
-    /// [`columnar_backings_rebuilt`]), hash/sorted/spatial indexes are
-    /// rebuilt over the new rows, and Ball indexes are **delta-maintained**
-    /// — unchanged rows keep the prior tree; only a cost-model-priced merge
-    /// triggers a full rebuild. A first materialize with no prior version
-    /// still gets an eager columnar backing when
-    /// [`CostModel::prefer_columnar_backing`] predicts a win.
-    pub fn materialize(&mut self, name: &str, patches: Vec<Patch>) -> Option<PatchCollection> {
-        self.lineage.record_all(patches.iter());
-        let mut collection = PatchCollection::from_patches(patches);
-        match self.collections.get(name) {
-            Some(prior) => collection.carry_from(prior, &CostModel::default(), 1),
-            None => collection.maybe_autobuild_columnar(&CostModel::default()),
-        }
-        self.collections.insert(name.to_string(), collection)
-    }
-
-    /// [`Catalog::materialize`] that refuses to replace: errors with
-    /// [`DlError::Conflict`] if `name` already exists, leaving the existing
-    /// collection (and the lineage store) untouched.
-    pub fn materialize_new(&mut self, name: &str, patches: Vec<Patch>) -> Result<()> {
-        if self.collections.contains_key(name) {
-            return Err(DlError::Conflict(format!(
-                "collection '{name}' already exists"
-            )));
-        }
-        self.materialize(name, patches);
-        Ok(())
-    }
-
-    /// Borrow a collection.
-    pub fn collection(&self, name: &str) -> Result<&PatchCollection> {
-        self.collections
-            .get(name)
-            .ok_or_else(|| DlError::NotFound(format!("collection '{name}'")))
-    }
-
-    /// Mutably borrow a collection (to build indexes).
-    pub fn collection_mut(&mut self, name: &str) -> Result<&mut PatchCollection> {
-        self.collections
-            .get_mut(name)
-            .ok_or_else(|| DlError::NotFound(format!("collection '{name}'")))
-    }
-
-    /// Names of all materialized collections.
-    pub fn names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.collections.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
-    }
-
-    /// Drop a collection. Returns whether it existed.
-    pub fn drop_collection(&mut self, name: &str) -> bool {
-        self.collections.remove(name).is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::patch::ImgRef;
 
-    fn make_catalog() -> Catalog {
-        let mut cat = Catalog::new();
+    fn make_collection() -> PatchCollection {
         let patches: Vec<Patch> = (0..50)
             .map(|i| {
                 Patch::features(
-                    cat.next_patch_id(),
+                    PatchId(i),
                     ImgRef::frame("cam", i / 5),
                     vec![(i % 10) as f32, 1.0],
                 )
@@ -702,22 +606,12 @@ mod tests {
                 .with_meta("h", 12i64)
             })
             .collect();
-        cat.materialize("dets", patches);
-        cat
-    }
-
-    #[test]
-    fn materialize_and_lookup() {
-        let cat = make_catalog();
-        assert_eq!(cat.names(), vec!["dets"]);
-        assert_eq!(cat.collection("dets").unwrap().len(), 50);
-        assert!(cat.collection("missing").is_err());
+        PatchCollection::from_patches(patches)
     }
 
     #[test]
     fn hash_index_matches_scan() {
-        let mut cat = make_catalog();
-        let col = cat.collection_mut("dets").unwrap();
+        let mut col = make_collection();
         col.build_hash_index("by_label", "label");
         let cars = col.lookup_eq("by_label", &Value::from("car")).unwrap();
         let scan: Vec<u32> = col
@@ -736,8 +630,7 @@ mod tests {
 
     #[test]
     fn sorted_index_range() {
-        let mut cat = make_catalog();
-        let col = cat.collection_mut("dets").unwrap();
+        let mut col = make_collection();
         col.build_sorted_index("by_score", "score");
         let hits = col.lookup_range("by_score", 0.75, 1.01).unwrap();
         for &i in &hits {
@@ -756,8 +649,7 @@ mod tests {
 
     #[test]
     fn spatial_index_intersection() {
-        let mut cat = make_catalog();
-        let col = cat.collection_mut("dets").unwrap();
+        let mut col = make_collection();
         col.build_spatial_index("by_bbox");
         let window = Rect::new(0.0, 0.0, 50.0, 50.0);
         let hits = col.lookup_intersecting("by_bbox", &window).unwrap();
@@ -770,8 +662,7 @@ mod tests {
 
     #[test]
     fn ball_index_similarity() {
-        let mut cat = make_catalog();
-        let col = cat.collection_mut("dets").unwrap();
+        let mut col = make_collection();
         col.build_ball_index("by_feat").unwrap();
         let hits = col.lookup_similar("by_feat", &[3.0, 1.0], 0.1).unwrap();
         assert_eq!(hits.len(), 5, "five patches share feature [3,1]");
@@ -779,8 +670,7 @@ mod tests {
 
     #[test]
     fn wrong_index_kind_rejected() {
-        let mut cat = make_catalog();
-        let col = cat.collection_mut("dets").unwrap();
+        let mut col = make_collection();
         col.build_hash_index("idx", "label");
         assert!(matches!(
             col.lookup_similar("idx", &[0.0, 0.0], 1.0),
@@ -793,45 +683,9 @@ mod tests {
     }
 
     #[test]
-    fn lineage_recorded_on_materialize() {
-        let cat = make_catalog();
-        assert_eq!(cat.lineage.len(), 50);
-    }
-
-    #[test]
-    fn patch_ids_unique() {
-        let cat = Catalog::new();
-        let a = cat.next_patch_id();
-        let b = cat.next_patch_id();
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn reserved_id_ranges_are_disjoint_and_dense() {
-        let cat = Catalog::new();
-        let a = cat.next_patch_id();
-        let mut r1 = cat.reserve_patch_ids(3);
-        let mut r2 = cat.reserve_patch_ids(2);
-        let b = cat.next_patch_id();
-        let mut seen = vec![a.0, b.0];
-        for _ in 0..3 {
-            seen.push(r1.alloc().0);
-        }
-        for _ in 0..2 {
-            seen.push(r2.alloc().0);
-        }
-        assert_eq!(r1.used(), 3);
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 7, "no id is handed out twice");
-        assert_eq!(seen, (0..7).collect::<Vec<u64>>(), "ids stay dense");
-    }
-
-    #[test]
     #[should_panic(expected = "exhausted")]
     fn exhausted_range_panics() {
-        let cat = Catalog::new();
-        let mut r = cat.reserve_patch_ids(1);
+        let mut r = PatchIdRange::from_reservation(7, 1);
         let _ = r.alloc();
         let _ = r.alloc();
     }
@@ -847,8 +701,7 @@ mod tests {
 
     #[test]
     fn parallel_ball_index_matches_serial() {
-        let mut cat = make_catalog();
-        let col = cat.collection_mut("dets").unwrap();
+        let mut col = make_collection();
         col.build_ball_index("serial").unwrap();
         col.build_ball_index_parallel("parallel", 4).unwrap();
         for q in [[0.0f32, 1.0], [3.0, 1.0], [9.0, 1.0]] {
@@ -862,8 +715,7 @@ mod tests {
     #[test]
     fn stale_columnar_backing_falls_back_to_rows() {
         use crate::scan::{Projection, ScanFilter};
-        let mut cat = make_catalog();
-        let col = cat.collection_mut("dets").unwrap();
+        let mut col = make_collection();
         let pool = deeplens_exec::WorkerPool::new(1);
         // No backing yet: row fallback.
         assert!(
@@ -890,52 +742,10 @@ mod tests {
     }
 
     #[test]
-    fn drop_collection() {
-        let mut cat = make_catalog();
-        assert!(cat.drop_collection("dets"));
-        assert!(!cat.drop_collection("dets"));
-        assert!(cat.collection("dets").is_err());
-    }
-
-    #[test]
-    fn materialize_returns_replaced_collection() {
-        // Regression: materialize used to overwrite an existing collection
-        // silently, so concurrent writers clobbered each other invisibly.
-        let mut cat = Catalog::new();
-        let first = vec![Patch::empty(cat.next_patch_id(), ImgRef::frame("a", 0))];
-        let first_id = first[0].id;
-        assert!(cat.materialize("col", first).is_none(), "fresh name");
-        let second = vec![
-            Patch::empty(cat.next_patch_id(), ImgRef::frame("b", 1)),
-            Patch::empty(cat.next_patch_id(), ImgRef::frame("b", 2)),
-        ];
-        let replaced = cat.materialize("col", second).expect("clobber surfaced");
-        assert_eq!(replaced.len(), 1);
-        assert_eq!(
-            replaced.patches[0].id, first_id,
-            "the replaced patches come back"
-        );
-        assert_eq!(cat.collection("col").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn materialize_new_errors_on_conflict() {
-        let mut cat = Catalog::new();
-        let p = vec![Patch::empty(cat.next_patch_id(), ImgRef::frame("a", 0))];
-        cat.materialize_new("col", p.clone()).unwrap();
-        let lineage_before = cat.lineage.len();
-        let err = cat.materialize_new("col", p).unwrap_err();
-        assert!(matches!(err, DlError::Conflict(_)), "got {err:?}");
-        assert_eq!(cat.collection("col").unwrap().len(), 1, "untouched");
-        assert_eq!(cat.lineage.len(), lineage_before, "no lineage side effect");
-    }
-
-    #[test]
     fn collections_are_cloneable_with_indexes() {
         // Clone backs the shared catalog's copy-on-write protocol: the copy
         // must answer index lookups identically and independently.
-        let mut cat = make_catalog();
-        let col = cat.collection_mut("dets").unwrap();
+        let mut col = make_collection();
         col.build_hash_index("by_label", "label");
         col.build_sorted_index("by_score", "score");
         col.build_spatial_index("by_bbox");

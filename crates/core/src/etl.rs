@@ -10,7 +10,7 @@
 //! [`Pipeline::run`] executes frames as morsels on a [`WorkerPool`]: each
 //! frame generates and transforms with a *speculative* zero-based
 //! [`PatchIdRange`], and the sequential epilogue rebases every frame onto a
-//! real reservation from the catalog ([`Catalog::reserve_patch_ids`]) in
+//! real reservation from the catalog ([`SharedCatalog::reserve_patch_ids`]) in
 //! frame order. Ids, lineage, and patch payloads are therefore byte-
 //! identical across thread counts — and identical to what the historical
 //! serial implementation produced.
@@ -22,7 +22,7 @@ use deeplens_codec::video::VideoDecoder;
 use deeplens_codec::Image;
 use deeplens_exec::WorkerPool;
 
-use crate::catalog::{Catalog, PatchIdRange};
+use crate::catalog::PatchIdRange;
 use crate::patch::{ImgRef, Patch, PatchData, PatchId};
 use crate::session::Session;
 use crate::shared::SharedCatalog;
@@ -180,60 +180,25 @@ impl FrameOutput {
     }
 }
 
-/// The catalog a pipeline epilogue materializes into: the session-private
-/// [`Catalog`] or the multi-session [`SharedCatalog`]. Both targets expose
-/// the same three epilogue steps (reserve ids, record lineage, publish the
-/// output collection), so every run variant shares one engine instead of
-/// duplicating the sequencing rules per catalog kind.
-enum CatalogTarget<'a> {
-    Private(&'a mut Catalog),
-    Shared(&'a SharedCatalog),
-}
-
-impl CatalogTarget<'_> {
-    fn reserve_patch_ids(&mut self, n: u64) -> PatchIdRange {
-        match self {
-            CatalogTarget::Private(c) => c.reserve_patch_ids(n),
-            CatalogTarget::Shared(c) => c.reserve_patch_ids(n),
-        }
-    }
-
-    fn record_lineage<'p>(&mut self, patches: impl IntoIterator<Item = &'p Patch>) {
-        match self {
-            CatalogTarget::Private(c) => c.lineage.record_all(patches),
-            CatalogTarget::Shared(c) => c.record_lineage(patches),
-        }
-    }
-
-    fn materialize(&mut self, name: &str, patches: Vec<Patch>) {
-        match self {
-            CatalogTarget::Private(c) => {
-                c.materialize(name, patches);
-            }
-            CatalogTarget::Shared(c) => {
-                c.materialize(name, patches);
-            }
-        }
-    }
-}
-
-/// The sequential epilogue every run variant shares: rebase each frame onto
-/// a real id reservation **in frame order** (so ids are deterministic and
-/// identical to serial issuance), record intermediate-stage lineage with
-/// one lineage-store acquisition, and publish the final stage under
-/// `output_name` with one materialize (for the shared catalog, one atomic
-/// snapshot swap — concurrent readers never see it half materialized).
+/// The sequential epilogue [`Pipeline::run`] and [`PipelineBatch::run`]
+/// share: rebase each frame onto a real id reservation **in frame order**
+/// (so ids are deterministic and identical to serial issuance), record
+/// intermediate-stage lineage with one lineage-lock acquisition (released
+/// before the collection shard is touched — latch ordering rule 2), and
+/// publish the final stage under `output_name` with one materialize (one
+/// atomic snapshot swap — concurrent readers never see it half
+/// materialized).
 ///
 /// Returns the number of patches materialized.
 fn issue_frames(
     frame_outputs: Vec<FrameOutput>,
-    target: &mut CatalogTarget<'_>,
+    catalog: &SharedCatalog,
     output_name: &str,
 ) -> usize {
     let mut intermediates = Vec::new();
     let mut patches = Vec::new();
     for mut frame in frame_outputs {
-        let base = target.reserve_patch_ids(frame.ids_used).start();
+        let base = catalog.reserve_patch_ids(frame.ids_used).start();
         frame.rebase(base);
         // Intermediate patches are not materialized, but their lineage
         // records must exist so downstream backtraces can walk through
@@ -241,9 +206,9 @@ fn issue_frames(
         intermediates.extend(frame.intermediates);
         patches.extend(frame.finals);
     }
-    target.record_lineage(intermediates.iter());
+    catalog.record_lineage(intermediates.iter());
     let n = patches.len();
-    target.materialize(output_name, patches);
+    catalog.materialize(output_name, patches);
     n
 }
 
@@ -313,20 +278,28 @@ impl Pipeline {
         })
     }
 
-    /// The parallel phase shared by [`Pipeline::run`] and
-    /// [`Pipeline::run_shared`]: validate, then generate + transform each
-    /// frame as a pool morsel with frame-local speculative ids.
+    /// Run the pipeline over `(frame_no, image)` pairs from `source`,
+    /// materializing the result into `catalog` under `output_name`. Frames
+    /// generate + transform as morsels on `pool` with frame-local
+    /// speculative ids; with no other session interleaving reservations,
+    /// ids, payloads, and lineage are identical for every thread count and
+    /// shard count.
     ///
-    /// Surfaces any stage error before the caller touches a catalog: a
-    /// mid-run failure must not leave orphan lineage records or consumed
-    /// ids behind (the historical serial code could not partially fail).
-    fn frame_outputs(
+    /// Any stage error surfaces before the catalog is touched: a mid-run
+    /// failure leaves no orphan lineage records, consumed ids, or
+    /// half-materialized output behind.
+    ///
+    /// Returns the number of patches materialized.
+    pub fn run<'a>(
         &self,
-        frames: &[(u64, &Image)],
+        frames: impl Iterator<Item = (u64, &'a Image)>,
         source: &str,
+        catalog: &SharedCatalog,
+        output_name: &str,
         pool: &WorkerPool,
-    ) -> Result<Vec<FrameOutput>> {
+    ) -> Result<usize> {
         self.validate()?;
+        let frames: Vec<(u64, &Image)> = frames.collect();
         let morsel_results: Vec<Result<Vec<FrameOutput>>> =
             pool.run_morsels(frames.len(), pool.morsel_size(frames.len()), |range| {
                 frames[range]
@@ -338,56 +311,7 @@ impl Pipeline {
         for morsel in morsel_results {
             frame_outputs.extend(morsel?);
         }
-        Ok(frame_outputs)
-    }
-
-    /// Run the pipeline over `(frame_no, image)` pairs from `source`,
-    /// materializing the result into `catalog` under `output_name`. Frames
-    /// execute as morsels on `pool`; results (ids included) are identical
-    /// for every thread count.
-    ///
-    /// Returns the number of patches materialized.
-    pub fn run<'a>(
-        &self,
-        frames: impl Iterator<Item = (u64, &'a Image)>,
-        source: &str,
-        catalog: &mut Catalog,
-        output_name: &str,
-        pool: &WorkerPool,
-    ) -> Result<usize> {
-        let frames: Vec<(u64, &Image)> = frames.collect();
-        let frame_outputs = self.frame_outputs(&frames, source, pool)?;
-        Ok(issue_frames(
-            frame_outputs,
-            &mut CatalogTarget::Private(catalog),
-            output_name,
-        ))
-    }
-
-    /// [`Pipeline::run`] against a [`SharedCatalog`]: id reservation is the
-    /// catalog's lock-free atomic range, intermediate lineage goes through
-    /// the shared lineage store (one lineage-lock acquisition, released
-    /// before the collection shard is touched — latch ordering rule 2), and
-    /// the output collection is published with one atomic snapshot swap —
-    /// concurrent readers never see it half materialized. With no other
-    /// session interleaving reservations, the ids, payloads, and lineage
-    /// are byte-identical to [`Pipeline::run`] on a fresh [`Catalog`], for
-    /// every thread count.
-    pub fn run_shared<'a>(
-        &self,
-        frames: impl Iterator<Item = (u64, &'a Image)>,
-        source: &str,
-        shared: &SharedCatalog,
-        output_name: &str,
-        pool: &WorkerPool,
-    ) -> Result<usize> {
-        let frames: Vec<(u64, &Image)> = frames.collect();
-        let frame_outputs = self.frame_outputs(&frames, source, pool)?;
-        Ok(issue_frames(
-            frame_outputs,
-            &mut CatalogTarget::Shared(shared),
-            output_name,
-        ))
+        Ok(issue_frames(frame_outputs, catalog, output_name))
     }
 }
 
@@ -459,7 +383,7 @@ struct IngestJob {
 ///
 /// **Determinism**: every job's ids, payloads, and lineage are
 /// byte-identical to issuing the jobs one at a time through
-/// [`Pipeline::run_shared`] ([`PipelineBatch::run_serial`] is that
+/// [`Pipeline::run`] ([`PipelineBatch::run_serial`] is that
 /// reference path, verbatim) — the speculative per-frame id ranges are
 /// rebased job-major in frame order, exactly the serial reservation order.
 ///
@@ -696,7 +620,7 @@ impl<'s> PipelineBatch<'s> {
         for (job, frame_outputs) in self.jobs.iter().zip(per_job) {
             counts.push(issue_frames(
                 frame_outputs,
-                &mut CatalogTarget::Shared(&self.session.catalog),
+                &self.session.catalog,
                 &job.output,
             ));
         }
@@ -705,7 +629,7 @@ impl<'s> PipelineBatch<'s> {
 
     /// The serial reference path: decode every job's frame window privately
     /// (paying the codec cost per job, never touching the shared cache) and
-    /// issue each job one at a time through [`Pipeline::run_shared`], in
+    /// issue each job one at a time through [`Pipeline::run`], in
     /// order. [`PipelineBatch::run`] is byte-identical to this when no
     /// concurrent session interleaves id reservations.
     pub fn run_serial(self) -> Result<Vec<usize>> {
@@ -751,7 +675,7 @@ impl<'s> PipelineBatch<'s> {
                         .collect()
                 }
             };
-            counts.push(job.pipeline.run_shared(
+            counts.push(job.pipeline.run(
                 frames.iter().map(|(t, img)| (*t, &**img)),
                 &source.name,
                 &self.session.catalog,
@@ -836,19 +760,19 @@ mod tests {
     #[test]
     fn whole_image_pipeline() {
         let imgs = frames(4);
-        let mut catalog = Catalog::new();
+        let catalog = SharedCatalog::new();
         let pipe = Pipeline::new(Box::new(WholeImageGenerator));
         let n = pipe
             .run(
                 imgs.iter().enumerate().map(|(i, f)| (i as u64, f)),
                 "vid",
-                &mut catalog,
+                &catalog,
                 "frames",
                 &serial(),
             )
             .unwrap();
         assert_eq!(n, 4);
-        let col = catalog.collection("frames").unwrap();
+        let col = catalog.snapshot("frames").unwrap();
         assert_eq!(col.patches[2].get_int("frameno"), Some(2));
         assert!(col.patches[2].data.pixels().is_some());
     }
@@ -856,19 +780,19 @@ mod tests {
     #[test]
     fn tile_generator_counts() {
         let imgs = frames(1);
-        let mut catalog = Catalog::new();
+        let catalog = SharedCatalog::new();
         let pipe = Pipeline::new(Box::new(TileGenerator { tile: 16 }));
         let n = pipe
             .run(
                 imgs.iter().map(|f| (0u64, f)),
                 "vid",
-                &mut catalog,
+                &catalog,
                 "tiles",
                 &serial(),
             )
             .unwrap();
         assert_eq!(n, 4, "32x32 tiles into 16x16 quarters");
-        let col = catalog.collection("tiles").unwrap();
+        let col = catalog.snapshot("tiles").unwrap();
         assert_eq!(col.patches[3].bbox(), Some((16, 16, 16, 16)));
     }
 
@@ -879,11 +803,11 @@ mod tests {
         assert!(matches!(err, DlError::TypeError(_)), "got: {err:?}");
         // And the run path reports the same error instead of panicking.
         let imgs = frames(1);
-        let mut catalog = Catalog::new();
+        let catalog = SharedCatalog::new();
         let res = pipe.run(
             imgs.iter().map(|f| (0u64, f)),
             "vid",
-            &mut catalog,
+            &catalog,
             "tiles",
             &serial(),
         );
@@ -899,7 +823,7 @@ mod tests {
     #[test]
     fn featurize_composes_and_tracks_lineage() {
         let imgs = frames(2);
-        let mut catalog = Catalog::new();
+        let catalog = SharedCatalog::new();
         let pipe =
             Pipeline::new(Box::new(WholeImageGenerator)).then(Box::new(FeaturizeTransformer {
                 label: "mean-color".into(),
@@ -909,12 +833,12 @@ mod tests {
         pipe.run(
             imgs.iter().enumerate().map(|(i, f)| (i as u64, f)),
             "vid",
-            &mut catalog,
+            &catalog,
             "feats",
             &serial(),
         )
         .unwrap();
-        let col = catalog.collection("feats").unwrap();
+        let col = catalog.snapshot("feats").unwrap();
         assert_eq!(col.len(), 2);
         let p = &col.patches[0];
         assert_eq!(p.data.features().map(<[f32]>::len), Some(3));
@@ -943,112 +867,33 @@ mod tests {
     #[test]
     fn parallel_run_matches_serial_ids_and_lineage() {
         let imgs = frames(9);
-        let run_with = |threads: usize| {
-            let mut catalog = Catalog::new();
-            let pipe = Pipeline::new(Box::new(TileGenerator { tile: 16 })).then(Box::new(
-                FeaturizeTransformer {
-                    label: "mean-color".into(),
-                    dim: 3,
-                    f: Box::new(|img| img.mean_color().to_vec()),
-                },
-            ));
-            pipe.run(
-                imgs.iter().enumerate().map(|(i, f)| (i as u64, f)),
-                "vid",
-                &mut catalog,
-                "feats",
-                &WorkerPool::new(threads),
-            )
-            .unwrap();
-            catalog
-        };
-        let serial_cat = run_with(1);
-        let serial_patches = &serial_cat.collection("feats").unwrap().patches;
-        for threads in [2usize, 4, 8] {
-            let par_cat = run_with(threads);
-            let par_patches = &par_cat.collection("feats").unwrap().patches;
-            assert_eq!(
-                serial_patches, par_patches,
-                "{threads} threads: ids, payloads and metadata must be byte-identical"
-            );
-            // Lineage must resolve identically too.
-            for p in par_patches.iter() {
-                assert_eq!(
-                    serial_cat.lineage.backtrace(p.id),
-                    par_cat.lineage.backtrace(p.id)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn run_shared_matches_run_on_private_catalog() {
-        use crate::shared::SharedCatalog;
-        let imgs = frames(7);
-        let make_pipe = || {
-            Pipeline::new(Box::new(TileGenerator { tile: 16 })).then(Box::new(
-                FeaturizeTransformer {
-                    label: "mean-color".into(),
-                    dim: 3,
-                    f: Box::new(|img| img.mean_color().to_vec()),
-                },
-            ))
-        };
-        let mut catalog = Catalog::new();
-        let n_private = make_pipe()
-            .run(
-                imgs.iter().enumerate().map(|(i, f)| (i as u64, f)),
-                "vid",
-                &mut catalog,
-                "feats",
-                &serial(),
-            )
-            .unwrap();
-        for threads in [1usize, 4] {
-            let shared = SharedCatalog::with_shards(4);
-            let n_shared = make_pipe()
-                .run_shared(
+        let run_with = |shards: usize, threads: usize| {
+            let catalog = SharedCatalog::with_shards(shards);
+            tile_featurize(16)
+                .run(
                     imgs.iter().enumerate().map(|(i, f)| (i as u64, f)),
                     "vid",
-                    &shared,
+                    &catalog,
                     "feats",
                     &WorkerPool::new(threads),
                 )
                 .unwrap();
-            assert_eq!(n_shared, n_private);
-            let snap = shared.snapshot("feats").unwrap();
+            catalog
+        };
+        let serial_cat = run_with(1, 1);
+        let serial_patches = &serial_cat.snapshot("feats").unwrap().patches;
+        for (shards, threads) in [(1usize, 2usize), (1, 4), (1, 8), (4, 1), (4, 4)] {
+            let par_cat = run_with(shards, threads);
+            let par_patches = &par_cat.snapshot("feats").unwrap().patches;
             assert_eq!(
-                snap.patches,
-                catalog.collection("feats").unwrap().patches,
-                "{threads} threads: ids, payloads, metadata identical"
+                serial_patches, par_patches,
+                "{shards} shards x {threads} threads: ids, payloads and metadata must be byte-identical"
             );
-            for p in &snap.patches {
-                assert_eq!(
-                    shared.backtrace(p.id),
-                    catalog.lineage.backtrace(p.id),
-                    "lineage resolves identically"
-                );
+            // Lineage must resolve identically too.
+            for p in par_patches.iter() {
+                assert_eq!(serial_cat.backtrace(p.id), par_cat.backtrace(p.id));
             }
         }
-    }
-
-    #[test]
-    fn run_shared_stage_error_leaves_shared_catalog_untouched() {
-        use crate::shared::SharedCatalog;
-        let shared = SharedCatalog::new();
-        let pipe = Pipeline::new(Box::new(TileGenerator { tile: 0 }));
-        let imgs = frames(2);
-        let res = pipe.run_shared(
-            imgs.iter().map(|f| (0u64, f)),
-            "vid",
-            &shared,
-            "out",
-            &serial(),
-        );
-        assert!(matches!(res, Err(DlError::TypeError(_))));
-        assert!(shared.snapshot("out").is_err());
-        assert_eq!(shared.with_lineage(|l| l.len()), 0);
-        assert_eq!(shared.next_patch_id(), PatchId(0), "no ids consumed");
     }
 
     #[test]
@@ -1075,24 +920,29 @@ mod tests {
             }
         }
         let imgs = frames(6);
-        let mut catalog = Catalog::new();
-        let pipe = Pipeline::new(Box::new(WholeImageGenerator)).then(Box::new(FailOn { frame: 4 }));
-        let res = pipe.run(
-            imgs.iter().enumerate().map(|(i, f)| (i as u64, f)),
-            "vid",
-            &mut catalog,
-            "out",
-            &serial(),
-        );
-        assert!(matches!(res, Err(DlError::TypeError(_))));
-        // No orphan lineage, no consumed ids, no half-materialized output.
-        assert_eq!(catalog.lineage.len(), 0, "no orphan lineage records");
-        assert!(catalog.collection("out").is_err());
-        assert_eq!(
-            catalog.next_patch_id(),
-            PatchId(0),
-            "no ids consumed by the failed run"
-        );
+        // A mid-run stage failure and an up-front validation failure.
+        for pipe in [
+            Pipeline::new(Box::new(WholeImageGenerator)).then(Box::new(FailOn { frame: 4 })),
+            Pipeline::new(Box::new(TileGenerator { tile: 0 })),
+        ] {
+            let catalog = SharedCatalog::new();
+            let res = pipe.run(
+                imgs.iter().enumerate().map(|(i, f)| (i as u64, f)),
+                "vid",
+                &catalog,
+                "out",
+                &serial(),
+            );
+            assert!(matches!(res, Err(DlError::TypeError(_))), "{pipe:?}");
+            // No orphan lineage, no consumed ids, no half-materialized output.
+            assert_eq!(catalog.with_lineage(|l| l.len()), 0, "no orphan lineage");
+            assert!(catalog.snapshot("out").is_err());
+            assert_eq!(
+                catalog.next_patch_id(),
+                PatchId(0),
+                "no ids consumed by the failed run"
+            );
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   indexes (hash, sorted, Ball-Tree, R-Tree, lineage) (§3.2).
 //! * [`scan`] — chunked-columnar patch layout with per-chunk statistics
 //!   tables and zone-map scan pushdown (§3.1).
-//! * [`shared`] — the sharded, copy-on-write [`shared::SharedCatalog`]
-//!   multiple concurrent query sessions attach to.
+//! * [`shared`] — the sharded, copy-on-write [`shared::SharedCatalog`]:
+//!   the one catalog, whether one session attaches to it or many.
 //! * [`cache`] — the snapshot-keyed result cache in front of session
 //!   queries, invalidated for free by the catalog's version counters.
 //! * [`optimizer`] — the cost model (non-linear join costs, §7.4.1), device
@@ -41,7 +41,7 @@
 //!
 //! // Build a tiny collection of feature patches and run a similarity join
 //! // (serial pool; `Session` supplies the pool its device implies).
-//! let mut catalog = Catalog::new();
+//! let catalog = SharedCatalog::new();
 //! let patches: Vec<Patch> = (0..10)
 //!     .map(|i| {
 //!         Patch::features(
@@ -80,12 +80,12 @@ pub type Result<T> = std::result::Result<T, DlError>;
 pub mod prelude {
     pub use crate::batch::{BatchQuery, BatchResult, JoinPredicate, QueryBatch};
     pub use crate::cache::{CachedResult, ResultCache};
-    pub use crate::catalog::{Catalog, PatchCollection, PatchIdRange, SecondaryIndex};
+    pub use crate::catalog::{PatchCollection, PatchIdRange, SecondaryIndex};
     pub use crate::error::DlError;
     pub use crate::etl::{Generator, Pipeline, PipelineBatch, Transformer};
     pub use crate::lineage::LineageStore;
     pub use crate::ops;
-    pub use crate::optimizer::{AccuracyProfile, CostModel, DevicePlanner, JoinStrategy};
+    pub use crate::optimizer::{AccuracyProfile, CostModel, DevicePlanner};
     pub use crate::patch::{ImgRef, Patch, PatchData, PatchId};
     pub use crate::plan::JoinPlan;
     pub use crate::scan::{

@@ -50,17 +50,6 @@ impl Default for CostModel {
     }
 }
 
-/// A join strategy the cost model can recommend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// All-pairs nested loop.
-    NestedLoop,
-    /// Build a Ball-Tree over the left relation, probe with the right.
-    IndexLeft,
-    /// Build a Ball-Tree over the right relation, probe with the left.
-    IndexRight,
-}
-
 impl CostModel {
     /// Dimension penalty: the fraction of the tree a range query visits
     /// grows with dimension (curse of dimensionality). At `dim <= 3` pruning
@@ -131,26 +120,6 @@ impl CostModel {
             + (k - 1) as f64 * BATCH_RESIDUAL_FRACTION * probe_pass
     }
 
-    /// Estimated total cost of a **batched** ETL ingestion: `k` pipelines
-    /// over one shared frame window of `frames` frames pay the sequential
-    /// decode (`decode_units` per frame) **once** and the featurization
-    /// (`featurize_units` per frame per pipeline) `k` times. `k == 0` costs
-    /// nothing; `k == 1` degenerates to one independent run
-    /// (`frames · (decode + featurize)`), so serial issuance of `k` runs is
-    /// exactly `k` times the `k == 1` cost.
-    pub fn batched_etl_cost(
-        &self,
-        frames: usize,
-        decode_units: f64,
-        featurize_units: f64,
-        k: usize,
-    ) -> f64 {
-        if k == 0 {
-            return 0.0;
-        }
-        frames as f64 * (decode_units + k as f64 * featurize_units)
-    }
-
     /// Estimated cost of a row-layout scan over `rows` patches: every row
     /// is touched regardless of the filter's selectivity.
     pub fn row_scan_cost(&self, rows: usize) -> f64 {
@@ -195,9 +164,9 @@ impl CostModel {
 
     /// Estimated cost of the **materialize-then-join** plan over the same
     /// matched rows: assemble every matching row in full
-    /// ([`CostModel::materialize_row_cost`] each), then run the best
-    /// row-path join strategy ([`CostModel::recommend`]) over the
-    /// materialized relations.
+    /// ([`CostModel::materialize_row_cost`] each), then run the cheapest
+    /// row-path join (nested loop, or a Ball-Tree over either side) over
+    /// the materialized relations.
     pub fn materialized_join_cost(
         &self,
         rows_left: usize,
@@ -207,11 +176,10 @@ impl CostModel {
     ) -> f64 {
         let chunk_rows = chunk_rows.max(1);
         let chunks = (rows_left.div_ceil(chunk_rows) + rows_right.div_ceil(chunk_rows)) as f64;
-        let join = match self.recommend(rows_left, rows_right, dim) {
-            JoinStrategy::NestedLoop => self.nested_loop_cost(rows_left, rows_right, dim),
-            JoinStrategy::IndexLeft => self.index_join_cost(rows_left, rows_right, dim),
-            JoinStrategy::IndexRight => self.index_join_cost(rows_right, rows_left, dim),
-        };
+        let join = self
+            .nested_loop_cost(rows_left, rows_right, dim)
+            .min(self.index_join_cost(rows_left, rows_right, dim))
+            .min(self.index_join_cost(rows_right, rows_left, dim));
         chunks * self.chunk_probe_cost
             + (rows_left + rows_right) as f64 * self.materialize_row_cost
             + join
@@ -280,20 +248,6 @@ impl CostModel {
             self.row_scan_cost(rows) - self.columnar_scan_cost(rows, chunk_rows, NOMINAL_ZONE_SKIP);
         win * COLUMNAR_AMORTIZE_SCANS >= rows as f64 * self.materialize_row_cost
     }
-
-    /// Recommend a strategy for joining `n_left × n_right` in `dim`-d.
-    pub fn recommend(&self, n_left: usize, n_right: usize, dim: usize) -> JoinStrategy {
-        let nested = self.nested_loop_cost(n_left, n_right, dim);
-        let idx_l = self.index_join_cost(n_left, n_right, dim);
-        let idx_r = self.index_join_cost(n_right, n_left, dim);
-        if nested <= idx_l && nested <= idx_r {
-            JoinStrategy::NestedLoop
-        } else if idx_l <= idx_r {
-            JoinStrategy::IndexLeft
-        } else {
-            JoinStrategy::IndexRight
-        }
-    }
 }
 
 /// Fraction of a full probe pass each additional member of a batched join
@@ -350,10 +304,6 @@ pub struct DevicePlanner {
     /// work covers (the bridge between the abstract join cost model and the
     /// planner's wall-clock estimates).
     pub units_per_us: f64,
-    /// Concurrently active query sessions sharing this machine. The planner
-    /// divides `cpu_threads` across them instead of assuming the whole
-    /// machine belongs to one query (the multi-session catalog's model).
-    pub active_sessions: usize,
 }
 
 impl Default for DevicePlanner {
@@ -367,7 +317,6 @@ impl Default for DevicePlanner {
             parallel_efficiency: 0.85,
             spawn_overhead_us: 30.0,
             units_per_us: 100.0,
-            active_sessions: 1,
         }
     }
 }
@@ -453,27 +402,12 @@ impl DevicePlanner {
         (best_us > 0.0).then(|| (best_us / THREADS as f64).clamp(1.0, 500.0))
     }
 
-    /// This planner with its thread budget split across `sessions`
-    /// concurrent query sessions (minimum 1).
-    pub fn for_sessions(mut self, sessions: usize) -> Self {
-        self.active_sessions = sessions.max(1);
-        self
-    }
-
-    /// The per-session slice of the machine's worker threads: the full
-    /// budget under exclusive ownership, `cpu_threads / active_sessions`
-    /// (never below one) when sessions share the machine.
-    pub fn session_cpu_threads(&self) -> usize {
-        (self.cpu_threads / self.active_sessions.max(1)).max(1)
-    }
-
     /// The candidate devices the planner ranks, cheapest-overhead first.
-    /// The parallel-CPU candidate carries only this session's thread slice.
     pub fn candidates(&self) -> [Device; 4] {
         [
             Device::Cpu,
             Device::Avx,
-            Device::ParallelCpu(self.session_cpu_threads()),
+            Device::ParallelCpu(self.cpu_threads.max(1)),
             Device::GpuSim,
         ]
     }
@@ -486,7 +420,7 @@ impl DevicePlanner {
             Device::Avx => cpu_estimate_us,
             Device::ParallelCpu(threads) => {
                 let threads = if threads == 0 {
-                    self.session_cpu_threads()
+                    self.cpu_threads
                 } else {
                     threads
                 } as f64;
@@ -520,123 +454,6 @@ impl DevicePlanner {
             }
         }
         best
-    }
-}
-
-/// The planner's verdict on a batch of `k` ETL pipelines over one shared
-/// frame window ([`DevicePlanner::place_batched_etl`]): the device the batch
-/// should run on, the estimated wall-clock of the batched (shared-scan)
-/// execution, and the estimated wall-clock of issuing the same `k` runs
-/// serially at their individually best placement.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchPlacement {
-    /// Device the batched pass should execute on.
-    pub device: Device,
-    /// Estimated wall-clock (µs) of the batch as one shared pass.
-    pub batched_us: f64,
-    /// Estimated wall-clock (µs) of `k` serial runs at their best individual
-    /// placement.
-    pub serial_us: f64,
-}
-
-impl BatchPlacement {
-    /// Estimated aggregate-throughput gain of batching (`>= 1` means the
-    /// shared pass wins).
-    pub fn speedup(&self) -> f64 {
-        if self.batched_us <= 0.0 {
-            return 1.0;
-        }
-        self.serial_us / self.batched_us
-    }
-
-    /// Whether the batched execution is estimated to beat serial issuance.
-    pub fn worthwhile(&self) -> bool {
-        self.batched_us <= self.serial_us
-    }
-}
-
-impl DevicePlanner {
-    /// Estimated wall-clock (µs) of a batch of `k` ETL pipelines sharing
-    /// one scan of `frames` frames on `device`.
-    ///
-    /// The decode phase is strictly sequential — an inter-coded stream's
-    /// reference chain admits no intra-scan parallelism — so it is always
-    /// charged at one vectorized core, whatever `device` says; only the
-    /// featurization work (`k` passes over the shared frames, fanned out as
-    /// morsels) routes through the device's scaling model.
-    pub fn batched_etl_estimate_us(
-        &self,
-        model: &CostModel,
-        frames: usize,
-        decode_units: f64,
-        featurize_units: f64,
-        k: usize,
-        device: Device,
-    ) -> f64 {
-        if k == 0 {
-            return 0.0;
-        }
-        let decode_us = frames as f64 * decode_units / self.units_per_us;
-        let feat_units = model.batched_etl_cost(frames, 0.0, featurize_units, k);
-        // Featurize input is the decoded rasters the morsels read.
-        let bytes = frames * 4096;
-        decode_us + self.estimate_us(device, feat_units / self.units_per_us, bytes)
-    }
-
-    /// Cost a batch of `k` ETL pipelines over one shared frame window as
-    /// **one admission unit** against `k` independent runs.
-    ///
-    /// Candidates are the CPU lattice only: generators and transformers
-    /// are host closures, and the decode phase cannot offload at all. The
-    /// batched side pays one decode + `k` featurize passes on its best
-    /// device; the serial side pays `k · (decode + featurize)` with each
-    /// run's featurize pass at its own best placement — the paper's
-    /// ETL-side amortization, quantified.
-    pub fn place_batched_etl(
-        &self,
-        model: &CostModel,
-        frames: usize,
-        decode_units: f64,
-        featurize_units: f64,
-        k: usize,
-    ) -> BatchPlacement {
-        let cpu_candidates = self
-            .candidates()
-            .into_iter()
-            .filter(|d| *d != Device::GpuSim);
-        let mut best = Device::Cpu;
-        let mut best_us = f64::INFINITY;
-        let mut single_feat_us = f64::INFINITY;
-        for device in cpu_candidates {
-            let us = self.batched_etl_estimate_us(
-                model,
-                frames,
-                decode_units,
-                featurize_units,
-                k,
-                device,
-            );
-            if us < best_us {
-                best = device;
-                best_us = us;
-            }
-            let one = self.batched_etl_estimate_us(
-                model,
-                frames,
-                decode_units,
-                featurize_units,
-                1,
-                device,
-            );
-            if one < single_feat_us {
-                single_feat_us = one;
-            }
-        }
-        BatchPlacement {
-            device: best,
-            batched_us: best_us,
-            serial_us: k as f64 * single_feat_us,
-        }
     }
 }
 
@@ -767,25 +584,6 @@ mod tests {
         assert!(l1 < c1, "low-dim probes are cheaper");
     }
 
-    #[test]
-    fn recommend_indexes_smaller_side() {
-        let m = CostModel::default();
-        match m.recommend(100, 100_000, 16) {
-            JoinStrategy::IndexLeft => {}
-            other => panic!("expected IndexLeft, got {other:?}"),
-        }
-        match m.recommend(100_000, 100, 16) {
-            JoinStrategy::IndexRight => {}
-            other => panic!("expected IndexRight, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn tiny_joins_stay_nested() {
-        let m = CostModel::default();
-        assert_eq!(m.recommend(5, 5, 8), JoinStrategy::NestedLoop);
-    }
-
     /// Planner fixture with deterministic (host-independent) CPU topology.
     fn planner_fixture() -> DevicePlanner {
         DevicePlanner {
@@ -800,7 +598,6 @@ mod tests {
             parallel_efficiency: 0.85,
             spawn_overhead_us: 30.0,
             units_per_us: 100.0,
-            active_sessions: 1,
         }
     }
 
@@ -865,36 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn planner_splits_thread_budget_across_sessions() {
-        // Exclusive ownership: the mid-size kernel fans out over all 4
-        // workers (the device_planner_picks_parallel_cpu_in_the_middle
-        // regime). With 4 concurrent sessions each owns a single worker, so
-        // the parallel backend degenerates to one vectorized core and the
-        // planner keeps the kernel there.
-        let exclusive = planner_fixture();
-        assert_eq!(exclusive.place(2_000.0, 64 << 20), Device::ParallelCpu(4));
-
-        let contended = planner_fixture().for_sessions(4);
-        assert_eq!(contended.session_cpu_threads(), 1);
-        assert!(matches!(contended.candidates()[2], Device::ParallelCpu(1)));
-        assert_eq!(
-            contended.place(2_000.0, 64 << 20),
-            Device::Avx,
-            "a 1-thread slice cannot beat the vectorized core"
-        );
-
-        let half = planner_fixture().for_sessions(2);
-        assert!(matches!(half.candidates()[2], Device::ParallelCpu(2)));
-        // The auto thread count (ParallelCpu(0)) resolves to the slice too.
-        assert_eq!(
-            half.estimate_us(Device::ParallelCpu(0), 1_000.0, 0),
-            half.estimate_us(Device::ParallelCpu(2), 1_000.0, 0)
-        );
-        // for_sessions(0) clamps to exclusive ownership.
-        assert_eq!(planner_fixture().for_sessions(0).session_cpu_threads(), 4);
-    }
-
-    #[test]
     fn batched_cost_degenerates_and_grows_sublinearly() {
         let m = CostModel::default();
         assert_eq!(m.batched_index_join_cost(2_000, 50_000, 12, 0), 0.0);
@@ -916,79 +683,6 @@ mod tests {
             "4 members must cost well under 4 serial joins"
         );
         assert!(c8 < 8.0 * c1 * 0.5);
-    }
-
-    #[test]
-    fn batched_etl_cost_degenerates_and_amortizes_decode() {
-        let m = CostModel::default();
-        assert_eq!(m.batched_etl_cost(100, 50.0, 5.0, 0), 0.0);
-        let one = m.batched_etl_cost(100, 50.0, 5.0, 1);
-        assert!((one - 100.0 * 55.0).abs() < 1e-9, "k=1 is one full run");
-        // Decode dominates (the paper's regime): 4 pipelines sharing one
-        // scan cost far less than 4 independent runs, but never less than
-        // the featurize work they add.
-        let four = m.batched_etl_cost(100, 50.0, 5.0, 4);
-        assert!(four < 4.0 * one * 0.5, "shared scan must amortize");
-        assert!(four > one, "extra pipelines are not free");
-    }
-
-    #[test]
-    fn etl_batch_placement_beats_serial_and_stays_on_cpu() {
-        let planner = planner_fixture();
-        let model = CostModel::default();
-        // A decode-heavy clip: decoding a frame costs 10x featurizing it.
-        for k in [2usize, 4, 8] {
-            let p = planner.place_batched_etl(&model, 500, 2_000.0, 200.0, k);
-            assert_ne!(p.device, Device::GpuSim, "host closures cannot offload");
-            assert!(p.worthwhile(), "sharing the scan must win at k={k}");
-            assert!(
-                p.speedup() > 1.5,
-                "k={k}: expected >1.5x from decode amortization, got {:.2}",
-                p.speedup()
-            );
-        }
-        // A batch of one is one run: no phantom gain.
-        let p1 = planner.place_batched_etl(&model, 500, 2_000.0, 200.0, 1);
-        assert!((p1.speedup() - 1.0).abs() < 0.05, "got {:.3}", p1.speedup());
-        // Featurize-heavy batches still amortize, just less.
-        let cheap_decode = planner.place_batched_etl(&model, 500, 10.0, 200.0, 4);
-        assert!(cheap_decode.speedup() < p1.speedup().max(1.0) + 4.0);
-    }
-
-    #[test]
-    fn etl_batch_respects_the_session_thread_slice() {
-        // Under 4-way contention the parallel candidate carries a 1-thread
-        // slice, so the featurize fan-out cannot claim the whole machine.
-        let contended = planner_fixture().for_sessions(4);
-        let model = CostModel::default();
-        let p = contended.place_batched_etl(&model, 2_000, 1_000.0, 500.0, 4);
-        if let Device::ParallelCpu(t) = p.device {
-            assert_eq!(t, contended.session_cpu_threads(), "batch exceeded slice");
-        }
-        // The amortization is algorithmic — it survives contention.
-        assert!(p.worthwhile());
-    }
-
-    #[test]
-    fn decode_phase_never_parallelizes() {
-        let planner = planner_fixture();
-        let model = CostModel::default();
-        // Pure-decode batch (no featurize work): every CPU device estimate
-        // collapses to the same sequential decode time.
-        let avx = planner.batched_etl_estimate_us(&model, 300, 500.0, 0.0, 3, Device::Avx);
-        let par =
-            planner.batched_etl_estimate_us(&model, 300, 500.0, 0.0, 3, Device::ParallelCpu(4));
-        assert!((avx - 300.0 * 500.0 / planner.units_per_us).abs() < 1e-6);
-        // The parallel device can only add spawn overhead on top of the
-        // same sequential decode — never speed the decode itself up.
-        assert!(
-            (par - avx - planner.spawn_overhead_us * 4.0).abs() < 1e-6,
-            "decode must not route through the fan-out model"
-        );
-        assert_eq!(
-            planner.batched_etl_estimate_us(&model, 300, 500.0, 10.0, 0, Device::Avx),
-            0.0
-        );
     }
 
     #[test]

@@ -56,6 +56,10 @@ pub struct Session {
     /// the remainder threads of an uneven budget split.
     slot: usize,
     dir: PathBuf,
+    /// Whether the session created `dir` itself ([`Session::ephemeral`] /
+    /// [`Session::ephemeral_attached`]) and so removes it on drop. A
+    /// caller-supplied directory is never deleted.
+    owns_dir: bool,
     /// Bounded cache of decoded video frames serving this session's
     /// shared-scan ingest batches ([`Session::ingest_batch`]). Ranked
     /// `FrameCache`: a leaf with respect to catalog state — never held
@@ -85,6 +89,7 @@ impl Session {
             device,
             slot,
             dir: dir.as_ref().to_path_buf(),
+            owns_dir: false,
             frame_cache: OrderedMutex::new(
                 LockRank::FrameCache,
                 "Session::frame_cache",
@@ -93,7 +98,8 @@ impl Session {
         })
     }
 
-    /// An in-memory-leaning session rooted in a temp directory.
+    /// An in-memory-leaning session rooted in a temp directory, which is
+    /// removed again when the session drops.
     ///
     /// The directory name combines the process id, a wall-clock timestamp,
     /// and a process-wide counter: two ephemeral sessions in one process get
@@ -116,7 +122,9 @@ impl Session {
             nanos,
             seq
         ));
-        Self::attach(dir, Device::Avx, catalog)
+        let mut session = Self::attach(dir, Device::Avx, catalog)?;
+        session.owns_dir = true;
+        Ok(session)
     }
 
     /// The session's execution device.
@@ -344,7 +352,7 @@ impl Session {
         source: &str,
         output_name: &str,
     ) -> Result<usize> {
-        pipeline.run_shared(frames, source, &self.catalog, output_name, &self.pool())
+        pipeline.run(frames, source, &self.catalog, output_name, &self.pool())
     }
 
     /// The working directory.
@@ -361,6 +369,11 @@ impl Session {
 impl Drop for Session {
     fn drop(&mut self) {
         self.catalog.detach_session(self.slot);
+        if self.owns_dir {
+            // Best effort: a leftover temp directory is not worth a panic
+            // in drop.
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
     }
 }
 
@@ -394,6 +407,23 @@ mod tests {
         assert_ne!(a.dir(), c.dir());
         assert_ne!(b.dir(), c.dir());
         assert!(a.dir().exists() && b.dir().exists() && c.dir().exists());
+    }
+
+    #[test]
+    fn ephemeral_directories_are_removed_on_drop_attached_ones_survive() {
+        // Regression: the server opens one ephemeral session per
+        // connection, and each leaked its working directory forever.
+        let s = Session::ephemeral().unwrap();
+        let ephemeral_dir = s.dir().to_path_buf();
+        std::fs::write(s.storage_path("spill.dlb"), b"x").unwrap();
+        assert!(ephemeral_dir.exists(), "lives as long as the session");
+        // A caller-supplied directory is the caller's to keep.
+        let kept = ephemeral_dir.join("kept");
+        let attached = Session::attach(&kept, Device::Avx, s.catalog.clone()).unwrap();
+        drop(attached);
+        assert!(kept.exists(), "attach never deletes");
+        drop(s);
+        assert!(!ephemeral_dir.exists(), "removed with its contents");
     }
 
     #[test]

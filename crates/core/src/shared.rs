@@ -1,6 +1,7 @@
 //! The shared, sharded catalog behind concurrent query sessions.
 //!
-//! A [`SharedCatalog`] is the multi-session form of [`Catalog`](crate::catalog::Catalog): the
+//! A [`SharedCatalog`] is the engine's one catalog — a single session over
+//! a fresh `SharedCatalog::new()` is the single-user case. The
 //! collection map is split across N shards keyed by a hash of the collection
 //! name, each shard behind its own ranked `OrderedRwLock`, and every
 //! collection is stored as an [`Arc`] snapshot with **copy-on-write**
@@ -472,9 +473,12 @@ mod tests {
     #[test]
     fn replaced_collection_is_returned() {
         let cat = SharedCatalog::new();
-        cat.materialize("c", feat_patches(&cat, 3, 1));
+        let first = feat_patches(&cat, 3, 1);
+        let first_id = first[0].id;
+        assert!(cat.materialize("c", first).is_none(), "fresh name");
         let replaced = cat.materialize("c", feat_patches(&cat, 7, 2)).unwrap();
         assert_eq!(replaced.len(), 3, "the clobbered version comes back");
+        assert_eq!(replaced.patches[0].id, first_id, "with its patches");
         assert_eq!(cat.snapshot("c").unwrap().len(), 7);
     }
 
@@ -482,10 +486,16 @@ mod tests {
     fn materialize_new_conflicts() {
         let cat = SharedCatalog::new();
         cat.materialize_new("c", feat_patches(&cat, 2, 0)).unwrap();
+        let lineage_before = cat.with_lineage(|l| l.len());
         let err = cat
             .materialize_new("c", feat_patches(&cat, 2, 1))
             .unwrap_err();
         assert!(matches!(err, DlError::Conflict(_)), "got {err:?}");
+        assert_eq!(
+            cat.with_lineage(|l| l.len()),
+            lineage_before,
+            "no lineage side effect"
+        );
         let snap = cat.snapshot("c").unwrap();
         assert_eq!(
             snap.patches[0].get_int("tag"),
@@ -535,6 +545,27 @@ mod tests {
             .lookup_similar("by_feat", &[0.0, 1.0], 0.5)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn reserved_id_ranges_are_disjoint_and_dense() {
+        let cat = SharedCatalog::new();
+        let a = cat.next_patch_id();
+        let mut r1 = cat.reserve_patch_ids(3);
+        let mut r2 = cat.reserve_patch_ids(2);
+        let b = cat.next_patch_id();
+        let mut seen = vec![a.0, b.0];
+        for _ in 0..3 {
+            seen.push(r1.alloc().0);
+        }
+        for _ in 0..2 {
+            seen.push(r2.alloc().0);
+        }
+        assert_eq!(r1.used(), 3);
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 7, "no id is handed out twice");
+        assert_eq!(seen, (0..7).collect::<Vec<u64>>(), "ids stay dense");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use deeplens::vision::features::joint_histogram;
 use deeplens_exec::Device;
 
 /// ETL one camera into featurized vehicle patches.
-fn etl_camera(ds: &TrafficDataset, name: &str, catalog: &mut Catalog) -> Vec<Patch> {
+fn etl_camera(ds: &TrafficDataset, name: &str, catalog: &SharedCatalog) -> Vec<Patch> {
     let detector = ObjectDetector::default_on(Device::Avx);
     let mut patches = Vec::new();
     for t in 0..ds.num_frames {
@@ -43,19 +43,18 @@ fn main() {
     // vehicle population, different viewpoints simulated by distinct frame
     // windows of the scene.
     let world = TrafficDataset::generate(0.006, 1234);
-    let mut catalog = Catalog::new();
-    let cam_a = etl_camera(&world, "camA", &mut catalog);
-    let cam_b = etl_camera(&world, "camB", &mut catalog);
+    let catalog = SharedCatalog::new();
+    let cam_a = etl_camera(&world, "camA", &catalog);
+    let cam_b = etl_camera(&world, "camB", &catalog);
     println!(
         "camA: {} vehicle patches, camB: {}",
         cam_a.len(),
         cam_b.len()
     );
 
-    // The optimizer picks the join strategy from the non-linear cost model.
-    let model = CostModel::default();
-    let strategy = model.recommend(cam_a.len(), cam_b.len(), 64);
-    println!("cost model recommends: {strategy:?}");
+    // The planner picks the physical join: a Ball-Tree over the smaller feed.
+    let plan = JoinPlan::choose_rows(&cam_a, &cam_b, Device::Avx);
+    println!("join plan: {plan:?}");
 
     // On-the-fly Ball-Tree similarity join over the pixel-derived features,
     // with index build + probe phase fanned out over all hardware threads.

@@ -20,7 +20,7 @@ fn main() {
         ds.images.len(),
         ds.duplicate_pairs.len()
     );
-    let mut catalog = Catalog::new();
+    let catalog = SharedCatalog::new();
 
     // ETL: whole-image feature patches + OCR string patches.
     let ocr = OcrEngine::default_on(Device::Avx);
@@ -83,7 +83,7 @@ fn main() {
     catalog.materialize("pc_images", image_patches);
     catalog.materialize("pc_strings", strings.clone());
     let sample = &strings[0];
-    let roots = catalog.lineage.backtrace(sample.id);
+    let roots = catalog.backtrace(sample.id);
     println!(
         "lineage: string patch {:?} backtraces to {} source image(s): {:?}",
         sample.get_str("text").unwrap_or("?"),

@@ -17,7 +17,7 @@ fn main() {
     // enter, sit in lanes, and leave.
     let ds = TrafficDataset::generate(0.004, 99);
     let detector = ObjectDetector::default_on(Device::Avx);
-    let catalog = Catalog::new();
+    let catalog = SharedCatalog::new();
 
     // ETL: SSD-style patches per frame (paper: SSDPatch(Frame, Bbox, ...)).
     let mut patches = Vec::new();

@@ -122,7 +122,7 @@ fn lineage_backtrace_through_pipeline() {
 
     let ds = TrafficDataset::generate(0.002, 31);
     let frames: Vec<_> = (0..10).map(|t| ds.scene.render_frame(t)).collect();
-    let mut catalog = Catalog::new();
+    let catalog = SharedCatalog::new();
     let pipe = Pipeline::new(Box::new(WholeImageGenerator)).then(Box::new(FeaturizeTransformer {
         label: "hist".into(),
         dim: 64,
@@ -131,25 +131,25 @@ fn lineage_backtrace_through_pipeline() {
     pipe.run(
         frames.iter().enumerate().map(|(i, f)| (i as u64, f)),
         "cam0",
-        &mut catalog,
+        &catalog,
         "feats",
         &WorkerPool::new(2),
     )
     .unwrap();
 
-    let col = catalog.collection("feats").unwrap();
+    let col = catalog.snapshot("feats").unwrap();
     assert_eq!(col.len(), 10);
     // Every derived patch backtraces to exactly its own source frame.
     for (i, p) in col.patches.iter().enumerate() {
-        let roots = catalog.lineage.backtrace(p.id);
+        let roots = catalog.backtrace(p.id);
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].source, "cam0");
         assert_eq!(roots[0].frame_no, i as u64);
     }
     // And the lineage index agrees with a full scan.
-    catalog.lineage.build_frame_index();
-    let indexed = catalog.lineage.patches_of_frame("cam0", 3).to_vec();
-    let scanned = catalog.lineage.patches_of_frame_scan("cam0", 3);
+    catalog.with_lineage_mut(|l| l.build_frame_index());
+    let indexed = catalog.with_lineage(|l| l.patches_of_frame("cam0", 3).to_vec());
+    let scanned = catalog.with_lineage(|l| l.patches_of_frame_scan("cam0", 3));
     assert_eq!(indexed, scanned);
     assert!(!indexed.is_empty());
 }

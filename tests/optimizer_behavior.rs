@@ -4,7 +4,7 @@
 use std::time::Instant;
 
 use deeplens::core::ops;
-use deeplens::core::optimizer::{CostModel, JoinStrategy};
+use deeplens::core::optimizer::CostModel;
 use deeplens::prelude::*;
 
 fn feature_patches(n: usize, dim: usize, seed: u64) -> Vec<Patch> {
@@ -22,18 +22,16 @@ fn feature_patches(n: usize, dim: usize, seed: u64) -> Vec<Patch> {
         .collect()
 }
 
-/// When the model says "index the small side", doing so must actually beat
-/// brute force on wall clock for an asymmetric join.
+/// When the planner says "index the small side", doing so must actually
+/// beat brute force on wall clock for an asymmetric join.
 #[test]
-fn recommended_strategy_wins_on_asymmetric_join() {
+fn planned_strategy_wins_on_asymmetric_join() {
     let small = feature_patches(300, 16, 1);
     let large = feature_patches(12_000, 16, 2);
-    let model = CostModel::default();
-    let rec = model.recommend(small.len(), large.len(), 16);
     assert_eq!(
-        rec,
-        JoinStrategy::IndexLeft,
-        "model should index the small side"
+        JoinPlan::choose_rows(&small, &large, Device::Avx),
+        JoinPlan::BallTree { index_left: true },
+        "planner should index the small side"
     );
 
     let t0 = Instant::now();

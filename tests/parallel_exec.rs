@@ -170,7 +170,6 @@ fn optimizer_routes_midsize_kernels_to_parallel_cpu() {
         parallel_efficiency: 0.85,
         spawn_overhead_us: 30.0,
         units_per_us: 100.0,
-        active_sessions: 1,
     };
 
     // ~5 ms of vectorized work moving 128 MiB: the GPU's transfer alone

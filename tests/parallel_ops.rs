@@ -99,11 +99,11 @@ fn pipeline_outputs_identical_across_thread_counts() {
                 f: Box::new(|img| img.mean_color().to_vec()),
             },
         ));
-        let mut catalog = Catalog::new();
+        let catalog = SharedCatalog::new();
         pipe.run(
             frames.iter().enumerate().map(|(i, f)| (i as u64, f)),
             "cam",
-            &mut catalog,
+            &catalog,
             "tiles",
             &WorkerPool::new(threads),
         )
@@ -111,16 +111,16 @@ fn pipeline_outputs_identical_across_thread_counts() {
         catalog
     };
     let serial = run(1);
-    let serial_patches = &serial.collection("tiles").unwrap().patches;
+    let serial_patches = &serial.snapshot("tiles").unwrap().patches;
     assert_eq!(serial_patches.len(), 13 * 9);
     for threads in [2usize, 5, 8] {
         let par = run(threads);
-        let par_patches = &par.collection("tiles").unwrap().patches;
+        let par_patches = &par.snapshot("tiles").unwrap().patches;
         assert_eq!(serial_patches, par_patches, "{threads} threads");
         for p in par_patches {
             assert_eq!(
-                serial.lineage.backtrace(p.id),
-                par.lineage.backtrace(p.id),
+                serial.backtrace(p.id),
+                par.backtrace(p.id),
                 "lineage of {:?} diverged at {threads} threads",
                 p.id
             );

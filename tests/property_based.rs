@@ -11,7 +11,7 @@ use deeplens::codec::{decode_image, encode_image, psnr, Image, Quality};
 use deeplens::exec::{kernels, Matrix};
 use deeplens::index::lsh::{LshIndex, LshParams};
 use deeplens::index::{bruteforce, BallTree, KdTree, RTree, Rect};
-use deeplens::prelude::{Catalog, ImgRef, Patch, SharedCatalog};
+use deeplens::prelude::{ImgRef, Patch, PatchId, SharedCatalog};
 use deeplens::storage::btree::{keys, BTree};
 
 fn unique_tmp(tag: &str) -> std::path::PathBuf {
@@ -309,11 +309,7 @@ proptest! {
 
 /// Build `n` deterministic feature patches with ids from `alloc` (each
 /// catalog under test allocates in the same order, so ids agree).
-fn catalog_patches(
-    alloc: impl Fn() -> deeplens::prelude::PatchId,
-    n: usize,
-    tag: u64,
-) -> Vec<Patch> {
+fn catalog_patches(alloc: impl Fn() -> PatchId, n: usize, tag: u64) -> Vec<Patch> {
     (0..n)
         .map(|i| {
             Patch::features(
@@ -329,16 +325,20 @@ fn catalog_patches(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The sharded `SharedCatalog` behaves exactly like the single-threaded
-    /// `Catalog` model under an arbitrary interleaving of materialize, drop
-    /// and query operations — and its behaviour is independent of the shard
-    /// count (1, 2, and 4 shards all converge to the same end state).
+    /// The sharded `SharedCatalog` behaves exactly like a reference model
+    /// (an ordered map of rows, an id counter, a lineage-record count — no
+    /// code shared with the engine) under an arbitrary interleaving of
+    /// materialize, drop and query operations — and its behaviour is
+    /// independent of the shard count (1, 2, and 4 shards all converge to
+    /// the same end state).
     #[test]
     fn shared_catalog_matches_reference_model_across_shard_counts(
         ops in prop::collection::vec((0u8..4, 0usize..5, 1usize..12), 1..40),
     ) {
         let names = ["alpha", "beta", "gamma", "delta", "epsilon"];
-        let mut reference = Catalog::new();
+        let mut model: BTreeMap<String, Vec<Patch>> = BTreeMap::new();
+        let next_id = std::cell::Cell::new(0u64);
+        let mut lineage_records = 0usize;
         let shared: Vec<SharedCatalog> =
             [1usize, 2, 4].iter().map(|&s| SharedCatalog::with_shards(s)).collect();
 
@@ -349,8 +349,10 @@ proptest! {
                     // Materialize (twice as likely as the others): identical
                     // patches built against each catalog's own allocator.
                     let tag = (*name_i * 1000 + *size) as u64;
-                    let ref_patches = catalog_patches(|| reference.next_patch_id(), *size, tag);
-                    let replaced_ref = reference.materialize(name, ref_patches).is_some();
+                    let model_patches =
+                        catalog_patches(|| PatchId(next_id.replace(next_id.get() + 1)), *size, tag);
+                    lineage_records += model_patches.len();
+                    let replaced_ref = model.insert(name.to_string(), model_patches).is_some();
                     for sc in &shared {
                         let replaced = sc
                             .materialize(name, catalog_patches(|| sc.next_patch_id(), *size, tag))
@@ -359,13 +361,13 @@ proptest! {
                     }
                 }
                 1 => {
-                    let dropped_ref = reference.drop_collection(name);
+                    let dropped_ref = model.remove(name).is_some();
                     for sc in &shared {
                         prop_assert_eq!(sc.drop_collection(name).is_some(), dropped_ref);
                     }
                 }
                 _ => {
-                    let want = reference.collection(name).ok().map(|c| c.patches.clone());
+                    let want = model.get(name).cloned();
                     for sc in &shared {
                         let got = sc.snapshot(name).ok().map(|c| c.patches.clone());
                         prop_assert_eq!(&got, &want, "query diverged on '{}'", name);
@@ -375,21 +377,14 @@ proptest! {
         }
 
         // Equivalent end states across every shard count.
-        let want_names: Vec<String> =
-            reference.names().iter().map(|s| s.to_string()).collect();
-        // Sampling the allocator consumes an id, so take the reference's
-        // reading exactly once.
-        let want_next = reference.next_patch_id();
+        let want_names: Vec<String> = model.keys().cloned().collect();
         for sc in &shared {
             prop_assert_eq!(sc.names(), want_names.clone(), "{} shards", sc.shard_count());
-            for name in reference.names() {
-                prop_assert_eq!(
-                    &sc.snapshot(name).unwrap().patches,
-                    &reference.collection(name).unwrap().patches
-                );
+            for (name, rows) in &model {
+                prop_assert_eq!(&sc.snapshot(name).unwrap().patches, rows);
             }
-            prop_assert_eq!(sc.with_lineage(|l| l.len()), reference.lineage.len());
-            prop_assert_eq!(sc.next_patch_id(), want_next, "id allocators agree");
+            prop_assert_eq!(sc.with_lineage(|l| l.len()), lineage_records);
+            prop_assert_eq!(sc.next_patch_id(), PatchId(next_id.get()), "id allocators agree");
         }
     }
 }
