@@ -15,8 +15,7 @@
 //!   enforcing the workspace hygiene rules: no raw lock types outside the
 //!   [`sync`] module, no panicking calls in serving request paths, no
 //!   `todo!`/`unimplemented!`/`dbg!` anywhere, justified `#[allow]`s, and
-//!   bench-gate artifact lists in sync with the committed `BENCH_*.json`
-//!   files. CI runs it as a blocking job via
+//!   `//!` docs opening every module. CI runs it as a blocking job via
 //!   `cargo run -p deeplens-analyze --bin tidy`.
 //!
 //! This crate sits at the bottom of the workspace dependency graph (it

@@ -16,10 +16,7 @@
 //! 4. **allow-justification** — every `#[allow(...)]` in non-test code
 //!    carries a justification: a trailing `//` comment on the same line or a
 //!    `//` comment on the line directly above.
-//! 5. **bench-artifacts** — the `DEFAULT_ARTIFACTS` list in the bench gate
-//!    binary names exactly the `BENCH_*.json` files committed at the
-//!    workspace root, in both directions.
-//! 6. **module-doc** — every `src/**/*.rs` file in a non-shim crate opens
+//! 5. **module-doc** — every `src/**/*.rs` file in a non-shim crate opens
 //!    with a `//!` module doc as its first non-blank line, so `cargo doc`
 //!    renders a description for every module and the docs burndown cannot
 //!    silently regress (the shims are vendored API stand-ins and exempt).
@@ -296,7 +293,7 @@ fn check_allow_justifications(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<
     }
 }
 
-/// Rule 6: every non-shim module file opens with `//!` module docs.
+/// Rule 5: every non-shim module file opens with `//!` module docs.
 ///
 /// Works on the raw text (not the comment-stripped lines — the doc comment
 /// IS a comment): the first non-blank line must start with `//!`. Shim
@@ -330,99 +327,6 @@ fn check_module_docs(rel_path: &str, text: &str, out: &mut Vec<Violation>) {
             ),
         });
     }
-}
-
-/// Rule 5: `DEFAULT_ARTIFACTS` in the bench gate binary must name exactly
-/// the `BENCH_*.json` files committed at the workspace root.
-pub fn check_bench_artifacts(root: &Path) -> Vec<Violation> {
-    let gate_rel = "crates/bench/src/bin/bench_gate.rs";
-    let gate_path = root.join(gate_rel);
-    let mut out = Vec::new();
-    let text = match fs::read_to_string(&gate_path) {
-        Ok(t) => t,
-        Err(e) => {
-            out.push(Violation {
-                file: gate_rel.to_string(),
-                line: 1,
-                rule: "bench-artifacts",
-                msg: format!("cannot read bench gate source: {e}"),
-            });
-            return out;
-        }
-    };
-    // Collect "BENCH_*.json" string literals between DEFAULT_ARTIFACTS and
-    // the closing `];`.
-    let mut listed: Vec<(String, usize)> = Vec::new();
-    let mut decl_line = 1;
-    let mut in_decl = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let code = strip_comment(raw);
-        if !in_decl {
-            if code.contains("DEFAULT_ARTIFACTS") && code.contains('[') {
-                in_decl = true;
-                decl_line = idx + 1;
-            } else {
-                continue;
-            }
-        }
-        let mut rest = code.as_str();
-        while let Some(open) = rest.find('"') {
-            let tail = &rest[open + 1..];
-            match tail.find('"') {
-                Some(close) => {
-                    let lit = &tail[..close];
-                    if lit.starts_with("BENCH_") && lit.ends_with(".json") {
-                        listed.push((lit.to_string(), idx + 1));
-                    }
-                    rest = &tail[close + 1..];
-                }
-                None => break,
-            }
-        }
-        if code.contains("];") {
-            break;
-        }
-    }
-    if listed.is_empty() {
-        out.push(Violation {
-            file: gate_rel.to_string(),
-            line: decl_line,
-            rule: "bench-artifacts",
-            msg: "could not locate the DEFAULT_ARTIFACTS list".to_string(),
-        });
-        return out;
-    }
-    // The committed artifacts at the workspace root.
-    let mut committed: Vec<String> = Vec::new();
-    if let Ok(entries) = fs::read_dir(root) {
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with("BENCH_") && name.ends_with(".json") {
-                committed.push(name);
-            }
-        }
-    }
-    for (name, line) in &listed {
-        if !committed.iter().any(|c| c == name) {
-            out.push(Violation {
-                file: gate_rel.to_string(),
-                line: *line,
-                rule: "bench-artifacts",
-                msg: format!("DEFAULT_ARTIFACTS lists `{name}` but it is not committed at the workspace root"),
-            });
-        }
-    }
-    for name in &committed {
-        if !listed.iter().any(|(l, _)| l == name) {
-            out.push(Violation {
-                file: gate_rel.to_string(),
-                line: decl_line,
-                rule: "bench-artifacts",
-                msg: format!("committed artifact `{name}` is missing from DEFAULT_ARTIFACTS"),
-            });
-        }
-    }
-    out
 }
 
 /// Recursively collect `.rs` files under `dir`, appending to `acc`.
@@ -492,7 +396,6 @@ pub fn check_workspace(root: &Path) -> Vec<Violation> {
             }),
         }
     }
-    out.extend(check_bench_artifacts(root));
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     out
 }
@@ -662,30 +565,6 @@ mod tests {
         assert!(has_word("std::sync::Mutex<u32>", "Mutex"));
         assert!(!has_word("OrderedMutex<u32>", "Mutex"));
         assert!(has_word("MutexGuard<'a, T>", "Mutex"));
-    }
-
-    #[test]
-    fn bench_artifact_drift_detected_both_directions() {
-        let root = std::env::temp_dir().join(format!(
-            "tidy-bench-fixture-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let gate_dir = root.join("crates/bench/src/bin");
-        fs::create_dir_all(&gate_dir).expect("fixture dirs");
-        fs::write(
-            gate_dir.join("bench_gate.rs"),
-            "const DEFAULT_ARTIFACTS: [&str; 2] = [\n    \"BENCH_ops.json\",\n    \"BENCH_gone.json\",\n];\n",
-        )
-        .expect("fixture gate");
-        fs::write(root.join("BENCH_ops.json"), "{}").expect("fixture artifact");
-        fs::write(root.join("BENCH_extra.json"), "{}").expect("fixture artifact");
-        let violations = check_bench_artifacts(&root);
-        let msgs: Vec<&str> = violations.iter().map(|v| v.msg.as_str()).collect();
-        assert_eq!(violations.len(), 2, "violations: {msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("BENCH_gone.json")));
-        assert!(msgs.iter().any(|m| m.contains("BENCH_extra.json")));
-        fs::remove_dir_all(&root).expect("fixture cleanup");
     }
 
     #[test]

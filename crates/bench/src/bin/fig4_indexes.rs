@@ -52,6 +52,15 @@ fn main() {
         ],
     );
 
+    // Renders an "answers agree" cell and remembers the queries that don't.
+    let mut disagree: Vec<&str> = Vec::new();
+    let mut agree = |query: &'static str, same: bool| {
+        if !same {
+            disagree.push(query);
+        }
+        same.to_string()
+    };
+
     // q1 — near-duplicates (Ball-Tree self-join).
     let (b1, tb1) = time(|| q1_baseline(&pc));
     let (o1, to1) = time(|| q1_optimized(&pc));
@@ -60,7 +69,7 @@ fn main() {
         ms(tb1),
         ms(to1),
         format!("{:.1}x", tb1.as_secs_f64() / to1.as_secs_f64()),
-        (b1 == o1).to_string(),
+        agree("q1", b1 == o1),
     ]);
 
     // q2 — vehicle frames (hash index on label).
@@ -71,7 +80,7 @@ fn main() {
         ms(tb2),
         ms(to2),
         format!("{:.1}x", tb2.as_secs_f64() / to2.as_secs_f64()),
-        (b2 == o2).to_string(),
+        agree("q2", b2 == o2),
     ]);
 
     // q3 — trajectory (lineage index).
@@ -82,7 +91,7 @@ fn main() {
         ms(tb3),
         ms(to3),
         format!("{:.1}x", tb3.as_secs_f64() / to3.as_secs_f64()),
-        (b3 == o3).to_string(),
+        agree("q3", b3 == o3),
     ]);
 
     // q4 — distinct pedestrians (Ball-Tree dedup).
@@ -93,7 +102,7 @@ fn main() {
         ms(tb4),
         ms(to4),
         format!("{:.1}x", tb4.as_secs_f64() / to4.as_secs_f64()),
-        (b4 == o4).to_string(),
+        agree("q4", b4 == o4),
     ]);
 
     // q5 — string lookup (no index helps a substring predicate). Warm the
@@ -106,7 +115,7 @@ fn main() {
         ms(tb5),
         ms(to5),
         format!("{:.1}x", tb5.as_secs_f64() / to5.as_secs_f64()),
-        (b5 == o5).to_string(),
+        agree("q5", b5 == o5),
     ]);
 
     // q6 — depth pairs (hash on frame + sorted sweep).
@@ -117,7 +126,7 @@ fn main() {
         ms(tb6),
         ms(to6),
         format!("{:.1}x", tb6.as_secs_f64() / to6.as_secs_f64()),
-        (b6 == o6).to_string(),
+        agree("q6", b6 == o6),
     ]);
 
     table.emit("fig4_indexes");
@@ -125,5 +134,10 @@ fn main() {
         "\nPaper shape: image-matching queries (q1, q4) gain the most; q3 gains via \
          lineage; q6 gains modestly; q5 gains nothing."
     );
-    let _ = (b1, b2, b3, b4, b5, b6, o1, o2, o3, o4, o5, o6);
+    // The table above is the diagnostic; a disagreeing row is a wrong
+    // answer, so the harness (and `run_all` over it) must not exit 0.
+    if !disagree.is_empty() {
+        eprintln!("fig4_indexes: baseline and indexed answers disagree for {disagree:?}");
+        std::process::exit(1);
+    }
 }

@@ -47,7 +47,7 @@ fn within_tau(a: &Patch, b: &Patch, tau: f32) -> bool {
 
 /// Serial pool for the single-threaded baselines: the harness measures
 /// physical-design effects (Fig. 4-5), so operator parallelism is pinned
-/// off. `benches/ops.rs` measures the thread-scaling axis.
+/// off.
 fn serial() -> WorkerPool {
     WorkerPool::new(1)
 }

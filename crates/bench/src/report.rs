@@ -16,83 +16,6 @@ pub fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
 }
 
-/// Median wall-clock seconds of `reps` runs of `f` (the timing method the
-/// recording benches — `benches/{ops,parallel,devices}.rs` — share).
-pub fn median_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-/// Assemble a `BENCH_*.json` document from pre-rendered sections (the
-/// serialization scaffolding the recording benches share; there is no serde
-/// in the offline workspace). Each entry is `(key, value)` where `value` is
-/// already-valid JSON — a scalar, `json_array` output, or an object — and
-/// comma placement is handled here so callers never manage trailing commas.
-pub fn bench_json(sections: &[(&str, String)]) -> String {
-    let body: Vec<String> = sections
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    format!("{{\n{}\n}}\n", body.join(",\n"))
-}
-
-/// Render pre-serialized JSON values as a multi-line array at bench-file
-/// indentation.
-pub fn json_array(items: &[String]) -> String {
-    if items.is_empty() {
-        return "[]".to_string();
-    }
-    let body: Vec<String> = items.iter().map(|i| format!("    {i}")).collect();
-    format!("[\n{}\n  ]", body.join(",\n"))
-}
-
-/// Render `(key, json-value)` pairs as a single-line JSON object.
-pub fn json_object(pairs: &[(&str, String)]) -> String {
-    let body: Vec<String> = pairs.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-    format!("{{{}}}", body.join(", "))
-}
-
-/// The `host` section every recorded `BENCH_*.json` carries: the machine's
-/// available parallelism and the `DEEPLENS_THREADS` override (JSON `null`
-/// when unset), plus bench-specific extras (catalog shard counts, session
-/// counts). Artifact numbers from a 1-core dev container and a multi-core
-/// CI runner are meaningless to compare without this — the regression gate
-/// reads `available_parallelism` to decide whether two artifacts come from
-/// comparable hosts.
-pub fn host_json(extra: &[(&str, String)]) -> String {
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let over = std::env::var("DEEPLENS_THREADS")
-        .ok()
-        .as_deref()
-        .and_then(deeplens_exec::device::parse_thread_override);
-    let mut pairs: Vec<(&str, String)> = vec![
-        ("available_parallelism", parallelism.to_string()),
-        (
-            "threads_override",
-            over.map_or("null".to_string(), |n| n.to_string()),
-        ),
-    ];
-    pairs.extend(extra.iter().map(|(k, v)| (*k, v.clone())));
-    json_object(&pairs)
-}
-
-/// Write a recorded bench artifact: `env_var` overrides `default_path`.
-/// Echoes where the file landed.
-pub fn record_artifact(env_var: &str, default_path: String, json: &str) {
-    let out = std::env::var(env_var).unwrap_or(default_path);
-    std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    println!("recorded {out}");
-}
-
 /// A result table that prints like the paper's figures and also lands in
 /// `bench-results/<name>.csv`.
 #[derive(Debug, Clone)]
@@ -233,15 +156,6 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("test", &["a", "b"]);
         t.row(&["only-one"]);
-    }
-
-    #[test]
-    fn host_json_is_valid_and_extensible() {
-        let h = host_json(&[("catalog_shards", "16".to_string())]);
-        assert!(h.starts_with('{') && h.ends_with('}'));
-        assert!(h.contains("\"available_parallelism\": "));
-        assert!(h.contains("\"threads_override\": "));
-        assert!(h.contains("\"catalog_shards\": 16"));
     }
 
     #[test]

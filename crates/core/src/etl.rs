@@ -1221,7 +1221,7 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner());
         let clip = frames(8);
         let bytes = encode_video(&clip, VideoConfig::default()).unwrap();
-        let mut s = crate::session::Session::ephemeral().unwrap();
+        let s = crate::session::Session::ephemeral().unwrap();
         let run_once = |s: &crate::session::Session, out: &str| {
             let mut b = s.ingest_batch();
             b.add_encoded_source("cam", bytes.clone()).unwrap();
@@ -1239,7 +1239,7 @@ mod tests {
             s.catalog.snapshot("first").unwrap().len()
         );
         // Disabling retention forces a re-decode.
-        s.set_frame_cache_capacity(0);
+        *s.frame_cache().lock() = deeplens_codec::FrameCache::new(0);
         run_once(&s, "third");
         assert_eq!(decoded(&s), 8, "capacity 0 retains nothing: full rescan");
     }

@@ -595,34 +595,11 @@ impl ColumnarPatches {
         projection: Projection,
         pool: &WorkerPool,
     ) -> ScanResult {
-        self.scan_inner(filter, projection, pool, true)
-    }
-
-    /// [`ColumnarPatches::scan`] with zone-map pruning disabled: every
-    /// chunk's filter column is decoded (`chunks_pruned` stays 0). Same
-    /// output, strictly more work — the counterfactual baseline the
-    /// columnar bench measures pruning against.
-    pub fn scan_whole(
-        &self,
-        filter: &ScanFilter,
-        projection: Projection,
-        pool: &WorkerPool,
-    ) -> ScanResult {
-        self.scan_inner(filter, projection, pool, false)
-    }
-
-    fn scan_inner(
-        &self,
-        filter: &ScanFilter,
-        projection: Projection,
-        pool: &WorkerPool,
-        prune: bool,
-    ) -> ScanResult {
         let survivors: Vec<usize> = self
             .chunks
             .iter()
             .enumerate()
-            .filter(|(_, g)| !prune || self.chunk_may_match(g, filter))
+            .filter(|(_, g)| self.chunk_may_match(g, filter))
             .map(|(i, _)| i)
             .collect();
         let mut stats = ScanStats {
@@ -1085,21 +1062,6 @@ mod tests {
         );
         assert_eq!(miss.stats.chunks_decoded, 0);
         assert_eq!(miss.stats.rows_matched, 0);
-    }
-
-    #[test]
-    fn scan_whole_matches_but_never_prunes() {
-        let patches = mixed_collection(512);
-        let columnar = ColumnarPatches::from_patches(&patches, 64);
-        let pool = WorkerPool::new(1);
-        let filter = ScanFilter::FrameRange { lo: 10, hi: 20 };
-        let pruned = columnar.scan(&filter, Projection::Full, &pool);
-        let whole = columnar.scan_whole(&filter, Projection::Full, &pool);
-        assert_eq!(pruned.patches, whole.patches);
-        assert_eq!(pruned.stats.rows_matched, whole.stats.rows_matched);
-        assert!(pruned.stats.chunks_pruned > 0);
-        assert_eq!(whole.stats.chunks_pruned, 0);
-        assert_eq!(whole.stats.chunks_decoded, columnar.chunk_count());
     }
 
     #[test]

@@ -193,13 +193,6 @@ impl Session {
         &self.frame_cache
     }
 
-    /// Re-bound the decoded-frame cache to at most `frames` resident
-    /// frames (0 disables retention: every ingest batch re-decodes). The
-    /// existing contents are dropped.
-    pub fn set_frame_cache_capacity(&mut self, frames: usize) {
-        *self.frame_cache.get_mut() = FrameCache::new(frames);
-    }
-
     /// Similarity join on the session's device: `(left_idx, right_idx)`
     /// pairs within `tau`, sorted. The physical plan is
     /// [`JoinPlan::choose_rows`]'s — Ball-Tree on the session pool for CPU

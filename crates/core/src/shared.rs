@@ -96,8 +96,8 @@ impl SharedCatalog {
 
     /// [`SharedCatalog::with_shards`] with an explicit result-cache entry
     /// budget. `cache_capacity == 0` disables result caching — the
-    /// uncached reference configuration the cache bench and the
-    /// byte-identity tests compare against.
+    /// uncached reference configuration the byte-identity tests compare
+    /// against.
     pub fn with_shards_and_cache(shards: usize, cache_capacity: usize) -> Self {
         SharedCatalog {
             shards: (0..shards.max(1))

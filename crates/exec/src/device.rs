@@ -22,7 +22,7 @@ pub fn configured_threads() -> usize {
 
 /// Parse a `DEEPLENS_THREADS` value: a positive integer, or `None` to fall
 /// back to auto-detection.
-pub fn parse_thread_override(raw: &str) -> Option<usize> {
+fn parse_thread_override(raw: &str) -> Option<usize> {
     match raw.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Some(n),
         _ => None,
@@ -55,17 +55,6 @@ impl Device {
     /// The paper's three devices, in the order its Fig. 8 reports them.
     pub fn all() -> [Device; 3] {
         [Device::Cpu, Device::Avx, Device::GpuSim]
-    }
-
-    /// Every backend including the multi-core CPU (auto thread count),
-    /// scalar-to-parallel order.
-    pub fn all_with_parallel() -> [Device; 4] {
-        [
-            Device::Cpu,
-            Device::Avx,
-            Device::ParallelCpu(0),
-            Device::GpuSim,
-        ]
     }
 
     /// Label used by the benchmark harnesses.
@@ -169,10 +158,7 @@ mod tests {
     #[test]
     fn labels_and_order() {
         assert_eq!(Device::all().map(|d| d.label()), ["CPU", "AVX", "GPU"]);
-        assert_eq!(
-            Device::all_with_parallel().map(|d| d.label()),
-            ["CPU", "AVX", "PAR", "GPU"]
-        );
+        assert_eq!(Device::ParallelCpu(0).label(), "PAR");
     }
 
     #[test]

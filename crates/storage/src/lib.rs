@@ -13,8 +13,6 @@
 //! * [`btree`] — an on-disk B+Tree with variable-length byte keys/values,
 //!   overflow pages for large values, and ordered range scans (the engine
 //!   behind sorted Frame Files and all single-dimensional secondary indexes).
-//! * [`hashstore`] — a bucket-chained persistent hash store for exact-match
-//!   lookups.
 //! * [`layout`] — the paper's three video layouts (Frame File, Encoded File,
 //!   Segmented File) behind one [`layout::VideoStore`] trait, plus the
 //!   future-work *storage advisor* that picks a layout for a workload.
@@ -33,7 +31,6 @@ pub mod btree;
 pub mod buffer;
 pub mod columnar;
 pub mod error;
-pub mod hashstore;
 pub mod layout;
 pub mod page;
 pub mod pager;
