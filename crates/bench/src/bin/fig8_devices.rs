@@ -10,6 +10,7 @@ use deeplens_bench::report::{ms, time, Table};
 use deeplens_bench::{scale, WORLD_SEED};
 use deeplens_core::ops;
 use deeplens_core::optimizer::DevicePlanner;
+use deeplens_core::patch::Patch;
 use deeplens_exec::{Device, Executor};
 
 fn main() {
@@ -61,15 +62,15 @@ fn main() {
         "Fig. 8 (right) — query time (all-pairs image matching) per device",
         &["device", "q1 ms (small)", "q4 ms (large)"],
     );
+    // Stack the features, then join all pairs on the device's kernel.
+    let all_pairs = |patches: &[Patch], exec: &Executor| {
+        let m = ops::feature_matrix(patches).expect("one feature dimension");
+        exec.threshold_join(&m, &m, &[MATCH_TAU])
+    };
     for dev in Device::all() {
         let exec = Executor::new(dev);
-        let (_, t_q1) = time(|| {
-            ops::similarity_join_executor(&pc.image_patches, &pc.image_patches, MATCH_TAU, &exec)
-                .expect("join")
-        });
-        let (_, t_q4) = time(|| {
-            ops::similarity_join_executor(&people, &people, MATCH_TAU, &exec).expect("join")
-        });
+        let (_, t_q1) = time(|| all_pairs(&pc.image_patches, &exec));
+        let (_, t_q4) = time(|| all_pairs(&people, &exec));
         q_table.row(&[dev.label().to_string(), ms(t_q1), ms(t_q4)]);
     }
     q_table.emit("fig8_query");

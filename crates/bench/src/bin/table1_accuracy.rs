@@ -18,10 +18,9 @@ use deeplens_bench::etl::{traffic_etl, GT_KEY};
 const TAU: f32 = 0.17;
 use deeplens_bench::report::{ms, time, Table};
 use deeplens_bench::{scale, WORLD_SEED};
-use deeplens_core::ops;
 use deeplens_core::optimizer::{enumerate_filter_match_plans, AccuracyProfile};
-use deeplens_core::prelude::Patch;
-use deeplens_exec::{Device, WorkerPool};
+use deeplens_core::prelude::{Patch, Session};
+use deeplens_exec::Device;
 use deeplens_vision::detector::DetectorConfig;
 use deeplens_vision::scene::ObjectClass;
 
@@ -79,6 +78,8 @@ fn main() {
         .map(|o| o.id as i64)
         .collect();
     let truth = truth_pairs(all, &ped_ids);
+    // A single-core session: the plans differ in filter order, not threads.
+    let session = Session::ephemeral().expect("create the session directory");
     println!(
         "Table 1 | detections={}, pedestrian identities={}, truth pairs={}",
         all.len(),
@@ -98,7 +99,9 @@ fn main() {
             .iter()
             .map(|&i| all[i as usize].clone())
             .collect();
-        let clusters = ops::dedup_similarity(&person_patches, TAU, &WorkerPool::new(1));
+        let clusters = session
+            .dedup(&person_patches, TAU)
+            .expect("one feature dimension");
         let mut pred = HashSet::new();
         for c in &clusters {
             for a in 0..c.len() {
@@ -113,7 +116,7 @@ fn main() {
 
     // ---- Plan B: Patch, Match, Filter ----
     let ((rec_b, prec_b), t_b) = time(|| {
-        let clusters = ops::dedup_similarity(all, TAU, &WorkerPool::new(1));
+        let clusters = session.dedup(all, TAU).expect("one feature dimension");
         let mut pred = HashSet::new();
         // The paper's order: match everything, then "filter on those pairs
         // that have at least one person label".

@@ -52,6 +52,16 @@ fn serial() -> WorkerPool {
     WorkerPool::new(1)
 }
 
+/// The engine's similarity self-join of `patches` within `tau` on the
+/// serial pool, under the plan [`JoinPlan::choose_dedup`] picks (the
+/// on-the-fly Ball-Tree for featurized corpora).
+fn self_join(patches: &[Patch], tau: f32) -> Vec<(u32, u32)> {
+    JoinPlan::choose_dedup(patches)
+        .and_then(|plan| plan.run(patches, patches, &[(tau, None)], &serial()))
+        .expect("ETL features share one dimension")
+        .remove(0)
+}
+
 /// q1 baseline: the generic nested-loop θ-join operator evaluating the
 /// similarity predicate pair by pair (no physical design).
 pub fn q1_baseline(etl: &PcEtl) -> Vec<(u32, u32)> {
@@ -65,12 +75,7 @@ pub fn q1_baseline(etl: &PcEtl) -> Vec<(u32, u32)> {
 
 /// q1 optimized: on-the-fly Ball-Tree self-join.
 pub fn q1_optimized(etl: &PcEtl) -> Vec<(u32, u32)> {
-    self_pairs(ops::similarity_join_balltree(
-        &etl.image_patches,
-        &etl.image_patches,
-        Q1_TAU,
-        &serial(),
-    ))
+    self_pairs(self_join(&etl.image_patches, Q1_TAU))
 }
 
 /// Recall/precision of predicted duplicate pairs against planted truth.
@@ -234,7 +239,7 @@ pub fn q4_baseline(people: &[Patch]) -> usize {
 
 /// q4 optimized: Ball-Tree dedup join.
 pub fn q4_optimized(people: &[Patch]) -> usize {
-    ops::dedup_similarity(people, MATCH_TAU, &serial()).len()
+    ops::cluster_from_pairs(people.len(), &self_join(people, MATCH_TAU)).len()
 }
 
 /// Pair-level accuracy of a clustering against ground-truth identities:
@@ -468,8 +473,7 @@ mod tests {
     fn clustering_accuracy_bounds() {
         let etl = traffic();
         let people = q4_person_patches(&etl);
-        let clusters =
-            deeplens_core::ops::dedup_similarity(&people, MATCH_TAU, &WorkerPool::new(1));
+        let clusters = ops::cluster_from_pairs(people.len(), &self_join(&people, MATCH_TAU));
         let (recall, precision) = clustering_pair_accuracy(&people, &clusters);
         assert!((0.0..=1.0).contains(&recall));
         assert!((0.0..=1.0).contains(&precision));

@@ -15,7 +15,7 @@
 //!   on-the-fly Ball-Tree build and one morsel-sharded probe pass per
 //!   distinct probe relation — the pass probes at the group's outer radius
 //!   and demultiplexes candidates against each member's own threshold and
-//!   predicate ([`ops::similarity_join_balltree_multi`]);
+//!   predicate (the tree arm of [`JoinPlan::run`]);
 //! * **all-pairs offloads** over the same snapshot pair share one kernel
 //!   dispatch: the distance matrix is computed once and the launch +
 //!   transfer overhead is paid once for the whole group;
@@ -573,7 +573,7 @@ impl PlannedBatch<'_> {
                 })
                 .collect();
             let indexed = &snaps[group.indexed].patches;
-            let outs = ops::similarity_join_balltree_multi(indexed, &passes, &pool);
+            let outs = ops::similarity_join_balltree_multi(indexed, &passes, &pool)?;
             for ((m, _, _), pairs) in group.members.iter().zip(outs) {
                 results[m.query] = Some(m.result(pairs));
             }

@@ -19,9 +19,10 @@
 //! * [`lineage`] — tuple-level lineage chains and the lineage index that
 //!   accelerates backtracing queries (§5.1).
 //! * [`etl`] — patch generators, transformers and pipelines (§4.1).
-//! * [`ops`] — dataflow query operators: select, project, aggregate,
-//!   nested-loop join, on-the-fly Ball-Tree similarity join, and
-//!   similarity-based deduplication (§5).
+//! * [`ops`] — dataflow query operators: select, project, aggregate, the
+//!   nested-loop θ-join, and what similarity plans are built from: the
+//!   on-the-fly Ball-Tree kernel, dedup clustering, and the brute-force
+//!   oracles (§5).
 //! * [`catalog`] — materialized patch collections and their secondary
 //!   indexes (hash, sorted, Ball-Tree, R-Tree, lineage) (§3.2).
 //! * [`scan`] — chunked-columnar patch layout with per-chunk statistics
@@ -32,15 +33,17 @@
 //!   queries, invalidated for free by the catalog's version counters.
 //! * [`optimizer`] — the cost model (non-linear join costs, §7.4.1), device
 //!   placement (§7.4.2), and accuracy-aware plan ordering (§7.4.3).
-//! * [`plan`] — the one physical plan a similarity join is priced and run
-//!   under ([`plan::JoinPlan`]).
+//! * [`plan`] — the one way a similarity join or dedup executes: chosen,
+//!   priced and run as a [`plan::JoinPlan`].
 //! * [`session`] — a facade tying catalog, devices and ETL together.
 //!
 //! ```
 //! use deeplens_core::prelude::*;
 //!
+//! # fn main() -> Result<(), DlError> {
 //! // Build a tiny collection of feature patches and run a similarity join
-//! // (serial pool; `Session` supplies the pool its device implies).
+//! // under the plan the planner picks (serial pool; `Session` supplies the
+//! // pool its device implies).
 //! let catalog = SharedCatalog::new();
 //! let patches: Vec<Patch> = (0..10)
 //!     .map(|i| {
@@ -51,8 +54,11 @@
 //!         )
 //!     })
 //!     .collect();
-//! let pairs = ops::similarity_join_balltree(&patches, &patches, 1.5, &WorkerPool::new(1));
-//! assert!(pairs.len() > 10); // each point matches itself and its neighbours
+//! let plan = JoinPlan::choose(&patches, &patches, Device::Avx)?;
+//! let pairs = plan.run(&patches, &patches, &[(1.5, None)], &WorkerPool::new(1))?;
+//! assert!(pairs[0].len() > 10); // each point matches itself and its neighbours
+//! # Ok(())
+//! # }
 //! ```
 
 pub mod batch;

@@ -2,26 +2,27 @@
 //!
 //! Operators implement the paper's closed algebra: collections of patches
 //! in, collections of patches (or index pairs into them) out. Single-pass
-//! operators are iterator adapters; joins and deduplication are provided in
-//! three physical variants each —
+//! operators are iterator adapters and pushdown selections; the generic
+//! θ-join is [`nested_loop_join`].
 //!
-//! * **nested loop** — the generic θ-join baseline,
-//! * **on-the-fly Ball-Tree** — builds the index over the *smaller*
-//!   relation and probes with the larger (§5, "On-The-Fly Index Similarity
-//!   Join"),
-//! * **device-offloaded** — all-pairs matching through a
-//!   [`deeplens_exec::Executor`] (the vectorized/GPU variants of Fig. 8).
+//! A *similarity* join or dedup does not run from here: its physical variant
+//! — nested loop, on-the-fly Ball-Tree over the smaller relation, or the
+//! device's all-pairs offload — is chosen by [`crate::plan::JoinPlan::choose`]
+//! / [`crate::plan::JoinPlan::choose_dedup`] and executed by
+//! [`crate::plan::JoinPlan::run`]. This module keeps the pieces those plans
+//! are built from: the crate-private tree kernel, [`feature_matrix`] for the
+//! offload, [`cluster_from_pairs`] for dedup, and the brute-force oracles
+//! [`similarity_join_nested`] / [`dedup_bruteforce`] every plan is held to.
 //!
-//! The nested-loop and Ball-Tree variants take a [`WorkerPool`]: their probe
-//! phases shard over morsels (after Leis et al., see `deeplens_exec::pool`)
-//! and reassemble results in morsel order, so every output is byte-identical
-//! across thread counts. Pass `WorkerPool::new(1)` for strictly serial
-//! execution; [`crate::session::Session`] supplies the pool its device
-//! implies.
+//! Operators that take a [`WorkerPool`] shard their probe phases over
+//! morsels (after Leis et al., see `deeplens_exec::pool`) and reassemble
+//! results in morsel order, so every output is byte-identical across thread
+//! counts. Pass `WorkerPool::new(1)` for strictly serial execution;
+//! [`crate::session::Session`] supplies the pool its device implies.
 
 use std::collections::HashMap;
 
-use deeplens_exec::{Executor, Matrix, WorkerPool};
+use deeplens_exec::{Matrix, WorkerPool};
 use deeplens_index::BallTree;
 
 use crate::catalog::PatchCollection;
@@ -238,51 +239,6 @@ pub fn similarity_join_nested(left: &[Patch], right: &[Patch], tau: f32) -> Vec<
     out
 }
 
-/// On-the-fly Ball-Tree similarity join: index the smaller relation, probe
-/// with the larger (§5). Returns `(left_idx, right_idx)` pairs within `tau`,
-/// sorted and byte-identical across thread counts — the one-member case of
-/// [`similarity_join_balltree_multi`].
-pub fn similarity_join_balltree(
-    left: &[Patch],
-    right: &[Patch],
-    tau: f32,
-    pool: &WorkerPool,
-) -> Vec<(u32, u32)> {
-    if left.is_empty() || right.is_empty() {
-        return vec![];
-    }
-    let index_left = plan::index_left(left.len(), right.len());
-    similarity_join_balltree_pair(left, right, index_left, &[(tau, None)], pool)
-        .pop()
-        .unwrap_or_default()
-}
-
-/// One shared tree over `left` (if `index_left`) or `right`, probed with the
-/// other side once for all `(tau, predicate)` members of the pair.
-pub(crate) fn similarity_join_balltree_pair(
-    left: &[Patch],
-    right: &[Patch],
-    index_left: bool,
-    members: &[(f32, Option<PairPredicate<'_>>)],
-    pool: &WorkerPool,
-) -> Vec<Vec<(u32, u32)>> {
-    let (indexed, probes) = if index_left {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let members: Vec<BatchJoinMember> = members
-        .iter()
-        .map(|&(tau, predicate)| BatchJoinMember {
-            probes,
-            tau,
-            probe_is_left: !index_left,
-            predicate,
-        })
-        .collect();
-    similarity_join_balltree_multi(indexed, &members, pool)
-}
-
 // --------------------------------------------------------------------------
 // Batched joins (multi-query optimization: one shared scan/probe pass)
 // --------------------------------------------------------------------------
@@ -298,10 +254,8 @@ pub type PairPredicate<'a> = &'a (dyn Fn(&Patch, &Patch) -> bool + Sync);
 /// over); each carries its own probe relation, threshold, pair orientation,
 /// and optional θ-predicate. `probe_is_left` records which side of the
 /// original query the probe relation was: `true` emits `(probe_idx, hit)`
-/// pairs, `false` emits `(hit, probe_idx)` — mirroring how
-/// [`similarity_join_balltree`] orients pairs after indexing the smaller
-/// side.
-pub struct BatchJoinMember<'a> {
+/// pairs, `false` emits `(hit, probe_idx)`.
+pub(crate) struct BatchJoinMember<'a> {
     /// The probe relation (scanned side) of this member.
     pub probes: &'a [Patch],
     /// Similarity threshold.
@@ -309,27 +263,18 @@ pub struct BatchJoinMember<'a> {
     /// Pair orientation: `true` → `(probe_idx, hit)`, `false` →
     /// `(hit, probe_idx)`.
     pub probe_is_left: bool,
-    /// Optional θ-predicate applied per candidate pair, called as
-    /// `pred(left_patch, right_patch)` in the original query's orientation.
-    // The full trait-object type is the API: naming it via an alias would
-    // hide the Sync bound callers must satisfy.
-    #[allow(clippy::type_complexity)]
-    pub predicate: Option<&'a (dyn Fn(&Patch, &Patch) -> bool + Sync)>,
+    /// Optional θ-predicate applied per candidate pair, in the original
+    /// query's orientation.
+    pub predicate: Option<PairPredicate<'a>>,
 }
 
-impl<'a> BatchJoinMember<'a> {
-    /// A plain (unfiltered) member.
-    pub fn new(probes: &'a [Patch], tau: f32, probe_is_left: bool) -> Self {
-        BatchJoinMember {
-            probes,
-            tau,
-            probe_is_left,
-            predicate: None,
-        }
-    }
+/// The error for a relation the tree kernel cannot take: the planner
+/// ([`crate::plan::JoinPlan::choose`]) never hands it one.
+fn unplanned(what: &str, row: usize) -> DlError {
+    DlError::SchemaMismatch(format!("{what} row {row} does not fit the Ball-Tree plan"))
 }
 
-/// Batched on-the-fly Ball-Tree similarity join: **one** tree build over
+/// Batched on-the-fly Ball-Tree similarity join (§5): **one** tree build over
 /// `indexed` and **one** morsel-sharded probe pass per distinct probe
 /// relation serve every member, instead of each member building and
 /// scanning on its own (the paper's multi-query amortization).
@@ -337,17 +282,19 @@ impl<'a> BatchJoinMember<'a> {
 /// The shared pass probes at the members' maximum threshold and
 /// demultiplexes every candidate against each member's own `tau` (and
 /// predicate) using the traversal's exact leaf distances
-/// ([`BallTree::range_query_sq`]), so member `k`'s output is byte-identical
-/// to running [`similarity_join_balltree`] for that query alone — the same
-/// sorted pair vector, with predicate members matching join-then-filter.
+/// ([`BallTree::range_query_sq`]), so member `k`'s output is the sorted pair
+/// vector that member alone would produce, with predicate members matching
+/// join-then-filter. Output is byte-identical across thread counts.
 ///
-/// If any `indexed` patch lacks features, every member falls back to the
-/// nested variant exactly as the serial path does.
-pub fn similarity_join_balltree_multi(
+/// Every `indexed` row must carry features of one dimension, which featured
+/// probe rows share; featureless probe rows match nothing. Anything else is
+/// a [`DlError::SchemaMismatch`] — relations that break the rule get the
+/// nested plan from [`crate::plan::JoinPlan::choose`], not this kernel.
+pub(crate) fn similarity_join_balltree_multi(
     indexed: &[Patch],
     members: &[BatchJoinMember],
     pool: &WorkerPool,
-) -> Vec<Vec<(u32, u32)>> {
+) -> Result<Vec<Vec<(u32, u32)>>> {
     let orient = |m: &BatchJoinMember, probe_idx: u32, hit: u32| {
         if m.probe_is_left {
             (probe_idx, hit)
@@ -365,38 +312,20 @@ pub fn similarity_join_balltree_multi(
         })
     };
 
-    let vectors: Vec<Vec<f32>> = indexed
-        .iter()
-        .filter_map(|p| p.data.features().map(<[f32]>::to_vec))
-        .collect();
-    if vectors.len() != indexed.len() {
-        // Featureless patches in the indexed relation: the serial path falls
-        // back to the nested variant (which skips them pair-wise), so every
-        // member does the same here.
-        return members
-            .iter()
-            .map(|m| {
-                let pairs = if m.probe_is_left {
-                    similarity_join_nested(m.probes, indexed, m.tau)
-                } else {
-                    similarity_join_nested(indexed, m.probes, m.tau)
-                };
-                pairs
-                    .into_iter()
-                    .filter(|&(l, r)| {
-                        let (pi, hit) = if m.probe_is_left { (l, r) } else { (r, l) };
-                        passes_pred(m, &m.probes[pi as usize], &indexed[hit as usize])
-                    })
-                    .collect()
-            })
-            .collect();
-    }
-
-    let tree = BallTree::from_vectors_parallel(&vectors, pool.threads());
     let mut out: Vec<Vec<(u32, u32)>> = (0..members.len()).map(|_| Vec::new()).collect();
     if indexed.is_empty() {
-        return out;
+        return Ok(out);
     }
+    let dim = plan::feature_dim(indexed);
+    let vectors = indexed
+        .iter()
+        .enumerate()
+        .map(|(i, p)| match p.data.features() {
+            Some(f) if f.len() == dim => Ok(f.to_vec()),
+            _ => Err(unplanned("indexed", i)),
+        })
+        .collect::<Result<Vec<Vec<f32>>>>()?;
+    let tree = BallTree::from_vectors_parallel(&vectors, pool.threads());
 
     // Members sharing a probe relation share one morsel pass: group by the
     // probe slice's identity (data pointer + length).
@@ -411,9 +340,6 @@ pub fn similarity_join_balltree_multi(
 
     for (_, member_ids) in passes {
         let probes = members[member_ids[0]].probes;
-        if probes.is_empty() {
-            continue;
-        }
         let tau_max = member_ids
             .iter()
             .map(|&k| members[k].tau)
@@ -429,6 +355,9 @@ pub fn similarity_join_balltree_multi(
                 let Some(f) = probes[j].data.features() else {
                     continue;
                 };
+                if f.len() != dim {
+                    return Err(unplanned("probe", j));
+                }
                 for (hit, d2) in tree.range_query_sq(f, tau_max) {
                     for (slot, &k) in member_ids.iter().enumerate() {
                         let m = &members[k];
@@ -439,10 +368,10 @@ pub fn similarity_join_balltree_multi(
                     }
                 }
             }
-            local
+            Ok(local)
         });
         for part in parts {
-            for (slot, pairs) in part.into_iter().enumerate() {
+            for (slot, pairs) in part?.into_iter().enumerate() {
                 out[member_ids[slot]].extend(pairs);
             }
         }
@@ -450,23 +379,7 @@ pub fn similarity_join_balltree_multi(
     for pairs in out.iter_mut() {
         pairs.sort_unstable();
     }
-    out
-}
-
-/// Device-offloaded all-pairs similarity join (the Fig. 8 query-time
-/// kernel): runs on whatever device `exec` wraps.
-pub fn similarity_join_executor(
-    left: &[Patch],
-    right: &[Patch],
-    tau: f32,
-    exec: &Executor,
-) -> Result<Vec<(u32, u32)>> {
-    if left.is_empty() || right.is_empty() {
-        return Ok(vec![]);
-    }
-    let a = feature_matrix(left)?;
-    let b = feature_matrix(right)?;
-    Ok(exec.threshold_join(&a, &b, tau))
+    Ok(out)
 }
 
 // --------------------------------------------------------------------------
@@ -552,14 +465,6 @@ pub fn cluster_from_pairs(n: usize, pairs: &[(u32, u32)]) -> Vec<Vec<u32>> {
     out
 }
 
-/// Deduplicate by similarity with the on-the-fly Ball-Tree self-join:
-/// clusters of patches within `tau` of each other (transitively). The
-/// matching phase runs on `pool`; clustering is a cheap serial reduction.
-pub fn dedup_similarity(patches: &[Patch], tau: f32, pool: &WorkerPool) -> Vec<Vec<u32>> {
-    let pairs = similarity_join_balltree(patches, patches, tau, pool);
-    cluster_from_pairs(patches.len(), &pairs)
-}
-
 /// Deduplicate by brute force (the unindexed baseline).
 pub fn dedup_bruteforce(patches: &[Patch], tau: f32) -> Vec<Vec<u32>> {
     let pairs = similarity_join_nested(patches, patches, tau);
@@ -570,6 +475,8 @@ pub fn dedup_bruteforce(patches: &[Patch], tau: f32) -> Vec<Vec<u32>> {
 mod tests {
     use super::*;
     use crate::patch::{ImgRef, PatchId};
+    use crate::plan::JoinPlan;
+    use deeplens_exec::Device;
 
     fn feat_patch(id: u64, f: Vec<f32>) -> Patch {
         Patch::features(PatchId(id), ImgRef::frame("t", id), f)
@@ -622,6 +529,50 @@ mod tests {
         assert_eq!(count_distinct_values(&patches, "missing"), 0);
     }
 
+    /// The brute-force reference every plan and multi-join member is held
+    /// to.
+    fn oracle(left: &[Patch], right: &[Patch], tau: f32) -> Vec<(u32, u32)> {
+        let mut pairs = similarity_join_nested(left, right, tau);
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// `plan` over `left × right` at one threshold.
+    fn run(
+        plan: JoinPlan,
+        left: &[Patch],
+        right: &[Patch],
+        tau: f32,
+        pool: &WorkerPool,
+    ) -> Vec<(u32, u32)> {
+        plan.run(left, right, &[(tau, None)], pool)
+            .unwrap()
+            .remove(0)
+    }
+
+    /// Dedup clusters under the plan `JoinPlan::choose_dedup` picks.
+    fn dedup(patches: &[Patch], tau: f32, pool: &WorkerPool) -> Vec<Vec<u32>> {
+        let plan = JoinPlan::choose_dedup(patches).unwrap();
+        cluster_from_pairs(patches.len(), &run(plan, patches, patches, tau, pool))
+    }
+
+    /// An unfiltered tree-pass member.
+    fn member(probes: &[Patch], tau: f32, probe_is_left: bool) -> BatchJoinMember<'_> {
+        BatchJoinMember {
+            probes,
+            tau,
+            probe_is_left,
+            predicate: None,
+        }
+    }
+
+    const PLANS: [JoinPlan; 4] = [
+        JoinPlan::BallTree { index_left: true },
+        JoinPlan::BallTree { index_left: false },
+        JoinPlan::GpuAllPairs,
+        JoinPlan::Nested,
+    ];
+
     #[test]
     fn join_variants_agree() {
         let left: Vec<Patch> = (0..30)
@@ -630,21 +581,12 @@ mod tests {
         let right: Vec<Patch> = (0..40)
             .map(|i| feat_patch(100 + i, vec![i as f32 * 0.8, 1.0, 0.5]))
             .collect();
-        let tau = 2.0;
-        let mut nested = similarity_join_nested(&left, &right, tau);
-        nested.sort_unstable();
-        let ball = similarity_join_balltree(&left, &right, tau, &WorkerPool::new(1));
-        assert_eq!(nested, ball);
-        let exec = similarity_join_executor(
-            &left,
-            &right,
-            tau,
-            &Executor::new(deeplens_exec::Device::Avx),
-        )
-        .unwrap();
-        let mut exec = exec;
-        exec.sort_unstable();
-        assert_eq!(nested, exec);
+        let want = oracle(&left, &right, 2.0);
+        assert!(!want.is_empty());
+        for plan in PLANS {
+            let got = run(plan, &left, &right, 2.0, &WorkerPool::new(1));
+            assert_eq!(got, want, "{plan:?}");
+        }
     }
 
     #[test]
@@ -654,22 +596,13 @@ mod tests {
             .map(|i| feat_patch(10 + i, vec![(i % 10) as f32, 0.0]))
             .collect();
         let pool = WorkerPool::new(2);
-        let a = similarity_join_balltree(&small, &large, 0.5, &pool);
-        let mut b = similarity_join_nested(&small, &large, 0.5);
-        b.sort_unstable();
-        assert_eq!(a, b);
-        // And flipped.
-        let c = similarity_join_balltree(&large, &small, 0.5, &pool);
-        let mut d = similarity_join_nested(&large, &small, 0.5);
-        d.sort_unstable();
-        assert_eq!(c, d);
-    }
-
-    /// The brute-force reference the multi-join members are held to.
-    fn oracle(left: &[Patch], right: &[Patch], tau: f32) -> Vec<(u32, u32)> {
-        let mut pairs = similarity_join_nested(left, right, tau);
-        pairs.sort_unstable();
-        pairs
+        // And flipped: the orientation of the pairs follows the query.
+        for (l, r) in [(&small, &large), (&large, &small)] {
+            let plan = JoinPlan::choose(l, r, Device::Avx).unwrap();
+            let index_left = l.len() < r.len();
+            assert_eq!(plan, JoinPlan::BallTree { index_left });
+            assert_eq!(run(plan, l, r, 0.5, &pool), oracle(l, r, 0.5));
+        }
     }
 
     #[test]
@@ -686,12 +619,12 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let pool = WorkerPool::new(threads);
             let members = vec![
-                BatchJoinMember::new(&probes_a, 1.5, false),
-                BatchJoinMember::new(&probes_a, 3.0, false),
-                BatchJoinMember::new(&probes_b, 2.0, true),
-                BatchJoinMember::new(&probes_a, 0.4, true),
+                member(&probes_a, 1.5, false),
+                member(&probes_a, 3.0, false),
+                member(&probes_b, 2.0, true),
+                member(&probes_a, 0.4, true),
             ];
-            let got = similarity_join_balltree_multi(&indexed, &members, &pool);
+            let got = similarity_join_balltree_multi(&indexed, &members, &pool).unwrap();
             assert_eq!(got.len(), 4);
             // Members 0/1: indexed is the left relation (pairs (hit, probe)).
             assert_eq!(got[0], oracle(&indexed, &probes_a, 1.5));
@@ -718,7 +651,7 @@ mod tests {
             probe_is_left: false,
             predicate: Some(&pred),
         }];
-        let got = similarity_join_balltree_multi(&indexed, &members, &pool);
+        let got = similarity_join_balltree_multi(&indexed, &members, &pool).unwrap();
         let expect: Vec<(u32, u32)> = oracle(&indexed, &probes, 1.0)
             .into_iter()
             .filter(|&(l, r)| pred(&indexed[l as usize], &probes[r as usize]))
@@ -728,44 +661,19 @@ mod tests {
     }
 
     #[test]
-    fn multi_join_featureless_indexed_falls_back_like_serial() {
-        let mut indexed: Vec<Patch> = (0..10)
-            .map(|i| feat_patch(i, vec![i as f32, 0.0]))
-            .collect();
-        indexed.push(Patch::empty(PatchId(99), ImgRef::frame("t", 99)));
-        let probes: Vec<Patch> = (0..20)
-            .map(|i| feat_patch(50 + i, vec![i as f32 * 0.5, 0.0]))
-            .collect();
-        let pool = WorkerPool::new(2);
-        let members = vec![
-            BatchJoinMember::new(&probes, 1.0, false),
-            BatchJoinMember::new(&probes, 2.0, true),
-        ];
-        let got = similarity_join_balltree_multi(&indexed, &members, &pool);
-        assert_eq!(got[0], oracle(&indexed, &probes, 1.0));
-        assert_eq!(got[1], oracle(&probes, &indexed, 2.0));
-    }
-
-    #[test]
     fn multi_join_empty_shapes() {
         let pool = WorkerPool::new(2);
         let probes: Vec<Patch> = (0..5).map(|i| feat_patch(i, vec![i as f32])).collect();
         // Empty indexed relation.
-        let got = similarity_join_balltree_multi(
-            &[],
-            &[BatchJoinMember::new(&probes, 1.0, false)],
-            &pool,
-        );
-        assert_eq!(got, vec![Vec::new()]);
+        let got = similarity_join_balltree_multi(&[], &[member(&probes, 1.0, false)], &pool);
+        assert_eq!(got.unwrap(), vec![Vec::new()]);
         // Empty probe relation and empty member list.
         let indexed: Vec<Patch> = (0..5).map(|i| feat_patch(i, vec![i as f32])).collect();
-        let got = similarity_join_balltree_multi(
-            &indexed,
-            &[BatchJoinMember::new(&[], 1.0, false)],
-            &pool,
-        );
-        assert_eq!(got, vec![Vec::new()]);
-        assert!(similarity_join_balltree_multi(&indexed, &[], &pool).is_empty());
+        let got = similarity_join_balltree_multi(&indexed, &[member(&[], 1.0, false)], &pool);
+        assert_eq!(got.unwrap(), vec![Vec::new()]);
+        assert!(similarity_join_balltree_multi(&indexed, &[], &pool)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -790,7 +698,7 @@ mod tests {
             feat_patch(2, vec![1.8, 0.0]),
             feat_patch(3, vec![50.0, 0.0]),
         ];
-        let clusters = dedup_similarity(&patches, 1.0, &WorkerPool::new(1));
+        let clusters = dedup(&patches, 1.0, &WorkerPool::new(1));
         assert_eq!(clusters.len(), 2);
         assert_eq!(clusters[0], vec![0, 1, 2]);
         assert_eq!(clusters[1], vec![3]);
@@ -829,7 +737,7 @@ mod tests {
         let patches: Vec<Patch> = (0..n)
             .map(|i| feat_patch(i as u64, vec![i as f32 * 0.5, 0.0]))
             .collect();
-        let clusters = dedup_similarity(&patches, 0.6, &WorkerPool::new(1));
+        let clusters = dedup(&patches, 0.6, &WorkerPool::new(1));
         assert_eq!(clusters.len(), 1, "chain must collapse to one cluster");
         assert_eq!(clusters[0].len(), n);
     }
@@ -850,9 +758,13 @@ mod tests {
     #[test]
     fn empty_join_inputs() {
         let pool = WorkerPool::new(1);
-        assert!(similarity_join_balltree(&[], &[], 1.0, &pool).is_empty());
-        let one = vec![feat_patch(1, vec![0.0])];
-        assert!(similarity_join_balltree(&one, &[], 1.0, &pool).is_empty());
+        let one = [feat_patch(1, vec![0.0])];
+        let none: &[Patch] = &[];
+        for plan in PLANS {
+            for (l, r) in [(none, none), (&one[..], none), (none, &one[..])] {
+                assert!(run(plan, l, r, 1.0, &pool).is_empty(), "{plan:?}");
+            }
+        }
     }
 
     #[test]
@@ -862,12 +774,11 @@ mod tests {
         // distance zero — instead of aborting on `dim == 0`.
         let left: Vec<Patch> = (0..4).map(|i| feat_patch(i, vec![])).collect();
         let right: Vec<Patch> = (0..3).map(|i| feat_patch(10 + i, vec![])).collect();
+        let plan = JoinPlan::choose(&left, &right, Device::Avx).unwrap();
+        assert_eq!(plan, JoinPlan::BallTree { index_left: false });
         for threads in [1usize, 4] {
-            let pool = WorkerPool::new(threads);
-            let ball = similarity_join_balltree(&left, &right, 0.5, &pool);
-            let mut nested = similarity_join_nested(&left, &right, 0.5);
-            nested.sort_unstable();
-            assert_eq!(ball, nested);
+            let ball = run(plan, &left, &right, 0.5, &WorkerPool::new(threads));
+            assert_eq!(ball, oracle(&left, &right, 0.5));
             assert_eq!(ball.len(), 12, "all pairs coincide at the 0-d origin");
         }
     }

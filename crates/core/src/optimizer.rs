@@ -263,10 +263,11 @@ impl DevicePlanner {
     /// on the running host by a slim startup microbenchmark (a few
     /// milliseconds) instead of assuming the hardcoded defaults.
     ///
-    /// * `units_per_us` — timed off the vectorized distance kernel
-    ///   ([`deeplens_exec::kernels::distances_vectorized`]): the
-    ///   [`CostModel`]'s cost unit is one dim-8 distance evaluation, so
-    ///   evaluations/µs *is* the bridge constant.
+    /// * `units_per_us` — timed off the distance kernel exactly as
+    ///   [`Device::Avx`] runs it (the sharded kernel at one worker, see
+    ///   [`deeplens_exec::kernels::distances_sharded`]): the [`CostModel`]'s
+    ///   cost unit is one dim-8 distance evaluation, so evaluations/µs *is*
+    ///   the bridge constant.
     /// * `spawn_overhead_us` — the measured per-thread cost of spawning and
     ///   joining a scoped [`deeplens_exec::WorkerPool`] morsel pass over a
     ///   trivial kernel.
@@ -293,8 +294,8 @@ impl DevicePlanner {
     }
 
     /// Cost-model units (dim-8 distance evaluations) one microsecond of
-    /// vectorized single-core work covers on this host. `None` if the
-    /// measurement degenerates (zero elapsed on a coarse clock).
+    /// vectorized single-core ([`Device::Avx`]) work covers on this host.
+    /// `None` if the measurement degenerates (zero elapsed on a coarse clock).
     fn measure_units_per_us() -> Option<f64> {
         use std::time::Instant;
         const DIM: usize = 8;
@@ -303,17 +304,14 @@ impl DevicePlanner {
         let data: Vec<f32> = (0..ROWS * DIM).map(|i| (i % 97) as f32 * 0.1).collect();
         let matrix = deeplens_exec::Matrix::from_vec(ROWS, DIM, data);
         let query = [0.5f32; DIM];
+        let avx = deeplens_exec::Executor::new(Device::Avx);
         // Warm caches, then take the best of REPS passes: calibration wants
         // the machine's attainable rate, not its scheduling jitter.
-        std::hint::black_box(deeplens_exec::kernels::distances_vectorized(
-            &matrix, &query,
-        ));
+        std::hint::black_box(avx.distances(&matrix, &query));
         let mut best_us = f64::INFINITY;
         for _ in 0..REPS {
             let t0 = Instant::now();
-            std::hint::black_box(deeplens_exec::kernels::distances_vectorized(
-                &matrix, &query,
-            ));
+            std::hint::black_box(avx.distances(&matrix, &query));
             best_us = best_us.min(t0.elapsed().as_secs_f64() * 1e6);
         }
         (best_us > 0.0).then(|| (ROWS as f64 / best_us).clamp(1.0, 1e6))

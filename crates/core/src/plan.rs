@@ -14,7 +14,7 @@
 
 use deeplens_exec::{Device, Executor, WorkerPool};
 
-use crate::ops::{self, PairPredicate};
+use crate::ops::{self, BatchJoinMember, PairPredicate};
 use crate::patch::Patch;
 use crate::{DlError, Result};
 
@@ -22,7 +22,7 @@ use crate::{DlError, Result};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinPlan {
     /// On-the-fly Ball-Tree over the smaller relation (ties index the
-    /// left), probed with the other ([`ops::similarity_join_balltree_multi`]).
+    /// left), probed with the other in one morsel-sharded pass.
     BallTree {
         /// Whether the tree is built over the left relation.
         index_left: bool,
@@ -81,20 +81,15 @@ pub(crate) fn feature_shape(
     Ok((ragged, dim))
 }
 
-/// The smaller-side rule: the on-the-fly tree is built over the relation
-/// with fewer rows, ties going left (§5).
-pub(crate) fn index_left(n_left: usize, n_right: usize) -> bool {
-    n_left <= n_right
-}
-
-/// The host-side tree plan: index the smaller side, unless it is ragged.
+/// The host-side tree plan: index the smaller side, ties going left (§5),
+/// unless it is ragged.
 fn tree_or_nested(
     n_left: usize,
     n_right: usize,
     left_ragged: bool,
     right_ragged: bool,
 ) -> JoinPlan {
-    let index_left = index_left(n_left, n_right);
+    let index_left = n_left <= n_right;
     if (index_left && left_ragged) || (!index_left && right_ragged) {
         JoinPlan::Nested
     } else {
@@ -140,10 +135,16 @@ impl JoinPlan {
     }
 
     /// Execute the plan for every `(tau, predicate)` member over one
-    /// relation pair: one sorted, predicate-filtered pair vector per member.
-    /// The Ball-Tree builds once and the all-pairs kernel dispatches once
-    /// for all members.
-    pub(crate) fn run(
+    /// relation pair: one sorted, predicate-filtered `(left_idx, right_idx)`
+    /// vector per member. The Ball-Tree builds once and the all-pairs kernel
+    /// dispatches once for all members. Bare slices join as
+    /// `JoinPlan::choose(l, r, device)?.run(l, r, &[(tau, None)], &pool)`.
+    ///
+    /// Errors with [`DlError::SchemaMismatch`] when the slices are not ones
+    /// [`JoinPlan::choose`] (or, for a self-join, [`JoinPlan::choose_dedup`])
+    /// would have given this plan: rows that disagree on dimension, or a
+    /// featureless row where the kernel must index or stack one.
+    pub fn run(
         self,
         left: &[Patch],
         right: &[Patch],
@@ -159,7 +160,21 @@ impl JoinPlan {
         };
         Ok(match self {
             JoinPlan::BallTree { index_left } => {
-                ops::similarity_join_balltree_pair(left, right, index_left, members, pool)
+                let (indexed, probes) = if index_left {
+                    (left, right)
+                } else {
+                    (right, left)
+                };
+                let members: Vec<BatchJoinMember> = members
+                    .iter()
+                    .map(|&(tau, predicate)| BatchJoinMember {
+                        probes,
+                        tau,
+                        probe_is_left: !index_left,
+                        predicate,
+                    })
+                    .collect();
+                ops::similarity_join_balltree_multi(indexed, &members, pool)?
             }
             JoinPlan::GpuAllPairs if left.is_empty() || right.is_empty() => {
                 vec![Vec::new(); members.len()]
@@ -169,19 +184,22 @@ impl JoinPlan {
                 let b = ops::feature_matrix(right)?;
                 let taus: Vec<f32> = members.iter().map(|m| m.0).collect();
                 Executor::new(Device::GpuSim)
-                    .threshold_join_multi(&a, &b, &taus)
+                    .threshold_join(&a, &b, &taus)
                     .into_iter()
                     .zip(members)
-                    .map(|(mut pairs, &(_, pred))| {
-                        pairs.sort_unstable();
-                        filtered(pairs, pred)
+                    .map(|(pairs, &(_, pred))| filtered(pairs, pred))
+                    .collect()
+            }
+            JoinPlan::Nested => {
+                let (_, dim) = feature_shape(left, None)?;
+                feature_shape(right, dim)?;
+                members
+                    .iter()
+                    .map(|&(tau, pred)| {
+                        filtered(ops::similarity_join_nested(left, right, tau), pred)
                     })
                     .collect()
             }
-            JoinPlan::Nested => members
-                .iter()
-                .map(|&(tau, pred)| filtered(ops::similarity_join_nested(left, right, tau), pred))
-                .collect(),
         })
     }
 }
@@ -247,5 +265,42 @@ mod tests {
         ragged.push(Patch::empty(PatchId(99), ImgRef::frame("p", 99)));
         assert!(JoinPlan::choose(&ragged, &b, Device::Avx).is_ok());
         assert!(JoinPlan::choose(&[], &a, Device::GpuSim).is_ok());
+    }
+
+    #[test]
+    fn a_plan_run_on_slices_it_was_not_chosen_for_errors() {
+        let good = rows(7, 4);
+        let mut mixed = rows(6, 4);
+        mixed.extend(rows(3, 8));
+        let mut ragged = rows(5, 4);
+        ragged.push(Patch::empty(PatchId(99), ImgRef::frame("p", 99)));
+        let tree = |index_left| JoinPlan::BallTree { index_left };
+        let mut cases = Vec::new();
+        for plan in [
+            tree(true),
+            tree(false),
+            JoinPlan::GpuAllPairs,
+            JoinPlan::Nested,
+        ] {
+            cases.extend([(plan, &mixed, &good), (plan, &good, &mixed)]);
+        }
+        // A featureless row where the kernel must index or stack it.
+        cases.extend([
+            (tree(true), &ragged, &good),
+            (tree(false), &good, &ragged),
+            (JoinPlan::GpuAllPairs, &good, &ragged),
+        ]);
+        let pool = WorkerPool::new(2);
+        for (plan, l, r) in cases {
+            assert!(
+                matches!(
+                    plan.run(l, r, &[(1.0, None)], &pool),
+                    Err(DlError::SchemaMismatch(_))
+                ),
+                "{plan:?} over {}x{} rows",
+                l.len(),
+                r.len()
+            );
+        }
     }
 }

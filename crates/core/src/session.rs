@@ -239,9 +239,13 @@ impl Session {
     }
 
     /// Similarity deduplication (§5 q4) on the session pool: clusters of
-    /// patches within `tau` of each other, transitively.
-    pub fn dedup(&self, patches: &[Patch], tau: f32) -> Vec<Vec<u32>> {
-        ops::dedup_similarity(patches, tau, &self.pool())
+    /// patches within `tau` of each other, transitively. The self-join runs
+    /// under [`JoinPlan::choose_dedup`]'s plan; rows that disagree on
+    /// feature dimension are a [`crate::DlError::SchemaMismatch`].
+    pub fn dedup(&self, patches: &[Patch], tau: f32) -> Result<Vec<Vec<u32>>> {
+        let plan = JoinPlan::choose_dedup(patches)?;
+        let pairs = plan.run(patches, patches, &[(tau, None)], &self.pool())?;
+        Ok(ops::cluster_from_pairs(patches.len(), &pairs[0]))
     }
 
     /// [`Session::dedup`] over a materialized collection — a
@@ -582,11 +586,34 @@ mod tests {
                 None => reference = Some(pairs),
                 Some(r) => assert_eq!(r, &pairs, "device {device:?} join mismatch"),
             }
-            let clusters = s.dedup(&left, 1.5);
+            let clusters = s.dedup(&left, 1.5).unwrap();
             match &dedup_ref {
                 None => dedup_ref = Some(clusters),
                 Some(r) => assert_eq!(r, &clusters, "device {device:?} dedup mismatch"),
             }
+        }
+    }
+
+    #[test]
+    fn mixed_dimension_rows_are_a_schema_mismatch_not_a_panic() {
+        let row = |i: u64, dim: usize| {
+            Patch::features(PatchId(i), ImgRef::frame("t", i), vec![i as f32; dim])
+        };
+        let mixed: Vec<Patch> = (0..6)
+            .map(|i| row(i, 4))
+            .chain((6..9).map(|i| row(i, 8)))
+            .collect();
+        let mismatch = |r: Result<_>| matches!(r, Err(crate::DlError::SchemaMismatch(_)));
+        for device in [
+            Device::Cpu,
+            Device::Avx,
+            Device::ParallelCpu(2),
+            Device::GpuSim,
+        ] {
+            let mut s = Session::ephemeral().unwrap();
+            s.set_device(device);
+            assert!(mismatch(s.dedup(&mixed, 1.0).map(drop)), "{device:?}");
+            assert!(mismatch(s.similarity_join(&mixed, &mixed, 1.0).map(drop)));
         }
     }
 

@@ -36,47 +36,25 @@ impl Executor {
         self.device
     }
 
-    /// All-pairs Euclidean threshold join between two feature matrices:
-    /// returns `(row_in_a, row_in_b)` for every pair within `tau`.
-    pub fn threshold_join(&self, a: &Matrix, b: &Matrix, tau: f32) -> Vec<(u32, u32)> {
-        match self.device {
-            Device::Cpu => kernels::threshold_join_scalar(a, b, tau),
-            Device::Avx => kernels::threshold_join_vectorized(a, b, tau),
-            Device::ParallelCpu(_) => {
-                kernels::threshold_join_parallel(a, b, tau, self.device.resolved_threads())
-            }
-            Device::GpuSim => {
-                self.gpu.pay_overhead(a.byte_size() + b.byte_size());
-                kernels::threshold_join_parallel(a, b, tau, self.gpu.workers)
-            }
-        }
-    }
-
-    /// Batched all-pairs threshold join: one distance pass over `a × b`
-    /// serves every threshold in `taus`, returning one pair vector per
-    /// entry (the multi-query-optimization kernel behind `QueryBatch`).
+    /// All-pairs Euclidean threshold join between two feature matrices: one
+    /// distance pass over `a × b` serves every threshold in `taus`, returning
+    /// one `(row_in_a, row_in_b)` vector per entry, row-major (the
+    /// multi-query-optimization kernel behind `QueryBatch`; a single query
+    /// passes one threshold).
     ///
-    /// Each member's result is bit-identical to [`Executor::threshold_join`]
-    /// at that threshold alone — the distance expression is shared, only the
-    /// comparison fans out. On the simulated GPU the launch + transfer
-    /// overhead is paid **once for the whole batch**, which is exactly the
-    /// amortization that makes offloaded batches win where single queries
-    /// lose to the overhead (paper §7.4.2).
-    pub fn threshold_join_multi(
-        &self,
-        a: &Matrix,
-        b: &Matrix,
-        taus: &[f32],
-    ) -> Vec<Vec<(u32, u32)>> {
+    /// Every device returns the same pairs. On the simulated GPU the launch +
+    /// transfer overhead is paid **once per call**, whatever `taus.len()` —
+    /// exactly the amortization that makes offloaded batches win where single
+    /// queries lose to the overhead (paper §7.4.2).
+    pub fn threshold_join(&self, a: &Matrix, b: &Matrix, taus: &[f32]) -> Vec<Vec<(u32, u32)>> {
         match self.device {
-            Device::Cpu => kernels::threshold_join_multi_scalar(a, b, taus),
-            Device::Avx => kernels::threshold_join_multi_vectorized(a, b, taus),
-            Device::ParallelCpu(_) => {
-                kernels::threshold_join_multi_parallel(a, b, taus, self.device.resolved_threads())
+            Device::Cpu => kernels::threshold_join_scalar(a, b, taus),
+            Device::Avx | Device::ParallelCpu(_) => {
+                kernels::threshold_join_sharded(a, b, taus, self.device.resolved_threads())
             }
             Device::GpuSim => {
                 self.gpu.pay_overhead(a.byte_size() + b.byte_size());
-                kernels::threshold_join_multi_parallel(a, b, taus, self.gpu.workers)
+                kernels::threshold_join_sharded(a, b, taus, self.gpu.workers)
             }
         }
     }
@@ -86,13 +64,12 @@ impl Executor {
     pub fn distances(&self, m: &Matrix, query: &[f32]) -> Vec<f32> {
         match self.device {
             Device::Cpu => kernels::distances_scalar(m, query),
-            Device::Avx => kernels::distances_vectorized(m, query),
-            Device::ParallelCpu(_) => {
-                kernels::distances_parallel(m, query, self.device.resolved_threads())
+            Device::Avx | Device::ParallelCpu(_) => {
+                kernels::distances_sharded(m, query, self.device.resolved_threads())
             }
             Device::GpuSim => {
                 self.gpu.pay_overhead(m.byte_size() + query.len() * 4);
-                kernels::distances_parallel(m, query, self.gpu.workers)
+                kernels::distances_sharded(m, query, self.gpu.workers)
             }
         }
     }
@@ -205,8 +182,8 @@ mod tests {
     fn devices_agree_on_results() {
         let a = mat(40, 12, 5);
         let b = mat(50, 12, 6);
-        let mut base = Executor::new(Device::Cpu).threshold_join(&a, &b, 8.0);
-        base.sort_unstable();
+        let base = Executor::new(Device::Cpu).threshold_join(&a, &b, &[8.0]);
+        assert!(!base[0].is_empty());
         for dev in [
             Device::Avx,
             Device::ParallelCpu(0),
@@ -214,8 +191,7 @@ mod tests {
             Device::ParallelCpu(5),
             Device::GpuSim,
         ] {
-            let mut got = Executor::new(dev).threshold_join(&a, &b, 8.0);
-            got.sort_unstable();
+            let got = Executor::new(dev).threshold_join(&a, &b, &[8.0]);
             assert_eq!(base, got, "device {dev:?} result mismatch");
         }
     }
@@ -233,12 +209,12 @@ mod tests {
             Device::GpuSim,
         ] {
             let exec = Executor::new(dev);
-            let multi = exec.threshold_join_multi(&a, &b, &taus);
+            let multi = exec.threshold_join(&a, &b, &taus);
             assert_eq!(multi.len(), taus.len());
             for (q, &tau) in taus.iter().enumerate() {
                 assert_eq!(
                     multi[q],
-                    exec.threshold_join(&a, &b, tau),
+                    exec.threshold_join(&a, &b, &[tau])[0],
                     "device {dev:?} member {q} (tau {tau}) diverged from single issuance"
                 );
             }
@@ -250,8 +226,8 @@ mod tests {
         let a = mat(5, 4, 1);
         let b = mat(0, 4, 2);
         let exec = Executor::new(Device::Avx);
-        assert!(exec.threshold_join_multi(&a, &a, &[]).is_empty());
-        let res = exec.threshold_join_multi(&a, &b, &[1.0, 2.0]);
+        assert!(exec.threshold_join(&a, &a, &[]).is_empty());
+        let res = exec.threshold_join(&a, &b, &[1.0, 2.0]);
         assert_eq!(res, vec![Vec::new(), Vec::new()]);
     }
 
@@ -270,13 +246,13 @@ mod tests {
         let taus = [1.0f32, 2.0, 3.0, 4.0];
 
         let t0 = Instant::now();
-        let batched = gpu.threshold_join_multi(&a, &b, &taus);
+        let batched = gpu.threshold_join(&a, &b, &taus);
         let batch_time = t0.elapsed();
 
         let t1 = Instant::now();
         let serial: Vec<_> = taus
             .iter()
-            .map(|&t| gpu.threshold_join(&a, &b, t))
+            .map(|&t| gpu.threshold_join(&a, &b, &[t]).remove(0))
             .collect();
         let serial_time = t1.elapsed();
 
@@ -312,7 +288,7 @@ mod tests {
         let a = mat(2, 4, 1);
         let b = mat(2, 4, 2);
         let t0 = Instant::now();
-        let _ = Executor::new(Device::ParallelCpu(8)).threshold_join(&a, &b, 1.0);
+        let _ = Executor::new(Device::ParallelCpu(8)).threshold_join(&a, &b, &[1.0]);
         assert!(t0.elapsed() < Duration::from_millis(50));
     }
 
@@ -329,11 +305,11 @@ mod tests {
         let gpu = Executor::with_gpu_profile(Device::GpuSim, profile);
 
         let t0 = Instant::now();
-        let _ = cpu.threshold_join(&a, &b, 1.0);
+        let _ = cpu.threshold_join(&a, &b, &[1.0]);
         let cpu_time = t0.elapsed();
 
         let t1 = Instant::now();
-        let _ = gpu.threshold_join(&a, &b, 1.0);
+        let _ = gpu.threshold_join(&a, &b, &[1.0]);
         let gpu_time = t1.elapsed();
 
         assert!(

@@ -1,15 +1,17 @@
-//! Compute kernels in scalar, vectorized, and data-parallel form.
+//! Compute kernels behind the four execution devices (the paper's Fig. 8
+//! trio plus the multi-core CPU backend):
 //!
-//! Three implementations of each kernel back the four execution devices
-//! (the paper's Fig. 8 trio plus the multi-core CPU backend):
-//!
-//! * `*_scalar` — straightforward per-element loops (the "CPU" baseline).
-//! * `*_vectorized` — restructured for SIMD: squared-norm + dot-product
-//!   decomposition, fixed-width lane accumulators the compiler turns into
-//!   vector instructions (the "AVX" variant).
-//! * `*_parallel` — the vectorized kernel sharded over a morsel-driven
-//!   [`WorkerPool`] of scoped threads (the multi-core CPU backend, and the
-//!   compute half of the simulated GPU).
+//! * `*_scalar` — straightforward per-element loops (the "CPU" baseline,
+//!   and the reference every other form is held to).
+//! * `*_sharded` — the threshold join and distance batch, restructured for
+//!   SIMD (squared-norm + dot-product decomposition, fixed-width lane
+//!   accumulators the compiler turns into vector instructions) and sharded
+//!   over a morsel-driven [`WorkerPool`]. One worker is the "AVX" device;
+//!   more are the multi-core CPU backend and the compute half of the
+//!   simulated GPU. Output is identical for every worker count.
+//! * `conv_stack_{vectorized,parallel}` — the convolution stack as
+//!   shifted-row FMA chains, on one core or one row band per worker.
+//! * `histogram_parallel` — per-worker local histograms, merged.
 
 use crate::matrix::Matrix;
 use crate::pool::WorkerPool;
@@ -17,12 +19,47 @@ use crate::pool::WorkerPool;
 // --------------------------------------------------------------------------
 // Threshold join (image matching): pairs within Euclidean distance tau
 // --------------------------------------------------------------------------
+//
+// Both kernels take a batch of thresholds: one distance pass over `a × b`
+// serves every entry of `taus` (the shared-scan form of multi-query
+// optimization) and returns one `(row_in_a, row_in_b)` vector per entry,
+// row-major. A single query is the batch of one.
 
-/// Naive scalar all-pairs threshold join.
-pub fn threshold_join_scalar(a: &Matrix, b: &Matrix, tau: f32) -> Vec<(u32, u32)> {
+/// Squared thresholds of `taus` and their maximum: a pair is compared
+/// against each member only once it clears the outermost radius.
+fn squared_thresholds(taus: &[f32]) -> (Vec<f32>, f32) {
+    let tau_sqs: Vec<f32> = taus.iter().map(|t| t * t).collect();
+    let max = tau_sqs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    (tau_sqs, max)
+}
+
+/// Push `pair` onto every member whose squared threshold admits `d2` — for
+/// a lone member the caller's outer-radius test already did.
+#[inline]
+fn demux(out: &mut [Vec<(u32, u32)>], tau_sqs: &[f32], d2: f32, pair: (u32, u32)) {
+    match out {
+        [pairs] => pairs.push(pair),
+        _ => demux_many(out, tau_sqs, d2, pair),
+    }
+}
+
+/// [`demux`] across several members, kept out of line: inlined, the member
+/// loop slows the kernels' inner loops even when no pair matches.
+#[inline(never)]
+fn demux_many(out: &mut [Vec<(u32, u32)>], tau_sqs: &[f32], d2: f32, pair: (u32, u32)) {
+    for (pairs, &tau_sq) in out.iter_mut().zip(tau_sqs) {
+        if d2 <= tau_sq {
+            pairs.push(pair);
+        }
+    }
+}
+
+/// Naive scalar all-pairs threshold join: the per-element reference the
+/// sharded kernel is held to (the "CPU" device).
+pub fn threshold_join_scalar(a: &Matrix, b: &Matrix, taus: &[f32]) -> Vec<Vec<(u32, u32)>> {
     assert_eq!(a.cols(), b.cols(), "feature dimensions must match");
-    let tau_sq = tau * tau;
-    let mut out = Vec::new();
+    let (tau_sqs, tau_max_sq) = squared_thresholds(taus);
+    let mut out = vec![Vec::new(); taus.len()];
     for i in 0..a.rows() {
         let ra = a.row(i);
         for j in 0..b.rows() {
@@ -32,8 +69,8 @@ pub fn threshold_join_scalar(a: &Matrix, b: &Matrix, tau: f32) -> Vec<(u32, u32)
                 let d = ra[k] - rb[k];
                 acc += d * d;
             }
-            if acc <= tau_sq {
-                out.push((i as u32, j as u32));
+            if acc <= tau_max_sq {
+                demux(&mut out, &tau_sqs, acc, (i as u32, j as u32));
             }
         }
     }
@@ -69,168 +106,69 @@ fn dot8(a: &[f32], b: &[f32]) -> f32 {
     acc.iter().sum::<f32>() + tail
 }
 
-/// Vectorized threshold join using `||a-b||² = ||a||² + ||b||² − 2·a·b`.
-pub fn threshold_join_vectorized(a: &Matrix, b: &Matrix, tau: f32) -> Vec<(u32, u32)> {
-    assert_eq!(a.cols(), b.cols(), "feature dimensions must match");
-    let tau_sq = tau * tau;
-    let na = row_norms(a);
-    let nb = row_norms(b);
-    let mut out = Vec::new();
-    for (i, &nai) in na.iter().enumerate() {
-        let ra = a.row(i);
-        for (j, &nbj) in nb.iter().enumerate() {
-            let d2 = nai + nbj - 2.0 * dot8(ra, b.row(j));
-            if d2 <= tau_sq {
-                out.push((i as u32, j as u32));
-            }
-        }
+/// Morsel size for a sharded kernel over `items` rows: one worker takes the
+/// whole range as a single inline morsel (nothing to balance, nothing to
+/// reassemble), more split it as the pool does.
+fn kernel_morsel(pool: &WorkerPool, items: usize) -> usize {
+    if pool.threads() == 1 {
+        items.max(1)
+    } else {
+        pool.morsel_size(items)
     }
-    out
 }
 
-/// Parallel threshold join: morsels of `a`'s rows claimed dynamically by
-/// `workers` scoped threads, each running the vectorized inner kernel.
-///
-/// Output is identical to [`threshold_join_vectorized`], including pair
-/// order: morsels are contiguous row ranges reassembled in order.
-pub fn threshold_join_parallel(
+/// One morsel of [`threshold_join_sharded`]: rows `rows` of `a` against all
+/// of `b`, per member. A plain function rather than the morsel closure's
+/// body: the closure form compiled to a measurably slower inner loop.
+fn join_rows(
     a: &Matrix,
     b: &Matrix,
-    tau: f32,
-    workers: usize,
-) -> Vec<(u32, u32)> {
-    assert_eq!(a.cols(), b.cols(), "feature dimensions must match");
-    if a.rows() == 0 || b.rows() == 0 {
-        return vec![];
-    }
-    let tau_sq = tau * tau;
-    let na = row_norms(a);
-    let nb = row_norms(b);
-    let pool = WorkerPool::new(workers);
-    let morsels = pool.run_morsels(a.rows(), pool.morsel_size(a.rows()), |rows| {
-        let mut local = Vec::new();
-        for i in rows {
-            let ra = a.row(i);
-            let nai = na[i];
-            for (j, &nbj) in nb.iter().enumerate() {
-                let d2 = nai + nbj - 2.0 * dot8(ra, b.row(j));
-                if d2 <= tau_sq {
-                    local.push((i as u32, j as u32));
-                }
-            }
-        }
-        local
-    });
-    morsels.into_iter().flatten().collect()
-}
-
-// --------------------------------------------------------------------------
-// Multi-query threshold join (batched queries sharing one distance pass)
-// --------------------------------------------------------------------------
-
-/// Batched scalar threshold join: one all-pairs distance pass serves every
-/// threshold in `taus` (the shared-scan form of multi-query optimization).
-/// Returns one pair vector per entry of `taus`, each bit-identical to what
-/// [`threshold_join_scalar`] at that threshold alone would compute — the
-/// distance expression is the same, only the comparison fans out.
-pub fn threshold_join_multi_scalar(a: &Matrix, b: &Matrix, taus: &[f32]) -> Vec<Vec<(u32, u32)>> {
-    assert_eq!(a.cols(), b.cols(), "feature dimensions must match");
-    let tau_sqs: Vec<f32> = taus.iter().map(|t| t * t).collect();
-    let tau_max_sq = tau_sqs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut out: Vec<Vec<(u32, u32)>> = vec![Vec::new(); taus.len()];
-    for i in 0..a.rows() {
-        let ra = a.row(i);
-        for j in 0..b.rows() {
-            let rb = b.row(j);
-            let mut acc = 0f32;
-            for k in 0..ra.len() {
-                let d = ra[k] - rb[k];
-                acc += d * d;
-            }
-            if acc <= tau_max_sq {
-                for (q, &tau_sq) in tau_sqs.iter().enumerate() {
-                    if acc <= tau_sq {
-                        out[q].push((i as u32, j as u32));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Batched vectorized threshold join: the norm + dot-product distance is
-/// evaluated once per pair and demultiplexed across `taus`. Each member's
-/// output is bit-identical to [`threshold_join_vectorized`] at that
-/// threshold (identical float expression, identical pair order).
-pub fn threshold_join_multi_vectorized(
-    a: &Matrix,
-    b: &Matrix,
-    taus: &[f32],
+    na: &[f32],
+    nb: &[f32],
+    rows: std::ops::Range<usize>,
+    tau_sqs: &[f32],
+    tau_max_sq: f32,
 ) -> Vec<Vec<(u32, u32)>> {
-    assert_eq!(a.cols(), b.cols(), "feature dimensions must match");
-    let tau_sqs: Vec<f32> = taus.iter().map(|t| t * t).collect();
-    let tau_max_sq = tau_sqs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let na = row_norms(a);
-    let nb = row_norms(b);
-    let mut out: Vec<Vec<(u32, u32)>> = vec![Vec::new(); taus.len()];
-    for (i, &nai) in na.iter().enumerate() {
+    let mut local = vec![Vec::new(); tau_sqs.len()];
+    for i in rows {
         let ra = a.row(i);
+        let nai = na[i];
         for (j, &nbj) in nb.iter().enumerate() {
             let d2 = nai + nbj - 2.0 * dot8(ra, b.row(j));
             if d2 <= tau_max_sq {
-                for (q, &tau_sq) in tau_sqs.iter().enumerate() {
-                    if d2 <= tau_sq {
-                        out[q].push((i as u32, j as u32));
-                    }
-                }
+                demux(&mut local, tau_sqs, d2, (i as u32, j as u32));
             }
         }
     }
-    out
+    local
 }
 
-/// Batched parallel threshold join: morsels of `a`'s rows claimed by
-/// `workers` scoped threads, each demultiplexing the shared distance pass
-/// across every threshold. Per-member output is identical to
-/// [`threshold_join_multi_vectorized`] (morsels reassemble in row order).
-pub fn threshold_join_multi_parallel(
+/// Sharded vectorized threshold join: morsels of `a`'s rows claimed by
+/// `workers` threads, each evaluating `||a-b||² = ||a||² + ||b||² − 2·a·b`
+/// with the lane-accumulated dot product. Morsels reassemble in row order,
+/// so the output is identical for every `workers`; one worker runs inline
+/// on the caller's thread (the "AVX" device).
+pub fn threshold_join_sharded(
     a: &Matrix,
     b: &Matrix,
     taus: &[f32],
     workers: usize,
 ) -> Vec<Vec<(u32, u32)>> {
     assert_eq!(a.cols(), b.cols(), "feature dimensions must match");
-    if a.rows() == 0 || b.rows() == 0 || taus.is_empty() {
-        return vec![Vec::new(); taus.len()];
-    }
-    let tau_sqs: Vec<f32> = taus.iter().map(|t| t * t).collect();
-    let tau_max_sq = tau_sqs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let (tau_sqs, tau_max_sq) = squared_thresholds(taus);
     let na = row_norms(a);
     let nb = row_norms(b);
     let pool = WorkerPool::new(workers);
-    let morsels = pool.run_morsels(a.rows(), pool.morsel_size(a.rows()), |rows| {
-        let mut local: Vec<Vec<(u32, u32)>> = vec![Vec::new(); taus.len()];
-        for i in rows {
-            let ra = a.row(i);
-            let nai = na[i];
-            for (j, &nbj) in nb.iter().enumerate() {
-                let d2 = nai + nbj - 2.0 * dot8(ra, b.row(j));
-                if d2 <= tau_max_sq {
-                    for (q, &tau_sq) in tau_sqs.iter().enumerate() {
-                        if d2 <= tau_sq {
-                            local[q].push((i as u32, j as u32));
-                        }
-                    }
-                }
-            }
-        }
-        local
+    let morsels = pool.run_morsels(a.rows(), kernel_morsel(&pool, a.rows()), |rows| {
+        join_rows(a, b, &na, &nb, rows, &tau_sqs, tau_max_sq)
     });
-    let mut out: Vec<Vec<(u32, u32)>> = vec![Vec::new(); taus.len()];
+    let mut morsels = morsels.into_iter();
+    let mut out = morsels
+        .next()
+        .unwrap_or_else(|| vec![Vec::new(); taus.len()]);
     for morsel in morsels {
-        for (q, pairs) in morsel.into_iter().enumerate() {
-            out[q].extend(pairs);
+        for (pairs, part) in out.iter_mut().zip(morsel) {
+            pairs.extend(part);
         }
     }
     out
@@ -284,42 +222,10 @@ pub fn conv_stack_vectorized(plane: &[f32], w: usize, h: usize, layers: usize) -
     let mut cur = plane.to_vec();
     let mut next = vec![0f32; w * h];
     for _ in 0..layers {
-        conv_layer_rows(&cur, &mut next, w, h, 0, h);
+        conv_band(&cur, &mut next, w, h, 0, h);
         std::mem::swap(&mut cur, &mut next);
     }
     cur
-}
-
-/// One conv+ReLU layer over rows `[y0, y1)` — shared by the vectorized and
-/// parallel kernels.
-fn conv_layer_rows(cur: &[f32], next: &mut [f32], w: usize, h: usize, y0: usize, y1: usize) {
-    for y in y0..y1 {
-        if y == 0 || y == h - 1 || w < 3 {
-            // Border rows fall back to the clamped scalar path.
-            for x in 0..w {
-                next[y * w + x] = conv3x3_at(cur, w, h, x, y).max(0.0);
-            }
-            continue;
-        }
-        let above = &cur[(y - 1) * w..y * w];
-        let mid = &cur[y * w..(y + 1) * w];
-        let below = &cur[(y + 1) * w..(y + 2) * w];
-        let out = &mut next[y * w..(y + 1) * w];
-        out[0] = conv3x3_at(cur, w, h, 0, y).max(0.0);
-        for x in 1..w - 1 {
-            let acc = CONV_KERNEL[0] * above[x - 1]
-                + CONV_KERNEL[1] * above[x]
-                + CONV_KERNEL[2] * above[x + 1]
-                + CONV_KERNEL[3] * mid[x - 1]
-                + CONV_KERNEL[4] * mid[x]
-                + CONV_KERNEL[5] * mid[x + 1]
-                + CONV_KERNEL[6] * below[x - 1]
-                + CONV_KERNEL[7] * below[x]
-                + CONV_KERNEL[8] * below[x + 1];
-            out[x] = acc.max(0.0);
-        }
-        out[w - 1] = conv3x3_at(cur, w, h, w - 1, y).max(0.0);
-    }
 }
 
 /// Parallel convolution stack: one scoped worker per contiguous row band
@@ -364,7 +270,9 @@ pub fn conv_stack_parallel(
     cur
 }
 
-/// Like [`conv_layer_rows`] but writes into a band-local buffer.
+/// One conv+ReLU layer over rows `[y0, y1)` of `cur`, written into `band`
+/// (those rows of the next layer): the whole plane for the vectorized
+/// kernel, one band per worker for the parallel one.
 fn conv_band(cur: &[f32], band: &mut [f32], w: usize, h: usize, y0: usize, y1: usize) {
     for y in y0..y1 {
         let dst = &mut band[(y - y0) * w..(y - y0 + 1) * w];
@@ -457,35 +365,31 @@ pub fn distances_scalar(m: &Matrix, query: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-/// Shared vectorized row distance: norm + dot decomposition, clamped so
-/// float rounding can't produce a negative squared distance.
+/// Vectorized row distance: norm + dot decomposition, clamped so float
+/// rounding can't produce a negative squared distance.
 #[inline]
 fn row_distance(r: &[f32], nq: f32, query: &[f32]) -> f32 {
     let nr: f32 = r.iter().map(|v| v * v).sum();
     (nr + nq - 2.0 * dot8(r, query)).max(0.0).sqrt()
 }
 
-/// Vectorized batch distance kernel using the norm + dot decomposition.
-pub fn distances_vectorized(m: &Matrix, query: &[f32]) -> Vec<f32> {
-    assert_eq!(m.cols(), query.len(), "feature dimensions must match");
-    let nq: f32 = query.iter().map(|v| v * v).sum();
-    (0..m.rows())
-        .map(|i| row_distance(m.row(i), nq, query))
-        .collect()
-}
-
-/// Parallel batch distance kernel: row morsels claimed by `workers` threads,
-/// each running the vectorized inner kernel. Output order matches
-/// [`distances_vectorized`].
-pub fn distances_parallel(m: &Matrix, query: &[f32], workers: usize) -> Vec<f32> {
+/// Sharded batch distance kernel: row morsels claimed by `workers` threads,
+/// each using the vectorized norm + dot decomposition. Output is in row order
+/// for every `workers`; one worker runs inline (the "AVX" device).
+pub fn distances_sharded(m: &Matrix, query: &[f32], workers: usize) -> Vec<f32> {
     assert_eq!(m.cols(), query.len(), "feature dimensions must match");
     let nq: f32 = query.iter().map(|v| v * v).sum();
     let pool = WorkerPool::new(workers);
-    let morsels = pool.run_morsels(m.rows(), pool.morsel_size(m.rows()), |rows| {
+    let morsels = pool.run_morsels(m.rows(), kernel_morsel(&pool, m.rows()), |rows| {
         rows.map(|i| row_distance(m.row(i), nq, query))
             .collect::<Vec<f32>>()
     });
-    morsels.into_iter().flatten().collect()
+    let mut morsels = morsels.into_iter();
+    let mut out = morsels.next().unwrap_or_default();
+    for morsel in morsels {
+        out.extend(morsel);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -505,23 +409,21 @@ mod tests {
     fn join_variants_agree() {
         let a = mat(60, 16, 1);
         let b = mat(80, 16, 2);
-        let tau = 9.0;
-        let mut s = threshold_join_scalar(&a, &b, tau);
-        let mut v = threshold_join_vectorized(&a, &b, tau);
-        let p = threshold_join_parallel(&a, &b, tau, 4);
-        s.sort_unstable();
-        v.sort_unstable();
-        // Norm-decomposition introduces float rounding; allow a tiny
-        // disagreement only exactly at the threshold boundary.
-        assert_eq!(s.len(), v.len(), "scalar vs vectorized");
-        assert_eq!(s, v);
-        assert_eq!(s, p);
+        let taus = [9.0, 8.0, 9.0];
+        let s = threshold_join_scalar(&a, &b, &taus);
+        assert_eq!(s.len(), 3);
+        assert!(!s[1].is_empty() && s[1].len() < s[0].len());
+        assert_eq!(s[0], s[2], "duplicate thresholds answer alike");
+        // Norm-decomposition rounding could only flip a pair sitting exactly
+        // on a threshold; none does on this corpus.
+        assert_eq!(s, threshold_join_sharded(&a, &b, &taus, 1));
+        assert_eq!(s, threshold_join_sharded(&a, &b, &taus, 4));
     }
 
     #[test]
     fn join_self_contains_diagonal() {
         let a = mat(30, 8, 3);
-        let pairs = threshold_join_vectorized(&a, &a, 1e-3);
+        let pairs = threshold_join_sharded(&a, &a, &[1e-3], 1).remove(0);
         for i in 0..30u32 {
             assert!(pairs.contains(&(i, i)), "self-pair {i} missing");
         }
@@ -531,8 +433,11 @@ mod tests {
     fn join_empty_inputs() {
         let a = mat(0, 8, 1);
         let b = mat(5, 8, 2);
-        assert!(threshold_join_scalar(&a, &b, 1.0).is_empty());
-        assert!(threshold_join_parallel(&a, &b, 1.0, 4).is_empty());
+        let none = vec![Vec::<(u32, u32)>::new(); 2];
+        assert_eq!(threshold_join_scalar(&a, &b, &[1.0, 2.0]), none);
+        assert_eq!(threshold_join_sharded(&a, &b, &[1.0, 2.0], 4), none);
+        assert_eq!(threshold_join_sharded(&b, &a, &[1.0, 2.0], 4), none);
+        assert!(threshold_join_sharded(&b, &b, &[], 4).is_empty());
     }
 
     #[test]
@@ -575,13 +480,16 @@ mod tests {
     }
 
     #[test]
-    fn join_parallel_order_matches_vectorized_across_threads() {
+    fn join_sharded_order_is_thread_invariant() {
         let a = mat(45, 12, 7);
         let b = mat(33, 12, 8);
-        let v = threshold_join_vectorized(&a, &b, 6.0);
-        for workers in [1, 2, 3, 8, 16] {
-            let p = threshold_join_parallel(&a, &b, 6.0, workers);
-            assert_eq!(v, p, "workers = {workers}: order must match vectorized");
+        let inline = threshold_join_sharded(&a, &b, &[6.0, 3.0], 1);
+        for workers in [2, 3, 8, 16] {
+            let p = threshold_join_sharded(&a, &b, &[6.0, 3.0], workers);
+            assert_eq!(
+                inline, p,
+                "workers = {workers}: order must match one worker"
+            );
         }
     }
 
@@ -590,17 +498,16 @@ mod tests {
         let m = mat(70, 24, 11);
         let q: Vec<f32> = mat(1, 24, 12).row(0).to_vec();
         let s = distances_scalar(&m, &q);
-        let v = distances_vectorized(&m, &q);
-        for workers in [1, 4] {
-            let p = distances_parallel(&m, &q, workers);
-            assert_eq!(p.len(), s.len());
-            for i in 0..s.len() {
-                assert!((s[i] - v[i]).abs() < 1e-3, "scalar vs vectorized at {i}");
-                assert!(
-                    (s[i] - p[i]).abs() < 1e-3,
-                    "scalar vs parallel({workers}) at {i}"
-                );
-            }
+        let inline = distances_sharded(&m, &q, 1);
+        for i in 0..s.len() {
+            assert!((s[i] - inline[i]).abs() < 1e-3, "scalar vs sharded at {i}");
+        }
+        for workers in [2, 4] {
+            assert_eq!(
+                distances_sharded(&m, &q, workers),
+                inline,
+                "{workers} workers"
+            );
         }
     }
 
@@ -608,9 +515,9 @@ mod tests {
     fn distance_to_self_is_zero() {
         let m = mat(5, 8, 13);
         let q = m.row(2).to_vec();
-        let d = distances_vectorized(&m, &q);
+        let d = distances_sharded(&m, &q, 1);
         assert!(d[2].abs() < 1e-3, "self distance {}", d[2]);
-        assert!(distances_parallel(&Matrix::zeros(0, 8), &[0.0; 8], 4).is_empty());
+        assert!(distances_sharded(&Matrix::zeros(0, 8), &[0.0; 8], 4).is_empty());
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! * [`matrix`] — dense row-major `f32` matrices (feature sets).
 //! * [`pool`] — the morsel-driven scoped worker pool.
 //! * [`kernels`] — distance batches, threshold joins, histograms and the
-//!   convolution stack used to emulate NN inference, each in scalar,
-//!   vectorized, and parallel form.
+//!   convolution stack used to emulate NN inference: a scalar reference
+//!   per kernel plus one vectorized form sharded over the worker pool (one
+//!   worker is the AVX device).
 //! * [`packed`] — the threshold join over *packed* feature blocks (flat
 //!   values + row offsets), kept for the benchmark's layer probe.
 //! * [`executor`] — ties a device to its kernel implementations.

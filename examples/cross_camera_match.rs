@@ -5,7 +5,6 @@
 //!
 //! Run with: `cargo run --example cross_camera_match`
 
-use deeplens::core::ops;
 use deeplens::prelude::*;
 use deeplens::vision::datasets::TrafficDataset;
 use deeplens::vision::detector::ObjectDetector;
@@ -56,10 +55,13 @@ fn main() {
     let plan = JoinPlan::choose(&cam_a, &cam_b, Device::Avx).expect("one histogram dimension");
     println!("join plan: {plan:?}");
 
-    // On-the-fly Ball-Tree similarity join over the pixel-derived features,
-    // with index build + probe phase fanned out over all hardware threads.
+    // Run that plan over the pixel-derived features, with index build +
+    // probe phase fanned out over all hardware threads.
     let pool = WorkerPool::new(0);
-    let pairs = ops::similarity_join_balltree(&cam_a, &cam_b, 0.22, &pool);
+    let pairs = plan
+        .run(&cam_a, &cam_b, &[(0.22, None)], &pool)
+        .expect("the plan chosen for these feeds")
+        .remove(0);
     println!("similarity join produced {} candidate pairs", pairs.len());
 
     // Resolve candidate pairs into distinct shared identities and validate

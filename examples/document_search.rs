@@ -5,7 +5,6 @@
 //!
 //! Run with: `cargo run --example document_search`
 
-use deeplens::core::ops;
 use deeplens::prelude::*;
 use deeplens::vision::datasets::PcDataset;
 use deeplens::vision::features::joint_histogram;
@@ -64,12 +63,21 @@ fn main() {
         None => println!("q5: '{needle}' not found (OCR noise can corrupt the needle)"),
     }
 
-    // q1: near-duplicate sweep over the whole corpus.
-    let pairs: Vec<(u32, u32)> =
-        ops::similarity_join_balltree(&image_patches, &image_patches, 0.22, &WorkerPool::new(0))
-            .into_iter()
-            .filter(|(a, b)| a < b)
-            .collect();
+    // q1: near-duplicate sweep over the whole corpus — a self-join under
+    // the plan the planner picks, on all hardware threads.
+    let plan = JoinPlan::choose_dedup(&image_patches).expect("one histogram dimension");
+    let pairs: Vec<(u32, u32)> = plan
+        .run(
+            &image_patches,
+            &image_patches,
+            &[(0.22, None)],
+            &WorkerPool::new(0),
+        )
+        .expect("the plan chosen for this corpus")
+        .remove(0)
+        .into_iter()
+        .filter(|(a, b)| a < b)
+        .collect();
     let truth: std::collections::HashSet<(u32, u32)> = ds.duplicate_pairs.iter().copied().collect();
     let found = pairs.iter().filter(|p| truth.contains(p)).count();
     println!(

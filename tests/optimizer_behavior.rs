@@ -1,7 +1,7 @@
 //! Integration: the optimizer's cost model and accuracy composition agree
 //! with measured behaviour of the physical operators.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use deeplens::core::ops;
 use deeplens::core::optimizer::CostModel;
@@ -22,27 +22,40 @@ fn feature_patches(n: usize, dim: usize, seed: u64) -> Vec<Patch> {
         .collect()
 }
 
+/// The fastest of five runs of `f`, with its (last) answer: one wall-clock
+/// sample is at the mercy of whatever else the host is scheduling.
+fn best_of_5(f: impl Fn() -> Vec<(u32, u32)>) -> (Vec<(u32, u32)>, Duration) {
+    let mut best = Duration::MAX;
+    let mut out = Vec::new();
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        out = f();
+        best = best.min(t0.elapsed());
+    }
+    (out, best)
+}
+
 /// When the planner says "index the small side", doing so must actually
 /// beat brute force on wall clock for an asymmetric join.
 #[test]
 fn planned_strategy_wins_on_asymmetric_join() {
     let small = feature_patches(300, 16, 1);
     let large = feature_patches(12_000, 16, 2);
+    let plan = JoinPlan::choose(&small, &large, Device::Avx).unwrap();
     assert_eq!(
-        JoinPlan::choose(&small, &large, Device::Avx).unwrap(),
+        plan,
         JoinPlan::BallTree { index_left: true },
         "planner should index the small side"
     );
 
-    let t0 = Instant::now();
-    let nested = ops::similarity_join_nested(&small, &large, 2.0);
-    let nested_t = t0.elapsed();
+    let (mut nested, nested_t) = best_of_5(|| ops::similarity_join_nested(&small, &large, 2.0));
+    let (ball, ball_t) = best_of_5(|| {
+        let pool = WorkerPool::new(1);
+        plan.run(&small, &large, &[(2.0, None)], &pool)
+            .unwrap()
+            .remove(0)
+    });
 
-    let t1 = Instant::now();
-    let ball = ops::similarity_join_balltree(&small, &large, 2.0, &WorkerPool::new(1));
-    let ball_t = t1.elapsed();
-
-    let mut nested = nested;
     nested.sort_unstable();
     assert_eq!(nested, ball, "strategies must agree on the answer");
     assert!(
@@ -150,12 +163,13 @@ fn filter_pushdown_loses_recall_on_lossy_labels() {
         .map(|(i, _)| i)
         .collect();
     let filtered: Vec<Patch> = filtered_pos.iter().map(|&i| patches[i].clone()).collect();
-    let clusters_a = ops::dedup_similarity(&filtered, tau, &WorkerPool::new(1));
+    let session = Session::ephemeral().unwrap();
+    let clusters_a = session.dedup(&filtered, tau).unwrap();
     let recall_a = pair_recall(&clusters_a, &filtered_pos);
 
     // Plan B: match first, keep clusters with a person.
     let all_pos: Vec<usize> = (0..patches.len()).collect();
-    let clusters_b_all = ops::dedup_similarity(&patches, tau, &WorkerPool::new(1));
+    let clusters_b_all = session.dedup(&patches, tau).unwrap();
     let clusters_b: Vec<Vec<u32>> = clusters_b_all
         .into_iter()
         .filter(|c| {

@@ -23,7 +23,8 @@ fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
 }
 
 /// ParallelCpu must produce byte-identical join results to the scalar Cpu
-/// backend for every thread count and awkward input shape.
+/// backend for every thread count and awkward input shape — one worker
+/// being the AVX device.
 #[test]
 fn parallel_join_equals_scalar_across_threads_and_shapes() {
     // (rows_a, rows_b) covering empty, singleton, odd, and uneven splits.
@@ -40,11 +41,14 @@ fn parallel_join_equals_scalar_across_threads_and_shapes() {
     for &(ra, rb) in &shapes {
         let a = mat(ra, 12, ra as u64 + 1);
         let b = mat(rb, 12, rb as u64 + 101);
-        let mut scalar = Executor::new(Device::Cpu).threshold_join(&a, &b, 7.0);
-        scalar.sort_unstable();
+        let taus = [7.0, 3.0];
+        let scalar = Executor::new(Device::Cpu).threshold_join(&a, &b, &taus);
+        assert_eq!(
+            scalar,
+            Executor::new(Device::Avx).threshold_join(&a, &b, &taus)
+        );
         for threads in [1usize, 2, 8] {
-            let mut par = Executor::new(Device::ParallelCpu(threads)).threshold_join(&a, &b, 7.0);
-            par.sort_unstable();
+            let par = Executor::new(Device::ParallelCpu(threads)).threshold_join(&a, &b, &taus);
             assert_eq!(
                 scalar, par,
                 "shape ({ra}x{rb}), {threads} threads: join results must match"
@@ -116,9 +120,9 @@ fn parallel_conv_and_histogram_equal_scalar() {
 fn parallel_join_is_deterministic() {
     let a = mat(97, 24, 3);
     let b = mat(103, 24, 4);
-    let first = Executor::new(Device::ParallelCpu(8)).threshold_join(&a, &b, 9.0);
+    let first = Executor::new(Device::ParallelCpu(8)).threshold_join(&a, &b, &[9.0]);
     for _ in 0..5 {
-        let again = Executor::new(Device::ParallelCpu(8)).threshold_join(&a, &b, 9.0);
+        let again = Executor::new(Device::ParallelCpu(8)).threshold_join(&a, &b, &[9.0]);
         assert_eq!(first, again);
     }
 }
@@ -133,18 +137,16 @@ fn parallel_beats_scalar_on_large_join() {
     let b = mat(400, 64, 22);
 
     // Warm up once so page faults and lazy init don't skew either side.
-    let _ = Executor::new(Device::Cpu).threshold_join(&a, &b, 0.1);
+    let _ = Executor::new(Device::Cpu).threshold_join(&a, &b, &[0.1]);
 
     let t0 = Instant::now();
-    let mut scalar = Executor::new(Device::Cpu).threshold_join(&a, &b, 8.0);
+    let scalar = Executor::new(Device::Cpu).threshold_join(&a, &b, &[8.0]);
     let scalar_t = t0.elapsed();
 
     let t1 = Instant::now();
-    let mut par = Executor::new(Device::ParallelCpu(0)).threshold_join(&a, &b, 8.0);
+    let par = Executor::new(Device::ParallelCpu(0)).threshold_join(&a, &b, &[8.0]);
     let par_t = t1.elapsed();
 
-    scalar.sort_unstable();
-    par.sort_unstable();
     assert_eq!(scalar, par, "backends must agree before comparing speed");
     assert!(
         par_t < scalar_t,
@@ -189,10 +191,8 @@ fn optimizer_routes_midsize_kernels_to_parallel_cpu() {
     // The planner's pick executes and agrees with the scalar reference.
     let a = mat(60, 16, 31);
     let b = mat(60, 16, 32);
-    let mut from_pick = Executor::new(placed).threshold_join(&a, &b, 6.0);
-    let mut reference = Executor::new(Device::Cpu).threshold_join(&a, &b, 6.0);
-    from_pick.sort_unstable();
-    reference.sort_unstable();
+    let from_pick = Executor::new(placed).threshold_join(&a, &b, &[6.0]);
+    let reference = Executor::new(Device::Cpu).threshold_join(&a, &b, &[6.0]);
     assert_eq!(from_pick, reference);
 }
 

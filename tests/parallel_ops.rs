@@ -26,6 +26,23 @@ fn feature_patches(n: usize, dim: usize, seed: u64) -> Vec<Patch> {
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
+/// `left × right` within `tau` under the plan the planner picks for a CPU
+/// device, on a `threads`-worker pool.
+fn planned_join(left: &[Patch], right: &[Patch], tau: f32, threads: usize) -> Vec<(u32, u32)> {
+    let plan = JoinPlan::choose(left, right, Device::Avx).unwrap();
+    let pool = WorkerPool::new(threads);
+    plan.run(left, right, &[(tau, None)], &pool)
+        .unwrap()
+        .remove(0)
+}
+
+/// A session on `threads` morsel workers.
+fn session_on(threads: usize) -> Session {
+    let mut s = Session::ephemeral().unwrap();
+    s.set_device(Device::ParallelCpu(threads));
+    s
+}
+
 /// Property: for every input shape and thread count, the Ball-Tree join
 /// returns the identical pair sequence — and it always equals the serial
 /// nested-loop reference.
@@ -38,7 +55,7 @@ fn balltree_join_identical_across_thread_counts_and_shapes() {
         let mut reference = ops::similarity_join_nested(&left, &right, 2.5);
         reference.sort_unstable();
         for threads in THREADS {
-            let got = ops::similarity_join_balltree(&left, &right, 2.5, &WorkerPool::new(threads));
+            let got = planned_join(&left, &right, 2.5, threads);
             assert_eq!(got, reference, "shape {nl}x{nr}, {threads} threads");
         }
     }
@@ -77,7 +94,7 @@ fn dedup_identical_across_thread_counts() {
     let reference = ops::dedup_bruteforce(&patches, 3.0);
     for threads in THREADS {
         assert_eq!(
-            ops::dedup_similarity(&patches, 3.0, &WorkerPool::new(threads)),
+            session_on(threads).dedup(&patches, 3.0).unwrap(),
             reference,
             "{threads} threads"
         );
@@ -179,7 +196,7 @@ fn session_device_routes_thread_budget_end_to_end() {
         let snap = s.catalog.snapshot("feats").unwrap();
         let patches = snap.patches.clone();
         let joined = s.similarity_join(&patches, &patches, 40.0).unwrap();
-        let clusters = s.dedup(&patches, 40.0);
+        let clusters = s.dedup(&patches, 40.0).unwrap();
         let probe = patches[0].data.features().unwrap().to_vec();
         let hits = snap.lookup_similar("by_feat", &probe, 35.0).unwrap();
         (patches, joined, clusters, hits)
@@ -201,9 +218,6 @@ fn zero_dim_features_equivalent_across_variants() {
     reference.sort_unstable();
     assert_eq!(reference.len(), 30 * 30);
     for threads in THREADS {
-        assert_eq!(
-            ops::similarity_join_balltree(&patches, &patches, 1.0, &WorkerPool::new(threads)),
-            reference
-        );
+        assert_eq!(planned_join(&patches, &patches, 1.0, threads), reference);
     }
 }

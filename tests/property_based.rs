@@ -256,7 +256,7 @@ proptest! {
         prop_assert!(recall >= 0.8, "recall {} below bound", recall);
     }
 
-    /// The parallel threshold join equals brute-force all-pairs for any
+    /// The sharded threshold join equals brute-force all-pairs for any
     /// shape and thread count (the morsel pool drops no pair at shard
     /// boundaries).
     #[test]
@@ -279,7 +279,7 @@ proptest! {
             Matrix::from_rows(&b)
         };
         let ma = if n == 0 { Matrix::zeros(0, dim) } else { ma };
-        let mut got = kernels::threshold_join_parallel(&ma, &mb, tau, threads);
+        let mut got = kernels::threshold_join_sharded(&ma, &mb, &[tau], threads).remove(0);
         let mut want = Vec::new();
         for (i, pa) in a.iter().enumerate() {
             for (j, pb) in b.iter().enumerate() {
