@@ -5,8 +5,10 @@
 //! ```
 //!
 //! Scans `crates/**/src/**/*.rs` with the rules in [`deeplens_analyze::tidy`]
-//! and exits non-zero if any violation is found, printing one
-//! `file:line: [rule] message` diagnostic per finding.
+//! (the unreached-`pub` rule also reads `src/`, `examples/`,
+//! `benchmark/src/` and `tests/` for callers) and exits non-zero if any
+//! violation is found, printing one `file:line: [rule] message` diagnostic
+//! per finding.
 
 use std::path::Path;
 use std::process::ExitCode;

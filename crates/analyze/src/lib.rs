@@ -14,9 +14,10 @@
 //!   `crates/**/src/**/*.rs` (in the spirit of rust-lang/rust's `tidy`)
 //!   enforcing the workspace hygiene rules: no raw lock types outside the
 //!   [`sync`] module, no panicking calls in serving request paths, no
-//!   `todo!`/`unimplemented!`/`dbg!` anywhere, justified `#[allow]`s, and
-//!   `//!` docs opening every module. CI runs it as a blocking job via
-//!   `cargo run -p deeplens-analyze --bin tidy`.
+//!   `todo!`/`unimplemented!`/`dbg!` anywhere, justified `#[allow]`s,
+//!   `//!` docs opening every module, and no engine-crate `pub` item that
+//!   nothing outside its own unit tests uses. CI runs it as a blocking job
+//!   via `cargo run -p deeplens-analyze --bin tidy`.
 //!
 //! This crate sits at the bottom of the workspace dependency graph (it
 //! depends on nothing but `std`), so every locking crate — core, storage,

@@ -20,6 +20,16 @@
 //!    with a `//!` module doc as its first non-blank line, so `cargo doc`
 //!    renders a description for every module and the docs burndown cannot
 //!    silently regress (the shims are vendored API stand-ins and exempt).
+//! 6. **unreached-pub** — every `pub fn|struct|enum|trait|const|type|static|mod`
+//!    in non-test code of the seven engine crates (`analyze`, `codec`, `core`,
+//!    `exec`, `index`, `serve`, `storage`; `src/bin/` excluded) names
+//!    something another line of the tree uses: its name must appear on at
+//!    least one other non-test, non-comment line under `crates/`, `src/`,
+//!    `examples/`, `benchmark/src/` or `tests/` that is not a `pub use`
+//!    re-export. Code only the benchmark or a figure binary needs belongs in
+//!    that caller (or `crates/bench`), not in a crate the server links. The
+//!    match is by name only, so an unrelated item sharing the name can hide a
+//!    dead one, but a live item is never flagged.
 //!
 //! The scanner is deliberately line-based, not a Rust parser: it strips
 //! `//` comments (with a string-literal heuristic so `"https://..."`
@@ -27,6 +37,7 @@
 //! test code (the workspace convention keeps test modules trailing).
 //! Violations carry `file:line` so they print as clickable diagnostics.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -329,6 +340,132 @@ fn check_module_docs(rel_path: &str, text: &str, out: &mut Vec<Violation>) {
     }
 }
 
+/// Engine crates (under `crates/`) whose `pub` items rule 6 covers.
+const ENGINE_CRATES: &[&str] = &[
+    "analyze", "codec", "core", "exec", "index", "serve", "storage",
+];
+
+/// Workspace-relative directories whose lines count as rule 6 callers.
+const CALLER_ROOTS: &[&str] = &["crates", "src", "examples", "benchmark/src", "tests"];
+
+/// Item keywords rule 6 covers.
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "const", "type", "static", "mod",
+];
+
+/// Whether `rel_path` is non-binary source of an engine crate.
+fn is_engine_source(rel_path: &str) -> bool {
+    ENGINE_CRATES.iter().any(|krate| {
+        rel_path
+            .strip_prefix("crates/")
+            .and_then(|p| p.strip_prefix(krate))
+            .and_then(|p| p.strip_prefix("/src/"))
+            .is_some_and(|p| !p.starts_with("bin/"))
+    })
+}
+
+/// The name a plain-`pub` item declaration introduces, if `code` is one of
+/// the kinds rule 6 covers (`pub const fn` / `pub unsafe fn` count as `fn`;
+/// `pub static mut X` names `X`).
+fn pub_item_name(code: &str) -> Option<&str> {
+    let words: Vec<&str> = code
+        .trim_start()
+        .strip_prefix("pub ")?
+        .split_whitespace()
+        .collect();
+    let qualifier = |w: &str| matches!(w, "const" | "unsafe" | "async" | "extern" | "\"C\"");
+    let mut i = 0;
+    while i + 1 < words.len()
+        && qualifier(words[i])
+        && (qualifier(words[i + 1]) || words[i + 1] == "fn")
+    {
+        i += 1;
+    }
+    if !ITEM_KEYWORDS.contains(words.get(i)?) {
+        return None;
+    }
+    let mut name = *words.get(i + 1)?;
+    if words[i] == "static" && name == "mut" {
+        name = words.get(i + 2)?;
+    }
+    let end = name
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(name.len());
+    let name = &name[..end];
+    (!name.is_empty()).then_some(name)
+}
+
+/// Whether `code` opens a `pub use` (or `pub(..) use`) re-export.
+fn is_pub_use(code: &str) -> bool {
+    let Some(rest) = code.trim_start().strip_prefix("pub") else {
+        return false;
+    };
+    let rest = match rest.strip_prefix('(') {
+        Some(scoped) => scoped.split_once(')').map_or("", |(_, after)| after),
+        None => rest,
+    };
+    rest.trim_start().starts_with("use ")
+}
+
+/// Rule 6: `pub` items of the engine crates whose name no other line uses.
+///
+/// `files` is every `(workspace-relative path, text)` pair under the caller
+/// roots; declarations are read from the engine-crate files among them.
+/// A line counts as a use when it is non-test, not comment-only and not part
+/// of a `pub use` statement.
+fn check_unreached_pub(files: &[(&str, &str)]) -> Vec<Violation> {
+    // Number of counting lines each identifier appears on.
+    let mut lines_with: HashMap<&str, usize> = HashMap::new();
+    let mut decls = Vec::new();
+    for &(rel_path, text) in files {
+        let engine = is_engine_source(rel_path);
+        let mut in_pub_use = false;
+        for line in preprocess(text) {
+            if line.in_test {
+                break;
+            }
+            let code = line.code.trim();
+            if code.is_empty() {
+                continue;
+            }
+            if in_pub_use || is_pub_use(code) {
+                in_pub_use = !code.contains(';');
+                continue;
+            }
+            let mut words: Vec<&str> = line
+                .raw
+                .get(..line.code.len())
+                .unwrap_or_default()
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .filter(|w| !w.is_empty())
+                .collect();
+            words.sort_unstable();
+            words.dedup();
+            for w in words {
+                *lines_with.entry(w).or_default() += 1;
+            }
+            if engine {
+                if let Some(name) = pub_item_name(code) {
+                    decls.push((rel_path, line.number, name.to_string()));
+                }
+            }
+        }
+    }
+    decls
+        .into_iter()
+        .filter(|(_, _, name)| lines_with.get(name.as_str()).copied().unwrap_or(0) <= 1)
+        .map(|(file, line, name)| Violation {
+            file: file.to_string(),
+            line,
+            rule: "unreached-pub",
+            msg: format!(
+                "`pub` item `{name}` is used by no other non-test line of the tree; \
+                 delete it, gate it `#[cfg(test)]`, or move it to its only caller"
+            ),
+        })
+        .collect()
+}
+
 /// Recursively collect `.rs` files under `dir`, appending to `acc`.
 fn collect_rs(dir: &Path, acc: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
@@ -344,50 +481,43 @@ fn collect_rs(dir: &Path, acc: &mut Vec<PathBuf>) {
     }
 }
 
+/// Whether `rel_path` is crate library or binary source the per-file rules
+/// (1–5) scan: `crates/<name>/src/**` or `crates/shims/<name>/src/**`.
+fn is_crate_source(rel_path: &str) -> bool {
+    let Some(rest) = rel_path.strip_prefix("crates/") else {
+        return false;
+    };
+    let parts: Vec<&str> = rest.split('/').collect();
+    parts.get(1) == Some(&"src") || (parts[0] == "shims" && parts.get(2) == Some(&"src"))
+}
+
 /// Run every rule over the workspace rooted at `root`. Returns all
 /// violations, sorted by file then line.
 pub fn check_workspace(root: &Path) -> Vec<Violation> {
-    let mut files = Vec::new();
     let crates_dir = root.join("crates");
-    let Ok(entries) = fs::read_dir(&crates_dir) else {
+    if fs::read_dir(&crates_dir).is_err() {
         return vec![Violation {
             file: "crates".to_string(),
             line: 1,
             rule: "workspace",
             msg: format!("cannot read {}", crates_dir.display()),
         }];
-    };
-    // Scan `crates/**/src/**/*.rs` (including `crates/shims/*/src`).
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if !path.is_dir() {
-            continue;
-        }
-        let src = path.join("src");
-        if src.is_dir() {
-            collect_rs(&src, &mut files);
-        } else {
-            // One level deeper: crates/shims/<name>/src.
-            if let Ok(subs) = fs::read_dir(&path) {
-                for sub in subs.flatten() {
-                    let nested = sub.path().join("src");
-                    if nested.is_dir() {
-                        collect_rs(&nested, &mut files);
-                    }
-                }
-            }
-        }
     }
-    files.sort();
+    let mut paths = Vec::new();
+    for dir in CALLER_ROOTS {
+        collect_rs(&root.join(dir), &mut paths);
+    }
+    paths.sort();
     let mut out = Vec::new();
-    for path in &files {
+    let mut sources = Vec::new();
+    for path in &paths {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
         match fs::read_to_string(path) {
-            Ok(text) => out.extend(check_source(&rel, &text)),
+            Ok(text) => sources.push((rel, text)),
             Err(e) => out.push(Violation {
                 file: rel,
                 line: 1,
@@ -396,6 +526,17 @@ pub fn check_workspace(root: &Path) -> Vec<Violation> {
             }),
         }
     }
+    for (rel, text) in &sources {
+        if is_crate_source(rel) {
+            out.extend(check_source(rel, text));
+        }
+    }
+    // Rule 6 reads the whole tree at once: callers live outside `crates/`.
+    let borrowed: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(rel, text)| (rel.as_str(), text.as_str()))
+        .collect();
+    out.extend(check_unreached_pub(&borrowed));
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     out
 }
@@ -565,6 +706,116 @@ mod tests {
         assert!(has_word("std::sync::Mutex<u32>", "Mutex"));
         assert!(!has_word("OrderedMutex<u32>", "Mutex"));
         assert!(has_word("MutexGuard<'a, T>", "Mutex"));
+    }
+
+    /// Rule 6 over a fixture tree: the `(path, line)` of every hit.
+    fn unreached(files: &[(&str, &str)]) -> Vec<(String, usize)> {
+        check_unreached_pub(files)
+            .into_iter()
+            .map(|v| {
+                assert_eq!(v.rule, "unreached-pub");
+                (v.file, v.line)
+            })
+            .collect()
+    }
+
+    const ENGINE_FILE: &str = "crates/index/src/kd.rs";
+
+    #[test]
+    fn unreached_pub_flags_item_called_only_from_its_own_unit_tests() {
+        let src = format!(
+            "pub fn nearest() -> u32 {{ 0 }}\n{CFG_TEST}\nmod tests {{ fn t() {{ super::nearest(); }} }}\n"
+        );
+        assert_eq!(
+            unreached(&[(ENGINE_FILE, &src)]),
+            [(ENGINE_FILE.to_string(), 1)]
+        );
+    }
+
+    #[test]
+    fn unreached_pub_passes_item_called_from_integration_tests() {
+        let src = "pub struct KdTree;\n";
+        let test = "use deeplens::index::kd::KdTree;\n#[test]\nfn t() { let _ = KdTree; }\n";
+        assert!(unreached(&[(ENGINE_FILE, src), ("tests/property_based.rs", test)]).is_empty());
+    }
+
+    #[test]
+    fn unreached_pub_passes_item_called_from_another_crate() {
+        let src = "pub const LEAF_SIZE: usize = 8;\npub mod kd {}\n";
+        let caller = "fn f() -> usize { deeplens_index::kd::LEAF_SIZE }\n";
+        assert!(
+            unreached(&[(ENGINE_FILE, src), ("crates/core/src/catalog.rs", caller)]).is_empty()
+        );
+    }
+
+    #[test]
+    fn unreached_pub_ignores_reexports_comments_and_tests_as_callers() {
+        let src = "pub fn probe() {}\n";
+        let reexport = "pub use kd::probe;\npub(crate) use kd::{\n    probe,\n};\n";
+        let comment = "// probe() is called elsewhere\n/// See [`probe`].\n";
+        let unit_test = format!("{CFG_TEST}\nfn t() {{ probe(); }}\n");
+        let hits = unreached(&[
+            (ENGINE_FILE, src),
+            ("crates/index/src/lib.rs", reexport),
+            ("crates/core/src/ops.rs", comment),
+            ("crates/core/src/plan.rs", &unit_test),
+        ]);
+        assert_eq!(hits, [(ENGINE_FILE.to_string(), 1)]);
+    }
+
+    #[test]
+    fn unreached_pub_covers_only_engine_crate_library_code() {
+        let dead = "pub fn orphan() {}\n";
+        // Binaries, the reproduction crate and test code declare nothing
+        // rule 6 checks.
+        assert!(unreached(&[("crates/serve/src/bin/serve.rs", dead)]).is_empty());
+        assert!(unreached(&[("crates/bench/src/repro/kdtree.rs", dead)]).is_empty());
+        assert!(unreached(&[("tests/serving.rs", dead)]).is_empty());
+        let test_only = format!("{CFG_TEST}\n{dead}");
+        assert!(unreached(&[(ENGINE_FILE, &test_only)]).is_empty());
+        // Restricted visibility is not `pub`.
+        assert!(unreached(&[(ENGINE_FILE, "pub(crate) fn orphan() {}\n")]).is_empty());
+    }
+
+    #[test]
+    fn per_file_rules_scan_crate_sources_only() {
+        for rel in [
+            "crates/core/src/ops.rs",
+            "crates/bench/src/bin/run_all.rs",
+            "crates/shims/rand/src/lib.rs",
+        ] {
+            assert!(is_crate_source(rel), "{rel}");
+        }
+        for rel in ["src/lib.rs", "tests/serving.rs", "benchmark/src/main.rs"] {
+            assert!(!is_crate_source(rel), "{rel}");
+        }
+    }
+
+    #[test]
+    fn pub_item_names_cover_every_item_kind() {
+        for (line, name) in [
+            ("pub fn range_query(points: &[f32]) {", "range_query"),
+            ("    pub const fn new() -> Self {", "new"),
+            ("pub unsafe fn raw<T>() {}", "raw"),
+            ("pub struct BallTree {", "BallTree"),
+            ("pub enum Node<T> {", "Node"),
+            ("pub trait Generator: Send {", "Generator"),
+            ("pub const MAX_ENTRIES: usize = 16;", "MAX_ENTRIES"),
+            ("pub type Result<T> = std::result::Result<T, E>;", "Result"),
+            ("pub static mut COUNTER: u64 = 0;", "COUNTER"),
+            ("pub mod balltree;", "balltree"),
+        ] {
+            assert_eq!(pub_item_name(line), Some(name), "{line}");
+        }
+        for line in [
+            "pub use balltree::BallTree;",
+            "pub(crate) fn hidden() {}",
+            "pub name: String,",
+            "fn private() {}",
+            "pub impl_detail",
+        ] {
+            assert_eq!(pub_item_name(line), None, "{line}");
+        }
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! the R-Tree ~20× slower to construct than a B+Tree.
 
 use deeplens_bench::report::{ms, time, Table};
-use deeplens_index::lsh::{LshIndex, LshParams};
-use deeplens_index::{BallTree, KdTree, RTree, Rect, SortedRunIndex};
+use deeplens_bench::repro::kdtree::KdTree;
+use deeplens_bench::repro::lsh::{LshIndex, LshParams};
+use deeplens_bench::repro::rtree::{RTree, Rect};
+use deeplens_bench::repro::sorted::SortedRunIndex;
+use deeplens_index::BallTree;
 use deeplens_storage::btree::{keys, BTree};
 
 /// Deterministic pseudo-random generator for the synthetic tuples.

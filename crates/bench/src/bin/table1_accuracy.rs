@@ -17,8 +17,8 @@ use deeplens_bench::etl::{traffic_etl, GT_KEY};
 /// cluster precision stays high and the filter-order effect is isolated.
 const TAU: f32 = 0.17;
 use deeplens_bench::report::{ms, time, Table};
+use deeplens_bench::repro::accuracy::{enumerate_filter_match_plans, AccuracyProfile};
 use deeplens_bench::{scale, WORLD_SEED};
-use deeplens_core::optimizer::{enumerate_filter_match_plans, AccuracyProfile};
 use deeplens_core::prelude::{Patch, Session};
 use deeplens_exec::Device;
 use deeplens_vision::detector::DetectorConfig;

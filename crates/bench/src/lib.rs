@@ -9,6 +9,9 @@
 //!   indexes) and an optimized (hand-tuned physical design) variant.
 //! * [`report`] — timing helpers, table printing, CSV output into
 //!   `bench-results/`.
+//! * [`repro`] — what the figures measure but the engine never runs: the
+//!   KD-Tree, LSH, R-Tree and sorted-run indexes of Fig. 6 and the plan-order
+//!   accuracy model of Table 1.
 //!
 //! Harness binaries (one per figure/table):
 //!
@@ -31,6 +34,7 @@
 pub mod etl;
 pub mod queries;
 pub mod report;
+pub mod repro;
 
 /// Default fraction of the paper's dataset sizes the harnesses run at.
 pub const DEFAULT_SCALE: f64 = 0.03;

@@ -6,7 +6,7 @@
 //! toward linear scans as dimensionality grows — which is exactly why
 //! DeepLens also carries a Ball-Tree. Benchmarks compare the two directly.
 
-use crate::dist::sq_euclidean;
+use deeplens_index::dist::sq_euclidean;
 
 /// Points per leaf bucket.
 const LEAF_SIZE: usize = 8;
@@ -192,7 +192,7 @@ impl KdTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bruteforce;
+    use deeplens_index::bruteforce;
 
     fn pseudo_points(n: usize, dim: usize) -> Vec<Vec<f32>> {
         let mut state = 0xDEADBEEFu64;

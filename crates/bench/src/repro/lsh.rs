@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-use crate::dist::sq_euclidean;
+use deeplens_index::dist::sq_euclidean;
 
 /// Configuration for an [`LshIndex`].
 #[derive(Debug, Clone, Copy)]
@@ -187,7 +187,7 @@ impl LshIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bruteforce;
+    use deeplens_index::bruteforce;
 
     fn clustered_points(clusters: usize, per_cluster: usize, dim: usize) -> Vec<Vec<f32>> {
         let mut state = 0xABCDu64;

@@ -65,11 +65,6 @@ impl BitWriter {
         self.put_ue(mapped);
     }
 
-    /// Number of bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.buf.len() * 8 + self.nbits as usize
-    }
-
     /// Flush the final partial byte (zero-padded) and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
@@ -142,11 +137,6 @@ impl<'a> BitReader<'a> {
             ((v + 1) / 2) as i32
         })
     }
-
-    /// Current read position in bits.
-    pub fn bit_pos(&self) -> usize {
-        self.pos
-    }
 }
 
 #[cfg(test)]
@@ -218,12 +208,13 @@ mod tests {
     }
 
     #[test]
-    fn bit_len_tracks_writes() {
-        let mut w = BitWriter::new();
-        assert_eq!(w.bit_len(), 0);
-        w.put_bits(0, 5);
-        assert_eq!(w.bit_len(), 5);
-        w.put_bits(0, 5);
-        assert_eq!(w.bit_len(), 10);
+    fn finish_pads_written_bits_to_whole_bytes() {
+        for (fields, bytes) in [(0, 0), (1, 1), (2, 2)] {
+            let mut w = BitWriter::new();
+            for _ in 0..fields {
+                w.put_bits(0, 5);
+            }
+            assert_eq!(w.finish().len(), bytes, "{} bits", fields * 5);
+        }
     }
 }

@@ -16,7 +16,9 @@
 //! * [`intra`] — still-image (I-frame / JPEG-like) codec.
 //! * [`motion`] — block motion estimation and compensation.
 //! * [`video`] — GOP-structured video encoder/decoder with sequential
-//!   decode semantics (no random access within a GOP) and clip segmentation.
+//!   decode semantics (no random access within a GOP), plus the bounded
+//!   decoded-frame cache ([`FrameCache`]) that shared ingest scans read
+//!   through.
 //! * [`metrics`] — MSE / PSNR for accuracy studies (paper Fig. 2).
 //!
 //! The codec intentionally mirrors the properties the paper's experiments

@@ -9,7 +9,6 @@
 //! forces a full sequential scan.
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -467,20 +466,6 @@ pub fn decode_video(bytes: &[u8]) -> crate::Result<Vec<Image>> {
     VideoDecoder::new(bytes)?.collect()
 }
 
-/// Segment a frame sequence into independently-decodable encoded clips of at
-/// most `clip_len` frames each (the paper's "Segmented File" building block).
-pub fn segment_video(
-    frames: &[Image],
-    clip_len: usize,
-    cfg: VideoConfig,
-) -> crate::Result<Vec<Vec<u8>>> {
-    assert!(clip_len > 0, "clip length must be positive");
-    frames
-        .chunks(clip_len)
-        .map(|chunk| encode_video(chunk, cfg))
-        .collect()
-}
-
 /// Stable content fingerprint of an encoded stream: FNV-1a over the
 /// stream's length followed by its bytes. The decoded-frame cache keys
 /// entries on this rather than on a caller-supplied name, so two sources
@@ -512,15 +497,14 @@ struct CacheEntry {
 /// Inter-coded streams force sequential decoding — reconstructing frame `n`
 /// requires frames `0..n` — so decode cost is the dominant, *repeated* cost
 /// of running several featurization passes over one video. The cache lets a
-/// shared-scan engine pay that cost once: [`FrameCache::scan_window`]
-/// returns every frame of a window as shared [`Arc<Image>`] handles,
-/// serving them from the cache when a previous scan already decoded them
-/// and decoding (then caching) otherwise.
+/// shared-scan engine pay that cost once: [`FrameCache::scan_frames`]
+/// returns every requested frame as a shared [`Arc<Image>`] handle,
+/// serving it from the cache when a previous scan already decoded it and
+/// decoding (then caching) otherwise.
 ///
-/// The cache is **bounded** at `capacity` frames with LRU eviction; a
-/// window longer than the capacity still scans correctly — the returned
-/// handles are complete — but only its most recent `capacity` frames stay
-/// resident for later scans. `capacity == 0` disables retention entirely
+/// The cache is **bounded** at `capacity` frames with LRU eviction; a scan
+/// longer than the capacity still returns complete handles, but only its
+/// most recent `capacity` frames stay resident for later scans. `capacity == 0` disables retention entirely
 /// (every scan decodes).
 ///
 /// Not internally synchronized: callers that share one cache across
@@ -586,7 +570,7 @@ impl FrameCache {
     }
 
     /// Frames this cache has decoded across every
-    /// [`FrameCache::scan_window`] call — the decode work its scans
+    /// [`FrameCache::scan_frames`] call — the decode work its scans
     /// actually paid (unlike the process-global [`frames_decoded`], this
     /// counter is unperturbed by unrelated decoders).
     pub fn decoded(&self) -> u64 {
@@ -637,30 +621,6 @@ impl FrameCache {
                 last_used: self.clock,
             },
         );
-    }
-
-    /// Decode (or fetch) every frame of `range` from the encoded stream
-    /// `bytes`, returning `(frame_no, frame)` pairs in frame order. A
-    /// window reaching past the end of the stream is an error — even an
-    /// empty one, so callers validating a window learn about the overrun
-    /// instead of silently receiving nothing.
-    pub fn scan_window(
-        &mut self,
-        bytes: &[u8],
-        range: Range<u64>,
-    ) -> crate::Result<Vec<(u64, Arc<Image>)>> {
-        if range.start >= range.end {
-            let available = u64::from(VideoDecoder::new(bytes)?.header().frame_count);
-            if range.end > available {
-                return Err(CodecError::InvalidHeader(format!(
-                    "frame window {}..{} exceeds stream length {available}",
-                    range.start, range.end
-                )));
-            }
-            return Ok(Vec::new());
-        }
-        let needed: Vec<u64> = range.collect();
-        self.scan_frames(bytes, &needed)
     }
 
     /// Decode (or fetch) exactly the frames in `needed` (sorted ascending,
@@ -888,19 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn segmentation_produces_independent_clips() {
-        let frames = moving_square(10, 32, 32);
-        let clips = segment_video(&frames, 4, VideoConfig::sequential(Quality::High)).unwrap();
-        assert_eq!(clips.len(), 3); // 4 + 4 + 2
-                                    // Every clip decodes standalone.
-        let mut total = 0;
-        for clip in &clips {
-            total += decode_video(clip).unwrap().len();
-        }
-        assert_eq!(total, 10);
-    }
-
-    #[test]
     fn bad_magic_video() {
         let frames = moving_square(2, 16, 16);
         let mut bytes = encode_video(&frames, VideoConfig::default()).unwrap();
@@ -929,7 +876,7 @@ mod tests {
         let bytes = encode_video(&frames, VideoConfig::sequential(Quality::High)).unwrap();
         let mut cache = FrameCache::new(32);
 
-        let window = cache.scan_window(&bytes, 2..7).unwrap();
+        let window = cache.scan_frames(&bytes, &[2, 3, 4, 5, 6]).unwrap();
         assert_eq!(
             window.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
             vec![2, 3, 4, 5, 6]
@@ -939,7 +886,7 @@ mod tests {
         assert_eq!(cache.decoded(), 7);
 
         // A second overlapping scan inside the window is pure cache.
-        let again = cache.scan_window(&bytes, 3..6).unwrap();
+        let again = cache.scan_frames(&bytes, &[3, 4, 5]).unwrap();
         assert_eq!(cache.decoded(), 7, "no further decode work");
         for ((t, img), (t2, img2)) in window[1..4].iter().zip(&again) {
             assert_eq!(t, t2);
@@ -953,7 +900,8 @@ mod tests {
         let frames = moving_square(6, 16, 16);
         let bytes = encode_video(&frames, VideoConfig::default()).unwrap();
         let mut cache = FrameCache::new(3);
-        cache.scan_window(&bytes, 0..6).unwrap();
+        let all: Vec<u64> = (0..6).collect();
+        cache.scan_frames(&bytes, &all).unwrap();
         assert_eq!(cache.len(), 3, "capacity bounds residency");
         let stream = stream_fingerprint(&bytes);
         // The most recent frames survive; the oldest were evicted.
@@ -961,7 +909,7 @@ mod tests {
         assert!(cache.get(stream, 0).is_none());
         // Zero capacity stores nothing but still scans correctly.
         let mut none = FrameCache::new(0);
-        assert_eq!(none.scan_window(&bytes, 0..6).unwrap().len(), 6);
+        assert_eq!(none.scan_frames(&bytes, &all).unwrap().len(), 6);
         assert_eq!(none.len(), 0);
     }
 
@@ -973,8 +921,8 @@ mod tests {
         let b = encode_video(&other_frames, VideoConfig::default()).unwrap();
         assert_ne!(stream_fingerprint(&a), stream_fingerprint(&b));
         let mut cache = FrameCache::new(16);
-        let fa = cache.scan_window(&a, 2..3).unwrap();
-        let fb = cache.scan_window(&b, 2..3).unwrap();
+        let fa = cache.scan_frames(&a, &[2]).unwrap();
+        let fb = cache.scan_frames(&b, &[2]).unwrap();
         assert!(!Arc::ptr_eq(&fa[0].1, &fb[0].1), "streams never alias");
     }
 
@@ -983,13 +931,14 @@ mod tests {
         let frames = moving_square(4, 16, 16);
         let bytes = encode_video(&frames, VideoConfig::default()).unwrap();
         let mut cache = FrameCache::new(8);
-        assert!(cache.scan_window(&bytes, 2..9).is_err());
-        assert!(cache.scan_window(&bytes, 3..3).unwrap().is_empty());
-        // An empty window is still validated against the stream: a caller
-        // probing 9..9 of a 4-frame stream gets the overrun, not Ok(vec![]).
-        assert!(cache.scan_window(&bytes, 9..9).is_err());
-        assert!(cache.scan_window(&[1, 2, 3], 0..1).is_err());
-        assert!(cache.scan_window(&[1, 2, 3], 0..0).is_err());
+        let overrun: Vec<u64> = (2..9).collect();
+        assert!(cache.scan_frames(&bytes, &overrun).is_err());
+        assert!(cache.scan_frames(&[1, 2, 3], &[0]).is_err());
+        // An empty request decodes nothing and validates nothing: the
+        // overrun of an empty window (9..9 of a 4-frame stream) is the
+        // batch planner's check, made on the header before any scan.
+        assert!(cache.scan_frames(&bytes, &[]).unwrap().is_empty());
+        assert_eq!(cache.decoded(), 0);
     }
 
     #[test]
@@ -1019,9 +968,9 @@ mod tests {
         // more: if the gap frames 4..8 touched the LRU, the first window
         // would be evicted before the second scan returned.
         let mut cache = FrameCache::new(8);
-        cache.scan_window(&bytes, 0..4).unwrap();
+        cache.scan_frames(&bytes, &[0, 1, 2, 3]).unwrap();
         assert_eq!(cache.decoded(), 4);
-        cache.scan_window(&bytes, 8..12).unwrap();
+        cache.scan_frames(&bytes, &[8, 9, 10, 11]).unwrap();
         assert_eq!(cache.decoded(), 16, "reference chain re-decoded once");
         let stream = stream_fingerprint(&bytes);
         for t in (0..4).chain(8..12) {

@@ -108,11 +108,6 @@ impl ResultCache {
         }
     }
 
-    /// Whether inserts can ever retain anything.
-    pub fn is_enabled(&self) -> bool {
-        self.shard_capacity > 0
-    }
-
     /// FNV-1a of the key bytes picks the lock shard.
     fn shard_for(&self, key: &[u8]) -> &OrderedMutex<Shard> {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -379,7 +374,6 @@ mod tests {
     #[test]
     fn zero_capacity_disables() {
         let cache = ResultCache::with_capacity(0);
-        assert!(!cache.is_enabled());
         cache.insert(vec![1], CachedResult::Batch(BatchResult::Hits(vec![])));
         assert!(cache.is_empty());
         assert!(cache.get(&[1]).is_none());

@@ -1,20 +1,22 @@
 //! Materialized patch collections and secondary indexes (§3.2).
 //!
 //! Any intermediate result in DeepLens can be materialized into the catalog
-//! and indexed. Each data type gets its specialized structure:
+//! and indexed. The catalog keeps the two structures its queries probe:
 //!
 //! * **hash** over any discrete metadata key (exact match),
-//! * **sorted run** over any numeric metadata key (range / threshold),
-//! * **R-Tree** over bounding-box metadata (intersection / containment),
-//! * **Ball-Tree** over feature payloads (Euclidean threshold / kNN),
-//! * **lineage** over source frames (backtracing, §5.1).
+//! * **Ball-Tree** over feature payloads (Euclidean threshold / kNN).
+//!
+//! Range predicates (`frame_no` windows, numeric metadata ranges) are
+//! [`ScanFilter::FrameRange`] / [`ScanFilter::MetaRange`] scans, pruned by
+//! the columnar backing's zone maps; backtracing (§5.1) goes through the
+//! lineage store, not a collection index.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use deeplens_exec::WorkerPool;
-use deeplens_index::{BallTree, DeltaBallTree, RTree, Rect, SortedRunIndex};
+use deeplens_index::{BallTree, DeltaBallTree};
 
 use crate::optimizer::CostModel;
 use crate::patch::{Patch, PatchId};
@@ -97,18 +99,6 @@ pub enum SecondaryIndex {
         /// Value → positions in the collection.
         map: HashMap<Value, Vec<u32>>,
     },
-    /// Range index on a numeric metadata key.
-    Sorted {
-        /// The indexed key.
-        key: String,
-        /// The sorted run (ids are positions).
-        index: SortedRunIndex,
-    },
-    /// Spatial index on bounding-box metadata (`x`,`y`,`w`,`h`).
-    Spatial {
-        /// The R-Tree (payloads are positions).
-        tree: RTree,
-    },
     /// Similarity index on feature payloads. The delta-maintained form: a
     /// base Ball-Tree plus tombstones and a side buffer, so re-materializes
     /// carry it forward without an O(n log n) rebuild (ids are positions).
@@ -129,8 +119,6 @@ impl SecondaryIndex {
     pub fn kind(&self) -> &'static str {
         match self {
             SecondaryIndex::Hash { .. } => "hash",
-            SecondaryIndex::Sorted { .. } => "sorted",
-            SecondaryIndex::Spatial { .. } => "spatial",
             SecondaryIndex::Ball { .. } => "ball",
         }
     }
@@ -215,51 +203,6 @@ impl PatchCollection {
         );
     }
 
-    /// Build a sorted-run index on a numeric `key` under `index_name`.
-    pub fn build_sorted_index(&mut self, index_name: &str, key: &str) {
-        let entries: Vec<(f64, u64)> = self
-            .patches
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.get_float(key).map(|v| (v, i as u64)))
-            .collect();
-        self.indexes.insert(
-            index_name.to_string(),
-            SecondaryIndex::Sorted {
-                key: key.to_string(),
-                index: SortedRunIndex::build(entries),
-            },
-        );
-    }
-
-    /// Build an R-Tree over bounding-box metadata under `index_name`.
-    pub fn build_spatial_index(&mut self, index_name: &str) {
-        let items: Vec<(Rect, u64)> = self
-            .patches
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| {
-                p.bbox().map(|(x, y, w, h)| {
-                    (
-                        Rect::new(
-                            x as f32,
-                            y as f32,
-                            (x + w as i64) as f32,
-                            (y + h as i64) as f32,
-                        ),
-                        i as u64,
-                    )
-                })
-            })
-            .collect();
-        self.indexes.insert(
-            index_name.to_string(),
-            SecondaryIndex::Spatial {
-                tree: RTree::bulk_load(items),
-            },
-        );
-    }
-
     /// Build a Ball-Tree over feature payloads under `index_name`.
     ///
     /// Errors with [`DlError::SchemaMismatch`] if any patch lacks features
@@ -317,9 +260,8 @@ impl PatchCollection {
     /// * the **columnar backing** is rebuilt at the prior granularity (or
     ///   built eagerly when [`CostModel::prefer_columnar_backing`] predicts
     ///   a win and the prior version had none);
-    /// * **hash / sorted / spatial** indexes are rebuilt over the new rows
-    ///   (they are O(n) builds, positional, and cheap next to the rows
-    ///   themselves);
+    /// * **hash** indexes are rebuilt over the new rows (an O(n) build,
+    ///   positional, and cheap next to the rows themselves);
     /// * **Ball** indexes are *delta-maintained*: unchanged rows keep the
     ///   prior base tree (an `Arc` copy), changed/appended rows go into the
     ///   tombstone set and side buffer, and the delta is collapsed into a
@@ -338,8 +280,6 @@ impl PatchCollection {
         for (name, index) in &prior.indexes {
             match index {
                 SecondaryIndex::Hash { key, .. } => self.build_hash_index(name, key),
-                SecondaryIndex::Sorted { key, .. } => self.build_sorted_index(name, key),
-                SecondaryIndex::Spatial { .. } => self.build_spatial_index(name),
                 SecondaryIndex::Ball { index } => {
                     self.carry_ball_index(name, index, &prior.patches, model, threads);
                 }
@@ -484,34 +424,6 @@ impl PatchCollection {
         }
     }
 
-    /// Range lookup `[lo, hi)` through a sorted index.
-    pub fn lookup_range(&self, index_name: &str, lo: f64, hi: f64) -> Result<Vec<u32>> {
-        match self.index(index_name)? {
-            SecondaryIndex::Sorted { index, .. } => {
-                Ok(index.range(lo, hi).into_iter().map(|v| v as u32).collect())
-            }
-            other => Err(DlError::WrongIndex {
-                expected: "sorted",
-                actual: other.kind(),
-            }),
-        }
-    }
-
-    /// Spatial intersection lookup through an R-Tree index.
-    pub fn lookup_intersecting(&self, index_name: &str, rect: &Rect) -> Result<Vec<u32>> {
-        match self.index(index_name)? {
-            SecondaryIndex::Spatial { tree } => Ok(tree
-                .intersecting(rect)
-                .into_iter()
-                .map(|v| v as u32)
-                .collect()),
-            other => Err(DlError::WrongIndex {
-                expected: "spatial",
-                actual: other.kind(),
-            }),
-        }
-    }
-
     /// Similarity lookup through a Ball-Tree index: positions within `tau`
     /// of `query`, sorted ascending. The sorted order is deliberate — it is
     /// independent of the tree's shape, so a delta-maintained index answers
@@ -613,11 +525,6 @@ mod tests {
                 )
                 .with_meta("label", if i % 3 == 0 { "car" } else { "person" })
                 .with_meta("frameno", (i / 5) as i64)
-                .with_meta("score", 0.5 + (i % 5) as f64 * 0.1)
-                .with_meta("x", (i * 4) as i64)
-                .with_meta("y", 10i64)
-                .with_meta("w", 8i64)
-                .with_meta("h", 12i64)
             })
             .collect();
         PatchCollection::from_patches(patches)
@@ -640,38 +547,6 @@ mod tests {
             .lookup_eq("by_label", &Value::from("giraffe"))
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn sorted_index_range() {
-        let mut col = make_collection();
-        col.build_sorted_index("by_score", "score");
-        let hits = col.lookup_range("by_score", 0.75, 1.01).unwrap();
-        for &i in &hits {
-            assert!(col.patches[i as usize].get_float("score").unwrap() >= 0.75);
-        }
-        let scan_count = col
-            .patches
-            .iter()
-            .filter(|p| {
-                let s = p.get_float("score").unwrap();
-                (0.75..1.01).contains(&s)
-            })
-            .count();
-        assert_eq!(hits.len(), scan_count);
-    }
-
-    #[test]
-    fn spatial_index_intersection() {
-        let mut col = make_collection();
-        col.build_spatial_index("by_bbox");
-        let window = Rect::new(0.0, 0.0, 50.0, 50.0);
-        let hits = col.lookup_intersecting("by_bbox", &window).unwrap();
-        assert!(!hits.is_empty());
-        for &i in &hits {
-            let (x, ..) = col.patches[i as usize].bbox().unwrap();
-            assert!(x <= 50);
-        }
     }
 
     #[test]
@@ -780,8 +655,6 @@ mod tests {
         // must answer index lookups identically and independently.
         let mut col = make_collection();
         col.build_hash_index("by_label", "label");
-        col.build_sorted_index("by_score", "score");
-        col.build_spatial_index("by_bbox");
         col.build_ball_index("by_feat").unwrap();
         let copy = col.clone();
         assert_eq!(copy.len(), col.len());
@@ -795,6 +668,6 @@ mod tests {
         );
         let mut names = copy.index_names();
         names.sort_unstable();
-        assert_eq!(names, vec!["by_bbox", "by_feat", "by_label", "by_score"]);
+        assert_eq!(names, vec!["by_feat", "by_label"]);
     }
 }

@@ -14,6 +14,12 @@
 //! frame order. Ids, lineage, and patch payloads are therefore byte-
 //! identical across thread counts — and identical to what the historical
 //! serial implementation produced.
+//!
+//! [`PipelineBatch`] runs K pipelines over DLV1 streams with one shared
+//! decode per stream; frames already in memory have no decode to share and
+//! go through [`Session::run_pipeline`]. A stage that breaks its declared
+//! schema at run time (a featurizer returning the wrong dimension) fails the
+//! run with [`DlError::SchemaMismatch`] before anything is published.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -82,7 +88,7 @@ impl Generator for WholeImageGenerator {
     }
 
     fn output_schema(&self) -> PatchSchema {
-        PatchSchema::pixels().with_keys(["frameno"])
+        PatchSchema::pixels()
     }
 
     fn generate(
@@ -114,9 +120,7 @@ impl Generator for TileGenerator {
     }
 
     fn output_schema(&self) -> PatchSchema {
-        PatchSchema::pixels()
-            .with_resolution(self.tile, self.tile)
-            .with_keys(["frameno", "x", "y", "w", "h"])
+        PatchSchema::pixels().with_resolution(self.tile, self.tile)
     }
 
     fn validate(&self) -> Result<()> {
@@ -240,15 +244,7 @@ impl Pipeline {
         let mut schema = self.generator.output_schema();
         for t in &self.transformers {
             schema.validate_into(&t.input_schema())?;
-            // Output carries forward the accumulated metadata guarantees.
-            let mut out = t.output_schema();
-            for k in &schema.meta_keys {
-                out.meta_keys.insert(k.clone());
-            }
-            if out.label_domain.is_none() {
-                out.label_domain = schema.label_domain.clone();
-            }
-            schema = out;
+            schema = t.output_schema();
         }
         Ok(schema)
     }
@@ -329,27 +325,10 @@ impl std::fmt::Debug for Pipeline {
 // Batched ingestion: decode once, featurize many
 // --------------------------------------------------------------------------
 
-/// Frames a batch source can supply: an encoded DLV1 stream (decoded on
-/// demand through the session's bounded frame cache) or frames already in
-/// memory (no decode cost, but the scan is still shared).
-enum FrameStore {
-    Encoded(Vec<u8>),
-    Raw(Vec<Arc<Image>>),
-}
-
-impl FrameStore {
-    fn kind(&self) -> &'static str {
-        match self {
-            FrameStore::Encoded(_) => "encoded",
-            FrameStore::Raw(_) => "raw",
-        }
-    }
-}
-
-/// A named frame source registered with a [`PipelineBatch`].
+/// A named DLV1 stream registered with a [`PipelineBatch`].
 struct IngestSource {
     name: String,
-    store: FrameStore,
+    bytes: Vec<u8>,
 }
 
 /// One source's shared scan: the needed frames of its job windows, keyed
@@ -404,7 +383,7 @@ impl std::fmt::Debug for PipelineBatch<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_struct("PipelineBatch");
         for s in &self.sources {
-            d.field(&s.name, &s.store.kind());
+            d.field(&s.name, &s.bytes.len());
         }
         d.field("jobs", &self.jobs.len()).finish()
     }
@@ -423,19 +402,6 @@ impl<'s> PipelineBatch<'s> {
     /// on demand — once per batch per shared window, and not at all when
     /// the session's frame cache still holds them from an earlier batch.
     pub fn add_encoded_source(&mut self, name: &str, bytes: Vec<u8>) -> Result<()> {
-        self.push_source(name, FrameStore::Encoded(bytes))
-    }
-
-    /// Register already-decoded frames under `name` (raw footage, test
-    /// fixtures). No decode cost, but jobs over it still share one scan.
-    pub fn add_frames_source(&mut self, name: &str, frames: Vec<Image>) -> Result<()> {
-        self.push_source(
-            name,
-            FrameStore::Raw(frames.into_iter().map(Arc::new).collect()),
-        )
-    }
-
-    fn push_source(&mut self, name: &str, store: FrameStore) -> Result<()> {
         if self.sources.iter().any(|s| s.name == name) {
             return Err(DlError::Conflict(format!(
                 "source '{name}' already registered with this batch"
@@ -443,7 +409,7 @@ impl<'s> PipelineBatch<'s> {
         }
         self.sources.push(IngestSource {
             name: name.to_string(),
-            store,
+            bytes,
         });
         Ok(())
     }
@@ -484,31 +450,14 @@ impl<'s> PipelineBatch<'s> {
         self.jobs.is_empty()
     }
 
-    /// The number of frames `store` can supply (for encoded streams, a
-    /// header parse — no decode).
-    fn source_len(store: &FrameStore) -> Result<u64> {
-        Ok(match store {
-            FrameStore::Encoded(bytes) => u64::from(VideoDecoder::new(bytes)?.header().frame_count),
-            FrameStore::Raw(frames) => frames.len() as u64,
-        })
-    }
-
-    /// The out-of-range error [`PipelineBatch::run_serial`] surfaces for a
-    /// job window past the end of its source — `run` reports the identical
-    /// condition identically, empty windows included.
-    fn window_overrun(source: &IngestSource, window: &Range<u64>, available: u64) -> DlError {
-        match &source.store {
-            FrameStore::Encoded(_) => {
-                DlError::Codec(deeplens_codec::CodecError::InvalidHeader(format!(
-                    "frame window {}..{} exceeds stream length {available}",
-                    window.start, window.end
-                )))
-            }
-            FrameStore::Raw(_) => DlError::NotFound(format!(
-                "frame window {}..{} exceeds source '{}' ({} frames)",
-                window.start, window.end, source.name, available
-            )),
-        }
+    /// The out-of-range error both [`PipelineBatch::run`] and
+    /// [`PipelineBatch::run_serial`] surface for a job window past the end
+    /// of its stream, empty windows included.
+    fn window_overrun(window: &Range<u64>, available: u64) -> DlError {
+        DlError::Codec(deeplens_codec::CodecError::InvalidHeader(format!(
+            "frame window {}..{} exceeds stream length {available}",
+            window.start, window.end
+        )))
     }
 
     /// Resolve every source a job mentions to its frames, decoding each
@@ -518,19 +467,16 @@ impl<'s> PipelineBatch<'s> {
     /// window — empty ones included — is validated against its source
     /// first, so `run` rejects exactly the batches `run_serial` rejects.
     fn shared_scans(&self) -> Result<Vec<ScannedFrames>> {
+        // A header parse per source, no decode.
         let lengths: Vec<u64> = self
             .sources
             .iter()
-            .map(|s| Self::source_len(&s.store))
+            .map(|s| Ok(u64::from(VideoDecoder::new(&s.bytes)?.header().frame_count)))
             .collect::<Result<_>>()?;
         for job in &self.jobs {
             let available = lengths[job.source];
             if job.window.end > available {
-                return Err(Self::window_overrun(
-                    &self.sources[job.source],
-                    &job.window,
-                    available,
-                ));
+                return Err(Self::window_overrun(&job.window, available));
             }
         }
         // The needed-frame set per source: the union of its job windows,
@@ -545,19 +491,16 @@ impl<'s> PipelineBatch<'s> {
         let mut scans = Vec::with_capacity(self.sources.len());
         for (source, needed) in self.sources.iter().zip(needed) {
             let frames: Vec<u64> = needed.into_iter().collect();
-            scans.push(match &source.store {
-                FrameStore::Encoded(bytes) => {
-                    // One sequential decode for every job over this source,
-                    // served through the session's bounded frame cache so a
-                    // later batch over the same stream can skip it too.
-                    let mut cache = self.session.frame_cache().lock();
-                    cache.scan_frames(bytes, &frames)?.into_iter().collect()
-                }
-                FrameStore::Raw(all) => frames
+            // One sequential decode for every job over this source, served
+            // through the session's bounded frame cache so a later batch
+            // over the same stream can skip it too.
+            let mut cache = self.session.frame_cache().lock();
+            scans.push(
+                cache
+                    .scan_frames(&source.bytes, &frames)?
                     .into_iter()
-                    .map(|t| (t, all[t as usize].clone()))
                     .collect(),
-            });
+            );
         }
         Ok(scans)
     }
@@ -637,46 +580,22 @@ impl<'s> PipelineBatch<'s> {
         let mut counts = Vec::with_capacity(self.jobs.len());
         for job in &self.jobs {
             let source = &self.sources[job.source];
-            let frames: Vec<(u64, Arc<Image>)> = match &source.store {
-                FrameStore::Encoded(bytes) => {
-                    let mut decoder = VideoDecoder::new(bytes)?;
-                    let available = u64::from(decoder.header().frame_count);
-                    if job.window.end > available {
-                        return Err(deeplens_codec::CodecError::InvalidHeader(format!(
-                            "frame window {}..{} exceeds stream length {available}",
-                            job.window.start, job.window.end
-                        ))
-                        .into());
-                    }
-                    let mut frames = Vec::new();
-                    for t in 0..job.window.end {
-                        let img = decoder
-                            .next_frame()
-                            .ok_or(DlError::Codec(deeplens_codec::CodecError::UnexpectedEof))??;
-                        if job.window.contains(&t) {
-                            frames.push((t, Arc::new(img)));
-                        }
-                    }
-                    frames
+            let mut decoder = VideoDecoder::new(&source.bytes)?;
+            let available = u64::from(decoder.header().frame_count);
+            if job.window.end > available {
+                return Err(Self::window_overrun(&job.window, available));
+            }
+            let mut frames = Vec::new();
+            for t in 0..job.window.end {
+                let img = decoder
+                    .next_frame()
+                    .ok_or(DlError::Codec(deeplens_codec::CodecError::UnexpectedEof))??;
+                if job.window.contains(&t) {
+                    frames.push((t, img));
                 }
-                FrameStore::Raw(all) => {
-                    if job.window.end > all.len() as u64 {
-                        return Err(DlError::NotFound(format!(
-                            "frame window {}..{} exceeds source '{}' ({} frames)",
-                            job.window.start,
-                            job.window.end,
-                            source.name,
-                            all.len()
-                        )));
-                    }
-                    job.window
-                        .clone()
-                        .map(|t| (t, all[t as usize].clone()))
-                        .collect()
-                }
-            };
+            }
             counts.push(job.pipeline.run(
-                frames.iter().map(|(t, img)| (*t, &**img)),
+                frames.iter().map(|(t, img)| (*t, img)),
                 &source.name,
                 &self.session.catalog,
                 &job.output,
@@ -726,12 +645,19 @@ impl Transformer for FeaturizeTransformer {
                 self.label, patch.id
             )));
         };
+        // The declared dim is the schema `Pipeline::validate` checked the
+        // next stage against; a ragged collection would only fail later, at
+        // the first join over it.
         let features = (self.f)(img);
-        debug_assert_eq!(
-            features.len(),
-            self.dim,
-            "featurizer must honor its declared dim"
-        );
+        if features.len() != self.dim {
+            return Err(DlError::SchemaMismatch(format!(
+                "featurizer '{}' declares dim {} but returned {} values (patch id {:?})",
+                self.label,
+                self.dim,
+                features.len(),
+                patch.id
+            )));
+        }
         Ok(patch.derive(ids.alloc(), PatchData::Features(features)))
     }
 }
@@ -896,33 +822,35 @@ mod tests {
         }
     }
 
+    /// A transformer that fails on one specific frame.
+    struct FailOnFrame {
+        frame: i64,
+    }
+
+    impl Transformer for FailOnFrame {
+        fn name(&self) -> &str {
+            "fail-on-frame"
+        }
+        fn input_schema(&self) -> PatchSchema {
+            PatchSchema::pixels()
+        }
+        fn output_schema(&self) -> PatchSchema {
+            PatchSchema::features(1)
+        }
+        fn transform(&self, patch: &Patch, ids: &mut PatchIdRange) -> Result<Patch> {
+            if patch.get_int("frameno") == Some(self.frame) {
+                return Err(DlError::TypeError("injected stage failure".into()));
+            }
+            Ok(patch.derive(ids.alloc(), PatchData::Features(vec![1.0])))
+        }
+    }
+
     #[test]
     fn stage_error_leaves_catalog_untouched() {
-        // A transformer that fails on one specific frame.
-        struct FailOn {
-            frame: i64,
-        }
-        impl Transformer for FailOn {
-            fn name(&self) -> &str {
-                "fail-on"
-            }
-            fn input_schema(&self) -> PatchSchema {
-                PatchSchema::pixels()
-            }
-            fn output_schema(&self) -> PatchSchema {
-                PatchSchema::features(1)
-            }
-            fn transform(&self, patch: &Patch, ids: &mut PatchIdRange) -> Result<Patch> {
-                if patch.get_int("frameno") == Some(self.frame) {
-                    return Err(DlError::TypeError("injected stage failure".into()));
-                }
-                Ok(patch.derive(ids.alloc(), PatchData::Features(vec![1.0])))
-            }
-        }
         let imgs = frames(6);
         // A mid-run stage failure and an up-front validation failure.
         for pipe in [
-            Pipeline::new(Box::new(WholeImageGenerator)).then(Box::new(FailOn { frame: 4 })),
+            Pipeline::new(Box::new(WholeImageGenerator)).then(Box::new(FailOnFrame { frame: 4 })),
             Pipeline::new(Box::new(TileGenerator { tile: 0 })),
         ] {
             let catalog = SharedCatalog::new();
@@ -990,12 +918,9 @@ mod tests {
 
     #[test]
     fn ingest_batch_matches_serial_issuance_with_one_decode() {
-        use deeplens_codec::video::{encode_video, frames_decoded, VideoConfig};
-        let _serialize = DECODE_COUNTER_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let clip = frames(10);
-        let bytes = encode_video(&clip, VideoConfig::default()).unwrap();
+        use deeplens_codec::video::frames_decoded;
+        let _serialize = serialize_decodes();
+        let bytes = encoded(10);
 
         let want = {
             let s = crate::session::Session::ephemeral().unwrap();
@@ -1056,29 +981,45 @@ mod tests {
         }
     }
 
+    /// Hold [`DECODE_COUNTER_LOCK`] for the rest of a decoding test.
+    fn serialize_decodes() -> std::sync::MutexGuard<'static, ()> {
+        DECODE_COUNTER_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// `frames(n)` as a DLV1 stream.
+    fn encoded(n: u64) -> Vec<u8> {
+        use deeplens_codec::video::{encode_video, VideoConfig};
+        encode_video(&frames(n), VideoConfig::default()).unwrap()
+    }
+
     #[test]
-    fn ingest_batch_raw_sources_share_the_scan() {
-        let imgs = frames(6);
+    fn ingest_batch_encoded_source_jobs_share_the_scan() {
+        let _serialize = serialize_decodes();
+        let bytes = encoded(6);
         let s = crate::session::Session::ephemeral().unwrap();
         let mut b = s.ingest_batch();
-        b.add_frames_source("raw", imgs.clone()).unwrap();
-        b.ingest(tile_featurize(16), "raw", 0..6, "x").unwrap();
-        b.ingest(tile_featurize(16), "raw", 3..6, "y").unwrap();
+        b.add_encoded_source("cam", bytes.clone()).unwrap();
+        b.ingest(tile_featurize(16), "cam", 0..6, "x").unwrap();
+        b.ingest(tile_featurize(16), "cam", 3..6, "y").unwrap();
         let counts = b.run().unwrap();
         assert_eq!(counts, vec![24, 12]);
-        // Reference: the plain session pipeline path over the same frames.
+        assert_eq!(s.frame_cache().lock().decoded(), 6, "one shared decode");
+        // Reference: the plain session pipeline path over the decoded frames.
+        let imgs = deeplens_codec::video::decode_video(&bytes).unwrap();
         let s2 = crate::session::Session::ephemeral().unwrap();
         s2.run_pipeline(
             &tile_featurize(16),
             imgs.iter().enumerate().map(|(i, f)| (i as u64, f)),
-            "raw",
+            "cam",
             "x",
         )
         .unwrap();
         s2.run_pipeline(
             &tile_featurize(16),
             imgs[3..].iter().enumerate().map(|(i, f)| (3 + i as u64, f)),
-            "raw",
+            "cam",
             "y",
         )
         .unwrap();
@@ -1092,12 +1033,13 @@ mod tests {
 
     #[test]
     fn ingest_batch_rejects_bad_configuration_up_front() {
+        let _serialize = serialize_decodes();
         let s = crate::session::Session::ephemeral().unwrap();
         let mut b = s.ingest_batch();
-        b.add_frames_source("raw", frames(2)).unwrap();
+        b.add_encoded_source("cam", encoded(2)).unwrap();
         // Duplicate source name.
         assert!(matches!(
-            b.add_frames_source("raw", frames(2)),
+            b.add_encoded_source("cam", encoded(2)),
             Err(DlError::Conflict(_))
         ));
         // Unknown source.
@@ -1109,16 +1051,16 @@ mod tests {
         assert!(matches!(
             b.ingest(
                 Pipeline::new(Box::new(TileGenerator { tile: 0 })),
-                "raw",
+                "cam",
                 0..2,
                 "o"
             ),
             Err(DlError::TypeError(_))
         ));
-        // A window past the end of a raw source fails the run, catalog
+        // A window past the end of the stream fails the run, catalog
         // untouched.
-        b.ingest(tile_featurize(16), "raw", 0..5, "o").unwrap();
-        assert!(matches!(b.run(), Err(DlError::NotFound(_))));
+        b.ingest(tile_featurize(16), "cam", 0..5, "o").unwrap();
+        assert!(matches!(b.run(), Err(DlError::Codec(_))));
         assert!(s.catalog.snapshot("o").is_err());
         assert_eq!(s.catalog.next_patch_id(), PatchId(0));
         // Empty batches and empty windows are fine.
@@ -1126,46 +1068,47 @@ mod tests {
         assert!(b.is_empty());
         assert!(b.run().unwrap().is_empty());
         let mut b = s.ingest_batch();
-        b.add_frames_source("raw", frames(2)).unwrap();
-        b.ingest(tile_featurize(16), "raw", 1..1, "empty").unwrap();
+        b.add_encoded_source("cam", encoded(2)).unwrap();
+        b.ingest(tile_featurize(16), "cam", 1..1, "empty").unwrap();
         assert_eq!(b.run().unwrap(), vec![0]);
         assert_eq!(s.catalog.snapshot("empty").unwrap().len(), 0);
     }
 
     #[test]
     fn ingest_batch_run_and_serial_agree_on_window_overruns() {
-        // An empty window past the end of the source is still an overrun:
-        // `run` must reject exactly the batches `run_serial` rejects, for
-        // both source kinds (regression: `run` once answered Ok(vec![0])
-        // for an encoded 9..9 window over a 2-frame stream).
-        use deeplens_codec::video::{encode_video, VideoConfig};
-        let bytes = encode_video(&frames(2), VideoConfig::default()).unwrap();
+        // An empty window past the end of the stream is still an overrun:
+        // `run` must reject exactly the batches `run_serial` rejects
+        // (regression: `run` once answered Ok(vec![0]) for a 9..9 window
+        // over a 2-frame stream), and a non-empty overrun the same way.
+        let _serialize = serialize_decodes();
+        let bytes = encoded(2);
         let s = crate::session::Session::ephemeral().unwrap();
-        let build = |serial: bool| {
+        let overrun = |window: Range<u64>, serial: bool| {
             let mut b = s.ingest_batch();
             b.add_encoded_source("cam", bytes.clone()).unwrap();
-            b.add_frames_source("raw", frames(2)).unwrap();
-            b.ingest(tile_featurize(16), "cam", 9..9, "o").unwrap();
+            b.add_encoded_source("idle", bytes.clone()).unwrap();
+            b.ingest(tile_featurize(16), "cam", window, "o").unwrap();
             if serial {
                 b.run_serial()
             } else {
                 b.run()
             }
         };
-        assert!(matches!(build(false), Err(DlError::Codec(_))));
-        assert!(matches!(build(true), Err(DlError::Codec(_))));
-        let raw_overrun = |serial: bool| {
+        for window in [9..9, 5..5, 1..3] {
+            assert!(matches!(
+                overrun(window.clone(), false),
+                Err(DlError::Codec(_))
+            ));
+            assert!(matches!(overrun(window, true), Err(DlError::Codec(_))));
+        }
+        // A stream whose header does not parse fails even an empty window.
+        for serial in [false, true] {
             let mut b = s.ingest_batch();
-            b.add_frames_source("raw", frames(2)).unwrap();
-            b.ingest(tile_featurize(16), "raw", 5..5, "o").unwrap();
-            if serial {
-                b.run_serial()
-            } else {
-                b.run()
-            }
-        };
-        assert!(matches!(raw_overrun(false), Err(DlError::NotFound(_))));
-        assert!(matches!(raw_overrun(true), Err(DlError::NotFound(_))));
+            b.add_encoded_source("garbage", vec![1, 2, 3]).unwrap();
+            b.ingest(tile_featurize(16), "garbage", 0..0, "o").unwrap();
+            let res = if serial { b.run_serial() } else { b.run() };
+            assert!(matches!(res, Err(DlError::Codec(_))), "serial={serial}");
+        }
         assert!(s.catalog.snapshot("o").is_err(), "nothing published");
     }
 
@@ -1174,33 +1117,14 @@ mod tests {
         // Job 0 is healthy, job 1 fails mid-stream: the whole batch must
         // surface the error with no collection (of either job) published,
         // no lineage recorded, and no ids consumed.
-        struct FailOnFrame {
-            frame: i64,
-        }
-        impl Transformer for FailOnFrame {
-            fn name(&self) -> &str {
-                "fail-on-frame"
-            }
-            fn input_schema(&self) -> PatchSchema {
-                PatchSchema::pixels()
-            }
-            fn output_schema(&self) -> PatchSchema {
-                PatchSchema::features(1)
-            }
-            fn transform(&self, patch: &Patch, ids: &mut PatchIdRange) -> Result<Patch> {
-                if patch.get_int("frameno") == Some(self.frame) {
-                    return Err(DlError::TypeError("injected mid-batch failure".into()));
-                }
-                Ok(patch.derive(ids.alloc(), PatchData::Features(vec![1.0])))
-            }
-        }
+        let _serialize = serialize_decodes();
         let s = crate::session::Session::ephemeral().unwrap();
         let mut b = s.ingest_batch();
-        b.add_frames_source("raw", frames(6)).unwrap();
-        b.ingest(tile_featurize(16), "raw", 0..6, "good").unwrap();
+        b.add_encoded_source("cam", encoded(6)).unwrap();
+        b.ingest(tile_featurize(16), "cam", 0..6, "good").unwrap();
         b.ingest(
             Pipeline::new(Box::new(WholeImageGenerator)).then(Box::new(FailOnFrame { frame: 4 })),
-            "raw",
+            "cam",
             0..6,
             "bad",
         )
@@ -1214,13 +1138,47 @@ mod tests {
     }
 
     #[test]
+    fn featurizer_dim_mismatch_is_an_error_on_both_run_paths() {
+        // A featurizer declaring dim 3 that returns 4 values.
+        let lying = || {
+            Pipeline::new(Box::new(WholeImageGenerator)).then(Box::new(FeaturizeTransformer {
+                label: "lying".into(),
+                dim: 3,
+                f: Box::new(|_| vec![0.0; 4]),
+            }))
+        };
+        let untouched = |catalog: &SharedCatalog| {
+            assert!(catalog.snapshot("out").is_err(), "no collection");
+            assert_eq!(catalog.with_lineage(|l| l.len()), 0, "no lineage");
+            assert_eq!(catalog.next_patch_id(), PatchId(0), "no ids consumed");
+        };
+
+        let imgs = frames(3);
+        let catalog = SharedCatalog::new();
+        let res = lying().run(
+            imgs.iter().enumerate().map(|(i, f)| (i as u64, f)),
+            "vid",
+            &catalog,
+            "out",
+            &serial(),
+        );
+        assert!(matches!(res, Err(DlError::SchemaMismatch(_))), "{res:?}");
+        untouched(&catalog);
+
+        let _serialize = serialize_decodes();
+        let s = crate::session::Session::ephemeral().unwrap();
+        let mut b = s.ingest_batch();
+        b.add_encoded_source("cam", encoded(3)).unwrap();
+        b.ingest(lying(), "cam", 0..3, "out").unwrap();
+        let res = b.run();
+        assert!(matches!(res, Err(DlError::SchemaMismatch(_))), "{res:?}");
+        untouched(&s.catalog);
+    }
+
+    #[test]
     fn session_frame_cache_spans_batches_and_is_boundable() {
-        use deeplens_codec::video::{encode_video, VideoConfig};
-        let _serialize = DECODE_COUNTER_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let clip = frames(8);
-        let bytes = encode_video(&clip, VideoConfig::default()).unwrap();
+        let _serialize = serialize_decodes();
+        let bytes = encoded(8);
         let s = crate::session::Session::ephemeral().unwrap();
         let run_once = |s: &crate::session::Session, out: &str| {
             let mut b = s.ingest_batch();

@@ -14,25 +14,25 @@
 //!
 //! * [`patch`] — the `Patch(ImgRef, Data, MetaData)` abstract data type (§2.2).
 //! * [`value`] — typed metadata values with order-preserving key encodings.
-//! * [`types`] — the pipeline type system: resolutions, feature dimensions,
-//!   closed label worlds, and filter validation (§4.2).
+//! * [`types`] — the pipeline type system: payload kinds, resolutions and
+//!   feature dimensions, checked stage to stage (§4.2).
 //! * [`lineage`] — tuple-level lineage chains and the lineage index that
 //!   accelerates backtracing queries (§5.1).
 //! * [`etl`] — patch generators, transformers and pipelines (§4.1).
-//! * [`ops`] — dataflow query operators: select, project, aggregate, the
+//! * [`ops`] — dataflow query operators: select, aggregate, the
 //!   nested-loop θ-join, and what similarity plans are built from: the
 //!   on-the-fly Ball-Tree kernel, dedup clustering, and the brute-force
 //!   oracles (§5).
 //! * [`catalog`] — materialized patch collections and their secondary
-//!   indexes (hash, sorted, Ball-Tree, R-Tree, lineage) (§3.2).
+//!   indexes (hash and Ball-Tree) (§3.2).
 //! * [`scan`] — chunked-columnar patch layout with per-chunk statistics
 //!   tables and zone-map scan pushdown (§3.1).
 //! * [`shared`] — the sharded, copy-on-write [`shared::SharedCatalog`]:
 //!   the one catalog, whether one session attaches to it or many.
 //! * [`cache`] — the snapshot-keyed result cache in front of session
 //!   queries, invalidated for free by the catalog's version counters.
-//! * [`optimizer`] — the cost model (non-linear join costs, §7.4.1), device
-//!   placement (§7.4.2), and accuracy-aware plan ordering (§7.4.3).
+//! * [`optimizer`] — the cost model (non-linear join costs, §7.4.1) and
+//!   device placement (§7.4.2).
 //! * [`plan`] — the one way a similarity join or dedup executes: chosen,
 //!   priced and run as a [`plan::JoinPlan`].
 //! * [`session`] — a facade tying catalog, devices and ETL together.
@@ -91,7 +91,7 @@ pub mod prelude {
     pub use crate::etl::{Generator, Pipeline, PipelineBatch, Transformer};
     pub use crate::lineage::LineageStore;
     pub use crate::ops;
-    pub use crate::optimizer::{AccuracyProfile, CostModel, DevicePlanner};
+    pub use crate::optimizer::{CostModel, DevicePlanner};
     pub use crate::patch::{ImgRef, Patch, PatchData, PatchId};
     pub use crate::plan::JoinPlan;
     pub use crate::scan::{

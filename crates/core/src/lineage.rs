@@ -112,11 +112,6 @@ impl LineageStore {
         self.index_built = true;
     }
 
-    /// Whether the lineage index exists.
-    pub fn has_frame_index(&self) -> bool {
-        self.index_built
-    }
-
     /// Indexed lookup: all patch ids derived from frame `frame_no` of
     /// `source`. Requires [`LineageStore::build_frame_index`].
     pub fn patches_of_frame(&self, source: &str, frame_no: u64) -> &[PatchId] {

@@ -1,9 +1,12 @@
 //! Dataflow query operators (§5).
 //!
 //! Operators implement the paper's closed algebra: collections of patches
-//! in, collections of patches (or index pairs into them) out. Single-pass
-//! operators are iterator adapters and pushdown selections; the generic
-//! θ-join is [`nested_loop_join`].
+//! in, collections of patches (or index pairs into them) out. A selection
+//! over patches in hand is [`select`] (projection, limits and maps are plain
+//! `Iterator` adapters); a selection over a materialized collection is
+//! [`PatchCollection::scan`](crate::catalog::PatchCollection::scan) with a
+//! [`ScanFilter`](crate::scan::ScanFilter), which the columnar backing's
+//! zone maps prune. The generic θ-join is [`nested_loop_join`].
 //!
 //! A *similarity* join or dedup does not run from here: its physical variant
 //! — nested loop, on-the-fly Ball-Tree over the smaller relation, or the
@@ -25,11 +28,8 @@ use std::collections::HashMap;
 use deeplens_exec::{Matrix, WorkerPool};
 use deeplens_index::BallTree;
 
-use crate::catalog::PatchCollection;
 use crate::patch::Patch;
 use crate::plan;
-use crate::scan::{Projection, ScanFilter};
-use crate::value::Value;
 use crate::{DlError, Result};
 
 // --------------------------------------------------------------------------
@@ -42,89 +42,6 @@ pub fn select<'a, I: Iterator<Item = Patch> + 'a>(
     pred: impl Fn(&Patch) -> bool + 'a,
 ) -> impl Iterator<Item = Patch> + 'a {
     input.filter(move |p| pred(p))
-}
-
-/// Filter on `label == value` (the paper's canonical predicate).
-pub fn select_label<'a, I: Iterator<Item = Patch> + 'a>(
-    input: I,
-    label: &'a str,
-) -> impl Iterator<Item = Patch> + 'a {
-    select(input, move |p| p.get_str("label") == Some(label))
-}
-
-/// Map: transform each patch (lazy).
-pub fn map<'a, I: Iterator<Item = Patch> + 'a>(
-    input: I,
-    f: impl FnMut(Patch) -> Patch + 'a,
-) -> impl Iterator<Item = Patch> + 'a {
-    input.map(f)
-}
-
-/// Limit: at most `n` patches (lazy).
-pub fn limit<'a, I: Iterator<Item = Patch> + 'a>(
-    input: I,
-    n: usize,
-) -> impl Iterator<Item = Patch> + 'a {
-    input.take(n)
-}
-
-// --------------------------------------------------------------------------
-// Pushdown selections over materialized collections
-// --------------------------------------------------------------------------
-//
-// Unlike the lazy iterator adapters above, these run against a materialized
-// collection and push the predicate into its chunked-columnar backing when
-// one is current (zone maps skip non-overlapping chunks); collections
-// without a backing fall back to the row scan with identical results.
-
-/// Temporal selection: patches with `lo <= frame_no < hi`.
-pub fn select_frame_range(
-    col: &PatchCollection,
-    lo: u64,
-    hi: u64,
-    pool: &WorkerPool,
-) -> Vec<Patch> {
-    col.scan(&ScanFilter::FrameRange { lo, hi }, Projection::Full, pool)
-        .patches
-}
-
-/// Exact-match metadata selection: patches with `meta[key] == value`.
-pub fn select_meta_eq(
-    col: &PatchCollection,
-    key: &str,
-    value: &Value,
-    pool: &WorkerPool,
-) -> Vec<Patch> {
-    col.scan(
-        &ScanFilter::MetaEq {
-            key: key.to_string(),
-            value: value.clone(),
-        },
-        Projection::Full,
-        pool,
-    )
-    .patches
-}
-
-/// Numeric range selection: patches whose `meta[key]` coerces into
-/// `[lo, hi)` (see [`crate::patch::Patch::get_float`]).
-pub fn select_meta_range(
-    col: &PatchCollection,
-    key: &str,
-    lo: f64,
-    hi: f64,
-    pool: &WorkerPool,
-) -> Vec<Patch> {
-    col.scan(
-        &ScanFilter::MetaRange {
-            key: key.to_string(),
-            lo,
-            hi,
-        },
-        Projection::Full,
-        pool,
-    )
-    .patches
 }
 
 // --------------------------------------------------------------------------
@@ -140,17 +57,6 @@ pub fn count_group_by_int(patches: &[Patch], key: &str) -> HashMap<i64, usize> {
         }
     }
     out
-}
-
-/// Number of distinct values a metadata key takes.
-pub fn count_distinct_values(patches: &[Patch], key: &str) -> usize {
-    let mut seen: std::collections::HashSet<&Value> = std::collections::HashSet::new();
-    for p in patches {
-        if let Some(v) = p.get(key) {
-            seen.insert(v);
-        }
-    }
-    seen.len()
 }
 
 // --------------------------------------------------------------------------
@@ -431,18 +337,6 @@ impl UnionFind {
         self.parent[rb as usize] = ra;
         self.size[ra as usize] += self.size[rb as usize];
     }
-
-    /// Depth of `x`'s parent chain without compressing it (test probe).
-    #[cfg(test)]
-    fn depth(&self, x: u32) -> usize {
-        let mut d = 0;
-        let mut cur = x;
-        while self.parent[cur as usize] != cur {
-            cur = self.parent[cur as usize];
-            d += 1;
-        }
-        d
-    }
 }
 
 /// Group patches into similarity clusters from precomputed match pairs.
@@ -495,23 +389,14 @@ mod tests {
             labeled(2, "person", 0),
             labeled(3, "car", 1),
         ];
-        let cars: Vec<Patch> = select_label(patches.clone().into_iter(), "car").collect();
+        let cars: Vec<Patch> = select(patches.clone().into_iter(), |p| {
+            p.get_str("label") == Some("car")
+        })
+        .collect();
         assert_eq!(cars.len(), 2);
         let hi: Vec<Patch> =
             select(patches.into_iter(), |p| p.get_int("frameno") == Some(1)).collect();
         assert_eq!(hi.len(), 1);
-    }
-
-    #[test]
-    fn limit_and_map() {
-        let patches: Vec<Patch> = (0..10).map(|i| labeled(i, "car", i as i64)).collect();
-        let out: Vec<Patch> = limit(
-            map(patches.into_iter(), |p| p.clone().with_meta("seen", true)),
-            3,
-        )
-        .collect();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].get("seen"), Some(&Value::Bool(true)));
     }
 
     #[test]
@@ -525,8 +410,6 @@ mod tests {
         let per_frame = count_group_by_int(&patches, "frameno");
         assert_eq!(per_frame[&0], 2);
         assert_eq!(per_frame[&1], 1);
-        assert_eq!(count_distinct_values(&patches, "label"), 2);
-        assert_eq!(count_distinct_values(&patches, "missing"), 0);
     }
 
     /// The brute-force reference every plan and multi-join member is held
@@ -705,6 +588,17 @@ mod tests {
         assert_eq!(dedup_bruteforce(&patches, 1.0), clusters);
     }
 
+    /// Depth of `x`'s parent chain without compressing it.
+    fn depth(uf: &UnionFind, x: u32) -> usize {
+        let mut d = 0;
+        let mut cur = x;
+        while uf.parent[cur as usize] != cur {
+            cur = uf.parent[cur as usize];
+            d += 1;
+        }
+        d
+    }
+
     #[test]
     fn union_by_size_bounds_depth_on_adversarial_chains() {
         // Adversarial order for a rank-less union-find: repeatedly union a
@@ -717,7 +611,7 @@ mod tests {
         for i in (1..n).rev() {
             uf.union(i, i - 1);
         }
-        let max_depth = (0..n).map(|x| uf.depth(x)).max().unwrap();
+        let max_depth = (0..n).map(|x| depth(&uf, x)).max().unwrap();
         let bound = (n as f64).log2() as usize + 1;
         assert!(
             max_depth <= bound,

@@ -196,10 +196,6 @@ impl Patch {
     }
 }
 
-/// A tuple of patches — the unit operators iterate over. Single-relation
-/// operators use 1-tuples; joins produce 2-tuples.
-pub type Tuple = Vec<Patch>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -452,11 +452,6 @@ impl ColumnarPatches {
         self.chunk_rows
     }
 
-    /// Number of chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// The collection's metadata keys, sorted.
     pub fn meta_keys(&self) -> &[String] {
         &self.meta_keys
@@ -896,7 +891,7 @@ mod tests {
         // sorted, so a 2-frame window must touch at most a chunk or two.
         let patches = mixed_collection(1024);
         let columnar = ColumnarPatches::from_patches(&patches, 64);
-        assert_eq!(columnar.chunk_count(), 16);
+        assert_eq!(columnar.chunks.len(), 16);
         let pool = WorkerPool::new(1);
         let result = columnar.scan(
             &ScanFilter::FrameRange { lo: 40, hi: 42 },
@@ -1124,7 +1119,7 @@ mod tests {
     fn empty_collection_scans_cleanly() {
         let columnar = ColumnarPatches::from_patches(&[], 1024);
         assert!(columnar.is_empty());
-        assert_eq!(columnar.chunk_count(), 0);
+        assert_eq!(columnar.chunks.len(), 0);
         let result = columnar.scan(&ScanFilter::All, Projection::Full, &WorkerPool::new(1));
         assert!(result.patches.is_empty());
         assert_eq!(result.stats.rows_matched, 0);

@@ -179,7 +179,7 @@ impl SharedCatalog {
     /// off-latch pass ([`PatchCollection::carry_from`]): a columnar backing
     /// is rebuilt at the same granularity (or built eagerly when
     /// `CostModel::prefer_columnar_backing` predicts a win),
-    /// hash/sorted/spatial indexes are rebuilt over the new rows, and Ball
+    /// hash indexes are rebuilt over the new rows, and Ball
     /// indexes are **delta-maintained** — unchanged rows keep the prior
     /// tree; only a cost-model-priced merge triggers a full rebuild. The
     /// prior snapshot is peeked under the shard's *read* latch, which is
@@ -300,16 +300,6 @@ impl SharedCatalog {
     /// `collection` under `index_name`.
     pub fn build_hash_index(&self, collection: &str, index_name: &str, key: &str) -> Result<()> {
         self.update_collection(collection, |c| c.build_hash_index(index_name, key))
-    }
-
-    /// Build a sorted-run index on numeric metadata `key`.
-    pub fn build_sorted_index(&self, collection: &str, index_name: &str, key: &str) -> Result<()> {
-        self.update_collection(collection, |c| c.build_sorted_index(index_name, key))
-    }
-
-    /// Build an R-Tree over bounding-box metadata.
-    pub fn build_spatial_index(&self, collection: &str, index_name: &str) -> Result<()> {
-        self.update_collection(collection, |c| c.build_spatial_index(index_name))
     }
 
     /// Build the chunked-columnar scan backing of collection `collection`
@@ -534,12 +524,11 @@ mod tests {
         let cat = SharedCatalog::with_shards(2);
         cat.materialize("c", feat_patches(&cat, 20, 3));
         cat.build_hash_index("c", "by_tag", "tag").unwrap();
-        cat.build_sorted_index("c", "by_tag_num", "tag").unwrap();
         cat.build_ball_index("c", "by_feat", 2).unwrap();
         let snap = cat.snapshot("c").unwrap();
         let mut names = snap.index_names();
         names.sort_unstable();
-        assert_eq!(names, vec!["by_feat", "by_tag", "by_tag_num"]);
+        assert_eq!(names, vec!["by_feat", "by_tag"]);
         assert!(cat.build_hash_index("missing", "i", "k").is_err());
         assert!(!snap
             .lookup_similar("by_feat", &[0.0, 1.0], 0.5)

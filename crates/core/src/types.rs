@@ -1,12 +1,11 @@
 //! The pipeline type system (§4.2).
 //!
 //! DeepLens types every stage of an ETL pipeline: the kind of payload, the
-//! fixed input resolution neural networks demand, the feature dimension, and
-//! the *closed world of labels* a detector can emit. Downstream operators
-//! are validated against the upstream schema — a filter on a label no
-//! generator can produce is a type error caught before any frame is decoded.
-
-use std::collections::BTreeSet;
+//! fixed input resolution neural networks demand, and the feature dimension.
+//! [`crate::etl::Pipeline::validate`] checks each stage against its upstream
+//! schema ([`PatchSchema::validate_into`]), so a featurizer fed features or a
+//! network fed the wrong resolution is a type error caught before any frame
+//! is decoded.
 
 use crate::{DlError, Result};
 
@@ -30,22 +29,15 @@ pub struct PatchSchema {
     pub resolution: Option<(u32, u32)>,
     /// Feature dimension, when featurized.
     pub dim: Option<usize>,
-    /// Closed world of label strings the `label` metadata key can take;
-    /// `None` means the stage attaches no labels.
-    pub label_domain: Option<BTreeSet<String>>,
-    /// Metadata keys the stage guarantees to populate.
-    pub meta_keys: BTreeSet<String>,
 }
 
 impl PatchSchema {
-    /// Schema of raw pixel patches with no guaranteed metadata.
+    /// Schema of raw pixel patches at any resolution.
     pub fn pixels() -> Self {
         PatchSchema {
             data: DataKind::Pixels,
             resolution: None,
             dim: None,
-            label_domain: None,
-            meta_keys: BTreeSet::new(),
         }
     }
 
@@ -55,8 +47,6 @@ impl PatchSchema {
             data: DataKind::Features,
             resolution: None,
             dim: Some(dim),
-            label_domain: None,
-            meta_keys: BTreeSet::new(),
         }
     }
 
@@ -64,49 +54,6 @@ impl PatchSchema {
     pub fn with_resolution(mut self, w: u32, h: u32) -> Self {
         self.resolution = Some((w, h));
         self
-    }
-
-    /// Builder: declare the closed label world.
-    pub fn with_labels<I: IntoIterator<Item = S>, S: Into<String>>(mut self, labels: I) -> Self {
-        self.label_domain = Some(labels.into_iter().map(Into::into).collect());
-        self.meta_keys.insert("label".to_string());
-        self
-    }
-
-    /// Builder: declare guaranteed metadata keys.
-    pub fn with_keys<I: IntoIterator<Item = S>, S: Into<String>>(mut self, keys: I) -> Self {
-        for k in keys {
-            self.meta_keys.insert(k.into());
-        }
-        self
-    }
-
-    /// Validate a filter on `label == value` against this schema: the key
-    /// must be populated and the value must be producible.
-    pub fn validate_label_filter(&self, value: &str) -> Result<()> {
-        match &self.label_domain {
-            None => Err(DlError::TypeError(format!(
-                "filter on label '{value}' but upstream produces no labels"
-            ))),
-            Some(domain) if !domain.contains(value) => Err(DlError::TypeError(format!(
-                "label '{value}' is outside the upstream domain {:?}",
-                domain.iter().collect::<Vec<_>>()
-            ))),
-            Some(_) => Ok(()),
-        }
-    }
-
-    /// Validate a filter/aggregate on a metadata key.
-    pub fn validate_key(&self, key: &str) -> Result<()> {
-        if self.meta_keys.contains(key) {
-            Ok(())
-        } else {
-            Err(DlError::TypeError(format!(
-                "metadata key '{key}' is not guaranteed by the upstream stage \
-                 (available: {:?})",
-                self.meta_keys.iter().collect::<Vec<_>>()
-            )))
-        }
     }
 
     /// Validate that a stage expecting `input` can consume this schema
@@ -141,29 +88,6 @@ impl PatchSchema {
 mod tests {
     use super::*;
 
-    fn detector_schema() -> PatchSchema {
-        PatchSchema::pixels()
-            .with_labels(["car", "truck", "person"])
-            .with_keys(["frameno", "score"])
-    }
-
-    #[test]
-    fn label_filter_validation() {
-        let s = detector_schema();
-        assert!(s.validate_label_filter("car").is_ok());
-        let err = s.validate_label_filter("giraffe").unwrap_err();
-        assert!(err.to_string().contains("giraffe"));
-        // No labels at all.
-        assert!(PatchSchema::pixels().validate_label_filter("car").is_err());
-    }
-
-    #[test]
-    fn key_validation() {
-        let s = detector_schema();
-        assert!(s.validate_key("frameno").is_ok());
-        assert!(s.validate_key("depth").is_err());
-    }
-
     #[test]
     fn stage_compatibility() {
         let pixels = PatchSchema::pixels().with_resolution(64, 64);
@@ -177,13 +101,5 @@ mod tests {
         assert!(features.validate_into(&needs_pixels).is_err());
         assert!(features.validate_into(&PatchSchema::features(12)).is_ok());
         assert!(features.validate_into(&PatchSchema::features(24)).is_err());
-    }
-
-    #[test]
-    fn builders_accumulate() {
-        let s = PatchSchema::pixels().with_keys(["a"]).with_keys(["b"]);
-        assert!(s.meta_keys.contains("a") && s.meta_keys.contains("b"));
-        let l = PatchSchema::pixels().with_labels(["x"]);
-        assert!(l.meta_keys.contains("label"), "labels imply the label key");
     }
 }

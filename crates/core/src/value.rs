@@ -24,16 +24,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The value's type name (for error messages and validation).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Str(_) => "str",
-            Value::Bool(_) => "bool",
-        }
-    }
-
     /// As an integer, if it is one.
     pub fn as_int(&self) -> Option<i64> {
         match self {

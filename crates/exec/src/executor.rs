@@ -26,11 +26,6 @@ impl Executor {
         }
     }
 
-    /// Executor with an explicit GPU overhead profile.
-    pub fn with_gpu_profile(device: Device, gpu: GpuProfile) -> Self {
-        Executor { device, gpu }
-    }
-
     /// The device this executor runs on.
     pub fn device(&self) -> Device {
         self.device
@@ -161,6 +156,15 @@ impl Executor {
 impl Default for Executor {
     fn default() -> Self {
         Executor::new(Device::Avx)
+    }
+}
+
+#[cfg(test)]
+impl Executor {
+    /// Executor with an explicit GPU overhead profile, so offload-cost
+    /// tests do not depend on the default profile.
+    fn with_gpu_profile(device: Device, gpu: GpuProfile) -> Self {
+        Executor { device, gpu }
     }
 }
 

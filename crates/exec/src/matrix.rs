@@ -60,12 +60,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutably borrow row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// The flat buffer.
     pub fn data(&self) -> &[f32] {
         &self.data

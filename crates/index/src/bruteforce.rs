@@ -28,21 +28,6 @@ pub fn knn(points: &[Vec<f32>], query: &[f32], k: usize) -> Vec<(u32, f32)> {
     all
 }
 
-/// All pairs `(i, j)` with `i < j` whose distance is at most `tau`
-/// (the quadratic all-pairs matching the paper's nested-loop join performs).
-pub fn all_pairs_within(points: &[Vec<f32>], tau: f32) -> Vec<(u32, u32)> {
-    let tau_sq = tau * tau;
-    let mut out = Vec::new();
-    for i in 0..points.len() {
-        for j in i + 1..points.len() {
-            if sq_euclidean(&points[i], &points[j]) <= tau_sq {
-                out.push((i as u32, j as u32));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,16 +53,5 @@ mod tests {
         assert_eq!(r[0].0, 0);
         assert_eq!(r[0].1, 0.0);
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn all_pairs_basic() {
-        let r = all_pairs_within(&pts(), 1.1);
-        assert_eq!(r, vec![(0, 1), (0, 2)]);
-    }
-
-    #[test]
-    fn all_pairs_empty_for_tiny_tau() {
-        assert!(all_pairs_within(&pts(), 0.01).is_empty());
     }
 }

@@ -1,41 +1,29 @@
 //! # deeplens-index
 //!
-//! Multi- and single-dimensional index structures for DeepLens.
+//! The multidimensional index structures the DeepLens engine runs.
 //!
 //! The paper's §3.2 argues that every patch data type needs a specialized
-//! index, and its experiments (Figs. 4–7) hinge on the behaviour of these
-//! structures. This crate implements, from scratch:
+//! index; the engine's similarity joins and the catalog's feature indexes
+//! need exactly one family of them. This crate implements, from scratch and
+//! with no dependencies:
 //!
 //! * [`balltree::BallTree`] — Euclidean threshold and kNN queries in high
 //!   dimensions; the structure behind image-matching similarity joins
 //!   (and the subject of Fig. 7's non-linear cost study).
-//! * [`rtree::RTree`] — 2-D rectangles with insert, STR bulk load, and
-//!   intersection/containment queries (the libspatialindex substitute;
-//!   Fig. 6's expensive-to-build index).
-//! * [`kdtree::KdTree`] — low-dimensional point index (the paper's example
-//!   of a KD-tree over color histograms).
-//! * [`lsh::LshIndex`] — locality-sensitive hashing, the paper's suggested
-//!   approximate mitigation for costly exact multidimensional indexing.
-//! * [`sorted::SortedRunIndex`] — binary-searchable sorted runs over a
-//!   single `f64` attribute (the "sorted file" of §3.2).
 //! * [`delta::DeltaBallTree`] — a Ball-Tree plus tombstones and a flat
 //!   delta buffer, maintaining threshold queries incrementally under
 //!   writes (byte-identical to a fresh build, sorted by position).
+//! * [`dist`] — the Euclidean distance kernels both share.
 //! * [`bruteforce`] — linear-scan reference implementations used as the
 //!   unindexed baseline and as ground truth in tests.
+//!
+//! The other structures the paper's figures measure (KD-Tree, LSH, R-Tree,
+//! sorted runs) are reproduction-only and live in `deeplens_bench::repro`.
 
 pub mod balltree;
 pub mod bruteforce;
 pub mod delta;
 pub mod dist;
-pub mod kdtree;
-pub mod lsh;
-pub mod rtree;
-pub mod sorted;
 
 pub use balltree::BallTree;
 pub use delta::DeltaBallTree;
-pub use kdtree::KdTree;
-pub use lsh::LshIndex;
-pub use rtree::{RTree, Rect};
-pub use sorted::SortedRunIndex;

@@ -59,13 +59,6 @@ pub mod keys {
         ((v as u64) ^ (1u64 << 63)).to_be_bytes()
     }
 
-    /// Decode a key produced by [`encode_i64`].
-    pub fn decode_i64(b: &[u8]) -> i64 {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(&b[..8]);
-        (u64::from_be_bytes(buf) ^ (1u64 << 63)) as i64
-    }
-
     /// Encode an `f64` order-preservingly (IEEE 754 total-order trick).
     /// NaNs sort above all numbers.
     pub fn encode_f64(v: f64) -> [u8; 8] {
@@ -76,19 +69,6 @@ pub mod keys {
             bits | (1u64 << 63)
         };
         flipped.to_be_bytes()
-    }
-
-    /// Decode a key produced by [`encode_f64`].
-    pub fn decode_f64(b: &[u8]) -> f64 {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(&b[..8]);
-        let flipped = u64::from_be_bytes(buf);
-        let bits = if flipped >> 63 == 1 {
-            flipped & !(1u64 << 63)
-        } else {
-            !flipped
-        };
-        f64::from_bits(bits)
     }
 }
 
@@ -627,15 +607,6 @@ impl BTree {
         self.scan(Bound::Unbounded, Bound::Unbounded)
     }
 
-    /// Collect all entries of a (potentially large) range into memory.
-    pub fn range_vec(
-        &self,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.scan(start, end)?.collect()
-    }
-
     /// Tree height (number of levels), for diagnostics and cost models.
     pub fn height(&self) -> Result<u32> {
         let mut h = 1;
@@ -724,6 +695,27 @@ impl Iterator for Scan<'_> {
 mod tests {
     use super::*;
     use std::path::PathBuf;
+
+    /// Invert `keys::encode_i64`: the round trip proves the encoding is
+    /// lossless as well as order-preserving.
+    fn decode_i64(b: &[u8]) -> i64 {
+        let mut buf = [0u8; 8];
+        buf.copy_from_slice(&b[..8]);
+        (u64::from_be_bytes(buf) ^ (1u64 << 63)) as i64
+    }
+
+    /// Invert `keys::encode_f64`.
+    fn decode_f64(b: &[u8]) -> f64 {
+        let mut buf = [0u8; 8];
+        buf.copy_from_slice(&b[..8]);
+        let flipped = u64::from_be_bytes(buf);
+        let bits = if flipped >> 63 == 1 {
+            flipped & !(1u64 << 63)
+        } else {
+            !flipped
+        };
+        f64::from_bits(bits)
+    }
 
     fn tmpfile(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("deeplens-btree-tests");
@@ -892,12 +884,12 @@ mod tests {
         let is = [i64::MIN, -5, -1, 0, 1, 5, i64::MAX];
         for w in is.windows(2) {
             assert!(keys::encode_i64(w[0]) < keys::encode_i64(w[1]));
-            assert_eq!(keys::decode_i64(&keys::encode_i64(w[0])), w[0]);
+            assert_eq!(decode_i64(&keys::encode_i64(w[0])), w[0]);
         }
         let fs = [-1e30f64, -1.0, -1e-10, 0.0, 1e-10, 1.0, 1e30];
         for w in fs.windows(2) {
             assert!(keys::encode_f64(w[0]) < keys::encode_f64(w[1]));
-            assert_eq!(keys::decode_f64(&keys::encode_f64(w[0])), w[0]);
+            assert_eq!(decode_f64(&keys::encode_f64(w[0])), w[0]);
         }
     }
 }

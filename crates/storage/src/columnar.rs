@@ -152,14 +152,6 @@ pub struct ChunkStats<T> {
     pub sorted: bool,
 }
 
-impl<T> ChunkStats<T> {
-    /// Whether every row of the chunk is null (nothing can match any
-    /// value predicate).
-    pub fn all_null(&self) -> bool {
-        self.null_count == self.count
-    }
-}
-
 fn stats_from<T: Copy + PartialOrd>(rows: &[Option<T>]) -> ChunkStats<T> {
     let mut min: Option<T> = None;
     let mut max: Option<T> = None;
@@ -351,15 +343,6 @@ impl IntChunk {
     /// Whether the chunk has no rows.
     pub fn is_empty(&self) -> bool {
         self.stats.count == 0
-    }
-
-    /// Label of the physical encoding in use (for introspection and tests).
-    pub fn encoding_label(&self) -> &'static str {
-        match &self.encoding {
-            IntEncoding::Plain(_) => "plain",
-            IntEncoding::Delta { .. } => "delta",
-            IntEncoding::For { .. } => "for",
-        }
     }
 
     /// Approximate encoded payload size in bytes (excluding stats).
@@ -755,12 +738,6 @@ impl FeatureChunk {
         self.null_count
     }
 
-    /// Whether the chunk detected quantized features and stored them
-    /// frame-of-reference + bit-packed.
-    pub fn is_quantized(&self) -> bool {
-        matches!(self.values, FeatureValues::Quantized { .. })
-    }
-
     /// Approximate encoded payload size in bytes.
     pub fn encoded_bytes(&self) -> usize {
         let values = match &self.values {
@@ -893,6 +870,38 @@ impl PackedFeatures {
             offsets,
             valid,
         }
+    }
+}
+
+// Probes the unit tests read to assert which encoding a chunk chose.
+
+#[cfg(test)]
+impl<T> ChunkStats<T> {
+    /// Whether every row of the chunk is null (nothing can match any
+    /// value predicate).
+    fn all_null(&self) -> bool {
+        self.null_count == self.count
+    }
+}
+
+#[cfg(test)]
+impl IntChunk {
+    /// Label of the physical encoding in use.
+    fn encoding_label(&self) -> &'static str {
+        match &self.encoding {
+            IntEncoding::Plain(_) => "plain",
+            IntEncoding::Delta { .. } => "delta",
+            IntEncoding::For { .. } => "for",
+        }
+    }
+}
+
+#[cfg(test)]
+impl FeatureChunk {
+    /// Whether the chunk detected quantized features and stored them
+    /// frame-of-reference + bit-packed.
+    fn is_quantized(&self) -> bool {
+        matches!(self.values, FeatureValues::Quantized { .. })
     }
 }
 

@@ -96,12 +96,6 @@ impl Page {
         &self.data[..PAGE_PAYLOAD]
     }
 
-    /// Mutable payload slice.
-    #[inline]
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.data[..PAGE_PAYLOAD]
-    }
-
     // ---- typed little-endian accessors into the payload ----
 
     /// Read a `u32` at byte offset `off`.

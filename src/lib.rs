@@ -14,11 +14,14 @@
 //! * [`core`] ([`deeplens_core`]) — patch model, type system, lineage, ETL,
 //!   query operators, catalog, optimizer.
 //! * [`storage`] ([`deeplens_storage`]) — pages, buffer pool, WAL, on-disk
-//!   B+Tree, hash store, and the Frame/Encoded/Segmented video layouts.
+//!   B+Tree, chunked columnar patch columns, and the Frame/Encoded/Segmented
+//!   video layouts.
 //! * [`codec`] ([`deeplens_codec`]) — block-DCT image codec and
 //!   GOP-structured video codec with sequential decode semantics.
-//! * [`index`] ([`deeplens_index`]) — Ball-Tree, R-Tree, KD-Tree, LSH,
-//!   sorted runs.
+//! * [`index`] ([`deeplens_index`]) — Ball-Tree and delta-maintained
+//!   Ball-Tree, distance kernels, brute-force ground truth. (The KD-Tree,
+//!   LSH, R-Tree and sorted runs Fig. 6 measures live in the
+//!   `deeplens-bench` reproduction crate, outside this facade.)
 //! * [`exec`] ([`deeplens_exec`]) — CPU / vectorized / simulated-GPU
 //!   execution backends.
 //! * [`serve`] ([`deeplens_serve`]) — TCP query-serving front end:

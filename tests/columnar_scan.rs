@@ -5,7 +5,6 @@
 
 use proptest::prelude::*;
 
-use deeplens::core::ops;
 use deeplens::core::scan::row_scan;
 use deeplens::prelude::{
     ColumnarPatches, Device, ImgRef, Patch, PatchCollection, PatchId, Projection, ScanFilter,
@@ -205,8 +204,9 @@ fn ops_pushdown_selections_match_iterator_filters() {
     let mut col = PatchCollection::from_patches(patches.clone());
     col.build_columnar(64);
     let pool = WorkerPool::new(2);
+    let select = |filter: ScanFilter| col.scan(&filter, Projection::Full, &pool).patches;
 
-    let by_range = ops::select_frame_range(&col, 10, 40, &pool);
+    let by_range = select(ScanFilter::FrameRange { lo: 10, hi: 40 });
     let expect: Vec<Patch> = patches
         .iter()
         .filter(|p| (10..40).contains(&p.img_ref.frame_no))
@@ -214,7 +214,10 @@ fn ops_pushdown_selections_match_iterator_filters() {
         .collect();
     assert_eq!(by_range, expect);
 
-    let by_label = ops::select_meta_eq(&col, "label", &Value::Str("bike".into()), &pool);
+    let by_label = select(ScanFilter::MetaEq {
+        key: "label".into(),
+        value: Value::Str("bike".into()),
+    });
     let expect: Vec<Patch> = patches
         .iter()
         .filter(|p| p.get_str("label") == Some("bike"))
@@ -222,7 +225,11 @@ fn ops_pushdown_selections_match_iterator_filters() {
         .collect();
     assert_eq!(by_label, expect);
 
-    let by_score = ops::select_meta_range(&col, "score", 0.1, 0.3, &pool);
+    let by_score = select(ScanFilter::MetaRange {
+        key: "score".into(),
+        lo: 0.1,
+        hi: 0.3,
+    });
     let expect: Vec<Patch> = patches
         .iter()
         .filter(|p| {

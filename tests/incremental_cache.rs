@@ -194,9 +194,6 @@ fn carry_forward_preserves_indexes_and_columnar_backing() {
     catalog
         .build_hash_index("col", "by_label", "label")
         .unwrap();
-    catalog
-        .build_sorted_index("col", "by_frame", "frameno")
-        .unwrap();
     catalog.build_columnar_chunked("col", 64).unwrap();
     catalog.build_ball_index("col", "feat", 1).unwrap();
 
@@ -211,7 +208,7 @@ fn carry_forward_preserves_indexes_and_columnar_backing() {
     let snap = catalog.snapshot("col").unwrap();
     let mut names = snap.index_names();
     names.sort_unstable();
-    assert_eq!(names, ["by_frame", "by_label", "feat"]);
+    assert_eq!(names, ["by_label", "feat"]);
     assert!(
         snap.columnar().is_some(),
         "columnar backing must be rebuilt in the carry pass"
@@ -231,7 +228,6 @@ fn carry_forward_preserves_indexes_and_columnar_backing() {
     let fresh = {
         let mut c = PatchCollection::from_patches(rows);
         c.build_hash_index("by_label", "label");
-        c.build_sorted_index("by_frame", "frameno");
         c.build_ball_index("feat").unwrap();
         c
     };
@@ -239,10 +235,6 @@ fn carry_forward_preserves_indexes_and_columnar_backing() {
     assert_eq!(
         snap.lookup_eq("by_label", &car).unwrap(),
         fresh.lookup_eq("by_label", &car).unwrap()
-    );
-    assert_eq!(
-        snap.lookup_range("by_frame", 10.0, 30.0).unwrap(),
-        fresh.lookup_range("by_frame", 10.0, 30.0).unwrap()
     );
     assert_eq!(
         snap.lookup_similar("feat", &[5.0; 5], 4.0).unwrap(),

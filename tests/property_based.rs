@@ -1,6 +1,9 @@
 //! Property-based tests over the core invariants of the DeepLens stack:
 //! codec round-trips, index/bruteforce agreement, B+Tree vs BTreeMap model,
-//! and key-encoding order preservation.
+//! and key-encoding order preservation. The KD-Tree, R-Tree and LSH cases
+//! hold the figure harnesses' reproduction-only structures
+//! (`deeplens_bench::repro`) to the same brute-force oracle as the
+//! engine's Ball-Tree.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -9,10 +12,12 @@ use proptest::prelude::*;
 
 use deeplens::codec::{decode_image, encode_image, psnr, Image, Quality};
 use deeplens::exec::{kernels, Matrix};
-use deeplens::index::lsh::{LshIndex, LshParams};
-use deeplens::index::{bruteforce, BallTree, KdTree, RTree, Rect};
+use deeplens::index::{bruteforce, BallTree};
 use deeplens::prelude::{ImgRef, Patch, PatchId, SharedCatalog};
 use deeplens::storage::btree::{keys, BTree};
+use deeplens_bench::repro::kdtree::KdTree;
+use deeplens_bench::repro::lsh::{LshIndex, LshParams};
+use deeplens_bench::repro::rtree::{RTree, Rect};
 
 fn unique_tmp(tag: &str) -> std::path::PathBuf {
     static CTR: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
