@@ -8,9 +8,10 @@
 //!    the explicit [`RAW_LOCK_WHITELIST`]; all engine locking goes through
 //!    the ranked wrappers so the lockdep checker sees it.
 //! 2. **serve-panic** — no `.unwrap()` / `.expect(` / `panic!` /
-//!    `unreachable!` in non-test `crates/serve` request-handling code; a
-//!    malformed request must produce an `Error` wire reply, never a dead
-//!    connection thread.
+//!    `unreachable!` in non-test `crates/serve` request-handling code, nor in
+//!    the core files every served query plans and runs through
+//!    ([`SERVED_CORE_FILES`]); a malformed request must produce an `Error`
+//!    wire reply, never a dead connection thread.
 //! 3. **no-debug-macro** — no `todo!` / `unimplemented!` / `dbg!` anywhere
 //!    (test code included).
 //! 4. **allow-justification** — every `#[allow(...)]` in non-test code
@@ -45,6 +46,14 @@ use std::path::{Path, PathBuf};
 /// Files (workspace-relative, `/`-separated) exempt from the **raw-lock**
 /// rule: the ranked wrappers themselves.
 pub const RAW_LOCK_WHITELIST: &[&str] = &["crates/analyze/src/sync.rs"];
+
+/// Core files (workspace-relative) on every served query's plan and run
+/// path, held to the **serve-panic** rule like `crates/serve` itself.
+pub const SERVED_CORE_FILES: &[&str] = &[
+    "crates/core/src/plan.rs",
+    "crates/core/src/batch.rs",
+    "crates/core/src/ops.rs",
+];
 
 /// One rule violation at a specific source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -221,7 +230,8 @@ fn check_raw_locks(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<Violation>)
 
 /// Rule 2: panicking calls in non-test serve request paths.
 fn check_serve_panics(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<Violation>) {
-    if !rel_path.starts_with("crates/serve/src/") || rel_path.contains("/bin/") {
+    let serve = rel_path.starts_with("crates/serve/src/") && !rel_path.contains("/bin/");
+    if !serve && !SERVED_CORE_FILES.contains(&rel_path) {
         return;
     }
     for line in lines {
@@ -241,7 +251,7 @@ fn check_serve_panics(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<Violatio
                     line: line.number,
                     rule: "serve-panic",
                     msg: format!(
-                        "`{what}` in serve request-handling code; reply with \
+                        "`{what}` on a served request path; reply with \
                          Response::Error or propagate a Result instead: `{}`",
                         line.raw.trim()
                     ),
@@ -602,6 +612,19 @@ mod tests {
         assert!(rules_hit("crates/core/src/session.rs", &src).is_empty());
         let test_src = format!("{CFG_TEST}\nfn f() {{ x{UNWRAP_CALL}; }}\n");
         assert!(rules_hit("crates/serve/src/server.rs", &test_src).is_empty());
+    }
+
+    #[test]
+    fn serve_panic_covers_the_served_core_plan_and_run_path() {
+        let src = format!("fn f() {{ x{EXPECT_CALL}\"every member\"); }}\n");
+        for rel in SERVED_CORE_FILES {
+            assert_eq!(rules_hit(rel, &src), ["serve-panic"], "{rel}");
+        }
+        assert_eq!(rules_hit("crates/core/src/batch.rs", &src), ["serve-panic"]);
+        // The rest of core (ingest, catalog) is not a served request path.
+        assert!(rules_hit("crates/core/src/etl.rs", &src).is_empty());
+        let test_src = format!("{CFG_TEST}\n{src}");
+        assert!(rules_hit("crates/core/src/batch.rs", &test_src).is_empty());
     }
 
     #[test]

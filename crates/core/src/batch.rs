@@ -11,9 +11,12 @@
 //! (`Session::join_collections`, `Session::dedup_collection`) is a batch of
 //! one. Compatible members share physical work:
 //!
-//! * **tree joins and dedups** that index the same snapshot share one
-//!   on-the-fly Ball-Tree build and one morsel-sharded probe pass per
-//!   distinct probe relation — the pass probes at the group's outer radius
+//! * **tree joins and dedups** that index the same snapshot the same way
+//!   share one tree and one morsel-sharded probe pass per distinct probe
+//!   relation: either one on-the-fly Ball-Tree build
+//!   ([`JoinPlan::BallTree`]), or no build at all — the persisted,
+//!   delta-maintained Ball index the snapshot carries
+//!   ([`JoinPlan::Indexed`]). The pass probes at the group's outer radius
 //!   and demultiplexes candidates against each member's own threshold and
 //!   predicate (the tree arm of [`JoinPlan::run`]);
 //! * **all-pairs offloads** over the same snapshot pair share one kernel
@@ -45,9 +48,9 @@ use crate::catalog::PatchCollection;
 use crate::ops::{self, BatchJoinMember, PairPredicate};
 use crate::optimizer::{CostModel, DevicePlanner};
 use crate::patch::Patch;
-use crate::plan::{self, JoinPlan};
+use crate::plan::{self, JoinPlan, JoinSide};
 use crate::session::Session;
-use crate::Result;
+use crate::{DlError, Result};
 
 /// A θ-predicate attached to a batched similarity join, called as
 /// `pred(left_patch, right_patch)` in the query's own orientation.
@@ -227,11 +230,13 @@ impl JoinMember {
     }
 }
 
-/// One Ball-Tree over snapshot `indexed`, shared by every member that
-/// indexes it; each `(member, probe relation, probe_is_left)` probes with its
-/// own relation. Collections are positions in [`PlannedBatch::snaps`].
+/// One Ball-Tree over snapshot `indexed` — built on the fly, or its
+/// persisted index when `persisted` — shared by every member that probes
+/// it; each `(member, probe relation, probe_is_left)` probes with its own
+/// relation. Collections are positions in [`PlannedBatch::snaps`].
 struct TreeGroup {
     indexed: usize,
+    persisted: bool,
     members: Vec<(JoinMember, usize, bool)>,
 }
 
@@ -397,12 +402,11 @@ impl<'s> QueryBatch<'s> {
             results.push(None);
             let (plan, left, right, tau, predicate, cluster_n) = match q {
                 BatchQuery::SimilarityJoin { tau, predicate, .. } => {
-                    let (l, r) = (&of_query[0].patches, &of_query[1].patches);
-                    let plan = JoinPlan::choose(l, r, device)?;
+                    let plan = JoinPlan::choose(of_query[0], of_query[1], device)?;
                     (plan, slots[0], slots[1], tau, predicate, None)
                 }
                 BatchQuery::Dedup { tau, .. } => {
-                    let plan = JoinPlan::choose_dedup(&of_query[0].patches)?;
+                    let plan = JoinPlan::choose_dedup(of_query[0])?;
                     (plan, slots[0], slots[0], tau, None, Some(of_query[0].len()))
                 }
                 BatchQuery::IndexProbe {
@@ -431,8 +435,10 @@ impl<'s> QueryBatch<'s> {
                 predicate,
                 cluster_n,
             };
-            if let JoinPlan::BallTree { index_left } = plan {
-                // Members group on the snapshot the tree is built over.
+            if let JoinPlan::BallTree { index_left } | JoinPlan::Indexed { index_left } = plan {
+                // Members group on the tree they probe: the snapshot it
+                // covers, and whether it is built or persisted.
+                let persisted = matches!(plan, JoinPlan::Indexed { .. });
                 let (indexed, probed) = if index_left {
                     (left, right)
                 } else {
@@ -441,11 +447,12 @@ impl<'s> QueryBatch<'s> {
                 let member = (member, probed, !index_left);
                 match trees
                     .iter_mut()
-                    .find(|g: &&mut TreeGroup| g.indexed == indexed)
+                    .find(|g: &&mut TreeGroup| (g.indexed, g.persisted) == (indexed, persisted))
                 {
                     Some(g) => g.members.push(member),
                     None => trees.push(TreeGroup {
                         indexed,
+                        persisted,
                         members: vec![member],
                     }),
                 }
@@ -497,9 +504,11 @@ impl<'s> QueryBatch<'s> {
 
 impl PlannedBatch<'_> {
     /// Estimated wall-clock (µs) of [`PlannedBatch::run`]: the cost model's
-    /// units for exactly the planned passes — one build plus a
+    /// units for exactly the planned passes — a
     /// [`CostModel::batched_index_join_cost`] per probe relation of a shared
-    /// tree, [`CostModel::nested_loop_cost`] per all-pairs dispatch or nested
+    /// tree (one build for an on-the-fly tree; none for a persisted index,
+    /// whose delta scan each probe pays instead),
+    /// [`CostModel::nested_loop_cost`] per all-pairs dispatch or nested
     /// member, [`CostModel::probe_cost`] per index probe, nothing for
     /// cache-resident members — bridged to time by `planner` on the device
     /// each pass runs on ([`JoinPlan::device`]). The floor is 1 µs.
@@ -512,7 +521,11 @@ impl PlannedBatch<'_> {
         };
         let mut total = 0.0;
         for group in &self.trees {
-            let indexed = &self.snaps[group.indexed].patches;
+            let snap = &self.snaps[group.indexed];
+            let indexed = &snap.patches;
+            let delta = group
+                .persisted
+                .then(|| snap.live_ball_index().map_or(0, |index| index.delta_rows()));
             // (probe relation, its member count), first-use order.
             let mut passes: Vec<(usize, usize)> = Vec::new();
             for (_, probed, _) in &group.members {
@@ -525,9 +538,9 @@ impl PlannedBatch<'_> {
             for (i, (probed, k)) in passes.into_iter().enumerate() {
                 let probed = &self.snaps[probed].patches;
                 let dim = plan::join_dim(indexed, probed);
-                units += model.batched_index_join_cost(indexed.len(), probed.len(), dim, k);
-                if i > 0 {
-                    // The tree is built once for the whole group.
+                units += model.batched_index_join_cost(indexed.len(), probed.len(), dim, k, delta);
+                if i > 0 && delta.is_none() {
+                    // An on-the-fly tree is built once for the whole group.
                     units -= model.build_cost(indexed.len(), dim);
                 }
             }
@@ -572,8 +585,10 @@ impl PlannedBatch<'_> {
                     predicate: m.predicate(),
                 })
                 .collect();
-            let indexed = &snaps[group.indexed].patches;
-            let outs = ops::similarity_join_balltree_multi(indexed, &passes, &pool)?;
+            let indexed = &*snaps[group.indexed];
+            let tree = JoinSide::from(indexed).tree(group.persisted, &pool)?;
+            let outs =
+                ops::similarity_join_balltree_multi(&tree, &indexed.patches, &passes, &pool)?;
             for ((m, _, _), pairs) in group.members.iter().zip(outs) {
                 results[m.query] = Some(m.result(pairs));
             }
@@ -612,10 +627,12 @@ impl PlannedBatch<'_> {
             }
         }
 
+        // Every member is cache-resident or in a group, so none is missing.
         let results: Vec<BatchResult> = results
             .into_iter()
-            .map(|r| r.expect("every member is cache-resident or in a group"))
-            .collect();
+            .enumerate()
+            .map(|(i, r)| r.ok_or_else(|| DlError::NotFound(format!("result of batch member {i}"))))
+            .collect::<Result<_>>()?;
         let cache = self.session.catalog.result_cache();
         for (key, result) in self.keys.into_iter().zip(&results) {
             if let Some(key) = key {
@@ -631,7 +648,6 @@ mod tests {
     use super::*;
     use crate::patch::{ImgRef, PatchId};
     use crate::shared::SharedCatalog;
-    use crate::DlError;
 
     fn feat_patches(n: u64, dim: usize, seed: u64) -> Vec<Patch> {
         let mut s = seed;
@@ -820,20 +836,68 @@ mod tests {
         let s = seeded_session(Device::Avx);
         let model = CostModel::default();
         let planner = DevicePlanner::default();
-        let price = |k: usize| {
+        let price = |right: &str, k: usize| {
             let mut b = s.batch();
             for i in 0..k {
-                b.similarity_join("small", "large", 1.0 + i as f32);
+                b.similarity_join("small", right, 1.0 + i as f32);
             }
             b.plan().unwrap().estimate_us(&planner)
         };
-        // 60 × 220 × 6 on one vectorized core: the units are the µs bridge.
-        let bridge = |k| model.batched_index_join_cost(60, 220, 6, k) / planner.units_per_us;
-        assert_eq!(price(1), bridge(1));
-        assert_eq!(price(4), bridge(4));
+        // 60 × 220 × 6 on one vectorized core, the units being the µs
+        // bridge: `large` carries `by_feat`, so the pass probes it — no build,
+        // and no delta to scan.
+        let persisted =
+            |k| model.batched_index_join_cost(220, 60, 6, k, Some(0)) / planner.units_per_us;
+        assert_eq!(price("large", 1), persisted(1));
+        assert_eq!(price("large", 4), persisted(4));
         assert!(
-            price(4) < 2.0 * price(1),
+            price("large", 4) < 2.0 * price("large", 1),
+            "members share the pass"
+        );
+        // A write leaves the index delta-maintained (one changed row: a
+        // tombstone plus a delta row; two appended delta rows), and every
+        // probe pays that delta scan.
+        let mut rows = s.catalog.snapshot("large").unwrap().patches.clone();
+        rows[7] = feat_patches(1, 6, 99).remove(0);
+        rows.extend(feat_patches(2, 6, 98));
+        s.catalog.materialize("large", rows);
+        let snap = s.catalog.snapshot("large").unwrap();
+        assert_eq!(snap.live_ball_index().unwrap().delta_rows(), 4);
+        assert_eq!(
+            price("large", 2),
+            model.batched_index_join_cost(222, 60, 6, 2, Some(4)) / planner.units_per_us
+        );
+        // `other` has no index: one build over the smaller side, shared.
+        let built = |k| model.batched_index_join_cost(60, 90, 6, k, None) / planner.units_per_us;
+        assert_eq!(price("other", 1), built(1));
+        assert_eq!(price("other", 4), built(4));
+        assert!(
+            price("other", 4) < 2.0 * price("other", 1),
             "members share the build and pass"
         );
+    }
+
+    #[test]
+    fn joins_and_dedups_of_an_indexed_snapshot_share_its_index() {
+        let s = seeded_session(Device::Avx);
+        let model = CostModel::default();
+        let planner = DevicePlanner::default();
+        let batch = || {
+            let mut b = s.batch();
+            b.similarity_join("small", "large", 2.0);
+            b.similarity_join("large", "small", 3.0);
+            b.dedup("large", 1.5);
+            b
+        };
+        let planned = batch().plan().unwrap();
+        assert_eq!(planned.trees.len(), 1, "one group over `large`'s index");
+        assert!(planned.trees[0].persisted);
+        assert!(planned.pairs.is_empty());
+        // Two probe passes over the index (by `small`, by `large` itself),
+        // no build.
+        let units = model.batched_index_join_cost(220, 60, 6, 2, Some(0))
+            + model.batched_index_join_cost(220, 220, 6, 1, Some(0));
+        assert_eq!(planned.estimate_us(&planner), units / planner.units_per_us);
+        assert_eq!(planned.run().unwrap(), batch().run_serial().unwrap());
     }
 }

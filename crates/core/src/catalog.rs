@@ -20,6 +20,7 @@ use deeplens_index::{BallTree, DeltaBallTree};
 
 use crate::optimizer::CostModel;
 use crate::patch::{Patch, PatchId};
+use crate::plan::row_id;
 use crate::scan::{row_scan, ColumnarPatches, Projection, ScanFilter, ScanResult};
 use crate::value::Value;
 use crate::{DlError, Result};
@@ -216,6 +217,7 @@ impl PatchCollection {
     /// structurally identical to the serial build.
     pub fn build_ball_index_parallel(&mut self, index_name: &str, threads: usize) -> Result<()> {
         crate::plan::feature_shape(&self.patches, None)?;
+        row_id(self.patches.len().saturating_sub(1))?;
         let vectors: Vec<Vec<f32>> =
             self.patches
                 .iter()
@@ -332,7 +334,8 @@ impl PatchCollection {
     /// collection's rows: bitwise-unchanged rows stay on the base tree,
     /// changed/appended rows become tombstones + delta entries, truncation
     /// tombstones the tail. `None` when maintenance is impossible (a row
-    /// lost its features or changed dimensionality).
+    /// lost its features or changed dimensionality, or a position does not
+    /// fit a `u32` row id).
     fn maintained_ball(
         &self,
         prior_index: &DeltaBallTree,
@@ -347,16 +350,34 @@ impl PatchCollection {
             if features == old.data.features() {
                 continue;
             }
-            if !index.upsert(pos as u32, features?.to_vec()) {
+            if !index.upsert(row_id(pos).ok()?, features?.to_vec()) {
                 return None;
             }
         }
         for (pos, p) in self.patches.iter().enumerate().skip(prior_rows.len()) {
-            if !index.upsert(pos as u32, p.data.features()?.to_vec()) {
+            if !index.upsert(row_id(pos).ok()?, p.data.features()?.to_vec()) {
                 return None;
             }
         }
         Some(index)
+    }
+
+    /// The Ball index a join over this collection probes instead of
+    /// building a tree ([`crate::plan::JoinPlan::Indexed`]): a Ball index
+    /// that covers exactly the collection's rows (its `len()` equals the row
+    /// count). Among several, the one with the fewest `delta_rows()`, ties
+    /// broken by name; `None` when no Ball index is live.
+    pub(crate) fn live_ball_index(&self) -> Option<&DeltaBallTree> {
+        self.indexes
+            .iter()
+            .filter_map(|(name, index)| match index {
+                SecondaryIndex::Ball { index } if index.len() == self.len() => {
+                    Some((index.delta_rows(), name, index))
+                }
+                _ => None,
+            })
+            .min_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)))
+            .map(|(_, _, index)| index)
     }
 
     /// The chunked-columnar backing, if built.
@@ -618,6 +639,36 @@ mod tests {
                 col.lookup_similar("parallel", &q, 1.5).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn live_ball_index_is_current_with_the_fewest_delta_rows() {
+        let prior = {
+            let mut col = make_collection();
+            col.build_ball_index("b_delta").unwrap();
+            col.build_hash_index("a_hash", "label");
+            col
+        };
+        let mut col = make_collection();
+        col.patches[3] = Patch::features(PatchId(3), ImgRef::frame("cam", 0), vec![7.5, 1.0]);
+        col.carry_from(&prior, &CostModel::default(), 1);
+        let is = |col: &PatchCollection, name: &str| {
+            let want = col.ball_index(name, &[0.0, 0.0]).unwrap();
+            std::ptr::eq(col.live_ball_index().unwrap(), want)
+        };
+        assert!(col.ball_index("b_delta", &[0.0, 0.0]).unwrap().delta_rows() > 0);
+        assert!(is(&col, "b_delta"), "the only Ball index, delta and all");
+        col.build_ball_index("z_fresh").unwrap();
+        assert!(is(&col, "z_fresh"), "fewer delta rows beat the name order");
+        col.build_ball_index("c_fresh").unwrap();
+        assert!(is(&col, "c_fresh"), "ties break by name");
+        // An index that does not cover the rows is not live.
+        col.patches.push(Patch::features(
+            PatchId(50),
+            ImgRef::frame("cam", 10),
+            vec![0.0, 1.0],
+        ));
+        assert!(col.live_ball_index().is_none());
     }
 
     #[test]

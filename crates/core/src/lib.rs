@@ -21,8 +21,9 @@
 //! * [`etl`] — patch generators, transformers and pipelines (§4.1).
 //! * [`ops`] — dataflow query operators: select, aggregate, the
 //!   nested-loop θ-join, and what similarity plans are built from: the
-//!   on-the-fly Ball-Tree kernel, dedup clustering, and the brute-force
-//!   oracles (§5).
+//!   Ball-Tree kernel (an on-the-fly build, and one probe pass over it or
+//!   over a collection's persisted index), dedup clustering, and the
+//!   brute-force oracles (§5).
 //! * [`catalog`] — materialized patch collections and their secondary
 //!   indexes (hash and Ball-Tree) (§3.2).
 //! * [`scan`] — chunked-columnar patch layout with per-chunk statistics
@@ -33,7 +34,8 @@
 //!   queries, invalidated for free by the catalog's version counters.
 //! * [`optimizer`] — the cost model (non-linear join costs, §7.4.1) and
 //!   device placement (§7.4.2).
-//! * [`plan`] — the one way a similarity join or dedup executes: chosen,
+//! * [`plan`] — the one way a similarity join or dedup executes: chosen
+//!   (probing a live catalog index when that is cheaper than a build),
 //!   priced and run as a [`plan::JoinPlan`].
 //! * [`session`] — a facade tying catalog, devices and ETL together.
 //!

@@ -9,12 +9,15 @@
 //! zone maps prune. The generic θ-join is [`nested_loop_join`].
 //!
 //! A *similarity* join or dedup does not run from here: its physical variant
-//! — nested loop, on-the-fly Ball-Tree over the smaller relation, or the
-//! device's all-pairs offload — is chosen by [`crate::plan::JoinPlan::choose`]
-//! / [`crate::plan::JoinPlan::choose_dedup`] and executed by
-//! [`crate::plan::JoinPlan::run`]. This module keeps the pieces those plans
-//! are built from: the crate-private tree kernel, [`feature_matrix`] for the
-//! offload, [`cluster_from_pairs`] for dedup, and the brute-force oracles
+//! — a probe of the persisted Ball index a side's snapshot carries, an
+//! on-the-fly Ball-Tree over the smaller relation, the device's all-pairs
+//! offload, or the nested loop — is chosen by
+//! [`crate::plan::JoinPlan::choose`] / [`crate::plan::JoinPlan::choose_dedup`]
+//! and executed by [`crate::plan::JoinPlan::run`]. This module keeps the
+//! pieces those plans are built from: the crate-private tree kernel (a fresh
+//! build, and the one probe pass both tree plans share over a
+//! `DeltaBallTree`), [`feature_matrix`] for the offload,
+//! [`cluster_from_pairs`] for dedup, and the brute-force oracles
 //! [`similarity_join_nested`] / [`dedup_bruteforce`] every plan is held to.
 //!
 //! Operators that take a [`WorkerPool`] shard their probe phases over
@@ -26,7 +29,7 @@
 use std::collections::HashMap;
 
 use deeplens_exec::{Matrix, WorkerPool};
-use deeplens_index::BallTree;
+use deeplens_index::{BallTree, DeltaBallTree};
 
 use crate::patch::Patch;
 use crate::plan;
@@ -156,11 +159,11 @@ pub type PairPredicate<'a> = &'a (dyn Fn(&Patch, &Patch) -> bool + Sync);
 /// One member of a batched Ball-Tree join pass
 /// ([`similarity_join_balltree_multi`]).
 ///
-/// Every member shares the *indexed* relation (the side the tree is built
-/// over); each carries its own probe relation, threshold, pair orientation,
-/// and optional θ-predicate. `probe_is_left` records which side of the
-/// original query the probe relation was: `true` emits `(probe_idx, hit)`
-/// pairs, `false` emits `(hit, probe_idx)`.
+/// Every member shares the *indexed* relation (the side the tree covers);
+/// each carries its own probe relation, threshold, pair orientation, and
+/// optional θ-predicate. `probe_is_left` records which side of the original
+/// query the probe relation was: `true` emits `(probe_idx, hit)` pairs,
+/// `false` emits `(hit, probe_idx)`.
 pub(crate) struct BatchJoinMember<'a> {
     /// The probe relation (scanned side) of this member.
     pub probes: &'a [Patch],
@@ -180,23 +183,53 @@ fn unplanned(what: &str, row: usize) -> DlError {
     DlError::SchemaMismatch(format!("{what} row {row} does not fit the Ball-Tree plan"))
 }
 
-/// Batched on-the-fly Ball-Tree similarity join (§5): **one** tree build over
-/// `indexed` and **one** morsel-sharded probe pass per distinct probe
-/// relation serve every member, instead of each member building and
-/// scanning on its own (the paper's multi-query amortization).
+/// The on-the-fly Ball-Tree of §5 over `indexed` (construction fanned out
+/// over `pool`), wrapped as a [`DeltaBallTree`] with an empty delta so the
+/// fresh tree and a persisted index share one probe pass
+/// ([`similarity_join_balltree_multi`]).
+///
+/// Every `indexed` row must carry features of one dimension, and every
+/// position must fit a `u32` row id; anything else is a
+/// [`DlError::SchemaMismatch`] — relations that break the rule get the
+/// nested plan from [`crate::plan::JoinPlan::choose`], not this kernel.
+pub(crate) fn fresh_tree(indexed: &[Patch], pool: &WorkerPool) -> Result<DeltaBallTree> {
+    plan::row_id(indexed.len().saturating_sub(1))?;
+    let dim = plan::feature_dim(indexed);
+    let vectors = indexed
+        .iter()
+        .enumerate()
+        .map(|(i, p)| match p.data.features() {
+            Some(f) if f.len() == dim => Ok(f.to_vec()),
+            _ => Err(unplanned("indexed", i)),
+        })
+        .collect::<Result<Vec<Vec<f32>>>>()?;
+    Ok(DeltaBallTree::from_tree(BallTree::from_vectors_parallel(
+        &vectors,
+        pool.threads(),
+    )))
+}
+
+/// Batched Ball-Tree similarity join (§5): **one** morsel-sharded probe pass
+/// per distinct probe relation over `tree` — the relation `indexed`, either
+/// freshly built ([`fresh_tree`]) or the persisted, delta-maintained index
+/// its snapshot carries — serves every member, instead of each member
+/// getting a tree and scanning on its own (the paper's multi-query
+/// amortization).
 ///
 /// The shared pass probes at the members' maximum threshold and
 /// demultiplexes every candidate against each member's own `tau` (and
-/// predicate) using the traversal's exact leaf distances
-/// ([`BallTree::range_query_sq`]), so member `k`'s output is the sorted pair
-/// vector that member alone would produce, with predicate members matching
-/// join-then-filter. Output is byte-identical across thread counts.
+/// predicate) using the exact distances that admitted it
+/// ([`DeltaBallTree::range_query_sq`]), so member `k`'s output is the sorted
+/// pair vector that member alone would produce, with predicate members
+/// matching join-then-filter. Output is byte-identical across thread counts
+/// and across the two tree sources.
 ///
-/// Every `indexed` row must carry features of one dimension, which featured
-/// probe rows share; featureless probe rows match nothing. Anything else is
-/// a [`DlError::SchemaMismatch`] — relations that break the rule get the
-/// nested plan from [`crate::plan::JoinPlan::choose`], not this kernel.
+/// `tree` must cover exactly `indexed`'s rows, featured probe rows must share
+/// its dimension, and probe positions must fit a `u32` row id; featureless
+/// probe rows match nothing. Anything else is a
+/// [`DlError::SchemaMismatch`].
 pub(crate) fn similarity_join_balltree_multi(
+    tree: &DeltaBallTree,
     indexed: &[Patch],
     members: &[BatchJoinMember],
     pool: &WorkerPool,
@@ -219,19 +252,16 @@ pub(crate) fn similarity_join_balltree_multi(
     };
 
     let mut out: Vec<Vec<(u32, u32)>> = (0..members.len()).map(|_| Vec::new()).collect();
-    if indexed.is_empty() {
-        return Ok(out);
+    if tree.len() != indexed.len() {
+        return Err(DlError::SchemaMismatch(format!(
+            "the Ball-Tree covers {} rows but the indexed relation has {}",
+            tree.len(),
+            indexed.len()
+        )));
     }
-    let dim = plan::feature_dim(indexed);
-    let vectors = indexed
-        .iter()
-        .enumerate()
-        .map(|(i, p)| match p.data.features() {
-            Some(f) if f.len() == dim => Ok(f.to_vec()),
-            _ => Err(unplanned("indexed", i)),
-        })
-        .collect::<Result<Vec<Vec<f32>>>>()?;
-    let tree = BallTree::from_vectors_parallel(&vectors, pool.threads());
+    let Some(dim) = tree.dim() else {
+        return Ok(out); // the tree covers no rows
+    };
 
     // Members sharing a probe relation share one morsel pass: group by the
     // probe slice's identity (data pointer + length).
@@ -264,12 +294,13 @@ pub(crate) fn similarity_join_balltree_multi(
                 if f.len() != dim {
                     return Err(unplanned("probe", j));
                 }
+                let probe_id = plan::row_id(j)?;
                 for (hit, d2) in tree.range_query_sq(f, tau_max) {
                     for (slot, &k) in member_ids.iter().enumerate() {
                         let m = &members[k];
                         if d2 <= tau_sqs[slot] && passes_pred(m, &probes[j], &indexed[hit as usize])
                         {
-                            local[slot].push(orient(m, j as u32, hit));
+                            local[slot].push(orient(m, probe_id, hit));
                         }
                     }
                 }
@@ -439,6 +470,16 @@ mod tests {
         cluster_from_pairs(patches.len(), &run(plan, patches, patches, tau, pool))
     }
 
+    /// The on-the-fly tree plan's pass: a fresh tree over `indexed`, probed
+    /// once per probe relation.
+    fn multi(
+        indexed: &[Patch],
+        members: &[BatchJoinMember],
+        pool: &WorkerPool,
+    ) -> Result<Vec<Vec<(u32, u32)>>> {
+        similarity_join_balltree_multi(&fresh_tree(indexed, pool)?, indexed, members, pool)
+    }
+
     /// An unfiltered tree-pass member.
     fn member(probes: &[Patch], tau: f32, probe_is_left: bool) -> BatchJoinMember<'_> {
         BatchJoinMember {
@@ -507,7 +548,7 @@ mod tests {
                 member(&probes_b, 2.0, true),
                 member(&probes_a, 0.4, true),
             ];
-            let got = similarity_join_balltree_multi(&indexed, &members, &pool).unwrap();
+            let got = multi(&indexed, &members, &pool).unwrap();
             assert_eq!(got.len(), 4);
             // Members 0/1: indexed is the left relation (pairs (hit, probe)).
             assert_eq!(got[0], oracle(&indexed, &probes_a, 1.5));
@@ -516,6 +557,53 @@ mod tests {
             assert_eq!(got[2], oracle(&probes_b, &indexed, 2.0));
             assert_eq!(got[3], oracle(&probes_a, &indexed, 0.4));
         }
+    }
+
+    #[test]
+    fn multi_join_over_a_delta_maintained_tree_matches_the_oracle() {
+        // The persisted-index plan's pass: the tree was built over older rows
+        // and carries tombstones and delta rows for the changed and appended
+        // ones.
+        let old: Vec<Patch> = (0..120)
+            .map(|i| feat_patch(i, vec![i as f32 * 0.25, (i % 6) as f32]))
+            .collect();
+        let pool = WorkerPool::new(2);
+        let mut tree = fresh_tree(&old, &pool).unwrap();
+        let mut rows = old.clone();
+        for pos in (0..120).step_by(9) {
+            rows[pos] = feat_patch(500 + pos as u64, vec![pos as f32 * 0.1, 2.5]);
+            let f = rows[pos].data.features().unwrap().to_vec();
+            assert!(tree.upsert(pos as u32, f));
+        }
+        for i in 0..7u64 {
+            rows.push(feat_patch(900 + i, vec![i as f32 * 3.0, 1.0]));
+            let f = rows.last().unwrap().data.features().unwrap().to_vec();
+            assert!(tree.upsert((rows.len() - 1) as u32, f));
+        }
+        assert!(tree.delta_rows() > 0);
+        let probes: Vec<Patch> = (0..50)
+            .map(|i| feat_patch(200 + i, vec![i as f32 * 0.6, (i % 4) as f32]))
+            .collect();
+        let mut ragged = probes.clone();
+        ragged.push(Patch::empty(PatchId(999), ImgRef::frame("t", 999)));
+        for threads in [1usize, 3] {
+            let pool = WorkerPool::new(threads);
+            let members = vec![
+                member(&ragged, 1.2, true),
+                member(&ragged, 2.5, true),
+                member(&probes, 0.7, false),
+            ];
+            let got = similarity_join_balltree_multi(&tree, &rows, &members, &pool).unwrap();
+            assert_eq!(got[0], oracle(&ragged, &rows, 1.2));
+            assert_eq!(got[1], oracle(&ragged, &rows, 2.5));
+            assert_eq!(got[2], oracle(&rows, &probes, 0.7));
+            assert!(!got[1].is_empty());
+        }
+        // A tree that does not cover the relation is refused, not probed.
+        assert!(matches!(
+            similarity_join_balltree_multi(&tree, &old, &[member(&probes, 1.0, true)], &pool),
+            Err(DlError::SchemaMismatch(_))
+        ));
     }
 
     #[test]
@@ -534,7 +622,7 @@ mod tests {
             probe_is_left: false,
             predicate: Some(&pred),
         }];
-        let got = similarity_join_balltree_multi(&indexed, &members, &pool).unwrap();
+        let got = multi(&indexed, &members, &pool).unwrap();
         let expect: Vec<(u32, u32)> = oracle(&indexed, &probes, 1.0)
             .into_iter()
             .filter(|&(l, r)| pred(&indexed[l as usize], &probes[r as usize]))
@@ -548,15 +636,13 @@ mod tests {
         let pool = WorkerPool::new(2);
         let probes: Vec<Patch> = (0..5).map(|i| feat_patch(i, vec![i as f32])).collect();
         // Empty indexed relation.
-        let got = similarity_join_balltree_multi(&[], &[member(&probes, 1.0, false)], &pool);
+        let got = multi(&[], &[member(&probes, 1.0, false)], &pool);
         assert_eq!(got.unwrap(), vec![Vec::new()]);
         // Empty probe relation and empty member list.
         let indexed: Vec<Patch> = (0..5).map(|i| feat_patch(i, vec![i as f32])).collect();
-        let got = similarity_join_balltree_multi(&indexed, &[member(&[], 1.0, false)], &pool);
+        let got = multi(&indexed, &[member(&[], 1.0, false)], &pool);
         assert_eq!(got.unwrap(), vec![Vec::new()]);
-        assert!(similarity_join_balltree_multi(&indexed, &[], &pool)
-            .unwrap()
-            .is_empty());
+        assert!(multi(&indexed, &[], &pool).unwrap().is_empty());
     }
 
     #[test]

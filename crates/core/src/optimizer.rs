@@ -96,27 +96,38 @@ impl CostModel {
         self.build_cost(n_idx, dim) + n_probe as f64 * self.probe_cost(n_idx, dim)
     }
 
-    /// Estimated total cost of a **batched** on-the-fly index join: `k`
-    /// compatible queries share one Ball-Tree build over `n_idx` and one
-    /// probe pass of `n_probe` at the batch's outer radius; each additional
-    /// member costs only the demultiplex residual
-    /// ([`BATCH_RESIDUAL_FRACTION`] of a probe pass) instead of a full
-    /// build + probe of its own. `k == 0` costs nothing; `k == 1`
-    /// degenerates to [`CostModel::index_join_cost`].
+    /// Estimated total cost of a **batched** index join: `k` compatible
+    /// queries share one Ball-Tree over `n_idx` and one probe pass of
+    /// `n_probe` at the batch's outer radius; each additional member costs
+    /// only the demultiplex residual ([`BATCH_RESIDUAL_FRACTION`] of a probe
+    /// pass) instead of a full build + probe of its own. `k == 0` costs
+    /// nothing.
+    ///
+    /// `persisted_delta` says where the tree comes from. `None`: it is built
+    /// on the fly, and a batch of one degenerates to
+    /// [`CostModel::index_join_cost`]. `Some(delta_rows)`: a persisted,
+    /// delta-maintained index is probed — no build, but every probe also
+    /// scans its `delta_rows` exactly (the per-probe term of
+    /// [`CostModel::incremental_index_cost`]).
     pub fn batched_index_join_cost(
         &self,
         n_idx: usize,
         n_probe: usize,
         dim: usize,
         k: usize,
+        persisted_delta: Option<usize>,
     ) -> f64 {
         if k == 0 {
             return 0.0;
         }
-        let probe_pass = n_probe as f64 * self.probe_cost(n_idx, dim);
-        self.build_cost(n_idx, dim)
-            + probe_pass
-            + (k - 1) as f64 * BATCH_RESIDUAL_FRACTION * probe_pass
+        let (build, delta_rows) = match persisted_delta {
+            None => (self.build_cost(n_idx, dim), 0),
+            Some(delta_rows) => (0.0, delta_rows),
+        };
+        let per_probe = self.probe_cost(n_idx, dim)
+            + delta_rows as f64 * self.dist_eval_cost * dim as f64 / 8.0;
+        let probe_pass = n_probe as f64 * per_probe;
+        build + probe_pass + (k - 1) as f64 * BATCH_RESIDUAL_FRACTION * probe_pass
     }
 
     /// Estimated cost of a row-layout scan over `rows` patches: every row
@@ -490,9 +501,9 @@ mod tests {
     #[test]
     fn batched_cost_degenerates_and_grows_sublinearly() {
         let m = CostModel::default();
-        assert_eq!(m.batched_index_join_cost(2_000, 50_000, 12, 0), 0.0);
+        assert_eq!(m.batched_index_join_cost(2_000, 50_000, 12, 0, None), 0.0);
         assert!(
-            (m.batched_index_join_cost(2_000, 50_000, 12, 1)
+            (m.batched_index_join_cost(2_000, 50_000, 12, 1, None)
                 - m.index_join_cost(2_000, 50_000, 12))
             .abs()
                 < 1e-9,
@@ -500,15 +511,36 @@ mod tests {
         );
         // Each extra member adds only the demux residual: far cheaper than
         // another full build + probe, but never free.
-        let c1 = m.batched_index_join_cost(2_000, 50_000, 12, 1);
-        let c4 = m.batched_index_join_cost(2_000, 50_000, 12, 4);
-        let c8 = m.batched_index_join_cost(2_000, 50_000, 12, 8);
+        let c1 = m.batched_index_join_cost(2_000, 50_000, 12, 1, None);
+        let c4 = m.batched_index_join_cost(2_000, 50_000, 12, 4, None);
+        let c8 = m.batched_index_join_cost(2_000, 50_000, 12, 8, None);
         assert!(c4 > c1 && c8 > c4, "members are not free");
         assert!(
             c4 < 4.0 * c1 * 0.5,
             "4 members must cost well under 4 serial joins"
         );
         assert!(c8 < 8.0 * c1 * 0.5);
+    }
+
+    #[test]
+    fn persisted_index_join_pays_no_build_but_its_delta_per_probe() {
+        let m = CostModel::default();
+        // The served join's shape: 64 probes against a 20 000-row, 8-d
+        // gallery. Probing the gallery's persisted index (~513k units)
+        // undercuts an on-the-fly tree over the 64 probes (~633k).
+        let indexed = m.batched_index_join_cost(20_000, 64, 8, 1, Some(0));
+        let on_the_fly = m.batched_index_join_cost(64, 20_000, 8, 1, None);
+        assert_eq!(indexed, 64.0 * m.probe_cost(20_000, 8));
+        assert!((512_000.0..514_000.0).contains(&indexed), "{indexed}");
+        assert!((632_000.0..634_000.0).contains(&on_the_fly), "{on_the_fly}");
+        // The delta tax: one dim/8 evaluation per delta row per probe.
+        let taxed = m.batched_index_join_cost(20_000, 64, 8, 1, Some(400));
+        assert!((taxed - indexed - 64.0 * 400.0).abs() < 1e-6);
+        // Against the same tree built on the fly, persistence saves the
+        // build and nothing else.
+        let saved = m.batched_index_join_cost(20_000, 64, 8, 3, None)
+            - m.batched_index_join_cost(20_000, 64, 8, 3, Some(0));
+        assert!((saved - m.build_cost(20_000, 8)).abs() < 1e-6);
     }
 
     #[test]

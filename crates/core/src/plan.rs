@@ -2,19 +2,28 @@
 //! chosen.
 //!
 //! [`JoinPlan::choose`] is the only place the engine decides *how* a
-//! similarity join executes — on-the-fly Ball-Tree over the smaller side,
-//! the device's all-pairs kernel, or the nested fallback for relations with
-//! featureless rows — and where a join whose featured rows disagree on
-//! dimension is rejected. [`crate::batch::QueryBatch::plan`] calls it once per
-//! join member, [`crate::batch::PlannedBatch::estimate_us`] prices the plan
-//! it returned, and [`crate::batch::PlannedBatch::run`] executes that same
-//! plan, so the cost a server admits is the cost of the work it then does.
-//! Every plan emits the identical sorted pair set; the choice moves
-//! wall-clock only.
+//! similarity join executes — probe the persisted Ball index one side's
+//! snapshot already carries, build an on-the-fly Ball-Tree over the smaller
+//! side, run the device's all-pairs kernel, or fall back to the nested loop
+//! for relations with featureless rows — and where a join whose featured
+//! rows disagree on dimension is rejected. It sees each side as a
+//! [`JoinSide`]: the rows, plus the live Ball index when the side is a
+//! materialized collection that has one. Bare slices carry no index, so for
+//! them the choice is between the last three plans only.
+//! [`crate::batch::QueryBatch::plan`] calls it once per join member,
+//! [`crate::batch::PlannedBatch::estimate_us`] prices the plan it returned,
+//! and [`crate::batch::PlannedBatch::run`] executes that same plan, so the
+//! cost a server admits is the cost of the work it then does. Every plan
+//! emits the identical sorted pair set; the choice moves wall-clock only.
+
+use std::borrow::Cow;
 
 use deeplens_exec::{Device, Executor, WorkerPool};
+use deeplens_index::DeltaBallTree;
 
+use crate::catalog::PatchCollection;
 use crate::ops::{self, BatchJoinMember, PairPredicate};
+use crate::optimizer::CostModel;
 use crate::patch::Patch;
 use crate::{DlError, Result};
 
@@ -27,6 +36,13 @@ pub enum JoinPlan {
         /// Whether the tree is built over the left relation.
         index_left: bool,
     },
+    /// The persisted, delta-maintained Ball index one side's snapshot
+    /// carries, probed with the other side's rows in one morsel-sharded
+    /// pass: no build, one range query per probe row.
+    Indexed {
+        /// Whether the probed index is the left relation's.
+        index_left: bool,
+    },
     /// The simulated GPU's dense all-pairs kernel over both feature
     /// matrices (Fig. 8's query-time offload).
     GpuAllPairs,
@@ -34,6 +50,80 @@ pub enum JoinPlan {
     /// fallback when a relation the chosen kernel must index or stack into
     /// a matrix has a row without features.
     Nested,
+}
+
+/// One side of a join as the planner sees it: its rows and, when the side
+/// is a materialized [`PatchCollection`], the live Ball index over them — a
+/// Ball index whose `len()` equals the row count; among several, the one
+/// with the fewest `delta_rows()`, ties broken by name. Slices convert with
+/// no index.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinSide<'a> {
+    rows: &'a [Patch],
+    index: Option<&'a DeltaBallTree>,
+}
+
+impl<'a> From<&'a [Patch]> for JoinSide<'a> {
+    fn from(rows: &'a [Patch]) -> Self {
+        JoinSide { rows, index: None }
+    }
+}
+
+impl<'a> From<&'a Vec<Patch>> for JoinSide<'a> {
+    fn from(rows: &'a Vec<Patch>) -> Self {
+        JoinSide::from(rows.as_slice())
+    }
+}
+
+impl<'a> From<&'a PatchCollection> for JoinSide<'a> {
+    fn from(collection: &'a PatchCollection) -> Self {
+        JoinSide {
+            rows: &collection.patches,
+            index: collection.live_ball_index(),
+        }
+    }
+}
+
+impl<'a> JoinSide<'a> {
+    /// Whether any row is featureless, and the one dimension featured rows
+    /// share ([`feature_shape`], seeded with `dim`). A side with a live
+    /// index reads both off the index without walking its rows: every
+    /// indexed row has features of the index's dimension by construction.
+    fn shape(&self, dim: Option<usize>) -> Result<(bool, Option<usize>)> {
+        match (self.index.and_then(DeltaBallTree::dim), dim) {
+            (Some(d), Some(e)) if d != e => Err(DlError::SchemaMismatch(format!(
+                "indexed rows have dimension {d} but expected {e}"
+            ))),
+            (Some(d), _) => Ok((false, Some(d))),
+            (None, _) => feature_shape(self.rows, dim),
+        }
+    }
+
+    /// The tree a tree pass over this side probes: the side's live index
+    /// when `persisted` (a borrow, nothing built), else a fresh on-the-fly
+    /// tree over its rows.
+    pub(crate) fn tree(
+        &self,
+        persisted: bool,
+        pool: &WorkerPool,
+    ) -> Result<Cow<'a, DeltaBallTree>> {
+        if persisted {
+            self.index.map(Cow::Borrowed).ok_or_else(|| {
+                DlError::SchemaMismatch("the indexed side carries no live Ball index".into())
+            })
+        } else {
+            ops::fresh_tree(self.rows, pool).map(Cow::Owned)
+        }
+    }
+}
+
+/// `pos` as a `u32` row id, or [`DlError::SchemaMismatch`] when the
+/// position does not fit — join pairs, index ids and dedup clusters are
+/// `u32`, and a relation past `u32::MAX` rows must fail loudly instead of
+/// wrapping. Checking a relation's last position checks all of them.
+pub(crate) fn row_id(pos: usize) -> Result<u32> {
+    u32::try_from(pos)
+        .map_err(|_| DlError::SchemaMismatch(format!("row {pos} does not fit a u32 row id")))
 }
 
 /// Dimensionality of the first feature payload in `patches` (0 if none):
@@ -98,37 +188,79 @@ fn tree_or_nested(
 }
 
 impl JoinPlan {
-    /// The plan for joining `left × right` on `device`: the Ball-Tree on CPU
-    /// devices, the all-pairs offload on the simulated GPU. Either falls
-    /// back to [`JoinPlan::Nested`] when the relation it must index (or
-    /// either side of the dense matrix pair) is ragged.
+    /// The plan for joining `left × right` on `device`.
+    ///
+    /// On the simulated GPU: the all-pairs offload, or [`JoinPlan::Nested`]
+    /// when either side is ragged. On CPU devices: the cheapest, by
+    /// [`CostModel::batched_index_join_cost`], of the on-the-fly Ball-Tree
+    /// over the smaller side (or [`JoinPlan::Nested`] when that side is
+    /// ragged, priced by [`CostModel::nested_loop_cost`]) and
+    /// [`JoinPlan::Indexed`] over each side that carries a live index —
+    /// priced without a build, plus the index's delta scan per probe. Ties
+    /// keep the on-the-fly plan, then the left index. Featureless probe rows
+    /// match nothing under `Indexed`, so a ragged probe side still takes it.
     ///
     /// Errors with [`DlError::SchemaMismatch`] when two featured rows across
-    /// the two sides disagree on dimension.
-    pub fn choose(left: &[Patch], right: &[Patch], device: Device) -> Result<JoinPlan> {
-        let (left_ragged, dim) = feature_shape(left, None)?;
-        let (right_ragged, _) = feature_shape(right, dim)?;
-        Ok(match device {
-            Device::GpuSim if left_ragged || right_ragged => JoinPlan::Nested,
-            Device::GpuSim => JoinPlan::GpuAllPairs,
-            _ => tree_or_nested(left.len(), right.len(), left_ragged, right_ragged),
-        })
+    /// the two sides disagree on dimension (an indexed side answers with its
+    /// index's dimension, without a walk over its rows).
+    pub fn choose<'a>(
+        left: impl Into<JoinSide<'a>>,
+        right: impl Into<JoinSide<'a>>,
+        device: Device,
+    ) -> Result<JoinPlan> {
+        let (left, right) = (left.into(), right.into());
+        let (left_ragged, dim) = left.shape(None)?;
+        let (right_ragged, dim) = right.shape(dim)?;
+        if device == Device::GpuSim {
+            return Ok(if left_ragged || right_ragged {
+                JoinPlan::Nested
+            } else {
+                JoinPlan::GpuAllPairs
+            });
+        }
+        let (n_left, n_right) = (left.rows.len(), right.rows.len());
+        let dim = dim.unwrap_or(0).max(1);
+        let model = CostModel::default();
+        let mut best = tree_or_nested(n_left, n_right, left_ragged, right_ragged);
+        let mut best_cost = match best {
+            JoinPlan::BallTree { index_left: true } => {
+                model.batched_index_join_cost(n_left, n_right, dim, 1, None)
+            }
+            JoinPlan::BallTree { index_left: false } => {
+                model.batched_index_join_cost(n_right, n_left, dim, 1, None)
+            }
+            _ => model.nested_loop_cost(n_left, n_right, dim),
+        };
+        for (index_left, indexed, probed) in [(true, left, right), (false, right, left)] {
+            let Some(index) = indexed.index else {
+                continue;
+            };
+            let delta = Some(index.delta_rows());
+            let cost = model.batched_index_join_cost(index.len(), probed.rows.len(), dim, 1, delta);
+            if cost < best_cost {
+                (best, best_cost) = (JoinPlan::Indexed { index_left }, cost);
+            }
+        }
+        Ok(best)
     }
 
-    /// The plan for deduplicating `rows` (a self-join). The all-pairs
-    /// offload is a two-relation kernel, so a dedup stays on the host tree
-    /// whatever the device; errors as [`JoinPlan::choose`] does.
-    pub fn choose_dedup(rows: &[Patch]) -> Result<JoinPlan> {
-        let (ragged, _) = feature_shape(rows, None)?;
-        Ok(tree_or_nested(rows.len(), rows.len(), ragged, ragged))
+    /// The plan for deduplicating `rows` (a self-join): the host tree — the
+    /// on-the-fly build, or the side's live index when probing it is
+    /// cheaper — whatever the device, since the all-pairs offload is a
+    /// two-relation kernel. Errors as [`JoinPlan::choose`] does.
+    pub fn choose_dedup<'a>(rows: impl Into<JoinSide<'a>>) -> Result<JoinPlan> {
+        let side = rows.into();
+        Self::choose(side, side, Device::Avx)
     }
 
     /// The device this plan's kernel is priced on: the session's
-    /// `pool_threads`-worker slice for the tree pass, the simulated GPU for
+    /// `pool_threads`-worker slice for a tree pass, the simulated GPU for
     /// the offload, one serial core for the nested loop.
     pub fn device(self, pool_threads: usize) -> Device {
         match self {
-            JoinPlan::BallTree { .. } => Device::ParallelCpu(pool_threads),
+            JoinPlan::BallTree { .. } | JoinPlan::Indexed { .. } => {
+                Device::ParallelCpu(pool_threads)
+            }
             JoinPlan::GpuAllPairs => Device::GpuSim,
             JoinPlan::Nested => Device::Avx,
         }
@@ -136,35 +268,39 @@ impl JoinPlan {
 
     /// Execute the plan for every `(tau, predicate)` member over one
     /// relation pair: one sorted, predicate-filtered `(left_idx, right_idx)`
-    /// vector per member. The Ball-Tree builds once and the all-pairs kernel
-    /// dispatches once for all members. Bare slices join as
+    /// vector per member. A tree plan gets its tree once (a build, or the
+    /// indexed side's live index) and the all-pairs kernel dispatches once
+    /// for all members. Bare slices join as
     /// `JoinPlan::choose(l, r, device)?.run(l, r, &[(tau, None)], &pool)`.
     ///
-    /// Errors with [`DlError::SchemaMismatch`] when the slices are not ones
+    /// Errors with [`DlError::SchemaMismatch`] when the sides are not ones
     /// [`JoinPlan::choose`] (or, for a self-join, [`JoinPlan::choose_dedup`])
-    /// would have given this plan: rows that disagree on dimension, or a
-    /// featureless row where the kernel must index or stack one.
-    pub fn run(
+    /// would have given this plan: rows that disagree on dimension, a
+    /// featureless row where the kernel must index or stack one, or
+    /// [`JoinPlan::Indexed`] over a side without a live index — and when a
+    /// side has more rows than a `u32` row id can address.
+    pub fn run<'a>(
         self,
-        left: &[Patch],
-        right: &[Patch],
+        left: impl Into<JoinSide<'a>>,
+        right: impl Into<JoinSide<'a>>,
         members: &[(f32, Option<PairPredicate<'_>>)],
         pool: &WorkerPool,
     ) -> Result<Vec<Vec<(u32, u32)>>> {
+        let (left, right) = (left.into(), right.into());
+        let (l, r) = (left.rows, right.rows);
+        row_id(l.len().saturating_sub(1))?;
+        row_id(r.len().saturating_sub(1))?;
         let filtered = |pairs: Vec<(u32, u32)>, pred: Option<PairPredicate<'_>>| match pred {
             None => pairs,
             Some(p) => pairs
                 .into_iter()
-                .filter(|&(l, r)| p(&left[l as usize], &right[r as usize]))
+                .filter(|&(i, j)| p(&l[i as usize], &r[j as usize]))
                 .collect(),
         };
         Ok(match self {
-            JoinPlan::BallTree { index_left } => {
-                let (indexed, probes) = if index_left {
-                    (left, right)
-                } else {
-                    (right, left)
-                };
+            JoinPlan::BallTree { index_left } | JoinPlan::Indexed { index_left } => {
+                let (indexed, probes) = if index_left { (left, r) } else { (right, l) };
+                let tree = indexed.tree(matches!(self, JoinPlan::Indexed { .. }), pool)?;
                 let members: Vec<BatchJoinMember> = members
                     .iter()
                     .map(|&(tau, predicate)| BatchJoinMember {
@@ -174,14 +310,14 @@ impl JoinPlan {
                         predicate,
                     })
                     .collect();
-                ops::similarity_join_balltree_multi(indexed, &members, pool)?
+                ops::similarity_join_balltree_multi(&tree, indexed.rows, &members, pool)?
             }
-            JoinPlan::GpuAllPairs if left.is_empty() || right.is_empty() => {
+            JoinPlan::GpuAllPairs if l.is_empty() || r.is_empty() => {
                 vec![Vec::new(); members.len()]
             }
             JoinPlan::GpuAllPairs => {
-                let a = ops::feature_matrix(left)?;
-                let b = ops::feature_matrix(right)?;
+                let a = ops::feature_matrix(l)?;
+                let b = ops::feature_matrix(r)?;
                 let taus: Vec<f32> = members.iter().map(|m| m.0).collect();
                 Executor::new(Device::GpuSim)
                     .threshold_join(&a, &b, &taus)
@@ -191,13 +327,11 @@ impl JoinPlan {
                     .collect()
             }
             JoinPlan::Nested => {
-                let (_, dim) = feature_shape(left, None)?;
-                feature_shape(right, dim)?;
+                let (_, dim) = feature_shape(l, None)?;
+                feature_shape(r, dim)?;
                 members
                     .iter()
-                    .map(|&(tau, pred)| {
-                        filtered(ops::similarity_join_nested(left, right, tau), pred)
-                    })
+                    .map(|&(tau, pred)| filtered(ops::similarity_join_nested(l, r, tau), pred))
                     .collect()
             }
         })
@@ -264,7 +398,130 @@ mod tests {
         let mut ragged = rows(5, 4);
         ragged.push(Patch::empty(PatchId(99), ImgRef::frame("p", 99)));
         assert!(JoinPlan::choose(&ragged, &b, Device::Avx).is_ok());
-        assert!(JoinPlan::choose(&[], &a, Device::GpuSim).is_ok());
+        let none: &[Patch] = &[];
+        assert!(JoinPlan::choose(none, &a, Device::GpuSim).is_ok());
+        // An indexed side answers with its index's dimension.
+        let a = indexed(a);
+        for device in [Device::Avx, Device::GpuSim] {
+            for (l, r) in [
+                (JoinSide::from(&a), JoinSide::from(&b)),
+                ((&b).into(), (&a).into()),
+            ] {
+                assert!(matches!(
+                    JoinPlan::choose(l, r, device),
+                    Err(DlError::SchemaMismatch(_))
+                ));
+            }
+        }
+        assert!(JoinPlan::choose_dedup(&a).is_ok());
+    }
+
+    /// `rows` as a collection carrying a live Ball index.
+    fn indexed(rows: Vec<Patch>) -> PatchCollection {
+        let mut col = PatchCollection::from_patches(rows);
+        col.build_ball_index("by_feat").unwrap();
+        col
+    }
+
+    #[test]
+    fn a_live_index_is_probed_when_cheaper_than_a_build() {
+        // The served join's shape: 64 probes × a 20 000-row, 8-d gallery.
+        let (probes, gallery) = (rows(64, 8), rows(20_000, 8));
+        let (probes_ix, gallery_ix) = (indexed(probes.clone()), indexed(gallery.clone()));
+        let mut ragged = probes.clone();
+        ragged[5] = Patch::empty(PatchId(5), ImgRef::frame("p", 5));
+        let (cpu, gpu) = (Device::Avx, Device::GpuSim);
+        let tree = |index_left| JoinPlan::BallTree { index_left };
+        let indexed_plan = |index_left| JoinPlan::Indexed { index_left };
+        let cases: [(JoinSide, JoinSide, Device, JoinPlan); 9] = [
+            // The index on either side.
+            (
+                (&probes).into(),
+                (&gallery_ix).into(),
+                cpu,
+                indexed_plan(false),
+            ),
+            (
+                (&gallery_ix).into(),
+                (&probes).into(),
+                cpu,
+                indexed_plan(true),
+            ),
+            (
+                (&probes).into(),
+                (&gallery_ix).into(),
+                Device::ParallelCpu(4),
+                indexed_plan(false),
+            ),
+            // No index: the on-the-fly tree over the smaller side, as ever.
+            ((&probes).into(), (&gallery).into(), cpu, tree(true)),
+            ((&gallery).into(), (&probes).into(), cpu, tree(false)),
+            // An index on the small side saves the build over it.
+            (
+                (&probes_ix).into(),
+                (&gallery).into(),
+                cpu,
+                indexed_plan(true),
+            ),
+            // The GPU routing ignores indexes.
+            (
+                (&probes).into(),
+                (&gallery_ix).into(),
+                gpu,
+                JoinPlan::GpuAllPairs,
+            ),
+            // A featureless probe row matches nothing under `Indexed`.
+            (
+                (&ragged).into(),
+                (&gallery_ix).into(),
+                cpu,
+                indexed_plan(false),
+            ),
+            ((&ragged).into(), (&gallery).into(), cpu, JoinPlan::Nested),
+        ];
+        for (l, r, device, want) in cases {
+            assert_eq!(JoinPlan::choose(l, r, device).unwrap(), want, "{device:?}");
+        }
+        // A dedup over an indexed collection probes its index.
+        assert_eq!(
+            JoinPlan::choose_dedup(&gallery_ix).unwrap(),
+            indexed_plan(true)
+        );
+        assert_eq!(JoinPlan::choose_dedup(&gallery).unwrap(), tree(true));
+        // An index that no longer covers the rows is not live.
+        let mut stale = gallery_ix.clone();
+        stale.patches.pop();
+        assert_eq!(JoinPlan::choose(&probes, &stale, cpu).unwrap(), tree(true));
+    }
+
+    #[test]
+    fn the_indexed_plan_probes_the_live_index_and_matches_the_tree_plan() {
+        let (probes, gallery) = (rows(30, 3), indexed(rows(300, 3)));
+        let pool = WorkerPool::new(2);
+        let plan = JoinPlan::choose(&probes, &gallery, Device::Avx).unwrap();
+        assert_eq!(plan, JoinPlan::Indexed { index_left: false });
+        let members = [(1.5, None), (4.0, None)];
+        let got = plan.run(&probes, &gallery, &members, &pool).unwrap();
+        let want = JoinPlan::BallTree { index_left: false }
+            .run(&probes, &gallery.patches, &members, &pool)
+            .unwrap();
+        assert_eq!(got, want);
+        assert!(!got[1].is_empty());
+        // Run over a bare slice, the same plan has no index to probe.
+        assert!(matches!(
+            plan.run(&probes, &gallery.patches, &members, &pool),
+            Err(DlError::SchemaMismatch(_))
+        ));
+    }
+
+    #[test]
+    fn row_ids_past_u32_are_an_error_not_a_wrap() {
+        assert_eq!(row_id(0).unwrap(), 0);
+        assert_eq!(row_id(u32::MAX as usize).unwrap(), u32::MAX);
+        assert!(matches!(
+            row_id(u32::MAX as usize + 1),
+            Err(DlError::SchemaMismatch(_))
+        ));
     }
 
     #[test]
@@ -283,6 +540,10 @@ mod tests {
             JoinPlan::Nested,
         ] {
             cases.extend([(plan, &mixed, &good), (plan, &good, &mixed)]);
+        }
+        // Bare slices carry no index to probe.
+        for index_left in [true, false] {
+            cases.push((JoinPlan::Indexed { index_left }, &good, &good));
         }
         // A featureless row where the kernel must index or stack it.
         cases.extend([

@@ -225,7 +225,8 @@ impl Session {
 
     /// [`Session::similarity_join`] over two materialized collections — a
     /// [`Session::batch`] of one: consistent snapshots, the result cache,
-    /// and the planner's Ball-Tree / offload / nested choice all apply.
+    /// and the planner's persisted-index / on-the-fly tree / offload /
+    /// nested choice all apply.
     pub fn join_collections(&self, left: &str, right: &str, tau: f32) -> Result<Vec<(u32, u32)>> {
         match self.run_one(BatchQuery::SimilarityJoin {
             left: left.to_string(),

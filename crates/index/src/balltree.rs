@@ -2,8 +2,9 @@
 //!
 //! Kumar et al. [17 in the paper] found Ball-Trees the most effective
 //! structure for "find patches within distance τ" queries on image features.
-//! DeepLens uses it for image-matching similarity joins (q1, q4) and builds
-//! it *on-the-fly* over the smaller join relation (§5, "On-The-Fly Index
+//! DeepLens uses it for image-matching similarity joins (q1, q4): it probes
+//! the tree a collection's catalog index already keeps, or builds one
+//! *on-the-fly* over the smaller join relation (§5, "On-The-Fly Index
 //! Similarity Join").
 //!
 //! Construction recursively splits points along the dimension of maximum
@@ -49,8 +50,11 @@ pub struct BallTree {
     points: Vec<f32>,
     root: Option<TreeNode>,
     /// Distance computations performed by queries — the cost metric behind
-    /// the paper's Fig. 7 non-linearity study. Atomic so a shared tree can
-    /// serve concurrent probe morsels.
+    /// the paper's Fig. 7 non-linearity study. Each query tallies its
+    /// evaluations in a local count and publishes it here with one relaxed
+    /// add when it finishes, so concurrent probes of one shared tree (probe
+    /// morsels, or several sessions probing a persisted index) do not contend
+    /// on this cache line node by node.
     distance_evals: AtomicU64,
 }
 
@@ -238,6 +242,7 @@ impl BallTree {
         }
     }
 
+    /// Publish one query's distance evaluations.
     #[inline]
     fn count_dist(&self, n: u64) {
         self.distance_evals.fetch_add(n, Ordering::Relaxed);
@@ -245,11 +250,8 @@ impl BallTree {
 
     /// All point ids within Euclidean distance `tau` of `query`.
     pub fn range_query(&self, query: &[f32], tau: f32) -> Vec<u32> {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
         let mut out = Vec::new();
-        if let Some(root) = &self.root {
-            self.range_rec(root, query, tau, &mut |id, _| out.push(id));
-        }
+        self.range_walk(query, tau, |id, _| out.push(id));
         out
     }
 
@@ -260,16 +262,31 @@ impl BallTree {
     /// outer radius can demultiplex members by their own tighter thresholds
     /// against bit-identical values instead of re-evaluating distances.
     pub fn range_query_sq(&self, query: &[f32], tau: f32) -> Vec<(u32, f32)> {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
         let mut out = Vec::new();
-        if let Some(root) = &self.root {
-            self.range_rec(root, query, tau, &mut |id, d2| out.push((id, d2)));
-        }
+        self.range_walk(query, tau, |id, d2| out.push((id, d2)));
         out
     }
 
-    fn range_rec(&self, node: &TreeNode, query: &[f32], tau: f32, emit: &mut impl FnMut(u32, f32)) {
-        self.count_dist(1);
+    /// One range traversal, counting its distance evaluations locally and
+    /// publishing the total once.
+    fn range_walk(&self, query: &[f32], tau: f32, mut emit: impl FnMut(u32, f32)) {
+        assert_eq!(query.len(), self.dim, "query dimension mismatch");
+        if let Some(root) = &self.root {
+            let mut evals = 0;
+            self.range_rec(root, query, tau, &mut evals, &mut emit);
+            self.count_dist(evals);
+        }
+    }
+
+    fn range_rec(
+        &self,
+        node: &TreeNode,
+        query: &[f32],
+        tau: f32,
+        evals: &mut u64,
+        emit: &mut impl FnMut(u32, f32),
+    ) {
+        *evals += 1;
         let d_centroid = euclidean(query, &node.centroid);
         if d_centroid > node.radius + tau {
             return; // ball entirely outside the query radius
@@ -277,7 +294,7 @@ impl BallTree {
         match &node.kind {
             NodeKind::Leaf(ids) => {
                 let tau_sq = tau * tau;
-                self.count_dist(ids.len() as u64);
+                *evals += ids.len() as u64;
                 for &id in ids {
                     let d2 = sq_euclidean(query, self.point(id));
                     if d2 <= tau_sq {
@@ -286,8 +303,8 @@ impl BallTree {
                 }
             }
             NodeKind::Branch(left, right) => {
-                self.range_rec(left, query, tau, emit);
-                self.range_rec(right, query, tau, emit);
+                self.range_rec(left, query, tau, evals, emit);
+                self.range_rec(right, query, tau, evals, emit);
             }
         }
     }
@@ -301,15 +318,24 @@ impl BallTree {
         }
         let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
         if let Some(root) = &self.root {
-            self.knn_rec(root, query, k, &mut heap);
+            let mut evals = 0;
+            self.knn_rec(root, query, k, &mut evals, &mut heap);
+            self.count_dist(evals);
         }
         let mut out: Vec<(u32, f32)> = heap.into_iter().map(|h| (h.id, h.dist)).collect();
         out.sort_by(|a, b| a.1.total_cmp(&b.1));
         out
     }
 
-    fn knn_rec(&self, node: &TreeNode, query: &[f32], k: usize, heap: &mut BinaryHeap<HeapItem>) {
-        self.count_dist(1);
+    fn knn_rec(
+        &self,
+        node: &TreeNode,
+        query: &[f32],
+        k: usize,
+        evals: &mut u64,
+        heap: &mut BinaryHeap<HeapItem>,
+    ) {
+        *evals += 1;
         let d_centroid = euclidean(query, &node.centroid);
         if heap.len() == k {
             let worst = heap.peek().expect("heap non-empty").dist;
@@ -319,7 +345,7 @@ impl BallTree {
         }
         match &node.kind {
             NodeKind::Leaf(ids) => {
-                self.count_dist(ids.len() as u64);
+                *evals += ids.len() as u64;
                 for &id in ids {
                     let d = euclidean(query, self.point(id));
                     if heap.len() < k {
@@ -334,14 +360,14 @@ impl BallTree {
                 // Visit the closer child first for tighter pruning bounds.
                 let dl = euclidean(query, &left.centroid);
                 let dr = euclidean(query, &right.centroid);
-                self.count_dist(2);
+                *evals += 2;
                 let (first, second) = if dl <= dr {
                     (left, right)
                 } else {
                     (right, left)
                 };
-                self.knn_rec(first, query, k, heap);
-                self.knn_rec(second, query, k, heap);
+                self.knn_rec(first, query, k, evals, heap);
+                self.knn_rec(second, query, k, evals, heap);
             }
         }
     }
@@ -582,6 +608,35 @@ mod tests {
             assert_eq!(got, tree.range_query(&pts[w * 100], 1.0));
         }
         assert!(tree.take_distance_evals() > 0);
+    }
+
+    #[test]
+    fn concurrent_probes_count_the_same_evaluations_as_serial_ones() {
+        let pts = grid_points(3000, 6);
+        let tree = BallTree::from_vectors(&pts);
+        let queries: Vec<(usize, f32)> = (0..40).map(|i| (i * 71, 0.5 + i as f32 * 0.05)).collect();
+        tree.take_distance_evals();
+        for &(qi, tau) in &queries {
+            let _ = tree.range_query_sq(&pts[qi], tau);
+            let _ = tree.knn(&pts[qi], 5);
+        }
+        let serial = tree.take_distance_evals();
+        assert!(serial > 0);
+        // Both threads start probing together, so their queries overlap.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for half in queries.chunks(queries.len() / 2) {
+                let (tree, pts, start) = (&tree, &pts, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for &(qi, tau) in half {
+                        let _ = tree.range_query_sq(&pts[qi], tau);
+                        let _ = tree.knn(&pts[qi], 5);
+                    }
+                });
+            }
+        });
+        assert_eq!(tree.take_distance_evals(), serial);
     }
 
     #[test]

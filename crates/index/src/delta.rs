@@ -18,7 +18,10 @@
 //! which depends on the tree's shape and would differ between a maintained
 //! and a fresh build — the combined result is returned **sorted by
 //! position**, which is shape-independent and therefore byte-identical
-//! across the two paths.
+//! across the two paths. [`DeltaBallTree::range_query_sq`] is the unsorted
+//! form with each hit's squared distance: the probe a similarity join runs,
+//! whether over a persisted index or a fresh tree wrapped by
+//! [`DeltaBallTree::from_tree`].
 //!
 //! The structure is deliberately merge-biased: it never rebalances. The
 //! owner is expected to price `delta_rows()` against a full rebuild (see
@@ -122,25 +125,43 @@ impl DeltaBallTree {
         self.delta.retain(|&pos, _| (pos as usize) < len);
     }
 
+    /// All live positions within Euclidean distance `tau` of `query`, each
+    /// with its squared distance: the base tree's hits
+    /// ([`BallTree::range_query_sq`], traversal order) minus tombstones, then
+    /// the delta rows in ascending position. Every `d²` is the exact
+    /// `sq_euclidean(query, row)` that admitted the row, so a caller probing
+    /// at an outer radius can demultiplex tighter thresholds against
+    /// bit-identical values. The order depends on the tree's shape; sort
+    /// for a shape-independent answer, as [`DeltaBallTree::range_query`]
+    /// does.
+    pub fn range_query_sq(&self, query: &[f32], tau: f32) -> Vec<(u32, f32)> {
+        let mut hits = if self.base.is_empty() {
+            Vec::new()
+        } else {
+            self.base.range_query_sq(query, tau)
+        };
+        if !self.tombstones.is_empty() {
+            hits.retain(|(id, _)| !self.tombstones.contains(id));
+        }
+        let tau_sq = tau * tau;
+        for (&pos, feats) in &self.delta {
+            let d2 = sq_euclidean(query, feats);
+            if d2 <= tau_sq {
+                hits.push((pos, d2));
+            }
+        }
+        hits
+    }
+
     /// All live positions within Euclidean distance `tau` of `query`,
     /// **sorted ascending** — byte-identical to sorting a fresh
     /// [`BallTree::range_query`] over the current rows.
     pub fn range_query(&self, query: &[f32], tau: f32) -> Vec<u32> {
-        let mut hits: Vec<u32> = if self.base.is_empty() {
-            Vec::new()
-        } else {
-            self.base
-                .range_query(query, tau)
-                .into_iter()
-                .filter(|id| !self.tombstones.contains(id))
-                .collect()
-        };
-        let tau_sq = tau * tau;
-        for (&pos, feats) in &self.delta {
-            if sq_euclidean(query, feats) <= tau_sq {
-                hits.push(pos);
-            }
-        }
+        let mut hits: Vec<u32> = self
+            .range_query_sq(query, tau)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
         hits.sort_unstable();
         hits
     }
@@ -217,6 +238,41 @@ mod tests {
                 fresh_query(&rows, q, tau),
                 "tau {tau}"
             );
+        }
+    }
+
+    #[test]
+    fn range_query_sq_distances_are_exact_after_appends_changes_and_shrinks() {
+        let mut rows = vectors(19, 180, 6);
+        let mut delta = DeltaBallTree::from_tree(BallTree::from_vectors(&rows));
+        let extra = vectors(23, 40, 6);
+        for v in &extra[..15] {
+            rows.push(v.clone());
+            assert!(delta.upsert((rows.len() - 1) as u32, v.clone()));
+        }
+        for (i, v) in extra[15..30].iter().enumerate() {
+            let pos = i * 11 % 180;
+            rows[pos] = v.clone();
+            assert!(delta.upsert(pos as u32, v.clone()));
+        }
+        rows.truncate(170);
+        delta.truncate(170);
+        for v in &extra[30..] {
+            rows.push(v.clone());
+            assert!(delta.upsert((rows.len() - 1) as u32, v.clone()));
+        }
+        assert!(delta.delta_rows() > 0);
+        for (i, q) in vectors(29, 10, 6).iter().enumerate() {
+            let tau = 1.0 + i as f32 * 0.5;
+            let with_d = delta.range_query_sq(q, tau);
+            for &(pos, d2) in &with_d {
+                assert_eq!(d2, sq_euclidean(q, &rows[pos as usize]), "pos {pos}");
+                assert!(d2 <= tau * tau);
+            }
+            let mut ids: Vec<u32> = with_d.iter().map(|&(pos, _)| pos).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, delta.range_query(q, tau));
+            assert_eq!(ids, fresh_query(&rows, q, tau), "tau {tau}");
         }
     }
 

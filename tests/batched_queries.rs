@@ -95,6 +95,21 @@ fn anchored<'s>(s: &'s Session, specs: &[(u8, usize, usize, usize)]) -> QueryBat
     batch
 }
 
+/// Re-materialize `big` with 2 % of its rows changed and 3 appended: its
+/// `by_feat` index is carried as a delta (tombstones + side rows), not
+/// rebuilt.
+fn rewrite_big(s: &Session) {
+    let mut rows = s.catalog.snapshot("big").unwrap().patches.clone();
+    let fresh = feature_patches(11, 5, 77);
+    for (k, pos) in (0..rows.len()).step_by(50).enumerate() {
+        rows[pos] = fresh[k].clone();
+    }
+    rows.extend(fresh[8..].iter().cloned());
+    let maintained = deeplens::core::catalog::index_deltas_maintained();
+    s.catalog.materialize("big", rows);
+    assert!(deeplens::core::catalog::index_deltas_maintained() > maintained);
+}
+
 /// One member's answer by brute force over the session's snapshots.
 fn oracle(s: &Session, query: &BatchQuery) -> BatchResult {
     let rows = |name: &str| s.catalog.snapshot(name).unwrap().patches.clone();
@@ -240,9 +255,10 @@ proptest! {
     /// byte-identical results to serial issuance *and* to the brute-force
     /// oracle — across 1/2/4 worker threads, the vectorized core and the
     /// simulated GPU, 1/16 catalog shards, backed and unbacked collections
-    /// (the Ball-Tree, GPU all-pairs and nested plans all run, and a backing
-    /// changes none of them), with every configuration agreeing on the
-    /// bytes.
+    /// (the on-the-fly Ball-Tree, persisted-index, GPU all-pairs and nested
+    /// plans all run, and a backing changes none of them), before and after
+    /// a write leaves `big`'s index delta-maintained, with every
+    /// configuration agreeing on the bytes.
     #[test]
     fn random_batches_byte_identical_to_serial(
         specs in prop::collection::vec((0u8..4, 0usize..5, 0usize..5, 0usize..5), 4..9),
@@ -256,45 +272,65 @@ proptest! {
         ];
         let mut reached = Vec::new();
         let mut unbacked_plans = Vec::new();
-        let mut reference: Option<Vec<BatchResult>> = None;
+        // One reference per phase: before and after the write to `big`.
+        let mut reference: [Option<Vec<BatchResult>>; 2] = [None, None];
         for (shards, backed) in [(1usize, false), (1, true), (16, false), (16, true)] {
             for device in devices {
                 let s = plan_corpus_session(device, shards, backed);
-                let shape = format!("{device:?} / {shards} shards / backed={backed}");
-                let snap = |name: &str| s.catalog.snapshot(name).unwrap();
-                let plans: Vec<JoinPlan> = [("wee", "wee"), ("mid", "odd"), ("mid", "big")]
-                    .into_iter()
-                    .map(|(l, r)| {
-                        JoinPlan::choose(&snap(l).patches, &snap(r).patches, device).unwrap()
-                    })
-                    .collect();
-                if backed {
-                    let unbacked = unbacked_plans
-                        .iter()
-                        .find(|(sh, d, _)| *sh == shards && *d == device)
-                        .map(|(_, _, p)| p);
-                    prop_assert_eq!(unbacked, Some(&plans), "{}: a backing moved a plan", shape);
-                } else {
-                    unbacked_plans.push((shards, device, plans.clone()));
-                }
-                reached.extend(plans);
-                let batch = anchored(&s, &specs);
-                let queries = batch.queries().to_vec();
-                let got = batch.run().unwrap();
-                let want = anchored(&s, &specs).run_serial().unwrap();
+                for (phase, reference) in reference.iter_mut().enumerate() {
+                    if phase == 1 {
+                        rewrite_big(&s);
+                    }
+                    let shape =
+                        format!("{device:?} / {shards} shards / backed={backed} / phase {phase}");
+                    let snap = |name: &str| s.catalog.snapshot(name).unwrap();
+                    // Planned as the batch plans them: with each snapshot's
+                    // live index.
+                    let plans: Vec<JoinPlan> = [("wee", "wee"), ("mid", "odd"), ("mid", "big")]
+                        .into_iter()
+                        .map(|(l, r)| JoinPlan::choose(&*snap(l), &*snap(r), device).unwrap())
+                        .collect();
+                    if device != Device::GpuSim {
+                        // `big`'s index is probed, fresh and delta-maintained.
+                        let indexed = JoinPlan::Indexed { index_left: false };
+                        prop_assert_eq!(plans[2], indexed, "{}", shape);
+                    }
+                    if backed {
+                        let unbacked = unbacked_plans
+                            .iter()
+                            .find(|(sh, d, p, _)| (*sh, *d, *p) == (shards, device, phase))
+                            .map(|(_, _, _, plans)| plans);
+                        prop_assert_eq!(
+                            unbacked,
+                            Some(&plans),
+                            "{}: a backing moved a plan",
+                            shape
+                        );
+                    } else {
+                        unbacked_plans.push((shards, device, phase, plans.clone()));
+                    }
+                    reached.extend(plans);
+                    let batch = anchored(&s, &specs);
+                    let queries = batch.queries().to_vec();
+                    let got = batch.run().unwrap();
+                    let want = anchored(&s, &specs).run_serial().unwrap();
 
-                prop_assert_eq!(&got, &want, "{}", shape);
-                for (q, r) in queries.iter().zip(&got) {
-                    prop_assert_eq!(r, &oracle(&s, q), "{} vs oracle: {:?}", shape, q);
-                }
-                match &reference {
-                    None => reference = Some(got),
-                    Some(r) => prop_assert_eq!(r, &got, "{} diverged from reference", shape),
+                    prop_assert_eq!(&got, &want, "{}", shape);
+                    for (q, r) in queries.iter().zip(&got) {
+                        prop_assert_eq!(r, &oracle(&s, q), "{} vs oracle: {:?}", shape, q);
+                    }
+                    match reference {
+                        None => *reference = Some(got),
+                        Some(r) => {
+                            prop_assert_eq!(r, &got, "{} diverged from reference", shape)
+                        }
+                    }
                 }
             }
         }
         for plan in [
             JoinPlan::BallTree { index_left: true },
+            JoinPlan::Indexed { index_left: false },
             JoinPlan::GpuAllPairs,
             JoinPlan::Nested,
         ] {
