@@ -11,7 +11,9 @@
 //!    `unreachable!` in non-test `crates/serve` request-handling code, nor in
 //!    the core files every served query plans and runs through
 //!    ([`SERVED_CORE_FILES`]); a malformed request must produce an `Error`
-//!    wire reply, never a dead connection thread.
+//!    wire reply, never a dead connection thread. The codec's DLV1 decode
+//!    path ([`DECODE_PATH_FILES`]) is held to the same rule, so a corrupt
+//!    stream is an error, not a panic mid-ingest.
 //! 3. **no-debug-macro** — no `todo!` / `unimplemented!` / `dbg!` anywhere
 //!    (test code included).
 //! 4. **allow-justification** — every `#[allow(...)]` in non-test code
@@ -53,6 +55,20 @@ pub const SERVED_CORE_FILES: &[&str] = &[
     "crates/core/src/plan.rs",
     "crates/core/src/batch.rs",
     "crates/core/src/ops.rs",
+];
+
+/// Codec files (workspace-relative) every ingest decodes its DLV1 bytes
+/// through, held to the **serve-panic** rule: a corrupt stream must come
+/// back as a `CodecError`, never a panic in the ingesting thread.
+pub const DECODE_PATH_FILES: &[&str] = &[
+    "crates/codec/src/video.rs",
+    "crates/codec/src/bitstream.rs",
+    "crates/codec/src/entropy.rs",
+    "crates/codec/src/intra.rs",
+    "crates/codec/src/quant.rs",
+    "crates/codec/src/dct.rs",
+    "crates/codec/src/motion.rs",
+    "crates/codec/src/image.rs",
 ];
 
 /// One rule violation at a specific source location.
@@ -231,7 +247,7 @@ fn check_raw_locks(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<Violation>)
 /// Rule 2: panicking calls in non-test serve request paths.
 fn check_serve_panics(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<Violation>) {
     let serve = rel_path.starts_with("crates/serve/src/") && !rel_path.contains("/bin/");
-    if !serve && !SERVED_CORE_FILES.contains(&rel_path) {
+    if !serve && !SERVED_CORE_FILES.contains(&rel_path) && !DECODE_PATH_FILES.contains(&rel_path) {
         return;
     }
     for line in lines {
@@ -625,6 +641,18 @@ mod tests {
         assert!(rules_hit("crates/core/src/etl.rs", &src).is_empty());
         let test_src = format!("{CFG_TEST}\n{src}");
         assert!(rules_hit("crates/core/src/batch.rs", &test_src).is_empty());
+    }
+
+    #[test]
+    fn serve_panic_covers_the_codec_decode_path() {
+        let src = format!("fn f() {{ x{UNWRAP_CALL}; }}\n");
+        for rel in DECODE_PATH_FILES {
+            assert_eq!(rules_hit(rel, &src), ["serve-panic"], "{rel}");
+        }
+        // Quality metrics are not decode work.
+        assert!(rules_hit("crates/codec/src/metrics.rs", &src).is_empty());
+        let test_src = format!("{CFG_TEST}\n{src}");
+        assert!(rules_hit("crates/codec/src/video.rs", &test_src).is_empty());
     }
 
     #[test]

@@ -3,6 +3,10 @@
 //! The entropy layer writes MSB-first into a byte vector. Exp-Golomb codes
 //! are the variable-length integer codes used by H.264 for headers, motion
 //! vectors, and (in our simplified codec) coefficient levels.
+//!
+//! A code that does not fit its integer type (a `ue` above `u32::MAX`, a
+//! `se` outside `i32`) is a [`CodecError::CorruptStream`], never a wrapped
+//! value.
 
 use crate::error::CodecError;
 
@@ -113,7 +117,32 @@ impl<'a> BitReader<'a> {
     }
 
     /// Decode an unsigned Exp-Golomb code.
+    ///
+    /// Reads the whole code out of one 64-bit window when 8 bytes remain
+    /// and the code fits in it; near the end of the buffer, and for codes
+    /// with more than 28 leading zeros, it falls back to the bit loop. Both
+    /// paths return the same value, or the same error, on every input.
+    #[inline]
     pub fn get_ue(&mut self) -> crate::Result<u32> {
+        let byte = self.pos / 8;
+        if let Some(bytes) = self.buf.get(byte..).and_then(<[u8]>::first_chunk::<8>) {
+            // At least 57 valid bits: the code `zeros` + 1 + `zeros` fits
+            // whenever `zeros` ≤ 28.
+            let window = u64::from_be_bytes(*bytes) << (self.pos % 8);
+            let zeros = window.leading_zeros();
+            if zeros <= MAX_WINDOW_ZEROS {
+                let len = 2 * zeros + 1;
+                self.pos += len as usize;
+                // `zeros` ≤ 28, so the code is below 2^29.
+                return Ok((window >> (64 - len)) as u32 - 1);
+            }
+        }
+        self.get_ue_bitwise()
+    }
+
+    /// The bit-at-a-time Exp-Golomb decoder [`BitReader::get_ue`] falls
+    /// back to, and the reference its window path is tested against.
+    pub(crate) fn get_ue_bitwise(&mut self) -> crate::Result<u32> {
         let mut zeros = 0u8;
         while !self.get_bit()? {
             zeros += 1;
@@ -125,17 +154,40 @@ impl<'a> BitReader<'a> {
         }
         let rest = self.get_bits(zeros)?;
         let x = (1u64 << zeros) | rest as u64;
-        Ok((x - 1) as u32)
+        u32::try_from(x - 1)
+            .map_err(|_| CodecError::CorruptStream("exp-golomb code exceeds u32".into()))
     }
 
     /// Decode a signed Exp-Golomb code.
     pub fn get_se(&mut self) -> crate::Result<i32> {
-        let v = self.get_ue()? as i64;
-        Ok(if v % 2 == 0 {
-            -(v / 2) as i32
+        let v = self.get_ue()?;
+        if v % 2 == 0 {
+            // v / 2 ≤ i32::MAX.
+            Ok(-((v / 2) as i32))
         } else {
-            ((v + 1) / 2) as i32
-        })
+            i32::try_from(v / 2 + 1)
+                .map_err(|_| CodecError::CorruptStream("signed exp-golomb code exceeds i32".into()))
+        }
+    }
+}
+
+/// Longest zero prefix [`BitReader::get_ue`] decodes from its 64-bit
+/// window: a window shifted by up to 7 bits holds 57 valid bits, and a code
+/// with `z` leading zeros is `2z + 1` bits long.
+const MAX_WINDOW_ZEROS: u32 = 28;
+
+#[cfg(test)]
+impl BitReader<'_> {
+    /// [`BitReader::get_se`] over the bit loop alone: the reader of the
+    /// reference decode the video tests compare whole streams against.
+    pub(crate) fn get_se_bitwise(&mut self) -> crate::Result<i32> {
+        let v = self.get_ue_bitwise()?;
+        if v % 2 == 0 {
+            Ok(-((v / 2) as i32))
+        } else {
+            i32::try_from(v / 2 + 1)
+                .map_err(|_| CodecError::CorruptStream("signed exp-golomb code exceeds i32".into()))
+        }
     }
 }
 
@@ -196,6 +248,105 @@ mod tests {
         for &v in &vals {
             assert_eq!(r.get_se().unwrap(), v);
         }
+    }
+
+    #[test]
+    fn windowed_ue_matches_the_bit_loop_on_random_streams() {
+        let mut rng = crate::test_rng::Rng::new(0xB175);
+        let mut fast_codes = 0;
+        for _ in 0..20_000 {
+            // Mostly-zero bytes make long prefixes, codes that straddle the
+            // window and truncations mid-prefix all common.
+            let len = rng.below(25) as usize;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| match rng.below(4) {
+                    0 | 1 => 0,
+                    2 => 1 << rng.below(8),
+                    _ => rng.next_u64() as u8,
+                })
+                .collect();
+            let start = rng.below(len as u64 * 8 + 1) as usize;
+            let mut fast = BitReader {
+                buf: &bytes,
+                pos: start,
+            };
+            let mut slow = BitReader {
+                buf: &bytes,
+                pos: start,
+            };
+            loop {
+                let windowed = fast.buf.len() >= fast.pos / 8 + 8;
+                let (a, b) = (fast.get_ue(), slow.get_ue_bitwise());
+                assert_eq!(a, b, "{bytes:02x?} from bit {start}");
+                if a.is_err() {
+                    break;
+                }
+                assert_eq!(fast.pos, slow.pos);
+                fast_codes += usize::from(windowed);
+            }
+        }
+        assert!(
+            fast_codes > 10_000,
+            "the window path ran {fast_codes} times"
+        );
+    }
+
+    #[test]
+    fn ue_codes_past_u32_are_corrupt_in_both_paths() {
+        // 8 trailing zero bytes put every start offset in window range.
+        for shift in 0..8u8 {
+            let stream = |code: &dyn Fn(&mut BitWriter)| {
+                let mut w = BitWriter::new();
+                w.put_bits(0, shift);
+                code(&mut w);
+                w.put_bits(0, 32);
+                w.put_bits(0, 32);
+                w.finish()
+            };
+            let decode = |bytes: &[u8]| {
+                let mut r = BitReader::new(bytes);
+                r.get_bits(shift).unwrap();
+                let mut s = BitReader::new(bytes);
+                s.get_bits(shift).unwrap();
+                let (a, b) = (r.get_ue(), s.get_ue_bitwise());
+                assert_eq!(a, b);
+                a
+            };
+            assert_eq!(decode(&stream(&|w| w.put_ue(u32::MAX))), Ok(u32::MAX));
+            // 32 zeros and a suffix above zero: 2^32 + 1 - 1 does not fit.
+            let over = stream(&|w| {
+                w.put_bits(0, 32);
+                w.put_bits(1, 1);
+                w.put_bits(1, 32);
+            });
+            assert!(matches!(decode(&over), Err(CodecError::CorruptStream(_))));
+            let long_prefix = stream(&|w| {
+                w.put_bits(0, 32);
+                w.put_bits(0, 1);
+                w.put_bits(1, 1);
+            });
+            assert_eq!(
+                decode(&long_prefix),
+                Err(CodecError::CorruptStream(
+                    "exp-golomb prefix too long".into()
+                ))
+            );
+        }
+        let mut r = BitReader::new(&[0, 0]);
+        assert_eq!(r.get_ue(), Err(CodecError::UnexpectedEof));
+    }
+
+    #[test]
+    fn se_codes_outside_i32_are_corrupt() {
+        let mut w = BitWriter::new();
+        w.put_se(i32::MAX);
+        w.put_se(-i32::MAX);
+        w.put_ue(u32::MAX); // would be +2^31
+        let bytes = w.finish();
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(r.get_se(), Ok(i32::MAX));
+        assert_eq!(r.get_se(), Ok(-i32::MAX));
+        assert!(matches!(r.get_se(), Err(CodecError::CorruptStream(_))));
     }
 
     #[test]

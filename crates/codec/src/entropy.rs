@@ -85,7 +85,10 @@ impl BlockDecoder {
     pub fn decode(&mut self, r: &mut BitReader<'_>) -> crate::Result<[i32; BLOCK * BLOCK]> {
         let mut levels = [0i32; BLOCK * BLOCK];
         let delta = r.get_se()?;
-        self.dc_pred += delta;
+        self.dc_pred = self
+            .dc_pred
+            .checked_add(delta)
+            .ok_or_else(|| CodecError::CorruptStream("DC predictor overflows i32".into()))?;
         levels[0] = self.dc_pred;
 
         let mut pos = 1usize; // position in zigzag order
@@ -108,6 +111,38 @@ impl BlockDecoder {
             pos += 1;
         }
         Ok(levels)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{BitReader, CodecError, BLOCK, ZIGZAG};
+
+    /// [`super::BlockDecoder::decode`] over the bit-loop Exp-Golomb reader,
+    /// for the reference decode.
+    pub(crate) fn decode_block(
+        dc_pred: &mut i32,
+        r: &mut BitReader<'_>,
+    ) -> crate::Result<[i32; BLOCK * BLOCK]> {
+        let mut levels = [0i32; BLOCK * BLOCK];
+        *dc_pred = dc_pred
+            .checked_add(r.get_se_bitwise()?)
+            .ok_or_else(|| CodecError::CorruptStream("DC predictor overflows i32".into()))?;
+        levels[0] = *dc_pred;
+        let mut pos = 1usize;
+        loop {
+            let run = r.get_ue_bitwise()? as usize;
+            let level = r.get_se_bitwise()?;
+            if run == 63 && level == 0 {
+                return Ok(levels);
+            }
+            pos += run;
+            if pos >= BLOCK * BLOCK || level == 0 {
+                return Err(CodecError::CorruptStream("bad AC run or level".into()));
+            }
+            levels[ZIGZAG[pos]] = level;
+            pos += 1;
+        }
     }
 }
 
@@ -186,6 +221,37 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         let mut dec = BlockDecoder::new();
         assert!(dec.decode(&mut r).is_err());
+    }
+
+    #[test]
+    fn hostile_dc_deltas_are_corrupt_not_wrapped() {
+        // Two blocks whose DC delta is ue(u32::MAX): an se of +2^31.
+        let mut w = BitWriter::new();
+        for _ in 0..2 {
+            w.put_ue(u32::MAX);
+            w.put_ue(63);
+            w.put_se(0);
+        }
+        let bytes = w.finish();
+        let mut dec = BlockDecoder::new();
+        let err = dec.decode(&mut BitReader::new(&bytes));
+        assert!(matches!(err, Err(CodecError::CorruptStream(_))), "{err:?}");
+
+        // Two in-range deltas of i32::MAX (the encoder reset between
+        // them, the decoder did not): their sum leaves i32.
+        let mut w = BitWriter::new();
+        let mut enc = BlockEncoder::new();
+        let mut big = [0i32; 64];
+        big[0] = i32::MAX;
+        enc.encode(&big, &mut w);
+        enc.reset();
+        enc.encode(&big, &mut w);
+        let bytes = w.finish();
+        let mut dec = BlockDecoder::new();
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(dec.decode(&mut r).unwrap()[0], i32::MAX);
+        let err = dec.decode(&mut r);
+        assert!(matches!(err, Err(CodecError::CorruptStream(_))), "{err:?}");
     }
 
     #[test]

@@ -184,25 +184,51 @@ impl Image {
         ]
     }
 
-    /// Reassemble an RGB image from Y, Cb, Cr planes of identical dimensions.
-    pub fn from_ycbcr(planes: &[Plane; 3]) -> Image {
-        let (w, h) = (planes[0].width, planes[0].height);
-        debug_assert!(planes.iter().all(|p| p.width == w && p.height == h));
-        let mut data = Vec::with_capacity((w * h * 3) as usize);
-        for i in 0..(w * h) as usize {
-            let y = planes[0].data[i];
-            let cb = planes[1].data[i] - 128.0;
-            let cr = planes[2].data[i] - 128.0;
-            let r = y + 1.402 * cr;
-            let g = y - 0.344_136 * cb - 0.714_136 * cr;
-            let b = y + 1.772 * cb;
-            data.push(clamp_u8(r));
-            data.push(clamp_u8(g));
-            data.push(clamp_u8(b));
+    /// Reassemble an RGB image from a full-resolution Y plane and 4:2:0
+    /// Cb, Cr planes (`⌈w/2⌉ × ⌈h/2⌉`): pixel `(x, y)` takes its chroma
+    /// from sample `(x/2, y/2)`, as a nearest-neighbour upsample would give
+    /// it.
+    ///
+    /// A chroma sample's four products (`1.402·cr`, `0.344136·cb`,
+    /// `0.714136·cr`, `1.772·cb`) are formed once for the four pixels that
+    /// share it; each pixel then computes `r = y + 1.402·cr`,
+    /// `g = (y − 0.344136·cb) − 0.714136·cr` and `b = y + 1.772·cb` with
+    /// exactly the operations of a per-pixel conversion.
+    pub(crate) fn from_ycbcr420(y: &Plane, cb: &Plane, cr: &Plane) -> Image {
+        let (w, h) = (y.width as usize, y.height as usize);
+        let cw = w.div_ceil(2);
+        debug_assert!([cb, cr]
+            .iter()
+            .all(|p| p.width as usize == cw && p.height as usize == h.div_ceil(2)));
+        let mut data = vec![0u8; w * h * 3];
+        // Per chroma column of the current chroma row: the four products.
+        let mut products = vec![[0f32; 4]; cw];
+        // `max(1)`: a zero-width image has no rows to convert.
+        let rows = y
+            .data
+            .chunks_exact(w.max(1))
+            .zip(data.chunks_exact_mut(3 * w.max(1)));
+        for (row, (y_row, rgb_row)) in rows.enumerate() {
+            if row % 2 == 0 {
+                let chroma = (row / 2) * cw..(row / 2 + 1) * cw;
+                let (cb_row, cr_row) = (&cb.data[chroma.clone()], &cr.data[chroma]);
+                for ((p, &cb), &cr) in products.iter_mut().zip(cb_row).zip(cr_row) {
+                    let (cb, cr) = (cb - 128.0, cr - 128.0);
+                    *p = [1.402 * cr, 0.344_136 * cb, 0.714_136 * cr, 1.772 * cb];
+                }
+            }
+            let pairs = rgb_row.chunks_mut(6).zip(y_row.chunks(2));
+            for ((rgb2, y2), p) in pairs.zip(&products) {
+                for (rgb, &y) in rgb2.chunks_exact_mut(3).zip(y2) {
+                    rgb[0] = clamp_u8(y + p[0]);
+                    rgb[1] = clamp_u8(y - p[1] - p[2]);
+                    rgb[2] = clamp_u8(y + p[3]);
+                }
+            }
         }
         Image {
-            width: w,
-            height: h,
+            width: y.width,
+            height: y.height,
             data,
         }
     }
@@ -224,9 +250,37 @@ impl Image {
     }
 }
 
+/// Round half away from zero into `0..=255`, equal to
+/// `v.round().clamp(0.0, 255.0) as u8` for every `f32` (NaN → 0, ±∞ → 255 / 0)
+/// without the `roundf` call the baseline x86-64 target makes for `round`.
+/// After the clamp `v ∈ [0, 255]` (or NaN), `v - trunc(v)` is exact, and
+/// rounding up from 254.5 or above lands on 255 at most.
 #[inline]
 fn clamp_u8(v: f32) -> u8 {
-    v.round().clamp(0.0, 255.0) as u8
+    let v = v.clamp(0.0, 255.0);
+    let t = v as u8;
+    t + u8::from(v - f32::from(t) >= 0.5)
+}
+
+/// Largest `width × height` (4096 × 4096) a decoder accepts from a stream
+/// header. Decoding a frame holds about twenty bytes per pixel (residual,
+/// prediction and reference planes in `f32`, and the RGB raster), sized by
+/// the header before the first block is read.
+pub(crate) const MAX_FRAME_PIXELS: u64 = 1 << 24;
+
+/// Reject stream-header dimensions a decoder must not allocate for: a zero
+/// side, or more than [`MAX_FRAME_PIXELS`] pixels. `what` names the format
+/// in the error ("video", "image").
+pub(crate) fn check_frame_dimensions(width: u32, height: u32, what: &str) -> crate::Result<()> {
+    if width == 0 || height == 0 {
+        return Err(CodecError::InvalidHeader(format!("zero {what} dimension")));
+    }
+    if u64::from(width) * u64::from(height) > MAX_FRAME_PIXELS {
+        return Err(CodecError::InvalidHeader(format!(
+            "{width}x{height} {what} frame exceeds MAX_FRAME_PIXELS ({MAX_FRAME_PIXELS})"
+        )));
+    }
+    Ok(())
 }
 
 /// A single-channel floating-point plane.
@@ -283,22 +337,132 @@ impl Plane {
         }
         out
     }
+}
 
-    /// Nearest-neighbour 2× upsample to the requested dimensions.
-    pub fn upsample2(&self, tw: u32, th: u32) -> Plane {
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{Image, Plane};
+
+    /// The per-pixel nearest-neighbour 2× upsample the 4:2:0 conversion
+    /// replaced.
+    pub(crate) fn upsample2(p: &Plane, tw: u32, th: u32) -> Plane {
         let mut out = Plane::new(tw, th);
         for y in 0..th {
             for x in 0..tw {
-                out.set(x, y, self.get_clamped((x / 2) as i64, (y / 2) as i64));
+                out.set(x, y, p.get_clamped((x / 2) as i64, (y / 2) as i64));
             }
         }
         out
+    }
+
+    /// `f32::round`-based clamp [`super::clamp_u8`] must equal.
+    pub(crate) fn clamp_u8(v: f32) -> u8 {
+        v.round().clamp(0.0, 255.0) as u8
+    }
+
+    /// The per-pixel conversion from three full-resolution planes that
+    /// [`Image::from_ycbcr420`] must match byte for byte after a
+    /// [`upsample2`] of its chroma.
+    pub(crate) fn from_ycbcr(planes: &[Plane; 3]) -> Image {
+        let (w, h) = (planes[0].width, planes[0].height);
+        let mut data = Vec::with_capacity((w * h * 3) as usize);
+        for i in 0..(w * h) as usize {
+            let y = planes[0].data[i];
+            let cb = planes[1].data[i] - 128.0;
+            let cr = planes[2].data[i] - 128.0;
+            let r = y + 1.402 * cr;
+            let g = y - 0.344_136 * cb - 0.714_136 * cr;
+            let b = y + 1.772 * cb;
+            data.push(clamp_u8(r));
+            data.push(clamp_u8(g));
+            data.push(clamp_u8(b));
+        }
+        Image {
+            width: w,
+            height: h,
+            data,
+        }
+    }
+
+    /// Reference for a decoded frame: upsample the chroma, then convert.
+    pub(crate) fn from_ycbcr420(y: &Plane, cb: &Plane, cr: &Plane) -> Image {
+        let (w, h) = (y.width, y.height);
+        from_ycbcr(&[y.clone(), upsample2(cb, w, h), upsample2(cr, w, h)])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Rng;
+
+    #[test]
+    fn clamp_u8_equals_round_clamp_for_every_kind_of_f32() {
+        let mut rng = Rng::new(0xC1A);
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            0.499_999_97,
+            0.5,
+            254.499_98,
+            254.5,
+            255.0,
+            255.5,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+        ];
+        // Every half step across the range and beyond it, then random bit
+        // patterns (NaN payloads, subnormals, huge magnitudes) and random
+        // values near the byte range.
+        let halves = (-1024..1024).map(|k| k as f32 / 2.0);
+        let bits: Vec<f32> = (0..200_000)
+            .map(|_| f32::from_bits(rng.next_u64() as u32))
+            .collect();
+        let near: Vec<f32> = (0..200_000).map(|_| rng.f32_in(-8.0, 264.0)).collect();
+        for v in specials.into_iter().chain(halves).chain(bits).chain(near) {
+            assert_eq!(
+                clamp_u8(v),
+                reference::clamp_u8(v),
+                "{v} ({:#x})",
+                v.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn from_ycbcr420_matches_upsample_then_convert() {
+        let mut rng = Rng::new(0x420);
+        for case in 0..10_000 {
+            let (w, h) = (1 + rng.below(19) as u32, 1 + rng.below(13) as u32);
+            let mut sample = || match case % 4 {
+                // Decoded planes: in range, with exact .5 boundaries.
+                0 => rng.below(511) as f32 / 2.0,
+                1 => rng.f32_in(-40.0, 300.0),
+                2 => rng.f32_in(0.0, 255.0),
+                _ => [f32::NAN, f32::INFINITY, -1e9, 127.5, rng.f32_in(0.0, 255.0)]
+                    [rng.below(5) as usize],
+            };
+            let mut plane = |pw: u32, ph: u32| Plane {
+                width: pw,
+                height: ph,
+                data: (0..pw * ph).map(|_| sample()).collect(),
+            };
+            let y = plane(w, h);
+            let cb = plane(w.div_ceil(2), h.div_ceil(2));
+            let cr = plane(w.div_ceil(2), h.div_ceil(2));
+            assert_eq!(
+                Image::from_ycbcr420(&y, &cb, &cr),
+                reference::from_ycbcr420(&y, &cb, &cr),
+                "{w}x{h}"
+            );
+        }
+    }
 
     #[test]
     fn solid_roundtrips_pixels() {
@@ -339,14 +503,20 @@ mod tests {
 
     #[test]
     fn ycbcr_roundtrip_is_near_lossless() {
+        // Constant 2×2 blocks, so 4:2:0 subsampling loses nothing.
         let mut img = Image::new(16, 16);
         for y in 0..16 {
             for x in 0..16 {
-                img.set(x, y, [(x * 16) as u8, (y * 16) as u8, ((x + y) * 8) as u8]);
+                let (bx, by) = (x / 2 * 2, y / 2 * 2);
+                img.set(
+                    x,
+                    y,
+                    [(bx * 16) as u8, (by * 16) as u8, ((bx + by) * 8) as u8],
+                );
             }
         }
-        let planes = img.to_ycbcr();
-        let back = Image::from_ycbcr(&planes);
+        let [y, cb, cr] = img.to_ycbcr();
+        let back = Image::from_ycbcr420(&y, &cb.downsample2(), &cr.downsample2());
         for (a, b) in img.data().iter().zip(back.data()) {
             assert!(
                 (*a as i32 - *b as i32).abs() <= 2,
@@ -365,12 +535,10 @@ mod tests {
     }
 
     #[test]
-    fn downsample_upsample_shapes() {
+    fn downsample_rounds_dimensions_up() {
         let p = Plane::new(5, 7);
         let d = p.downsample2();
         assert_eq!((d.width, d.height), (3, 4));
-        let u = d.upsample2(5, 7);
-        assert_eq!((u.width, u.height), (5, 7));
     }
 
     #[test]

@@ -4,12 +4,21 @@
 //! quantization, and run-length + Exp-Golomb entropy coding. This is both the
 //! standalone image codec (the paper's "JPEG" layout) and the I-frame coder
 //! of the [`crate::video`] module.
+//!
+//! `decode_plane` and `decode_planes` are also the first half of the
+//! video encoder's reconstruction loop, so every kernel on this path (the
+//! Exp-Golomb reader, the inverse DCT, the row-wise plane writes, the 4:2:0
+//! colour conversion) must compute each sample with the same floating-point
+//! operations in the same order as the stream's encoder did. A faster
+//! kernel here is only correct if decoded frames *and* encoded bytes stay
+//! byte-identical; each one is checked bit for bit against its per-sample
+//! reference in the unit tests.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::dct::{self, BLOCK};
 use crate::entropy::{BlockDecoder, BlockEncoder};
 use crate::error::CodecError;
-use crate::image::{Image, Plane};
+use crate::image::{check_frame_dimensions, Image, Plane};
 use crate::quant::{dequantize, quantize, Quality, QuantTables};
 
 /// Magic number prefixing standalone encoded images.
@@ -54,23 +63,21 @@ pub(crate) fn decode_plane(
     shift: f32,
     r: &mut BitReader<'_>,
 ) -> crate::Result<Plane> {
-    let bw = (width as usize).div_ceil(BLOCK);
-    let bh = (height as usize).div_ceil(BLOCK);
+    let (w, h) = (width as usize, height as usize);
     let mut plane = Plane::new(width, height);
     let mut dec = BlockDecoder::new();
     let mut pixels = [0f32; BLOCK * BLOCK];
-    for by in 0..bh {
-        for bx in 0..bw {
+    for y0 in (0..h).step_by(BLOCK) {
+        for x0 in (0..w).step_by(BLOCK) {
             let levels = dec.decode(r)?;
             let coef = dequantize(&levels, table);
             dct::inverse(&coef, &mut pixels);
-            for y in 0..BLOCK {
-                for x in 0..BLOCK {
-                    plane.set(
-                        (bx * BLOCK + x) as u32,
-                        (by * BLOCK + y) as u32,
-                        pixels[y * BLOCK + x] + shift,
-                    );
+            // Edge blocks are clipped at the right and bottom borders.
+            let cols = BLOCK.min(w - x0);
+            let rows = plane.data[y0 * w..].chunks_mut(w).take(BLOCK);
+            for (dst, src) in rows.zip(pixels.chunks_exact(BLOCK)) {
+                for (d, &p) in dst[x0..x0 + cols].iter_mut().zip(src) {
+                    *d = p + shift;
                 }
             }
         }
@@ -100,9 +107,9 @@ pub(crate) fn decode_planes(
     let cw = width.div_ceil(2);
     let ch = height.div_ceil(2);
     let y = decode_plane(width, height, &tables.luma, 128.0, r)?;
-    let cb = decode_plane(cw, ch, &tables.chroma, 128.0, r)?.upsample2(width, height);
-    let cr = decode_plane(cw, ch, &tables.chroma, 128.0, r)?.upsample2(width, height);
-    Ok(Image::from_ycbcr(&[y, cb, cr]))
+    let cb = decode_plane(cw, ch, &tables.chroma, 128.0, r)?;
+    let cr = decode_plane(cw, ch, &tables.chroma, 128.0, r)?;
+    Ok(Image::from_ycbcr420(&y, &cb, &cr))
 }
 
 /// Encode an image to a standalone byte buffer (magic + header + bitstream).
@@ -126,12 +133,61 @@ pub fn decode_image(bytes: &[u8]) -> crate::Result<Image> {
     }
     let width = r.get_bits(16)?;
     let height = r.get_bits(16)?;
-    if width == 0 || height == 0 {
-        return Err(CodecError::InvalidHeader("zero image dimension".into()));
-    }
+    check_frame_dimensions(width, height, "image")?;
     let qf = r.get_bits(8)? as u8;
     let tables = QuantTables::for_quality(Quality::Custom(qf));
     decode_planes(width, height, &tables, &mut r)
+}
+
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{BitReader, Image, Plane, QuantTables, BLOCK};
+    use crate::quant::dequantize;
+
+    /// [`super::decode_plane`] over the reference kernels: the bit-loop
+    /// entropy decoder, the dense inverse DCT and one `Plane::set` per
+    /// sample.
+    pub(crate) fn decode_plane(
+        width: u32,
+        height: u32,
+        table: &[u16; BLOCK * BLOCK],
+        shift: f32,
+        r: &mut BitReader<'_>,
+    ) -> crate::Result<Plane> {
+        let mut plane = Plane::new(width, height);
+        let mut dc_pred = 0;
+        let mut pixels = [0f32; BLOCK * BLOCK];
+        for by in 0..(height as usize).div_ceil(BLOCK) {
+            for bx in 0..(width as usize).div_ceil(BLOCK) {
+                let levels = crate::entropy::reference::decode_block(&mut dc_pred, r)?;
+                crate::dct::reference::inverse(&dequantize(&levels, table), &mut pixels);
+                for y in 0..BLOCK {
+                    for x in 0..BLOCK {
+                        plane.set(
+                            (bx * BLOCK + x) as u32,
+                            (by * BLOCK + y) as u32,
+                            pixels[y * BLOCK + x] + shift,
+                        );
+                    }
+                }
+            }
+        }
+        Ok(plane)
+    }
+
+    /// [`super::decode_planes`] over the reference kernels.
+    pub(crate) fn decode_planes(
+        width: u32,
+        height: u32,
+        tables: &QuantTables,
+        r: &mut BitReader<'_>,
+    ) -> crate::Result<Image> {
+        let (cw, ch) = (width.div_ceil(2), height.div_ceil(2));
+        let y = decode_plane(width, height, &tables.luma, 128.0, r)?;
+        let cb = decode_plane(cw, ch, &tables.chroma, 128.0, r)?;
+        let cr = decode_plane(cw, ch, &tables.chroma, 128.0, r)?;
+        Ok(crate::image::reference::from_ycbcr420(&y, &cb, &cr))
+    }
 }
 
 #[cfg(test)]
@@ -210,6 +266,20 @@ mod tests {
         let bytes = encode_image(&img, Quality::Medium);
         let res = decode_image(&bytes[..bytes.len() / 2]);
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn oversized_image_header_rejected() {
+        let mut w = BitWriter::new();
+        w.put_bits(IMAGE_MAGIC, 32);
+        w.put_bits(65_535, 16);
+        w.put_bits(65_535, 16);
+        w.put_bits(90, 8);
+        let err = decode_image(&w.finish());
+        assert!(
+            matches!(&err, Err(CodecError::InvalidHeader(m)) if m.contains("MAX_FRAME_PIXELS")),
+            "{err:?}"
+        );
     }
 
     #[test]

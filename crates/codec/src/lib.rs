@@ -61,3 +61,34 @@ pub use video::{frames_decoded, stream_fingerprint, FrameCache};
 
 /// Result alias used throughout the codec crate.
 pub type Result<T> = std::result::Result<T, CodecError>;
+
+#[cfg(test)]
+pub(crate) mod test_rng {
+    /// SplitMix64: the seeded generator behind the kernel-versus-reference
+    /// unit tests (the crate has no dependencies to draw one from).
+    pub(crate) struct Rng(u64);
+
+    impl Rng {
+        pub(crate) fn new(seed: u64) -> Self {
+            Rng(seed)
+        }
+
+        pub(crate) fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n` (`n > 0`; the modulo bias is irrelevant here).
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
+            self.next_u64() % n
+        }
+
+        /// Uniform-ish `f32` in `[lo, hi)`.
+        pub(crate) fn f32_in(&mut self, lo: f32, hi: f32) -> f32 {
+            lo + (hi - lo) * (self.next_u64() >> 40) as f32 / (1u64 << 24) as f32
+        }
+    }
+}

@@ -7,6 +7,21 @@
 //! H.264 streams in the paper — random access is only possible at I-frame
 //! boundaries, and the "Encoded File" layout (one I-frame at the start)
 //! forces a full sequential scan.
+//!
+//! The encoder predicts each P-frame from its own reconstruction of the
+//! previous frame, made by the same `decode_frame_payload` the decoder runs.
+//! That is the byte-identity contract of every decode kernel (entropy,
+//! inverse DCT, motion compensation, reconstruction, colour conversion): a
+//! kernel may be rewritten for speed only if it computes each sample with
+//! the same floating-point operations in the same order, because a
+//! different rounding would change both the decoded frames and, through the
+//! encoder's prediction, the encoded bytes. The unit tests check each
+//! kernel against a per-sample reference, whole streams against a
+//! reference decode, and pin the encoded bytes of a fixed clip.
+//!
+//! Header fields are checked before they size anything: dimensions are
+//! capped at 2^24 pixels, and `frame_count` at the number of 5-byte packets
+//! the remaining bytes could hold.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,13 +29,18 @@ use std::sync::Arc;
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::CodecError;
-use crate::image::{Image, Plane};
+use crate::image::{check_frame_dimensions, Image, Plane};
 use crate::intra::{decode_plane, decode_planes, encode_plane, encode_planes};
 use crate::motion::{self, MotionVector, MB};
 use crate::quant::{Quality, QuantTables};
 
 /// Magic number prefixing encoded video streams ("DLV1").
 pub const VIDEO_MAGIC: u32 = 0x444C_5631;
+
+/// Smallest frame packet: a kind byte and a `u32` payload length. A header
+/// whose `frame_count` packets of this size would not fit in the bytes
+/// after it is rejected before any frame is decoded.
+const MIN_PACKET_BYTES: usize = 5;
 
 /// Process-wide count of frame packets reconstructed by [`VideoDecoder`]
 /// (the encoder's own reconstruction loop is not counted — it is encode
@@ -125,24 +145,22 @@ fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// The `N` bytes at `*pos`, advancing past them.
+fn get_bytes<const N: usize>(buf: &[u8], pos: &mut usize) -> crate::Result<[u8; N]> {
+    let bytes = buf
+        .get(*pos..)
+        .and_then(<[u8]>::first_chunk::<N>)
+        .ok_or(CodecError::UnexpectedEof)?;
+    *pos += N;
+    Ok(*bytes)
+}
+
 fn get_u32(buf: &[u8], pos: &mut usize) -> crate::Result<u32> {
-    let end = *pos + 4;
-    if end > buf.len() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let v = u32::from_le_bytes(buf[*pos..end].try_into().expect("4-byte slice"));
-    *pos = end;
-    Ok(v)
+    get_bytes(buf, pos).map(u32::from_le_bytes)
 }
 
 fn get_u16(buf: &[u8], pos: &mut usize) -> crate::Result<u16> {
-    let end = *pos + 2;
-    if end > buf.len() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let v = u16::from_le_bytes(buf[*pos..end].try_into().expect("2-byte slice"));
-    *pos = end;
-    Ok(v)
+    get_bytes(buf, pos).map(u16::from_le_bytes)
 }
 
 /// Decode one frame payload against an optional reference, returning the
@@ -181,23 +199,15 @@ fn decode_frame_payload(
             let res_y = decode_plane(width, height, &tables.luma, 0.0, &mut r)?;
             let res_cb = decode_plane(cw, ch, &tables.chroma, 0.0, &mut r)?;
             let res_cr = decode_plane(cw, ch, &tables.chroma, 0.0, &mut r)?;
-            let pred_y = motion::compensate(&reference[0], width, height, &vectors, mb_cols, 1);
-            let pred_cb = motion::compensate(&reference[1], cw, ch, &vectors, mb_cols, 2);
-            let pred_cr = motion::compensate(&reference[2], cw, ch, &vectors, mb_cols, 2);
-            Ok([
-                motion::reconstruct(&pred_y, &res_y),
-                motion::reconstruct(&pred_cb, &res_cb),
-                motion::reconstruct(&pred_cr, &res_cr),
-            ])
+            let mut y = motion::compensate(&reference[0], width, height, &vectors, mb_cols, 1);
+            let mut cb = motion::compensate(&reference[1], cw, ch, &vectors, mb_cols, 2);
+            let mut cr = motion::compensate(&reference[2], cw, ch, &vectors, mb_cols, 2);
+            motion::reconstruct(&mut y, &res_y);
+            motion::reconstruct(&mut cb, &res_cb);
+            motion::reconstruct(&mut cr, &res_cr);
+            Ok([y, cb, cr])
         }
     }
-}
-
-fn planes_to_image(planes: &[Plane; 3], width: u32, height: u32) -> Image {
-    let y = planes[0].clone();
-    let cb = planes[1].upsample2(width, height);
-    let cr = planes[2].upsample2(width, height);
-    Image::from_ycbcr(&[y, cb, cr])
 }
 
 /// Streaming video encoder.
@@ -235,21 +245,20 @@ impl VideoEncoder {
                 actual: (frame.width(), frame.height()),
             });
         }
-        let intra = self.reference.is_none() || self.frames_since_i >= self.cfg.gop;
-        let kind = if intra {
-            FrameKind::Intra
-        } else {
-            FrameKind::Predicted
+        // A P-frame predicts from the previous reconstruction; the first
+        // frame and every `gop`-th one after an I-frame are intra-coded.
+        let predict_from = match &self.reference {
+            Some(reference) if self.frames_since_i < self.cfg.gop => Some(reference),
+            _ => None,
         };
-        let payload = match kind {
-            FrameKind::Intra => {
+        let (kind, payload) = match predict_from {
+            None => {
                 let mut w = BitWriter::new();
                 encode_planes(frame, &self.tables, &mut w);
                 self.frames_since_i = 1;
-                w.finish()
+                (FrameKind::Intra, w.finish())
             }
-            FrameKind::Predicted => {
-                let reference = self.reference.as_ref().expect("P-frame requires reference");
+            Some(reference) => {
                 let [cur_y, cur_cb, cur_cr] = frame.to_ycbcr();
                 let cur_cb = cur_cb.downsample2();
                 let cur_cr = cur_cr.downsample2();
@@ -297,7 +306,7 @@ impl VideoEncoder {
                     &mut w,
                 );
                 self.frames_since_i += 1;
-                w.finish()
+                (FrameKind::Predicted, w.finish())
             }
         };
         // Reconstruct exactly as the decoder will, so prediction never drifts.
@@ -362,17 +371,19 @@ impl<'a> VideoDecoder<'a> {
         }
         let width = get_u16(bytes, &mut pos)? as u32;
         let height = get_u16(bytes, &mut pos)? as u32;
-        if width == 0 || height == 0 {
-            return Err(CodecError::InvalidHeader("zero video dimension".into()));
-        }
-        if pos >= bytes.len() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let qf = bytes[pos];
-        pos += 1;
+        check_frame_dimensions(width, height, "video")?;
+        let [qf] = get_bytes(bytes, &mut pos)?;
         let gop = get_u32(bytes, &mut pos)?;
         let fps = get_u16(bytes, &mut pos)? as f32 / 100.0;
         let frame_count = get_u32(bytes, &mut pos)?;
+        let can_frame = (bytes.len() - pos) / MIN_PACKET_BYTES;
+        if frame_count as usize > can_frame {
+            return Err(CodecError::InvalidHeader(format!(
+                "frame count {frame_count} exceeds the {can_frame} packets \
+                 {} remaining bytes can hold",
+                bytes.len() - pos
+            )));
+        }
         let quality = Quality::Custom(qf);
         Ok(VideoDecoder {
             bytes,
@@ -413,16 +424,14 @@ impl<'a> VideoDecoder<'a> {
     }
 
     fn decode_one(&mut self) -> crate::Result<Image> {
-        if self.pos >= self.bytes.len() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let kind = FrameKind::from_byte(self.bytes[self.pos])?;
-        self.pos += 1;
+        let [kind] = get_bytes(self.bytes, &mut self.pos)?;
+        let kind = FrameKind::from_byte(kind)?;
         let len = get_u32(self.bytes, &mut self.pos)? as usize;
-        if self.pos + len > self.bytes.len() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let payload = &self.bytes[self.pos..self.pos + len];
+        let payload = self
+            .bytes
+            .get(self.pos..)
+            .and_then(|rest| rest.get(..len))
+            .ok_or(CodecError::UnexpectedEof)?;
         self.pos += len;
         let planes = decode_frame_payload(
             kind,
@@ -432,7 +441,8 @@ impl<'a> VideoDecoder<'a> {
             &self.tables,
             self.reference.as_ref(),
         )?;
-        let img = planes_to_image(&planes, self.header.width, self.header.height);
+        let [y, cb, cr] = &planes;
+        let img = Image::from_ycbcr420(y, cb, cr);
         self.reference = Some(planes);
         self.decoded += 1;
         FRAMES_DECODED.fetch_add(1, Ordering::Relaxed);
@@ -643,9 +653,9 @@ impl FrameCache {
         needed: &[u64],
     ) -> crate::Result<Vec<(u64, Arc<Image>)>> {
         debug_assert!(needed.windows(2).all(|w| w[0] < w[1]), "sorted + unique");
-        if needed.is_empty() {
+        let Some(&last) = needed.last() else {
             return Ok(Vec::new());
-        }
+        };
         let stream = stream_fingerprint(bytes);
         // Serve entirely from cache when possible.
         let cached: Vec<Option<Arc<Image>>> = needed.iter().map(|&t| self.get(stream, t)).collect();
@@ -658,45 +668,32 @@ impl FrameCache {
         }
         let mut decoder = VideoDecoder::new(bytes)?;
         let available = u64::from(decoder.header().frame_count);
-        let last = *needed.last().expect("non-empty");
         if last >= available {
             return Err(CodecError::InvalidHeader(format!(
                 "frame {last} exceeds stream length {available}"
             )));
         }
-        let missing: Vec<u64> = needed
-            .iter()
-            .zip(&cached)
-            .filter(|(_, hit)| hit.is_none())
-            .map(|(&t, _)| t)
-            .collect();
-        let last_missing = *missing.last().expect("not fully cached");
-        let mut fresh = Vec::with_capacity(missing.len());
-        let mut want = missing.iter().copied().peekable();
-        for t in 0..=last_missing {
-            let img = match decoder.next_frame() {
-                Some(frame) => Arc::new(frame?),
-                None => {
-                    return Err(CodecError::UnexpectedEof);
-                }
+        // Walk `needed` in order, decoding forward to each miss: the
+        // decoder stops at the last missing frame.
+        let mut next = 0u64;
+        let mut out = Vec::with_capacity(needed.len());
+        for (&t, hit) in needed.iter().zip(cached) {
+            let img = match hit {
+                Some(img) => img,
+                None => loop {
+                    let frame = decoder.next_frame().ok_or(CodecError::UnexpectedEof)??;
+                    self.decoded += 1;
+                    next += 1;
+                    if next > t {
+                        let img = Arc::new(frame);
+                        self.insert(stream, t, img.clone());
+                        break img;
+                    }
+                },
             };
-            self.decoded += 1;
-            if want.peek() == Some(&t) {
-                want.next();
-                self.insert(stream, t, img.clone());
-                fresh.push(img);
-            }
+            out.push((t, img));
         }
-        let mut fresh = fresh.into_iter();
-        Ok(needed
-            .iter()
-            .copied()
-            .zip(cached)
-            .map(|(t, hit)| {
-                let img = hit.unwrap_or_else(|| fresh.next().expect("decoded every missing frame"));
-                (t, img)
-            })
-            .collect())
+        Ok(out)
     }
 }
 
@@ -714,6 +711,234 @@ mod tests {
                 img
             })
             .collect()
+    }
+
+    /// Textured frames with a moving square: every macroblock has detail,
+    /// and the texture scrolls so P-frames carry real motion vectors.
+    fn textured_clip(n: usize, w: u32, h: u32) -> Vec<Image> {
+        (0..n as u32)
+            .map(|t| {
+                let mut img = Image::new(w, h);
+                for y in 0..h {
+                    for x in 0..w {
+                        let (u, v) = (x + 3 * t, y + t);
+                        img.set(
+                            x,
+                            y,
+                            [
+                                ((u * 13 + v * 7) % 251) as u8,
+                                ((u * 5 + v * 11) % 241) as u8,
+                                (((u ^ v) * 3) % 256) as u8,
+                            ],
+                        );
+                    }
+                }
+                img.fill_rect(4 + 2 * t as i64, 6 + t as i64, 12, 9, [230, 40, 60]);
+                img
+            })
+            .collect()
+    }
+
+    /// One frame payload through the per-sample reference kernels.
+    fn reference_payload(
+        kind: FrameKind,
+        payload: &[u8],
+        (width, height): (u32, u32),
+        tables: &QuantTables,
+        reference: Option<&[Plane; 3]>,
+    ) -> [Plane; 3] {
+        use crate::intra::reference::{decode_plane, decode_planes};
+        let (cw, ch) = (width.div_ceil(2), height.div_ceil(2));
+        let mut r = BitReader::new(payload);
+        match kind {
+            FrameKind::Intra => {
+                let [y, cb, cr] = decode_planes(width, height, tables, &mut r)
+                    .unwrap()
+                    .to_ycbcr();
+                [y, cb.downsample2(), cr.downsample2()]
+            }
+            FrameKind::Predicted => {
+                let reference = reference.unwrap();
+                let mb_cols = (width as usize).div_ceil(MB);
+                let vectors: Vec<MotionVector> = (0..mb_cols * (height as usize).div_ceil(MB))
+                    .map(|_| MotionVector {
+                        dx: r.get_se_bitwise().unwrap(),
+                        dy: r.get_se_bitwise().unwrap(),
+                    })
+                    .collect();
+                let res_y = decode_plane(width, height, &tables.luma, 0.0, &mut r).unwrap();
+                let res_cb = decode_plane(cw, ch, &tables.chroma, 0.0, &mut r).unwrap();
+                let res_cr = decode_plane(cw, ch, &tables.chroma, 0.0, &mut r).unwrap();
+                let predict = |plane: &Plane, w, h, scale| {
+                    motion::reference::compensate(plane, w, h, &vectors, mb_cols, scale)
+                };
+                [
+                    motion::reference::reconstruct(
+                        &predict(&reference[0], width, height, 1),
+                        &res_y,
+                    ),
+                    motion::reference::reconstruct(&predict(&reference[1], cw, ch, 2), &res_cb),
+                    motion::reference::reconstruct(&predict(&reference[2], cw, ch, 2), &res_cr),
+                ]
+            }
+        }
+    }
+
+    /// Decode a whole stream with every kernel replaced by its per-sample
+    /// reference (container parsing is shared with [`VideoDecoder`]).
+    fn reference_decode(bytes: &[u8]) -> Vec<Image> {
+        let dec = VideoDecoder::new(bytes).unwrap();
+        let dims = (dec.header.width, dec.header.height);
+        let mut pos = dec.pos;
+        let mut reference: Option<[Plane; 3]> = None;
+        (0..dec.header.frame_count)
+            .map(|_| {
+                let [kind] = get_bytes(bytes, &mut pos).unwrap();
+                let len = get_u32(bytes, &mut pos).unwrap() as usize;
+                let payload = &bytes[pos..pos + len];
+                pos += len;
+                let kind = FrameKind::from_byte(kind).unwrap();
+                let planes =
+                    reference_payload(kind, payload, dims, &dec.tables, reference.as_ref());
+                let img =
+                    crate::image::reference::from_ycbcr420(&planes[0], &planes[1], &planes[2]);
+                reference = Some(planes);
+                img
+            })
+            .collect()
+    }
+
+    #[test]
+    fn decode_is_byte_identical_to_the_reference_kernels() {
+        let gops = [
+            VideoConfig {
+                gop: 1,
+                ..Default::default()
+            },
+            VideoConfig::default(),
+            VideoConfig::sequential(Quality::Medium),
+        ];
+        for (w, h) in [(96, 96), (37, 23), (17, 33), (1, 1)] {
+            let frames = textured_clip(8, w, h);
+            for cfg in gops {
+                let bytes = encode_video(&frames, cfg).unwrap();
+                let decoded = decode_video(&bytes).unwrap();
+                assert_eq!(decoded, reference_decode(&bytes), "{w}x{h} gop {}", cfg.gop);
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_and_decoded_bytes_are_pinned() {
+        // FNV-1a (`stream_fingerprint`) of the encoded stream and of the
+        // concatenated decoded RGB frames, recorded before the decode
+        // kernels were rewritten: a kernel that rounds any sample
+        // differently changes both.
+        let cases = [
+            (
+                96,
+                96,
+                VideoConfig::default(),
+                0xba1f_6b22_681f_cc6c,
+                0xecb9_8419_60c0_77d9,
+            ),
+            (
+                37,
+                23,
+                VideoConfig::sequential(Quality::Medium),
+                0xc971_8023_5706_e765,
+                0xd85c_2b72_467e_b747,
+            ),
+            (
+                17,
+                33,
+                VideoConfig {
+                    quality: Quality::Low,
+                    gop: 1,
+                    fps: 30.0,
+                },
+                0xd136_45c0_0ee5_bf84,
+                0x0ee1_5057_0214_6012,
+            ),
+            (
+                1,
+                1,
+                VideoConfig {
+                    gop: 3,
+                    ..Default::default()
+                },
+                0x4463_43a8_8c03_79e2,
+                0x3945_fa41_0d71_ff7b,
+            ),
+        ];
+        for (w, h, cfg, stream, frames) in cases {
+            let bytes = encode_video(&textured_clip(8, w, h), cfg).unwrap();
+            let rgb: Vec<u8> = decode_video(&bytes)
+                .unwrap()
+                .iter()
+                .flat_map(|f| f.data().to_vec())
+                .collect();
+            assert_eq!(stream_fingerprint(&bytes), stream, "{w}x{h} stream");
+            assert_eq!(stream_fingerprint(&rgb), frames, "{w}x{h} frames");
+        }
+    }
+
+    #[test]
+    fn truncated_and_bit_flipped_streams_never_panic() {
+        let frames = textured_clip(6, 24, 20);
+        let bytes = encode_video(
+            &frames,
+            VideoConfig {
+                gop: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        // Every prefix: a header error, a decode error, or (the whole
+        // stream) every frame.
+        for end in 0..bytes.len() {
+            assert!(
+                decode_video(&bytes[..end]).is_err(),
+                "prefix of {end} bytes"
+            );
+        }
+        // Every single-bit flip decodes to frames or an error.
+        let mut flipped = bytes.clone();
+        let mut errors = 0;
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            errors += usize::from(decode_video(&flipped).is_err());
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(errors > 0);
+    }
+
+    #[test]
+    fn header_that_its_bytes_cannot_back_is_rejected() {
+        let bytes = encode_video(&moving_square(3, 16, 16), VideoConfig::default()).unwrap();
+        // frame_count sits at bytes 15..19.
+        let mut lying = bytes.clone();
+        lying[15..19].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = VideoDecoder::new(&lying).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::InvalidHeader(m) if m.contains("frame count")),
+            "{err:?}"
+        );
+        // Exactly as many 5-byte packets as the tail holds is accepted.
+        let mut tail = bytes[..19].to_vec();
+        tail.extend([0u8; 10]);
+        tail[15..19].copy_from_slice(&2u32.to_le_bytes());
+        assert!(VideoDecoder::new(&tail).is_ok());
+        tail[15..19].copy_from_slice(&3u32.to_le_bytes());
+        assert!(VideoDecoder::new(&tail).is_err());
+
+        let mut huge = bytes;
+        huge[4..8].copy_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF]);
+        let err = VideoDecoder::new(&huge).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::InvalidHeader(m) if m.contains("MAX_FRAME_PIXELS")),
+            "{err:?}"
+        );
     }
 
     #[test]
