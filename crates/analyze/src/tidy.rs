@@ -10,10 +10,11 @@
 //! 2. **serve-panic** — no `.unwrap()` / `.expect(` / `panic!` /
 //!    `unreachable!` in non-test `crates/serve` request-handling code, nor in
 //!    the core files every served query plans and runs through
-//!    ([`SERVED_CORE_FILES`]); a malformed request must produce an `Error`
-//!    wire reply, never a dead connection thread. The codec's DLV1 decode
-//!    path ([`DECODE_PATH_FILES`]) is held to the same rule, so a corrupt
-//!    stream is an error, not a panic mid-ingest.
+//!    ([`SERVED_CORE_FILES`]) and the core files every served write
+//!    publishes through ([`SERVED_WRITE_FILES`]); a malformed request must
+//!    produce an `Error` wire reply, never a dead connection thread. The
+//!    codec's DLV1 decode path ([`DECODE_PATH_FILES`]) is held to the same
+//!    rule, so a corrupt stream is an error, not a panic mid-ingest.
 //! 3. **no-debug-macro** — no `todo!` / `unimplemented!` / `dbg!` anywhere
 //!    (test code included).
 //! 4. **allow-justification** — every `#[allow(...)]` in non-test code
@@ -55,6 +56,15 @@ pub const SERVED_CORE_FILES: &[&str] = &[
     "crates/core/src/plan.rs",
     "crates/core/src/batch.rs",
     "crates/core/src/ops.rs",
+];
+
+/// Core files (workspace-relative) every served `Materialize` runs through
+/// — publish, carry and lineage — held to the **serve-panic** rule like
+/// [`SERVED_CORE_FILES`].
+pub const SERVED_WRITE_FILES: &[&str] = &[
+    "crates/core/src/shared.rs",
+    "crates/core/src/catalog.rs",
+    "crates/core/src/lineage.rs",
 ];
 
 /// Codec files (workspace-relative) every ingest decodes its DLV1 bytes
@@ -247,7 +257,10 @@ fn check_raw_locks(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<Violation>)
 /// Rule 2: panicking calls in non-test serve request paths.
 fn check_serve_panics(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<Violation>) {
     let serve = rel_path.starts_with("crates/serve/src/") && !rel_path.contains("/bin/");
-    if !serve && !SERVED_CORE_FILES.contains(&rel_path) && !DECODE_PATH_FILES.contains(&rel_path) {
+    let held = [SERVED_CORE_FILES, SERVED_WRITE_FILES, DECODE_PATH_FILES]
+        .iter()
+        .any(|files| files.contains(&rel_path));
+    if !serve && !held {
         return;
     }
     for line in lines {
@@ -637,10 +650,26 @@ mod tests {
             assert_eq!(rules_hit(rel, &src), ["serve-panic"], "{rel}");
         }
         assert_eq!(rules_hit("crates/core/src/batch.rs", &src), ["serve-panic"]);
-        // The rest of core (ingest, catalog) is not a served request path.
+        // Ingest is not a served request path.
         assert!(rules_hit("crates/core/src/etl.rs", &src).is_empty());
         let test_src = format!("{CFG_TEST}\n{src}");
         assert!(rules_hit("crates/core/src/batch.rs", &test_src).is_empty());
+    }
+
+    #[test]
+    fn serve_panic_covers_the_served_write_path() {
+        let src = format!("fn f() {{ x{EXPECT_CALL}\"free slot\"); }}\n");
+        for rel in SERVED_WRITE_FILES {
+            assert_eq!(rules_hit(rel, &src), ["serve-panic"], "{rel}");
+        }
+        assert_eq!(
+            rules_hit("crates/core/src/lineage.rs", &src),
+            ["serve-panic"]
+        );
+        // A core file on no list stays unchecked.
+        assert!(rules_hit("crates/core/src/patch.rs", &src).is_empty());
+        let test_src = format!("{CFG_TEST}\n{src}");
+        assert!(rules_hit("crates/core/src/shared.rs", &test_src).is_empty());
     }
 
     #[test]

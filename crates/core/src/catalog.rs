@@ -188,7 +188,11 @@ impl PatchCollection {
     }
 
     /// Build (or rebuild) a hash index on `key` under `index_name`.
-    pub fn build_hash_index(&mut self, index_name: &str, key: &str) {
+    ///
+    /// Errors with [`DlError::SchemaMismatch`] if a position does not fit a
+    /// `u32` row id.
+    pub fn build_hash_index(&mut self, index_name: &str, key: &str) -> Result<()> {
+        row_id(self.patches.len().saturating_sub(1))?;
         let mut map: HashMap<Value, Vec<u32>> = HashMap::new();
         for (i, p) in self.patches.iter().enumerate() {
             if let Some(v) = p.get(key) {
@@ -202,6 +206,7 @@ impl PatchCollection {
                 map,
             },
         );
+        Ok(())
     }
 
     /// Build a Ball-Tree over feature payloads under `index_name`.
@@ -263,7 +268,8 @@ impl PatchCollection {
     ///   built eagerly when [`CostModel::prefer_columnar_backing`] predicts
     ///   a win and the prior version had none);
     /// * **hash** indexes are rebuilt over the new rows (an O(n) build,
-    ///   positional, and cheap next to the rows themselves);
+    ///   positional, and cheap next to the rows themselves); one whose rows
+    ///   no longer fit `u32` row ids is dropped;
     /// * **Ball** indexes are *delta-maintained*: unchanged rows keep the
     ///   prior base tree (an `Arc` copy), changed/appended rows go into the
     ///   tombstone set and side buffer, and the delta is collapsed into a
@@ -281,7 +287,10 @@ impl PatchCollection {
         }
         for (name, index) in &prior.indexes {
             match index {
-                SecondaryIndex::Hash { key, .. } => self.build_hash_index(name, key),
+                SecondaryIndex::Hash { key, .. } => {
+                    // Unaddressable rows drop the index, as for a Ball index.
+                    let _ = self.build_hash_index(name, key);
+                }
                 SecondaryIndex::Ball { index } => {
                     self.carry_ball_index(name, index, &prior.patches, model, threads);
                 }
@@ -554,7 +563,7 @@ mod tests {
     #[test]
     fn hash_index_matches_scan() {
         let mut col = make_collection();
-        col.build_hash_index("by_label", "label");
+        col.build_hash_index("by_label", "label").unwrap();
         let cars = col.lookup_eq("by_label", &Value::from("car")).unwrap();
         let scan: Vec<u32> = col
             .patches
@@ -600,7 +609,7 @@ mod tests {
     #[test]
     fn wrong_index_kind_rejected() {
         let mut col = make_collection();
-        col.build_hash_index("idx", "label");
+        col.build_hash_index("idx", "label").unwrap();
         assert!(matches!(
             col.lookup_similar("idx", &[0.0, 0.0], 1.0),
             Err(DlError::WrongIndex {
@@ -646,7 +655,7 @@ mod tests {
         let prior = {
             let mut col = make_collection();
             col.build_ball_index("b_delta").unwrap();
-            col.build_hash_index("a_hash", "label");
+            col.build_hash_index("a_hash", "label").unwrap();
             col
         };
         let mut col = make_collection();
@@ -705,7 +714,7 @@ mod tests {
         // Clone backs the shared catalog's copy-on-write protocol: the copy
         // must answer index lookups identically and independently.
         let mut col = make_collection();
-        col.build_hash_index("by_label", "label");
+        col.build_hash_index("by_label", "label").unwrap();
         col.build_ball_index("by_feat").unwrap();
         let copy = col.clone();
         assert_eq!(copy.len(), col.len());

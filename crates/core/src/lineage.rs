@@ -6,26 +6,92 @@
 //! of rescanning base data. The store also builds the **lineage index**
 //! (source frame → derived patch ids) that gives q3 its 41× speedup in the
 //! paper's Fig. 4.
+//!
+//! # Representation
+//!
+//! Patch ids come densely from one atomic counter
+//! ([`SharedCatalog::reserve_patch_ids`](crate::shared::SharedCatalog::reserve_patch_ids)),
+//! so records live in fixed pages of 1 024 slots addressed by `id >> 10`,
+//! through a small map of page numbers. A page a dense writer opens fills
+//! up; a sparse id costs one page, never a table sized to the id.
+//!
+//! A slot is 24 bytes: the frame number, an interned source id (`0` marks
+//! an empty slot), the parent count, and either the one parent inline or,
+//! for two or more, an offset into a shared overflow arena. Sources are
+//! interned once, with a fast path for the last source seen, so
+//! [`LineageStore::record`] allocates only when it opens a page, stores a
+//! multi-parent record, meets a new source or grows a frame-index entry.
+//! `ImgRef`s are rebuilt only when a backtrace answers. A dense run of
+//! records costs ≈24 heap bytes each.
+//!
+//! The frame index maps `(source id, frame_no)` to patch ids. Once built it
+//! always equals [`LineageStore::patches_of_frame_scan`]: sorted, without
+//! duplicates, and moved when a re-record changes a patch's frame.
+//!
+//! Records are never dropped. Dropping one is safe only once no reachable
+//! collection version contains or descends from its patch; any earlier,
+//! and `backtrace` answers change.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::patch::{ImgRef, Patch, PatchId};
 
-/// One node of the lineage graph.
-#[derive(Debug, Clone)]
-pub struct LineageRecord {
-    /// The patch's source image reference.
-    pub img_ref: ImgRef,
-    /// Direct parents (empty for root patches).
-    pub parents: Vec<PatchId>,
+/// `log2` of [`PAGE_SLOTS`].
+const PAGE_BITS: u32 = 10;
+
+/// Slots per page: ids `k << 10 ..= (k << 10) + 1023` share page `k`.
+const PAGE_SLOTS: usize = 1 << PAGE_BITS;
+
+/// One patch's lineage record.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Frame number of the patch's source image.
+    frame_no: u64,
+    /// Interned source: `sources[source - 1]`. `0` = no record.
+    source: u32,
+    /// Number of direct parents.
+    n_parents: u32,
+    /// The parent when `n_parents == 1`; the start of the parent list in
+    /// the overflow arena when `n_parents >= 2`; unused otherwise.
+    parent: PatchId,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 24);
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        frame_no: 0,
+        source: 0,
+        n_parents: 0,
+        parent: PatchId(0),
+    };
+
+    fn is_record(&self) -> bool {
+        self.source != 0
+    }
 }
 
 /// The session-wide lineage graph.
 #[derive(Debug, Default)]
 pub struct LineageStore {
-    records: HashMap<PatchId, LineageRecord>,
-    /// Lineage index: (source, frame) → patch ids derived from that frame.
-    frame_index: HashMap<(String, u64), Vec<PatchId>>,
+    /// Page number (`id >> PAGE_BITS`) → position in `pages`.
+    page_of: HashMap<u64, usize>,
+    /// Pages of [`PAGE_SLOTS`] slots each, in the order they were opened.
+    pages: Vec<Box<[Slot]>>,
+    /// `(page number, position)` of the page `record` wrote last.
+    last_page: Option<(u64, usize)>,
+    /// Parent lists of the records with two or more parents.
+    overflow: Vec<PatchId>,
+    /// Interned sources: id `i + 1` names `sources[i]`.
+    sources: Vec<String>,
+    source_ids: HashMap<String, u32>,
+    /// The source id `record` interned last (`0` before the first).
+    last_source: u32,
+    /// Number of occupied slots.
+    len: usize,
+    /// Lineage index: (source id, frame) → patch ids derived from that
+    /// frame, sorted.
+    frame_index: HashMap<(u32, u64), Vec<PatchId>>,
     index_built: bool,
 }
 
@@ -35,20 +101,25 @@ impl LineageStore {
         Self::default()
     }
 
-    /// Register a patch (idempotent per id).
+    /// Register a patch. Re-registering an id replaces its record.
     pub fn record(&mut self, patch: &Patch) {
-        self.records.insert(
-            patch.id,
-            LineageRecord {
-                img_ref: patch.img_ref.clone(),
-                parents: patch.parents.clone(),
-            },
-        );
+        let source = self.intern(&patch.img_ref.source);
+        let frame_no = patch.img_ref.frame_no;
+        let (page, offset) = self.locate(patch.id);
+        let old = self.pages[page][offset];
+        let parent = self.store_parents(&patch.parents, &old);
+        self.pages[page][offset] = Slot {
+            frame_no,
+            source,
+            // 2^32 parents would be 32 GiB of ids in one `Vec`.
+            n_parents: patch.parents.len() as u32,
+            parent,
+        };
+        if !old.is_record() {
+            self.len += 1;
+        }
         if self.index_built {
-            self.frame_index
-                .entry((patch.img_ref.source.clone(), patch.img_ref.frame_no))
-                .or_default()
-                .push(patch.id);
+            self.reindex(patch.id, &old, (source, frame_no));
         }
     }
 
@@ -61,79 +132,205 @@ impl LineageStore {
 
     /// Number of recorded patches.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// Backtrace: all root image references reachable from `id` (patches
     /// with no parents contribute their own `img_ref`).
     pub fn backtrace(&self, id: PatchId) -> Vec<ImgRef> {
-        let mut out = Vec::new();
+        let mut roots: Vec<(u32, u64)> = Vec::new();
         let mut stack = vec![id];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         while let Some(cur) = stack.pop() {
             if !seen.insert(cur) {
                 continue;
             }
-            if let Some(rec) = self.records.get(&cur) {
-                if rec.parents.is_empty()
-                    || rec.parents.iter().all(|p| !self.records.contains_key(p))
-                {
-                    // Root patch, or every parent predates the store: the
-                    // patch's own ImgRef is the best-known provenance.
-                    out.push(rec.img_ref.clone());
-                } else {
-                    stack.extend(rec.parents.iter().copied());
-                }
+            let Some(slot) = self.slot(cur) else {
+                continue;
+            };
+            let parents = self.parents(slot);
+            if parents.iter().all(|p| self.slot(*p).is_none()) {
+                // Root patch, or every parent predates the store: the
+                // patch's own ImgRef is the best-known provenance.
+                roots.push((slot.source, slot.frame_no));
+            } else {
+                stack.extend_from_slice(parents);
             }
         }
-        out.sort_by(|a, b| (a.source.as_str(), a.frame_no).cmp(&(b.source.as_str(), b.frame_no)));
-        out.dedup();
-        out
+        roots.sort_unstable_by(|a, b| {
+            (self.source_name(a.0), a.1).cmp(&(self.source_name(b.0), b.1))
+        });
+        roots.dedup();
+        roots
+            .into_iter()
+            .map(|(source, frame_no)| ImgRef::frame(self.source_name(source), frame_no))
+            .collect()
     }
 
     /// Build the lineage index over everything recorded so far. Subsequent
     /// [`LineageStore::record`] calls maintain it incrementally.
     pub fn build_frame_index(&mut self) {
-        self.frame_index.clear();
-        for (id, rec) in &self.records {
-            self.frame_index
-                .entry((rec.img_ref.source.clone(), rec.img_ref.frame_no))
+        let mut index: HashMap<(u32, u64), Vec<PatchId>> = HashMap::new();
+        for (id, slot) in self.records() {
+            index
+                .entry((slot.source, slot.frame_no))
                 .or_default()
-                .push(*id);
+                .push(id);
         }
-        for ids in self.frame_index.values_mut() {
+        for ids in index.values_mut() {
             ids.sort_unstable();
         }
+        self.frame_index = index;
         self.index_built = true;
     }
 
     /// Indexed lookup: all patch ids derived from frame `frame_no` of
-    /// `source`. Requires [`LineageStore::build_frame_index`].
+    /// `source`, sorted. Requires [`LineageStore::build_frame_index`].
     pub fn patches_of_frame(&self, source: &str, frame_no: u64) -> &[PatchId] {
         debug_assert!(self.index_built, "call build_frame_index first");
-        self.frame_index
-            .get(&(source.to_string(), frame_no))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.source_ids
+            .get(source)
+            .and_then(|s| self.frame_index.get(&(*s, frame_no)))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Unindexed lookup: full scan of the lineage graph (the baseline the
     /// paper's q3 compares against).
     pub fn patches_of_frame_scan(&self, source: &str, frame_no: u64) -> Vec<PatchId> {
+        let Some(&source) = self.source_ids.get(source) else {
+            return Vec::new();
+        };
         let mut out: Vec<PatchId> = self
-            .records
-            .iter()
-            .filter(|(_, rec)| rec.img_ref.source == source && rec.img_ref.frame_no == frame_no)
-            .map(|(id, _)| *id)
+            .records()
+            .filter(|(_, slot)| slot.source == source && slot.frame_no == frame_no)
+            .map(|(id, _)| id)
             .collect();
         out.sort_unstable();
         out
     }
+
+    /// The interned id of `source`, interning it on first sight.
+    fn intern(&mut self, source: &str) -> u32 {
+        if self.last_source != 0 && self.source_name(self.last_source) == source {
+            return self.last_source;
+        }
+        let id = match self.source_ids.get(source) {
+            Some(&id) => id,
+            None => {
+                self.sources.push(source.to_string());
+                let id = self.sources.len() as u32;
+                self.source_ids.insert(source.to_string(), id);
+                id
+            }
+        };
+        self.last_source = id;
+        id
+    }
+
+    fn source_name(&self, source: u32) -> &str {
+        &self.sources[source as usize - 1]
+    }
+
+    /// `(page position, slot offset)` of `id`, opening its page if needed.
+    fn locate(&mut self, id: PatchId) -> (usize, usize) {
+        let key = id.0 >> PAGE_BITS;
+        let page = match self.last_page {
+            Some((last, page)) if last == key => page,
+            _ => {
+                let opened = self.pages.len();
+                let page = *self.page_of.entry(key).or_insert(opened);
+                if page == opened {
+                    self.pages
+                        .push(vec![Slot::EMPTY; PAGE_SLOTS].into_boxed_slice());
+                }
+                self.last_page = Some((key, page));
+                page
+            }
+        };
+        (page, slot_offset(id))
+    }
+
+    /// The record of `id`, if any.
+    fn slot(&self, id: PatchId) -> Option<&Slot> {
+        let page = self.page_of.get(&(id.0 >> PAGE_BITS))?;
+        Some(&self.pages[*page][slot_offset(id)]).filter(|s| s.is_record())
+    }
+
+    /// Every record, in no particular order.
+    fn records(&self) -> impl Iterator<Item = (PatchId, &Slot)> + '_ {
+        self.page_of.iter().flat_map(move |(key, page)| {
+            self.pages[*page]
+                .iter()
+                .enumerate()
+                .filter(|(_, slot)| slot.is_record())
+                .map(move |(offset, slot)| (PatchId((key << PAGE_BITS) | offset as u64), slot))
+        })
+    }
+
+    /// The direct parents of a record.
+    fn parents<'a>(&'a self, slot: &'a Slot) -> &'a [PatchId] {
+        match slot.n_parents {
+            0 => &[],
+            1 => std::slice::from_ref(&slot.parent),
+            n => {
+                let start = slot.parent.0 as usize;
+                &self.overflow[start..start + n as usize]
+            }
+        }
+    }
+
+    /// The `parent` field of a record with `parents`, writing a list of two
+    /// or more into the overflow arena: over the `old` record's list when it
+    /// is at least as long, else appended.
+    fn store_parents(&mut self, parents: &[PatchId], old: &Slot) -> PatchId {
+        match parents {
+            [] => PatchId(0),
+            [only] => *only,
+            many if old.n_parents as usize >= many.len() => {
+                let start = old.parent.0 as usize;
+                self.overflow[start..start + many.len()].copy_from_slice(many);
+                old.parent
+            }
+            many => {
+                let start = self.overflow.len();
+                self.overflow.extend_from_slice(many);
+                PatchId(start as u64)
+            }
+        }
+    }
+
+    /// Keep the frame index equal to the scan after `id`'s record went
+    /// from `old` to one under `key`.
+    fn reindex(&mut self, id: PatchId, old: &Slot, key: (u32, u64)) {
+        let old_key = (old.source, old.frame_no);
+        if old.is_record() {
+            if old_key == key {
+                return;
+            }
+            if let Some(ids) = self.frame_index.get_mut(&old_key) {
+                if let Ok(i) = ids.binary_search(&id) {
+                    ids.remove(i);
+                }
+                if ids.is_empty() {
+                    self.frame_index.remove(&old_key);
+                }
+            }
+        }
+        let ids = self.frame_index.entry(key).or_default();
+        if let Err(i) = ids.binary_search(&id) {
+            ids.insert(i, id);
+        }
+    }
+}
+
+/// Position of `id` within its page.
+fn slot_offset(id: PatchId) -> usize {
+    (id.0 & (PAGE_SLOTS as u64 - 1)) as usize
 }
 
 #[cfg(test)]
@@ -205,5 +402,284 @@ mod tests {
     fn backtrace_unknown_id_is_empty() {
         let store = LineageStore::new();
         assert!(store.backtrace(PatchId(99)).is_empty());
+    }
+
+    #[test]
+    fn rerecord_after_index_build_does_not_duplicate() {
+        let mut store = LineageStore::new();
+        store.record(&patch(1, 3));
+        store.build_frame_index();
+        store.record(&patch(1, 3));
+        assert_eq!(store.patches_of_frame("cam", 3), &[PatchId(1)]);
+        assert_eq!(store.patches_of_frame_scan("cam", 3), vec![PatchId(1)]);
+        assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn rerecord_under_a_new_frame_moves_the_index_entry() {
+        let mut store = LineageStore::new();
+        store.record(&patch(2, 4));
+        store.build_frame_index();
+        store.record(&patch(2, 5));
+        assert!(store.patches_of_frame("cam", 4).is_empty());
+        assert!(store.patches_of_frame_scan("cam", 4).is_empty());
+        assert_eq!(store.patches_of_frame("cam", 5), &[PatchId(2)]);
+        assert_eq!(store.backtrace(PatchId(2)), vec![ImgRef::frame("cam", 5)]);
+    }
+
+    #[test]
+    fn out_of_order_records_after_index_build_stay_sorted() {
+        let mut store = LineageStore::new();
+        store.build_frame_index();
+        store.record(&patch(9, 7));
+        store.record(&patch(4, 7));
+        assert_eq!(store.patches_of_frame("cam", 7), &[PatchId(4), PatchId(9)]);
+        assert_eq!(
+            store.patches_of_frame("cam", 7),
+            store.patches_of_frame_scan("cam", 7).as_slice()
+        );
+    }
+
+    #[test]
+    fn sparse_ids_cost_one_page_each() {
+        let mut store = LineageStore::new();
+        store.record(&patch(1 << 40, 1));
+        store.record(&patch(u64::MAX, 2));
+        store.record(&patch(0, 3));
+        assert_eq!(store.pages.len(), 3);
+        assert_eq!(store.len(), 3);
+        assert_eq!(
+            store.backtrace(PatchId(u64::MAX)),
+            vec![ImgRef::frame("cam", 2)]
+        );
+        assert_eq!(
+            store.patches_of_frame_scan("cam", 1),
+            vec![PatchId(1 << 40)]
+        );
+        assert!(store.backtrace(PatchId((1 << 40) + 1)).is_empty());
+    }
+
+    #[test]
+    fn multi_parent_rerecords_reuse_their_overflow_list() {
+        let mut store = LineageStore::new();
+        let mut joined = patch(10, 0);
+        joined.parents = vec![PatchId(1), PatchId(2), PatchId(3)];
+        store.record(&joined);
+        assert_eq!(store.overflow.len(), 3);
+        joined.parents = vec![PatchId(3), PatchId(2)];
+        store.record(&joined);
+        assert_eq!(store.overflow.len(), 3, "a shorter list fits in place");
+        let slot = *store.slot(PatchId(10)).unwrap();
+        assert_eq!(store.parents(&slot), &[PatchId(3), PatchId(2)]);
+        joined.parents = vec![PatchId(1), PatchId(2), PatchId(3), PatchId(4)];
+        store.record(&joined);
+        let slot = *store.slot(PatchId(10)).unwrap();
+        assert_eq!(store.parents(&slot), joined.parents.as_slice());
+    }
+
+    impl LineageStore {
+        /// Heap bytes the store owns: pages, map tables (buckets of entry
+        /// plus one control byte, at hashbrown's 7/8 load factor), the
+        /// overflow arena, interned sources and the frame index.
+        fn heap_bytes(&self) -> usize {
+            fn table<K, V>(map: &HashMap<K, V>) -> usize {
+                map.capacity() * 8 / 7 * (std::mem::size_of::<(K, V)>() + 1)
+            }
+            let slot = std::mem::size_of::<Slot>();
+            let pages = self.pages.capacity() * std::mem::size_of::<Box<[Slot]>>()
+                + self.pages.len() * PAGE_SLOTS * slot;
+            let overflow = self.overflow.capacity() * std::mem::size_of::<PatchId>();
+            let sources: usize = self.sources.iter().map(|s| 2 * s.capacity()).sum::<usize>()
+                + self.sources.capacity() * std::mem::size_of::<String>()
+                + table(&self.source_ids);
+            let index: usize = self
+                .frame_index
+                .values()
+                .map(|ids| ids.capacity() * std::mem::size_of::<PatchId>())
+                .sum::<usize>()
+                + table(&self.frame_index);
+            pages + table(&self.page_of) + overflow + sources + index
+        }
+    }
+
+    #[test]
+    fn dense_records_cost_at_most_32_heap_bytes_each() {
+        const N: u64 = 100_000;
+        let mut store = LineageStore::new();
+        let mut p = patch(0, 0);
+        for id in 0..N {
+            p.id = PatchId(id);
+            p.img_ref.frame_no = id / 4;
+            p.parents = if id % 2 == 0 {
+                vec![]
+            } else {
+                vec![PatchId(id - 1)]
+            };
+            store.record(&p);
+        }
+        assert_eq!(store.len(), N as usize);
+        let per_record = store.heap_bytes() as f64 / N as f64;
+        assert!(per_record <= 32.0, "{per_record:.1} heap bytes per record");
+        assert_eq!(
+            store.backtrace(PatchId(N - 1)),
+            vec![ImgRef::frame("cam", (N - 2) / 4)]
+        );
+    }
+
+    /// The `HashMap` store this module replaced, kept as the reference the
+    /// paged store must answer identically to.
+    #[derive(Default)]
+    struct ReferenceStore {
+        records: HashMap<PatchId, (ImgRef, Vec<PatchId>)>,
+    }
+
+    impl ReferenceStore {
+        fn record(&mut self, patch: &Patch) {
+            self.records
+                .insert(patch.id, (patch.img_ref.clone(), patch.parents.clone()));
+        }
+
+        fn backtrace(&self, id: PatchId) -> Vec<ImgRef> {
+            let mut out = Vec::new();
+            let mut stack = vec![id];
+            let mut seen = HashSet::new();
+            while let Some(cur) = stack.pop() {
+                if !seen.insert(cur) {
+                    continue;
+                }
+                if let Some((img_ref, parents)) = self.records.get(&cur) {
+                    if parents.is_empty() || parents.iter().all(|p| !self.records.contains_key(p)) {
+                        out.push(img_ref.clone());
+                    } else {
+                        stack.extend(parents.iter().copied());
+                    }
+                }
+            }
+            out.sort_by(|a, b| {
+                (a.source.as_str(), a.frame_no).cmp(&(b.source.as_str(), b.frame_no))
+            });
+            out.dedup();
+            out
+        }
+
+        fn patches_of_frame_scan(&self, source: &str, frame_no: u64) -> Vec<PatchId> {
+            let mut out: Vec<PatchId> = self
+                .records
+                .iter()
+                .filter(|(_, (r, _))| r.source == source && r.frame_no == frame_no)
+                .map(|(id, _)| *id)
+                .collect();
+            out.sort_unstable();
+            out
+        }
+    }
+
+    /// SplitMix64 (the crate has no dependency to draw a generator from).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next_u64() % n
+        }
+    }
+
+    const SOURCES: [&str; 4] = ["cam0", "cam1", "wire", ""];
+    const FRAMES: [u64; 6] = [0, 1, 2, 3, 7, u64::MAX];
+
+    /// A random id: mostly dense (several pages), sometimes far away.
+    fn random_id(rng: &mut Rng) -> PatchId {
+        PatchId(match rng.below(10) {
+            0 => (1 << 40) + rng.below(3),
+            1 => u64::MAX - rng.below(2),
+            _ => rng.below(2_500),
+        })
+    }
+
+    fn assert_same(store: &LineageStore, reference: &ReferenceStore, ids: &[PatchId], ctx: &str) {
+        assert_eq!(store.len(), reference.records.len(), "{ctx}: len");
+        for id in ids {
+            assert_eq!(
+                store.backtrace(*id),
+                reference.backtrace(*id),
+                "{ctx}: backtrace of {id:?}"
+            );
+        }
+        for source in SOURCES.iter().chain(&["missing"]) {
+            for frame in FRAMES {
+                let want = reference.patches_of_frame_scan(source, frame);
+                assert_eq!(
+                    store.patches_of_frame_scan(source, frame),
+                    want,
+                    "{ctx}: scan of {source:?}/{frame}"
+                );
+                if store.index_built {
+                    assert_eq!(
+                        store.patches_of_frame(source, frame),
+                        want.as_slice(),
+                        "{ctx}: index of {source:?}/{frame}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn random_record_sequences_answer_like_the_hashmap_store() {
+        for seed in 0..60u64 {
+            let mut rng = Rng(seed);
+            let mut store = LineageStore::new();
+            let mut reference = ReferenceStore::default();
+            let mut ids: Vec<PatchId> = Vec::new();
+            let steps = 50 + rng.below(400);
+            // Build the index before, during, or never.
+            let build_at = rng.below(steps + 10);
+            for step in 0..steps {
+                if step == build_at {
+                    store.build_frame_index();
+                }
+                // Re-record a known id a third of the time.
+                let id = if !ids.is_empty() && rng.below(3) == 0 {
+                    ids[rng.below(ids.len() as u64) as usize]
+                } else {
+                    random_id(&mut rng)
+                };
+                let source = SOURCES[rng.below(SOURCES.len() as u64) as usize];
+                let frame = FRAMES[rng.below(FRAMES.len() as u64) as usize];
+                let mut p = Patch::empty(id, ImgRef::frame(source, frame));
+                // Parents: known ids (a real graph), unknown ones (predating
+                // the store), sometimes the patch itself (a cycle).
+                for _ in 0..[0, 0, 1, 1, 2, 3, 5][rng.below(7) as usize] {
+                    p.parents.push(match rng.below(6) {
+                        0 => random_id(&mut rng),
+                        1 => id,
+                        _ if !ids.is_empty() => ids[rng.below(ids.len() as u64) as usize],
+                        _ => random_id(&mut rng),
+                    });
+                }
+                store.record(&p);
+                reference.record(&p);
+                ids.push(id);
+                if step % 97 == 0 {
+                    assert_same(
+                        &store,
+                        &reference,
+                        &ids,
+                        &format!("seed {seed} step {step}"),
+                    );
+                }
+            }
+            ids.extend([PatchId(2_501), PatchId(1 << 41)]);
+            assert_same(&store, &reference, &ids, &format!("seed {seed} end"));
+            store.build_frame_index();
+            assert_same(&store, &reference, &ids, &format!("seed {seed} rebuilt"));
+        }
     }
 }

@@ -299,7 +299,7 @@ impl SharedCatalog {
     /// Build (or rebuild) a hash index on metadata `key` of collection
     /// `collection` under `index_name`.
     pub fn build_hash_index(&self, collection: &str, index_name: &str, key: &str) -> Result<()> {
-        self.update_collection(collection, |c| c.build_hash_index(index_name, key))
+        self.update_collection(collection, |c| c.build_hash_index(index_name, key))?
     }
 
     /// Build the chunked-columnar scan backing of collection `collection`
@@ -400,7 +400,10 @@ impl SharedCatalog {
     /// dense.
     pub(crate) fn attach_session(&self) -> usize {
         let mut slots = self.session_slots.lock();
-        let slot = (0..).find(|s| !slots.contains(s)).expect("free slot");
+        // `len` slots are taken, so one of the `len + 1` candidates is free.
+        let slot = (0..=slots.len())
+            .find(|s| !slots.contains(s))
+            .unwrap_or(slots.len());
         slots.insert(slot);
         slot
     }

@@ -274,6 +274,8 @@ impl Request {
                 }
             }
             Request::Materialize { name, rows } => {
+                let floats: usize = rows.iter().map(Vec::len).sum();
+                out.reserve(1 + 2 + name.len() + 4 + 4 * (rows.len() + floats));
                 out.push(OP_MATERIALIZE);
                 put_str(&mut out, name)?;
                 out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
@@ -458,7 +460,8 @@ impl<'a> Cursor<'a> {
                 "vector of {n} floats exceeds the frame"
             )));
         }
-        (0..n).map(|_| self.f32()).collect()
+        let (floats, _) = self.take(4 * n)?.as_chunks::<4>();
+        Ok(floats.iter().map(|b| f32::from_le_bytes(*b)).collect())
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -746,6 +749,179 @@ mod tests {
             Request::decode(&lying),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    /// SplitMix64 (the crate draws no generator from a dependency).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next_u64() % n
+        }
+
+        /// A float bit pattern: ordinary values, ±0, ±∞, subnormals, and
+        /// quiet and signalling NaNs with random payloads.
+        fn f32_bits(&mut self) -> u32 {
+            let r = self.next_u64() as u32;
+            match self.below(6) {
+                0 => (r & 0x8000_0000) | 0x7F80_0000 | (r & 0x007F_FFFF).max(1),
+                1 => (r & 0x8000_0000) | 0x7F80_0000,
+                2 => r & 0x8000_0000,
+                3 => r & 0x807F_FFFF,
+                _ => r,
+            }
+        }
+
+        fn floats(&mut self, n: usize) -> Vec<f32> {
+            (0..n).map(|_| f32::from_bits(self.f32_bits())).collect()
+        }
+    }
+
+    impl Cursor<'_> {
+        /// The per-float decode the bulk [`Cursor::f32s`] replaced.
+        fn f32s_per_float(&mut self) -> Result<Vec<f32>, WireError> {
+            let n = self.u32()? as usize;
+            if n.checked_mul(4)
+                .is_none_or(|b| b > self.buf.len() - self.pos)
+            {
+                return Err(WireError::Malformed(format!(
+                    "vector of {n} floats exceeds the frame"
+                )));
+            }
+            (0..n).map(|_| self.f32()).collect()
+        }
+    }
+
+    #[test]
+    fn bulk_f32s_equal_the_per_float_decode_bit_for_bit() {
+        let mut rng = Rng(0xF32);
+        for case in 0..4_000 {
+            let n = rng.below(70) as usize;
+            let mut payload = Vec::new();
+            // A third of the counts lie, in either direction.
+            let count = match rng.below(3) {
+                0 => rng.below(80) as u32,
+                _ => n as u32,
+            };
+            payload.extend_from_slice(&count.to_le_bytes());
+            for _ in 0..n {
+                payload.extend_from_slice(&rng.f32_bits().to_le_bytes());
+            }
+            payload.extend((0..rng.below(6)).map(|_| rng.next_u64() as u8));
+            let (mut bulk, mut reference) = (Cursor::new(&payload), Cursor::new(&payload));
+            match (bulk.f32s(), reference.f32s_per_float()) {
+                (Ok(a), Ok(b)) => {
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&a), bits(&b), "case {case}");
+                    assert_eq!(bulk.pos, reference.pos, "case {case}");
+                }
+                (Err(WireError::Malformed(_)), Err(WireError::Malformed(_))) => {}
+                (a, b) => panic!("case {case}: bulk {a:?}, per-float {b:?}"),
+            }
+        }
+    }
+
+    /// Decode `bytes` as a request or a response: `Ok` or `Malformed`,
+    /// never a panic or another error kind.
+    fn decodes_or_malformed(bytes: &[u8], request: bool, what: &str) {
+        let result = if request {
+            Request::decode(bytes).map(drop)
+        } else {
+            Response::decode(bytes).map(drop)
+        };
+        assert!(
+            matches!(result, Ok(()) | Err(WireError::Malformed(_))),
+            "{what}: {result:?}"
+        );
+    }
+
+    #[test]
+    fn hostile_mutations_of_valid_messages_decode_or_fail_cleanly() {
+        let mut rng = Rng(27);
+        let rows: Vec<Vec<f32>> = (0..40).map(|_| rng.floats(8)).collect();
+        let materialize = Request::Materialize {
+            name: "live".into(),
+            rows: rows.clone(),
+        };
+        let batch = Request::Batch(vec![
+            BatchQuery::IndexProbe {
+                collection: "gallery".into(),
+                index: "by_feat".into(),
+                probe: rng.floats(8),
+                tau: 0.5,
+            },
+            BatchQuery::SimilarityJoin {
+                left: "probes".into(),
+                right: "gallery".into(),
+                tau: 1.25,
+                predicate: None,
+            },
+            BatchQuery::IndexProbe {
+                collection: "live".into(),
+                index: "by_feat".into(),
+                probe: rng.floats(3),
+                tau: 2.0,
+            },
+            BatchQuery::Dedup {
+                collection: "probes".into(),
+                tau: 0.75,
+            },
+        ]);
+        let results = Response::Results(vec![
+            BatchResult::Pairs((0..30).map(|i| (i, 3 * i + 1)).collect()),
+            BatchResult::Clusters(vec![vec![0, 4, 9], vec![], vec![7]]),
+            BatchResult::Hits((0..25).collect()),
+        ]);
+        let messages = [
+            ("materialize", materialize.encode().unwrap(), true),
+            ("batch", batch.encode().unwrap(), true),
+            ("results", results.encode().unwrap(), false),
+        ];
+        for (name, good, request) in &messages {
+            decodes_or_malformed(good, *request, name);
+            // Every truncation.
+            for cut in 0..good.len() {
+                decodes_or_malformed(&good[..cut], *request, &format!("{name} cut {cut}"));
+            }
+            // Random single-bit flips.
+            for _ in 0..3_000 {
+                let mut bytes = good.clone();
+                let bit = rng.below(8 * bytes.len() as u64) as usize;
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                decodes_or_malformed(&bytes, *request, &format!("{name} bit {bit}"));
+            }
+            // A lying u32 at every offset covers each count field (rows,
+            // floats, pairs, clusters, members, hits).
+            for at in 0..good.len().saturating_sub(3) {
+                let len = good.len() as u32;
+                for lie in [0, 1, len / 4, len, len + 1, 1 << 30, u32::MAX] {
+                    let mut bytes = good.clone();
+                    bytes[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+                    decodes_or_malformed(&bytes, *request, &format!("{name} u32 {lie} at {at}"));
+                }
+            }
+        }
+        // The unmutated messages still round-trip exactly.
+        match Request::decode(&messages[0].1).unwrap() {
+            Request::Materialize { rows: decoded, .. } => {
+                let bits = |r: &[Vec<f32>]| {
+                    r.iter()
+                        .flat_map(|v| v.iter().map(|x| x.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&decoded), bits(&rows));
+            }
+            other => panic!("wrong request: {other:?}"),
+        }
+        assert_eq!(Response::decode(&messages[2].1).unwrap(), results);
     }
 
     #[test]

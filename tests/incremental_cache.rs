@@ -227,7 +227,7 @@ fn carry_forward_preserves_indexes_and_columnar_backing() {
     // The carried indexes answer over the *new* rows.
     let fresh = {
         let mut c = PatchCollection::from_patches(rows);
-        c.build_hash_index("by_label", "label");
+        c.build_hash_index("by_label", "label").unwrap();
         c.build_ball_index("feat").unwrap();
         c
     };
