@@ -107,7 +107,7 @@ impl LineageStore {
         let frame_no = patch.img_ref.frame_no;
         let (page, offset) = self.locate(patch.id);
         let old = self.pages[page][offset];
-        let parent = self.store_parents(&patch.parents, &old);
+        let parent = self.store_parents(&patch.parents);
         self.pages[page][offset] = Slot {
             frame_no,
             source,
@@ -284,18 +284,12 @@ impl LineageStore {
         }
     }
 
-    /// The `parent` field of a record with `parents`, writing a list of two
-    /// or more into the overflow arena: over the `old` record's list when it
-    /// is at least as long, else appended.
-    fn store_parents(&mut self, parents: &[PatchId], old: &Slot) -> PatchId {
+    /// The `parent` field of a record with `parents`, appending a list of
+    /// two or more to the overflow arena.
+    fn store_parents(&mut self, parents: &[PatchId]) -> PatchId {
         match parents {
             [] => PatchId(0),
             [only] => *only,
-            many if old.n_parents as usize >= many.len() => {
-                let start = old.parent.0 as usize;
-                self.overflow[start..start + many.len()].copy_from_slice(many);
-                old.parent
-            }
             many => {
                 let start = self.overflow.len();
                 self.overflow.extend_from_slice(many);
@@ -460,21 +454,19 @@ mod tests {
     }
 
     #[test]
-    fn multi_parent_rerecords_reuse_their_overflow_list() {
+    fn multi_parent_rerecords_answer_their_new_parents() {
         let mut store = LineageStore::new();
         let mut joined = patch(10, 0);
-        joined.parents = vec![PatchId(1), PatchId(2), PatchId(3)];
-        store.record(&joined);
-        assert_eq!(store.overflow.len(), 3);
-        joined.parents = vec![PatchId(3), PatchId(2)];
-        store.record(&joined);
-        assert_eq!(store.overflow.len(), 3, "a shorter list fits in place");
-        let slot = *store.slot(PatchId(10)).unwrap();
-        assert_eq!(store.parents(&slot), &[PatchId(3), PatchId(2)]);
-        joined.parents = vec![PatchId(1), PatchId(2), PatchId(3), PatchId(4)];
-        store.record(&joined);
-        let slot = *store.slot(PatchId(10)).unwrap();
-        assert_eq!(store.parents(&slot), joined.parents.as_slice());
+        for parents in [
+            vec![PatchId(1), PatchId(2), PatchId(3)],
+            vec![PatchId(3), PatchId(2)],
+            vec![PatchId(1), PatchId(2), PatchId(3), PatchId(4)],
+        ] {
+            joined.parents = parents;
+            store.record(&joined);
+            let slot = *store.slot(PatchId(10)).unwrap();
+            assert_eq!(store.parents(&slot), joined.parents.as_slice());
+        }
     }
 
     impl LineageStore {
