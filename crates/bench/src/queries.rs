@@ -53,10 +53,10 @@ fn serial() -> WorkerPool {
 }
 
 /// The engine's similarity self-join of `patches` within `tau` on the
-/// serial pool, under the plan [`JoinPlan::choose_dedup`] picks (the
-/// on-the-fly Ball-Tree for featurized corpora).
+/// serial pool, under the plan [`JoinPlan::choose`] picks (the on-the-fly
+/// Ball-Tree for featurized corpora).
 fn self_join(patches: &[Patch], tau: f32) -> Vec<(u32, u32)> {
-    JoinPlan::choose_dedup(patches)
+    JoinPlan::choose(patches, patches)
         .and_then(|plan| plan.run(patches, patches, &[(tau, None)], &serial()))
         .expect("ETL features share one dimension")
         .remove(0)

@@ -1,9 +1,10 @@
 //! Structures the paper's evaluation reproduces but the engine never runs.
 //!
 //! §3.2 surveys one index per patch data type and Fig. 6 measures what each
-//! costs to build; §7.4.3 (Table 1) models how plan order trades recall for
-//! time. The figure harnesses need all of them, yet no served or ingest path
-//! probes a KD-Tree, an LSH table, an R-Tree or a sorted run, and no query
+//! costs to build; §7.4.2 (Fig. 8) places kernels on a CPU or a GPU; §7.4.3
+//! (Table 1) models how plan order trades recall for time. The figure
+//! harnesses need all of them, yet no served or ingest path probes a
+//! KD-Tree, an LSH table, an R-Tree or a sorted run, offloads to a GPU, or
 //! enumerates plan orders — so they live here, outside the crates the
 //! server links, and the engine's `deeplens-index` keeps only the Ball-Tree
 //! family its joins and catalog use.
@@ -17,6 +18,9 @@
 //!   Fig. 6's expensive-to-build index).
 //! * [`sorted::SortedRunIndex`] — binary-searchable sorted runs over a
 //!   single `f64` attribute (the "sorted file" of §3.2).
+//! * [`devices`] — Fig. 8's device set: the simulated GPU with its launch +
+//!   transfer overhead, and device placement over CPU, AVX, parallel CPU
+//!   and GPU.
 //! * [`accuracy`] — per-operator (recall, precision) profiles and the two
 //!   q4 plan orders of Table 1, priced by the engine's cost model.
 //!
@@ -24,6 +28,7 @@
 //! is tested against.
 
 pub mod accuracy;
+pub mod devices;
 pub mod kdtree;
 pub mod lsh;
 pub mod rtree;

@@ -19,9 +19,6 @@
 //!   ([`JoinPlan::Indexed`]). The pass probes at the group's outer radius
 //!   and demultiplexes candidates against each member's own threshold and
 //!   predicate (the tree arm of [`JoinPlan::run`]);
-//! * **all-pairs offloads** over the same snapshot pair share one kernel
-//!   dispatch: the distance matrix is computed once and the launch +
-//!   transfer overhead is paid once for the whole group;
 //! * **index probes** against the same prebuilt Ball-Tree index share the
 //!   snapshot and the index, sharded over the session's morsel pool.
 //!
@@ -40,8 +37,6 @@
 //! split instead of multiplying it.
 
 use std::sync::Arc;
-
-use deeplens_exec::Device;
 
 use crate::cache::{fingerprint, CachedResult};
 use crate::catalog::PatchCollection;
@@ -240,10 +235,9 @@ struct TreeGroup {
     members: Vec<(JoinMember, usize, bool)>,
 }
 
-/// Members over one exact `(left, right)` snapshot pair under one non-tree
-/// plan: GPU all-pairs (one dispatch) or nested.
+/// Members over one exact `(left, right)` snapshot pair under the nested
+/// plan.
 struct PairGroup {
-    plan: JoinPlan,
     left: usize,
     right: usize,
     members: Vec<JoinMember>,
@@ -363,8 +357,8 @@ impl<'s> QueryBatch<'s> {
     /// ([`crate::shared::SharedCatalog::snapshot_many`], first-use order),
     /// derive each member's cache key, replay the members the result cache
     /// already holds (one counted lookup each), choose a [`JoinPlan`] for
-    /// every other join and dedup on the session's device, and group the
-    /// members that can share a pass.
+    /// every other join and dedup, and group the members that can share a
+    /// pass.
     ///
     /// A member whose rows disagree on feature dimension, or whose probe
     /// disagrees with its index's, fails the whole batch here with
@@ -386,7 +380,6 @@ impl<'s> QueryBatch<'s> {
         let snaps = session.catalog.snapshot_many(&names)?;
 
         let cache = session.catalog.result_cache();
-        let device = session.device();
         let mut keys = Vec::with_capacity(queries.len());
         let mut results = Vec::with_capacity(queries.len());
         let (mut trees, mut pairs, mut probes) = (Vec::new(), Vec::new(), Vec::new());
@@ -402,11 +395,11 @@ impl<'s> QueryBatch<'s> {
             results.push(None);
             let (plan, left, right, tau, predicate, cluster_n) = match q {
                 BatchQuery::SimilarityJoin { tau, predicate, .. } => {
-                    let plan = JoinPlan::choose(of_query[0], of_query[1], device)?;
+                    let plan = JoinPlan::choose(of_query[0], of_query[1])?;
                     (plan, slots[0], slots[1], tau, predicate, None)
                 }
                 BatchQuery::Dedup { tau, .. } => {
-                    let plan = JoinPlan::choose_dedup(of_query[0])?;
+                    let plan = JoinPlan::choose(of_query[0], of_query[0])?;
                     (plan, slots[0], slots[0], tau, None, Some(of_query[0].len()))
                 }
                 BatchQuery::IndexProbe {
@@ -459,11 +452,10 @@ impl<'s> QueryBatch<'s> {
             } else {
                 match pairs
                     .iter_mut()
-                    .find(|g: &&mut PairGroup| (g.plan, g.left, g.right) == (plan, left, right))
+                    .find(|g: &&mut PairGroup| (g.left, g.right) == (left, right))
                 {
                     Some(g) => g.members.push(member),
                     None => pairs.push(PairGroup {
-                        plan,
                         left,
                         right,
                         members: vec![member],
@@ -508,17 +500,15 @@ impl PlannedBatch<'_> {
     /// [`CostModel::batched_index_join_cost`] per probe relation of a shared
     /// tree (one build for an on-the-fly tree; none for a persisted index,
     /// whose delta scan each probe pays instead),
-    /// [`CostModel::nested_loop_cost`] per all-pairs dispatch or nested
-    /// member, [`CostModel::probe_cost`] per index probe, nothing for
-    /// cache-resident members — bridged to time by `planner` on the device
-    /// each pass runs on ([`JoinPlan::device`]). The floor is 1 µs.
+    /// [`CostModel::nested_loop_cost`] per nested member,
+    /// [`CostModel::probe_cost`] per index probe, nothing for cache-resident
+    /// members — bridged to time by `planner` at the worker count each pass
+    /// runs with ([`JoinPlan::workers`]). The floor is 1 µs.
     pub fn estimate_us(&self, planner: &DevicePlanner) -> f64 {
         let model = CostModel::default();
         let threads = self.session.effective_threads();
-        let pool = Device::ParallelCpu(threads);
-        let bridge = |device: Device, units: f64, bytes: usize| {
-            planner.estimate_us(device, units / planner.units_per_us, bytes)
-        };
+        let bridge =
+            |workers: usize, units: f64| planner.estimate_us(workers, units / planner.units_per_us);
         let mut total = 0.0;
         for group in &self.trees {
             let snap = &self.snaps[group.indexed];
@@ -544,26 +534,20 @@ impl PlannedBatch<'_> {
                     units -= model.build_cost(indexed.len(), dim);
                 }
             }
-            total += bridge(pool, units, 0);
+            total += bridge(threads, units);
         }
         for group in &self.pairs {
             let (l, r) = (&self.snaps[group.left], &self.snaps[group.right]);
             let dim = plan::join_dim(&l.patches, &r.patches);
             let k = group.members.len() as f64;
-            let all_pairs = model.nested_loop_cost(l.len(), r.len(), dim);
-            let units = match group.plan {
-                // One dispatch computes the distance matrix for every member.
-                JoinPlan::GpuAllPairs => all_pairs,
-                _ => k * all_pairs,
-            };
-            let bytes = (l.len() + r.len()) * dim * 4;
-            total += bridge(group.plan.device(threads), units, bytes);
+            let units = k * model.nested_loop_cost(l.len(), r.len(), dim);
+            total += bridge(JoinPlan::Nested.workers(threads), units);
         }
         for group in &self.probes {
             let col = &self.snaps[group.collection];
             let dim = plan::feature_dim(&col.patches).max(1);
             let units = group.members.len() as f64 * model.probe_cost(col.len(), dim);
-            total += bridge(pool, units, 0);
+            total += bridge(threads, units);
         }
         total.max(1.0)
     }
@@ -600,9 +584,7 @@ impl PlannedBatch<'_> {
                 .iter()
                 .map(|m| (m.tau, m.predicate()))
                 .collect();
-            let outs = group
-                .plan
-                .run(&left.patches, &right.patches, &specs, &pool)?;
+            let outs = JoinPlan::Nested.run(&left.patches, &right.patches, &specs, &pool)?;
             for (m, pairs) in group.members.iter().zip(outs) {
                 results[m.query] = Some(m.result(pairs));
             }
@@ -648,6 +630,7 @@ mod tests {
     use super::*;
     use crate::patch::{ImgRef, PatchId};
     use crate::shared::SharedCatalog;
+    use deeplens_exec::Device;
 
     fn feat_patches(n: u64, dim: usize, seed: u64) -> Vec<Patch> {
         let mut s = seed;
@@ -697,14 +680,6 @@ mod tests {
             assert!(!got[0].pairs().unwrap().is_empty());
             assert!(!got[4].clusters().unwrap().is_empty());
         }
-    }
-
-    #[test]
-    fn gpu_batch_matches_serial_issuance() {
-        let s = seeded_session(Device::GpuSim);
-        let got = mixed_batch(&s).run().unwrap();
-        let want = mixed_batch(&s).run_serial().unwrap();
-        assert_eq!(got, want);
     }
 
     #[test]

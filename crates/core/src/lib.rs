@@ -33,7 +33,7 @@
 //! * [`cache`] — the snapshot-keyed result cache in front of session
 //!   queries, invalidated for free by the catalog's version counters.
 //! * [`optimizer`] — the cost model (non-linear join costs, §7.4.1) and
-//!   device placement (§7.4.2).
+//!   its bridge to wall-clock on the session's workers.
 //! * [`plan`] — the one way a similarity join or dedup executes: chosen
 //!   (probing a live catalog index when that is cheaper than a build),
 //!   priced and run as a [`plan::JoinPlan`].
@@ -56,7 +56,7 @@
 //!         )
 //!     })
 //!     .collect();
-//! let plan = JoinPlan::choose(&patches, &patches, Device::Avx)?;
+//! let plan = JoinPlan::choose(&patches, &patches)?;
 //! let pairs = plan.run(&patches, &patches, &[(1.5, None)], &WorkerPool::new(1))?;
 //! assert!(pairs[0].len() > 10); // each point matches itself and its neighbours
 //! # Ok(())

@@ -10,13 +10,11 @@
 //!
 //! A *similarity* join or dedup does not run from here: its physical variant
 //! — a probe of the persisted Ball index a side's snapshot carries, an
-//! on-the-fly Ball-Tree over the smaller relation, the device's all-pairs
-//! offload, or the nested loop — is chosen by
-//! [`crate::plan::JoinPlan::choose`] / [`crate::plan::JoinPlan::choose_dedup`]
-//! and executed by [`crate::plan::JoinPlan::run`]. This module keeps the
-//! pieces those plans are built from: the crate-private tree kernel (a fresh
-//! build, and the one probe pass both tree plans share over a
-//! `DeltaBallTree`), [`feature_matrix`] for the offload,
+//! on-the-fly Ball-Tree over the smaller relation, or the nested loop — is
+//! chosen by [`crate::plan::JoinPlan::choose`] and executed by
+//! [`crate::plan::JoinPlan::run`]. This module keeps the pieces those plans
+//! are built from: the crate-private tree kernel (a fresh build, and the one
+//! probe pass both tree plans share over a `DeltaBallTree`),
 //! [`cluster_from_pairs`] for dedup, and the brute-force oracles
 //! [`similarity_join_nested`] / [`dedup_bruteforce`] every plan is held to.
 //!
@@ -28,7 +26,7 @@
 
 use std::collections::HashMap;
 
-use deeplens_exec::{Matrix, WorkerPool};
+use deeplens_exec::WorkerPool;
 use deeplens_index::{BallTree, DeltaBallTree};
 
 use crate::patch::Patch;
@@ -60,35 +58,6 @@ pub fn count_group_by_int(patches: &[Patch], key: &str) -> HashMap<i64, usize> {
         }
     }
     out
-}
-
-// --------------------------------------------------------------------------
-// Feature extraction helper
-// --------------------------------------------------------------------------
-
-/// Stack the feature vectors of a patch collection into a matrix.
-///
-/// Errors if any patch is not featurized or dimensions disagree.
-pub fn feature_matrix(patches: &[Patch]) -> Result<Matrix> {
-    let dim = patches
-        .first()
-        .and_then(|p| p.data.features())
-        .map(|f| f.len())
-        .unwrap_or(0);
-    let mut flat = Vec::with_capacity(patches.len() * dim);
-    for (i, p) in patches.iter().enumerate() {
-        let f = p.data.features().ok_or_else(|| {
-            DlError::SchemaMismatch(format!("patch {i} has no features for similarity join"))
-        })?;
-        if f.len() != dim {
-            return Err(DlError::SchemaMismatch(format!(
-                "patch {i} has dimension {} but expected {dim}",
-                f.len()
-            )));
-        }
-        flat.extend_from_slice(f);
-    }
-    Ok(Matrix::from_vec(patches.len(), dim, flat))
 }
 
 // --------------------------------------------------------------------------
@@ -401,7 +370,6 @@ mod tests {
     use super::*;
     use crate::patch::{ImgRef, PatchId};
     use crate::plan::JoinPlan;
-    use deeplens_exec::Device;
 
     fn feat_patch(id: u64, f: Vec<f32>) -> Patch {
         Patch::features(PatchId(id), ImgRef::frame("t", id), f)
@@ -464,9 +432,10 @@ mod tests {
             .remove(0)
     }
 
-    /// Dedup clusters under the plan `JoinPlan::choose_dedup` picks.
+    /// Dedup clusters under the plan `JoinPlan::choose` picks for the
+    /// self-join.
     fn dedup(patches: &[Patch], tau: f32, pool: &WorkerPool) -> Vec<Vec<u32>> {
-        let plan = JoinPlan::choose_dedup(patches).unwrap();
+        let plan = JoinPlan::choose(patches, patches).unwrap();
         cluster_from_pairs(patches.len(), &run(plan, patches, patches, tau, pool))
     }
 
@@ -490,10 +459,9 @@ mod tests {
         }
     }
 
-    const PLANS: [JoinPlan; 4] = [
+    const PLANS: [JoinPlan; 3] = [
         JoinPlan::BallTree { index_left: true },
         JoinPlan::BallTree { index_left: false },
-        JoinPlan::GpuAllPairs,
         JoinPlan::Nested,
     ];
 
@@ -522,7 +490,7 @@ mod tests {
         let pool = WorkerPool::new(2);
         // And flipped: the orientation of the pairs follows the query.
         for (l, r) in [(&small, &large), (&large, &small)] {
-            let plan = JoinPlan::choose(l, r, Device::Avx).unwrap();
+            let plan = JoinPlan::choose(l, r).unwrap();
             let index_left = l.len() < r.len();
             assert_eq!(plan, JoinPlan::BallTree { index_left });
             assert_eq!(run(plan, l, r, 0.5, &pool), oracle(l, r, 0.5));
@@ -723,19 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn feature_matrix_validates() {
-        let ok = vec![feat_patch(1, vec![1.0, 2.0]), feat_patch(2, vec![3.0, 4.0])];
-        assert_eq!(feature_matrix(&ok).unwrap().rows(), 2);
-        let bad = vec![feat_patch(1, vec![1.0, 2.0]), labeled(2, "car", 0)];
-        assert!(matches!(
-            feature_matrix(&bad),
-            Err(DlError::SchemaMismatch(_))
-        ));
-        let mismatched = vec![feat_patch(1, vec![1.0]), feat_patch(2, vec![1.0, 2.0])];
-        assert!(feature_matrix(&mismatched).is_err());
-    }
-
-    #[test]
     fn empty_join_inputs() {
         let pool = WorkerPool::new(1);
         let one = [feat_patch(1, vec![0.0])];
@@ -754,7 +709,7 @@ mod tests {
         // distance zero — instead of aborting on `dim == 0`.
         let left: Vec<Patch> = (0..4).map(|i| feat_patch(i, vec![])).collect();
         let right: Vec<Patch> = (0..3).map(|i| feat_patch(10 + i, vec![])).collect();
-        let plan = JoinPlan::choose(&left, &right, Device::Avx).unwrap();
+        let plan = JoinPlan::choose(&left, &right).unwrap();
         assert_eq!(plan, JoinPlan::BallTree { index_left: false });
         for threads in [1usize, 4] {
             let ball = run(plan, &left, &right, 0.5, &WorkerPool::new(threads));

@@ -7,14 +7,15 @@
 //!   Ball-Tree probe cost grows super-linearly with the indexed relation's
 //!   size, with a dimension-dependent exponent, so the optimizer must pick
 //!   which side to index rather than apply a linear rule.
-//! * [`DevicePlanner`] — CPU/GPU placement (§7.4.2): offload only when the
-//!   estimated compute saving exceeds the launch + transfer overhead.
+//! * [`DevicePlanner`] — the bridge from cost units to wall-clock on the
+//!   worker count a plan runs with: what the server admits a request on.
 //!
-//! The third, plan-order accuracy composition (§7.4.3, Table 1), is not
-//! part of the engine: nothing the server runs enumerates plan orders, so it
-//! lives with its `table1_accuracy` harness in `deeplens_bench::repro`.
+//! Neither the device placement of §7.4.2 (Fig. 8) nor the plan-order
+//! accuracy composition of §7.4.3 (Table 1) is part of the engine: nothing
+//! the server runs offloads to a GPU or enumerates plan orders, so both live
+//! with their harnesses in `deeplens_bench::repro`.
 
-use deeplens_exec::{Device, GpuProfile};
+use deeplens_exec::Device;
 
 /// Cost model for similarity joins over multidimensional features.
 #[derive(Debug, Clone, Copy)]
@@ -223,25 +224,15 @@ pub const NOMINAL_ZONE_SKIP: f64 = 0.9;
 /// this puts the auto-build floor at 4096 rows.
 pub const COLUMNAR_AUTOBUILD_MIN_CHUNKS: usize = 4;
 
-/// Device placement advisor over all four backends: scalar CPU, vectorized
-/// CPU, multi-core parallel CPU, and GPU offload.
+/// Wall-clock pricing of a kernel on the host's workers.
 ///
-/// Placement follows the paper's §7.4.2 rule generalized to a device
-/// lattice: each backend has a throughput model and a fixed per-kernel
-/// overhead, and the planner picks the backend with the smallest estimated
-/// wall-clock. The parallel CPU sits between one vectorized core and the
-/// GPU: near-linear compute scaling across `cpu_threads` workers, a small
-/// per-kernel thread-orchestration cost, and no transfer cost at all.
+/// A kernel with `cpu_estimate_us` of vectorized single-core work runs on
+/// one worker in exactly that time; on `n > 1` workers it scales
+/// near-linearly (at [`DevicePlanner::parallel_efficiency`]) and pays a
+/// small per-thread orchestration cost
+/// ([`DevicePlanner::spawn_overhead_us`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DevicePlanner {
-    /// The GPU's overhead profile.
-    pub gpu: GpuProfile,
-    /// Estimated GPU throughput advantage over single-core vectorized code.
-    pub speedup: f64,
-    /// Vectorized (AVX) throughput advantage over scalar code.
-    pub vector_speedup: f64,
-    /// Worker threads the parallel-CPU backend would use.
-    pub cpu_threads: usize,
     /// Fraction of ideal scaling the morsel pool achieves (memory bandwidth
     /// and merge costs eat the rest).
     pub parallel_efficiency: f64,
@@ -257,11 +248,6 @@ pub struct DevicePlanner {
 impl Default for DevicePlanner {
     fn default() -> Self {
         DevicePlanner {
-            gpu: GpuProfile::default(),
-            speedup: 8.0,
-            vector_speedup: 4.0,
-            // Auto-detected hardware threads, honoring DEEPLENS_THREADS.
-            cpu_threads: deeplens_exec::configured_threads(),
             parallel_efficiency: 0.85,
             spawn_overhead_us: 30.0,
             units_per_us: 100.0,
@@ -285,7 +271,7 @@ impl DevicePlanner {
     ///
     /// In the library's own test builds the microbenchmark is skipped and
     /// the defaults are returned unchanged — calibration noise must not make
-    /// placement tests host-dependent.
+    /// pricing tests host-dependent.
     pub fn calibrated() -> Self {
         Self::calibrated_inner(cfg!(test))
     }
@@ -345,65 +331,20 @@ impl DevicePlanner {
         (best_us > 0.0).then(|| (best_us / THREADS as f64).clamp(1.0, 500.0))
     }
 
-    /// The candidate devices the planner ranks, cheapest-overhead first.
-    pub fn candidates(&self) -> [Device; 4] {
-        [
-            Device::Cpu,
-            Device::Avx,
-            Device::ParallelCpu(self.cpu_threads.max(1)),
-            Device::GpuSim,
-        ]
-    }
-
     /// Estimated wall-clock (µs) of running a kernel with `cpu_estimate_us`
-    /// of *vectorized single-core* work moving `bytes` of data on `device`.
-    pub fn estimate_us(&self, device: Device, cpu_estimate_us: f64, bytes: usize) -> f64 {
-        match device {
-            Device::Cpu => cpu_estimate_us * self.vector_speedup,
-            Device::Avx => cpu_estimate_us,
-            Device::ParallelCpu(threads) => {
-                let threads = if threads == 0 {
-                    self.cpu_threads
-                } else {
-                    threads
-                } as f64;
-                if threads <= 1.0 {
-                    cpu_estimate_us
-                } else {
-                    cpu_estimate_us / (threads * self.parallel_efficiency)
-                        + self.spawn_overhead_us * threads
-                }
-            }
-            Device::GpuSim => {
-                let overhead_us = self.gpu.offload_overhead(bytes).as_secs_f64() * 1e6;
-                overhead_us + cpu_estimate_us / self.speedup
-            }
+    /// of *vectorized single-core* work on `workers` workers.
+    pub fn estimate_us(&self, workers: usize, cpu_estimate_us: f64) -> f64 {
+        if workers <= 1 {
+            return cpu_estimate_us;
         }
-    }
-
-    /// Choose a device for a kernel with `cpu_estimate_us` of single-core
-    /// vectorized work moving `bytes` of data: the [`DevicePlanner::candidates`]
-    /// entry with the smallest estimate, ties broken toward the
-    /// lower-overhead device (candidates are ordered cheapest-overhead
-    /// first).
-    pub fn place(&self, cpu_estimate_us: f64, bytes: usize) -> Device {
-        let mut best = Device::Cpu;
-        let mut best_us = f64::INFINITY;
-        for dev in self.candidates() {
-            let us = self.estimate_us(dev, cpu_estimate_us, bytes);
-            if us < best_us {
-                best = dev;
-                best_us = us;
-            }
-        }
-        best
+        let workers = workers as f64;
+        cpu_estimate_us / (workers * self.parallel_efficiency) + self.spawn_overhead_us * workers
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn probe_cost_nonlinear_in_n() {
@@ -421,81 +362,13 @@ mod tests {
         assert!(l1 < c1, "low-dim probes are cheaper");
     }
 
-    /// Planner fixture with deterministic (host-independent) CPU topology.
-    fn planner_fixture() -> DevicePlanner {
-        DevicePlanner {
-            gpu: GpuProfile {
-                launch_overhead: Duration::from_micros(500),
-                bandwidth_gib_s: 8.0,
-                workers: 8,
-            },
-            speedup: 8.0,
-            vector_speedup: 4.0,
-            cpu_threads: 4,
-            parallel_efficiency: 0.85,
-            spawn_overhead_us: 30.0,
-            units_per_us: 100.0,
-        }
-    }
-
     #[test]
-    fn device_planner_crossover() {
-        let planner = planner_fixture();
-        // Tiny kernel: stay on the single vectorized core.
-        assert_eq!(planner.place(50.0, 1024), Device::Avx);
-        // Huge kernel: offload (8x GPU speedup beats 4 threads at 85%).
-        assert_eq!(planner.place(1_000_000.0, 1 << 20), Device::GpuSim);
-    }
-
-    #[test]
-    fn device_planner_picks_parallel_cpu_in_the_middle() {
-        let planner = planner_fixture();
-        // Mid-size kernel: parallel CPU amortizes its spawn cost, while the
-        // GPU's launch + transfer overhead still dominates its compute win.
-        let placed = planner.place(2_000.0, 64 << 20);
-        assert_eq!(placed, Device::ParallelCpu(4));
-        // And the estimates are consistent with that pick.
-        let par = planner.estimate_us(placed, 2_000.0, 64 << 20);
-        assert!(par < planner.estimate_us(Device::Avx, 2_000.0, 64 << 20));
-        assert!(par < planner.estimate_us(Device::GpuSim, 2_000.0, 64 << 20));
-    }
-
-    #[test]
-    fn estimate_orders_scalar_above_vectorized() {
-        let planner = planner_fixture();
-        for work in [10.0, 1_000.0, 100_000.0] {
-            assert!(
-                planner.estimate_us(Device::Cpu, work, 0)
-                    > planner.estimate_us(Device::Avx, work, 0)
-            );
-        }
-    }
-
-    #[test]
-    fn single_threaded_parallel_degenerates_to_avx() {
-        let planner = planner_fixture();
-        assert_eq!(
-            planner.estimate_us(Device::ParallelCpu(1), 500.0, 0),
-            planner.estimate_us(Device::Avx, 500.0, 0)
-        );
-    }
-
-    #[test]
-    fn place_ranks_every_candidate() {
-        // On SIMD-weak hardware (vector_speedup < 1) the scalar backend is
-        // the planner's own minimum — place() must return it.
-        let planner = DevicePlanner {
-            vector_speedup: 0.8,
-            ..planner_fixture()
-        };
-        assert_eq!(planner.place(50.0, 1024), Device::Cpu);
-    }
-
-    #[test]
-    fn candidates_cover_the_lattice() {
-        let c = planner_fixture().candidates();
-        assert_eq!(c.len(), 4);
-        assert!(matches!(c[2], Device::ParallelCpu(4)));
+    fn one_worker_prices_the_estimate_and_more_pay_their_spawns() {
+        let planner = DevicePlanner::default();
+        assert_eq!(planner.estimate_us(1, 500.0), 500.0);
+        // Four workers at 85% divide the work by 3.4 and spawn for 120 µs.
+        let four = planner.estimate_us(4, 100_000.0);
+        assert!((four - (100_000.0 / 3.4 + 120.0)).abs() < 1e-6, "{four}");
     }
 
     #[test]
@@ -556,7 +429,7 @@ mod tests {
         assert!(measured.units_per_us >= 1.0 && measured.units_per_us <= 1e6);
         assert!(measured.spawn_overhead_us >= 1.0 && measured.spawn_overhead_us <= 500.0);
         // `cfg!(test)` is the only condition under which the public entry
-        // point skips, which keeps placement tests host-independent.
+        // point skips, which keeps pricing tests host-independent.
         assert_eq!(format!("{:?}", DevicePlanner::calibrated()), defaults);
     }
 

@@ -4,12 +4,15 @@
 //! [`JoinPlan::choose`] is the only place the engine decides *how* a
 //! similarity join executes — probe the persisted Ball index one side's
 //! snapshot already carries, build an on-the-fly Ball-Tree over the smaller
-//! side, run the device's all-pairs kernel, or fall back to the nested loop
-//! for relations with featureless rows — and where a join whose featured
-//! rows disagree on dimension is rejected. It sees each side as a
-//! [`JoinSide`]: the rows, plus the live Ball index when the side is a
-//! materialized collection that has one. Bare slices carry no index, so for
-//! them the choice is between the last three plans only.
+//! side, or fall back to the nested loop for relations with featureless
+//! rows — and where a join whose featured rows disagree on dimension is
+//! rejected. A dedup is the self-join `choose(rows, rows)`. The choice
+//! depends on the two sides only, never on the session's device: the
+//! device sets the worker count a plan runs with ([`JoinPlan::workers`]).
+//! It sees each side as a [`JoinSide`]: the rows, plus the live Ball index
+//! when the side is a materialized collection that has one. Bare slices
+//! carry no index, so for them the choice is between the last two plans
+//! only.
 //! [`crate::batch::QueryBatch::plan`] calls it once per join member,
 //! [`crate::batch::PlannedBatch::estimate_us`] prices the plan it returned,
 //! and [`crate::batch::PlannedBatch::run`] executes that same plan, so the
@@ -18,7 +21,7 @@
 
 use std::borrow::Cow;
 
-use deeplens_exec::{Device, Executor, WorkerPool};
+use deeplens_exec::WorkerPool;
 use deeplens_index::DeltaBallTree;
 
 use crate::catalog::PatchCollection;
@@ -43,12 +46,9 @@ pub enum JoinPlan {
         /// Whether the probed index is the left relation's.
         index_left: bool,
     },
-    /// The simulated GPU's dense all-pairs kernel over both feature
-    /// matrices (Fig. 8's query-time offload).
-    GpuAllPairs,
     /// Brute-force nested loop, skipping featureless rows pair-wise: the
-    /// fallback when a relation the chosen kernel must index or stack into
-    /// a matrix has a row without features.
+    /// fallback when the relation a tree must index has a row without
+    /// features.
     Nested,
 }
 
@@ -145,7 +145,7 @@ pub(crate) fn join_dim(left: &[Patch], right: &[Patch]) -> usize {
 /// relation's dimension, so both sides of a join are held to the same one.
 ///
 /// Errors with [`DlError::SchemaMismatch`] when two featured rows disagree:
-/// the tree and matrix kernels assume one dimension, and the nested loop
+/// the tree kernels assume one dimension, and the nested loop
 /// would silently compare a prefix.
 pub(crate) fn feature_shape(
     patches: &[Patch],
@@ -188,13 +188,10 @@ fn tree_or_nested(
 }
 
 impl JoinPlan {
-    /// The plan for joining `left × right` on `device`.
-    ///
-    /// On the simulated GPU: the all-pairs offload, or [`JoinPlan::Nested`]
-    /// when either side is ragged. On CPU devices: the cheapest, by
-    /// [`CostModel::batched_index_join_cost`], of the on-the-fly Ball-Tree
-    /// over the smaller side (or [`JoinPlan::Nested`] when that side is
-    /// ragged, priced by [`CostModel::nested_loop_cost`]) and
+    /// The plan for joining `left × right` (a dedup passes one side twice):
+    /// the cheapest, by [`CostModel::batched_index_join_cost`], of the
+    /// on-the-fly Ball-Tree over the smaller side (or [`JoinPlan::Nested`]
+    /// when that side is ragged, priced by [`CostModel::nested_loop_cost`]) and
     /// [`JoinPlan::Indexed`] over each side that carries a live index —
     /// priced without a build, plus the index's delta scan per probe. Ties
     /// keep the on-the-fly plan, then the left index. Featureless probe rows
@@ -206,18 +203,10 @@ impl JoinPlan {
     pub fn choose<'a>(
         left: impl Into<JoinSide<'a>>,
         right: impl Into<JoinSide<'a>>,
-        device: Device,
     ) -> Result<JoinPlan> {
         let (left, right) = (left.into(), right.into());
         let (left_ragged, dim) = left.shape(None)?;
         let (right_ragged, dim) = right.shape(dim)?;
-        if device == Device::GpuSim {
-            return Ok(if left_ragged || right_ragged {
-                JoinPlan::Nested
-            } else {
-                JoinPlan::GpuAllPairs
-            });
-        }
         let (n_left, n_right) = (left.rows.len(), right.rows.len());
         let dim = dim.unwrap_or(0).max(1);
         let model = CostModel::default();
@@ -244,39 +233,25 @@ impl JoinPlan {
         Ok(best)
     }
 
-    /// The plan for deduplicating `rows` (a self-join): the host tree — the
-    /// on-the-fly build, or the side's live index when probing it is
-    /// cheaper — whatever the device, since the all-pairs offload is a
-    /// two-relation kernel. Errors as [`JoinPlan::choose`] does.
-    pub fn choose_dedup<'a>(rows: impl Into<JoinSide<'a>>) -> Result<JoinPlan> {
-        let side = rows.into();
-        Self::choose(side, side, Device::Avx)
-    }
-
-    /// The device this plan's kernel is priced on: the session's
-    /// `pool_threads`-worker slice for a tree pass, the simulated GPU for
-    /// the offload, one serial core for the nested loop.
-    pub fn device(self, pool_threads: usize) -> Device {
+    /// The workers this plan's kernel is priced on: the session's
+    /// `pool_threads`-worker slice for a tree pass, one serial core for the
+    /// nested loop.
+    pub fn workers(self, pool_threads: usize) -> usize {
         match self {
-            JoinPlan::BallTree { .. } | JoinPlan::Indexed { .. } => {
-                Device::ParallelCpu(pool_threads)
-            }
-            JoinPlan::GpuAllPairs => Device::GpuSim,
-            JoinPlan::Nested => Device::Avx,
+            JoinPlan::BallTree { .. } | JoinPlan::Indexed { .. } => pool_threads,
+            JoinPlan::Nested => 1,
         }
     }
 
     /// Execute the plan for every `(tau, predicate)` member over one
     /// relation pair: one sorted, predicate-filtered `(left_idx, right_idx)`
     /// vector per member. A tree plan gets its tree once (a build, or the
-    /// indexed side's live index) and the all-pairs kernel dispatches once
-    /// for all members. Bare slices join as
-    /// `JoinPlan::choose(l, r, device)?.run(l, r, &[(tau, None)], &pool)`.
+    /// indexed side's live index) for all members. Bare slices join as
+    /// `JoinPlan::choose(l, r)?.run(l, r, &[(tau, None)], &pool)`.
     ///
     /// Errors with [`DlError::SchemaMismatch`] when the sides are not ones
-    /// [`JoinPlan::choose`] (or, for a self-join, [`JoinPlan::choose_dedup`])
-    /// would have given this plan: rows that disagree on dimension, a
-    /// featureless row where the kernel must index or stack one, or
+    /// [`JoinPlan::choose`] would have given this plan: rows that disagree
+    /// on dimension, a featureless row where the tree must index one, or
     /// [`JoinPlan::Indexed`] over a side without a live index — and when a
     /// side has more rows than a `u32` row id can address.
     pub fn run<'a>(
@@ -290,13 +265,6 @@ impl JoinPlan {
         let (l, r) = (left.rows, right.rows);
         row_id(l.len().saturating_sub(1))?;
         row_id(r.len().saturating_sub(1))?;
-        let filtered = |pairs: Vec<(u32, u32)>, pred: Option<PairPredicate<'_>>| match pred {
-            None => pairs,
-            Some(p) => pairs
-                .into_iter()
-                .filter(|&(i, j)| p(&l[i as usize], &r[j as usize]))
-                .collect(),
-        };
         Ok(match self {
             JoinPlan::BallTree { index_left } | JoinPlan::Indexed { index_left } => {
                 let (indexed, probes) = if index_left { (left, r) } else { (right, l) };
@@ -312,26 +280,18 @@ impl JoinPlan {
                     .collect();
                 ops::similarity_join_balltree_multi(&tree, indexed.rows, &members, pool)?
             }
-            JoinPlan::GpuAllPairs if l.is_empty() || r.is_empty() => {
-                vec![Vec::new(); members.len()]
-            }
-            JoinPlan::GpuAllPairs => {
-                let a = ops::feature_matrix(l)?;
-                let b = ops::feature_matrix(r)?;
-                let taus: Vec<f32> = members.iter().map(|m| m.0).collect();
-                Executor::new(Device::GpuSim)
-                    .threshold_join(&a, &b, &taus)
-                    .into_iter()
-                    .zip(members)
-                    .map(|(pairs, &(_, pred))| filtered(pairs, pred))
-                    .collect()
-            }
             JoinPlan::Nested => {
                 let (_, dim) = feature_shape(l, None)?;
                 feature_shape(r, dim)?;
                 members
                     .iter()
-                    .map(|&(tau, pred)| filtered(ops::similarity_join_nested(l, r, tau), pred))
+                    .map(|&(tau, pred)| {
+                        let mut pairs = ops::similarity_join_nested(l, r, tau);
+                        if let Some(p) = pred {
+                            pairs.retain(|&(i, j)| p(&l[i as usize], &r[j as usize]));
+                        }
+                        pairs
+                    })
                     .collect()
             }
         })
@@ -350,25 +310,22 @@ mod tests {
     }
 
     #[test]
-    fn gpu_and_ragged_inputs_route_as_documented() {
+    fn ragged_inputs_route_as_documented() {
         let (small, large) = (rows(12, 3), rows(90, 3));
         let mut ragged = small.clone();
         ragged.push(Patch::empty(PatchId(999), ImgRef::frame("p", 999)));
-        let (gpu, cpu) = (Device::GpuSim, Device::Avx);
         let tree = |index_left| JoinPlan::BallTree { index_left };
-        for (l, r, device, want) in [
-            (&small, &large, gpu, JoinPlan::GpuAllPairs),
-            (&large, &ragged, gpu, JoinPlan::Nested),
-            // CPU: only the indexed (smaller) side must be rectangular.
-            (&ragged, &large, cpu, JoinPlan::Nested),
-            (&small, &ragged, cpu, tree(true)),
-            (&large, &small, cpu, tree(false)),
+        for (l, r, want) in [
+            // Only the indexed (smaller) side must be rectangular.
+            (&ragged, &large, JoinPlan::Nested),
+            (&small, &ragged, tree(true)),
+            (&large, &small, tree(false)),
+            // A dedup is the self-join.
+            (&small, &small, tree(true)),
+            (&ragged, &ragged, JoinPlan::Nested),
         ] {
-            assert_eq!(JoinPlan::choose(l, r, device).unwrap(), want);
+            assert_eq!(JoinPlan::choose(l, r).unwrap(), want);
         }
-        // A dedup never offloads.
-        assert_eq!(JoinPlan::choose_dedup(&small).unwrap(), tree(true));
-        assert_eq!(JoinPlan::choose_dedup(&ragged).unwrap(), JoinPlan::Nested);
     }
 
     #[test]
@@ -376,44 +333,39 @@ mod tests {
         let (a, b) = (rows(10, 8), rows(20, 4));
         let mut mixed = rows(6, 4);
         mixed.extend(rows(3, 8));
-        for device in [Device::Avx, Device::ParallelCpu(2), Device::GpuSim] {
-            for (l, r) in [(&a, &b), (&b, &a), (&mixed, &b), (&b, &mixed)] {
-                assert!(
-                    matches!(
-                        JoinPlan::choose(l, r, device),
-                        Err(DlError::SchemaMismatch(_))
-                    ),
-                    "{device:?}: {}x{} rows",
-                    l.len(),
-                    r.len()
-                );
-            }
+        for (l, r) in [
+            (&a, &b),
+            (&b, &a),
+            (&mixed, &b),
+            (&b, &mixed),
+            (&mixed, &mixed),
+        ] {
+            assert!(
+                matches!(JoinPlan::choose(l, r), Err(DlError::SchemaMismatch(_))),
+                "{}x{} rows",
+                l.len(),
+                r.len()
+            );
         }
-        assert!(matches!(
-            JoinPlan::choose_dedup(&mixed),
-            Err(DlError::SchemaMismatch(_))
-        ));
         // Featureless rows carry no dimension, and an empty side agrees with
         // any.
         let mut ragged = rows(5, 4);
         ragged.push(Patch::empty(PatchId(99), ImgRef::frame("p", 99)));
-        assert!(JoinPlan::choose(&ragged, &b, Device::Avx).is_ok());
+        assert!(JoinPlan::choose(&ragged, &b).is_ok());
         let none: &[Patch] = &[];
-        assert!(JoinPlan::choose(none, &a, Device::GpuSim).is_ok());
+        assert!(JoinPlan::choose(none, &a).is_ok());
         // An indexed side answers with its index's dimension.
         let a = indexed(a);
-        for device in [Device::Avx, Device::GpuSim] {
-            for (l, r) in [
-                (JoinSide::from(&a), JoinSide::from(&b)),
-                ((&b).into(), (&a).into()),
-            ] {
-                assert!(matches!(
-                    JoinPlan::choose(l, r, device),
-                    Err(DlError::SchemaMismatch(_))
-                ));
-            }
+        for (l, r) in [
+            (JoinSide::from(&a), JoinSide::from(&b)),
+            ((&b).into(), (&a).into()),
+        ] {
+            assert!(matches!(
+                JoinPlan::choose(l, r),
+                Err(DlError::SchemaMismatch(_))
+            ));
         }
-        assert!(JoinPlan::choose_dedup(&a).is_ok());
+        assert!(JoinPlan::choose(&a, &a).is_ok());
     }
 
     /// `rows` as a collection carrying a live Ball index.
@@ -430,75 +382,42 @@ mod tests {
         let (probes_ix, gallery_ix) = (indexed(probes.clone()), indexed(gallery.clone()));
         let mut ragged = probes.clone();
         ragged[5] = Patch::empty(PatchId(5), ImgRef::frame("p", 5));
-        let (cpu, gpu) = (Device::Avx, Device::GpuSim);
         let tree = |index_left| JoinPlan::BallTree { index_left };
         let indexed_plan = |index_left| JoinPlan::Indexed { index_left };
-        let cases: [(JoinSide, JoinSide, Device, JoinPlan); 9] = [
+        let cases: [(JoinSide, JoinSide, JoinPlan); 8] = [
             // The index on either side.
-            (
-                (&probes).into(),
-                (&gallery_ix).into(),
-                cpu,
-                indexed_plan(false),
-            ),
-            (
-                (&gallery_ix).into(),
-                (&probes).into(),
-                cpu,
-                indexed_plan(true),
-            ),
-            (
-                (&probes).into(),
-                (&gallery_ix).into(),
-                Device::ParallelCpu(4),
-                indexed_plan(false),
-            ),
+            ((&probes).into(), (&gallery_ix).into(), indexed_plan(false)),
+            ((&gallery_ix).into(), (&probes).into(), indexed_plan(true)),
             // No index: the on-the-fly tree over the smaller side, as ever.
-            ((&probes).into(), (&gallery).into(), cpu, tree(true)),
-            ((&gallery).into(), (&probes).into(), cpu, tree(false)),
+            ((&probes).into(), (&gallery).into(), tree(true)),
+            ((&gallery).into(), (&probes).into(), tree(false)),
             // An index on the small side saves the build over it.
+            ((&probes_ix).into(), (&gallery).into(), indexed_plan(true)),
+            // A featureless probe row matches nothing under `Indexed`.
+            ((&ragged).into(), (&gallery_ix).into(), indexed_plan(false)),
+            ((&ragged).into(), (&gallery).into(), JoinPlan::Nested),
+            // A dedup over an indexed collection probes its index.
             (
-                (&probes_ix).into(),
-                (&gallery).into(),
-                cpu,
+                (&gallery_ix).into(),
+                (&gallery_ix).into(),
                 indexed_plan(true),
             ),
-            // The GPU routing ignores indexes.
-            (
-                (&probes).into(),
-                (&gallery_ix).into(),
-                gpu,
-                JoinPlan::GpuAllPairs,
-            ),
-            // A featureless probe row matches nothing under `Indexed`.
-            (
-                (&ragged).into(),
-                (&gallery_ix).into(),
-                cpu,
-                indexed_plan(false),
-            ),
-            ((&ragged).into(), (&gallery).into(), cpu, JoinPlan::Nested),
         ];
-        for (l, r, device, want) in cases {
-            assert_eq!(JoinPlan::choose(l, r, device).unwrap(), want, "{device:?}");
+        for (l, r, want) in cases {
+            assert_eq!(JoinPlan::choose(l, r).unwrap(), want);
         }
-        // A dedup over an indexed collection probes its index.
-        assert_eq!(
-            JoinPlan::choose_dedup(&gallery_ix).unwrap(),
-            indexed_plan(true)
-        );
-        assert_eq!(JoinPlan::choose_dedup(&gallery).unwrap(), tree(true));
+        assert_eq!(JoinPlan::choose(&gallery, &gallery).unwrap(), tree(true));
         // An index that no longer covers the rows is not live.
         let mut stale = gallery_ix.clone();
         stale.patches.pop();
-        assert_eq!(JoinPlan::choose(&probes, &stale, cpu).unwrap(), tree(true));
+        assert_eq!(JoinPlan::choose(&probes, &stale).unwrap(), tree(true));
     }
 
     #[test]
     fn the_indexed_plan_probes_the_live_index_and_matches_the_tree_plan() {
         let (probes, gallery) = (rows(30, 3), indexed(rows(300, 3)));
         let pool = WorkerPool::new(2);
-        let plan = JoinPlan::choose(&probes, &gallery, Device::Avx).unwrap();
+        let plan = JoinPlan::choose(&probes, &gallery).unwrap();
         assert_eq!(plan, JoinPlan::Indexed { index_left: false });
         let members = [(1.5, None), (4.0, None)];
         let got = plan.run(&probes, &gallery, &members, &pool).unwrap();
@@ -533,24 +452,15 @@ mod tests {
         ragged.push(Patch::empty(PatchId(99), ImgRef::frame("p", 99)));
         let tree = |index_left| JoinPlan::BallTree { index_left };
         let mut cases = Vec::new();
-        for plan in [
-            tree(true),
-            tree(false),
-            JoinPlan::GpuAllPairs,
-            JoinPlan::Nested,
-        ] {
+        for plan in [tree(true), tree(false), JoinPlan::Nested] {
             cases.extend([(plan, &mixed, &good), (plan, &good, &mixed)]);
         }
         // Bare slices carry no index to probe.
         for index_left in [true, false] {
             cases.push((JoinPlan::Indexed { index_left }, &good, &good));
         }
-        // A featureless row where the kernel must index or stack it.
-        cases.extend([
-            (tree(true), &ragged, &good),
-            (tree(false), &good, &ragged),
-            (JoinPlan::GpuAllPairs, &good, &ragged),
-        ]);
+        // A featureless row where the tree must index it.
+        cases.extend([(tree(true), &ragged, &good), (tree(false), &good, &ragged)]);
         let pool = WorkerPool::new(2);
         for (plan, l, r) in cases {
             assert!(

@@ -6,11 +6,11 @@
 //! manages the on-disk working directory for materialized storage
 //! (Frame/Encoded/Segmented files live under it).
 //!
-//! The device is a *thread budget* as well as a kernel choice: every join,
-//! dedup, index build, and pipeline run issued through the session executes
-//! on the worker pool the device implies — `Device::ParallelCpu(n)` fans
-//! operators out over `n` morsel workers, the single-core backends run them
-//! serially, and `Device::GpuSim` offloads the all-pairs join kernel. When
+//! The device is the session's *thread budget*: every join, dedup, index
+//! build, and pipeline run issued through the session executes on the
+//! worker pool the device implies — `Device::ParallelCpu(n)` fans
+//! operators out over `n` morsel workers, and the single-core backends run
+//! them serially; the plan a join takes never depends on the device. When
 //! several sessions share one catalog the budget is *divided* across them
 //! ([`Session::effective_threads`]): the machine no longer belongs to a
 //! single query, so each session gets its exact share of
@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use deeplens_analyze::sync::{LockRank, OrderedMutex};
 use deeplens_codec::{FrameCache, Image};
-use deeplens_exec::{Device, Executor, WorkerPool};
+use deeplens_exec::{Device, WorkerPool};
 
 use crate::batch::{BatchQuery, BatchResult, QueryBatch};
 use crate::cache::{fingerprint, CachedResult};
@@ -132,14 +132,9 @@ impl Session {
         self.device
     }
 
-    /// Switch the execution device (the Fig. 8 knob).
+    /// Switch the execution device, and with it the thread budget.
     pub fn set_device(&mut self, device: Device) {
         self.device = device;
-    }
-
-    /// An executor bound to the session's device.
-    pub fn executor(&self) -> Executor {
-        Executor::new(self.device)
     }
 
     /// The thread budget this session may actually use right now: the
@@ -193,25 +188,19 @@ impl Session {
         &self.frame_cache
     }
 
-    /// Similarity join on the session's device: `(left_idx, right_idx)`
-    /// pairs within `tau`, sorted. The physical plan is
-    /// [`JoinPlan::choose`]'s — Ball-Tree on the session pool for CPU
-    /// devices, the all-pairs offload on the simulated GPU — and every
-    /// device returns the identical pair set: patches without features
-    /// never match on any of them. Rows that disagree on feature dimension
-    /// are a [`crate::DlError::SchemaMismatch`].
+    /// Similarity join on the session pool: `(left_idx, right_idx)` pairs
+    /// within `tau`, sorted. The physical plan is [`JoinPlan::choose`]'s,
+    /// and every device returns the identical pair set: patches without
+    /// features never match on any of them. Rows that disagree on feature
+    /// dimension are a [`crate::DlError::SchemaMismatch`].
     pub fn similarity_join(
         &self,
         left: &[Patch],
         right: &[Patch],
         tau: f32,
     ) -> Result<Vec<(u32, u32)>> {
-        let mut out = JoinPlan::choose(left, right, self.device)?.run(
-            left,
-            right,
-            &[(tau, None)],
-            &self.pool(),
-        )?;
+        let mut out =
+            JoinPlan::choose(left, right)?.run(left, right, &[(tau, None)], &self.pool())?;
         Ok(out.pop().unwrap_or_default())
     }
 
@@ -225,8 +214,8 @@ impl Session {
 
     /// [`Session::similarity_join`] over two materialized collections — a
     /// [`Session::batch`] of one: consistent snapshots, the result cache,
-    /// and the planner's persisted-index / on-the-fly tree / offload /
-    /// nested choice all apply.
+    /// and the planner's persisted-index / on-the-fly tree / nested choice
+    /// all apply.
     pub fn join_collections(&self, left: &str, right: &str, tau: f32) -> Result<Vec<(u32, u32)>> {
         match self.run_one(BatchQuery::SimilarityJoin {
             left: left.to_string(),
@@ -241,10 +230,11 @@ impl Session {
 
     /// Similarity deduplication (§5 q4) on the session pool: clusters of
     /// patches within `tau` of each other, transitively. The self-join runs
-    /// under [`JoinPlan::choose_dedup`]'s plan; rows that disagree on
-    /// feature dimension are a [`crate::DlError::SchemaMismatch`].
+    /// under the plan [`JoinPlan::choose`] picks for the self-join; rows
+    /// that disagree on feature dimension are a
+    /// [`crate::DlError::SchemaMismatch`].
     pub fn dedup(&self, patches: &[Patch], tau: f32) -> Result<Vec<Vec<u32>>> {
-        let plan = JoinPlan::choose_dedup(patches)?;
+        let plan = JoinPlan::choose(patches, patches)?;
         let pairs = plan.run(patches, patches, &[(tau, None)], &self.pool())?;
         Ok(ops::cluster_from_pairs(patches.len(), &pairs[0]))
     }
@@ -260,16 +250,6 @@ impl Session {
             BatchResult::Clusters(clusters) => Ok(clusters),
             other => unreachable!("a dedup yields clusters, not {other:?}"),
         }
-    }
-
-    /// Generic θ-join on the session pool.
-    pub fn nested_loop_join(
-        &self,
-        left: &[Patch],
-        right: &[Patch],
-        theta: impl Fn(&Patch, &Patch) -> bool + Sync,
-    ) -> Vec<(u32, u32)> {
-        ops::nested_loop_join(left, right, theta, &self.pool())
     }
 
     /// Build a Ball-Tree index over `collection`'s features under
@@ -291,11 +271,7 @@ impl Session {
         let dim = plan::feature_dim(&col.patches).max(1);
         let units = CostModel::default().build_cost(col.len(), dim);
         planner
-            .estimate_us(
-                Device::ParallelCpu(self.effective_threads()),
-                units / planner.units_per_us,
-                0,
-            )
+            .estimate_us(self.effective_threads(), units / planner.units_per_us)
             .max(1.0)
     }
 
@@ -387,7 +363,7 @@ mod tests {
         let mut s = Session::ephemeral().unwrap();
         assert_eq!(s.device(), Device::Avx);
         s.set_device(Device::Cpu);
-        assert_eq!(s.executor().device(), Device::Cpu);
+        assert_eq!(s.device(), Device::Cpu);
         assert!(s.dir().exists());
         assert!(s
             .storage_path("traffic.dlb")
@@ -567,8 +543,7 @@ mod tests {
     #[test]
     fn joins_and_dedup_agree_across_session_devices() {
         let mut left = feat_patches(40);
-        // A featureless straggler: every device must skip it pair-wise
-        // (the GPU path falls back instead of erroring).
+        // A featureless straggler: every device must skip it pair-wise.
         left.push(Patch::empty(PatchId(999), ImgRef::frame("t", 999)));
         let right = feat_patches(25);
         let mut reference: Option<Vec<(u32, u32)>> = None;
@@ -578,7 +553,6 @@ mod tests {
             Device::Avx,
             Device::ParallelCpu(1),
             Device::ParallelCpu(4),
-            Device::GpuSim,
         ] {
             let mut s = Session::ephemeral().unwrap();
             s.set_device(device);
@@ -605,12 +579,7 @@ mod tests {
             .chain((6..9).map(|i| row(i, 8)))
             .collect();
         let mismatch = |r: Result<_>| matches!(r, Err(crate::DlError::SchemaMismatch(_)));
-        for device in [
-            Device::Cpu,
-            Device::Avx,
-            Device::ParallelCpu(2),
-            Device::GpuSim,
-        ] {
+        for device in [Device::Cpu, Device::Avx, Device::ParallelCpu(2)] {
             let mut s = Session::ephemeral().unwrap();
             s.set_device(device);
             assert!(mismatch(s.dedup(&mixed, 1.0).map(drop)), "{device:?}");

@@ -1,5 +1,5 @@
-//! Compute kernels behind the four execution devices (the paper's Fig. 8
-//! trio plus the multi-core CPU backend):
+//! Compute kernels behind the three execution devices (the paper's CPU and
+//! AVX, plus the multi-core CPU backend):
 //!
 //! * `*_scalar` — straightforward per-element loops (the "CPU" baseline,
 //!   and the reference every other form is held to).
@@ -7,8 +7,8 @@
 //!   SIMD (squared-norm + dot-product decomposition, fixed-width lane
 //!   accumulators the compiler turns into vector instructions) and sharded
 //!   over a morsel-driven [`WorkerPool`]. One worker is the "AVX" device;
-//!   more are the multi-core CPU backend and the compute half of the
-//!   simulated GPU. Output is identical for every worker count.
+//!   more are the multi-core CPU backend. Output is identical for every
+//!   worker count.
 //! * `conv_stack_{vectorized,parallel}` — the convolution stack as
 //!   shifted-row FMA chains, on one core or one row band per worker.
 //! * `histogram_parallel` — per-worker local histograms, merged.

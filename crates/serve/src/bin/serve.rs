@@ -1,7 +1,7 @@
 //! `serve` — stand up a DeepLens query server on a TCP address.
 //!
 //! ```text
-//! serve [--addr HOST:PORT] [--device cpu|avx|parallel[:N]|gpu]
+//! serve [--addr HOST:PORT] [--device cpu|avx|parallel[:N]]
 //!       [--budget-us N] [--queue-depth N] [--demo]
 //! ```
 //!
@@ -36,7 +36,7 @@ fn feat_patches(catalog: &SharedCatalog, n: u64, dim: usize, seed: u64) -> Vec<P
 
 fn usage() -> ! {
     eprintln!(
-        "usage: serve [--addr HOST:PORT] [--device cpu|avx|parallel[:N]|gpu] \
+        "usage: serve [--addr HOST:PORT] [--device cpu|avx|parallel[:N]] \
          [--budget-us N] [--queue-depth N] [--demo]"
     );
     std::process::exit(2)

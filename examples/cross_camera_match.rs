@@ -52,7 +52,7 @@ fn main() {
     );
 
     // The planner picks the physical join: a Ball-Tree over the smaller feed.
-    let plan = JoinPlan::choose(&cam_a, &cam_b, Device::Avx).expect("one histogram dimension");
+    let plan = JoinPlan::choose(&cam_a, &cam_b).expect("one histogram dimension");
     println!("join plan: {plan:?}");
 
     // Run that plan over the pixel-derived features, with index build +

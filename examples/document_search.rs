@@ -65,7 +65,7 @@ fn main() {
 
     // q1: near-duplicate sweep over the whole corpus — a self-join under
     // the plan the planner picks, on all hardware threads.
-    let plan = JoinPlan::choose_dedup(&image_patches).expect("one histogram dimension");
+    let plan = JoinPlan::choose(&image_patches, &image_patches).expect("one histogram dimension");
     let pairs: Vec<(u32, u32)> = plan
         .run(
             &image_patches,

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use deeplens::prelude::*;
+use deeplens_bench::repro::devices::{feature_matrix, Backend, GpuProfile};
 use proptest::prelude::*;
 
 fn feature_patches(n: u64, dim: usize, seed: u64) -> Vec<Patch> {
@@ -31,8 +32,8 @@ fn corpus_session(threads: usize, shards: usize) -> Session {
 
 /// The corpus widened so every [`JoinPlan`] is reachable: `odd` carries a
 /// featureless straggler row, which forces the nested fallback wherever it
-/// must be indexed (CPU) or stacked into a matrix (GPU). `backed` gives
-/// every collection a columnar backing, which no plan reads.
+/// must be indexed. `backed` gives every collection a columnar backing,
+/// which no plan reads.
 fn plan_corpus_session(device: Device, shards: usize, backed: bool) -> Session {
     let catalog = Arc::new(SharedCatalog::with_shards(shards));
     let mut s = Session::ephemeral_attached(catalog).unwrap();
@@ -191,20 +192,34 @@ fn k4_compatible_batch_matches_serial_across_threads_and_shards() {
 
 #[test]
 fn batch_matches_serial_on_gpu_device() {
+    // The batch on the scalar reference device, which the proptest's sweep
+    // does not cover; every join member must also equal the all-pairs
+    // answer of Fig. 8's simulated GPU over the same snapshots.
     let mut s = corpus_session(1, 4);
-    s.set_device(Device::GpuSim);
-    let mut batch = s.batch();
-    for tau in [1.0f32, 2.5, 4.0, 6.0] {
-        batch.similarity_join("mid", "big", tau);
+    s.set_device(Device::Cpu);
+    let members = [
+        ("mid", "big", 1.0f32),
+        ("mid", "big", 2.5),
+        ("mid", "big", 4.0),
+        ("mid", "big", 6.0),
+        ("big", "mid", 2.0),
+    ];
+    let batch = || {
+        let mut batch = s.batch();
+        for (l, r, tau) in members {
+            batch.similarity_join(l, r, tau);
+        }
+        batch
+    };
+    let got = batch().run().unwrap();
+    assert_eq!(got, batch().run_serial().unwrap());
+    let matrix = |name: &str| feature_matrix(&s.catalog.snapshot(name).unwrap().patches).unwrap();
+    let gpu = Backend::Gpu(GpuProfile::default());
+    for ((l, r, tau), result) in members.into_iter().zip(&got) {
+        let want = gpu.threshold_join(&matrix(l), &matrix(r), &[tau]).remove(0);
+        assert_eq!(result.pairs(), Some(&want[..]), "{l} x {r} at {tau}");
     }
-    batch.similarity_join("big", "mid", 2.0);
-    let got = batch.run().unwrap();
-    let mut serial = s.batch();
-    for tau in [1.0f32, 2.5, 4.0, 6.0] {
-        serial.similarity_join("mid", "big", tau);
-    }
-    serial.similarity_join("big", "mid", 2.0);
-    assert_eq!(got, serial.run_serial().unwrap());
+    assert!(!got[1].pairs().unwrap().is_empty());
 }
 
 #[test]
@@ -253,10 +268,10 @@ proptest! {
     /// A `QueryBatch` of K random compatible queries (plain and filtered
     /// joins, dedups, index probes over a shared corpus) returns
     /// byte-identical results to serial issuance *and* to the brute-force
-    /// oracle — across 1/2/4 worker threads, the vectorized core and the
-    /// simulated GPU, 1/16 catalog shards, backed and unbacked collections
-    /// (the on-the-fly Ball-Tree, persisted-index, GPU all-pairs and nested
-    /// plans all run, and a backing changes none of them), before and after
+    /// oracle — across 1/2/4 worker threads and the vectorized core, 1/16
+    /// catalog shards, backed and unbacked collections (the on-the-fly
+    /// Ball-Tree, persisted-index and nested plans all run, and a backing
+    /// changes none of them), before and after
     /// a write leaves `big`'s index delta-maintained, with every
     /// configuration agreeing on the bytes.
     #[test]
@@ -268,7 +283,6 @@ proptest! {
             Device::ParallelCpu(2),
             Device::ParallelCpu(4),
             Device::Avx,
-            Device::GpuSim,
         ];
         let mut reached = Vec::new();
         let mut unbacked_plans = Vec::new();
@@ -288,13 +302,11 @@ proptest! {
                     // live index.
                     let plans: Vec<JoinPlan> = [("wee", "wee"), ("mid", "odd"), ("mid", "big")]
                         .into_iter()
-                        .map(|(l, r)| JoinPlan::choose(&*snap(l), &*snap(r), device).unwrap())
+                        .map(|(l, r)| JoinPlan::choose(&*snap(l), &*snap(r)).unwrap())
                         .collect();
-                    if device != Device::GpuSim {
-                        // `big`'s index is probed, fresh and delta-maintained.
-                        let indexed = JoinPlan::Indexed { index_left: false };
-                        prop_assert_eq!(plans[2], indexed, "{}", shape);
-                    }
+                    // `big`'s index is probed, fresh and delta-maintained.
+                    let indexed = JoinPlan::Indexed { index_left: false };
+                    prop_assert_eq!(plans[2], indexed, "{}", shape);
                     if backed {
                         let unbacked = unbacked_plans
                             .iter()
@@ -331,7 +343,6 @@ proptest! {
         for plan in [
             JoinPlan::BallTree { index_left: true },
             JoinPlan::Indexed { index_left: false },
-            JoinPlan::GpuAllPairs,
             JoinPlan::Nested,
         ] {
             prop_assert!(reached.contains(&plan), "{:?} never planned", plan);

@@ -41,7 +41,7 @@ fn best_of_5(f: impl Fn() -> Vec<(u32, u32)>) -> (Vec<(u32, u32)>, Duration) {
 fn planned_strategy_wins_on_asymmetric_join() {
     let small = feature_patches(300, 16, 1);
     let large = feature_patches(12_000, 16, 2);
-    let plan = JoinPlan::choose(&small, &large, Device::Avx).unwrap();
+    let plan = JoinPlan::choose(&small, &large).unwrap();
     assert_eq!(
         plan,
         JoinPlan::BallTree { index_left: true },

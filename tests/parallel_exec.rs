@@ -1,12 +1,13 @@
 //! Integration: the multi-core `ParallelCpu` backend is a drop-in
 //! replacement for the scalar `Cpu` backend — identical answers across
-//! thread counts and degenerate shapes — and the optimizer's cost model
+//! thread counts and degenerate shapes — and Fig. 8's placement planner
 //! knows when it wins.
 
 use std::time::{Duration, Instant};
 
 use deeplens::core::optimizer::DevicePlanner;
-use deeplens::exec::{kernels, Device, Executor, GpuProfile, Matrix, WorkerPool};
+use deeplens::exec::{kernels, Device, Executor, Matrix, WorkerPool};
+use deeplens_bench::repro::devices::{Backend, GpuProfile, PlacementPlanner};
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut s = seed;
@@ -154,13 +155,18 @@ fn parallel_beats_scalar_on_large_join() {
     );
 }
 
-/// Acceptance: the device planner routes a mid-size kernel to the parallel
-/// backend when its cost model predicts a win, and the backend it names is
-/// runnable.
+/// Acceptance: Fig. 8's placement planner routes a mid-size kernel to the
+/// parallel backend when its cost model predicts a win, and the backend it
+/// names is runnable.
 #[test]
 fn optimizer_routes_midsize_kernels_to_parallel_cpu() {
     // Pin the topology so the test is host-independent.
-    let planner = DevicePlanner {
+    let planner = PlacementPlanner {
+        host: DevicePlanner {
+            parallel_efficiency: 0.85,
+            spawn_overhead_us: 30.0,
+            units_per_us: 100.0,
+        },
         gpu: GpuProfile {
             launch_overhead: Duration::from_micros(500),
             bandwidth_gib_s: 8.0,
@@ -169,9 +175,6 @@ fn optimizer_routes_midsize_kernels_to_parallel_cpu() {
         speedup: 8.0,
         vector_speedup: 4.0,
         cpu_threads: 8,
-        parallel_efficiency: 0.85,
-        spawn_overhead_us: 30.0,
-        units_per_us: 100.0,
     };
 
     // ~5 ms of vectorized work moving 128 MiB: the GPU's transfer alone
@@ -179,19 +182,22 @@ fn optimizer_routes_midsize_kernels_to_parallel_cpu() {
     let placed = planner.place(5_000.0, 128 << 20);
     assert_eq!(
         placed,
-        Device::ParallelCpu(8),
+        Backend::Host(Device::ParallelCpu(8)),
         "cost model must pick the parallel CPU"
     );
 
     // Tiny kernels still stay on the single vectorized core...
-    assert_eq!(planner.place(20.0, 4 << 10), Device::Avx);
+    assert_eq!(planner.place(20.0, 4 << 10), Backend::Host(Device::Avx));
     // ...and compute-dominated giants still offload.
-    assert_eq!(planner.place(10_000_000.0, 1 << 20), Device::GpuSim);
+    assert_eq!(
+        planner.place(10_000_000.0, 1 << 20),
+        Backend::Gpu(planner.gpu)
+    );
 
     // The planner's pick executes and agrees with the scalar reference.
     let a = mat(60, 16, 31);
     let b = mat(60, 16, 32);
-    let from_pick = Executor::new(placed).threshold_join(&a, &b, &[6.0]);
+    let from_pick = placed.threshold_join(&a, &b, &[6.0]);
     let reference = Executor::new(Device::Cpu).threshold_join(&a, &b, &[6.0]);
     assert_eq!(from_pick, reference);
 }

@@ -29,7 +29,7 @@ const THREADS: [usize; 4] = [1, 2, 3, 8];
 /// `left × right` within `tau` under the plan the planner picks for a CPU
 /// device, on a `threads`-worker pool.
 fn planned_join(left: &[Patch], right: &[Patch], tau: f32, threads: usize) -> Vec<(u32, u32)> {
-    let plan = JoinPlan::choose(left, right, Device::Avx).unwrap();
+    let plan = JoinPlan::choose(left, right).unwrap();
     let pool = WorkerPool::new(threads);
     plan.run(left, right, &[(tau, None)], &pool)
         .unwrap()
