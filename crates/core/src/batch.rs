@@ -503,7 +503,8 @@ impl PlannedBatch<'_> {
     /// [`CostModel::nested_loop_cost`] per nested member,
     /// [`CostModel::probe_cost`] per index probe, nothing for cache-resident
     /// members — bridged to time by `planner` at the worker count each pass
-    /// runs with ([`JoinPlan::workers`]). The floor is 1 µs.
+    /// runs with (the session's slice for a tree or probe pass, one worker
+    /// for the serial nested loop). The floor is 1 µs.
     pub fn estimate_us(&self, planner: &DevicePlanner) -> f64 {
         let model = CostModel::default();
         let threads = self.session.effective_threads();
@@ -541,7 +542,8 @@ impl PlannedBatch<'_> {
             let dim = plan::join_dim(&l.patches, &r.patches);
             let k = group.members.len() as f64;
             let units = k * model.nested_loop_cost(l.len(), r.len(), dim);
-            total += bridge(JoinPlan::Nested.workers(threads), units);
+            // The nested loop runs serially.
+            total += bridge(1, units);
         }
         for group in &self.probes {
             let col = &self.snaps[group.collection];

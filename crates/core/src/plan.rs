@@ -8,8 +8,8 @@
 //! rows — and where a join whose featured rows disagree on dimension is
 //! rejected. A dedup is the self-join `choose(rows, rows)`. The choice
 //! depends on the two sides only, never on the session's device: the
-//! device sets the worker count a plan runs with ([`JoinPlan::workers`]).
-//! It sees each side as a [`JoinSide`]: the rows, plus the live Ball index
+//! device sets the worker count a tree plan runs with; the nested loop
+//! runs serially. It sees each side as a [`JoinSide`]: the rows, plus the live Ball index
 //! when the side is a materialized collection that has one. Bare slices
 //! carry no index, so for them the choice is between the last two plans
 //! only.
@@ -231,16 +231,6 @@ impl JoinPlan {
             }
         }
         Ok(best)
-    }
-
-    /// The workers this plan's kernel is priced on: the session's
-    /// `pool_threads`-worker slice for a tree pass, one serial core for the
-    /// nested loop.
-    pub fn workers(self, pool_threads: usize) -> usize {
-        match self {
-            JoinPlan::BallTree { .. } | JoinPlan::Indexed { .. } => pool_threads,
-            JoinPlan::Nested => 1,
-        }
     }
 
     /// Execute the plan for every `(tau, predicate)` member over one

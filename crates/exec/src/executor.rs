@@ -102,6 +102,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut state = seed;
@@ -204,6 +205,16 @@ mod tests {
         let a = Executor::new(Device::Cpu).histogram(&values, 10, 0.0, 100.0);
         let b = Executor::new(Device::ParallelCpu(3)).histogram(&values, 10, 0.0, 100.0);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn parallel_cpu_runs_a_tiny_join_inline() {
+        // A tiny input runs inline as a single morsel and completes quickly.
+        let a = mat(2, 4, 1);
+        let b = mat(2, 4, 2);
+        let t0 = Instant::now();
+        let _ = Executor::new(Device::ParallelCpu(8)).threshold_join(&a, &b, &[1.0]);
+        assert!(t0.elapsed() < Duration::from_millis(50));
     }
 
     #[test]

@@ -154,10 +154,11 @@ impl ObjectDetector {
         self.outputs(scene, t, frame)
     }
 
-    /// Batched inference over many frames of one scene: the GPU pays a
-    /// single launch + transfer for the whole batch and parallelizes across
-    /// frames — how real streaming inference pipelines run, and the reason
-    /// the GPU dominates the ETL phase (paper Fig. 8, left).
+    /// Batched inference over many frames of one scene: whole planes are
+    /// sharded over the device's workers — how real streaming inference
+    /// pipelines run. Fig. 8's simulated GPU (`repro::devices` in
+    /// `deeplens-bench`) charges one launch + transfer per batch around
+    /// this call (paper Fig. 8, left).
     pub fn detect_batch(&self, scene: &Scene, frames: &[(u64, Image)]) -> Vec<Vec<Detection>> {
         let planes: Vec<(Vec<f32>, usize, usize)> = frames
             .iter()
