@@ -30,7 +30,10 @@ use std::cell::RefCell;
 /// A thread holding a lock of rank `R` may only acquire locks of rank
 /// strictly greater than `R`. The discriminants are the single source of
 /// truth for the ordering rules documented in `core::shared`,
-/// `storage::buffer`, and `serve::admission`.
+/// `serve::admission`, and the reproduction crate's
+/// `deeplens_bench::repro::storage::buffer` (the only taker of
+/// `BufferShard` and `Pager`: the enum is closed, so its page stack can only
+/// be checked against the engine's locks if its ranks stay here).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum LockRank {
@@ -52,12 +55,14 @@ pub enum LockRank {
     /// A session's decoded-frame cache (`core::session`). Leaf with respect
     /// to catalog state: never held across catalog or buffer acquisitions.
     FrameCache = 5,
-    /// One shard of the latch-sharded `storage::buffer::BufferPool`. At most
-    /// one shard latch per thread.
+    /// One shard of the latch-sharded `BufferPool` in
+    /// `deeplens_bench::repro::storage::buffer`, the only place this rank is
+    /// taken: no engine crate runs a page stack. At most one shard latch per
+    /// thread.
     BufferShard = 6,
-    /// The `storage::buffer` pager (backing-store allocator). May be taken
-    /// while holding a single `BufferShard` latch (flush/evict), never the
-    /// reverse.
+    /// That repro buffer pool's pager (backing-store allocator), likewise
+    /// taken nowhere else. May be taken while holding a single `BufferShard`
+    /// latch (flush/evict), never the reverse.
     Pager = 7,
     /// `exec::pool` per-dispatch result collector. A worker takes it briefly
     /// at the end of a morsel batch, holding nothing else.

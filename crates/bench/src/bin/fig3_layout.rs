@@ -7,11 +7,11 @@
 //! number of frames it had to decode.
 
 use deeplens_bench::report::{human_bytes, ms, time, Table};
-use deeplens_bench::{scale, WORLD_SEED};
-use deeplens_codec::Quality;
-use deeplens_storage::layout::{
+use deeplens_bench::repro::storage::layout::{
     EncodedFile, FrameFile, FrameFormat, SegmentedFile, StorageAdvisor, VideoStore, WorkloadProfile,
 };
+use deeplens_bench::{scale, WORLD_SEED};
+use deeplens_codec::Quality;
 use deeplens_vision::datasets::TrafficDataset;
 
 fn main() {

@@ -7,8 +7,8 @@ use deeplens_bench::repro::kdtree::KdTree;
 use deeplens_bench::repro::lsh::{LshIndex, LshParams};
 use deeplens_bench::repro::rtree::{RTree, Rect};
 use deeplens_bench::repro::sorted::SortedRunIndex;
+use deeplens_bench::repro::storage::btree::{keys, BTree};
 use deeplens_index::BallTree;
-use deeplens_storage::btree::{keys, BTree};
 
 /// Deterministic pseudo-random generator for the synthetic tuples.
 struct Lcg(u64);

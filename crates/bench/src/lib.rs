@@ -10,9 +10,10 @@
 //! * [`report`] — timing helpers, table printing, CSV output into
 //!   `bench-results/`.
 //! * [`repro`] — what the figures measure but the engine never runs: the
-//!   KD-Tree, LSH, R-Tree and sorted-run indexes of Fig. 6, the simulated
-//!   GPU and device placement of Fig. 8, and the plan-order accuracy model
-//!   of Table 1.
+//!   page stack, B+Tree and video layouts of Figs. 3 and 6, the KD-Tree,
+//!   LSH, R-Tree and sorted-run indexes of Fig. 6, the simulated GPU and
+//!   device placement of Fig. 8, and the plan-order accuracy model of
+//!   Table 1.
 //!
 //! Harness binaries (one per figure/table):
 //!

@@ -1,10 +1,9 @@
 //! On-disk B+Tree with variable-length byte keys and values.
 //!
-//! This is the workhorse access method of DeepLens storage: the Frame File
-//! keeps frames sorted by frame number in one of these (enabling temporal
-//! filter pushdown, paper §3.1), the Segmented File keys clips by start
-//! frame, and all single-dimensional secondary indexes over patch metadata
-//! are B+Trees as well.
+//! This is the access method under the paper's video layouts: the Frame
+//! File keeps frames sorted by frame number in one of these (enabling
+//! temporal filter pushdown, paper §3.1), the Segmented File keys clips by
+//! start frame, and Fig. 6 times its build against the in-memory indexes.
 //!
 //! Layout
 //! ------
@@ -23,10 +22,10 @@
 use std::ops::Bound;
 use std::path::Path;
 
-use crate::buffer::BufferPool;
-use crate::page::{Page, PageId, NO_PAGE, PAGE_PAYLOAD};
-use crate::pager::Pager;
-use crate::{Result, StorageError};
+use super::buffer::BufferPool;
+use super::page::{Page, PageId, NO_PAGE, PAGE_PAYLOAD};
+use super::pager::Pager;
+use super::{Result, StorageError};
 
 /// Maximum key length in bytes.
 pub const MAX_KEY: usize = 512;
@@ -40,8 +39,11 @@ const T_OVERFLOW: u8 = 3;
 /// Bytes of overflow payload per overflow page: type(1) + next(4) + len(2).
 const OVERFLOW_CAP: usize = PAGE_PAYLOAD - 7;
 
-/// Order-preserving key encodings for numeric keys.
+/// Order-preserving key encodings for numeric keys. The signed and float
+/// encoders are the engine's own (`Value::encode_key` builds on them).
 pub mod keys {
+    pub use deeplens_core::value::{encode_f64, encode_i64};
+
     /// Encode a `u64` so byte order equals numeric order (big-endian).
     pub fn encode_u64(v: u64) -> [u8; 8] {
         v.to_be_bytes()
@@ -52,23 +54,6 @@ pub mod keys {
         let mut buf = [0u8; 8];
         buf.copy_from_slice(&b[..8]);
         u64::from_be_bytes(buf)
-    }
-
-    /// Encode an `i64` order-preservingly (offset-binary then big-endian).
-    pub fn encode_i64(v: i64) -> [u8; 8] {
-        ((v as u64) ^ (1u64 << 63)).to_be_bytes()
-    }
-
-    /// Encode an `f64` order-preservingly (IEEE 754 total-order trick).
-    /// NaNs sort above all numbers.
-    pub fn encode_f64(v: f64) -> [u8; 8] {
-        let bits = v.to_bits();
-        let flipped = if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | (1u64 << 63)
-        };
-        flipped.to_be_bytes()
     }
 }
 

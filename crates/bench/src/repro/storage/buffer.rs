@@ -26,9 +26,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use deeplens_analyze::sync::{LockRank, OrderedMutex, OrderedRwLock};
 
-use crate::page::{Page, PageId};
-use crate::pager::Pager;
-use crate::Result;
+use super::page::{Page, PageId};
+use super::pager::Pager;
+use super::Result;
 
 /// Default number of cached pages (1 MiB of 4 KiB pages plus metadata).
 pub const DEFAULT_CAPACITY: usize = 256;

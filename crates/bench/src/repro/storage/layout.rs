@@ -1,8 +1,8 @@
 //! Video physical layouts: Frame File, Encoded File, Segmented File.
 //!
 //! These are the three storage formats of the paper's §3.1, behind one
-//! [`VideoStore`] trait so the ETL layer (and the Fig. 2 / Fig. 3 harnesses)
-//! can swap layouts without touching query code:
+//! [`VideoStore`] trait so the Fig. 3 harness can swap layouts without
+//! touching query code:
 //!
 //! * [`FrameFile`] — one record per frame in a B+Tree sorted by frame
 //!   number; supports exact temporal filter pushdown. Frames are stored raw
@@ -22,8 +22,8 @@ use std::path::Path;
 use deeplens_codec::video::{decode_video, encode_video, VideoConfig};
 use deeplens_codec::{decode_image, encode_image, Image, Quality};
 
-use crate::btree::{keys, BTree};
-use crate::{Result, StorageError};
+use super::btree::{keys, BTree};
+use super::{Result, StorageError};
 
 /// Per-frame storage format inside a [`FrameFile`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

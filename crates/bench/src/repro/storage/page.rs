@@ -1,9 +1,9 @@
 //! Fixed-size checksummed pages.
 //!
-//! Every on-disk structure in the engine is built from [`PAGE_SIZE`] pages.
+//! Every on-disk structure in this page stack is built from [`PAGE_SIZE`] pages.
 //! The last four bytes of each page hold a CRC32 over the rest, verified on
 //! every read, so torn writes and bit rot surface as
-//! [`crate::StorageError::ChecksumMismatch`] instead of silent corruption.
+//! [`super::StorageError::ChecksumMismatch`] instead of silent corruption.
 
 /// Size of every page in bytes.
 pub const PAGE_SIZE: usize = 4096;
@@ -71,11 +71,11 @@ impl Page {
     }
 
     /// Construct from a raw page image, verifying its checksum.
-    pub fn from_bytes(bytes: [u8; PAGE_SIZE], page_id: PageId) -> crate::Result<Self> {
+    pub fn from_bytes(bytes: [u8; PAGE_SIZE], page_id: PageId) -> super::Result<Self> {
         let stored = u32::from_le_bytes(bytes[PAGE_PAYLOAD..].try_into().expect("4 bytes"));
         let computed = crc32(&bytes[..PAGE_PAYLOAD]);
         if stored != computed {
-            return Err(crate::StorageError::ChecksumMismatch { page_id });
+            return Err(super::StorageError::ChecksumMismatch { page_id });
         }
         Ok(Page {
             data: Box::new(bytes),
@@ -178,7 +178,7 @@ mod tests {
         bytes[17] ^= 0x40;
         assert!(matches!(
             Page::from_bytes(bytes, 9),
-            Err(crate::StorageError::ChecksumMismatch { page_id: 9 })
+            Err(crate::repro::storage::StorageError::ChecksumMismatch { page_id: 9 })
         ));
     }
 

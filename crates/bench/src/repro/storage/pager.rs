@@ -9,8 +9,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::page::{Page, PageId, NO_PAGE, PAGE_SIZE};
-use crate::{Result, StorageError};
+use super::page::{Page, PageId, NO_PAGE, PAGE_SIZE};
+use super::{Result, StorageError};
 
 /// Magic number in the header page ("DLPG").
 pub const FILE_MAGIC: u32 = 0x444C_5047;

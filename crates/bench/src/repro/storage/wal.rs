@@ -10,9 +10,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::page::{crc32, PageId, PAGE_SIZE};
-use crate::pager::Pager;
-use crate::{Result, StorageError};
+use super::page::{crc32, PageId, PAGE_SIZE};
+use super::pager::Pager;
+use super::{Result, StorageError};
 
 const REC_PAGE: u8 = 1;
 const REC_COMMIT: u8 = 2;
@@ -148,7 +148,7 @@ impl Wal {
                 .as_slice()
                 .try_into()
                 .expect("replay validated length");
-            let page = crate::page::Page::from_bytes(arr, page_id)?;
+            let page = super::page::Page::from_bytes(arr, page_id)?;
             pager.write_page(page_id, &page)?;
         }
         pager.sync()?;
@@ -159,7 +159,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::Page;
+    use crate::repro::storage::page::Page;
 
     fn tmpfile(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("deeplens-wal-tests");

@@ -1,12 +1,15 @@
 //! Error type for the DeepLens core.
 
 use std::fmt;
+use std::io;
+use std::sync::Arc;
 
 /// Errors surfaced by the DeepLens core library.
 #[derive(Debug, Clone)]
 pub enum DlError {
-    /// Underlying storage engine failure.
-    Storage(deeplens_storage::StorageError),
+    /// File-system I/O failed (a session's working directory). Wrapped in
+    /// `Arc` so the error stays `Clone`.
+    Io(Arc<io::Error>),
     /// Underlying codec failure.
     Codec(deeplens_codec::CodecError),
     /// A pipeline failed type validation (§4.2).
@@ -31,7 +34,7 @@ pub enum DlError {
 impl fmt::Display for DlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DlError::Storage(e) => write!(f, "storage: {e}"),
+            DlError::Io(e) => write!(f, "I/O: {e}"),
             DlError::Codec(e) => write!(f, "codec: {e}"),
             DlError::TypeError(msg) => write!(f, "type error: {msg}"),
             DlError::NotFound(name) => write!(f, "not found: {name}"),
@@ -47,16 +50,10 @@ impl fmt::Display for DlError {
 impl std::error::Error for DlError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            DlError::Storage(e) => Some(e),
+            DlError::Io(e) => Some(e.as_ref()),
             DlError::Codec(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<deeplens_storage::StorageError> for DlError {
-    fn from(e: deeplens_storage::StorageError) -> Self {
-        DlError::Storage(e)
     }
 }
 
@@ -81,5 +78,8 @@ mod tests {
             actual: "hash",
         };
         assert!(w.to_string().contains("ball"));
+        let io = DlError::Io(Arc::new(io::Error::new(io::ErrorKind::NotFound, "gone")));
+        assert!(io.to_string().contains("gone"));
+        assert!(std::error::Error::source(&io).is_some());
     }
 }

@@ -82,7 +82,7 @@ impl Session {
         device: Device,
         catalog: Arc<SharedCatalog>,
     ) -> Result<Self> {
-        std::fs::create_dir_all(dir.as_ref()).map_err(deeplens_storage::StorageError::from)?;
+        std::fs::create_dir_all(dir.as_ref()).map_err(|e| crate::DlError::Io(Arc::new(e)))?;
         let slot = catalog.attach_session();
         Ok(Session {
             catalog,
@@ -334,11 +334,6 @@ impl Session {
     pub fn dir(&self) -> &Path {
         &self.dir
     }
-
-    /// Path for a named storage file inside the working directory.
-    pub fn storage_path(&self, name: &str) -> PathBuf {
-        self.dir.join(name)
-    }
 }
 
 impl Drop for Session {
@@ -366,7 +361,8 @@ mod tests {
         assert_eq!(s.device(), Device::Cpu);
         assert!(s.dir().exists());
         assert!(s
-            .storage_path("traffic.dlb")
+            .dir()
+            .join("traffic.dlb")
             .to_string_lossy()
             .contains("traffic.dlb"));
     }
@@ -390,7 +386,7 @@ mod tests {
         // connection, and each leaked its working directory forever.
         let s = Session::ephemeral().unwrap();
         let ephemeral_dir = s.dir().to_path_buf();
-        std::fs::write(s.storage_path("spill.dlb"), b"x").unwrap();
+        std::fs::write(s.dir().join("spill.dlb"), b"x").unwrap();
         assert!(ephemeral_dir.exists(), "lives as long as the session");
         // A caller-supplied directory is the caller's to keep.
         let kept = ephemeral_dir.join("kept");

@@ -8,8 +8,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use deeplens_storage::btree::keys;
-
 /// A metadata value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -64,12 +62,12 @@ impl Value {
             Value::Bool(b) => vec![0x01, *b as u8],
             Value::Int(v) => {
                 let mut out = vec![0x02];
-                out.extend_from_slice(&keys::encode_i64(*v));
+                out.extend_from_slice(&encode_i64(*v));
                 out
             }
             Value::Float(v) => {
                 let mut out = vec![0x03];
-                out.extend_from_slice(&keys::encode_f64(*v));
+                out.extend_from_slice(&encode_f64(*v));
                 out
             }
             Value::Str(s) => {
@@ -79,6 +77,23 @@ impl Value {
             }
         }
     }
+}
+
+/// Encode an `i64` order-preservingly (offset-binary then big-endian).
+pub fn encode_i64(v: i64) -> [u8; 8] {
+    ((v as u64) ^ (1u64 << 63)).to_be_bytes()
+}
+
+/// Encode an `f64` order-preservingly (IEEE 754 total-order trick).
+/// NaNs sort above all numbers.
+pub fn encode_f64(v: f64) -> [u8; 8] {
+    let bits = v.to_bits();
+    let flipped = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1u64 << 63)
+    };
+    flipped.to_be_bytes()
 }
 
 impl fmt::Display for Value {
@@ -213,6 +228,12 @@ mod tests {
             assert!(Value::Float(w[0]).encode_key() < Value::Float(w[1]).encode_key());
         }
         assert!(Value::from("aa").encode_key() < Value::from("ab").encode_key());
+        for w in [i64::MIN, -1, 0, 1, i64::MAX].windows(2) {
+            assert!(encode_i64(w[0]) < encode_i64(w[1]));
+        }
+        for w in [f64::NEG_INFINITY, -0.5, 0.0, 2.0, f64::INFINITY, f64::NAN].windows(2) {
+            assert!(encode_f64(w[0]) < encode_f64(w[1]));
+        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Quickstart: the DeepLens workflow end-to-end on a tiny synthetic video.
 //!
 //! 1. Render a small traffic scene (the data source).
-//! 2. Store it in a Segmented File (physical layout).
+//! 2. Encode it as independently decodable 24-frame clips (the codec).
 //! 3. Run the simulated object detector (ETL → patches).
 //! 4. Materialize the patches, build an index, and run a query.
 //!
 //! Run with: `cargo run --example quickstart`
 
+use deeplens::codec::video::{decode_video, encode_video, VideoConfig};
 use deeplens::codec::Quality;
 use deeplens::prelude::*;
-use deeplens::storage::layout::{SegmentedFile, VideoStore};
 use deeplens::vision::datasets::TrafficDataset;
 use deeplens::vision::detector::ObjectDetector;
 use deeplens::vision::features::joint_histogram;
@@ -26,24 +26,29 @@ fn main() {
         ds.scene.height
     );
 
-    // 2. Physical layout: encoded clips of 24 frames in a B+Tree.
-    let session = Session::ephemeral().expect("session");
-    let mut store = SegmentedFile::ingest(
-        session.storage_path("traffic.dlb"),
-        &frames,
-        24,
-        Quality::High,
-    )
-    .expect("ingest");
+    // 2. Encoding: each clip of 24 frames is its own sequential stream, so
+    //    any clip decodes without the ones before it.
+    let clips: Vec<Vec<u8>> = frames
+        .chunks(24)
+        .map(|clip| encode_video(clip, VideoConfig::sequential(Quality::High)).expect("encode"))
+        .collect();
+    let encoded_bytes = clips.iter().map(|c| c.len() as u64).sum::<u64>();
     println!(
-        "segmented file: {} bytes for {} frames ({}x smaller than raw)",
-        store.byte_size(),
-        store.frame_count(),
-        frames.iter().map(|f| f.byte_size() as u64).sum::<u64>() / store.byte_size().max(1)
+        "encoded clips: {} bytes for {} frames in {} clips ({}x smaller than raw)",
+        encoded_bytes,
+        frames.len(),
+        clips.len(),
+        frames.iter().map(|f| f.byte_size() as u64).sum::<u64>() / encoded_bytes.max(1)
     );
 
-    // 3. ETL: decode a window, detect objects, featurize into patches.
-    let window = store.scan_range(0, store.frame_count()).expect("scan");
+    // 3. ETL: decode the clips, detect objects, featurize into patches.
+    let window: Vec<_> = clips
+        .iter()
+        .flat_map(|clip| decode_video(clip).expect("decode"))
+        .enumerate()
+        .map(|(t, frame)| (t as u64, frame))
+        .collect();
+    let session = Session::ephemeral().expect("session");
     let detector = ObjectDetector::default_on(Device::Avx);
     let mut patches = Vec::new();
     for (t, frame) in &window {

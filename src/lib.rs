@@ -13,9 +13,10 @@
 //!
 //! * [`core`] ([`deeplens_core`]) — patch model, type system, lineage, ETL,
 //!   query operators, catalog, optimizer.
-//! * [`storage`] ([`deeplens_storage`]) — pages, buffer pool, WAL, on-disk
-//!   B+Tree, chunked columnar patch columns, and the Frame/Encoded/Segmented
-//!   video layouts.
+//! * [`storage`] ([`deeplens_storage`]) — chunked columnar patch columns
+//!   with per-chunk zone maps. (The page stack, B+Tree and
+//!   Frame/Encoded/Segmented video layouts Figs. 3 and 6 measure live in
+//!   `deeplens-bench`, outside this facade.)
 //! * [`codec`] ([`deeplens_codec`]) — block-DCT image codec and
 //!   GOP-structured video codec with sequential decode semantics.
 //! * [`index`] ([`deeplens_index`]) — Ball-Tree and delta-maintained

@@ -5,9 +5,9 @@
 
 use std::collections::HashSet;
 
-use deeplens::storage::buffer::BufferPool;
-use deeplens::storage::page::{Page, PageId};
-use deeplens::storage::pager::Pager;
+use deeplens_bench::repro::storage::buffer::BufferPool;
+use deeplens_bench::repro::storage::page::{Page, PageId};
+use deeplens_bench::repro::storage::pager::Pager;
 
 fn tmpfile(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("deeplens-buffer-concurrency");

@@ -3,9 +3,9 @@
 
 use deeplens::codec::video::{decode_video, encode_video, VideoConfig};
 use deeplens::codec::{Image, Quality};
-use deeplens::storage::btree::{keys, BTree};
-use deeplens::storage::pager::Pager;
-use deeplens::storage::wal::Wal;
+use deeplens_bench::repro::storage::btree::{keys, BTree};
+use deeplens_bench::repro::storage::pager::Pager;
+use deeplens_bench::repro::storage::wal::Wal;
 
 fn workdir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()
@@ -69,7 +69,7 @@ fn wal_crash_recovery_restores_pages() {
         pager.sync().unwrap();
 
         let mut wal = Wal::open(&wal_path).unwrap();
-        let mut page = deeplens::storage::page::Page::zeroed();
+        let mut page = deeplens_bench::repro::storage::page::Page::zeroed();
         page.put_slice(0, b"post-crash content");
         wal.log_page(pid, &page.to_bytes()).unwrap();
         wal.commit().unwrap();
@@ -96,13 +96,13 @@ fn wal_uncommitted_transaction_discarded() {
     {
         let mut pager = Pager::create(&db).unwrap();
         pid = pager.allocate().unwrap();
-        let mut committed = deeplens::storage::page::Page::zeroed();
+        let mut committed = deeplens_bench::repro::storage::page::Page::zeroed();
         committed.put_slice(0, b"committed state");
         pager.write_page(pid, &committed).unwrap();
         pager.sync().unwrap();
 
         let mut wal = Wal::open(&wal_path).unwrap();
-        let mut uncommitted = deeplens::storage::page::Page::zeroed();
+        let mut uncommitted = deeplens_bench::repro::storage::page::Page::zeroed();
         uncommitted.put_slice(0, b"torn transaction");
         wal.log_page(pid, &uncommitted.to_bytes()).unwrap();
         // No commit record: crash.

@@ -3,10 +3,10 @@
 
 use deeplens::codec::Quality;
 use deeplens::prelude::*;
-use deeplens::storage::layout::{FrameFile, FrameFormat, SegmentedFile, VideoStore};
 use deeplens::vision::datasets::TrafficDataset;
 use deeplens::vision::detector::ObjectDetector;
 use deeplens::vision::features::joint_histogram;
+use deeplens_bench::repro::storage::layout::{FrameFile, FrameFormat, SegmentedFile, VideoStore};
 use deeplens_exec::Device;
 
 fn workdir(name: &str) -> std::path::PathBuf {
@@ -85,9 +85,12 @@ fn layouts_agree_on_answers_and_order_on_decode_work() {
 
     let mut raw = FrameFile::ingest(dir.join("raw.dlb"), &frames, FrameFormat::Raw).unwrap();
     let mut seg = SegmentedFile::ingest(dir.join("seg.dlb"), &frames, 10, Quality::High).unwrap();
-    let mut enc =
-        deeplens::storage::layout::EncodedFile::ingest(dir.join("enc.dlv"), &frames, Quality::High)
-            .unwrap();
+    let mut enc = deeplens_bench::repro::storage::layout::EncodedFile::ingest(
+        dir.join("enc.dlv"),
+        &frames,
+        Quality::High,
+    )
+    .unwrap();
 
     let (start, end) = (n / 2, n / 2 + 5);
     let a = raw.scan_range(start, end).unwrap();

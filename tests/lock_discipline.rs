@@ -4,10 +4,13 @@
 //!
 //! * **No false positives** — an 8-thread hammer drives the real engine
 //!   paths concurrently (catalog materialize/snapshot/drop + ball-index
-//!   builds, buffer-pool get/put/free/flush with dirty evictions, and
-//!   shared-scan ingest batches through one contended session frame cache).
-//!   Under `debug_assertions` every acquisition is rank-checked; the test
-//!   passing means the documented order holds on every exercised path.
+//!   builds, and shared-scan ingest batches through one contended session
+//!   frame cache) next to the buffer pool of
+//!   `deeplens_bench::repro::storage::buffer` (get/put/free/flush with dirty
+//!   evictions) — the only place the `BufferShard` → `Pager` ranks are
+//!   taken, so this hammer is what checks that nesting. Under
+//!   `debug_assertions` every acquisition is rank-checked; the test passing
+//!   means the documented order holds on every exercised path.
 //! * **True positives** — seeded violations using the same public wrappers
 //!   (a rank inversion and a double same-rank acquisition) must panic, and
 //!   the inversion diagnostic must name both locks.
@@ -25,9 +28,9 @@ use deeplens::codec::video::{encode_video, VideoConfig};
 use deeplens::codec::{Image, Quality};
 use deeplens::core::etl::{FeaturizeTransformer, TileGenerator};
 use deeplens::prelude::*;
-use deeplens::storage::buffer::BufferPool;
-use deeplens::storage::page::Page;
-use deeplens::storage::pager::Pager;
+use deeplens_bench::repro::storage::buffer::BufferPool;
+use deeplens_bench::repro::storage::page::Page;
+use deeplens_bench::repro::storage::pager::Pager;
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 6;

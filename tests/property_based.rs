@@ -11,13 +11,14 @@ use std::ops::Bound;
 use proptest::prelude::*;
 
 use deeplens::codec::{decode_image, encode_image, psnr, Image, Quality};
+use deeplens::core::value::{encode_f64, encode_i64};
 use deeplens::exec::{kernels, Matrix};
 use deeplens::index::{bruteforce, BallTree};
 use deeplens::prelude::{ImgRef, Patch, PatchId, SharedCatalog};
-use deeplens::storage::btree::{keys, BTree};
 use deeplens_bench::repro::kdtree::KdTree;
 use deeplens_bench::repro::lsh::{LshIndex, LshParams};
 use deeplens_bench::repro::rtree::{RTree, Rect};
+use deeplens_bench::repro::storage::btree::BTree;
 
 fn unique_tmp(tag: &str) -> std::path::PathBuf {
     static CTR: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -150,9 +151,9 @@ proptest! {
     /// Numeric key encodings preserve order for arbitrary values.
     #[test]
     fn key_encodings_preserve_order(a in any::<i64>(), b in any::<i64>()) {
-        prop_assert_eq!(a.cmp(&b), keys::encode_i64(a).cmp(&keys::encode_i64(b)));
+        prop_assert_eq!(a.cmp(&b), encode_i64(a).cmp(&encode_i64(b)));
         let (fa, fb) = (a as f64 / 1e6, b as f64 / 1e6);
-        prop_assert_eq!(fa.total_cmp(&fb), keys::encode_f64(fa).cmp(&keys::encode_f64(fb)));
+        prop_assert_eq!(fa.total_cmp(&fb), encode_f64(fa).cmp(&encode_f64(fb)));
     }
 }
 
