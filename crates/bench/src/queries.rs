@@ -65,12 +65,15 @@ fn self_join(patches: &[Patch], tau: f32) -> Vec<(u32, u32)> {
 /// q1 baseline: the generic nested-loop θ-join operator evaluating the
 /// similarity predicate pair by pair (no physical design).
 pub fn q1_baseline(etl: &PcEtl) -> Vec<(u32, u32)> {
-    self_pairs(ops::nested_loop_join(
-        &etl.image_patches,
-        &etl.image_patches,
-        |a, b| within_tau(a, b, Q1_TAU),
-        &serial(),
-    ))
+    self_pairs(
+        ops::nested_loop_join(
+            &etl.image_patches,
+            &etl.image_patches,
+            |a, b| within_tau(a, b, Q1_TAU),
+            &serial(),
+        )
+        .expect("the corpus fits u32 row ids"),
+    )
 }
 
 /// q1 optimized: on-the-fly Ball-Tree self-join.
@@ -233,13 +236,19 @@ pub fn q4_baseline(people: &[Patch]) -> usize {
         people,
         |a, b| within_tau(a, b, MATCH_TAU),
         &serial(),
-    );
-    ops::cluster_from_pairs(people.len(), &pairs).len()
+    )
+    .expect("the corpus fits u32 row ids");
+    clusters(people.len(), &pairs).len()
 }
 
 /// q4 optimized: Ball-Tree dedup join.
 pub fn q4_optimized(people: &[Patch]) -> usize {
-    ops::cluster_from_pairs(people.len(), &self_join(people, MATCH_TAU)).len()
+    clusters(people.len(), &self_join(people, MATCH_TAU)).len()
+}
+
+/// Dedup clusters of `n` patches from their match pairs.
+fn clusters(n: usize, pairs: &[(u32, u32)]) -> Vec<Vec<u32>> {
+    ops::cluster_from_pairs(n, pairs).expect("the corpus fits u32 row ids")
 }
 
 /// Pair-level accuracy of a clustering against ground-truth identities:
@@ -350,6 +359,7 @@ pub fn q6_crossproduct(people: &[Patch]) -> usize {
         },
         &serial(),
     )
+    .expect("the corpus fits u32 row ids")
     .len()
 }
 
@@ -473,7 +483,7 @@ mod tests {
     fn clustering_accuracy_bounds() {
         let etl = traffic();
         let people = q4_person_patches(&etl);
-        let clusters = ops::cluster_from_pairs(people.len(), &self_join(&people, MATCH_TAU));
+        let clusters = clusters(people.len(), &self_join(&people, MATCH_TAU));
         let (recall, precision) = clustering_pair_accuracy(&people, &clusters);
         assert!((0.0..=1.0).contains(&recall));
         assert!((0.0..=1.0).contains(&precision));

@@ -217,11 +217,11 @@ impl JoinMember {
         self.predicate.as_deref().map(|p| p as PairPredicate<'_>)
     }
 
-    fn result(&self, pairs: Vec<(u32, u32)>) -> BatchResult {
-        match self.cluster_n {
-            Some(n) => BatchResult::Clusters(ops::cluster_from_pairs(n, &pairs)),
+    fn result(&self, pairs: Vec<(u32, u32)>) -> Result<BatchResult> {
+        Ok(match self.cluster_n {
+            Some(n) => BatchResult::Clusters(ops::cluster_from_pairs(n, &pairs)?),
             None => BatchResult::Pairs(pairs),
-        }
+        })
     }
 }
 
@@ -576,7 +576,7 @@ impl PlannedBatch<'_> {
             let outs =
                 ops::similarity_join_balltree_multi(&tree, &indexed.patches, &passes, &pool)?;
             for ((m, _, _), pairs) in group.members.iter().zip(outs) {
-                results[m.query] = Some(m.result(pairs));
+                results[m.query] = Some(m.result(pairs)?);
             }
         }
         for group in &self.pairs {
@@ -588,7 +588,7 @@ impl PlannedBatch<'_> {
                 .collect();
             let outs = JoinPlan::Nested.run(&left.patches, &right.patches, &specs, &pool)?;
             for (m, pairs) in group.members.iter().zip(outs) {
-                results[m.query] = Some(m.result(pairs));
+                results[m.query] = Some(m.result(pairs)?);
             }
         }
         // The K probes shard over the session pool, each performing the

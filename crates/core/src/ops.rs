@@ -68,53 +68,64 @@ pub fn count_group_by_int(patches: &[Patch], key: &str) -> HashMap<i64, usize> {
 ///
 /// The outer relation shards over `pool` morsels; results are reassembled
 /// in morsel order, so the pair sequence is identical for every thread
-/// count (left-major, right-minor — the serial iteration order).
+/// count (left-major, right-minor — the serial iteration order). A position
+/// past `u32::MAX` is a [`DlError::SchemaMismatch`].
 pub fn nested_loop_join(
     left: &[Patch],
     right: &[Patch],
     theta: impl Fn(&Patch, &Patch) -> bool + Sync,
     pool: &WorkerPool,
-) -> Vec<(u32, u32)> {
+) -> Result<Vec<(u32, u32)>> {
     if left.is_empty() || right.is_empty() {
-        return vec![];
+        return Ok(vec![]);
     }
-    pool.run_morsels(left.len(), pool.morsel_size(left.len()), |range| {
-        let mut out = Vec::new();
-        for i in range {
-            let l = &left[i];
-            for (j, r) in right.iter().enumerate() {
-                if theta(l, r) {
-                    out.push((i as u32, j as u32));
+    let right_ids: Vec<u32> = (0..right.len()).map(plan::row_id).collect::<Result<_>>()?;
+    let parts = pool.run_morsels(
+        left.len(),
+        pool.morsel_size(left.len()),
+        |range| -> Result<_> {
+            let mut out = Vec::new();
+            for i in range {
+                let (l, li) = (&left[i], plan::row_id(i)?);
+                for (r, &rj) in right.iter().zip(&right_ids) {
+                    if theta(l, r) {
+                        out.push((li, rj));
+                    }
                 }
             }
-        }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+            Ok(out)
+        },
+    );
+    let mut pairs = Vec::new();
+    for part in parts {
+        pairs.extend(part?);
+    }
+    Ok(pairs)
 }
 
 /// Similarity join by brute force over feature vectors: pairs within `tau`.
-pub fn similarity_join_nested(left: &[Patch], right: &[Patch], tau: f32) -> Vec<(u32, u32)> {
+/// A position past `u32::MAX` is a [`DlError::SchemaMismatch`].
+pub fn similarity_join_nested(
+    left: &[Patch],
+    right: &[Patch],
+    tau: f32,
+) -> Result<Vec<(u32, u32)>> {
     let tau_sq = tau * tau;
     let mut out = Vec::new();
     for (i, l) in left.iter().enumerate() {
-        let lf = match l.data.features() {
-            Some(f) => f,
-            None => continue,
+        let Some(lf) = l.data.features() else {
+            continue;
         };
         for (j, r) in right.iter().enumerate() {
-            let rf = match r.data.features() {
-                Some(f) => f,
-                None => continue,
+            let Some(rf) = r.data.features() else {
+                continue;
             };
             if deeplens_index::dist::sq_euclidean(lf, rf) <= tau_sq {
-                out.push((i as u32, j as u32));
+                out.push((plan::row_id(i)?, plan::row_id(j)?));
             }
         }
     }
-    out
+    Ok(out)
 }
 
 // --------------------------------------------------------------------------
@@ -303,10 +314,11 @@ struct UnionFind {
 }
 
 impl UnionFind {
-    fn new(n: usize) -> Self {
+    /// Singleton sets over `ids` (the positions `0..n`, as row ids).
+    fn new(ids: &[u32]) -> Self {
         UnionFind {
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
+            parent: ids.to_vec(),
+            size: vec![1; ids.len()],
         }
     }
 
@@ -341,14 +353,16 @@ impl UnionFind {
 
 /// Group patches into similarity clusters from precomputed match pairs.
 /// Returns one sorted index list per cluster (singletons included),
-/// clusters ordered by their smallest member.
-pub fn cluster_from_pairs(n: usize, pairs: &[(u32, u32)]) -> Vec<Vec<u32>> {
-    let mut uf = UnionFind::new(n);
+/// clusters ordered by their smallest member. More than `u32::MAX + 1`
+/// patches is a [`DlError::SchemaMismatch`].
+pub fn cluster_from_pairs(n: usize, pairs: &[(u32, u32)]) -> Result<Vec<Vec<u32>>> {
+    let ids: Vec<u32> = (0..n).map(plan::row_id).collect::<Result<_>>()?;
+    let mut uf = UnionFind::new(&ids);
     for &(a, b) in pairs {
         uf.union(a, b);
     }
     let mut groups: HashMap<u32, Vec<u32>> = HashMap::new();
-    for i in 0..n as u32 {
+    for i in ids {
         groups.entry(uf.find(i)).or_default().push(i);
     }
     let mut out: Vec<Vec<u32>> = groups.into_values().collect();
@@ -356,12 +370,12 @@ pub fn cluster_from_pairs(n: usize, pairs: &[(u32, u32)]) -> Vec<Vec<u32>> {
         g.sort_unstable();
     }
     out.sort_by_key(|g| g[0]);
-    out
+    Ok(out)
 }
 
 /// Deduplicate by brute force (the unindexed baseline).
-pub fn dedup_bruteforce(patches: &[Patch], tau: f32) -> Vec<Vec<u32>> {
-    let pairs = similarity_join_nested(patches, patches, tau);
+pub fn dedup_bruteforce(patches: &[Patch], tau: f32) -> Result<Vec<Vec<u32>>> {
+    let pairs = similarity_join_nested(patches, patches, tau)?;
     cluster_from_pairs(patches.len(), &pairs)
 }
 
@@ -414,7 +428,7 @@ mod tests {
     /// The brute-force reference every plan and multi-join member is held
     /// to.
     fn oracle(left: &[Patch], right: &[Patch], tau: f32) -> Vec<(u32, u32)> {
-        let mut pairs = similarity_join_nested(left, right, tau);
+        let mut pairs = similarity_join_nested(left, right, tau).unwrap();
         pairs.sort_unstable();
         pairs
     }
@@ -436,7 +450,7 @@ mod tests {
     /// self-join.
     fn dedup(patches: &[Patch], tau: f32, pool: &WorkerPool) -> Vec<Vec<u32>> {
         let plan = JoinPlan::choose(patches, patches).unwrap();
-        cluster_from_pairs(patches.len(), &run(plan, patches, patches, tau, pool))
+        cluster_from_pairs(patches.len(), &run(plan, patches, patches, tau, pool)).unwrap()
     }
 
     /// The on-the-fly tree plan's pass: a fresh tree over `indexed`, probed
@@ -623,7 +637,7 @@ mod tests {
             |a, b| a.get_int("frameno") == b.get_int("frameno"),
             &WorkerPool::new(1),
         );
-        assert_eq!(pairs, vec![(0, 0)]);
+        assert_eq!(pairs.unwrap(), vec![(0, 0)]);
     }
 
     #[test]
@@ -639,7 +653,7 @@ mod tests {
         assert_eq!(clusters.len(), 2);
         assert_eq!(clusters[0], vec![0, 1, 2]);
         assert_eq!(clusters[1], vec![3]);
-        assert_eq!(dedup_bruteforce(&patches, 1.0), clusters);
+        assert_eq!(dedup_bruteforce(&patches, 1.0).unwrap(), clusters);
     }
 
     /// Depth of `x`'s parent chain without compressing it.
@@ -661,7 +675,7 @@ mod tests {
         // union-by-size the big cluster keeps absorbing the singleton, so
         // every parent chain stays O(log n).
         let n = 100_000u32;
-        let mut uf = UnionFind::new(n as usize);
+        let mut uf = UnionFind::new(&(0..n).collect::<Vec<_>>());
         for i in (1..n).rev() {
             uf.union(i, i - 1);
         }

@@ -276,13 +276,13 @@ impl JoinPlan {
                 members
                     .iter()
                     .map(|&(tau, pred)| {
-                        let mut pairs = ops::similarity_join_nested(l, r, tau);
+                        let mut pairs = ops::similarity_join_nested(l, r, tau)?;
                         if let Some(p) = pred {
                             pairs.retain(|&(i, j)| p(&l[i as usize], &r[j as usize]));
                         }
-                        pairs
+                        Ok(pairs)
                     })
-                    .collect()
+                    .collect::<Result<_>>()?
             }
         })
     }

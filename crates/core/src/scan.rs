@@ -14,12 +14,15 @@
 //! 1. **Zone-map pruning** — each chunk's statistics are consulted against
 //!    the filter; chunks whose min/max (or label dictionary) cannot overlap
 //!    are skipped without decoding a single value.
-//! 2. **Filter-column decode** — surviving chunks decode *only* the column
-//!    the filter touches and compute the match mask; chunks whose mask
-//!    comes up empty stop there.
-//! 3. **Late materialization** — only the projected columns of chunks with
-//!    matches are decoded, and only the matching rows are assembled back
-//!    into [`Patch`]es.
+//! 2. **Filter column** — surviving chunks read *only* the column the
+//!    filter touches. A [`Projection::Count`] stops here with a number: a
+//!    chunk whose statistics put every value inside the filter counts
+//!    `count − null_count` without decoding anything, and any other chunk
+//!    is counted in its encoded values (no mask, no `Option` per row).
+//!    Other projections compute the matching row indices, once; chunks
+//!    with none stop there.
+//! 3. **Late materialization** — the projected columns decode only the
+//!    matching rows, which are assembled back into [`Patch`]es.
 //!
 //! Surviving chunks fan out over the caller's [`WorkerPool`] morsels and
 //! reassemble in chunk order, so the output is the row-scan output — same
@@ -116,7 +119,7 @@ impl ScanFilter {
             }
             ScanFilter::MetaEq { key, value } => p.get(key) == Some(value),
             ScanFilter::MetaRange { key, lo, hi } => {
-                p.get_float(key).is_some_and(|v| v >= *lo && v < *hi)
+                p.get_float(key).is_some_and(|v| in_range(v, *lo, *hi))
             }
         }
     }
@@ -142,7 +145,10 @@ pub struct ScanStats {
     pub chunks_total: usize,
     /// Chunks skipped by zone-map pruning alone (no column decoded).
     pub chunks_pruned: usize,
-    /// Chunks whose filter column was decoded.
+    /// Chunks that survived zone-map pruning (`chunks_total −
+    /// chunks_pruned`). A surviving chunk may be answered from its
+    /// statistics alone or counted in its encoded values; it still counts
+    /// here, so the value does not depend on the projection.
     pub chunks_decoded: usize,
     /// Rows in the collection.
     pub rows_total: usize,
@@ -232,21 +238,31 @@ impl MetaColumn {
         }
     }
 
-    fn decode(&self) -> Vec<Option<Value>> {
+    /// The values of `rows` (chunk-local), `None` where the row lacks the
+    /// key: only those rows are decoded.
+    fn values_at(&self, rows: &[usize]) -> Vec<Option<Value>> {
         match self {
-            MetaColumn::Int(c) => c.decode().into_iter().map(|v| v.map(Value::Int)).collect(),
+            MetaColumn::Int(c) => c
+                .values_at(rows)
+                .into_iter()
+                .map(|v| v.map(Value::Int))
+                .collect(),
             MetaColumn::Float(c) => c
-                .decode()
+                .values_at(rows)
                 .into_iter()
                 .map(|v| v.map(Value::Float))
                 .collect(),
             MetaColumn::Str(c) => c
-                .decode()
+                .values_at(rows)
                 .into_iter()
                 .map(|v| v.map(|s| Value::Str(s.to_string())))
                 .collect(),
-            MetaColumn::Bool(c) => c.decode().into_iter().map(|v| v.map(Value::Bool)).collect(),
-            MetaColumn::Mixed(rows) => rows.clone(),
+            MetaColumn::Bool(c) => c
+                .values_at(rows)
+                .into_iter()
+                .map(|v| v.map(Value::Bool))
+                .collect(),
+            MetaColumn::Mixed(values) => rows.iter().map(|&r| values[r].clone()).collect(),
         }
     }
 
@@ -284,61 +300,86 @@ impl MetaColumn {
         }
     }
 
-    /// The column's rows under [`Value::as_float`] coercion (the
-    /// [`ScanFilter::MetaRange`] evaluation domain).
-    fn decode_floats(&self) -> Vec<Option<f64>> {
-        match self {
-            MetaColumn::Int(c) => c
-                .decode()
-                .into_iter()
-                .map(|v| v.map(|x| x as f64))
-                .collect(),
-            MetaColumn::Float(c) => c.decode(),
-            MetaColumn::Str(c) => vec![None; c.len()],
-            MetaColumn::Bool(c) => vec![None; c.stats().count],
-            MetaColumn::Mixed(rows) => rows
-                .iter()
-                .map(|v| v.as_ref().and_then(Value::as_float))
-                .collect(),
-        }
-    }
-
-    /// Match mask for `== v` without materializing [`Value`]s.
-    fn eq_mask(&self, v: &Value) -> Vec<bool> {
+    /// Rows equal to `v` (derived [`Value`] equality), counted in the
+    /// encoded values.
+    fn count_eq(&self, v: &Value) -> usize {
         match (self, v) {
-            (MetaColumn::Int(c), Value::Int(x)) => {
-                c.decode().into_iter().map(|r| r == Some(*x)).collect()
-            }
-            (MetaColumn::Float(c), Value::Float(x)) => c
-                .decode()
-                .into_iter()
-                // f64 PartialEq, exactly the derived Value equality (NaN
-                // never matches itself).
-                .map(|r| r.is_some_and(|f| f == *x))
-                .collect(),
-            (MetaColumn::Str(c), Value::Str(s)) => c
-                .decode()
-                .into_iter()
-                .map(|r| r == Some(s.as_str()))
-                .collect(),
-            (MetaColumn::Bool(c), Value::Bool(b)) => {
-                c.decode().into_iter().map(|r| r == Some(*b)).collect()
-            }
-            (MetaColumn::Mixed(rows), _) => rows.iter().map(|r| r.as_ref() == Some(v)).collect(),
+            (MetaColumn::Int(c), Value::Int(x)) => c.count_where(|y| y == *x),
+            // f64 PartialEq, exactly the derived Value equality (NaN never
+            // matches itself).
+            (MetaColumn::Float(c), Value::Float(x)) => c.count_where(|f| f == *x),
+            (MetaColumn::Str(c), Value::Str(s)) => c.count_eq(s),
+            (MetaColumn::Bool(c), Value::Bool(b)) => c.count_eq(*b),
+            (MetaColumn::Mixed(rows), _) => rows.iter().filter(|r| r.as_ref() == Some(v)).count(),
             // Typed column of another type: nothing can equal v.
-            _ => vec![false; self.len()],
+            _ => 0,
         }
     }
 
-    fn len(&self) -> usize {
-        match self {
-            MetaColumn::Int(c) => c.len(),
-            MetaColumn::Float(c) => c.stats().count,
-            MetaColumn::Str(c) => c.len(),
-            MetaColumn::Bool(c) => c.stats().count,
-            MetaColumn::Mixed(rows) => rows.len(),
+    /// The rows (chunk-local, ascending) equal to `v`.
+    fn rows_eq(&self, v: &Value) -> Vec<usize> {
+        match (self, v) {
+            (MetaColumn::Int(c), Value::Int(x)) => c.rows_where(|y| y == *x),
+            (MetaColumn::Float(c), Value::Float(x)) => c.rows_where(|f| f == *x),
+            (MetaColumn::Str(c), Value::Str(s)) => c.rows_eq(s),
+            (MetaColumn::Bool(c), Value::Bool(b)) => c.rows_eq(*b),
+            (MetaColumn::Mixed(rows), _) => (0..rows.len())
+                .filter(|&r| rows[r].as_ref() == Some(v))
+                .collect(),
+            _ => Vec::new(),
         }
     }
+
+    /// Rows whose value coerces ([`Value::as_float`]) into `[lo, hi)`.
+    /// When the zone map already puts every value inside, the count is the
+    /// non-null count and nothing is decoded; otherwise the encoded values
+    /// are counted in place.
+    fn count_in_range(&self, lo: f64, hi: f64) -> usize {
+        match self {
+            MetaColumn::Int(c) => match (c.stats().min, c.stats().max) {
+                // `i64 as f64` is monotone, so the coerced stats bound every
+                // coerced value.
+                (Some(min), Some(max)) if lo <= min as f64 && (max as f64) < hi => {
+                    c.stats().count - c.stats().null_count
+                }
+                _ => c.count_where(|x| in_range(x as f64, lo, hi)),
+            },
+            MetaColumn::Float(c) => match (c.stats().min, c.stats().max) {
+                // A NaN bound or a NaN stat fails a comparison and counts.
+                (Some(min), Some(max)) if lo <= min && max < hi => {
+                    c.stats().count - c.stats().null_count
+                }
+                _ => c.count_where(|f| in_range(f, lo, hi)),
+            },
+            MetaColumn::Str(_) | MetaColumn::Bool(_) => 0,
+            MetaColumn::Mixed(rows) => rows.iter().filter(|r| mixed_in_range(r, lo, hi)).count(),
+        }
+    }
+
+    /// The rows (chunk-local, ascending) whose value coerces into
+    /// `[lo, hi)`.
+    fn rows_in_range(&self, lo: f64, hi: f64) -> Vec<usize> {
+        match self {
+            MetaColumn::Int(c) => c.rows_where(|x| in_range(x as f64, lo, hi)),
+            MetaColumn::Float(c) => c.rows_where(|f| in_range(f, lo, hi)),
+            MetaColumn::Str(_) | MetaColumn::Bool(_) => Vec::new(),
+            MetaColumn::Mixed(rows) => (0..rows.len())
+                .filter(|&r| mixed_in_range(&rows[r], lo, hi))
+                .collect(),
+        }
+    }
+}
+
+/// `lo <= v < hi`, the [`ScanFilter::MetaRange`] row test.
+fn in_range(v: f64, lo: f64, hi: f64) -> bool {
+    v >= lo && v < hi
+}
+
+/// [`in_range`] over a mixed column's row under [`Value::as_float`].
+fn mixed_in_range(row: &Option<Value>, lo: f64, hi: f64) -> bool {
+    row.as_ref()
+        .and_then(Value::as_float)
+        .is_some_and(|f| in_range(f, lo, hi))
 }
 
 // --------------------------------------------------------------------------
@@ -494,34 +535,46 @@ impl ColumnarPatches {
         }
     }
 
-    /// Match mask over one surviving chunk — decodes only the filter
-    /// column.
-    fn chunk_mask(&self, group: &ChunkGroup, filter: &ScanFilter) -> Vec<bool> {
+    /// Rows of one surviving chunk matching `filter`, counted without
+    /// materializing a mask: from the zone map when it puts every value of
+    /// the filter column inside the filter, else in the encoded values.
+    fn matching_count(&self, group: &ChunkGroup, filter: &ScanFilter) -> usize {
         match filter {
-            ScanFilter::All => vec![true; group.rows],
-            ScanFilter::FrameRange { lo, hi } => group
-                .frame_nos
-                .decode()
-                .into_iter()
-                .map(|v| {
-                    v.is_some_and(|m| {
-                        let f = ordered_u64(m);
-                        f >= *lo && f < *hi
-                    })
-                })
-                .collect(),
-            ScanFilter::MetaEq { key, value } => match self.meta_index(key) {
-                Some(k) => group.meta[k].eq_mask(value),
-                None => vec![false; group.rows],
-            },
-            ScanFilter::MetaRange { key, lo, hi } => match self.meta_index(key) {
-                Some(k) => group.meta[k]
-                    .decode_floats()
-                    .into_iter()
-                    .map(|v| v.is_some_and(|f| f >= *lo && f < *hi))
-                    .collect(),
-                None => vec![false; group.rows],
-            },
+            ScanFilter::All => group.rows,
+            ScanFilter::FrameRange { lo, hi } => {
+                let (lo, last) = (ordered_i64(*lo), ordered_i64(hi - 1));
+                let stats = group.frame_nos.stats();
+                match (stats.min, stats.max) {
+                    (Some(min), Some(max)) if lo <= min && max <= last => {
+                        stats.count - stats.null_count
+                    }
+                    _ => group.frame_nos.count_where(|m| lo <= m && m <= last),
+                }
+            }
+            ScanFilter::MetaEq { key, value } => self
+                .meta_index(key)
+                .map_or(0, |k| group.meta[k].count_eq(value)),
+            ScanFilter::MetaRange { key, lo, hi } => self
+                .meta_index(key)
+                .map_or(0, |k| group.meta[k].count_in_range(*lo, *hi)),
+        }
+    }
+
+    /// The rows (chunk-local, ascending) of one surviving chunk matching
+    /// `filter` — decodes only the filter column.
+    fn matching_rows(&self, group: &ChunkGroup, filter: &ScanFilter) -> Vec<usize> {
+        match filter {
+            ScanFilter::All => (0..group.rows).collect(),
+            ScanFilter::FrameRange { lo, hi } => {
+                let (lo, last) = (ordered_i64(*lo), ordered_i64(hi - 1));
+                group.frame_nos.rows_where(|m| lo <= m && m <= last)
+            }
+            ScanFilter::MetaEq { key, value } => self
+                .meta_index(key)
+                .map_or_else(Vec::new, |k| group.meta[k].rows_eq(value)),
+            ScanFilter::MetaRange { key, lo, hi } => self
+                .meta_index(key)
+                .map_or_else(Vec::new, |k| group.meta[k].rows_in_range(*lo, *hi)),
         }
     }
 
@@ -547,61 +600,64 @@ impl ColumnarPatches {
         (survivors, stats)
     }
 
-    /// Materialize the masked rows of one chunk.
-    fn materialize(&self, group: &ChunkGroup, mask: &[bool], projection: Projection) -> Vec<Patch> {
-        let ids = group.ids.decode();
-        let sources = group.sources.decode();
-        let frame_nos = group.frame_nos.decode();
-        let meta_cols: Vec<Vec<Option<Value>>> =
-            group.meta.iter().map(MetaColumn::decode).collect();
-        let mut features = if projection == Projection::Full {
-            group.features.decode()
-        } else {
-            Vec::new()
+    /// Materialize `rows` (chunk-local, ascending) of one chunk, decoding
+    /// the projected columns for those rows only.
+    fn materialize(
+        &self,
+        group: &ChunkGroup,
+        rows: &[usize],
+        projection: Projection,
+    ) -> Vec<Patch> {
+        let ids = group.ids.values_at(rows);
+        let sources = group.sources.values_at(rows);
+        let frame_nos = group.frame_nos.values_at(rows);
+        let mut meta_cols: Vec<_> = group
+            .meta
+            .iter()
+            .map(|c| c.values_at(rows).into_iter())
+            .collect();
+        let mut features = match projection {
+            Projection::Full => group.features.decode_rows(rows).into_iter(),
+            _ => Vec::new().into_iter(),
         };
-        let mut out = Vec::new();
-        for (row, keep) in mask.iter().enumerate() {
-            if !keep {
-                continue;
-            }
-            let id = PatchId(ordered_u64(ids[row].unwrap_or(0)));
-            let img_ref = ImgRef {
-                source: sources[row].unwrap_or("").to_string(),
-                frame_no: ordered_u64(frame_nos[row].unwrap_or(0)),
-            };
-            let data = if projection == Projection::Full {
-                if let Some(f) = features[row].take() {
-                    PatchData::Features(f)
-                } else if let Some(img) = &group.pixels[row] {
-                    PatchData::Pixels(img.clone())
-                } else {
-                    PatchData::Empty
-                }
+        let mut out = Vec::with_capacity(rows.len());
+        for (i, &row) in rows.iter().enumerate() {
+            let data = if projection != Projection::Full {
+                PatchData::Empty
+            } else if let Some(f) = features.next().flatten() {
+                PatchData::Features(f)
+            } else if let Some(img) = &group.pixels[row] {
+                PatchData::Pixels(img.clone())
             } else {
                 PatchData::Empty
             };
-            let mut patch = Patch {
-                id,
-                img_ref,
+            // Keys are sorted, so the map is built in one ascending pass.
+            let meta = self
+                .meta_keys
+                .iter()
+                .zip(meta_cols.iter_mut())
+                .filter_map(|(key, col)| col.next().flatten().map(|v| (key.clone(), v)))
+                .collect();
+            out.push(Patch {
+                id: PatchId(ordered_u64(ids[i].unwrap_or(0))),
+                img_ref: ImgRef {
+                    source: sources[i].unwrap_or("").to_string(),
+                    frame_no: ordered_u64(frame_nos[i].unwrap_or(0)),
+                },
                 data,
-                meta: std::collections::BTreeMap::new(),
+                meta,
                 parents: group.parents[row].clone(),
-            };
-            for (k, col) in meta_cols.iter().enumerate() {
-                if let Some(v) = &col[row] {
-                    patch.meta.insert(self.meta_keys[k].clone(), v.clone());
-                }
-            }
-            out.push(patch);
+            });
         }
         ROWS_MATERIALIZED.fetch_add(out.len() as u64, Ordering::Relaxed);
         out
     }
 
-    /// Scan the backing: zone-map pruning, then filter-column decode, then
-    /// late materialization of matching rows — fanned out over `pool`
-    /// morsels and reassembled in chunk order, so the output equals the
-    /// row-layout scan at every thread count.
+    /// Scan the backing: zone-map pruning, then the filter column — a
+    /// [`Projection::Count`] counts there, in the zone map or the encoded
+    /// values — then late materialization of just the matching rows, fanned
+    /// out over `pool` morsels and reassembled in chunk order, so the
+    /// output equals the row-layout scan at every thread count.
     pub fn scan(
         &self,
         filter: &ScanFilter,
@@ -623,12 +679,14 @@ impl ColumnarPatches {
                     range
                         .map(|si| {
                             let group = &self.chunks[survivors[si]];
-                            let mask = self.chunk_mask(group, filter);
-                            let matched = mask.iter().filter(|m| **m).count();
-                            if matched == 0 || projection == Projection::Count {
-                                return (matched, Vec::new());
+                            if projection == Projection::Count {
+                                return (self.matching_count(group, filter), Vec::new());
                             }
-                            (matched, self.materialize(group, &mask, projection))
+                            let rows = self.matching_rows(group, filter);
+                            if rows.is_empty() {
+                                return (0, Vec::new());
+                            }
+                            (rows.len(), self.materialize(group, &rows, projection))
                         })
                         .collect::<Vec<_>>()
                 },
@@ -664,23 +722,16 @@ impl ColumnarPatches {
                     range
                         .filter_map(|si| {
                             let group = &self.chunks[survivors[si]];
-                            let mask = self.chunk_mask(group, filter);
-                            let matched = mask.iter().filter(|m| **m).count();
-                            if matched == 0 {
+                            let rows = self.matching_rows(group, filter);
+                            if rows.is_empty() {
                                 return None;
                             }
                             let packed = group.features.decode_packed();
-                            if matched == group.rows {
+                            if rows.len() == group.rows {
                                 return Some(PackedChunk { features: packed });
                             }
-                            let sel: Vec<u32> = mask
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, m)| **m)
-                                .map(|(i, _)| i as u32)
-                                .collect();
                             Some(PackedChunk {
-                                features: packed.select(&sel),
+                                features: packed.select(&rows),
                             })
                         })
                         .collect::<Vec<_>>()

@@ -236,7 +236,7 @@ impl Session {
     pub fn dedup(&self, patches: &[Patch], tau: f32) -> Result<Vec<Vec<u32>>> {
         let plan = JoinPlan::choose(patches, patches)?;
         let pairs = plan.run(patches, patches, &[(tau, None)], &self.pool())?;
-        Ok(ops::cluster_from_pairs(patches.len(), &pairs[0]))
+        ops::cluster_from_pairs(patches.len(), &pairs[0])
     }
 
     /// [`Session::dedup`] over a materialized collection — a

@@ -13,9 +13,12 @@
 //!   dictionary + bit-packing for low-cardinality strings (labels).
 //!
 //! Every encoding is lossless: `decode(encode(rows)) == rows`, bit for bit.
-//! The chunk types here are plain data — the patch-level assembly, filter
-//! masks, and parallel scan live in `deeplens-core::scan`, which composes
-//! these columns into collections.
+//! The read side works on the encoded values without decoding a chunk into
+//! rows: `count_where` / `count_eq` count matches in place, `rows_where` /
+//! `rows_eq` list the matching rows, and `values_at` /
+//! [`FeatureChunk::decode_rows`] decode just the rows asked for. The
+//! patch-level assembly and parallel scan live in `deeplens-core::scan`,
+//! which composes these columns into collections.
 
 /// Default number of rows per column chunk.
 ///
@@ -60,30 +63,44 @@ pub mod bitpack {
         out
     }
 
-    /// Unpack `len` values of `width` bits from `packed`.
-    pub fn unpack(packed: &[u64], width: u32, len: usize) -> Vec<u64> {
+    /// Call `f` on each of the first `len` values of `width` bits in
+    /// `packed`, in order, without allocating.
+    pub(crate) fn for_each(packed: &[u64], width: u32, len: usize, mut f: impl FnMut(u64)) {
         assert!(width <= 64, "bit width out of range");
         if width == 0 {
-            return vec![0u64; len];
+            (0..len).for_each(|_| f(0));
+            return;
         }
-        let mask = if width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        };
-        let mut out = Vec::with_capacity(len);
         let mut bit = 0usize;
         for _ in 0..len {
-            let word = bit / 64;
-            let off = (bit % 64) as u32;
-            let mut v = packed[word] >> off;
-            if off + width > 64 {
-                v |= packed[word + 1] << (64 - off);
-            }
-            out.push(v & mask);
+            f(read(packed, width, bit));
             bit += width as usize;
         }
-        out
+    }
+
+    /// Value `i` of `width` bits in `packed`, leaving the others packed.
+    pub(crate) fn get(packed: &[u64], width: u32, i: usize) -> u64 {
+        assert!(width <= 64, "bit width out of range");
+        if width == 0 {
+            return 0;
+        }
+        read(packed, width, i * width as usize)
+    }
+
+    /// The `width`-bit value (`1..=64`) starting at bit `bit`.
+    fn read(packed: &[u64], width: u32, bit: usize) -> u64 {
+        let word = bit / 64;
+        let off = (bit % 64) as u32;
+        let mut v = packed[word] >> off;
+        // The value may straddle a word boundary.
+        if off + width > 64 {
+            v |= packed[word + 1] << (64 - off);
+        }
+        if width == 64 {
+            v
+        } else {
+            v & ((1u64 << width) - 1)
+        }
     }
 }
 
@@ -129,6 +146,35 @@ impl Validity {
             None => true,
             Some(b) => b[row / 64] & (1 << (row % 64)) != 0,
         }
+    }
+
+    /// The rows holding a value, ascending: the row of each stored value,
+    /// in storage order.
+    fn valid_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len).filter(|&row| self.is_valid(row))
+    }
+
+    /// For each of `rows`, the index of its value among the chunk's stored
+    /// (non-null) values, or `None` for a null row. Popcounts the bitmap
+    /// incrementally, so ascending `rows` cost one pass over it.
+    fn ranks<'a>(&'a self, rows: &'a [usize]) -> impl Iterator<Item = Option<usize>> + 'a {
+        // Valid rows in bitmap words `..word`.
+        let (mut word, mut before) = (0usize, 0usize);
+        rows.iter().map(move |&row| {
+            let Some(bits) = &self.bitmap else {
+                return Some(row);
+            };
+            let w = row / 64;
+            if w < word {
+                (word, before) = (0, 0);
+            }
+            for b in &bits[word..w] {
+                before += b.count_ones() as usize;
+            }
+            word = w;
+            let bit = 1u64 << (row % 64);
+            (bits[w] & bit != 0).then(|| before + (bits[w] & (bit - 1)).count_ones() as usize)
+        })
     }
 }
 
@@ -285,49 +331,101 @@ impl IntChunk {
 
     /// Decode the chunk back to its rows, nulls included.
     pub fn decode(&self) -> Vec<Option<i64>> {
-        let n_valid = self.stats.count - self.stats.null_count;
-        let values: Vec<i64> = match &self.encoding {
-            IntEncoding::Plain(v) => v.clone(),
+        let mut values = Vec::with_capacity(self.valid_len());
+        self.for_each_value(self.valid_len(), |v| values.push(v));
+        let mut it = values.into_iter();
+        (0..self.stats.count)
+            .map(|row| {
+                if self.validity.is_valid(row) {
+                    it.next()
+                } else {
+                    None
+                }
+            })
+            .collect()
+    }
+
+    /// Non-null values satisfying `pred`, counted in the encoded values:
+    /// nothing is allocated, and the validity bitmap is never read (only
+    /// non-null values are stored).
+    pub fn count_where(&self, pred: impl Fn(i64) -> bool) -> usize {
+        let mut n = 0;
+        self.for_each_value(self.valid_len(), |v| n += usize::from(pred(v)));
+        n
+    }
+
+    /// The rows (chunk-local, ascending) whose value satisfies `pred`; a
+    /// null row never does.
+    pub fn rows_where(&self, pred: impl Fn(i64) -> bool) -> Vec<usize> {
+        let mut rows = self.validity.valid_rows();
+        let mut out = Vec::new();
+        self.for_each_value(self.valid_len(), |v| {
+            let row = rows.next();
+            if pred(v) {
+                out.extend(row);
+            }
+        });
+        out
+    }
+
+    /// The values of `rows` (chunk-local), `None` for a null row. Plain and
+    /// frame-of-reference values are read in place; a delta run is summed
+    /// up to the last selected value only.
+    pub fn values_at(&self, rows: &[usize]) -> Vec<Option<i64>> {
+        let ranks = self.validity.ranks(rows);
+        match &self.encoding {
+            IntEncoding::Plain(v) => ranks.map(|r| r.map(|r| v[r])).collect(),
+            IntEncoding::For {
+                reference,
+                width,
+                packed,
+            } => ranks
+                .map(|r| r.map(|r| reference.wrapping_add(bitpack::get(packed, *width, r) as i64)))
+                .collect(),
+            IntEncoding::Delta { .. } => {
+                let ranks: Vec<Option<usize>> = ranks.collect();
+                let upto = ranks.iter().flatten().max().map_or(0, |r| r + 1);
+                let mut prefix = Vec::with_capacity(upto);
+                self.for_each_value(upto, |v| prefix.push(v));
+                ranks.into_iter().map(|r| r.map(|r| prefix[r])).collect()
+            }
+        }
+    }
+
+    /// Rows holding a value.
+    fn valid_len(&self) -> usize {
+        self.stats.count - self.stats.null_count
+    }
+
+    /// Call `f` on the first `len` non-null values, in row order, decoding
+    /// them in place. Offsets and deltas add with wrap-around: the true
+    /// value always fits an `i64`, so the wrapped sum is exact.
+    fn for_each_value(&self, len: usize, mut f: impl FnMut(i64)) {
+        match &self.encoding {
+            IntEncoding::Plain(v) => v[..len].iter().for_each(|&x| f(x)),
             IntEncoding::Delta {
                 first,
                 width,
                 packed,
             } => {
-                let deltas = bitpack::unpack(packed, *width, n_valid.saturating_sub(1));
-                let mut out = Vec::with_capacity(n_valid);
-                if n_valid > 0 {
-                    let mut cur = *first;
-                    out.push(cur);
-                    for d in deltas {
-                        cur = (cur as i128 + d as i128) as i64;
-                        out.push(cur);
-                    }
+                if len == 0 {
+                    return;
                 }
-                out
+                let mut cur = *first;
+                f(cur);
+                bitpack::for_each(packed, *width, len - 1, |d| {
+                    cur = cur.wrapping_add(d as i64);
+                    f(cur);
+                });
             }
             IntEncoding::For {
                 reference,
                 width,
                 packed,
-            } => bitpack::unpack(packed, *width, n_valid)
-                .into_iter()
-                .map(|off| (*reference as i128 + off as i128) as i64)
-                .collect(),
-        };
-        self.scatter(values)
-    }
-
-    fn scatter(&self, values: Vec<i64>) -> Vec<Option<i64>> {
-        let mut out = Vec::with_capacity(self.stats.count);
-        let mut it = values.into_iter();
-        for row in 0..self.stats.count {
-            if self.validity.is_valid(row) {
-                out.push(it.next());
-            } else {
-                out.push(None);
-            }
+            } => bitpack::for_each(packed, *width, len, |off| {
+                f(reference.wrapping_add(off as i64))
+            }),
         }
-        out
     }
 
     /// The chunk's statistics table.
@@ -415,18 +513,29 @@ impl FloatChunk {
         }
     }
 
-    /// Decode the chunk back to its rows, nulls included.
-    pub fn decode(&self) -> Vec<Option<f64>> {
-        let mut out = Vec::with_capacity(self.stats.count);
-        let mut it = self.values.iter().copied();
-        for row in 0..self.stats.count {
-            if self.validity.is_valid(row) {
-                out.push(it.next());
-            } else {
-                out.push(None);
-            }
-        }
-        out
+    /// Non-null values satisfying `pred`, counted over the stored values
+    /// without allocating or reading the validity bitmap.
+    pub fn count_where(&self, pred: impl Fn(f64) -> bool) -> usize {
+        self.values.iter().filter(|&&v| pred(v)).count()
+    }
+
+    /// The rows (chunk-local, ascending) whose value satisfies `pred`; a
+    /// null row never does.
+    pub fn rows_where(&self, pred: impl Fn(f64) -> bool) -> Vec<usize> {
+        self.validity
+            .valid_rows()
+            .zip(&self.values)
+            .filter(|&(_, &v)| pred(v))
+            .map(|(row, _)| row)
+            .collect()
+    }
+
+    /// The values of `rows` (chunk-local), `None` for a null row.
+    pub fn values_at(&self, rows: &[usize]) -> Vec<Option<f64>> {
+        self.validity
+            .ranks(rows)
+            .map(|r| r.map(|r| self.values[r]))
+            .collect()
     }
 
     /// The chunk's statistics table.
@@ -504,21 +613,66 @@ impl StrChunk {
         }
     }
 
-    /// Decode the chunk back to its rows, nulls included.
-    pub fn decode(&self) -> Vec<Option<&str>> {
-        let n_valid = self.count - self.null_count;
-        let codes = bitpack::unpack(&self.codes, self.code_width, n_valid);
-        let mut out = Vec::with_capacity(self.count);
-        let mut it = codes.into_iter();
-        for row in 0..self.count {
-            if self.validity.is_valid(row) {
-                let code = it.next().unwrap_or(0) as usize;
-                out.push(self.dict.get(code).map(String::as_str));
-            } else {
-                out.push(None);
-            }
+    /// Rows equal to `s`, counted by comparing dictionary codes; a chunk
+    /// whose dictionary is `[s]` answers from its null count alone.
+    pub fn count_eq(&self, s: &str) -> usize {
+        let Some(code) = self.code(s) else {
+            return 0;
+        };
+        if self.dict.len() == 1 {
+            return self.count - self.null_count;
         }
+        let mut n = 0;
+        bitpack::for_each(
+            &self.codes,
+            self.code_width,
+            self.count - self.null_count,
+            |c| n += usize::from(c == code),
+        );
+        n
+    }
+
+    /// The rows (chunk-local, ascending) equal to `s`, found by comparing
+    /// dictionary codes.
+    pub fn rows_eq(&self, s: &str) -> Vec<usize> {
+        let Some(code) = self.code(s) else {
+            return Vec::new();
+        };
+        let mut rows = self.validity.valid_rows();
+        let mut out = Vec::new();
+        bitpack::for_each(
+            &self.codes,
+            self.code_width,
+            self.count - self.null_count,
+            |c| {
+                let row = rows.next();
+                if c == code {
+                    out.extend(row);
+                }
+            },
+        );
         out
+    }
+
+    /// The values of `rows` (chunk-local), `None` for a null row; only the
+    /// selected codes are unpacked.
+    pub fn values_at(&self, rows: &[usize]) -> Vec<Option<&str>> {
+        self.validity
+            .ranks(rows)
+            .map(|r| r.and_then(|r| self.dict_value(bitpack::get(&self.codes, self.code_width, r))))
+            .collect()
+    }
+
+    /// The dictionary code of `s`, if any row holds it.
+    fn code(&self, s: &str) -> Option<u64> {
+        self.dict
+            .binary_search_by(|d| d.as_str().cmp(s))
+            .ok()
+            .map(|i| i as u64)
+    }
+
+    fn dict_value(&self, code: u64) -> Option<&str> {
+        self.dict.get(code as usize).map(String::as_str)
     }
 
     /// Rows in the chunk.
@@ -590,15 +744,34 @@ impl BoolChunk {
         }
     }
 
-    /// Decode the chunk back to its rows, nulls included.
-    pub fn decode(&self) -> Vec<Option<bool>> {
-        (0..self.stats.count)
-            .map(|i| {
-                self.validity
-                    .is_valid(i)
-                    .then(|| self.bits[i / 64] & (1 << (i % 64)) != 0)
-            })
+    /// Rows equal to `b`, counted from the bitmap's popcount (null rows
+    /// store a clear bit).
+    pub fn count_eq(&self, b: bool) -> usize {
+        let trues: usize = self.bits.iter().map(|w| w.count_ones() as usize).sum();
+        if b {
+            trues
+        } else {
+            self.stats.count - self.stats.null_count - trues
+        }
+    }
+
+    /// The rows (chunk-local, ascending) equal to `b`.
+    pub fn rows_eq(&self, b: bool) -> Vec<usize> {
+        self.validity
+            .valid_rows()
+            .filter(|&row| self.bit(row) == b)
             .collect()
+    }
+
+    /// The values of `rows` (chunk-local), `None` for a null row.
+    pub fn values_at(&self, rows: &[usize]) -> Vec<Option<bool>> {
+        rows.iter()
+            .map(|&row| self.validity.is_valid(row).then(|| self.bit(row)))
+            .collect()
+    }
+
+    fn bit(&self, row: usize) -> bool {
+        self.bits[row / 64] & (1 << (row % 64)) != 0
     }
 
     /// The chunk's statistics table.
@@ -692,35 +865,28 @@ impl FeatureChunk {
         }
     }
 
-    /// Decode the chunk back to its rows, nulls included.
-    pub fn decode(&self) -> Vec<Option<Vec<f32>>> {
-        let flat: Vec<f32> = match &self.values {
-            FeatureValues::Raw(v) => v.clone(),
-            FeatureValues::Quantized {
-                reference,
-                width,
-                packed,
-            } => {
-                let total = *self.offsets.last().unwrap_or(&0) as usize;
-                bitpack::unpack(packed, *width, total)
-                    .into_iter()
-                    .map(|off| (*reference as i128 + off as i128) as f32)
-                    .collect()
-            }
-        };
-        let mut out = Vec::with_capacity(self.count);
-        let mut valid_row = 0usize;
-        for row in 0..self.count {
-            if self.validity.is_valid(row) {
-                let lo = self.offsets[valid_row] as usize;
-                let hi = self.offsets[valid_row + 1] as usize;
-                out.push(Some(flat[lo..hi].to_vec()));
-                valid_row += 1;
-            } else {
-                out.push(None);
-            }
-        }
-        out
+    /// The feature vectors of `rows` (chunk-local), `None` for a null row:
+    /// only the selected rows' spans are sliced (or unpacked) out of the
+    /// flat value buffer, bit-identical to the values stored.
+    pub fn decode_rows(&self, rows: &[usize]) -> Vec<Option<Vec<f32>>> {
+        self.validity
+            .ranks(rows)
+            .map(|r| {
+                r.map(|r| {
+                    let span = self.offsets[r] as usize..self.offsets[r + 1] as usize;
+                    match &self.values {
+                        FeatureValues::Raw(v) => v[span].to_vec(),
+                        FeatureValues::Quantized {
+                            reference,
+                            width,
+                            packed,
+                        } => span
+                            .map(|i| dequantize(*reference, bitpack::get(packed, *width, i)))
+                            .collect(),
+                    }
+                })
+            })
+            .collect()
     }
 
     /// Rows in the chunk.
@@ -738,6 +904,25 @@ impl FeatureChunk {
         self.null_count
     }
 
+    /// Every stored value, the non-null rows' vectors concatenated.
+    fn flat_values(&self) -> Vec<f32> {
+        match &self.values {
+            FeatureValues::Raw(v) => v.clone(),
+            FeatureValues::Quantized {
+                reference,
+                width,
+                packed,
+            } => {
+                let total = *self.offsets.last().unwrap_or(&0) as usize;
+                let mut out = Vec::with_capacity(total);
+                bitpack::for_each(packed, *width, total, |off| {
+                    out.push(dequantize(*reference, off))
+                });
+                out
+            }
+        }
+    }
+
     /// Approximate encoded payload size in bytes.
     pub fn encoded_bytes(&self) -> usize {
         let values = match &self.values {
@@ -747,25 +932,12 @@ impl FeatureChunk {
         values + self.offsets.len() * 4
     }
 
-    /// Decode the chunk into [`PackedFeatures`]: one flat value buffer plus
-    /// per-row spans, instead of the per-row `Vec` allocations
-    /// [`FeatureChunk::decode`] performs; the values are bit-identical to
-    /// the rows `decode` returns. Kept for the benchmark's layer probe.
+    /// Decode the whole chunk into [`PackedFeatures`]: one flat value
+    /// buffer plus per-row spans, no per-row allocation; the values are
+    /// bit-identical to the rows [`FeatureChunk::decode_rows`] returns. Kept
+    /// for the benchmark's layer probe.
     pub fn decode_packed(&self) -> PackedFeatures {
-        let values: Vec<f32> = match &self.values {
-            FeatureValues::Raw(v) => v.clone(),
-            FeatureValues::Quantized {
-                reference,
-                width,
-                packed,
-            } => {
-                let total = *self.offsets.last().unwrap_or(&0) as usize;
-                bitpack::unpack(packed, *width, total)
-                    .into_iter()
-                    .map(|off| (*reference as i128 + off as i128) as f32)
-                    .collect()
-            }
-        };
+        let values = self.flat_values();
         if self.null_count == 0 {
             return PackedFeatures {
                 values,
@@ -796,11 +968,17 @@ impl FeatureChunk {
     }
 }
 
+/// A quantized feature value: `reference + offset`, exact because every
+/// quantized value lies within `±2^24`.
+fn dequantize(reference: i64, offset: u64) -> f32 {
+    reference.wrapping_add(offset as i64) as f32
+}
+
 /// A feature chunk decoded into packed form: the non-null rows' values
 /// concatenated in row order in one flat buffer, with per-row spans into it.
 ///
 /// This is the zero-per-row-allocation counterpart of
-/// [`FeatureChunk::decode`]: where `decode` hands back a
+/// [`FeatureChunk::decode_rows`]: where that hands back a
 /// `Vec<Option<Vec<f32>>>`, the packed form keeps the whole chunk in one
 /// `Vec<f32>` plus a `rows + 1` offset table. A null row has an empty span
 /// and reads back as `None`; a *valid* row with an empty span is a genuine
@@ -851,13 +1029,12 @@ impl PackedFeatures {
 
     /// Gather the given rows (chunk-local, strictly increasing) into a new
     /// packed block, preserving null rows among them.
-    pub fn select(&self, rows: &[u32]) -> PackedFeatures {
+    pub fn select(&self, rows: &[usize]) -> PackedFeatures {
         let mut values = Vec::new();
         let mut offsets = Vec::with_capacity(rows.len() + 1);
         offsets.push(0u32);
         let mut valid: Option<Vec<bool>> = self.valid.as_ref().map(|_| Vec::new());
         for &r in rows {
-            let r = r as usize;
             let (lo, hi) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
             values.extend_from_slice(&self.values[lo..hi]);
             offsets.push(values.len() as u32);
@@ -896,12 +1073,84 @@ impl IntChunk {
     }
 }
 
+// Whole-chunk decodes: the references the row-selective kernels are tested
+// against. The scan path decodes only the rows it returns.
+
+/// Unpack `len` values of `width` bits from `packed`.
+#[cfg(test)]
+fn unpack(packed: &[u64], width: u32, len: usize) -> Vec<u64> {
+    let mut out = Vec::with_capacity(len);
+    bitpack::for_each(packed, width, len, |v| out.push(v));
+    out
+}
+
+#[cfg(test)]
+impl FloatChunk {
+    /// Decode the chunk back to its rows, nulls included.
+    fn decode(&self) -> Vec<Option<f64>> {
+        let mut it = self.values.iter().copied();
+        (0..self.stats.count)
+            .map(|row| {
+                if self.validity.is_valid(row) {
+                    it.next()
+                } else {
+                    None
+                }
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+impl StrChunk {
+    /// Decode the chunk back to its rows, nulls included.
+    fn decode(&self) -> Vec<Option<&str>> {
+        let codes = unpack(&self.codes, self.code_width, self.count - self.null_count);
+        let mut it = codes.into_iter();
+        (0..self.count)
+            .map(|row| {
+                if self.validity.is_valid(row) {
+                    it.next().and_then(|c| self.dict_value(c))
+                } else {
+                    None
+                }
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+impl BoolChunk {
+    /// Decode the chunk back to its rows, nulls included.
+    fn decode(&self) -> Vec<Option<bool>> {
+        (0..self.stats.count)
+            .map(|row| self.validity.is_valid(row).then(|| self.bit(row)))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 impl FeatureChunk {
     /// Whether the chunk detected quantized features and stored them
     /// frame-of-reference + bit-packed.
     fn is_quantized(&self) -> bool {
         matches!(self.values, FeatureValues::Quantized { .. })
+    }
+
+    /// Decode the chunk back to its rows, nulls included.
+    fn decode(&self) -> Vec<Option<Vec<f32>>> {
+        let flat = self.flat_values();
+        let mut valid_row = 0usize;
+        (0..self.count)
+            .map(|row| {
+                self.validity.is_valid(row).then(|| {
+                    let span =
+                        self.offsets[valid_row] as usize..self.offsets[valid_row + 1] as usize;
+                    valid_row += 1;
+                    flat[span].to_vec()
+                })
+            })
+            .collect()
     }
 }
 
@@ -923,7 +1172,7 @@ mod tests {
                 .map(|i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15) & max)
                 .collect();
             let packed = bitpack::pack(&values, width);
-            assert_eq!(bitpack::unpack(&packed, width, values.len()), values);
+            assert_eq!(unpack(&packed, width, values.len()), values);
         }
     }
 
@@ -1151,5 +1400,313 @@ mod tests {
         assert_eq!(StrChunk::encode(&[]).decode(), Vec::<Option<&str>>::new());
         assert_eq!(BoolChunk::encode(&[]).decode(), Vec::<Option<bool>>::new());
         assert!(FeatureChunk::encode(&[]).decode().is_empty());
+    }
+
+    // ----------------------------------------------------------------------
+    // Row-selective kernels against the whole-chunk decode
+    // ----------------------------------------------------------------------
+
+    /// SplitMix64: the seeded source of the random chunks below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Null with probability `1 / one_in` (never when `one_in == 0`).
+        fn maybe<T>(&mut self, one_in: u64, v: T) -> Option<T> {
+            (one_in == 0 || self.below(one_in) != 0).then_some(v)
+        }
+    }
+
+    /// Selections over a chunk of `n` rows: none, all, every third, a
+    /// random ascending subset, the last row alone, and one out of order.
+    fn selections(rng: &mut Rng, n: usize) -> Vec<Vec<usize>> {
+        let mut out = vec![
+            Vec::new(),
+            (0..n).collect(),
+            (0..n).step_by(3).collect(),
+            (0..n).filter(|_| rng.below(4) == 0).collect(),
+        ];
+        if n > 0 {
+            out.push(vec![n - 1]);
+            out.push(vec![n - 1, 0, n / 2]);
+        }
+        out
+    }
+
+    fn gather<T: Clone>(rows: &[Option<T>], sel: &[usize]) -> Vec<Option<T>> {
+        sel.iter().map(|&r| rows[r].clone()).collect()
+    }
+
+    fn matching<T: Copy>(rows: &[Option<T>], pred: impl Fn(T) -> bool) -> Vec<usize> {
+        (0..rows.len())
+            .filter(|&r| rows[r].is_some_and(&pred))
+            .collect()
+    }
+
+    /// `count_where`, `rows_where` and `values_at` against `decode()`.
+    fn check_int_kernels(rng: &mut Rng, rows: &[Option<i64>], label: &str) {
+        let chunk = IntChunk::encode(rows);
+        assert_eq!(chunk.encoding_label(), label, "{} rows", rows.len());
+        let decoded = chunk.decode();
+        assert_eq!(decoded, rows);
+        let mut bounds: Vec<i64> = vec![i64::MIN, i64::MAX, 0];
+        bounds.extend(rows.iter().flatten().take(6));
+        for &lo in &bounds {
+            for &hi in &bounds {
+                let pred = |v: i64| lo <= v && v <= hi;
+                let want = matching(&decoded, pred);
+                assert_eq!(chunk.count_where(pred), want.len(), "[{lo}, {hi}] {label}");
+                assert_eq!(chunk.rows_where(pred), want, "[{lo}, {hi}] {label}");
+            }
+        }
+        for sel in selections(rng, rows.len()) {
+            assert_eq!(
+                chunk.values_at(&sel),
+                gather(&decoded, &sel),
+                "{label} {sel:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn int_kernels_match_decode_for_every_encoding() {
+        let mut rng = Rng(0xD1CE);
+        for nulls in [0u64, 3] {
+            // Plain: values spread over the whole i64 range.
+            let plain: Vec<Option<i64>> = (0..200)
+                .map(|_| rng.next() as i64)
+                .collect::<Vec<_>>()
+                .into_iter()
+                .chain([i64::MIN, i64::MAX])
+                .map(|v| rng.maybe(nulls, v))
+                .collect();
+            check_int_kernels(&mut rng, &plain, "plain");
+            // Delta: sorted runs at widths 0, 1 and 63, from i64::MIN and up
+            // to i64::MAX (a constant run always delta-encodes at width 0, so
+            // frame-of-reference never reaches width 0).
+            let mut cur = i64::MIN;
+            for v in [i64::MIN, i64::MAX] {
+                let flat: Vec<Option<i64>> = (0..200).map(|_| rng.maybe(nulls, v)).collect();
+                check_int_kernels(&mut rng, &flat, "delta");
+            }
+            let steps: Vec<Option<i64>> = (0..200)
+                .map(|_| {
+                    cur += rng.below(2) as i64;
+                    rng.maybe(nulls, cur)
+                })
+                .collect();
+            check_int_kernels(&mut rng, &steps, "delta");
+            let mut wide = i64::MIN;
+            let leaps: Vec<Option<i64>> = (0..200)
+                .map(|i| {
+                    // One 2^62 leap sets the width; small steps follow.
+                    wide += if i == 1 { 1 << 62 } else { rng.below(8) as i64 };
+                    rng.maybe(nulls, wide)
+                })
+                .collect();
+            check_int_kernels(&mut rng, &leaps, "delta");
+            // Frame-of-reference: unsorted, at widths 1 and 63, up to
+            // i64::MAX.
+            let bits: Vec<Option<i64>> = (0..200)
+                .map(|i| {
+                    let v = 1 - (i % 2) + rng.below(2) as i64 * (i % 2);
+                    rng.maybe(nulls, v)
+                })
+                .collect();
+            check_int_kernels(&mut rng, &bits, "for");
+            let spread: Vec<Option<i64>> = (0..200)
+                .map(|i| {
+                    let v = if i % 2 == 0 {
+                        i64::MAX
+                    } else {
+                        i64::MAX - (1 << 62) - rng.below(1 << 60) as i64
+                    };
+                    rng.maybe(nulls, v)
+                })
+                .collect();
+            check_int_kernels(&mut rng, &spread, "for");
+        }
+        // All-null and empty chunks.
+        check_int_kernels(&mut rng, &[None; 70], "plain");
+        check_int_kernels(&mut rng, &[], "plain");
+    }
+
+    #[test]
+    fn bitpack_reads_match_unpack_at_edge_widths() {
+        let mut rng = Rng(0xB175);
+        for width in [0u32, 1, 63, 64] {
+            let mask = if width == 64 {
+                u64::MAX
+            } else {
+                (1u64 << width) - 1
+            };
+            let values: Vec<u64> = (0..130).map(|_| rng.next() & mask).collect();
+            let packed = bitpack::pack(&values, width);
+            let mut seen = Vec::new();
+            bitpack::for_each(&packed, width, values.len(), |v| seen.push(v));
+            assert_eq!(seen, values, "width {width}");
+            for (i, &v) in values.iter().enumerate() {
+                assert_eq!(
+                    bitpack::get(&packed, width, i),
+                    v,
+                    "width {width} value {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn float_kernels_match_decode_with_nan_infinities_and_signed_zeros() {
+        let mut rng = Rng(0xF10A7);
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+        ];
+        for nulls in [0u64, 4] {
+            let rows: Vec<Option<f64>> = (0..300)
+                .map(|i| {
+                    let v = if i % 7 == 0 {
+                        specials[rng.below(6) as usize]
+                    } else {
+                        (rng.below(2001) as f64 - 1000.0) / 100.0
+                    };
+                    rng.maybe(nulls, v)
+                })
+                .collect();
+            let chunk = FloatChunk::encode(&rows);
+            let decoded = chunk.decode();
+            assert_eq!(decoded.len(), rows.len());
+            let bounds = [
+                f64::NAN,
+                f64::NEG_INFINITY,
+                -1.5,
+                -0.0,
+                0.0,
+                2.25,
+                f64::INFINITY,
+            ];
+            for &lo in &bounds {
+                for &hi in &bounds {
+                    let pred = |v: f64| v >= lo && v < hi;
+                    let want = matching(&decoded, pred);
+                    assert_eq!(chunk.count_where(pred), want.len(), "[{lo}, {hi})");
+                    assert_eq!(chunk.rows_where(pred), want, "[{lo}, {hi})");
+                }
+                let eq = |v: f64| v == lo;
+                assert_eq!(
+                    chunk.count_where(eq),
+                    matching(&decoded, eq).len(),
+                    "== {lo}"
+                );
+            }
+            for sel in selections(&mut rng, rows.len()) {
+                let got = chunk.values_at(&sel);
+                let want = gather(&decoded, &sel);
+                let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+                    v.iter().map(|x| x.map(f64::to_bits)).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{sel:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn str_and_bool_kernels_match_decode() {
+        let mut rng = Rng(0x57A);
+        let labels = ["bike", "car", "person"];
+        for nulls in [0u64, 3] {
+            for distinct in [1u64, 3] {
+                let rows: Vec<Option<&str>> = (0..150)
+                    .map(|_| {
+                        let v = labels[rng.below(distinct) as usize];
+                        rng.maybe(nulls, v)
+                    })
+                    .collect();
+                let chunk = StrChunk::encode(&rows);
+                let decoded = chunk.decode();
+                assert_eq!(decoded, rows);
+                for s in ["bike", "car", "person", "giraffe", ""] {
+                    let want = matching(&decoded, |v| v == s);
+                    assert_eq!(chunk.count_eq(s), want.len(), "{s} of {distinct}");
+                    assert_eq!(chunk.rows_eq(s), want, "{s} of {distinct}");
+                }
+                for sel in selections(&mut rng, rows.len()) {
+                    assert_eq!(chunk.values_at(&sel), gather(&decoded, &sel));
+                }
+            }
+            let rows: Vec<Option<bool>> = (0..150)
+                .map(|_| {
+                    let v = rng.below(2) == 0;
+                    rng.maybe(nulls, v)
+                })
+                .collect();
+            let chunk = BoolChunk::encode(&rows);
+            let decoded = chunk.decode();
+            assert_eq!(decoded, rows);
+            for b in [false, true] {
+                let want = matching(&decoded, |v| v == b);
+                assert_eq!(chunk.count_eq(b), want.len(), "{b}");
+                assert_eq!(chunk.rows_eq(b), want, "{b}");
+            }
+            for sel in selections(&mut rng, rows.len()) {
+                assert_eq!(chunk.values_at(&sel), gather(&decoded, &sel));
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rows_matches_decode_for_raw_and_quantized_features() {
+        let mut rng = Rng(0xFEA7);
+        for quantized in [false, true] {
+            for nulls in [0u64, 3] {
+                let vectors: Vec<Vec<f32>> = (0..140)
+                    .map(|_| {
+                        // Zero-length vectors included.
+                        (0..rng.below(5))
+                            .map(|_| {
+                                let v = rng.below(512) as f32 - 256.0;
+                                if quantized {
+                                    v
+                                } else {
+                                    v / 8.0 + 0.0625
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let rows: Vec<Option<&[f32]>> = vectors
+                    .iter()
+                    .map(|v| rng.maybe(nulls, v.as_slice()))
+                    .collect();
+                let chunk = FeatureChunk::encode(&rows);
+                assert_eq!(chunk.is_quantized(), quantized);
+                let decoded = chunk.decode();
+                let owned: Vec<Option<Vec<f32>>> =
+                    rows.iter().map(|r| r.map(<[f32]>::to_vec)).collect();
+                assert_eq!(decoded, owned);
+                for sel in selections(&mut rng, rows.len()) {
+                    assert_eq!(chunk.decode_rows(&sel), gather(&decoded, &sel), "{sel:?}");
+                }
+            }
+        }
+        // All-null and empty chunks.
+        let nulls = FeatureChunk::encode(&[None, None, None]);
+        assert_eq!(nulls.decode_rows(&[0, 2]), vec![None, None]);
+        assert!(FeatureChunk::encode(&[]).decode_rows(&[]).is_empty());
     }
 }

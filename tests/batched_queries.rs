@@ -122,14 +122,14 @@ fn oracle(s: &Session, query: &BatchQuery) -> BatchResult {
             predicate,
         } => {
             let (l, r) = (rows(left), rows(right));
-            let mut pairs = ops::similarity_join_nested(&l, &r, *tau);
+            let mut pairs = ops::similarity_join_nested(&l, &r, *tau).unwrap();
             if let Some(p) = predicate {
                 pairs.retain(|&(i, j)| p(&l[i as usize], &r[j as usize]));
             }
             BatchResult::Pairs(pairs)
         }
         BatchQuery::Dedup { collection, tau } => {
-            BatchResult::Clusters(ops::dedup_bruteforce(&rows(collection), *tau))
+            BatchResult::Clusters(ops::dedup_bruteforce(&rows(collection), *tau).unwrap())
         }
         BatchQuery::IndexProbe {
             collection,

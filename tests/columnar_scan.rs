@@ -19,14 +19,24 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 11
 }
 
+/// Scores that stress float comparisons: NaN of both signs, the
+/// infinities and a negative zero.
+const SPECIAL_SCORES: [f64; 5] = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+
+/// 2^53: the first integer past which `i64 as f64` rounds.
+const EXACT_F64_INTS: i64 = 1 << 53;
+
 /// A collection exercising every column shape: sorted frame numbers, a
-/// low-cardinality label, int/float/bool metadata, rows missing keys, a
-/// per-chunk-mixed-type key, and feature payloads of two dimensions.
+/// low-cardinality label, int/float/bool metadata (special floats among
+/// the scores, integers past 2^53), rows missing keys — singly and in runs
+/// of 8, so small chunks come out all-null — a per-chunk-mixed-type key,
+/// and feature payloads of two dimensions.
 fn random_patches(seed: u64, n: usize) -> Vec<Patch> {
     let mut s = seed;
     (0..n)
         .map(|i| {
             let r = lcg(&mut s);
+            let in_gap = (i / 8) % 4 == 1;
             let mut p = Patch::features(
                 PatchId(i as u64),
                 ImgRef::frame("cam", (i / 3) as u64),
@@ -44,8 +54,17 @@ fn random_patches(seed: u64, n: usize) -> Vec<Patch> {
                     _ => "bike",
                 },
             );
-            if !r.is_multiple_of(5) {
-                p = p.with_meta("score", (r % 1000) as f64 / 1000.0);
+            if !r.is_multiple_of(5) && !in_gap {
+                let score = if r.is_multiple_of(13) {
+                    SPECIAL_SCORES[(r / 13 % 5) as usize]
+                } else {
+                    (r % 1000) as f64 / 1000.0
+                };
+                p = p.with_meta("score", score);
+            }
+            if !in_gap {
+                let big = EXACT_F64_INTS + (r % 5) as i64;
+                p = p.with_meta("big", if r.is_multiple_of(3) { -big } else { big });
             }
             if r.is_multiple_of(7) {
                 p = p.with_meta("flagged", r.is_multiple_of(2));
@@ -105,16 +124,92 @@ fn filters_under_test() -> Vec<ScanFilter> {
             key: "absent".into(),
             value: Value::Float(1.0),
         },
+        // Special floats: a NaN bound matches nothing, NaN never equals
+        // itself, -0.0 equals 0.0, and the infinities bound ranges.
+        ScanFilter::MetaRange {
+            key: "score".into(),
+            lo: f64::NAN,
+            hi: 1.0,
+        },
+        ScanFilter::MetaRange {
+            key: "score".into(),
+            lo: f64::NEG_INFINITY,
+            hi: f64::INFINITY,
+        },
+        ScanFilter::MetaRange {
+            key: "score".into(),
+            lo: -0.0,
+            hi: 0.5,
+        },
+        ScanFilter::MetaEq {
+            key: "score".into(),
+            value: Value::Float(0.0),
+        },
+        ScanFilter::MetaEq {
+            key: "score".into(),
+            value: Value::Float(f64::NAN),
+        },
+        // Whole chunks inside the filter: answered from the zone map by a
+        // count (every finite score is in [0, 1); frames run from 0).
+        ScanFilter::MetaRange {
+            key: "score".into(),
+            lo: -1.0,
+            hi: 2.0,
+        },
+        ScanFilter::FrameRange { lo: 3, hi: 60 },
+        ScanFilter::FrameRange {
+            lo: 0,
+            hi: u64::MAX,
+        },
+        // Integers past 2^53 under f64 coercion, and exact Int equality.
+        ScanFilter::MetaRange {
+            key: "big".into(),
+            lo: EXACT_F64_INTS as f64,
+            hi: (EXACT_F64_INTS + 2) as f64,
+        },
+        ScanFilter::MetaRange {
+            key: "big".into(),
+            lo: 0.0,
+            hi: f64::MAX,
+        },
+        ScanFilter::MetaRange {
+            key: "big".into(),
+            lo: f64::MIN,
+            hi: 0.0,
+        },
+        ScanFilter::MetaEq {
+            key: "big".into(),
+            value: Value::Int(EXACT_F64_INTS + 1),
+        },
     ]
+}
+
+/// The rows with every float metadata value replaced by its bit pattern,
+/// so patches compare equal exactly when they are bit-identical (a NaN
+/// score equals itself, `-0.0` differs from `0.0`).
+fn bitwise(patches: &[Patch]) -> Vec<Patch> {
+    patches
+        .iter()
+        .map(|p| {
+            let mut p = p.clone();
+            for v in p.meta.values_mut() {
+                if let Value::Float(f) = v {
+                    *v = Value::Str(format!("f64 bits {:#x}", f.to_bits()));
+                }
+            }
+            p
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The tentpole equivalence: for any collection, every filter, chunk
-    /// sizes 1/7/1024, and 1/2/4 threads, the columnar scan's output is
-    /// byte-identical (PartialEq over every field, in order) to the row
-    /// scan's.
+    /// The tentpole equivalence: for any collection, every filter, every
+    /// projection, chunk sizes 1/7/1024, and 1/2/4 threads, the columnar
+    /// scan's output is bit-identical (every field, in order) to the row
+    /// scan's; every projection matches the same rows, and the columnar
+    /// projections prune and decode the same chunks.
     #[test]
     fn columnar_scan_equals_row_scan(
         seed in any::<u64>(),
@@ -122,21 +217,33 @@ proptest! {
     ) {
         let patches = random_patches(seed, n);
         for filter in filters_under_test() {
-            let row = row_scan(&patches, &filter, Projection::Full);
+            let matched = patches.iter().filter(|p| filter.matches(p)).count();
             for chunk_rows in [1usize, 7, 1024] {
                 let columnar = ColumnarPatches::from_patches(&patches, chunk_rows);
                 for threads in [1usize, 2, 4] {
-                    let col = columnar.scan(&filter, Projection::Full, &WorkerPool::new(threads));
-                    prop_assert_eq!(
-                        &row.patches,
-                        &col.patches,
-                        "filter {:?}, chunk_rows {}, threads {}",
-                        filter,
-                        chunk_rows,
-                        threads
-                    );
-                    prop_assert_eq!(row.stats.rows_matched, col.stats.rows_matched);
-                    prop_assert!(col.stats.used_columnar);
+                    let pool = WorkerPool::new(threads);
+                    let full = columnar.scan(&filter, Projection::Full, &pool);
+                    for projection in [Projection::Full, Projection::MetaOnly, Projection::Count] {
+                        let row = row_scan(&patches, &filter, projection);
+                        let col = columnar.scan(&filter, projection, &pool);
+                        prop_assert_eq!(
+                            bitwise(&row.patches),
+                            bitwise(&col.patches),
+                            "filter {:?}, {:?}, chunk_rows {}, threads {}",
+                            filter,
+                            projection,
+                            chunk_rows,
+                            threads
+                        );
+                        prop_assert_eq!(row.stats.rows_matched, matched);
+                        prop_assert_eq!(col.stats.rows_matched, matched, "{:?} {:?}", filter, projection);
+                        prop_assert!(col.stats.used_columnar);
+                        prop_assert_eq!(col.stats, full.stats, "{:?} {:?}", filter, projection);
+                        prop_assert_eq!(
+                            col.stats.chunks_pruned + col.stats.chunks_decoded,
+                            col.stats.chunks_total
+                        );
+                    }
                 }
             }
         }
@@ -212,7 +319,7 @@ fn ops_pushdown_selections_match_iterator_filters() {
         .filter(|p| (10..40).contains(&p.img_ref.frame_no))
         .cloned()
         .collect();
-    assert_eq!(by_range, expect);
+    assert_eq!(bitwise(&by_range), bitwise(&expect));
 
     let by_label = select(ScanFilter::MetaEq {
         key: "label".into(),
@@ -223,7 +330,7 @@ fn ops_pushdown_selections_match_iterator_filters() {
         .filter(|p| p.get_str("label") == Some("bike"))
         .cloned()
         .collect();
-    assert_eq!(by_label, expect);
+    assert_eq!(bitwise(&by_label), bitwise(&expect));
 
     let by_score = select(ScanFilter::MetaRange {
         key: "score".into(),
@@ -238,7 +345,7 @@ fn ops_pushdown_selections_match_iterator_filters() {
         })
         .cloned()
         .collect();
-    assert_eq!(by_score, expect);
+    assert_eq!(bitwise(&by_score), bitwise(&expect));
 }
 
 #[test]
@@ -258,7 +365,7 @@ fn session_scan_routes_through_columnar_backing() {
     session.build_columnar("dets").unwrap();
     let after = session.scan("dets", &filter, Projection::Full).unwrap();
     assert!(after.stats.used_columnar);
-    assert_eq!(before.patches, after.patches);
+    assert_eq!(bitwise(&before.patches), bitwise(&after.patches));
     assert_eq!(
         session.scan_count("dets", &filter).unwrap(),
         after.patches.len()
@@ -324,7 +431,7 @@ fn scan_agrees_across_session_thread_budgets() {
         assert!(got.stats.used_columnar);
         match &reference {
             None => reference = Some(got.patches),
-            Some(r) => assert_eq!(r, &got.patches, "device {device:?}"),
+            Some(r) => assert_eq!(bitwise(r), bitwise(&got.patches), "device {device:?}"),
         }
     }
 }

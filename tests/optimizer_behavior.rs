@@ -48,7 +48,8 @@ fn planned_strategy_wins_on_asymmetric_join() {
         "planner should index the small side"
     );
 
-    let (mut nested, nested_t) = best_of_5(|| ops::similarity_join_nested(&small, &large, 2.0));
+    let (mut nested, nested_t) =
+        best_of_5(|| ops::similarity_join_nested(&small, &large, 2.0).unwrap());
     let (ball, ball_t) = best_of_5(|| {
         let pool = WorkerPool::new(1);
         plan.run(&small, &large, &[(2.0, None)], &pool)

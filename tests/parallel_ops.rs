@@ -52,7 +52,7 @@ fn balltree_join_identical_across_thread_counts_and_shapes() {
     for &(nl, nr) in &shapes {
         let left = feature_patches(nl, 6, nl as u64 + 1);
         let right = feature_patches(nr, 6, nr as u64 + 77);
-        let mut reference = ops::similarity_join_nested(&left, &right, 2.5);
+        let mut reference = ops::similarity_join_nested(&left, &right, 2.5).unwrap();
         reference.sort_unstable();
         for threads in THREADS {
             let got = planned_join(&left, &right, 2.5, threads);
@@ -71,11 +71,11 @@ fn nested_loop_join_order_stable_across_threads() {
         let (fa, fb) = (a.data.features().unwrap(), b.data.features().unwrap());
         deeplens::index::dist::sq_euclidean(fa, fb) <= 9.0
     };
-    let reference = ops::nested_loop_join(&left, &right, theta, &WorkerPool::new(1));
+    let reference = ops::nested_loop_join(&left, &right, theta, &WorkerPool::new(1)).unwrap();
     assert!(!reference.is_empty());
     for threads in THREADS {
         assert_eq!(
-            ops::nested_loop_join(&left, &right, theta, &WorkerPool::new(threads)),
+            ops::nested_loop_join(&left, &right, theta, &WorkerPool::new(threads)).unwrap(),
             reference,
             "{threads} threads"
         );
@@ -91,7 +91,7 @@ fn nested_loop_join_order_stable_across_threads() {
 #[test]
 fn dedup_identical_across_thread_counts() {
     let patches = feature_patches(400, 5, 11);
-    let reference = ops::dedup_bruteforce(&patches, 3.0);
+    let reference = ops::dedup_bruteforce(&patches, 3.0).unwrap();
     for threads in THREADS {
         assert_eq!(
             session_on(threads).dedup(&patches, 3.0).unwrap(),
@@ -214,7 +214,7 @@ fn zero_dim_features_equivalent_across_variants() {
     let patches: Vec<Patch> = (0..30)
         .map(|i| Patch::features(PatchId(i), ImgRef::frame("z", i), vec![]))
         .collect();
-    let mut reference = ops::similarity_join_nested(&patches, &patches, 1.0);
+    let mut reference = ops::similarity_join_nested(&patches, &patches, 1.0).unwrap();
     reference.sort_unstable();
     assert_eq!(reference.len(), 30 * 30);
     for threads in THREADS {
