@@ -314,11 +314,12 @@ struct UnionFind {
 }
 
 impl UnionFind {
-    /// Singleton sets over `ids` (the positions `0..n`, as row ids).
-    fn new(ids: &[u32]) -> Self {
+    /// Singleton sets over the row ids `0..n`; `n` is at most
+    /// `u32::MAX + 1` (the caller checks it with [`plan::row_id`]).
+    fn new(n: usize) -> Self {
         UnionFind {
-            parent: ids.to_vec(),
-            size: vec![1; ids.len()],
+            parent: (0..=u32::MAX).take(n).collect(),
+            size: vec![1; n],
         }
     }
 
@@ -356,13 +357,13 @@ impl UnionFind {
 /// clusters ordered by their smallest member. More than `u32::MAX + 1`
 /// patches is a [`DlError::SchemaMismatch`].
 pub fn cluster_from_pairs(n: usize, pairs: &[(u32, u32)]) -> Result<Vec<Vec<u32>>> {
-    let ids: Vec<u32> = (0..n).map(plan::row_id).collect::<Result<_>>()?;
-    let mut uf = UnionFind::new(&ids);
+    plan::row_id(n.saturating_sub(1))?;
+    let mut uf = UnionFind::new(n);
     for &(a, b) in pairs {
         uf.union(a, b);
     }
     let mut groups: HashMap<u32, Vec<u32>> = HashMap::new();
-    for i in ids {
+    for i in (0..=u32::MAX).take(n) {
         groups.entry(uf.find(i)).or_default().push(i);
     }
     let mut out: Vec<Vec<u32>> = groups.into_values().collect();
@@ -675,7 +676,7 @@ mod tests {
         // union-by-size the big cluster keeps absorbing the singleton, so
         // every parent chain stays O(log n).
         let n = 100_000u32;
-        let mut uf = UnionFind::new(&(0..n).collect::<Vec<_>>());
+        let mut uf = UnionFind::new(n as usize);
         for i in (1..n).rev() {
             uf.union(i, i - 1);
         }

@@ -300,32 +300,20 @@ impl MetaColumn {
         }
     }
 
-    /// Rows equal to `v` (derived [`Value`] equality), counted in the
-    /// encoded values.
-    fn count_eq(&self, v: &Value) -> usize {
-        match (self, v) {
-            (MetaColumn::Int(c), Value::Int(x)) => c.count_where(|y| y == *x),
-            // f64 PartialEq, exactly the derived Value equality (NaN never
-            // matches itself).
-            (MetaColumn::Float(c), Value::Float(x)) => c.count_where(|f| f == *x),
-            (MetaColumn::Str(c), Value::Str(s)) => c.count_eq(s),
-            (MetaColumn::Bool(c), Value::Bool(b)) => c.count_eq(*b),
-            (MetaColumn::Mixed(rows), _) => rows.iter().filter(|r| r.as_ref() == Some(v)).count(),
-            // Typed column of another type: nothing can equal v.
-            _ => 0,
-        }
-    }
-
-    /// The rows (chunk-local, ascending) equal to `v`.
+    /// The rows (chunk-local, ascending) equal to `v` (derived [`Value`]
+    /// equality).
     fn rows_eq(&self, v: &Value) -> Vec<usize> {
         match (self, v) {
             (MetaColumn::Int(c), Value::Int(x)) => c.rows_where(|y| y == *x),
+            // f64 PartialEq, exactly the derived Value equality (NaN never
+            // matches itself).
             (MetaColumn::Float(c), Value::Float(x)) => c.rows_where(|f| f == *x),
             (MetaColumn::Str(c), Value::Str(s)) => c.rows_eq(s),
             (MetaColumn::Bool(c), Value::Bool(b)) => c.rows_eq(*b),
             (MetaColumn::Mixed(rows), _) => (0..rows.len())
                 .filter(|&r| rows[r].as_ref() == Some(v))
                 .collect(),
+            // Typed column of another type: nothing can equal v.
             _ => Vec::new(),
         }
     }
@@ -336,21 +324,17 @@ impl MetaColumn {
     /// are counted in place.
     fn count_in_range(&self, lo: f64, hi: f64) -> usize {
         match self {
-            MetaColumn::Int(c) => match (c.stats().min, c.stats().max) {
-                // `i64 as f64` is monotone, so the coerced stats bound every
-                // coerced value.
-                (Some(min), Some(max)) if lo <= min as f64 && (max as f64) < hi => {
-                    c.stats().count - c.stats().null_count
-                }
-                _ => c.count_where(|x| in_range(x as f64, lo, hi)),
-            },
-            MetaColumn::Float(c) => match (c.stats().min, c.stats().max) {
-                // A NaN bound or a NaN stat fails a comparison and counts.
-                (Some(min), Some(max)) if lo <= min && max < hi => {
-                    c.stats().count - c.stats().null_count
-                }
-                _ => c.count_where(|f| in_range(f, lo, hi)),
-            },
+            // `i64 as f64` is monotone, so the coerced stats bound every
+            // coerced value.
+            MetaColumn::Int(c) => c
+                .stats()
+                .non_null_if(|min, max| lo <= min as f64 && (max as f64) < hi)
+                .unwrap_or_else(|| c.count_where(|x| in_range(x as f64, lo, hi))),
+            // A NaN bound or a NaN stat fails a comparison and counts.
+            MetaColumn::Float(c) => c
+                .stats()
+                .non_null_if(|min, max| lo <= min && max < hi)
+                .unwrap_or_else(|| c.count_where(|f| in_range(f, lo, hi))),
             MetaColumn::Str(_) | MetaColumn::Bool(_) => 0,
             MetaColumn::Mixed(rows) => rows.iter().filter(|r| mixed_in_range(r, lo, hi)).count(),
         }
@@ -543,17 +527,15 @@ impl ColumnarPatches {
             ScanFilter::All => group.rows,
             ScanFilter::FrameRange { lo, hi } => {
                 let (lo, last) = (ordered_i64(*lo), ordered_i64(hi - 1));
-                let stats = group.frame_nos.stats();
-                match (stats.min, stats.max) {
-                    (Some(min), Some(max)) if lo <= min && max <= last => {
-                        stats.count - stats.null_count
-                    }
-                    _ => group.frame_nos.count_where(|m| lo <= m && m <= last),
-                }
+                group
+                    .frame_nos
+                    .stats()
+                    .non_null_if(|min, max| lo <= min && max <= last)
+                    .unwrap_or_else(|| group.frame_nos.count_where(|m| lo <= m && m <= last))
             }
             ScanFilter::MetaEq { key, value } => self
                 .meta_index(key)
-                .map_or(0, |k| group.meta[k].count_eq(value)),
+                .map_or(0, |k| group.meta[k].rows_eq(value).len()),
             ScanFilter::MetaRange { key, lo, hi } => self
                 .meta_index(key)
                 .map_or(0, |k| group.meta[k].count_in_range(*lo, *hi)),

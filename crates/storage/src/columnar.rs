@@ -14,8 +14,8 @@
 //!
 //! Every encoding is lossless: `decode(encode(rows)) == rows`, bit for bit.
 //! The read side works on the encoded values without decoding a chunk into
-//! rows: `count_where` / `count_eq` count matches in place, `rows_where` /
-//! `rows_eq` list the matching rows, and `values_at` /
+//! rows: `count_where` counts matches in place, `rows_where` / `rows_eq`
+//! list the matching rows, and `values_at` /
 //! [`FeatureChunk::decode_rows`] decode just the rows asked for. The
 //! patch-level assembly and parallel scan live in `deeplens-core::scan`,
 //! which composes these columns into collections.
@@ -196,6 +196,18 @@ pub struct ChunkStats<T> {
     pub max: Option<T>,
     /// Whether the non-null subsequence is non-decreasing.
     pub sorted: bool,
+}
+
+impl<T: Copy> ChunkStats<T> {
+    /// The chunk's non-null count when `inside(min, max)` holds — the zone
+    /// map puts every value inside a filter, so the count needs no decode —
+    /// else `None`. An all-null chunk has no bounds and yields `None`.
+    pub fn non_null_if(&self, inside: impl FnOnce(T, T) -> bool) -> Option<usize> {
+        match (self.min, self.max) {
+            (Some(min), Some(max)) if inside(min, max) => Some(self.count - self.null_count),
+            _ => None,
+        }
+    }
 }
 
 fn stats_from<T: Copy + PartialOrd>(rows: &[Option<T>]) -> ChunkStats<T> {
@@ -613,25 +625,6 @@ impl StrChunk {
         }
     }
 
-    /// Rows equal to `s`, counted by comparing dictionary codes; a chunk
-    /// whose dictionary is `[s]` answers from its null count alone.
-    pub fn count_eq(&self, s: &str) -> usize {
-        let Some(code) = self.code(s) else {
-            return 0;
-        };
-        if self.dict.len() == 1 {
-            return self.count - self.null_count;
-        }
-        let mut n = 0;
-        bitpack::for_each(
-            &self.codes,
-            self.code_width,
-            self.count - self.null_count,
-            |c| n += usize::from(c == code),
-        );
-        n
-    }
-
     /// The rows (chunk-local, ascending) equal to `s`, found by comparing
     /// dictionary codes.
     pub fn rows_eq(&self, s: &str) -> Vec<usize> {
@@ -741,17 +734,6 @@ impl BoolChunk {
             validity,
             stats,
             bits,
-        }
-    }
-
-    /// Rows equal to `b`, counted from the bitmap's popcount (null rows
-    /// store a clear bit).
-    pub fn count_eq(&self, b: bool) -> usize {
-        let trues: usize = self.bits.iter().map(|w| w.count_ones() as usize).sum();
-        if b {
-            trues
-        } else {
-            self.stats.count - self.stats.null_count - trues
         }
     }
 
@@ -1642,7 +1624,6 @@ mod tests {
                 assert_eq!(decoded, rows);
                 for s in ["bike", "car", "person", "giraffe", ""] {
                     let want = matching(&decoded, |v| v == s);
-                    assert_eq!(chunk.count_eq(s), want.len(), "{s} of {distinct}");
                     assert_eq!(chunk.rows_eq(s), want, "{s} of {distinct}");
                 }
                 for sel in selections(&mut rng, rows.len()) {
@@ -1660,7 +1641,6 @@ mod tests {
             assert_eq!(decoded, rows);
             for b in [false, true] {
                 let want = matching(&decoded, |v| v == b);
-                assert_eq!(chunk.count_eq(b), want.len(), "{b}");
                 assert_eq!(chunk.rows_eq(b), want, "{b}");
             }
             for sel in selections(&mut rng, rows.len()) {
