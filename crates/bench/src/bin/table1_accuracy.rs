@@ -79,7 +79,7 @@ fn main() {
         .collect();
     let truth = truth_pairs(all, &ped_ids);
     // A single-core session: the plans differ in filter order, not threads.
-    let session = Session::ephemeral().expect("create the session directory");
+    let session = Session::ephemeral().expect("open a session");
     println!(
         "Table 1 | detections={}, pedestrian identities={}, truth pairs={}",
         all.len(),

@@ -632,7 +632,6 @@ mod tests {
     use super::*;
     use crate::patch::{ImgRef, PatchId};
     use crate::shared::SharedCatalog;
-    use deeplens_exec::Device;
 
     fn feat_patches(n: u64, dim: usize, seed: u64) -> Vec<Patch> {
         let mut s = seed;
@@ -649,9 +648,9 @@ mod tests {
             .collect()
     }
 
-    fn seeded_session(device: Device) -> Session {
+    fn seeded_session(threads: usize) -> Session {
         let mut s = Session::ephemeral().unwrap();
-        s.set_device(device);
+        s.set_threads(threads);
         s.catalog.materialize("small", feat_patches(60, 6, 1));
         s.catalog.materialize("large", feat_patches(220, 6, 2));
         s.catalog.materialize("other", feat_patches(90, 6, 3));
@@ -673,12 +672,12 @@ mod tests {
 
     #[test]
     fn batch_matches_serial_issuance() {
-        for device in [Device::Avx, Device::ParallelCpu(4)] {
-            let s = seeded_session(device);
+        for threads in [1, 2, 4] {
+            let s = seeded_session(threads);
             let got = mixed_batch(&s).run().unwrap();
             let want = mixed_batch(&s).run_serial().unwrap();
             assert_eq!(got.len(), 7);
-            assert_eq!(got, want, "device {device:?}");
+            assert_eq!(got, want, "{threads} threads");
             assert!(!got[0].pairs().unwrap().is_empty());
             assert!(!got[4].clusters().unwrap().is_empty());
         }
@@ -686,7 +685,7 @@ mod tests {
 
     #[test]
     fn filtered_join_applies_predicate_per_pair() {
-        let s = seeded_session(Device::Avx);
+        let s = seeded_session(1);
         let pred: JoinPredicate =
             Arc::new(|l: &Patch, r: &Patch| (l.id.0 + r.id.0).is_multiple_of(2));
         let mut b = s.batch();
@@ -707,7 +706,7 @@ mod tests {
 
     #[test]
     fn missing_collection_fails_whole_batch() {
-        let s = seeded_session(Device::Avx);
+        let s = seeded_session(1);
         let mut b = s.batch();
         b.similarity_join("small", "missing", 1.0);
         assert!(matches!(b.run(), Err(DlError::NotFound(_))));
@@ -718,7 +717,7 @@ mod tests {
 
     #[test]
     fn mismatched_dimensions_fail_the_batch_at_plan_time() {
-        let s = seeded_session(Device::Avx);
+        let s = seeded_session(1);
         s.catalog.materialize("narrow", feat_patches(20, 4, 9));
         let mismatch = |b: QueryBatch<'_>| matches!(b.plan(), Err(DlError::SchemaMismatch(_)));
         let mut b = s.batch();
@@ -731,7 +730,7 @@ mod tests {
 
     #[test]
     fn empty_batch_returns_no_results() {
-        let s = seeded_session(Device::Avx);
+        let s = seeded_session(1);
         let b = s.batch();
         assert!(b.is_empty());
         assert!(b.run().unwrap().is_empty());
@@ -744,7 +743,7 @@ mod tests {
         // leave the admission count untouched.
         let shared = Arc::new(SharedCatalog::new());
         let mut a = Session::ephemeral_attached(shared.clone()).unwrap();
-        a.set_device(Device::ParallelCpu(8));
+        a.set_threads(8);
         a.catalog.materialize("small", feat_patches(50, 4, 7));
         a.catalog.materialize("large", feat_patches(150, 4, 8));
         let _b = Session::ephemeral_attached(shared.clone()).unwrap();
@@ -777,7 +776,7 @@ mod tests {
         // collection after run() starts (simulated here by mutating between
         // building and running two identical batches) cannot make members
         // disagree — each run is internally consistent.
-        let s = seeded_session(Device::Avx);
+        let s = seeded_session(1);
         let mut b1 = s.batch();
         b1.similarity_join("small", "large", 2.0);
         b1.dedup("small", 3.0);
@@ -798,7 +797,7 @@ mod tests {
 
     #[test]
     fn estimate_is_at_the_floor_when_every_member_is_cache_resident() {
-        let s = seeded_session(Device::Avx);
+        let s = seeded_session(1);
         let planner = DevicePlanner::default();
         let cold = mixed_batch(&s).plan().unwrap();
         assert!(cold.estimate_us(&planner) > 1.0, "cold members cost work");
@@ -810,7 +809,7 @@ mod tests {
 
     #[test]
     fn shared_tree_pass_is_priced_as_one_batched_join_not_k_singles() {
-        let s = seeded_session(Device::Avx);
+        let s = seeded_session(1);
         let model = CostModel::default();
         let planner = DevicePlanner::default();
         let price = |right: &str, k: usize| {
@@ -856,7 +855,7 @@ mod tests {
 
     #[test]
     fn joins_and_dedups_of_an_indexed_snapshot_share_its_index() {
-        let s = seeded_session(Device::Avx);
+        let s = seeded_session(1);
         let model = CostModel::default();
         let planner = DevicePlanner::default();
         let batch = || {

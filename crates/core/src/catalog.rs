@@ -21,7 +21,9 @@ use deeplens_index::{BallTree, DeltaBallTree};
 use crate::optimizer::CostModel;
 use crate::patch::{Patch, PatchId};
 use crate::plan::row_id;
-use crate::scan::{row_scan, ColumnarPatches, Projection, ScanFilter, ScanResult};
+use crate::scan::{
+    row_scan, ColumnarPatches, Projection, ScanFilter, ScanResult, DEFAULT_CHUNK_ROWS,
+};
 use crate::value::Value;
 use crate::{DlError, Result};
 
@@ -209,18 +211,13 @@ impl PatchCollection {
         Ok(())
     }
 
-    /// Build a Ball-Tree over feature payloads under `index_name`.
+    /// Build a Ball-Tree over feature payloads under `index_name`, with
+    /// subtree construction fanned out over up to `threads` scoped workers.
+    /// The index is structurally identical for every `threads`.
     ///
     /// Errors with [`DlError::SchemaMismatch`] if any patch lacks features
     /// or two patches disagree on dimension.
-    pub fn build_ball_index(&mut self, index_name: &str) -> Result<()> {
-        self.build_ball_index_parallel(index_name, 1)
-    }
-
-    /// [`PatchCollection::build_ball_index`] with subtree construction
-    /// fanned out over up to `threads` scoped workers. The index is
-    /// structurally identical to the serial build.
-    pub fn build_ball_index_parallel(&mut self, index_name: &str, threads: usize) -> Result<()> {
+    pub fn build_ball_index(&mut self, index_name: &str, threads: usize) -> Result<()> {
         crate::plan::feature_shape(&self.patches, None)?;
         row_id(self.patches.len().saturating_sub(1))?;
         let vectors: Vec<Vec<f32>> =
@@ -252,13 +249,6 @@ impl PatchCollection {
         )));
     }
 
-    /// [`PatchCollection::build_columnar`] at the default chunk size.
-    pub fn build_columnar_default(&mut self) {
-        self.columnar = Some(Arc::new(ColumnarPatches::from_patches_default(
-            &self.patches,
-        )));
-    }
-
     /// Carry a replaced collection's physical design forward onto this
     /// freshly materialized one — the single pass
     /// [`SharedCatalog::materialize`](crate::shared::SharedCatalog::materialize)
@@ -281,8 +271,8 @@ impl PatchCollection {
         if let Some(chunk_rows) = prior.columnar_chunk_rows() {
             self.build_columnar(chunk_rows);
             note_columnar_rebuilt();
-        } else if model.prefer_columnar_backing(self.len(), crate::scan::DEFAULT_CHUNK_ROWS) {
-            self.build_columnar_default();
+        } else if model.prefer_columnar_backing(self.len(), DEFAULT_CHUNK_ROWS) {
+            self.build_columnar(DEFAULT_CHUNK_ROWS);
             COLUMNAR_AUTOBUILT.fetch_add(1, Ordering::Relaxed);
         }
         for (name, index) in &prior.indexes {
@@ -301,8 +291,8 @@ impl PatchCollection {
     /// Eagerly build the columnar backing of a *first* materialize (no
     /// prior version) when the cost model predicts a win.
     pub(crate) fn maybe_autobuild_columnar(&mut self, model: &CostModel) {
-        if model.prefer_columnar_backing(self.len(), crate::scan::DEFAULT_CHUNK_ROWS) {
-            self.build_columnar_default();
+        if model.prefer_columnar_backing(self.len(), DEFAULT_CHUNK_ROWS) {
+            self.build_columnar(DEFAULT_CHUNK_ROWS);
             COLUMNAR_AUTOBUILT.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -328,7 +318,7 @@ impl PatchCollection {
         let dim = maintained.dim().unwrap_or(1);
         let merge = model.incremental_index_cost(self.len(), maintained.delta_rows(), dim)
             >= model.rebuild_cost(self.len(), dim);
-        if merge && self.build_ball_index_parallel(index_name, threads).is_ok() {
+        if merge && self.build_ball_index(index_name, threads).is_ok() {
             INDEX_DELTA_MERGES.fetch_add(1, Ordering::Relaxed);
         } else if !merge {
             self.indexes.insert(
@@ -582,7 +572,7 @@ mod tests {
     #[test]
     fn ball_index_similarity() {
         let mut col = make_collection();
-        col.build_ball_index("by_feat").unwrap();
+        col.build_ball_index("by_feat", 1).unwrap();
         let hits = col.lookup_similar("by_feat", &[3.0, 1.0], 0.1).unwrap();
         assert_eq!(hits.len(), 5, "five patches share feature [3,1]");
     }
@@ -590,7 +580,7 @@ mod tests {
     #[test]
     fn mismatched_dimensions_are_errors_not_panics() {
         let mut col = make_collection();
-        col.build_ball_index("by_feat").unwrap();
+        col.build_ball_index("by_feat", 1).unwrap();
         assert!(matches!(
             col.lookup_similar("by_feat", &[1.0, 2.0, 3.0], 1.0),
             Err(DlError::SchemaMismatch(_))
@@ -601,7 +591,7 @@ mod tests {
             vec![1.0; 4],
         ));
         assert!(matches!(
-            col.build_ball_index("mixed"),
+            col.build_ball_index("mixed", 1),
             Err(DlError::SchemaMismatch(_))
         ));
     }
@@ -640,8 +630,8 @@ mod tests {
     #[test]
     fn parallel_ball_index_matches_serial() {
         let mut col = make_collection();
-        col.build_ball_index("serial").unwrap();
-        col.build_ball_index_parallel("parallel", 4).unwrap();
+        col.build_ball_index("serial", 1).unwrap();
+        col.build_ball_index("parallel", 4).unwrap();
         for q in [[0.0f32, 1.0], [3.0, 1.0], [9.0, 1.0]] {
             assert_eq!(
                 col.lookup_similar("serial", &q, 1.5).unwrap(),
@@ -654,7 +644,7 @@ mod tests {
     fn live_ball_index_is_current_with_the_fewest_delta_rows() {
         let prior = {
             let mut col = make_collection();
-            col.build_ball_index("b_delta").unwrap();
+            col.build_ball_index("b_delta", 1).unwrap();
             col.build_hash_index("a_hash", "label").unwrap();
             col
         };
@@ -667,9 +657,9 @@ mod tests {
         };
         assert!(col.ball_index("b_delta", &[0.0, 0.0]).unwrap().delta_rows() > 0);
         assert!(is(&col, "b_delta"), "the only Ball index, delta and all");
-        col.build_ball_index("z_fresh").unwrap();
+        col.build_ball_index("z_fresh", 1).unwrap();
         assert!(is(&col, "z_fresh"), "fewer delta rows beat the name order");
-        col.build_ball_index("c_fresh").unwrap();
+        col.build_ball_index("c_fresh", 1).unwrap();
         assert!(is(&col, "c_fresh"), "ties break by name");
         // An index that does not cover the rows is not live.
         col.patches.push(Patch::features(
@@ -703,7 +693,7 @@ mod tests {
         let stale = col.scan(&ScanFilter::All, Projection::Count, &pool);
         assert!(!stale.stats.used_columnar, "stale backing bypassed");
         assert_eq!(stale.stats.rows_matched, 51);
-        col.build_columnar_default();
+        col.build_columnar(DEFAULT_CHUNK_ROWS);
         let rebuilt = col.scan(&ScanFilter::All, Projection::Count, &pool);
         assert!(rebuilt.stats.used_columnar);
         assert_eq!(rebuilt.stats.rows_matched, 51);
@@ -715,7 +705,7 @@ mod tests {
         // must answer index lookups identically and independently.
         let mut col = make_collection();
         col.build_hash_index("by_label", "label").unwrap();
-        col.build_ball_index("by_feat").unwrap();
+        col.build_ball_index("by_feat", 1).unwrap();
         let copy = col.clone();
         assert_eq!(copy.len(), col.len());
         assert_eq!(

@@ -1,15 +1,10 @@
 //! Error type for the DeepLens core.
 
 use std::fmt;
-use std::io;
-use std::sync::Arc;
 
 /// Errors surfaced by the DeepLens core library.
 #[derive(Debug, Clone)]
 pub enum DlError {
-    /// File-system I/O failed (a session's working directory). Wrapped in
-    /// `Arc` so the error stays `Clone`.
-    Io(Arc<io::Error>),
     /// Underlying codec failure.
     Codec(deeplens_codec::CodecError),
     /// A pipeline failed type validation (§4.2).
@@ -34,7 +29,6 @@ pub enum DlError {
 impl fmt::Display for DlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DlError::Io(e) => write!(f, "I/O: {e}"),
             DlError::Codec(e) => write!(f, "codec: {e}"),
             DlError::TypeError(msg) => write!(f, "type error: {msg}"),
             DlError::NotFound(name) => write!(f, "not found: {name}"),
@@ -50,7 +44,6 @@ impl fmt::Display for DlError {
 impl std::error::Error for DlError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            DlError::Io(e) => Some(e.as_ref()),
             DlError::Codec(e) => Some(e),
             _ => None,
         }
@@ -78,8 +71,5 @@ mod tests {
             actual: "hash",
         };
         assert!(w.to_string().contains("ball"));
-        let io = DlError::Io(Arc::new(io::Error::new(io::ErrorKind::NotFound, "gone")));
-        assert!(io.to_string().contains("gone"));
-        assert!(std::error::Error::source(&io).is_some());
     }
 }

@@ -37,7 +37,8 @@
 //! * [`plan`] — the one way a similarity join or dedup executes: chosen
 //!   (probing a live catalog index when that is cheaper than a build),
 //!   priced and run as a [`plan::JoinPlan`].
-//! * [`session`] — a facade tying catalog, devices and ETL together.
+//! * [`session`] — a facade tying a catalog attachment, a thread budget and
+//!   ETL together.
 //!
 //! ```
 //! use deeplens_core::prelude::*;
@@ -45,7 +46,7 @@
 //! # fn main() -> Result<(), DlError> {
 //! // Build a tiny collection of feature patches and run a similarity join
 //! // under the plan the planner picks (serial pool; `Session` supplies the
-//! // pool its device implies).
+//! // pool of its thread budget).
 //! let catalog = SharedCatalog::new();
 //! let patches: Vec<Patch> = (0..10)
 //!     .map(|i| {

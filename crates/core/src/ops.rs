@@ -22,7 +22,7 @@
 //! morsels (after Leis et al., see `deeplens_exec::pool`) and reassemble
 //! results in morsel order, so every output is byte-identical across thread
 //! counts. Pass `WorkerPool::new(1)` for strictly serial execution;
-//! [`crate::session::Session`] supplies the pool its device implies.
+//! [`crate::session::Session`] supplies the pool of its thread budget.
 
 use std::collections::HashMap;
 

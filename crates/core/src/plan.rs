@@ -7,10 +7,10 @@
 //! side, or fall back to the nested loop for relations with featureless
 //! rows — and where a join whose featured rows disagree on dimension is
 //! rejected. A dedup is the self-join `choose(rows, rows)`. The choice
-//! depends on the two sides only, never on the session's device: the
-//! device sets the worker count a tree plan runs with; the nested loop
-//! runs serially. It sees each side as a [`JoinSide`]: the rows, plus the live Ball index
-//! when the side is a materialized collection that has one. Bare slices
+//! depends on the two sides only, never on the session's thread budget:
+//! the budget sets the worker count a tree plan runs with; the nested loop
+//! runs serially. It sees each side as a [`JoinSide`]: the rows, plus the
+//! live Ball index when the side is a materialized collection that has one. Bare slices
 //! carry no index, so for them the choice is between the last two plans
 //! only.
 //! [`crate::batch::QueryBatch::plan`] calls it once per join member,
@@ -361,7 +361,7 @@ mod tests {
     /// `rows` as a collection carrying a live Ball index.
     fn indexed(rows: Vec<Patch>) -> PatchCollection {
         let mut col = PatchCollection::from_patches(rows);
-        col.build_ball_index("by_feat").unwrap();
+        col.build_ball_index("by_feat", 1).unwrap();
         col
     }
 

@@ -1,30 +1,26 @@
-//! Session facade: shared catalog + device + working directory.
+//! Session facade: a shared-catalog attachment and a worker count.
 //!
 //! A [`Session`] is the entry point applications use: it attaches to a
 //! [`SharedCatalog`] (its own fresh one by default, or one shared with other
-//! sessions via [`Session::attach`]), picks the execution device, and
-//! manages the on-disk working directory for materialized storage
-//! (Frame/Encoded/Segmented files live under it).
+//! sessions via [`Session::ephemeral_attached`]) and carries the session's
+//! *thread budget*. A session touches no file system: everything it
+//! materializes lives in the catalog.
 //!
-//! The device is the session's *thread budget*: every join, dedup, index
-//! build, and pipeline run issued through the session executes on the
-//! worker pool the device implies — `Device::ParallelCpu(n)` fans
-//! operators out over `n` morsel workers, and the single-core backends run
-//! them serially; the plan a join takes never depends on the device. When
-//! several sessions share one catalog the budget is *divided* across them
-//! ([`Session::effective_threads`]): the machine no longer belongs to a
-//! single query, so each session gets its exact share of
-//! `device_threads` — the even split plus, for the sessions of lowest
-//! slot rank, one of the `device_threads % active_sessions` remainder
-//! threads — never below one worker, and never stranding a core.
+//! Every join, dedup, index build, and pipeline run issued through the
+//! session executes on the worker pool the budget implies — `n` morsel
+//! workers, or one per hardware thread for `0` — and the plan a join takes
+//! never depends on it. When several sessions share one catalog the budget
+//! is *divided* across them ([`Session::effective_threads`]): the machine no
+//! longer belongs to a single query, so each session gets its exact share of
+//! its budget — the even split plus, for the sessions of lowest slot rank,
+//! one of the `threads % active_sessions` remainder threads — never below
+//! one worker, and never stranding a core.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use deeplens_analyze::sync::{LockRank, OrderedMutex};
 use deeplens_codec::{FrameCache, Image};
-use deeplens_exec::{Device, WorkerPool};
+use deeplens_exec::{configured_threads, WorkerPool};
 
 use crate::batch::{BatchQuery, BatchResult, QueryBatch};
 use crate::cache::{fingerprint, CachedResult};
@@ -35,9 +31,6 @@ use crate::patch::Patch;
 use crate::plan::{self, JoinPlan};
 use crate::shared::SharedCatalog;
 use crate::Result;
-
-/// Distinguishes ephemeral session directories created by this process.
-static EPHEMERAL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Decoded frames a session's frame cache retains by default. Sized for a
 /// few seconds of footage: enough that back-to-back ingest batches over one
@@ -50,16 +43,13 @@ pub const DEFAULT_FRAME_CACHE_FRAMES: usize = 256;
 pub struct Session {
     /// The shared materialization catalog this session is attached to.
     pub catalog: Arc<SharedCatalog>,
-    device: Device,
     /// The catalog slot this session occupies while attached; its rank
     /// among the active slots decides whether this session receives one of
     /// the remainder threads of an uneven budget split.
     slot: usize,
-    dir: PathBuf,
-    /// Whether the session created `dir` itself ([`Session::ephemeral`] /
-    /// [`Session::ephemeral_attached`]) and so removes it on drop. A
-    /// caller-supplied directory is never deleted.
-    owns_dir: bool,
+    /// The session's thread budget before the multi-session split; `0`
+    /// means one worker per hardware thread ([`configured_threads`]).
+    threads: usize,
     /// Bounded cache of decoded video frames serving this session's
     /// shared-scan ingest batches ([`Session::ingest_batch`]). Ranked
     /// `FrameCache`: a leaf with respect to catalog state — never held
@@ -68,28 +58,20 @@ pub struct Session {
 }
 
 impl Session {
-    /// Open a session with its working directory at `dir` (created if
-    /// missing), executing on `device`, attached to a fresh private catalog.
-    pub fn open(dir: impl AsRef<Path>, device: Device) -> Result<Self> {
-        Self::attach(dir, device, Arc::new(SharedCatalog::new()))
+    /// A session on one worker, attached to a fresh private catalog.
+    pub fn ephemeral() -> Result<Self> {
+        Self::ephemeral_attached(Arc::new(SharedCatalog::new()))
     }
 
-    /// Open a session attached to an existing shared catalog: concurrent
-    /// sessions over one `catalog` run queries, index builds, and pipelines
-    /// against the same collections.
-    pub fn attach(
-        dir: impl AsRef<Path>,
-        device: Device,
-        catalog: Arc<SharedCatalog>,
-    ) -> Result<Self> {
-        std::fs::create_dir_all(dir.as_ref()).map_err(|e| crate::DlError::Io(Arc::new(e)))?;
+    /// A session on one worker, attached to an existing shared catalog:
+    /// concurrent sessions over one `catalog` run queries, index builds, and
+    /// pipelines against the same collections.
+    pub fn ephemeral_attached(catalog: Arc<SharedCatalog>) -> Result<Self> {
         let slot = catalog.attach_session();
         Ok(Session {
             catalog,
-            device,
             slot,
-            dir: dir.as_ref().to_path_buf(),
-            owns_dir: false,
+            threads: 1,
             frame_cache: OrderedMutex::new(
                 LockRank::FrameCache,
                 "Session::frame_cache",
@@ -98,48 +80,15 @@ impl Session {
         })
     }
 
-    /// An in-memory-leaning session rooted in a temp directory, which is
-    /// removed again when the session drops.
-    ///
-    /// The directory name combines the process id, a wall-clock timestamp,
-    /// and a process-wide counter: two ephemeral sessions in one process get
-    /// distinct directories, and a recycled pid cannot inherit stale state
-    /// from an earlier run.
-    pub fn ephemeral() -> Result<Self> {
-        Self::ephemeral_attached(Arc::new(SharedCatalog::new()))
+    /// Set the session's thread budget: `n` morsel workers, or one per
+    /// hardware thread ([`configured_threads`]) for `0`.
+    pub fn set_threads(&mut self, n: usize) {
+        self.threads = n;
     }
 
-    /// [`Session::ephemeral`] attached to an existing shared catalog.
-    pub fn ephemeral_attached(catalog: Arc<SharedCatalog>) -> Result<Self> {
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        let seq = EPHEMERAL_SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join("deeplens-session").join(format!(
-            "s{}-{:x}-{}",
-            std::process::id(),
-            nanos,
-            seq
-        ));
-        let mut session = Self::attach(dir, Device::Avx, catalog)?;
-        session.owns_dir = true;
-        Ok(session)
-    }
-
-    /// The session's execution device.
-    pub fn device(&self) -> Device {
-        self.device
-    }
-
-    /// Switch the execution device, and with it the thread budget.
-    pub fn set_device(&mut self, device: Device) {
-        self.device = device;
-    }
-
-    /// The thread budget this session may actually use right now: the
-    /// device's worker count divided across every session attached to the
-    /// shared catalog, never below one.
+    /// The thread budget this session may actually use right now: its
+    /// worker count divided across every session attached to the shared
+    /// catalog, never below one.
     ///
     /// The division is exact, not a floor: the `budget % sessions`
     /// remainder threads are granted one-each to the sessions of lowest
@@ -148,11 +97,14 @@ impl Session {
     /// remainder — budget 8 across 3 sessions used 6 threads and idled 2
     /// forever.)
     pub fn effective_threads(&self) -> usize {
-        self.catalog
-            .session_thread_share(self.slot, self.device.resolved_threads())
+        let budget = match self.threads {
+            0 => configured_threads(),
+            n => n,
+        };
+        self.catalog.session_thread_share(self.slot, budget)
     }
 
-    /// The worker pool the session's device implies: its share of the
+    /// The worker pool of the session's thread budget: its share of the
     /// machine's morsel workers ([`Session::effective_threads`]).
     pub fn pool(&self) -> WorkerPool {
         WorkerPool::new(self.effective_threads())
@@ -190,9 +142,9 @@ impl Session {
 
     /// Similarity join on the session pool: `(left_idx, right_idx)` pairs
     /// within `tau`, sorted. The physical plan is [`JoinPlan::choose`]'s,
-    /// and every device returns the identical pair set: patches without
-    /// features never match on any of them. Rows that disagree on feature
-    /// dimension are a [`crate::DlError::SchemaMismatch`].
+    /// and every thread count returns the identical pair set: patches
+    /// without features never match on any of them. Rows that disagree on
+    /// feature dimension are a [`crate::DlError::SchemaMismatch`].
     pub fn similarity_join(
         &self,
         left: &[Patch],
@@ -329,21 +281,11 @@ impl Session {
     ) -> Result<usize> {
         pipeline.run(frames, source, &self.catalog, output_name, &self.pool())
     }
-
-    /// The working directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
         self.catalog.detach_session(self.slot);
-        if self.owns_dir {
-            // Best effort: a leftover temp directory is not worth a panic
-            // in drop.
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
     }
 }
 
@@ -352,50 +294,6 @@ mod tests {
     use super::*;
     use crate::etl::{FeaturizeTransformer, WholeImageGenerator};
     use crate::patch::{ImgRef, Patch, PatchId};
-
-    #[test]
-    fn session_lifecycle() {
-        let mut s = Session::ephemeral().unwrap();
-        assert_eq!(s.device(), Device::Avx);
-        s.set_device(Device::Cpu);
-        assert_eq!(s.device(), Device::Cpu);
-        assert!(s.dir().exists());
-        assert!(s
-            .dir()
-            .join("traffic.dlb")
-            .to_string_lossy()
-            .contains("traffic.dlb"));
-    }
-
-    #[test]
-    fn ephemeral_sessions_get_distinct_directories() {
-        // Regression: keying the temp dir on the pid alone made two
-        // ephemeral sessions in one process share (and clobber) state.
-        let a = Session::ephemeral().unwrap();
-        let b = Session::ephemeral().unwrap();
-        let c = Session::ephemeral().unwrap();
-        assert_ne!(a.dir(), b.dir());
-        assert_ne!(a.dir(), c.dir());
-        assert_ne!(b.dir(), c.dir());
-        assert!(a.dir().exists() && b.dir().exists() && c.dir().exists());
-    }
-
-    #[test]
-    fn ephemeral_directories_are_removed_on_drop_attached_ones_survive() {
-        // Regression: the server opens one ephemeral session per
-        // connection, and each leaked its working directory forever.
-        let s = Session::ephemeral().unwrap();
-        let ephemeral_dir = s.dir().to_path_buf();
-        std::fs::write(s.dir().join("spill.dlb"), b"x").unwrap();
-        assert!(ephemeral_dir.exists(), "lives as long as the session");
-        // A caller-supplied directory is the caller's to keep.
-        let kept = ephemeral_dir.join("kept");
-        let attached = Session::attach(&kept, Device::Avx, s.catalog.clone()).unwrap();
-        drop(attached);
-        assert!(kept.exists(), "attach never deletes");
-        drop(s);
-        assert!(!ephemeral_dir.exists(), "removed with its contents");
-    }
 
     #[test]
     fn catalog_reachable_through_session() {
@@ -407,10 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn device_thread_budget_flows_into_pool() {
+    fn thread_budget_flows_into_pool() {
         let mut s = Session::ephemeral().unwrap();
-        assert_eq!(s.pool().threads(), 1, "single-core device: serial pool");
-        s.set_device(Device::ParallelCpu(3));
+        assert_eq!(s.pool().threads(), 1, "sessions start on one worker");
+        s.set_threads(3);
         assert_eq!(s.pool().threads(), 3);
     }
 
@@ -418,21 +316,28 @@ mod tests {
     fn thread_budget_splits_across_attached_sessions() {
         let shared = Arc::new(SharedCatalog::new());
         let mut a = Session::ephemeral_attached(shared.clone()).unwrap();
-        a.set_device(Device::ParallelCpu(8));
+        a.set_threads(8);
         assert_eq!(shared.active_sessions(), 1);
         assert_eq!(a.pool().threads(), 8, "exclusive owner gets everything");
         {
             let mut b = Session::ephemeral_attached(shared.clone()).unwrap();
-            b.set_device(Device::ParallelCpu(8));
+            b.set_threads(8);
             assert_eq!(shared.active_sessions(), 2);
             assert_eq!(a.pool().threads(), 4, "budget halves with a peer");
             assert_eq!(b.pool().threads(), 4);
-            let mut c = Session::ephemeral_attached(shared.clone()).unwrap();
-            c.set_device(Device::Avx);
+            let c = Session::ephemeral_attached(shared.clone()).unwrap();
             assert_eq!(c.pool().threads(), 1, "never below one worker");
         }
         assert_eq!(shared.active_sessions(), 1, "drops detach");
         assert_eq!(a.pool().threads(), 8, "budget restored");
+        // 0 is one worker per hardware thread, split like any other budget.
+        a.set_threads(0);
+        let _b = Session::ephemeral_attached(shared.clone()).unwrap();
+        assert_eq!(
+            a.effective_threads(),
+            configured_threads().div_ceil(2),
+            "half the host, and the lowest slot takes the odd thread"
+        );
     }
 
     #[test]
@@ -445,7 +350,7 @@ mod tests {
             .map(|_| Session::ephemeral_attached(shared.clone()).unwrap())
             .collect();
         for s in &mut sessions {
-            s.set_device(Device::ParallelCpu(8));
+            s.set_threads(8);
         }
         let shares: Vec<usize> = sessions.iter().map(Session::effective_threads).collect();
         assert_eq!(shares.iter().sum::<usize>(), 8, "no stranded threads");
@@ -456,7 +361,7 @@ mod tests {
             .map(|_| Session::ephemeral_attached(shared.clone()).unwrap())
             .collect();
         for s in &mut more {
-            s.set_device(Device::ParallelCpu(8));
+            s.set_threads(8);
         }
         let shares: Vec<usize> = sessions
             .iter()
@@ -472,7 +377,7 @@ mod tests {
             .map(|_| Session::ephemeral_attached(shared.clone()).unwrap())
             .collect();
         for s in &mut crowd {
-            s.set_device(Device::ParallelCpu(4));
+            s.set_threads(4);
         }
         assert!(crowd.iter().all(|s| s.effective_threads() == 1));
     }
@@ -487,7 +392,7 @@ mod tests {
         let mut b = Session::ephemeral_attached(shared.clone()).unwrap();
         let mut c = Session::ephemeral_attached(shared.clone()).unwrap();
         for s in [&mut a, &mut b, &mut c] {
-            s.set_device(Device::ParallelCpu(7));
+            s.set_threads(7);
         }
         // 7 / 3 = 2 rem 1: the lowest slot gets the extra.
         assert_eq!(
@@ -499,7 +404,7 @@ mod tests {
         // 7 / 2 = 3 rem 1.
         assert_eq!([&b, &c].map(|s| s.effective_threads()), [4, 3]);
         let mut d = Session::ephemeral_attached(shared.clone()).unwrap();
-        d.set_device(Device::ParallelCpu(7));
+        d.set_threads(7);
         // d recycled slot 0, so it now holds the lowest rank.
         assert_eq!([&d, &b, &c].map(|s| s.effective_threads()), [3, 2, 2]);
         assert_eq!(
@@ -521,7 +426,6 @@ mod tests {
             .catalog
             .materialize("shared_col", vec![Patch::empty(id, ImgRef::frame("v", 0))]);
         assert_eq!(reader.catalog.snapshot("shared_col").unwrap().len(), 1);
-        assert_ne!(writer.dir(), reader.dir(), "working dirs stay private");
     }
 
     fn feat_patches(n: u64) -> Vec<Patch> {
@@ -537,30 +441,25 @@ mod tests {
     }
 
     #[test]
-    fn joins_and_dedup_agree_across_session_devices() {
+    fn joins_and_dedup_agree_across_thread_counts() {
         let mut left = feat_patches(40);
-        // A featureless straggler: every device must skip it pair-wise.
+        // A featureless straggler: every pool must skip it pair-wise.
         left.push(Patch::empty(PatchId(999), ImgRef::frame("t", 999)));
         let right = feat_patches(25);
         let mut reference: Option<Vec<(u32, u32)>> = None;
         let mut dedup_ref: Option<Vec<Vec<u32>>> = None;
-        for device in [
-            Device::Cpu,
-            Device::Avx,
-            Device::ParallelCpu(1),
-            Device::ParallelCpu(4),
-        ] {
+        for threads in [1, 2, 4] {
             let mut s = Session::ephemeral().unwrap();
-            s.set_device(device);
+            s.set_threads(threads);
             let pairs = s.similarity_join(&left, &right, 1.5).unwrap();
             match &reference {
                 None => reference = Some(pairs),
-                Some(r) => assert_eq!(r, &pairs, "device {device:?} join mismatch"),
+                Some(r) => assert_eq!(r, &pairs, "{threads} threads: join mismatch"),
             }
             let clusters = s.dedup(&left, 1.5).unwrap();
             match &dedup_ref {
                 None => dedup_ref = Some(clusters),
-                Some(r) => assert_eq!(r, &clusters, "device {device:?} dedup mismatch"),
+                Some(r) => assert_eq!(r, &clusters, "{threads} threads: dedup mismatch"),
             }
         }
     }
@@ -575,10 +474,10 @@ mod tests {
             .chain((6..9).map(|i| row(i, 8)))
             .collect();
         let mismatch = |r: Result<_>| matches!(r, Err(crate::DlError::SchemaMismatch(_)));
-        for device in [Device::Cpu, Device::Avx, Device::ParallelCpu(2)] {
+        for threads in [1, 2, 4] {
             let mut s = Session::ephemeral().unwrap();
-            s.set_device(device);
-            assert!(mismatch(s.dedup(&mixed, 1.0).map(drop)), "{device:?}");
+            s.set_threads(threads);
+            assert!(mismatch(s.dedup(&mixed, 1.0).map(drop)), "{threads}");
             assert!(mismatch(s.similarity_join(&mixed, &mixed, 1.0).map(drop)));
         }
     }
@@ -609,7 +508,7 @@ mod tests {
                 f: Box::new(|img| img.mean_color().to_vec()),
             }));
         let mut s = Session::ephemeral().unwrap();
-        s.set_device(Device::ParallelCpu(4));
+        s.set_threads(4);
         let n = s
             .run_pipeline(
                 &pipe,

@@ -306,7 +306,9 @@ impl SharedCatalog {
     /// at the default chunk size (zone-map pushdown for
     /// [`PatchCollection::scan`]).
     pub fn build_columnar(&self, collection: &str) -> Result<()> {
-        self.update_collection(collection, |c| c.build_columnar_default())
+        self.update_collection(collection, |c| {
+            c.build_columnar(crate::scan::DEFAULT_CHUNK_ROWS)
+        })
     }
 
     /// [`SharedCatalog::build_columnar`] with an explicit rows-per-chunk.
@@ -336,7 +338,7 @@ impl SharedCatalog {
         for _ in 0..OPTIMISTIC_TRIES {
             let before = self.snapshot(collection)?;
             let mut copy = (*before).clone();
-            copy.build_ball_index_parallel(index_name, threads)?;
+            copy.build_ball_index(index_name, threads)?;
             let mut shard = self.shard_of(collection).write();
             let slot = shard
                 .get_mut(collection)
@@ -352,9 +354,7 @@ impl SharedCatalog {
         }
         // Pessimistic fallback: build while holding the write latch. Readers
         // of this shard stall for the build, but the operation terminates.
-        self.update_collection(collection, |c| {
-            c.build_ball_index_parallel(index_name, threads)
-        })?
+        self.update_collection(collection, |c| c.build_ball_index(index_name, threads))?
     }
 
     // ---- lineage ----------------------------------------------------------
@@ -412,7 +412,7 @@ impl SharedCatalog {
         self.session_slots.lock().remove(&slot);
     }
 
-    /// The share of a `budget`-thread device the session holding `slot` may
+    /// The share of `budget` threads the session holding `slot` may
     /// use right now: `budget / n` for each of the `n` attached sessions,
     /// with the `budget % n` remainder threads granted one-each to the
     /// sessions of lowest slot rank — so the shares always sum to exactly

@@ -56,43 +56,11 @@ impl Device {
             _ => 1,
         }
     }
-
-    /// Parse a device from its command-line spelling, case-insensitively:
-    /// `cpu`, `avx`, `parallel` (auto thread count), or
-    /// `parallel:<n>` for an explicit worker count. `None` for anything
-    /// else — callers print their own usage message.
-    pub fn parse(spec: &str) -> Option<Device> {
-        let spec = spec.trim().to_ascii_lowercase();
-        match spec.as_str() {
-            "cpu" => Some(Device::Cpu),
-            "avx" => Some(Device::Avx),
-            "parallel" | "par" => Some(Device::ParallelCpu(0)),
-            _ => {
-                let n = spec
-                    .strip_prefix("parallel:")
-                    .or(spec.strip_prefix("par:"))?;
-                n.parse::<usize>().ok().map(Device::ParallelCpu)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_covers_the_cli_spellings() {
-        assert_eq!(Device::parse("cpu"), Some(Device::Cpu));
-        assert_eq!(Device::parse(" AVX "), Some(Device::Avx));
-        assert_eq!(Device::parse("parallel"), Some(Device::ParallelCpu(0)));
-        assert_eq!(Device::parse("parallel:6"), Some(Device::ParallelCpu(6)));
-        assert_eq!(Device::parse("par:2"), Some(Device::ParallelCpu(2)));
-        assert_eq!(Device::parse("gpu"), None);
-        assert_eq!(Device::parse("gpusim"), None);
-        assert_eq!(Device::parse("tpu"), None);
-        assert_eq!(Device::parse("parallel:x"), None);
-    }
 
     #[test]
     fn parallel_cpu_resolves_threads() {

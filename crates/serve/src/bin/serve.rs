@@ -1,7 +1,7 @@
 //! `serve` — stand up a DeepLens query server on a TCP address.
 //!
 //! ```text
-//! serve [--addr HOST:PORT] [--device cpu|avx|parallel[:N]]
+//! serve [--addr HOST:PORT] [--threads N]
 //!       [--budget-us N] [--queue-depth N] [--demo]
 //! ```
 //!
@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use deeplens_core::patch::{ImgRef, Patch};
 use deeplens_core::shared::SharedCatalog;
-use deeplens_exec::Device;
 use deeplens_serve::{serve, AdmissionConfig, ServerConfig};
 
 /// Deterministic feature patches (the same LCG the core test corpora use).
@@ -36,7 +35,7 @@ fn feat_patches(catalog: &SharedCatalog, n: u64, dim: usize, seed: u64) -> Vec<P
 
 fn usage() -> ! {
     eprintln!(
-        "usage: serve [--addr HOST:PORT] [--device cpu|avx|parallel[:N]] \
+        "usage: serve [--addr HOST:PORT] [--threads N] \
          [--budget-us N] [--queue-depth N] [--demo]"
     );
     std::process::exit(2)
@@ -49,9 +48,9 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => config.addr = args.next().unwrap_or_else(|| usage()),
-            "--device" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                config.device = Device::parse(&spec).unwrap_or_else(|| usage());
+            "--threads" => {
+                let v = args.next().and_then(|v| v.parse::<usize>().ok());
+                config.threads = v.unwrap_or_else(|| usage());
             }
             "--budget-us" => {
                 let v = args.next().and_then(|v| v.parse::<f64>().ok());

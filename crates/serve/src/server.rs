@@ -30,7 +30,6 @@ use deeplens_core::optimizer::DevicePlanner;
 use deeplens_core::patch::{ImgRef, Patch};
 use deeplens_core::session::Session;
 use deeplens_core::shared::SharedCatalog;
-use deeplens_exec::Device;
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::protocol::{
@@ -47,8 +46,9 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see
     /// [`ServerHandle::local_addr`]).
     pub addr: String,
-    /// Execution device of every connection's session.
-    pub device: Device,
+    /// Thread budget of every connection's session
+    /// ([`Session::set_threads`]; `0` is one worker per hardware thread).
+    pub threads: usize,
     /// Per-frame payload cap; larger announced frames are rejected without
     /// allocating and the connection is closed.
     pub max_frame_bytes: usize,
@@ -60,7 +60,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            device: Device::Avx,
+            threads: 1,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             admission: AdmissionConfig::default(),
         }
@@ -145,7 +145,7 @@ pub fn serve(catalog: Arc<SharedCatalog>, config: ServerConfig) -> std::io::Resu
                             admission: admission.clone(),
                             shutdown: shutdown.clone(),
                             planner,
-                            device: config.device,
+                            threads: config.threads,
                             max_frame_bytes: config.max_frame_bytes,
                         };
                         let handle = std::thread::spawn(move || conn.run(stream));
@@ -175,7 +175,7 @@ struct Connection {
     admission: Arc<AdmissionController>,
     shutdown: Arc<AtomicBool>,
     planner: DevicePlanner,
-    device: Device,
+    threads: usize,
     max_frame_bytes: usize,
 }
 
@@ -185,11 +185,10 @@ impl Connection {
         let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
         // The connection IS a session: remote clients enter the same
         // thread-budget split and snapshot isolation as in-process ones.
-        let mut session = match Session::ephemeral_attached(self.catalog.clone()) {
-            Ok(s) => s,
-            Err(_) => return,
+        let Ok(mut session) = Session::ephemeral_attached(self.catalog.clone()) else {
+            return;
         };
-        session.set_device(self.device);
+        session.set_threads(self.threads);
 
         loop {
             let payload = match self.read_frame_interruptible(&mut stream) {

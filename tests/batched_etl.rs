@@ -60,7 +60,7 @@ fn make_pipeline(kind: u8) -> Pipeline {
 fn session(threads: usize, shards: usize) -> Session {
     let catalog = Arc::new(SharedCatalog::with_shards(shards));
     let mut s = Session::ephemeral_attached(catalog).unwrap();
-    s.set_device(Device::ParallelCpu(threads));
+    s.set_threads(threads);
     s
 }
 

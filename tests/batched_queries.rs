@@ -27,17 +27,17 @@ fn feature_patches(n: u64, dim: usize, seed: u64) -> Vec<Patch> {
 /// three collections of distinct sizes plus a Ball-Tree index on the
 /// largest.
 fn corpus_session(threads: usize, shards: usize) -> Session {
-    plan_corpus_session(Device::ParallelCpu(threads), shards, false)
+    plan_corpus_session(threads, shards, false)
 }
 
 /// The corpus widened so every [`JoinPlan`] is reachable: `odd` carries a
 /// featureless straggler row, which forces the nested fallback wherever it
 /// must be indexed. `backed` gives every collection a columnar backing,
 /// which no plan reads.
-fn plan_corpus_session(device: Device, shards: usize, backed: bool) -> Session {
+fn plan_corpus_session(threads: usize, shards: usize, backed: bool) -> Session {
     let catalog = Arc::new(SharedCatalog::with_shards(shards));
     let mut s = Session::ephemeral_attached(catalog).unwrap();
-    s.set_device(device);
+    s.set_threads(threads);
     let mut odd = feature_patches(25, 5, 55);
     odd.push(Patch::empty(PatchId(25), ImgRef::frame("t", 25)));
     s.catalog.materialize("wee", feature_patches(16, 5, 44));
@@ -192,11 +192,9 @@ fn k4_compatible_batch_matches_serial_across_threads_and_shards() {
 
 #[test]
 fn batch_matches_serial_on_gpu_device() {
-    // The batch on the scalar reference device, which the proptest's sweep
-    // does not cover; every join member must also equal the all-pairs
-    // answer of Fig. 8's simulated GPU over the same snapshots.
-    let mut s = corpus_session(1, 4);
-    s.set_device(Device::Cpu);
+    // Every join member of a one-worker batch must also equal the
+    // all-pairs answer of Fig. 8's simulated GPU over the same snapshots.
+    let s = corpus_session(1, 4);
     let members = [
         ("mid", "big", 1.0f32),
         ("mid", "big", 2.5),
@@ -247,7 +245,7 @@ fn batch_and_concurrent_sessions_compose() {
                 let catalog = catalog.clone();
                 scope.spawn(move || {
                     let mut s = Session::ephemeral_attached(catalog).unwrap();
-                    s.set_device(Device::ParallelCpu(4));
+                    s.set_threads(4);
                     let mut b = s.batch();
                     b.similarity_join("tiny", "big", 2.0);
                     b.dedup("mid", 1.5);
@@ -268,35 +266,28 @@ proptest! {
     /// A `QueryBatch` of K random compatible queries (plain and filtered
     /// joins, dedups, index probes over a shared corpus) returns
     /// byte-identical results to serial issuance *and* to the brute-force
-    /// oracle — across 1/2/4 worker threads and the vectorized core, 1/16
-    /// catalog shards, backed and unbacked collections (the on-the-fly
-    /// Ball-Tree, persisted-index and nested plans all run, and a backing
-    /// changes none of them), before and after
-    /// a write leaves `big`'s index delta-maintained, with every
-    /// configuration agreeing on the bytes.
+    /// oracle — across 1/2/4 worker threads, 1/16 catalog shards, backed
+    /// and unbacked collections (the on-the-fly Ball-Tree, persisted-index
+    /// and nested plans all run, and a backing changes none of them),
+    /// before and after a write leaves `big`'s index delta-maintained, with
+    /// every configuration agreeing on the bytes.
     #[test]
     fn random_batches_byte_identical_to_serial(
         specs in prop::collection::vec((0u8..4, 0usize..5, 0usize..5, 0usize..5), 4..9),
     ) {
-        let devices = [
-            Device::ParallelCpu(1),
-            Device::ParallelCpu(2),
-            Device::ParallelCpu(4),
-            Device::Avx,
-        ];
         let mut reached = Vec::new();
         let mut unbacked_plans = Vec::new();
         // One reference per phase: before and after the write to `big`.
         let mut reference: [Option<Vec<BatchResult>>; 2] = [None, None];
         for (shards, backed) in [(1usize, false), (1, true), (16, false), (16, true)] {
-            for device in devices {
-                let s = plan_corpus_session(device, shards, backed);
+            for threads in [1, 2, 4] {
+                let s = plan_corpus_session(threads, shards, backed);
                 for (phase, reference) in reference.iter_mut().enumerate() {
                     if phase == 1 {
                         rewrite_big(&s);
                     }
                     let shape =
-                        format!("{device:?} / {shards} shards / backed={backed} / phase {phase}");
+                        format!("{threads} threads / {shards} shards / backed={backed} / phase {phase}");
                     let snap = |name: &str| s.catalog.snapshot(name).unwrap();
                     // Planned as the batch plans them: with each snapshot's
                     // live index.
@@ -310,7 +301,7 @@ proptest! {
                     if backed {
                         let unbacked = unbacked_plans
                             .iter()
-                            .find(|(sh, d, p, _)| (*sh, *d, *p) == (shards, device, phase))
+                            .find(|(sh, d, p, _)| (*sh, *d, *p) == (shards, threads, phase))
                             .map(|(_, _, _, plans)| plans);
                         prop_assert_eq!(
                             unbacked,
@@ -319,7 +310,7 @@ proptest! {
                             shape
                         );
                     } else {
-                        unbacked_plans.push((shards, device, phase, plans.clone()));
+                        unbacked_plans.push((shards, threads, phase, plans.clone()));
                     }
                     reached.extend(plans);
                     let batch = anchored(&s, &specs);

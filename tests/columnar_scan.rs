@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use deeplens::core::scan::row_scan;
 use deeplens::prelude::{
-    ColumnarPatches, Device, ImgRef, Patch, PatchCollection, PatchId, Projection, ScanFilter,
-    Session, SharedCatalog, Value, WorkerPool,
+    ColumnarPatches, ImgRef, Patch, PatchCollection, PatchId, Projection, ScanFilter, Session,
+    SharedCatalog, Value, WorkerPool,
 };
 
 /// Deterministic LCG so proptest shrinks over the seed, not the rows.
@@ -416,9 +416,9 @@ fn columnar_backing_survives_cow_and_respects_snapshots() {
 fn scan_agrees_across_session_thread_budgets() {
     let patches = random_patches(99, 1000);
     let mut reference: Option<Vec<Patch>> = None;
-    for device in [Device::Avx, Device::ParallelCpu(2), Device::ParallelCpu(8)] {
+    for threads in [1, 2, 4] {
         let mut session = Session::ephemeral().unwrap();
-        session.set_device(device);
+        session.set_threads(threads);
         session.catalog.materialize("c", patches.clone());
         session.build_columnar("c").unwrap();
         let got = session
@@ -431,7 +431,7 @@ fn scan_agrees_across_session_thread_budgets() {
         assert!(got.stats.used_columnar);
         match &reference {
             None => reference = Some(got.patches),
-            Some(r) => assert_eq!(bitwise(r), bitwise(&got.patches), "device {device:?}"),
+            Some(r) => assert_eq!(bitwise(r), bitwise(&got.patches), "{threads} threads"),
         }
     }
 }

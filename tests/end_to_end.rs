@@ -33,7 +33,7 @@ fn ingest_detect_query_roundtrip() {
     // Decode everything back through the layout and run the detector.
     let decoded = store.scan_range(0, store.frame_count()).unwrap();
     let detector = ObjectDetector::default_on(Device::Avx);
-    let session = Session::open(&dir, Device::Avx).unwrap();
+    let session = Session::ephemeral().unwrap();
     let mut patches = Vec::new();
     for (t, frame) in &decoded {
         for det in detector.detect(&ds.scene, *t, frame) {

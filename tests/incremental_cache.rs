@@ -112,7 +112,7 @@ proptest! {
             // Batched join / dedup / probe through the session layer.
             let run_batch = |catalog: &Arc<SharedCatalog>| {
                 let mut s = Session::ephemeral_attached(Arc::clone(catalog)).unwrap();
-                s.set_device(Device::ParallelCpu(threads));
+                s.set_threads(threads);
                 let mut b = s.batch();
                 b.similarity_join("probes", "col", tau);
                 b.dedup("col", tau);
@@ -228,7 +228,7 @@ fn carry_forward_preserves_indexes_and_columnar_backing() {
     let fresh = {
         let mut c = PatchCollection::from_patches(rows);
         c.build_hash_index("by_label", "label").unwrap();
-        c.build_ball_index("feat").unwrap();
+        c.build_ball_index("feat", 1).unwrap();
         c
     };
     let car = Value::from("car");
@@ -267,7 +267,7 @@ fn large_delta_crosses_merge_threshold_small_delta_does_not() {
 
     // Either way the published index answers like a fresh build.
     let mut fresh = PatchCollection::from_patches(replaced);
-    fresh.build_ball_index("feat").unwrap();
+    fresh.build_ball_index("feat", 1).unwrap();
     let snap = catalog.snapshot("col").unwrap();
     assert_eq!(
         snap.lookup_similar("feat", &[5.0; 5], 5.0).unwrap(),

@@ -82,7 +82,7 @@ fn eight_thread_engine_hammer_has_no_false_positives() {
     // One shared session: every thread's ingest batch contends on the SAME
     // ranked frame-cache mutex, the real FrameCache < BufferShard pattern.
     let mut session = Session::ephemeral_attached(catalog.clone()).unwrap();
-    session.set_device(Device::ParallelCpu(2));
+    session.set_threads(2);
     let session = &session;
 
     // One shared buffer pool, capacity small enough that dirty evictions

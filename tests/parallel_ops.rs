@@ -39,7 +39,7 @@ fn planned_join(left: &[Patch], right: &[Patch], tau: f32, threads: usize) -> Ve
 /// A session on `threads` morsel workers.
 fn session_on(threads: usize) -> Session {
     let mut s = Session::ephemeral().unwrap();
-    s.set_device(Device::ParallelCpu(threads));
+    s.set_threads(threads);
     s
 }
 
@@ -167,16 +167,17 @@ fn parallel_index_build_identical_across_thread_counts() {
     }
 }
 
-/// The session's device is a thread budget: a `ParallelCpu` session answers
-/// every join/dedup/pipeline/index request identically to a serial one.
+/// The session's thread budget routes every join/dedup/pipeline/index
+/// request, and a many-worker session answers each identically to a serial
+/// one.
 #[test]
 fn session_device_routes_thread_budget_end_to_end() {
     let frames: Vec<Image> = (0..8)
         .map(|t| Image::solid(32, 32, [(t * 31) as u8, 90, (t * 13) as u8]))
         .collect();
-    let run = |device: Device| {
+    let run = |threads: usize| {
         let mut s = Session::ephemeral().unwrap();
-        s.set_device(device);
+        s.set_threads(threads);
         let pipe =
             Pipeline::new(Box::new(WholeImageGenerator)).then(Box::new(FeaturizeTransformer {
                 label: "mean".into(),
@@ -201,9 +202,9 @@ fn session_device_routes_thread_budget_end_to_end() {
         let hits = snap.lookup_similar("by_feat", &probe, 35.0).unwrap();
         (patches, joined, clusters, hits)
     };
-    let serial = run(Device::Avx);
-    for device in [Device::ParallelCpu(2), Device::ParallelCpu(8)] {
-        assert_eq!(run(device), serial, "device {device:?}");
+    let serial = run(1);
+    for threads in [2, 4, 8] {
+        assert_eq!(run(threads), serial, "{threads} threads");
     }
 }
 
