@@ -27,7 +27,11 @@
 //! **Locking.** Entries shard by FNV-1a of the key; each shard is an
 //! `OrderedMutex` at [`LockRank::ResultCacheShard`] — the innermost rank in
 //! the workspace lock table. Lookups clone the value out under the shard
-//! lock and never acquire anything else while holding it.
+//! lock and never acquire anything else while holding it. A scan reply's
+//! rows are shared ([`ScanRows`](crate::scan::ScanRows)), so that clone —
+//! and the insert's — is a reference-count bump, not a copy of the rows.
+//! Values an insert replaces or evicts are dropped after the shard lock is
+//! released.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,7 +123,8 @@ impl ResultCache {
     }
 
     /// Look `key` up, promoting the entry to most-recently-used and
-    /// cloning its value out. Counts a hit or a miss.
+    /// cloning its value out (O(1) for a scan reply, whose rows are
+    /// shared). Counts a hit or a miss.
     pub fn get(&self, key: &[u8]) -> Option<CachedResult> {
         let mut shard = self.shard_for(key).lock();
         shard.clock += 1;
@@ -150,7 +155,9 @@ impl ResultCache {
     /// Insert (or refresh) an entry, evicting the shard's least-recently
     /// used entry if the shard is over budget. A no-op when disabled.
     /// Concurrent computations of the same key insert byte-identical
-    /// values, so last-writer-wins is harmless.
+    /// values, so last-writer-wins is harmless. The replaced and evicted
+    /// values are freed after the shard lock is released, so a lookup on
+    /// the shard never waits for a large reply to be dropped.
     pub fn insert(&self, key: Vec<u8>, value: CachedResult) {
         if self.shard_capacity == 0 {
             return;
@@ -158,7 +165,8 @@ impl ResultCache {
         let mut shard = self.shard_for(&key).lock();
         shard.clock += 1;
         let stamp = shard.clock;
-        shard.map.insert(key, Entry { stamp, value });
+        let replaced = shard.map.insert(key, Entry { stamp, value });
+        let mut evicted = None;
         if shard.map.len() > self.shard_capacity {
             if let Some(oldest) = shard
                 .map
@@ -166,10 +174,12 @@ impl ResultCache {
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(k, _)| k.clone())
             {
-                shard.map.remove(&oldest);
+                evicted = shard.map.remove(&oldest);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
+        drop(shard);
+        drop((replaced, evicted));
     }
 
     /// Lookups served from cache since construction.

@@ -98,7 +98,8 @@ pub mod prelude {
     pub use crate::patch::{ImgRef, Patch, PatchData, PatchId};
     pub use crate::plan::JoinPlan;
     pub use crate::scan::{
-        ColumnarPatches, Projection, ScanFilter, ScanResult, ScanStats, DEFAULT_CHUNK_ROWS,
+        ColumnarPatches, Projection, ScanFilter, ScanResult, ScanRows, ScanStats,
+        DEFAULT_CHUNK_ROWS,
     };
     pub use crate::session::Session;
     pub use crate::shared::SharedCatalog;

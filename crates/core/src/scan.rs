@@ -31,8 +31,10 @@
 //! (the single definition of row semantics): a chunk is only skipped when
 //! no row in it can possibly match.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use deeplens_codec::Image;
 use deeplens_exec::WorkerPool;
@@ -160,13 +162,44 @@ pub struct ScanStats {
 }
 
 /// A scan's output: the materialized patches (empty under
-/// [`Projection::Count`]) and the work counters.
+/// [`Projection::Count`]) and the work counters. Cloning is O(1): the rows
+/// are shared, not copied.
 #[derive(Debug, Clone)]
 pub struct ScanResult {
     /// Matching patches, in collection order.
-    pub patches: Vec<Patch>,
+    pub patches: ScanRows,
     /// Work counters for the scan.
     pub stats: ScanStats,
+}
+
+/// A scan's materialized rows, built once and then shared: a clone is a
+/// reference-count bump, so the result cache and every caller of a cached
+/// reply hold the same allocation, and the rows are freed once, by
+/// whichever holder drops last. Reads go through `Deref<Target = [Patch]>`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ScanRows(Arc<Vec<Patch>>);
+
+impl Deref for ScanRows {
+    type Target = [Patch];
+
+    fn deref(&self) -> &[Patch] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a ScanRows {
+    type Item = &'a Patch;
+    type IntoIter = std::slice::Iter<'a, Patch>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl From<Vec<Patch>> for ScanRows {
+    fn from(rows: Vec<Patch>) -> Self {
+        ScanRows(Arc::new(rows))
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -613,13 +646,14 @@ impl ColumnarPatches {
             } else {
                 PatchData::Empty
             };
-            // Keys are sorted, so the map is built in one ascending pass.
-            let meta = self
-                .meta_keys
-                .iter()
-                .zip(meta_cols.iter_mut())
-                .filter_map(|(key, col)| col.next().flatten().map(|v| (key.clone(), v)))
-                .collect();
+            // Keys are sorted, so each insert appends at the right edge:
+            // no temporary `Vec`, no sort.
+            let mut meta = BTreeMap::new();
+            for (key, col) in self.meta_keys.iter().zip(meta_cols.iter_mut()) {
+                if let Some(v) = col.next().flatten() {
+                    meta.insert(key.clone(), v);
+                }
+            }
             out.push(Patch {
                 id: PatchId(ordered_u64(ids[i].unwrap_or(0))),
                 img_ref: ImgRef {
@@ -649,7 +683,7 @@ impl ColumnarPatches {
         let (survivors, mut stats) = self.prune(filter);
         if survivors.is_empty() {
             return ScanResult {
-                patches: Vec::new(),
+                patches: Vec::new().into(),
                 stats,
             };
         }
@@ -681,7 +715,10 @@ impl ColumnarPatches {
             stats.rows_matched += matched;
             patches.append(&mut part);
         }
-        ScanResult { patches, stats }
+        ScanResult {
+            patches: patches.into(),
+            stats,
+        }
     }
 
     /// Feature-projected packed scan, kept for the benchmark's layer probe
@@ -789,7 +826,7 @@ pub fn row_scan(patches: &[Patch], filter: &ScanFilter, projection: Projection) 
         }
     }
     ScanResult {
-        patches: out,
+        patches: out.into(),
         stats: ScanStats {
             chunks_total: 0,
             chunks_pruned: 0,

@@ -237,6 +237,11 @@ impl Session {
     /// Scan `collection` against a consistent snapshot on the session pool:
     /// zone-map pushdown when the collection has a current columnar
     /// backing, row fallback otherwise (check `stats.used_columnar`).
+    ///
+    /// The returned rows may be shared with the catalog's result cache:
+    /// a miss materializes them once and caches the same allocation it
+    /// returns, and a hit hands that allocation out again. Neither copies
+    /// a row.
     pub fn scan(
         &self,
         collection: &str,
@@ -255,6 +260,7 @@ impl Session {
         }
         let result = snap.scan(filter, projection, &self.pool());
         if let Some(key) = key {
+            // O(1): the cache and the caller share the rows.
             cache.insert(key, CachedResult::Scan(result.clone()));
         }
         Ok(result)

@@ -4,15 +4,62 @@
 //! never for a join or dedup, which read rows, whatever their collections
 //! carry.
 //!
-//! Both counters are process-global, so every assertion lives in this one
-//! test function (integration test binaries run their tests in threads; a
-//! second test in this file would race the deltas).
+//! Both counters are process-global, so every assertion on them lives in
+//! one test function (integration test binaries run their tests in
+//! threads; a second test reading them would race the deltas).
+//!
+//! The binary also counts heap allocations per thread, so a test can bound
+//! the allocations of one call on its own thread: a result-cache hit on a
+//! materializing scan hands the cached rows out without copying any.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use deeplens::core::catalog::columnar_backing_hits;
 use deeplens::core::scan::rows_materialized;
 use deeplens::prelude::{
     ColumnarPatches, ImgRef, Patch, PatchId, Projection, ScanFilter, Session, WorkerPool,
 };
+
+/// The system allocator, counting `alloc`/`realloc` calls on the calling
+/// thread.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // A const-initialised `Cell` never allocates or registers a destructor,
+    // so touching it from inside the allocator cannot recurse.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far on the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter is a plain thread-local `Cell`.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn patches(n: usize) -> Vec<Patch> {
     (0..n)
@@ -73,4 +120,28 @@ fn scans_move_the_columnar_counters_and_joins_do_not() {
     let result = session.scan("wide_a", &filter, Projection::Count).unwrap();
     assert!(result.stats.used_columnar);
     assert_eq!(columnar_backing_hits() - before, 1, "one scan, one hit");
+}
+
+/// A result-cache hit on a 500-row `Full` scan allocates a handful of
+/// times (the cache key), not once per field of every row: the cached rows
+/// are shared with the caller, not cloned out. The collection stays on the
+/// row layout, so this test moves neither process-global counter above.
+#[test]
+fn a_cached_scan_hit_copies_no_row() {
+    let session = Session::ephemeral().unwrap();
+    session.catalog.materialize("log", patches(600));
+    let filter = ScanFilter::FrameRange { lo: 50, hi: 550 };
+    let miss = session.scan("log", &filter, Projection::Full).unwrap();
+    assert_eq!(miss.patches.len(), 500);
+    assert!(!miss.stats.used_columnar, "600 rows stay on the row layout");
+
+    let before = allocations();
+    let hit = session.scan("log", &filter, Projection::Full).unwrap();
+    let spent = allocations() - before;
+    assert_eq!(hit.patches, miss.patches);
+    assert!(
+        spent < 8,
+        "a cache hit on {} rows made {spent} allocations",
+        hit.patches.len()
+    );
 }

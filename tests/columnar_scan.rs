@@ -430,7 +430,7 @@ fn scan_agrees_across_session_thread_budgets() {
             .unwrap();
         assert!(got.stats.used_columnar);
         match &reference {
-            None => reference = Some(got.patches),
+            None => reference = Some(got.patches.to_vec()),
             Some(r) => assert_eq!(bitwise(r), bitwise(&got.patches), "{threads} threads"),
         }
     }

