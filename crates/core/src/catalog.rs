@@ -8,12 +8,12 @@
 //!
 //! Range predicates (`frame_no` windows, numeric metadata ranges) are
 //! [`ScanFilter::FrameRange`] / [`ScanFilter::MetaRange`] scans, pruned by
-//! the columnar backing's zone maps; backtracing (§5.1) goes through the
-//! lineage store, not a collection index.
+//! the collection's column-chunk zone maps; backtracing (§5.1) goes through
+//! the lineage store, not a collection index.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use deeplens_exec::WorkerPool;
 use deeplens_index::{BallTree, DeltaBallTree};
@@ -21,64 +21,16 @@ use deeplens_index::{BallTree, DeltaBallTree};
 use crate::optimizer::CostModel;
 use crate::patch::{Patch, PatchId};
 use crate::plan::row_id;
-use crate::scan::{
-    row_scan, ColumnarPatches, Projection, ScanFilter, ScanResult, DEFAULT_CHUNK_ROWS,
-};
+use crate::scan::{ColumnarPatches, Projection, ScanFilter, ScanResult};
 use crate::value::Value;
 use crate::{DlError, Result};
 
-/// Process-wide count of scans served off a live (row-count-current)
-/// columnar backing's chunks.
-static COLUMNAR_HITS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of scans that found a backing but had to bypass it
-/// because it was stale (row count disagreed with the collection).
-static COLUMNAR_STALE: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of columnar backings rebuilt by a re-materialize
-/// carrying a prior backing forward (see
-/// [`SharedCatalog::materialize`](crate::shared::SharedCatalog::materialize)).
-static COLUMNAR_REBUILT: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of columnar backings built *eagerly* by a materialize
-/// because `CostModel::prefer_columnar_backing` predicted a win (no explicit
-/// `build_columnar` call).
-static COLUMNAR_AUTOBUILT: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of Ball indexes carried across a re-materialize by
 /// delta maintenance (tombstones + side buffer), i.e. without a rebuild.
 static INDEX_DELTA_MAINTAINED: AtomicU64 = AtomicU64::new(0);
 /// Process-wide count of Ball-index deltas that crossed the cost model's
 /// merge threshold and were collapsed into a full rebuild.
 static INDEX_DELTA_MERGES: AtomicU64 = AtomicU64::new(0);
-
-/// Scans served by a live columnar backing since process start. Joins and
-/// dedups read rows, never a backing, so they are never hits.
-///
-/// Together with [`columnar_backing_stale`] this gives the backing hit/stale
-/// rate the serve stats endpoint reports.
-pub fn columnar_backing_hits() -> u64 {
-    COLUMNAR_HITS.load(Ordering::Relaxed)
-}
-
-/// Scans that bypassed a stale columnar backing since process start.
-pub fn columnar_backing_stale() -> u64 {
-    COLUMNAR_STALE.load(Ordering::Relaxed)
-}
-
-/// Columnar backings rebuilt by re-materializes since process start.
-pub fn columnar_backings_rebuilt() -> u64 {
-    COLUMNAR_REBUILT.load(Ordering::Relaxed)
-}
-
-pub(crate) fn note_columnar_hits() {
-    COLUMNAR_HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn note_columnar_rebuilt() {
-    COLUMNAR_REBUILT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Columnar backings built eagerly by the cost model since process start.
-pub fn columnar_backings_autobuilt() -> u64 {
-    COLUMNAR_AUTOBUILT.load(Ordering::Relaxed)
-}
 
 /// Ball indexes carried across a re-materialize by delta maintenance since
 /// process start.
@@ -137,10 +89,11 @@ pub struct PatchCollection {
     /// The patches, addressed by position.
     pub patches: Vec<Patch>,
     indexes: HashMap<String, SecondaryIndex>,
-    /// Chunked-columnar backing for zone-map scans, shared across clones
-    /// (the backing is immutable once built; `Arc` keeps the copy-on-write
-    /// clone cheap).
-    columnar: Option<Arc<ColumnarPatches>>,
+    /// The rows as column chunks, encoded by the first scan (or by
+    /// [`SharedCatalog::build_columnar`](crate::shared::SharedCatalog::build_columnar))
+    /// and reused by every later scan of this version. Immutable once set,
+    /// so a copy-on-write clone shares the `Arc`.
+    columnar: OnceLock<Arc<ColumnarPatches>>,
     /// Snapshot version stamped by `SharedCatalog` at publish time; `0`
     /// means "never published with a version" and is excluded from result
     /// caching. Versions are globally unique across all collections of a
@@ -155,7 +108,7 @@ impl PatchCollection {
         PatchCollection {
             patches,
             indexes: HashMap::new(),
-            columnar: None,
+            columnar: OnceLock::new(),
             version: 0,
         }
     }
@@ -239,24 +192,18 @@ impl PatchCollection {
         Ok(())
     }
 
-    /// Build (or rebuild) the chunked-columnar backing with `chunk_rows`
-    /// rows per chunk. Scans via [`PatchCollection::scan`] then prune with
-    /// the per-chunk zone maps instead of touching every row.
-    pub fn build_columnar(&mut self, chunk_rows: usize) {
-        self.columnar = Some(Arc::new(ColumnarPatches::from_patches(
-            &self.patches,
-            chunk_rows,
-        )));
+    /// Encode the current rows into column chunks now, replacing any
+    /// earlier encoding, so the next scan does not pay for it.
+    pub(crate) fn build_columnar(&mut self) {
+        self.columnar = OnceLock::from(encode(&self.patches));
     }
 
-    /// Carry a replaced collection's physical design forward onto this
-    /// freshly materialized one — the single pass
+    /// Carry a replaced collection's indexes forward onto this freshly
+    /// materialized one — the single pass
     /// [`SharedCatalog::materialize`](crate::shared::SharedCatalog::materialize)
-    /// runs:
+    /// runs. Column chunks are not carried: the new version encodes its own
+    /// on its first scan.
     ///
-    /// * the **columnar backing** is rebuilt at the prior granularity (or
-    ///   built eagerly when [`CostModel::prefer_columnar_backing`] predicts
-    ///   a win and the prior version had none);
     /// * **hash** indexes are rebuilt over the new rows (an O(n) build,
     ///   positional, and cheap next to the rows themselves); one whose rows
     ///   no longer fit `u32` row ids is dropped;
@@ -268,13 +215,6 @@ impl PatchCollection {
     ///   lack features (or change dimensionality) is dropped, exactly as a
     ///   fresh build over those rows would fail.
     pub fn carry_from(&mut self, prior: &PatchCollection, model: &CostModel, threads: usize) {
-        if let Some(chunk_rows) = prior.columnar_chunk_rows() {
-            self.build_columnar(chunk_rows);
-            note_columnar_rebuilt();
-        } else if model.prefer_columnar_backing(self.len(), DEFAULT_CHUNK_ROWS) {
-            self.build_columnar(DEFAULT_CHUNK_ROWS);
-            COLUMNAR_AUTOBUILT.fetch_add(1, Ordering::Relaxed);
-        }
         for (name, index) in &prior.indexes {
             match index {
                 SecondaryIndex::Hash { key, .. } => {
@@ -285,15 +225,6 @@ impl PatchCollection {
                     self.carry_ball_index(name, index, &prior.patches, model, threads);
                 }
             }
-        }
-    }
-
-    /// Eagerly build the columnar backing of a *first* materialize (no
-    /// prior version) when the cost model predicts a win.
-    pub(crate) fn maybe_autobuild_columnar(&mut self, model: &CostModel) {
-        if model.prefer_columnar_backing(self.len(), DEFAULT_CHUNK_ROWS) {
-            self.build_columnar(DEFAULT_CHUNK_ROWS);
-            COLUMNAR_AUTOBUILT.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -379,50 +310,29 @@ impl PatchCollection {
             .map(|(_, _, index)| index)
     }
 
-    /// The chunked-columnar backing, if built.
+    /// The rows' column chunks, if a scan or
+    /// [`SharedCatalog::build_columnar`](crate::shared::SharedCatalog::build_columnar)
+    /// has encoded them yet.
     pub fn columnar(&self) -> Option<&ColumnarPatches> {
-        self.columnar.as_deref()
+        self.columnar.get().map(|c| &**c)
     }
 
-    /// Rows-per-chunk of the backing, if one exists (live or stale).
-    /// Re-materializes use this to rebuild a replacement backing at the
-    /// same granularity.
-    pub fn columnar_chunk_rows(&self) -> Option<usize> {
-        self.columnar.as_ref().map(|c| c.chunk_rows())
-    }
-
-    /// The columnar backing **iff it is current** (row count agrees with the
-    /// collection). A stale backing — patches mutated after the build — is
-    /// never returned, and bumps [`columnar_backing_stale`]. A live one is
-    /// counted ([`columnar_backing_hits`]) by the [`PatchCollection::scan`]
-    /// that goes on to read it, not by this look.
-    pub fn live_columnar(&self) -> Option<&ColumnarPatches> {
-        match &self.columnar {
-            Some(c) if c.len() == self.patches.len() => Some(c),
-            Some(_) => {
-                COLUMNAR_STALE.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => None,
-        }
-    }
-
-    /// Scan the collection with zone-map pushdown when a current columnar
-    /// backing exists, falling back to the row layout otherwise. A backing
-    /// whose row count disagrees with the collection (patches were mutated
-    /// after the build) is stale and is bypassed, never served.
+    /// Scan the collection's column chunks with zone-map pushdown. The
+    /// first scan of a version encodes the chunks and every later scan
+    /// reuses them; concurrent first scans encode once. If `patches` grew or
+    /// shrank after the encoding (it is a public field), this call encodes
+    /// the current rows instead of answering from chunks of other rows.
     pub fn scan(
         &self,
         filter: &ScanFilter,
         projection: Projection,
         pool: &WorkerPool,
     ) -> ScanResult {
-        match self.live_columnar() {
-            Some(c) => {
-                note_columnar_hits();
-                c.scan(filter, projection, pool)
-            }
-            None => row_scan(&self.patches, filter, projection),
+        let chunks = self.columnar.get_or_init(|| encode(&self.patches));
+        if chunks.len() == self.patches.len() {
+            chunks.scan(filter, projection, pool)
+        } else {
+            encode(&self.patches).scan(filter, projection, pool)
         }
     }
 
@@ -471,6 +381,11 @@ impl PatchCollection {
             }),
         }
     }
+}
+
+/// `patches` as column chunks of the default size.
+fn encode(patches: &[Patch]) -> Arc<ColumnarPatches> {
+    Arc::new(ColumnarPatches::from_patches_default(patches))
 }
 
 /// A pre-reserved, contiguous range of patch ids.
@@ -671,32 +586,22 @@ mod tests {
     }
 
     #[test]
-    fn stale_columnar_backing_falls_back_to_rows() {
+    fn rows_pushed_after_a_scan_are_answered() {
         use crate::scan::{Projection, ScanFilter};
         let mut col = make_collection();
         let pool = deeplens_exec::WorkerPool::new(1);
-        // No backing yet: row fallback.
-        assert!(
-            !col.scan(&ScanFilter::All, Projection::Count, &pool)
-                .stats
-                .used_columnar
-        );
-        col.build_columnar(16);
-        assert!(col.columnar().is_some());
+        assert!(col.columnar().is_none(), "nothing encodes before a scan");
         let served = col.scan(&ScanFilter::All, Projection::Count, &pool);
         assert!(served.stats.used_columnar);
         assert_eq!(served.stats.rows_matched, 50);
-        // Mutating the patches makes the backing stale: the scan must
-        // bypass it (never serve the old rows) until it is rebuilt.
-        let extra = Patch::empty(PatchId(9999), ImgRef::frame("cam", 99));
-        col.patches.push(extra);
-        let stale = col.scan(&ScanFilter::All, Projection::Count, &pool);
-        assert!(!stale.stats.used_columnar, "stale backing bypassed");
-        assert_eq!(stale.stats.rows_matched, 51);
-        col.build_columnar(DEFAULT_CHUNK_ROWS);
-        let rebuilt = col.scan(&ScanFilter::All, Projection::Count, &pool);
-        assert!(rebuilt.stats.used_columnar);
-        assert_eq!(rebuilt.stats.rows_matched, 51);
+        assert_eq!(col.columnar().map(ColumnarPatches::len), Some(50));
+        // A row pushed after the encoding is still answered: the scan
+        // encodes the current rows rather than serve chunks that miss one.
+        col.patches
+            .push(Patch::empty(PatchId(9999), ImgRef::frame("cam", 99)));
+        let pushed = col.scan(&ScanFilter::All, Projection::Count, &pool);
+        assert!(pushed.stats.used_columnar);
+        assert_eq!(pushed.stats.rows_matched, 51);
     }
 
     #[test]

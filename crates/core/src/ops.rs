@@ -5,8 +5,8 @@
 //! over patches in hand is [`select`] (projection, limits and maps are plain
 //! `Iterator` adapters); a selection over a materialized collection is
 //! [`PatchCollection::scan`](crate::catalog::PatchCollection::scan) with a
-//! [`ScanFilter`](crate::scan::ScanFilter), which the columnar backing's
-//! zone maps prune. The generic θ-join is [`nested_loop_join`].
+//! [`ScanFilter`](crate::scan::ScanFilter), which the collection's
+//! column-chunk zone maps prune. The generic θ-join is [`nested_loop_join`].
 //!
 //! A *similarity* join or dedup does not run from here: its physical variant
 //! — a probe of the persisted Ball index a side's snapshot carries, an

@@ -27,15 +27,6 @@ pub struct CostModel {
     /// Cost units per row a collection scan touches (predicate evaluation
     /// over already-decoded metadata).
     pub scan_row_cost: f64,
-    /// Cost units per chunk a columnar scan *probes*: the zone-map lookup
-    /// plus the per-chunk decode setup. This is the fixed overhead the
-    /// chunked layout pays even for chunks it then skips.
-    pub chunk_probe_cost: f64,
-    /// Cost units to move one full `Patch` row between the row and columnar
-    /// layouts: every column decoded (or encoded), strings and vectors
-    /// allocated, metadata map rebuilt. An order of magnitude above
-    /// [`CostModel::scan_row_cost`] (touching an already-decoded row).
-    pub materialize_row_cost: f64,
 }
 
 impl Default for CostModel {
@@ -44,8 +35,6 @@ impl Default for CostModel {
             dist_eval_cost: 1.0,
             build_factor: 1.5,
             scan_row_cost: 0.2,
-            chunk_probe_cost: 4.0,
-            materialize_row_cost: 2.0,
         }
     }
 }
@@ -131,29 +120,6 @@ impl CostModel {
         build + probe_pass + (k - 1) as f64 * BATCH_RESIDUAL_FRACTION * probe_pass
     }
 
-    /// Estimated cost of a row-layout scan over `rows` patches: every row
-    /// is touched regardless of the filter's selectivity.
-    pub fn row_scan_cost(&self, rows: usize) -> f64 {
-        rows as f64 * self.scan_row_cost
-    }
-
-    /// Estimated cost of a chunked-columnar scan over `rows` patches at
-    /// `chunk_rows` rows per chunk, where the zone maps skip `skip_rate`
-    /// of the chunks (0 = none skipped, 1 = all skipped). Every chunk pays
-    /// the probe cost; only surviving chunks pay the per-row decode —
-    /// which is why a selective scan over a sorted column undercuts
-    /// [`CostModel::row_scan_cost`] while an unselective one runs slightly
-    /// above it (the zone maps aren't free).
-    pub fn columnar_scan_cost(&self, rows: usize, chunk_rows: usize, skip_rate: f64) -> f64 {
-        if rows == 0 {
-            return 0.0;
-        }
-        let chunk_rows = chunk_rows.max(1);
-        let chunks = rows.div_ceil(chunk_rows) as f64;
-        let surviving = chunks * (1.0 - skip_rate.clamp(0.0, 1.0));
-        chunks * self.chunk_probe_cost + surviving * chunk_rows as f64 * self.scan_row_cost
-    }
-
     /// Estimated cost of discarding a maintained Ball index and rebuilding
     /// it from scratch over the collection's current `n` rows — the
     /// alternative [`CostModel::incremental_index_cost`] is priced against.
@@ -178,25 +144,6 @@ impl CostModel {
         let d = delta_rows as f64;
         d * self.scan_row_cost + DELTA_PROBE_HORIZON * d * self.dist_eval_cost * dim as f64 / 8.0
     }
-
-    /// Whether a freshly materialized collection of `rows` rows should get
-    /// a chunked-columnar backing built eagerly, without waiting for an
-    /// explicit `build_columnar` call: `true` when the zone-map scan win
-    /// ([`CostModel::row_scan_cost`] minus [`CostModel::columnar_scan_cost`]
-    /// at a nominal [`NOMINAL_ZONE_SKIP`] skip rate), amortized over
-    /// [`COLUMNAR_AMORTIZE_SCANS`] scans, pays for encoding the columns
-    /// (one [`CostModel::materialize_row_cost`] per row). Collections under
-    /// [`COLUMNAR_AUTOBUILD_MIN_CHUNKS`] chunks never qualify — with
-    /// nothing to skip, zone maps are pure overhead.
-    pub fn prefer_columnar_backing(&self, rows: usize, chunk_rows: usize) -> bool {
-        let chunk_rows = chunk_rows.max(1);
-        if rows < COLUMNAR_AUTOBUILD_MIN_CHUNKS * chunk_rows {
-            return false;
-        }
-        let win =
-            self.row_scan_cost(rows) - self.columnar_scan_cost(rows, chunk_rows, NOMINAL_ZONE_SKIP);
-        win * COLUMNAR_AMORTIZE_SCANS >= rows as f64 * self.materialize_row_cost
-    }
 }
 
 /// Fraction of a full probe pass each additional member of a batched join
@@ -209,20 +156,6 @@ pub const BATCH_RESIDUAL_FRACTION: f64 = 0.15;
 /// opportunities (re-materializes): each pays an exact scan of the delta
 /// buffer, so a larger horizon makes the model merge sooner.
 pub const DELTA_PROBE_HORIZON: f64 = 64.0;
-
-/// Scans an eagerly built columnar backing is amortized over when deciding
-/// whether a fresh materialize should build one unprompted.
-pub const COLUMNAR_AMORTIZE_SCANS: f64 = 16.0;
-
-/// Nominal zone-map skip rate assumed for the auto-build decision: the
-/// fraction of chunks a *selective* scan prunes (the workload the backing
-/// exists for).
-pub const NOMINAL_ZONE_SKIP: f64 = 0.9;
-
-/// Minimum chunk count before an eager columnar build can pay off: below
-/// this, zone maps have nothing to skip. At the default chunk granularity
-/// this puts the auto-build floor at 4096 rows.
-pub const COLUMNAR_AUTOBUILD_MIN_CHUNKS: usize = 4;
 
 /// Wall-clock pricing of a kernel on the host's workers.
 ///
@@ -431,29 +364,5 @@ mod tests {
         // `cfg!(test)` is the only condition under which the public entry
         // point skips, which keeps pricing tests host-independent.
         assert_eq!(format!("{:?}", DevicePlanner::calibrated()), defaults);
-    }
-
-    #[test]
-    fn columnar_scan_cost_rewards_selectivity() {
-        let m = CostModel::default();
-        assert_eq!(m.columnar_scan_cost(0, 1024, 0.5), 0.0);
-        let rows = 100_000;
-        let row = m.row_scan_cost(rows);
-        // No chunks skipped: the columnar scan pays the zone-map probes on
-        // top of touching every row — slightly worse than the row layout.
-        let unselective = m.columnar_scan_cost(rows, 1024, 0.0);
-        assert!(unselective > row);
-        assert!(unselective < row * 1.2, "probe overhead stays small");
-        // 99% of chunks skipped: an order of magnitude under the row scan.
-        let selective = m.columnar_scan_cost(rows, 1024, 0.99);
-        assert!(selective < row / 10.0, "{selective} vs {row}");
-        // Monotone in skip rate; out-of-range rates clamp.
-        assert!(m.columnar_scan_cost(rows, 1024, 0.5) < unselective);
-        assert_eq!(
-            m.columnar_scan_cost(rows, 1024, 2.0),
-            m.columnar_scan_cost(rows, 1024, 1.0)
-        );
-        // Degenerate chunk size clamps to one row per chunk.
-        assert!(m.columnar_scan_cost(10, 0, 0.0) > 0.0);
     }
 }

@@ -156,8 +156,9 @@ pub struct ScanStats {
     pub rows_total: usize,
     /// Rows matching the filter.
     pub rows_matched: usize,
-    /// Whether the chunked-columnar backing served the scan (`false` means
-    /// the row-layout fallback ran).
+    /// Whether column chunks served the scan: `true` for every
+    /// [`ColumnarPatches::scan`] (so for every collection scan), `false`
+    /// only for the [`row_scan`] oracle.
     pub used_columnar: bool,
 }
 
@@ -462,7 +463,6 @@ impl ChunkGroup {
 /// consults before decoding anything.
 #[derive(Debug, Clone)]
 pub struct ColumnarPatches {
-    chunk_rows: usize,
     len: usize,
     /// All metadata keys appearing anywhere in the collection, sorted.
     meta_keys: Vec<String>,
@@ -483,7 +483,6 @@ impl ColumnarPatches {
             .map(|slice| ChunkGroup::encode(slice, &meta_keys))
             .collect();
         ColumnarPatches {
-            chunk_rows,
             len: patches.len(),
             meta_keys,
             chunks,
@@ -503,11 +502,6 @@ impl ColumnarPatches {
     /// Whether the backing holds no rows.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Rows per chunk.
-    pub fn chunk_rows(&self) -> usize {
-        self.chunk_rows
     }
 
     /// The collection's metadata keys, sorted.
@@ -802,9 +796,8 @@ impl PackedScan {
     }
 }
 
-/// The row-layout scan the columnar path must agree with, and the fallback
-/// [`crate::catalog::PatchCollection::scan`] runs when no (current)
-/// columnar backing exists.
+/// The row-layout scan: the oracle every columnar scan must agree with,
+/// byte for byte. No collection scan runs it.
 pub fn row_scan(patches: &[Patch], filter: &ScanFilter, projection: Projection) -> ScanResult {
     let mut out = Vec::new();
     let mut matched = 0usize;
@@ -1064,7 +1057,7 @@ mod tests {
             assert_eq!(f.parents, m.parents);
             assert_eq!(m.data, PatchData::Empty);
         }
-        // MetaOnly agrees with the row fallback's MetaOnly.
+        // MetaOnly agrees with the row oracle's MetaOnly.
         let row_meta = row_scan(&patches, &filter, Projection::MetaOnly);
         assert_eq!(meta.patches, row_meta.patches);
     }

@@ -227,16 +227,17 @@ impl Session {
             .max(1.0)
     }
 
-    /// Build the chunked-columnar scan backing of `collection` so that
-    /// [`Session::scan`] prunes chunks with zone maps instead of touching
-    /// every patch.
+    /// Encode `collection`'s column chunks now
+    /// ([`SharedCatalog::build_columnar`]), so its first [`Session::scan`]
+    /// does not pay for the encoding. Scans work without this call.
     pub fn build_columnar(&self, collection: &str) -> Result<()> {
         self.catalog.build_columnar(collection)
     }
 
-    /// Scan `collection` against a consistent snapshot on the session pool:
-    /// zone-map pushdown when the collection has a current columnar
-    /// backing, row fallback otherwise (check `stats.used_columnar`).
+    /// Scan `collection` against a consistent snapshot on the session pool,
+    /// pruning the snapshot's column chunks with their zone maps. The first
+    /// scan of a version encodes the chunks
+    /// ([`PatchCollection::scan`](crate::catalog::PatchCollection::scan)).
     ///
     /// The returned rows may be shared with the catalog's result cache:
     /// a miss materializes them once and caches the same allocation it

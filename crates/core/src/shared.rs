@@ -175,27 +175,24 @@ impl SharedCatalog {
     /// invisibly; use [`SharedCatalog::materialize_new`] to make the
     /// conflict a hard error instead.
     ///
-    /// The replaced version's physical design is carried forward in one
-    /// off-latch pass ([`PatchCollection::carry_from`]): a columnar backing
-    /// is rebuilt at the same granularity (or built eagerly when
-    /// `CostModel::prefer_columnar_backing` predicts a win),
-    /// hash indexes are rebuilt over the new rows, and Ball
-    /// indexes are **delta-maintained** — unchanged rows keep the prior
-    /// tree; only a cost-model-priced merge triggers a full rebuild. The
-    /// prior snapshot is peeked under the shard's *read* latch, which is
-    /// released before the lineage lock or the write latch is taken
-    /// (ordering rules 1–2); a version raced in between the peek and the
-    /// publish is missed, which only costs a dropped carry, never
-    /// correctness. The publish stamps a fresh snapshot version, so result
-    /// cache entries keyed to the replaced version can never be served
-    /// again.
+    /// The replaced version's indexes are carried forward in one off-latch
+    /// pass ([`PatchCollection::carry_from`]): hash indexes are rebuilt over
+    /// the new rows, and Ball indexes are **delta-maintained** — unchanged
+    /// rows keep the prior tree; only a cost-model-priced merge triggers a
+    /// full rebuild. Column chunks are not carried: the new version's first
+    /// scan encodes its own. The prior snapshot is peeked under the shard's
+    /// *read* latch, which is released before the lineage lock or the write
+    /// latch is taken (ordering rules 1–2); a version raced in between the
+    /// peek and the publish is missed, which only costs a dropped carry,
+    /// never correctness. The publish stamps a fresh snapshot version, so
+    /// result cache entries keyed to the replaced version can never be
+    /// served again.
     pub fn materialize(&self, name: &str, patches: Vec<Patch>) -> Option<Arc<PatchCollection>> {
         let prior = self.shard_of(name).read().get(name).cloned();
         self.lineage.write().record_all(patches.iter());
         let mut collection = PatchCollection::from_patches(patches);
-        match &prior {
-            Some(prior) => collection.carry_from(prior, &CostModel::default(), 1),
-            None => collection.maybe_autobuild_columnar(&CostModel::default()),
+        if let Some(prior) = &prior {
+            collection.carry_from(prior, &CostModel::default(), 1);
         }
         collection.set_version(self.next_version());
         self.shard_of(name)
@@ -216,7 +213,6 @@ impl SharedCatalog {
         // deadlock because no code path acquires a shard latch while
         // holding the lineage lock.
         let mut collection = PatchCollection::from_patches(patches);
-        collection.maybe_autobuild_columnar(&CostModel::default());
         collection.set_version(self.next_version());
         let collection = Arc::new(collection);
         let mut shard = self.shard_of(name).write();
@@ -302,18 +298,11 @@ impl SharedCatalog {
         self.update_collection(collection, |c| c.build_hash_index(index_name, key))?
     }
 
-    /// Build the chunked-columnar scan backing of collection `collection`
-    /// at the default chunk size (zone-map pushdown for
-    /// [`PatchCollection::scan`]).
+    /// Encode collection `collection`'s column chunks now and publish them
+    /// as a new version, so its first scan does not pay for the encoding.
+    /// Without this call the first [`PatchCollection::scan`] encodes them.
     pub fn build_columnar(&self, collection: &str) -> Result<()> {
-        self.update_collection(collection, |c| {
-            c.build_columnar(crate::scan::DEFAULT_CHUNK_ROWS)
-        })
-    }
-
-    /// [`SharedCatalog::build_columnar`] with an explicit rows-per-chunk.
-    pub fn build_columnar_chunked(&self, collection: &str, chunk_rows: usize) -> Result<()> {
-        self.update_collection(collection, |c| c.build_columnar(chunk_rows))
+        self.update_collection(collection, PatchCollection::build_columnar)
     }
 
     /// Build a Ball-Tree over feature payloads with up to `threads` build

@@ -78,15 +78,6 @@ pub struct ServeStats {
     pub admitted: u64,
     /// Requests shed with [`Response::Overloaded`] since the server started.
     pub shed: u64,
-    /// Scans served by a live (row-count-current) columnar backing since
-    /// process start (`deeplens_core::catalog::columnar_backing_hits`).
-    pub columnar_hits: u64,
-    /// Scans that found only a stale columnar backing and fell back to the
-    /// row layout since process start.
-    pub columnar_stale: u64,
-    /// Columnar backings rebuilt by re-materializes (rather than silently
-    /// dropped) since process start.
-    pub columnar_rebuilt: u64,
     /// Result-cache lookups served from cache since the catalog was built
     /// (`SharedCatalog::result_cache`).
     pub cache_hits: u64,
@@ -343,9 +334,6 @@ impl Response {
                 out.extend_from_slice(&s.collections.to_le_bytes());
                 out.extend_from_slice(&s.admitted.to_le_bytes());
                 out.extend_from_slice(&s.shed.to_le_bytes());
-                out.extend_from_slice(&s.columnar_hits.to_le_bytes());
-                out.extend_from_slice(&s.columnar_stale.to_le_bytes());
-                out.extend_from_slice(&s.columnar_rebuilt.to_le_bytes());
                 out.extend_from_slice(&s.cache_hits.to_le_bytes());
                 out.extend_from_slice(&s.cache_misses.to_le_bytes());
                 out.extend_from_slice(&s.cache_evictions.to_le_bytes());
@@ -591,9 +579,6 @@ impl Response {
                 collections: c.u32()?,
                 admitted: c.u64()?,
                 shed: c.u64()?,
-                columnar_hits: c.u64()?,
-                columnar_stale: c.u64()?,
-                columnar_rebuilt: c.u64()?,
                 cache_hits: c.u64()?,
                 cache_misses: c.u64()?,
                 cache_evictions: c.u64()?,
@@ -681,9 +666,6 @@ mod tests {
             collections: 2,
             admitted: 100,
             shed: 7,
-            columnar_hits: 41,
-            columnar_stale: 5,
-            columnar_rebuilt: 2,
             cache_hits: 19,
             cache_misses: 23,
             cache_evictions: 1,

@@ -252,9 +252,6 @@ impl Connection {
                 collections: self.catalog.names().len() as u32,
                 admitted: self.admission.admitted(),
                 shed: self.admission.shed(),
-                columnar_hits: deeplens_core::catalog::columnar_backing_hits(),
-                columnar_stale: deeplens_core::catalog::columnar_backing_stale(),
-                columnar_rebuilt: deeplens_core::catalog::columnar_backings_rebuilt(),
                 cache_hits: self.catalog.result_cache().hits(),
                 cache_misses: self.catalog.result_cache().misses(),
                 cache_evictions: self.catalog.result_cache().evictions(),

@@ -56,9 +56,8 @@
 //!     .collect();
 //! session.catalog.materialize("dets", patches);
 //!
-//! // Pack the rows into the chunked columnar layout: selective scans prune
-//! // whole chunks via zone maps.
-//! session.build_columnar("dets")?;
+//! // The first scan encodes the rows into column chunks; a selective scan
+//! // prunes whole chunks via their zone maps.
 //! let recent = session.scan(
 //!     "dets",
 //!     &ScanFilter::FrameRange { lo: 10, hi: 14 },

@@ -32,8 +32,8 @@ fn corpus_session(threads: usize, shards: usize) -> Session {
 
 /// The corpus widened so every [`JoinPlan`] is reachable: `odd` carries a
 /// featureless straggler row, which forces the nested fallback wherever it
-/// must be indexed. `backed` gives every collection a columnar backing,
-/// which no plan reads.
+/// must be indexed. `backed` encodes every collection's column chunks
+/// ahead of time, which no plan reads.
 fn plan_corpus_session(threads: usize, shards: usize, backed: bool) -> Session {
     let catalog = Arc::new(SharedCatalog::with_shards(shards));
     let mut s = Session::ephemeral_attached(catalog).unwrap();

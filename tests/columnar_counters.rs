@@ -1,12 +1,11 @@
-//! The columnar counters count what they name: `rows_materialized` moves
-//! by one per row a materializing scan assembles, and
-//! `columnar_backing_hits` by one per scan served off a live backing —
-//! never for a join or dedup, which read rows, whatever their collections
-//! carry.
+//! The columnar counter counts what it names: `rows_materialized` moves
+//! by one per row a materializing scan assembles, and by none on a
+//! result-cache hit. Joins and dedups read rows, so they never encode a
+//! collection's column chunks; only a scan does.
 //!
-//! Both counters are process-global, so every assertion on them lives in
-//! one test function (integration test binaries run their tests in
-//! threads; a second test reading them would race the deltas).
+//! The counter is process-global and integration test binaries run their
+//! tests in threads, so every test that scans holds `COUNTER_LOCK`: a
+//! scan in one test would otherwise race the deltas read in another.
 //!
 //! The binary also counts heap allocations per thread, so a test can bound
 //! the allocations of one call on its own thread: a result-cache hit on a
@@ -14,8 +13,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard};
 
-use deeplens::core::catalog::columnar_backing_hits;
 use deeplens::core::scan::rows_materialized;
 use deeplens::prelude::{
     ColumnarPatches, ImgRef, Patch, PatchId, Projection, ScanFilter, Session, WorkerPool,
@@ -61,6 +60,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Held by every test that scans, so no two tests move `rows_materialized`
+/// at once.
+static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+fn counter_lock() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the counter it guards is still sound.
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn patches(n: usize) -> Vec<Patch> {
     (0..n)
         .map(|i| {
@@ -76,6 +84,7 @@ fn patches(n: usize) -> Vec<Patch> {
 
 #[test]
 fn scans_move_the_columnar_counters_and_joins_do_not() {
+    let _guard = counter_lock();
     let filter = ScanFilter::FrameRange { lo: 100, hi: 160 };
     let tau = 1.0f32;
 
@@ -90,14 +99,12 @@ fn scans_move_the_columnar_counters_and_joins_do_not() {
         "materializing scan counts each assembled row"
     );
 
-    // Joins and dedups over backed collections — small and large, self and
-    // distinct — read no backing.
+    // Joins and dedups — small and large, self and distinct — read rows
+    // and encode no collection's chunks.
     let session = Session::ephemeral().unwrap();
     for (name, rows) in [("wide_a", 600), ("wide_b", 600), ("narrow", 16)] {
         session.catalog.materialize(name, patches(rows));
-        session.build_columnar(name).unwrap();
     }
-    let before = columnar_backing_hits();
     for (left, right) in [
         ("wide_a", "wide_b"),
         ("narrow", "narrow"),
@@ -110,38 +117,46 @@ fn scans_move_the_columnar_counters_and_joins_do_not() {
     }
     assert!(!session.dedup_collection("wide_a", tau).unwrap().is_empty());
     assert!(!session.dedup_collection("narrow", tau).unwrap().is_empty());
-    assert_eq!(
-        columnar_backing_hits(),
-        before,
-        "a join or dedup read a backing"
-    );
-
-    // One scan off a live backing is one hit.
-    let result = session.scan("wide_a", &filter, Projection::Count).unwrap();
-    assert!(result.stats.used_columnar);
-    assert_eq!(columnar_backing_hits() - before, 1, "one scan, one hit");
+    for name in ["wide_a", "wide_b", "narrow"] {
+        let snap = session.catalog.snapshot(name).unwrap();
+        assert!(snap.columnar().is_none(), "a join or dedup encoded {name}");
+    }
 }
 
-/// A result-cache hit on a 500-row `Full` scan allocates a handful of
-/// times (the cache key), not once per field of every row: the cached rows
-/// are shared with the caller, not cloned out. The collection stays on the
-/// row layout, so this test moves neither process-global counter above.
+/// The first scan of a collection encodes it and materializes each
+/// matching row once. A result-cache hit on the same 500-row `Full` scan
+/// materializes none and allocates a handful of times (the cache key), not
+/// once per field of every row: the cached rows are shared with the caller.
 #[test]
 fn a_cached_scan_hit_copies_no_row() {
+    let _guard = counter_lock();
     let session = Session::ephemeral().unwrap();
     session.catalog.materialize("log", patches(600));
-    let filter = ScanFilter::FrameRange { lo: 50, hi: 550 };
-    let miss = session.scan("log", &filter, Projection::Full).unwrap();
+    let window = ScanFilter::FrameRange { lo: 50, hi: 550 };
+    let before = rows_materialized();
+    let miss = session.scan("log", &window, Projection::Full).unwrap();
+    assert!(miss.stats.used_columnar);
     assert_eq!(miss.patches.len(), 500);
-    assert!(!miss.stats.used_columnar, "600 rows stay on the row layout");
+    assert_eq!(rows_materialized() - before, 500);
+    assert!(session
+        .catalog
+        .snapshot("log")
+        .unwrap()
+        .columnar()
+        .is_some());
 
-    let before = allocations();
-    let hit = session.scan("log", &filter, Projection::Full).unwrap();
-    let spent = allocations() - before;
+    let allocated = allocations();
+    let hit = session.scan("log", &window, Projection::Full).unwrap();
+    let spent = allocations() - allocated;
     assert_eq!(hit.patches, miss.patches);
     assert!(
         spent < 8,
         "a cache hit on {} rows made {spent} allocations",
         hit.patches.len()
+    );
+    assert_eq!(
+        rows_materialized() - before,
+        500,
+        "a cache hit copies no row"
     );
 }

@@ -1,14 +1,17 @@
 //! Integration tests for the chunked-columnar patch layout: row/columnar
 //! scan equivalence (byte-identical, across chunk sizes and thread counts),
 //! zone-map skip counting, projection behaviour, and the session/catalog
-//! plumbing around it.
+//! plumbing around it — a collection's chunks are encoded by its first
+//! scan, and only by a scan.
+
+use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
 use deeplens::core::scan::row_scan;
 use deeplens::prelude::{
-    ColumnarPatches, ImgRef, Patch, PatchCollection, PatchId, Projection, ScanFilter, Session,
-    SharedCatalog, Value, WorkerPool,
+    BatchQuery, BatchResult, ColumnarPatches, ImgRef, Patch, PatchCollection, PatchId, Projection,
+    ScanFilter, Session, SharedCatalog, Value, WorkerPool,
 };
 
 /// Deterministic LCG so proptest shrinks over the seed, not the rows.
@@ -209,15 +212,24 @@ proptest! {
     /// projection, chunk sizes 1/7/1024, and 1/2/4 threads, the columnar
     /// scan's output is bit-identical (every field, in order) to the row
     /// scan's; every projection matches the same rows, and the columnar
-    /// projections prune and decode the same chunks.
+    /// projections prune and decode the same chunks. A never-built
+    /// collection, whose first scan encodes its chunks, agrees too.
     #[test]
     fn columnar_scan_equals_row_scan(
         seed in any::<u64>(),
         n in 0usize..300,
     ) {
         let patches = random_patches(seed, n);
+        let lazy = PatchCollection::from_patches(patches.clone());
         for filter in filters_under_test() {
             let matched = patches.iter().filter(|p| filter.matches(p)).count();
+            for projection in [Projection::Full, Projection::MetaOnly, Projection::Count] {
+                let row = row_scan(&patches, &filter, projection);
+                let col = lazy.scan(&filter, projection, &WorkerPool::new(2));
+                prop_assert_eq!(bitwise(&row.patches), bitwise(&col.patches));
+                prop_assert_eq!(col.stats.rows_matched, matched);
+                prop_assert!(col.stats.used_columnar);
+            }
             for chunk_rows in [1usize, 7, 1024] {
                 let columnar = ColumnarPatches::from_patches(&patches, chunk_rows);
                 for threads in [1usize, 2, 4] {
@@ -308,8 +320,7 @@ fn selective_scan_on_sorted_column_decodes_strictly_fewer_chunks() {
 #[test]
 fn ops_pushdown_selections_match_iterator_filters() {
     let patches = random_patches(7, 500);
-    let mut col = PatchCollection::from_patches(patches.clone());
-    col.build_columnar(64);
+    let col = ColumnarPatches::from_patches(&patches, 64);
     let pool = WorkerPool::new(2);
     let select = |filter: ScanFilter| col.scan(&filter, Projection::Full, &pool).patches;
 
@@ -354,18 +365,23 @@ fn session_scan_routes_through_columnar_backing() {
     let patches = random_patches(3, 600);
     session.catalog.materialize("dets", patches.clone());
 
-    // Before the build: row fallback, same answers.
+    // Before the build the first scan encodes the chunks; after it the
+    // scan reads the published ones. Both are columnar, with one answer.
     let filter = ScanFilter::MetaEq {
         key: "label".into(),
         value: Value::Str("person".into()),
     };
     let before = session.scan("dets", &filter, Projection::Full).unwrap();
-    assert!(!before.stats.used_columnar);
+    assert!(before.stats.used_columnar);
 
     session.build_columnar("dets").unwrap();
     let after = session.scan("dets", &filter, Projection::Full).unwrap();
     assert!(after.stats.used_columnar);
     assert_eq!(bitwise(&before.patches), bitwise(&after.patches));
+    assert_eq!(
+        bitwise(&after.patches),
+        bitwise(&row_scan(&patches, &filter, Projection::Full).patches)
+    );
     assert_eq!(
         session.scan_count("dets", &filter).unwrap(),
         after.patches.len()
@@ -375,41 +391,98 @@ fn session_scan_routes_through_columnar_backing() {
 
 #[test]
 fn columnar_backing_survives_cow_and_respects_snapshots() {
-    // The backing rides the shared catalog's copy-on-write protocol: a
-    // snapshot taken before the build never grows one; index builds after
-    // it keep it (Arc-shared, not recomputed).
-    let catalog = std::sync::Arc::new(SharedCatalog::new());
+    // The chunks ride the shared catalog's copy-on-write protocol: a
+    // snapshot taken before the build never grows them; index builds after
+    // it keep them (Arc-shared, not recomputed).
+    let catalog = Arc::new(SharedCatalog::new());
     let session = Session::ephemeral_attached(catalog.clone()).unwrap();
     catalog.materialize("c", random_patches(11, 200));
     let pre_build = catalog.snapshot("c").unwrap();
-    catalog.build_columnar_chunked("c", 32).unwrap();
+    catalog.build_columnar("c").unwrap();
     assert!(pre_build.columnar().is_none(), "old snapshot untouched");
     let built = catalog.snapshot("c").unwrap();
-    let backing = built.columnar().expect("backing published");
-    assert_eq!(backing.chunk_rows(), 32);
+    let backing = built.columnar().expect("chunks published");
     assert_eq!(backing.len(), 200);
     catalog.build_hash_index("c", "by_label", "label").unwrap();
     let indexed = catalog.snapshot("c").unwrap();
     assert!(
-        indexed.columnar().is_some(),
-        "index build keeps the backing"
+        std::ptr::eq(indexed.columnar().unwrap(), backing),
+        "index build shares the chunks"
     );
-    // Replacing the collection REBUILDS the backing over the new rows at
-    // the old granularity (instead of silently dropping it) and counts the
-    // rebuild.
-    let rebuilt_before = deeplens_core::catalog::columnar_backings_rebuilt();
+    // Replacing the collection carries no chunks: the new version's first
+    // scan encodes its own, over the new rows — never the old ones.
     catalog.materialize("c", random_patches(12, 50));
     let replaced = catalog.snapshot("c").unwrap();
-    let carried = replaced.columnar().expect("backing rebuilt, not dropped");
-    assert_eq!(carried.chunk_rows(), 32, "granularity carried forward");
-    assert_eq!(carried.len(), 50, "rebuilt over the new rows — not stale");
-    assert!(replaced.live_columnar().is_some());
-    assert_eq!(
-        deeplens_core::catalog::columnar_backings_rebuilt(),
-        rebuilt_before + 1
-    );
+    assert!(replaced.columnar().is_none(), "chunks are not carried");
+    let counted = replaced.scan(&ScanFilter::All, Projection::Count, &WorkerPool::new(1));
+    assert_eq!(counted.stats.rows_matched, 50);
+    assert_eq!(replaced.columnar().map(ColumnarPatches::len), Some(50));
     assert!(catalog.build_columnar("missing").is_err());
     drop(session);
+}
+
+#[test]
+fn only_scans_encode_and_concurrent_first_scans_encode_once() {
+    let session = Session::ephemeral().unwrap();
+    let catalog = &session.catalog;
+    let unencoded = |why: &str| {
+        let snap = catalog.snapshot("c").unwrap();
+        assert!(snap.columnar().is_none(), "{why} encoded the chunks");
+    };
+    // Joins and index builds need one feature dimension: keep the 2-d rows.
+    let rows = |seed| -> Vec<Patch> {
+        random_patches(seed, 800)
+            .into_iter()
+            .filter(|p| p.data.features().is_some_and(|f| f.len() == 2))
+            .collect()
+    };
+    catalog.materialize("c", rows(21));
+    unencoded("a materialize");
+    assert!(!session.join_collections("c", "c", 0.5).unwrap().is_empty());
+    unencoded("a join");
+    assert!(!session.dedup_collection("c", 0.5).unwrap().is_empty());
+    unencoded("a dedup");
+    catalog.materialize("c", rows(22));
+    unencoded("a re-materialize");
+    session.build_ball_index("c", "feat").unwrap();
+    let mut probe = session.batch();
+    probe.push(BatchQuery::IndexProbe {
+        collection: "c".into(),
+        index: "feat".into(),
+        probe: vec![50.0, 3.5],
+        tau: 10.0,
+    });
+    assert!(matches!(&probe.run().unwrap()[..], [BatchResult::Hits(h)] if !h.is_empty()));
+    unencoded("an index build or probe");
+
+    // The first session scan encodes; a second reuses the same chunks.
+    let filter = ScanFilter::FrameRange { lo: 20, hi: 90 };
+    session.scan("c", &filter, Projection::Count).unwrap();
+    let snap = catalog.snapshot("c").unwrap();
+    let first = snap.columnar().expect("the scan encoded") as *const ColumnarPatches;
+    snap.scan(&filter, Projection::Full, &WorkerPool::new(1));
+    assert!(std::ptr::eq(snap.columnar().unwrap(), first));
+
+    // Eight threads scan one never-scanned snapshot at once: all agree
+    // with the oracle, and the snapshot is left with one encoding.
+    catalog.materialize("c", rows(24));
+    let snap = catalog.snapshot("c").unwrap();
+    let expected = row_scan(&snap.patches, &filter, Projection::Full);
+    let start = Barrier::new(8);
+    let seen: Vec<usize> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let got = snap.scan(&filter, Projection::Full, &WorkerPool::new(1));
+                    assert_eq!(bitwise(&got.patches), bitwise(&expected.patches));
+                    snap.columnar().unwrap() as *const ColumnarPatches as usize
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert!(seen.iter().all(|&p| p == seen[0]), "one encoding, shared");
 }
 
 #[test]

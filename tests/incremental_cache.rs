@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use deeplens::core::catalog;
+use deeplens::core::scan::row_scan;
 use deeplens::prelude::*;
 use proptest::prelude::*;
 
@@ -172,17 +173,18 @@ fn post_write_queries_never_serve_stale_results() {
     // cached before `build_columnar` cannot be replayed after it.
     let window = ScanFilter::FrameRange { lo: 5, hi: 20 };
     let v_before = catalog.snapshot("col").unwrap().version();
-    let row_scan = session.scan("col", &window, Projection::Full).unwrap();
+    let pre_build = session.scan("col", &window, Projection::Full).unwrap();
     session.build_columnar("col").unwrap();
     assert!(
         catalog.snapshot("col").unwrap().version() > v_before,
         "build_columnar must publish a fresh version"
     );
-    let columnar_scan = session.scan("col", &window, Projection::Full).unwrap();
-    assert_eq!(row_scan.patches, columnar_scan.patches);
-    assert!(
-        columnar_scan.stats.used_columnar,
-        "post-build scan must re-execute against the columnar backing"
+    let post_build = session.scan("col", &window, Projection::Full).unwrap();
+    assert_eq!(pre_build.patches, post_build.patches);
+    assert_ne!(
+        pre_build.patches.as_ptr(),
+        post_build.patches.as_ptr(),
+        "post-build scan must re-execute, not replay the cached rows"
     );
 }
 
@@ -226,21 +228,20 @@ fn cached_scan_rows_are_shared_until_a_write() {
 }
 
 #[test]
-fn carry_forward_preserves_indexes_and_columnar_backing() {
+fn carry_forward_preserves_indexes_and_scans_the_new_rows() {
     let catalog = Arc::new(SharedCatalog::with_shards_and_cache(4, 0));
     let mut rows = feature_patches(0..400, 5, 42);
     catalog.materialize("col", rows.clone());
     catalog
         .build_hash_index("col", "by_label", "label")
         .unwrap();
-    catalog.build_columnar_chunked("col", 64).unwrap();
+    catalog.build_columnar("col").unwrap();
     catalog.build_ball_index("col", "feat", 1).unwrap();
 
-    let rebuilt0 = catalog::columnar_backings_rebuilt();
     let maintained0 = catalog::index_deltas_maintained();
 
     // A small in-place change (~2% of rows) plus a re-materialize: every
-    // index and the columnar backing must survive the publish.
+    // index must survive the publish, and a scan must read the new rows.
     apply_write(&mut rows, 5, (1, 7));
     catalog.materialize("col", rows.clone());
 
@@ -248,16 +249,12 @@ fn carry_forward_preserves_indexes_and_columnar_backing() {
     let mut names = snap.index_names();
     names.sort_unstable();
     assert_eq!(names, ["by_label", "feat"]);
-    assert!(
-        snap.columnar().is_some(),
-        "columnar backing must be rebuilt in the carry pass"
-    );
+    let window = ScanFilter::FrameRange { lo: 10, hi: 60 };
+    let scanned = snap.scan(&window, Projection::Full, &WorkerPool::new(1));
     assert_eq!(
-        snap.columnar().unwrap().chunk_rows(),
-        64,
-        "carry must preserve the chosen chunk granularity"
+        scanned.patches,
+        row_scan(&rows, &window, Projection::Full).patches
     );
-    assert!(catalog::columnar_backings_rebuilt() > rebuilt0);
     assert!(
         catalog::index_deltas_maintained() > maintained0,
         "a 2% change must be delta-maintained, not merged"
@@ -312,26 +309,6 @@ fn large_delta_crosses_merge_threshold_small_delta_does_not() {
         snap.lookup_similar("feat", &[5.0; 5], 5.0).unwrap(),
         fresh.lookup_similar("feat", &[5.0; 5], 5.0).unwrap()
     );
-}
-
-#[test]
-fn columnar_backing_autobuilds_when_the_cost_model_predicts_a_win() {
-    let catalog = Arc::new(SharedCatalog::with_shards_and_cache(4, 0));
-    let autobuilt0 = catalog::columnar_backings_autobuilt();
-
-    // Big enough to clear the autobuild floor (4 chunks at the default
-    // granularity) and amortize the build over repeated scans.
-    catalog.materialize("big", feature_patches(0..6000, 5, 9));
-    assert!(
-        catalog.snapshot("big").unwrap().columnar().is_some(),
-        "a large fresh materialize must autobuild the columnar backing"
-    );
-    assert!(catalog::columnar_backings_autobuilt() > autobuilt0);
-
-    // A small collection stays on the row path (the backing would cost
-    // more to build than its scans save).
-    catalog.materialize("small", feature_patches(0..200, 5, 9));
-    assert!(catalog.snapshot("small").unwrap().columnar().is_none());
 }
 
 #[test]
