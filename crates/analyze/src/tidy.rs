@@ -51,11 +51,14 @@ use std::path::{Path, PathBuf};
 pub const RAW_LOCK_WHITELIST: &[&str] = &["crates/analyze/src/sync.rs"];
 
 /// Core files (workspace-relative) on every served query's plan and run
-/// path, held to the **serve-panic** rule like `crates/serve` itself.
+/// path — including the result cache every served batch member is looked
+/// up in and offered to — held to the **serve-panic** rule like
+/// `crates/serve` itself.
 pub const SERVED_CORE_FILES: &[&str] = &[
     "crates/core/src/plan.rs",
     "crates/core/src/batch.rs",
     "crates/core/src/ops.rs",
+    "crates/core/src/cache.rs",
 ];
 
 /// Core files (workspace-relative) every served `Materialize` runs through

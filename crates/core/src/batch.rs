@@ -802,6 +802,13 @@ mod tests {
         let cold = mixed_batch(&s).plan().unwrap();
         assert!(cold.estimate_us(&planner) > 1.0, "cold members cost work");
         cold.run().unwrap();
+        // The cache stores a member's answer when its query repeats.
+        let seen_once = mixed_batch(&s).plan().unwrap();
+        assert!(
+            seen_once.estimate_us(&planner) > 1.0,
+            "one run stores nothing"
+        );
+        seen_once.run().unwrap();
         let warm = mixed_batch(&s).plan().unwrap();
         assert_eq!(warm.estimate_us(&planner), 1.0);
         assert_eq!(warm.run().unwrap(), mixed_batch(&s).run_serial().unwrap());

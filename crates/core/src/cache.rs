@@ -24,16 +24,28 @@
 //! return `None` for it, as they do for queries that cannot be
 //! fingerprinted at all (θ-predicate joins carry host closures).
 //!
-//! **Locking.** Entries shard by FNV-1a of the key; each shard is an
+//! **Admission on the second sighting.** An answer is stored only when its
+//! query has been offered before: a small set of *query hashes* per shard
+//! (TinyLFU's "doorkeeper", Einziger, Friedman & Manes, ToS 2017) records
+//! the first offer, and the answer is dropped. A query hash is FNV-1a over
+//! the key with its snapshot versions skipped, so a query asked again after
+//! a write is stored on its first miss at the new version. A one-shot query
+//! — every `Full` scan of a fresh window — is answered and never held. A
+//! hash collision can only admit an answer early; entries are still matched
+//! by their exact key bytes. The set is cleared when full (TinyLFU's
+//! reset).
+//!
+//! **Locking.** The query hash picks the shard, so every version of a query
+//! — its sightings and its entries — lives in one shard; each shard is an
 //! `OrderedMutex` at [`LockRank::ResultCacheShard`] — the innermost rank in
 //! the workspace lock table. Lookups clone the value out under the shard
 //! lock and never acquire anything else while holding it. A scan reply's
 //! rows are shared ([`ScanRows`](crate::scan::ScanRows)), so that clone —
 //! and the insert's — is a reference-count bump, not a copy of the rows.
-//! Values an insert replaces or evicts are dropped after the shard lock is
+//! Values an insert refuses or evicts are dropped after the shard lock is
 //! released.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use deeplens_analyze::sync::{LockRank, OrderedMutex};
@@ -46,6 +58,12 @@ pub const DEFAULT_RESULT_CACHE_CAPACITY: usize = 1024;
 
 /// Number of lock shards the entry map splits across.
 const CACHE_SHARDS: usize = 8;
+
+/// Query hashes the doorkeepers of all shards remember before each clears.
+const DOORKEEPER_HASHES: usize = 4096;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A cached query answer. `Batch` holds every batch-shaped result (join
 /// pairs, dedup clusters, probe hits); `Scan` holds a full scan reply,
@@ -70,9 +88,36 @@ struct Entry {
 struct Shard {
     clock: u64,
     map: HashMap<Vec<u8>, Entry>,
+    /// The doorkeeper: hashes of queries offered once and not stored.
+    seen: HashSet<u64>,
 }
 
-/// Bounded, sharded, exact-key LRU over canonical query fingerprints.
+/// FNV-1a of `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// The hash of the query `key` names, whatever snapshot it was asked of:
+/// FNV-1a over the tag byte and the parameters, skipping the versions of
+/// the [`fingerprint`] layout `[tag][version(s)][params]`. A key with an
+/// unknown tag, or too short to hold its versions, is hashed whole.
+fn query_hash(key: &[u8]) -> u64 {
+    let parts = key.split_first().and_then(|(tag, rest)| {
+        let params = rest.get(fingerprint::version_bytes(*tag)?..)?;
+        Some((std::slice::from_ref(tag), params))
+    });
+    match parts {
+        Some((tag, params)) => fnv1a(fnv1a(FNV_OFFSET, tag), params),
+        None => fnv1a(FNV_OFFSET, key),
+    }
+}
+
+/// Bounded, sharded, exact-key LRU over canonical query fingerprints that
+/// stores an answer only once its query repeats.
 #[derive(Debug)]
 pub struct ResultCache {
     shards: Vec<OrderedMutex<Shard>>,
@@ -112,21 +157,17 @@ impl ResultCache {
         }
     }
 
-    /// FNV-1a of the key bytes picks the lock shard.
-    fn shard_for(&self, key: &[u8]) -> &OrderedMutex<Shard> {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(h % CACHE_SHARDS as u64) as usize]
+    /// The lock shard of the query hashing to `query`, picked by the high
+    /// half: FNV-1a's low bits depend only on the low bits of each byte.
+    fn shard(&self, query: u64) -> &OrderedMutex<Shard> {
+        &self.shards[((query >> 32) % CACHE_SHARDS as u64) as usize]
     }
 
     /// Look `key` up, promoting the entry to most-recently-used and
     /// cloning its value out (O(1) for a scan reply, whose rows are
     /// shared). Counts a hit or a miss.
     pub fn get(&self, key: &[u8]) -> Option<CachedResult> {
-        let mut shard = self.shard_for(key).lock();
+        let mut shard = self.shard(query_hash(key)).lock();
         shard.clock += 1;
         let clock = shard.clock;
         match shard.map.get_mut(key) {
@@ -146,26 +187,43 @@ impl ResultCache {
     }
 
     /// Whether `key` is resident, without promoting it or counting a hit.
-    /// The admission controller prices a request by peeking — the later
-    /// real lookup does the counting.
+    /// No engine path calls it; it is for a caller that prices a request by
+    /// what would hit before the real lookup does the counting.
     pub fn peek(&self, key: &[u8]) -> bool {
-        self.shard_for(key).lock().map.contains_key(key)
+        self.shard(query_hash(key)).lock().map.contains_key(key)
     }
 
-    /// Insert (or refresh) an entry, evicting the shard's least-recently
-    /// used entry if the shard is over budget. A no-op when disabled.
-    /// Concurrent computations of the same key insert byte-identical
-    /// values, so last-writer-wins is harmless. The replaced and evicted
-    /// values are freed after the shard lock is released, so a lookup on
-    /// the shard never waits for a large reply to be dropped.
+    /// Offer the answer to `key`. A resident key is refreshed: it becomes
+    /// most-recently-used and keeps its value, since one key always names
+    /// byte-identical answers. Otherwise the answer is stored only if its
+    /// query has been offered before (under any snapshot version), evicting
+    /// the shard's least-recently-used entry if the shard is over budget; a
+    /// first offer is recorded and the answer dropped. A no-op when
+    /// disabled. Refused and evicted values are freed after the shard lock
+    /// is released, so a lookup on the shard never waits for a large reply
+    /// to be dropped.
     pub fn insert(&self, key: Vec<u8>, value: CachedResult) {
         if self.shard_capacity == 0 {
             return;
         }
-        let mut shard = self.shard_for(&key).lock();
+        let query = query_hash(&key);
+        // An early return drops the guard before `value`: parameters
+        // outlive the locals of the body.
+        let mut shard = self.shard(query).lock();
         shard.clock += 1;
         let stamp = shard.clock;
-        let replaced = shard.map.insert(key, Entry { stamp, value });
+        if let Some(entry) = shard.map.get_mut(&key) {
+            entry.stamp = stamp;
+            return;
+        }
+        if !shard.seen.contains(&query) {
+            if shard.seen.len() >= DOORKEEPER_HASHES / CACHE_SHARDS {
+                shard.seen.clear();
+            }
+            shard.seen.insert(query);
+            return;
+        }
+        shard.map.insert(key, Entry { stamp, value });
         let mut evicted = None;
         if shard.map.len() > self.shard_capacity {
             if let Some(oldest) = shard
@@ -179,7 +237,7 @@ impl ResultCache {
             }
         }
         drop(shard);
-        drop((replaced, evicted));
+        drop(evicted);
     }
 
     /// Lookups served from cache since construction.
@@ -220,6 +278,16 @@ pub mod fingerprint {
     const TAG_DEDUP: u8 = 2;
     const TAG_PROBE: u8 = 3;
     const TAG_SCAN: u8 = 4;
+
+    /// Bytes of snapshot versions that follow `tag` in a key of that shape
+    /// (`None` for a tag no builder writes).
+    pub(super) fn version_bytes(tag: u8) -> Option<usize> {
+        match tag {
+            TAG_JOIN => Some(16),
+            TAG_DEDUP | TAG_PROBE | TAG_SCAN => Some(8),
+            _ => None,
+        }
+    }
 
     fn push_u64(buf: &mut Vec<u8>, v: u64) {
         buf.extend_from_slice(&v.to_be_bytes());
@@ -355,16 +423,22 @@ mod tests {
         }
     }
 
+    fn hits(n: u32) -> CachedResult {
+        CachedResult::Batch(BatchResult::Hits((0..n).collect()))
+    }
+
     #[test]
     fn lru_bounds_and_counts() {
         let cache = ResultCache::with_capacity(CACHE_SHARDS); // 1 per shard
         assert!(cache.get(b"missing").is_none());
         assert_eq!(cache.misses(), 1);
         for i in 0..64u64 {
-            cache.insert(
-                i.to_be_bytes().to_vec(),
-                CachedResult::Batch(BatchResult::Hits(vec![i as u32])),
-            );
+            let value = CachedResult::Batch(BatchResult::Hits(vec![i as u32]));
+            // The first offer is only recorded; the second is stored.
+            cache.insert(i.to_be_bytes().to_vec(), value.clone());
+            assert!(!cache.peek(&i.to_be_bytes()), "stored on first offer");
+            cache.insert(i.to_be_bytes().to_vec(), value);
+            assert!(cache.peek(&i.to_be_bytes()), "not stored on second offer");
         }
         assert!(cache.len() <= CACHE_SHARDS, "bounded: {}", cache.len());
         assert!(cache.evictions() >= 64 - CACHE_SHARDS as u64);
@@ -384,8 +458,104 @@ mod tests {
     #[test]
     fn zero_capacity_disables() {
         let cache = ResultCache::with_capacity(0);
-        cache.insert(vec![1], CachedResult::Batch(BatchResult::Hits(vec![])));
+        for _ in 0..3 {
+            cache.insert(vec![1], CachedResult::Batch(BatchResult::Hits(vec![])));
+        }
         assert!(cache.is_empty());
         assert!(cache.get(&[1]).is_none());
+    }
+
+    #[test]
+    fn query_hash_skips_versions_and_keeps_params() {
+        let filter = ScanFilter::FrameRange { lo: 1, hi: 9 };
+        let shapes: [(Vec<u8>, Vec<u8>, Vec<u8>); 4] = [
+            (
+                join_key(1, 2, 1.0).unwrap(),
+                join_key(70, 3, 1.0).unwrap(),
+                join_key(1, 2, 1.5).unwrap(),
+            ),
+            (
+                dedup_key(1, 1.0).unwrap(),
+                dedup_key(9, 1.0).unwrap(),
+                dedup_key(1, 2.0).unwrap(),
+            ),
+            (
+                probe_key(1, "a", &[1.0, 2.0], 1.0).unwrap(),
+                probe_key(5, "a", &[1.0, 2.0], 1.0).unwrap(),
+                probe_key(1, "a", &[1.0, 3.0], 1.0).unwrap(),
+            ),
+            (
+                scan_key(1, &filter, Projection::Full).unwrap(),
+                scan_key(4, &filter, Projection::Full).unwrap(),
+                scan_key(1, &filter, Projection::MetaOnly).unwrap(),
+            ),
+        ];
+        for (key, other_version, other_params) in &shapes {
+            assert_ne!(key, other_version);
+            assert_eq!(query_hash(key), query_hash(other_version), "{key:?}");
+            assert_ne!(query_hash(key), query_hash(other_params), "{key:?}");
+        }
+    }
+
+    #[test]
+    fn keys_of_any_shape_hash_and_cache_without_panicking() {
+        for tag in 0..=u8::MAX {
+            let cache = ResultCache::with_capacity(64);
+            for len in 0..=40u8 {
+                let key: Vec<u8> = (0..len).map(|i| if i == 0 { tag } else { i }).collect();
+                query_hash(&key);
+                assert!(cache.get(&key).is_none());
+                cache.insert(key.clone(), hits(1));
+                cache.insert(key.clone(), hits(1));
+                assert!(cache.peek(&key));
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_offer_is_dropped_and_a_later_version_is_stored_at_once() {
+        let cache = ResultCache::default();
+        let at = |v| dedup_key(v, 1.0).unwrap();
+        cache.insert(at(1), hits(3));
+        assert!(cache.is_empty(), "one offer stores nothing");
+        cache.insert(at(1), hits(3));
+        assert!(cache.peek(&at(1)));
+        cache.insert(at(1), hits(3));
+        assert_eq!(cache.len(), 1, "a resident key is refreshed in place");
+        cache.insert(at(2), hits(3));
+        assert!(cache.peek(&at(2)), "the query was seen at version 1");
+        cache.insert(dedup_key(2, 2.0).unwrap(), hits(3));
+        assert_eq!(cache.len(), 2, "a new tau is a new query");
+    }
+
+    #[test]
+    fn one_shot_queries_store_nothing_and_the_doorkeeper_stays_bounded() {
+        let cache = ResultCache::default();
+        let window = |lo| {
+            scan_key(
+                1,
+                &ScanFilter::FrameRange { lo, hi: lo + 100 },
+                Projection::Full,
+            )
+            .unwrap()
+        };
+        for lo in 0..10 * DOORKEEPER_HASHES as u64 {
+            cache.insert(window(lo), hits(1));
+        }
+        assert!(cache.is_empty(), "a one-shot answer was stored");
+        assert_eq!(cache.evictions(), 0);
+        for shard in &cache.shards {
+            assert!(shard.lock().seen.len() <= DOORKEEPER_HASHES / CACHE_SHARDS);
+        }
+        // Many small repeated answers stay within the entry bound.
+        for lo in 0..4 * DEFAULT_RESULT_CACHE_CAPACITY as u64 {
+            cache.insert(window(lo), hits(1));
+            cache.insert(window(lo), hits(1));
+        }
+        let shard_capacity = DEFAULT_RESULT_CACHE_CAPACITY / CACHE_SHARDS;
+        for shard in &cache.shards {
+            assert!(shard.lock().map.len() <= shard_capacity);
+        }
+        assert!(cache.evictions() > 0);
     }
 }

@@ -240,9 +240,10 @@ impl Session {
     /// ([`PatchCollection::scan`](crate::catalog::PatchCollection::scan)).
     ///
     /// The returned rows may be shared with the catalog's result cache:
-    /// a miss materializes them once and caches the same allocation it
-    /// returns, and a hit hands that allocation out again. Neither copies
-    /// a row.
+    /// a miss materializes them once and offers the same allocation to the
+    /// cache, which keeps it only if the query was asked before (at any
+    /// version of the collection); a hit hands that allocation out again.
+    /// Neither copies a row.
     pub fn scan(
         &self,
         collection: &str,
@@ -261,7 +262,8 @@ impl Session {
         }
         let result = snap.scan(filter, projection, &self.pool());
         if let Some(key) = key {
-            // O(1): the cache and the caller share the rows.
+            // O(1): if the cache keeps the rows, it shares them with the
+            // caller.
             cache.insert(key, CachedResult::Scan(result.clone()));
         }
         Ok(result)

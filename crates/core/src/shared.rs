@@ -89,15 +89,17 @@ impl SharedCatalog {
         Self::default()
     }
 
-    /// An empty shared catalog with an explicit shard count (minimum 1).
+    /// An empty shared catalog with an explicit shard count (minimum 1) and
+    /// a result cache of [`DEFAULT_RESULT_CACHE_CAPACITY`] entries.
     pub fn with_shards(shards: usize) -> Self {
         Self::with_shards_and_cache(shards, DEFAULT_RESULT_CACHE_CAPACITY)
     }
 
     /// [`SharedCatalog::with_shards`] with an explicit result-cache entry
-    /// budget. `cache_capacity == 0` disables result caching — the
-    /// uncached reference configuration the byte-identity tests compare
-    /// against.
+    /// budget. The cache stores an answer once its query repeats, so a
+    /// query asked once never takes an entry. `cache_capacity == 0`
+    /// disables result caching — the uncached reference configuration the
+    /// byte-identity tests compare against.
     pub fn with_shards_and_cache(shards: usize, cache_capacity: usize) -> Self {
         SharedCatalog {
             shards: (0..shards.max(1))
@@ -125,7 +127,8 @@ impl SharedCatalog {
         }
     }
 
-    /// The snapshot-keyed result cache (bounded LRU; see [`crate::cache`]).
+    /// The snapshot-keyed result cache: a bounded LRU that stores an answer
+    /// once its query repeats (see [`crate::cache`]).
     pub fn result_cache(&self) -> &ResultCache {
         &self.result_cache
     }

@@ -124,9 +124,11 @@ fn scans_move_the_columnar_counters_and_joins_do_not() {
 }
 
 /// The first scan of a collection encodes it and materializes each
-/// matching row once. A result-cache hit on the same 500-row `Full` scan
-/// materializes none and allocates a handful of times (the cache key), not
-/// once per field of every row: the cached rows are shared with the caller.
+/// matching row once; the cache stores the answer when the scan repeats, so
+/// the first two scans both miss. A result-cache hit on the same 500-row
+/// `Full` scan then materializes none and allocates a handful of times (the
+/// cache key), not once per field of every row: the cached rows are shared
+/// with the caller.
 #[test]
 fn a_cached_scan_hit_copies_no_row() {
     let _guard = counter_lock();
@@ -134,9 +136,9 @@ fn a_cached_scan_hit_copies_no_row() {
     session.catalog.materialize("log", patches(600));
     let window = ScanFilter::FrameRange { lo: 50, hi: 550 };
     let before = rows_materialized();
-    let miss = session.scan("log", &window, Projection::Full).unwrap();
-    assert!(miss.stats.used_columnar);
-    assert_eq!(miss.patches.len(), 500);
+    let first = session.scan("log", &window, Projection::Full).unwrap();
+    assert!(first.stats.used_columnar);
+    assert_eq!(first.patches.len(), 500);
     assert_eq!(rows_materialized() - before, 500);
     assert!(session
         .catalog
@@ -144,6 +146,13 @@ fn a_cached_scan_hit_copies_no_row() {
         .unwrap()
         .columnar()
         .is_some());
+    let miss = session.scan("log", &window, Projection::Full).unwrap();
+    assert_eq!(miss.patches, first.patches);
+    assert_eq!(
+        rows_materialized() - before,
+        1000,
+        "a repeat stores, not hits"
+    );
 
     let allocated = allocations();
     let hit = session.scan("log", &window, Projection::Full).unwrap();
@@ -156,7 +165,7 @@ fn a_cached_scan_hit_copies_no_row() {
     );
     assert_eq!(
         rows_materialized() - before,
-        500,
+        1000,
         "a cache hit copies no row"
     );
 }

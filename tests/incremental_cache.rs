@@ -144,8 +144,10 @@ fn post_write_queries_never_serve_stale_results() {
     catalog.materialize("col", before.clone());
     reference.catalog.materialize("col", before);
 
-    // Populate then replay: the second issue must be a cache hit.
+    // Populate then replay: the cache stores an answer when its query
+    // repeats, so the third issue must be a cache hit.
     let first = session.dedup_collection("col", 2.0).unwrap();
+    assert_eq!(session.dedup_collection("col", 2.0).unwrap(), first);
     let hits0 = catalog.result_cache().hits();
     let replay = session.dedup_collection("col", 2.0).unwrap();
     assert_eq!(first, replay);
@@ -170,10 +172,21 @@ fn post_write_queries_never_serve_stale_results() {
     assert_ne!(post_write, first, "stale pre-write clusters were replayed");
 
     // Copy-on-write index/columnar builds bump the version too: a scan
-    // cached before `build_columnar` cannot be replayed after it.
+    // cached before `build_columnar` cannot be replayed after it. The scan
+    // is issued twice, so that it is resident before the build.
     let window = ScanFilter::FrameRange { lo: 5, hi: 20 };
     let v_before = catalog.snapshot("col").unwrap().version();
+    session.scan("col", &window, Projection::Full).unwrap();
     let pre_build = session.scan("col", &window, Projection::Full).unwrap();
+    assert_eq!(
+        session
+            .scan("col", &window, Projection::Full)
+            .unwrap()
+            .patches
+            .as_ptr(),
+        pre_build.patches.as_ptr(),
+        "the pre-build scan must be resident"
+    );
     session.build_columnar("col").unwrap();
     assert!(
         catalog.snapshot("col").unwrap().version() > v_before,
@@ -188,10 +201,10 @@ fn post_write_queries_never_serve_stale_results() {
     );
 }
 
-/// A repeated scan of an unchanged collection is handed the rows the first
-/// scan materialized — the same allocation, not a copy — with the
-/// populating run's stats. A write publishes a new version, and the same
-/// filter then materializes the new rows into a fresh allocation.
+/// A repeated scan of an unchanged collection is handed the rows the scan
+/// that stored them materialized — the same allocation, not a copy — with
+/// the populating run's stats. A write publishes a new version, and the
+/// same filter then materializes the new rows into a fresh allocation.
 #[test]
 fn cached_scan_rows_are_shared_until_a_write() {
     let catalog = Arc::new(SharedCatalog::new());
@@ -200,9 +213,12 @@ fn cached_scan_rows_are_shared_until_a_write() {
     session.build_columnar("col").unwrap();
     let window = ScanFilter::FrameRange { lo: 10, hi: 60 };
 
+    let first = session.scan("col", &window, Projection::Full).unwrap();
+    // The repeat is stored: it is the populating run.
     let miss = session.scan("col", &window, Projection::Full).unwrap();
     assert!(miss.stats.used_columnar);
     assert_eq!(miss.patches.len(), 200);
+    assert_eq!(miss.patches, first.patches);
     let hits0 = catalog.result_cache().hits();
     let hit = session.scan("col", &window, Projection::Full).unwrap();
     assert!(catalog.result_cache().hits() > hits0, "repeat must hit");
@@ -326,7 +342,9 @@ fn cached_batch_members_replay_identically() {
         b.index_probe("b", "feat", vec![4.0; 5], 3.0);
         b.run().unwrap()
     };
+    // The second issue stores the answers; the third replays them.
     let first = issue();
+    assert_eq!(issue(), first);
     let hits0 = catalog.result_cache().hits();
     let replay = issue();
     assert_eq!(first, replay, "cached batch replay changed bytes");
@@ -334,4 +352,59 @@ fn cached_batch_members_replay_identically() {
         catalog.result_cache().hits() >= hits0 + 3,
         "all three members should replay from the cache"
     );
+}
+
+/// The cache stores an answer only once its query repeats: a scan and a
+/// batch member issued once are answered and not stored, the second issue
+/// stores them, and the third is a hit that shares the stored rows. A query
+/// is known across versions, so after a write the same query is stored on
+/// its first miss at the new version.
+#[test]
+fn answers_are_stored_once_their_query_repeats() {
+    let catalog = Arc::new(SharedCatalog::new());
+    let session = Session::ephemeral_attached(Arc::clone(&catalog)).unwrap();
+    catalog.materialize("col", feature_patches(0..400, 5, 51));
+    catalog.build_ball_index("col", "feat", 1).unwrap();
+    let cache = catalog.result_cache();
+    let window = ScanFilter::FrameRange { lo: 10, hi: 60 };
+    let scan = || session.scan("col", &window, Projection::Full).unwrap();
+    let probe = || {
+        let mut b = session.batch();
+        b.index_probe("col", "feat", vec![4.0; 5], 3.0);
+        b.run().unwrap()
+    };
+
+    let len0 = cache.len();
+    let once = scan();
+    let once_probe = probe();
+    assert_eq!(cache.len(), len0, "a query issued once is not stored");
+
+    let twice = scan();
+    assert_eq!(probe(), once_probe);
+    assert_eq!(cache.len(), len0 + 2, "the second issue stores both");
+    assert_eq!(twice.patches, once.patches);
+    assert_ne!(twice.patches.as_ptr(), once.patches.as_ptr());
+
+    let hits0 = cache.hits();
+    assert_eq!(scan().patches.as_ptr(), twice.patches.as_ptr());
+    assert_eq!(probe(), once_probe);
+    assert_eq!(cache.hits(), hits0 + 2, "the third issue hits");
+
+    // A write: both queries were stored at the old version, so their
+    // first miss at the new version is stored.
+    let after = feature_patches(0..400, 5, 52);
+    catalog.materialize("col", after.clone());
+    let len1 = cache.len();
+    let misses1 = cache.misses();
+    let fresh = scan();
+    let fresh_probe = probe();
+    assert_eq!(cache.misses(), misses1 + 2, "a write makes both miss");
+    assert_eq!(cache.len(), len1 + 2, "stored on the first miss");
+    let hits1 = cache.hits();
+    assert_eq!(scan().patches.as_ptr(), fresh.patches.as_ptr());
+    assert_eq!(probe(), fresh_probe);
+    assert_eq!(cache.hits(), hits1 + 2);
+    let expected =
+        PatchCollection::from_patches(after).scan(&window, Projection::Full, &WorkerPool::new(1));
+    assert_eq!(fresh.patches, expected.patches);
 }
