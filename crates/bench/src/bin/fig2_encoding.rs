@@ -12,7 +12,6 @@ use deeplens_bench::report::{human_bytes, time, Table};
 use deeplens_bench::{scale, WORLD_SEED};
 use deeplens_codec::video::{decode_video, encode_video, VideoConfig};
 use deeplens_codec::{encode_image, Image, Quality};
-use deeplens_exec::Device;
 use deeplens_vision::datasets::TrafficDataset;
 use deeplens_vision::detector::{DetectorConfig, ObjectDetector};
 
@@ -63,13 +62,10 @@ fn main() {
     // A detector that needs crisp pixel evidence: quantization artifacts on
     // small objects push their color signature past this threshold, which is
     // how lossy encoding translates into lost detections (Fig. 2's y-axis).
-    let det = ObjectDetector::new(
-        DetectorConfig {
-            evidence_threshold: 21.0,
-            ..Default::default()
-        },
-        Device::Avx,
-    );
+    let det = ObjectDetector::new(DetectorConfig {
+        evidence_threshold: 21.0,
+        ..Default::default()
+    });
 
     // Accuracy evaluation runs on a frame subsample to keep runtimes sane.
     let eval_step = 4usize;

@@ -10,16 +10,15 @@ use deeplens_bench::etl::{football_etl, pc_etl, traffic_etl_default};
 use deeplens_bench::queries::*;
 use deeplens_bench::report::{ms, time, Table};
 use deeplens_bench::{scale, WORLD_SEED};
-use deeplens_exec::Device;
 
 fn main() {
     let s = scale();
     println!("Fig. 4 | DEEPLENS_SCALE={s} (ETL excluded from timings)");
 
     // ---- ETL (not timed in the figure) ----
-    let pc = pc_etl(1.0, WORLD_SEED, Device::Avx); // PC is small; run it at paper scale
-    let traffic = traffic_etl_default(s, WORLD_SEED, Device::Avx);
-    let football = football_etl(s, WORLD_SEED, Device::Avx);
+    let pc = pc_etl(1.0, WORLD_SEED); // PC is small; run it at paper scale
+    let traffic = traffic_etl_default(s, WORLD_SEED);
+    let football = football_etl(s, WORLD_SEED);
     let people = q4_person_patches(&traffic);
     println!(
         "corpus: pc images={}, traffic detections={} (people={}), football detections={}",

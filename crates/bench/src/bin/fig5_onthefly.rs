@@ -10,15 +10,14 @@ use deeplens_bench::etl::{football_etl, pc_etl, traffic_etl_default};
 use deeplens_bench::queries::*;
 use deeplens_bench::report::{ms, time, Table};
 use deeplens_bench::{scale, WORLD_SEED};
-use deeplens_exec::Device;
 
 fn main() {
     let s = scale();
     println!("Fig. 5 | DEEPLENS_SCALE={s} (on-the-fly index builds charged to DL)");
 
-    let (pc, pc_etl_t) = time(|| pc_etl(1.0, WORLD_SEED, Device::Avx)); // paper-scale PC
-    let (traffic, tr_etl_t) = time(|| traffic_etl_default(s, WORLD_SEED, Device::Avx));
-    let (football, fb_etl_t) = time(|| football_etl(s, WORLD_SEED, Device::Avx));
+    let (pc, pc_etl_t) = time(|| pc_etl(1.0, WORLD_SEED)); // paper-scale PC
+    let (traffic, tr_etl_t) = time(|| traffic_etl_default(s, WORLD_SEED));
+    let (football, fb_etl_t) = time(|| football_etl(s, WORLD_SEED));
     let people = q4_person_patches(&traffic);
 
     let mut table = Table::new(

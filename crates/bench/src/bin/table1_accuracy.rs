@@ -20,7 +20,6 @@ use deeplens_bench::report::{ms, time, Table};
 use deeplens_bench::repro::accuracy::{enumerate_filter_match_plans, AccuracyProfile};
 use deeplens_bench::{scale, WORLD_SEED};
 use deeplens_core::prelude::{Patch, Session};
-use deeplens_exec::Device;
 use deeplens_vision::detector::DetectorConfig;
 use deeplens_vision::scene::ObjectClass;
 
@@ -67,7 +66,7 @@ fn main() {
         label_confusion: 0.18,
         ..Default::default()
     };
-    let etl = traffic_etl(s, WORLD_SEED, Device::Avx, cfg);
+    let etl = traffic_etl(s, WORLD_SEED, cfg);
     let all = &etl.detections;
     let ped_ids: HashSet<i64> = etl
         .dataset

@@ -6,7 +6,6 @@
 //! the harnesses, mirroring the paper's §7.2 separation.
 
 use deeplens_core::prelude::*;
-use deeplens_exec::Device;
 use deeplens_vision::datasets::{FootballDataset, PcDataset, TrafficDataset};
 use deeplens_vision::depth::DepthModel;
 use deeplens_vision::detector::{DetectorConfig, ObjectDetector};
@@ -59,21 +58,15 @@ pub struct TrafficEtl {
 /// Run detection + featurization + depth annotation over the traffic feed.
 ///
 /// `detector_cfg` lets harnesses raise label confusion (Table 1).
-pub fn traffic_etl(
-    scale: f64,
-    seed: u64,
-    device: Device,
-    detector_cfg: DetectorConfig,
-) -> TrafficEtl {
+pub fn traffic_etl(scale: f64, seed: u64, detector_cfg: DetectorConfig) -> TrafficEtl {
     let dataset = TrafficDataset::generate(scale, seed);
-    let detector = ObjectDetector::new(detector_cfg, device);
-    let depth_model = DepthModel::default_on(device);
+    let detector = ObjectDetector::new(detector_cfg);
+    let depth_model = DepthModel::default();
     let catalog = SharedCatalog::new();
     let mut detections = Vec::new();
 
     // Frames stream through the detector in batches, as real inference
-    // pipelines do — on the simulated GPU this amortizes the offload
-    // overhead and parallelizes across frames (Fig. 8, ETL phase).
+    // pipelines do; each batch's people then get one depth prediction pass.
     const BATCH: u64 = 128;
     let mut t0 = 0u64;
     let mut depth_inputs: Vec<(deeplens_codec::Image, f64, u64, u64)> = Vec::new();
@@ -138,8 +131,8 @@ pub fn traffic_etl(
 }
 
 /// Traffic ETL with the default detector profile.
-pub fn traffic_etl_default(scale: f64, seed: u64, device: Device) -> TrafficEtl {
-    traffic_etl(scale, seed, device, DetectorConfig::default())
+pub fn traffic_etl_default(scale: f64, seed: u64) -> TrafficEtl {
+    traffic_etl(scale, seed, DetectorConfig::default())
 }
 
 /// The PC corpus after ETL.
@@ -155,9 +148,9 @@ pub struct PcEtl {
 }
 
 /// Featurize every PC image and OCR every embedded string.
-pub fn pc_etl(scale: f64, seed: u64, device: Device) -> PcEtl {
+pub fn pc_etl(scale: f64, seed: u64) -> PcEtl {
     let dataset = PcDataset::generate(scale, seed);
-    let ocr = OcrEngine::default_on(device);
+    let ocr = OcrEngine::default();
     let catalog = SharedCatalog::new();
     let mut image_patches = Vec::with_capacity(dataset.images.len());
     let mut ocr_patches = Vec::new();
@@ -210,10 +203,10 @@ pub struct FootballEtl {
 }
 
 /// Detect players in every clip and OCR their jersey numbers.
-pub fn football_etl(scale: f64, seed: u64, device: Device) -> FootballEtl {
+pub fn football_etl(scale: f64, seed: u64) -> FootballEtl {
     let dataset = FootballDataset::generate(scale, seed);
-    let detector = ObjectDetector::default_on(device);
-    let ocr = OcrEngine::default_on(device);
+    let detector = ObjectDetector::default();
+    let ocr = OcrEngine::default();
     let catalog = SharedCatalog::new();
     let mut detections = Vec::new();
     let mut ocr_patches = Vec::new();
@@ -282,7 +275,7 @@ mod tests {
 
     #[test]
     fn traffic_etl_produces_featurized_detections() {
-        let etl = traffic_etl_default(0.004, 3, Device::Avx);
+        let etl = traffic_etl_default(0.004, 3);
         assert!(!etl.detections.is_empty());
         for p in &etl.detections {
             assert_eq!(p.data.features().map(<[f32]>::len), Some(FEATURE_DIM));
@@ -305,7 +298,7 @@ mod tests {
 
     #[test]
     fn pc_etl_strings_and_lineage() {
-        let etl = pc_etl(0.08, 5, Device::Avx);
+        let etl = pc_etl(0.08, 5);
         assert!(!etl.image_patches.is_empty());
         assert!(!etl.ocr_patches.is_empty());
         for s in &etl.ocr_patches {
@@ -322,7 +315,7 @@ mod tests {
 
     #[test]
     fn football_etl_jersey_ocr() {
-        let etl = football_etl(0.008, 7, Device::Avx);
+        let etl = football_etl(0.008, 7);
         assert!(!etl.detections.is_empty());
         assert!(!etl.ocr_patches.is_empty());
         // Some OCR output should read the target jersey.

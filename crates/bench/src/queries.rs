@@ -387,15 +387,14 @@ pub fn q6_optimized(people: &[Patch]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deeplens_exec::Device;
 
     fn traffic() -> TrafficEtl {
-        crate::etl::traffic_etl_default(0.004, crate::WORLD_SEED, Device::Avx)
+        crate::etl::traffic_etl_default(0.004, crate::WORLD_SEED)
     }
 
     #[test]
     fn q1_variants_agree_and_find_duplicates() {
-        let etl = crate::etl::pc_etl(0.08, crate::WORLD_SEED, Device::Avx);
+        let etl = crate::etl::pc_etl(0.08, crate::WORLD_SEED);
         let base = q1_baseline(&etl);
         let opt = q1_optimized(&etl);
         assert_eq!(base, opt, "physical variants must agree");
@@ -423,7 +422,7 @@ mod tests {
 
     #[test]
     fn q3_variants_agree() {
-        let etl = crate::etl::football_etl(0.008, crate::WORLD_SEED, Device::Avx);
+        let etl = crate::etl::football_etl(0.008, crate::WORLD_SEED);
         let base = q3_baseline(&etl, &etl.dataset.target_jersey);
         let id_map = q3_build_id_map(&etl);
         let opt = q3_optimized(&etl, &id_map, &etl.dataset.target_jersey);
@@ -451,7 +450,7 @@ mod tests {
 
     #[test]
     fn q5_finds_needle() {
-        let etl = crate::etl::pc_etl(0.08, crate::WORLD_SEED, Device::Avx);
+        let etl = crate::etl::pc_etl(0.08, crate::WORLD_SEED);
         // Search by ground truth presence: OCR may corrupt the needle, so
         // check against the truth string when asserting.
         let truth_img = etl

@@ -1,11 +1,12 @@
-//! The devices of Fig. 8: the engine's CPU and AVX, and a simulated GPU.
+//! The devices of Fig. 8: a scalar CPU, a vectorized core (AVX), and a
+//! simulated GPU, each a way of calling the kernels of `deeplens_exec`.
 //!
 //! The paper's §7.4.2 / Fig. 8 measures a crossover: offload overhead
 //! (kernel launch + PCIe transfer) makes a GPU lose on small query-time
 //! joins and win on large ones and on inference-heavy ETL. The reproduction
 //! needs no GPU: [`GpuProfile`] simulates one. Its compute runs as the
-//! engine's [`Device::ParallelCpu`] over [`GpuProfile::workers`] threads,
-//! and every kernel launch first busy-waits the modelled overhead
+//! sharded vectorized kernels over [`GpuProfile::workers`] threads, and
+//! every kernel launch first busy-waits the modelled overhead
 //! ([`GpuProfile::pay_overhead`]). The crossover — the only thing the
 //! figure depends on — holds by construction.
 //!
@@ -18,7 +19,7 @@ use std::time::Duration;
 use deeplens_core::optimizer::DevicePlanner;
 use deeplens_core::patch::Patch;
 use deeplens_core::DlError;
-use deeplens_exec::{configured_threads, Device, Executor, Matrix};
+use deeplens_exec::{configured_threads, kernels, Matrix, WorkerPool};
 
 /// Overhead model of the simulated GPU.
 ///
@@ -75,10 +76,13 @@ impl GpuProfile {
 /// Where Fig. 8 runs a kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backend {
-    /// One of the engine's devices, run exactly as the engine runs it.
-    Host(Device),
-    /// The simulated GPU: [`Device::ParallelCpu`] over the profile's
-    /// workers, behind its launch + transfer overhead.
+    /// The scalar reference kernels (the paper's "CPU").
+    Cpu,
+    /// The sharded vectorized kernels over this many host workers (`0`:
+    /// one per hardware thread). One worker is the paper's "AVX".
+    Host(usize),
+    /// The simulated GPU: the sharded vectorized kernels over the
+    /// profile's workers, behind its launch + transfer overhead.
     Gpu(GpuProfile),
 }
 
@@ -86,8 +90,8 @@ impl Backend {
     /// The paper's three devices, in the order its Fig. 8 reports them.
     pub fn fig8() -> [Backend; 3] {
         [
-            Backend::Host(Device::Cpu),
-            Backend::Host(Device::Avx),
+            Backend::Cpu,
+            Backend::Host(1),
             Backend::Gpu(GpuProfile::default()),
         ]
     }
@@ -95,39 +99,62 @@ impl Backend {
     /// Label used by the harness tables.
     pub fn label(&self) -> &'static str {
         match self {
-            Backend::Host(Device::Cpu) => "CPU",
-            Backend::Host(Device::Avx) => "AVX",
-            Backend::Host(Device::ParallelCpu(_)) => "PAR",
+            Backend::Cpu => "CPU",
+            Backend::Host(1) => "AVX",
+            Backend::Host(_) => "PAR",
             Backend::Gpu(_) => "GPU",
         }
     }
 
-    /// The engine device the compute runs on.
-    pub fn device(&self) -> Device {
-        match self {
-            Backend::Host(device) => *device,
-            Backend::Gpu(gpu) => Device::ParallelCpu(gpu.workers),
-        }
-    }
-
     /// Pay the launch + transfer of a kernel moving `bytes`: the GPU spins
-    /// for its overhead, a host device pays nothing.
+    /// for its overhead, a host backend pays nothing.
     pub fn offload(&self, bytes: usize) {
         if let Backend::Gpu(gpu) = self {
             gpu.pay_overhead(bytes);
         }
     }
 
-    /// [`Executor::threshold_join`] on this backend. The GPU pays its
-    /// overhead **once per call**, whatever `taus.len()` — the amortization
-    /// that makes offloaded batches win where single queries lose.
+    /// All-pairs Euclidean threshold join on this backend: one
+    /// `(row_in_a, row_in_b)` vector per entry of `taus`, the same pairs on
+    /// every backend. The GPU pays its overhead **once per call**, whatever
+    /// `taus.len()` — the amortization that makes offloaded batches win
+    /// where single queries lose.
     pub fn threshold_join(&self, a: &Matrix, b: &Matrix, taus: &[f32]) -> Vec<Vec<(u32, u32)>> {
-        self.offload(a.byte_size() + b.byte_size());
-        Executor::new(self.device()).threshold_join(a, b, taus)
+        match *self {
+            Backend::Cpu => kernels::threshold_join_scalar(a, b, taus),
+            Backend::Host(workers) => kernels::threshold_join_sharded(a, b, taus, workers),
+            Backend::Gpu(gpu) => {
+                self.offload(a.byte_size() + b.byte_size());
+                kernels::threshold_join_sharded(a, b, taus, gpu.workers)
+            }
+        }
+    }
+
+    /// Batched inference on this backend: `layers` rounds of 3×3 conv +
+    /// ReLU over each `(plane, width, height)`, one activation plane per
+    /// input. The GPU pays one launch per call, moving every plane in and
+    /// its activations out.
+    pub fn conv_stack_batch(
+        &self,
+        planes: &[(Vec<f32>, usize, usize)],
+        layers: usize,
+    ) -> Vec<Vec<f32>> {
+        match *self {
+            Backend::Cpu => planes
+                .iter()
+                .map(|(p, w, h)| kernels::conv_stack_scalar(p, *w, *h, layers))
+                .collect(),
+            Backend::Host(workers) => kernels::conv_stack_sharded(planes, layers, workers),
+            Backend::Gpu(gpu) => {
+                let pixels: usize = planes.iter().map(|(p, _, _)| p.len()).sum();
+                self.offload(pixels * std::mem::size_of::<f32>() * 2);
+                kernels::conv_stack_sharded(planes, layers, gpu.workers)
+            }
+        }
     }
 }
 
-/// Device placement over all four backends: scalar CPU, vectorized CPU,
+/// Placement over all four backends: scalar CPU, vectorized CPU,
 /// multi-core parallel CPU, and GPU offload.
 ///
 /// Placement follows the paper's §7.4.2 rule generalized to a device
@@ -167,9 +194,9 @@ impl PlacementPlanner {
     /// The candidate backends the planner ranks, cheapest-overhead first.
     pub fn candidates(&self) -> [Backend; 4] {
         [
-            Backend::Host(Device::Cpu),
-            Backend::Host(Device::Avx),
-            Backend::Host(Device::ParallelCpu(self.cpu_threads.max(1))),
+            Backend::Cpu,
+            Backend::Host(1),
+            Backend::Host(self.cpu_threads.max(1)),
             Backend::Gpu(self.gpu),
         ]
     }
@@ -178,10 +205,10 @@ impl PlacementPlanner {
     /// of *vectorized single-core* work moving `bytes` of data on `backend`.
     pub fn estimate_us(&self, backend: &Backend, cpu_estimate_us: f64, bytes: usize) -> f64 {
         match *backend {
-            Backend::Host(Device::Cpu) => cpu_estimate_us * self.vector_speedup,
-            Backend::Host(device) => self
+            Backend::Cpu => cpu_estimate_us * self.vector_speedup,
+            Backend::Host(workers) => self
                 .host
-                .estimate_us(device.resolved_threads(), cpu_estimate_us),
+                .estimate_us(WorkerPool::new(workers).threads(), cpu_estimate_us),
             Backend::Gpu(gpu) => {
                 let overhead_us = gpu.offload_overhead(bytes).as_secs_f64() * 1e6;
                 overhead_us + cpu_estimate_us / self.speedup
@@ -195,7 +222,7 @@ impl PlacementPlanner {
     /// ties broken toward the lower-overhead backend (candidates are ordered
     /// cheapest-overhead first).
     pub fn place(&self, cpu_estimate_us: f64, bytes: usize) -> Backend {
-        let mut best = Backend::Host(Device::Cpu);
+        let mut best = Backend::Cpu;
         let mut best_us = f64::INFINITY;
         for backend in self.candidates() {
             let us = self.estimate_us(&backend, cpu_estimate_us, bytes);
@@ -260,7 +287,8 @@ mod tests {
     #[test]
     fn labels_and_order() {
         assert_eq!(Backend::fig8().map(|b| b.label()), ["CPU", "AVX", "GPU"]);
-        assert_eq!(Backend::Host(Device::ParallelCpu(0)).label(), "PAR");
+        assert_eq!(Backend::Host(0).label(), "PAR");
+        assert_eq!(Backend::Host(4).label(), "PAR");
     }
 
     #[test]
@@ -302,10 +330,40 @@ mod tests {
         let a = mat(40, 12, 5);
         let b = mat(50, 12, 6);
         let taus = [2.0f32, 8.0, 5.0];
-        let base = Backend::Host(Device::Cpu).threshold_join(&a, &b, &taus);
+        let base = Backend::Cpu.threshold_join(&a, &b, &taus);
         assert!(!base[1].is_empty());
         for backend in Backend::fig8().into_iter().chain([gpu(Duration::ZERO, 3)]) {
             assert_eq!(backend.threshold_join(&a, &b, &taus), base, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn conv_batches_agree_across_backends() {
+        let planes: Vec<(Vec<f32>, usize, usize)> = (0..3)
+            .map(|s| {
+                (
+                    (0..19 * 13).map(|i| ((i * (s + 5)) % 61) as f32).collect(),
+                    19,
+                    13,
+                )
+            })
+            .collect();
+        let cpu = Backend::Cpu.conv_stack_batch(&planes, 3);
+        let avx = Backend::Host(1).conv_stack_batch(&planes, 3);
+        for (c, v) in cpu.iter().zip(&avx) {
+            assert!(c.iter().zip(v).all(|(x, y)| (x - y).abs() < 1e-3));
+        }
+        let bits = |out: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            out.iter()
+                .map(|p| p.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        for backend in [Backend::Host(4), gpu(Duration::ZERO, 3)] {
+            assert_eq!(
+                bits(&backend.conv_stack_batch(&planes, 3)),
+                bits(&avx),
+                "{backend:?}"
+            );
         }
     }
 
@@ -344,7 +402,7 @@ mod tests {
     fn gpu_pays_overhead_on_tiny_input() {
         let a = mat(2, 4, 1);
         let b = mat(2, 4, 2);
-        let cpu = Backend::Host(Device::Cpu);
+        let cpu = Backend::Cpu;
         let gpu = gpu(Duration::from_millis(2), 4);
 
         let t0 = Instant::now();
@@ -380,7 +438,7 @@ mod tests {
         }
     }
 
-    const AVX: Backend = Backend::Host(Device::Avx);
+    const AVX: Backend = Backend::Host(1);
 
     #[test]
     fn device_planner_crossover() {
@@ -400,7 +458,7 @@ mod tests {
         // Mid-size kernel: parallel CPU amortizes its spawn cost, while the
         // GPU's launch + transfer overhead still dominates its compute win.
         let placed = planner.place(2_000.0, 64 << 20);
-        assert_eq!(placed, Backend::Host(Device::ParallelCpu(4)));
+        assert_eq!(placed, Backend::Host(4));
         // And the estimates are consistent with that pick.
         let par = planner.estimate_us(&placed, 2_000.0, 64 << 20);
         assert!(par < planner.estimate_us(&AVX, 2_000.0, 64 << 20));
@@ -413,18 +471,17 @@ mod tests {
         let planner = planner_fixture();
         for work in [10.0, 1_000.0, 100_000.0] {
             assert!(
-                planner.estimate_us(&Backend::Host(Device::Cpu), work, 0)
-                    > planner.estimate_us(&AVX, work, 0)
+                planner.estimate_us(&Backend::Cpu, work, 0) > planner.estimate_us(&AVX, work, 0)
             );
         }
     }
 
     #[test]
-    fn single_threaded_parallel_degenerates_to_avx() {
+    fn zero_host_workers_price_as_the_hardware_threads() {
         let planner = planner_fixture();
         assert_eq!(
-            planner.estimate_us(&Backend::Host(Device::ParallelCpu(1)), 500.0, 0),
-            planner.estimate_us(&AVX, 500.0, 0)
+            planner.estimate_us(&Backend::Host(0), 500.0, 0),
+            planner.estimate_us(&Backend::Host(configured_threads()), 500.0, 0)
         );
     }
 
@@ -436,14 +493,14 @@ mod tests {
             vector_speedup: 0.8,
             ..planner_fixture()
         };
-        assert_eq!(planner.place(50.0, 1024), Backend::Host(Device::Cpu));
+        assert_eq!(planner.place(50.0, 1024), Backend::Cpu);
     }
 
     #[test]
     fn candidates_cover_the_lattice() {
         let c = planner_fixture().candidates();
         assert_eq!(c.len(), 4);
-        assert_eq!(c[2], Backend::Host(Device::ParallelCpu(4)));
+        assert_eq!(c[2], Backend::Host(4));
         assert_eq!(c[3].label(), "GPU");
     }
 

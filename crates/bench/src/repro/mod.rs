@@ -23,9 +23,10 @@
 //!   Fig. 6's expensive-to-build index).
 //! * [`sorted::SortedRunIndex`] — binary-searchable sorted runs over a
 //!   single `f64` attribute (the "sorted file" of §3.2).
-//! * [`devices`] — Fig. 8's device set: the simulated GPU with its launch +
-//!   transfer overhead, and device placement over CPU, AVX, parallel CPU
-//!   and GPU.
+//! * [`devices`] — Fig. 8's device set: the scalar kernels as its CPU, the
+//!   sharded kernels on host workers (one worker is AVX), the simulated
+//!   GPU with its launch + transfer overhead, and device placement over
+//!   them.
 //! * [`accuracy`] — per-operator (recall, precision) profiles and the two
 //!   q4 plan orders of Table 1, priced by the engine's cost model.
 //!

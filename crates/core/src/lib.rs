@@ -105,5 +105,5 @@ pub mod prelude {
     pub use crate::shared::SharedCatalog;
     pub use crate::types::{DataKind, PatchSchema};
     pub use crate::value::Value;
-    pub use deeplens_exec::{Device, Executor, WorkerPool};
+    pub use deeplens_exec::WorkerPool;
 }

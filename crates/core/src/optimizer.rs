@@ -15,8 +15,6 @@
 //! the server runs offloads to a GPU or enumerates plan orders, so both live
 //! with their harnesses in `deeplens_bench::repro`.
 
-use deeplens_exec::Device;
-
 /// Cost model for similarity joins over multidimensional features.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
@@ -193,9 +191,8 @@ impl DevicePlanner {
     /// on the running host by a slim startup microbenchmark (a few
     /// milliseconds) instead of assuming the hardcoded defaults.
     ///
-    /// * `units_per_us` — timed off the distance kernel exactly as
-    ///   [`Device::Avx`] runs it (the sharded kernel at one worker, see
-    ///   [`deeplens_exec::kernels::distances_sharded`]): the [`CostModel`]'s
+    /// * `units_per_us` — timed off the vectorized distance kernel at one
+    ///   worker ([`deeplens_exec::kernels::distances_sharded`]): the [`CostModel`]'s
     ///   cost unit is one dim-8 distance evaluation, so evaluations/µs *is*
     ///   the bridge constant.
     /// * `spawn_overhead_us` — the measured per-thread cost of spawning and
@@ -224,9 +221,11 @@ impl DevicePlanner {
     }
 
     /// Cost-model units (dim-8 distance evaluations) one microsecond of
-    /// vectorized single-core ([`Device::Avx`]) work covers on this host.
+    /// vectorized single-core work (the distance kernel at one worker)
+    /// covers on this host.
     /// `None` if the measurement degenerates (zero elapsed on a coarse clock).
     fn measure_units_per_us() -> Option<f64> {
+        use deeplens_exec::kernels::distances_sharded;
         use std::time::Instant;
         const DIM: usize = 8;
         const ROWS: usize = 2_048;
@@ -234,14 +233,14 @@ impl DevicePlanner {
         let data: Vec<f32> = (0..ROWS * DIM).map(|i| (i % 97) as f32 * 0.1).collect();
         let matrix = deeplens_exec::Matrix::from_vec(ROWS, DIM, data);
         let query = [0.5f32; DIM];
-        let avx = deeplens_exec::Executor::new(Device::Avx);
+        let pass = || distances_sharded(&matrix, &query, 1);
         // Warm caches, then take the best of REPS passes: calibration wants
         // the machine's attainable rate, not its scheduling jitter.
-        std::hint::black_box(avx.distances(&matrix, &query));
+        std::hint::black_box(pass());
         let mut best_us = f64::INFINITY;
         for _ in 0..REPS {
             let t0 = Instant::now();
-            std::hint::black_box(avx.distances(&matrix, &query));
+            std::hint::black_box(pass());
             best_us = best_us.min(t0.elapsed().as_secs_f64() * 1e6);
         }
         (best_us > 0.0).then(|| (ROWS as f64 / best_us).clamp(1.0, 1e6))

@@ -1,39 +1,33 @@
 //! # deeplens-exec
 //!
-//! Execution backends for DeepLens compute kernels.
+//! Compute kernels for DeepLens and the worker pool they shard over.
 //!
-//! The paper's Fig. 8 varies the "execution architecture" of both the ETL
-//! phase (neural-network inference) and the query phase (image matching)
-//! across a vanilla CPU implementation, a vectorized implementation (AVX),
-//! and a GPU. This crate holds the devices that exist on the host: the
-//! scalar [`device::Device::Cpu`], the vectorized [`device::Device::Avx`],
-//! and [`device::Device::ParallelCpu`] — the vectorized kernels sharded over
-//! a morsel-driven scoped-thread [`pool::WorkerPool`]. The simulated GPU
-//! Fig. 8 also measures, with its launch and transfer overhead, lives with
-//! the harness in `deeplens_bench::repro::devices`: nothing the engine
-//! serves offloads.
+//! Every kernel comes in two forms: a scalar reference (`*_scalar`, the
+//! oracle the other form is held to) and a vectorized form that takes a
+//! worker count and shards its rows — or, for the convolution stack, its
+//! planes — over a morsel-driven scoped-thread [`pool::WorkerPool`]. The
+//! output of the vectorized form is identical for every worker count, so a
+//! caller picks a worker count and nothing else. The paper's Fig. 8
+//! devices are built from these kernels in `deeplens_bench::repro::devices`:
+//! its "CPU" is the scalar reference, its "AVX" the vectorized kernel at
+//! one worker, and its simulated GPU the vectorized kernel behind a
+//! modelled launch and transfer overhead. Nothing the engine serves
+//! offloads.
 //!
-//! * [`device`] — device descriptors and the host's thread count.
 //! * [`matrix`] — dense row-major `f32` matrices (feature sets).
-//! * [`pool`] — the morsel-driven scoped worker pool.
-//! * [`kernels`] — distance batches, threshold joins, histograms and the
-//!   convolution stack used to emulate NN inference: a scalar reference
-//!   per kernel plus one vectorized form sharded over the worker pool (one
-//!   worker is the AVX device).
+//! * [`pool`] — the morsel-driven scoped worker pool and the host's thread
+//!   count ([`configured_threads`]).
+//! * [`kernels`] — distance batches, threshold joins and the convolution
+//!   stack used to emulate NN inference.
 //! * [`packed`] — the threshold join over *packed* feature blocks (flat
 //!   values + row offsets), kept for the benchmark's layer probe.
-//! * [`Executor`] — ties a device to its kernel implementations.
 
 #![deny(missing_docs)]
 
-pub mod device;
-mod executor;
 pub mod kernels;
 pub mod matrix;
 pub mod packed;
 pub mod pool;
 
-pub use device::{configured_threads, Device};
-pub use executor::Executor;
 pub use matrix::Matrix;
-pub use pool::WorkerPool;
+pub use pool::{configured_threads, WorkerPool};

@@ -11,13 +11,21 @@ pub struct Matrix {
     data: Vec<f32>,
 }
 
+/// Element count of a `rows × cols` matrix. Panics when the product
+/// overflows `usize`, in every build profile: a wrapped product would
+/// accept a buffer that does not match the shape.
+fn element_count(rows: usize, cols: usize) -> usize {
+    rows.checked_mul(cols)
+        .unwrap_or_else(|| panic!("matrix shape {rows} x {cols} overflows usize"))
+}
+
 impl Matrix {
     /// Zero matrix of the given shape.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![0.0; element_count(rows, cols)],
         }
     }
 
@@ -25,14 +33,18 @@ impl Matrix {
     ///
     /// Panics when `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(data.len(), rows * cols, "buffer does not match shape");
+        assert_eq!(
+            data.len(),
+            element_count(rows, cols),
+            "buffer does not match shape"
+        );
         Matrix { rows, cols, data }
     }
 
     /// Build from a slice of equal-length row vectors.
     pub fn from_rows(rows: &[Vec<f32>]) -> Self {
         let cols = rows.first().map(|r| r.len()).unwrap_or(0);
-        let mut data = Vec::with_capacity(rows.len() * cols);
+        let mut data = Vec::with_capacity(element_count(rows.len(), cols));
         for r in rows {
             assert_eq!(r.len(), cols, "all rows must share a length");
             data.extend_from_slice(r);
@@ -95,6 +107,19 @@ mod tests {
     #[should_panic(expected = "buffer does not match shape")]
     fn shape_mismatch_panics() {
         Matrix::from_vec(2, 2, vec![0.0; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn overflowing_shape_panics_instead_of_wrapping() {
+        // 2^63 x 2 wraps to 0 elements, which an empty buffer would match.
+        Matrix::from_vec(1 << 63, 2, vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn overflowing_zeros_panics() {
+        Matrix::zeros(usize::MAX, 2);
     }
 
     #[test]

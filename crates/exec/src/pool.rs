@@ -1,8 +1,8 @@
-//! Morsel-driven scoped worker pool.
+//! Morsel-driven scoped worker pool, and the host's thread count.
 //!
-//! The parallel-CPU backend shards a kernel's iteration space into
-//! fixed-size **morsels** (contiguous index ranges, after Leis et al.'s
-//! morsel-driven parallelism). Workers are scoped threads that repeatedly
+//! A sharded kernel splits its iteration space into fixed-size **morsels**
+//! (contiguous index ranges, after Leis et al.'s morsel-driven
+//! parallelism). Workers are scoped threads that repeatedly
 //! claim the next unclaimed morsel from a shared atomic cursor, so load
 //! balances dynamically: a worker that drew cheap morsels simply claims
 //! more of them. Results are reassembled in morsel order, which makes every
@@ -13,6 +13,38 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use deeplens_analyze::sync::{LockRank, OrderedMutex};
+
+/// Hardware threads this process should assume, honoring the
+/// `DEEPLENS_THREADS` environment variable.
+///
+/// Containers and CI runners frequently advertise a core count that has
+/// nothing to do with the quota the process actually gets, and the test
+/// suite needs to run under pinned thread shapes (the CI matrix exercises a
+/// 1-thread and a many-thread configuration). `DEEPLENS_THREADS=<n>` (n ≥ 1)
+/// overrides auto-detection everywhere a zero/auto worker count resolves,
+/// starting with `WorkerPool::new(0)`. Unset, empty, or unparsable values
+/// fall back to [`std::thread::available_parallelism`].
+pub fn configured_threads() -> usize {
+    match std::env::var("DEEPLENS_THREADS") {
+        Ok(raw) => parse_thread_override(&raw).unwrap_or_else(available_threads),
+        Err(_) => available_threads(),
+    }
+}
+
+/// Parse a `DEEPLENS_THREADS` value: a positive integer, or `None` to fall
+/// back to auto-detection.
+fn parse_thread_override(raw: &str) -> Option<usize> {
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => None,
+    }
+}
+
+fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
 
 /// A scoped worker pool executing morsel-sharded kernels.
 ///
@@ -28,10 +60,10 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Pool with `threads` workers; `0` means one worker per available
     /// hardware thread (honoring the `DEEPLENS_THREADS` override — see
-    /// [`crate::device::configured_threads`]).
+    /// [`configured_threads`]).
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 {
-            crate::device::configured_threads()
+            configured_threads()
         } else {
             threads
         };
@@ -136,6 +168,34 @@ mod tests {
     fn zero_threads_resolves_to_hardware() {
         assert!(WorkerPool::new(0).threads() >= 1);
         assert_eq!(WorkerPool::new(3).threads(), 3);
+    }
+
+    #[test]
+    fn one_worker_or_one_morsel_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |pool: WorkerPool, items: usize, morsel: usize| {
+            pool.run_morsels(items, morsel, |_| std::thread::current().id() == caller)
+        };
+        // One worker over many morsels, and many workers over one morsel.
+        let one_worker = on_caller(WorkerPool::new(1), 100, 7);
+        assert_eq!(one_worker.len(), 15);
+        assert!(one_worker.iter().all(|&inline| inline));
+        assert_eq!(on_caller(WorkerPool::new(8), 5, 5), vec![true]);
+    }
+
+    #[test]
+    fn thread_override_parsing() {
+        // The pure parser behind DEEPLENS_THREADS (the env read itself is
+        // not exercised here: the test harness runs tests concurrently and
+        // process-global env mutation would race).
+        assert_eq!(parse_thread_override("4"), Some(4));
+        assert_eq!(parse_thread_override(" 16 "), Some(16));
+        assert_eq!(parse_thread_override("1"), Some(1));
+        assert_eq!(parse_thread_override("0"), None, "zero means auto");
+        assert_eq!(parse_thread_override(""), None);
+        assert_eq!(parse_thread_override("lots"), None);
+        assert_eq!(parse_thread_override("-2"), None);
+        assert!(configured_threads() >= 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! with distance).
 
 use deeplens_codec::Image;
-use deeplens_exec::{Device, Executor};
+use deeplens_exec::kernels::conv_stack_vectorized;
 
 /// Noise profile of the simulated depth network.
 #[derive(Debug, Clone, Copy)]
@@ -41,24 +41,15 @@ fn unit_hash(seed: u64, a: u64, b: u64) -> f64 {
 }
 
 /// The simulated depth predictor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DepthModel {
     cfg: DepthConfig,
-    exec: Executor,
 }
 
 impl DepthModel {
-    /// Model with an explicit profile on `device`.
-    pub fn new(cfg: DepthConfig, device: Device) -> Self {
-        DepthModel {
-            cfg,
-            exec: Executor::new(device),
-        }
-    }
-
-    /// Default model on `device`.
-    pub fn default_on(device: Device) -> Self {
-        Self::new(DepthConfig::default(), device)
+    /// Model with an explicit profile.
+    pub fn new(cfg: DepthConfig) -> Self {
+        DepthModel { cfg }
     }
 
     /// Predict the depth of a patch whose ground-truth camera distance is
@@ -67,7 +58,7 @@ impl DepthModel {
     pub fn predict(&self, patch: &Image, true_depth: f64, object_id: u64, frame_no: u64) -> f64 {
         // Pay the prediction compute on the patch pixels.
         let [y, _, _] = patch.to_ycbcr();
-        let _ = self.exec.conv_stack(
+        let _ = conv_stack_vectorized(
             &y.data,
             y.width as usize,
             y.height as usize,
@@ -76,22 +67,12 @@ impl DepthModel {
         self.noisy_depth(true_depth, object_id, frame_no)
     }
 
-    /// Batched prediction: one device dispatch for all patches (streaming
-    /// inference), then per-patch deterministic noise.
+    /// Batched prediction over `(patch, true_depth, object_id, frame_no)`
+    /// items: one [`DepthModel::predict`] per item, in order.
     pub fn predict_batch(&self, items: &[(Image, f64, u64, u64)]) -> Vec<f64> {
-        let planes: Vec<(Vec<f32>, usize, usize)> = items
-            .iter()
-            .map(|(img, _, _, _)| {
-                let [y, _, _] = img.to_ycbcr();
-                (y.data, y.width as usize, y.height as usize)
-            })
-            .collect();
-        if !planes.is_empty() {
-            let _ = self.exec.conv_stack_batch(&planes, self.cfg.cost_layers);
-        }
         items
             .iter()
-            .map(|(_, depth, id, frame)| self.noisy_depth(*depth, *id, *frame))
+            .map(|(img, depth, id, frame)| self.predict(img, *depth, *id, *frame))
             .collect()
     }
 
@@ -116,7 +97,7 @@ mod tests {
 
     #[test]
     fn prediction_is_deterministic() {
-        let m = DepthModel::default_on(Device::Avx);
+        let m = DepthModel::default();
         let a = m.predict(&patch(), 10.0, 5, 100);
         let b = m.predict(&patch(), 10.0, 5, 100);
         assert_eq!(a, b);
@@ -124,7 +105,7 @@ mod tests {
 
     #[test]
     fn prediction_near_truth() {
-        let m = DepthModel::default_on(Device::Avx);
+        let m = DepthModel::default();
         for id in 0..50u64 {
             let p = m.predict(&patch(), 20.0, id, 7);
             assert!(
@@ -138,7 +119,7 @@ mod tests {
     fn ordering_mostly_preserved_for_separated_depths() {
         // Well-separated true depths should almost always keep their order —
         // the property q6 relies on.
-        let m = DepthModel::default_on(Device::Avx);
+        let m = DepthModel::default();
         let mut correct = 0;
         for id in 0..100u64 {
             let near = m.predict(&patch(), 5.0, id, 1);
@@ -152,13 +133,10 @@ mod tests {
 
     #[test]
     fn noise_free_model_is_exact() {
-        let m = DepthModel::new(
-            DepthConfig {
-                relative_noise: 0.0,
-                ..Default::default()
-            },
-            Device::Cpu,
-        );
+        let m = DepthModel::new(DepthConfig {
+            relative_noise: 0.0,
+            ..Default::default()
+        });
         assert_eq!(m.predict(&patch(), 12.5, 1, 1), 12.5);
     }
 }

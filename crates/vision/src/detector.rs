@@ -2,10 +2,11 @@
 //!
 //! The detector does two things the real network would do:
 //!
-//! 1. **Burn compute on the pixels** — a convolution stack runs on the
-//!    frame's luma plane through [`deeplens_exec::Executor`], so detection
-//!    cost depends on the execution device exactly like real inference
-//!    (paper Fig. 8, ETL phase).
+//! 1. **Burn compute on the pixels** — a convolution stack
+//!    ([`deeplens_exec::kernels::conv_stack_vectorized`]) runs on the
+//!    frame's luma plane, so detection costs compute in proportion to the
+//!    pixels, like real inference. (Fig. 8's ETL bars time the same kernel
+//!    per device in `deeplens_bench::repro::devices`.)
 //! 2. **Produce noisy detections** — ground-truth boxes from the scene are
 //!    corrupted with calibrated noise: pixel-evidence-based misses (lossy
 //!    encoding degrades the box's color signature → detections drop, which
@@ -16,7 +17,7 @@
 //! can score recall/precision without manual annotation.
 
 use deeplens_codec::Image;
-use deeplens_exec::{Device, Executor};
+use deeplens_exec::kernels::conv_stack_vectorized;
 
 use crate::scene::{BBox, ObjectClass, Scene};
 
@@ -88,24 +89,15 @@ fn gauss_hash(seed: u64, a: u64, b: u64, c: u64) -> f64 {
 }
 
 /// The simulated object detector.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ObjectDetector {
     cfg: DetectorConfig,
-    exec: Executor,
 }
 
 impl ObjectDetector {
-    /// Detector with the given noise profile, running on `device`.
-    pub fn new(cfg: DetectorConfig, device: Device) -> Self {
-        ObjectDetector {
-            cfg,
-            exec: Executor::new(device),
-        }
-    }
-
-    /// Default detector on the vectorized CPU backend.
-    pub fn default_on(device: Device) -> Self {
-        Self::new(DetectorConfig::default(), device)
+    /// Detector with the given noise profile.
+    pub fn new(cfg: DetectorConfig) -> Self {
+        ObjectDetector { cfg }
     }
 
     /// The configured noise profile.
@@ -140,12 +132,12 @@ impl ObjectDetector {
         acc / n as f64
     }
 
-    /// Run "inference" on `frame` (pays the device-dependent compute cost)
+    /// Run "inference" on `frame` (pays the compute cost on its pixels)
     /// and return noisy detections for frame `t` of `scene`.
     pub fn detect(&self, scene: &Scene, t: u64, frame: &Image) -> Vec<Detection> {
         // 1. Pay the inference cost on the actual pixels.
         let [y, _, _] = frame.to_ycbcr();
-        let _activations = self.exec.conv_stack(
+        let _activations = conv_stack_vectorized(
             &y.data,
             y.width as usize,
             y.height as usize,
@@ -154,23 +146,12 @@ impl ObjectDetector {
         self.outputs(scene, t, frame)
     }
 
-    /// Batched inference over many frames of one scene: whole planes are
-    /// sharded over the device's workers — how real streaming inference
-    /// pipelines run. Fig. 8's simulated GPU (`repro::devices` in
-    /// `deeplens-bench`) charges one launch + transfer per batch around
-    /// this call (paper Fig. 8, left).
+    /// Batched inference over many frames of one scene: one inference pass
+    /// per frame, in order.
     pub fn detect_batch(&self, scene: &Scene, frames: &[(u64, Image)]) -> Vec<Vec<Detection>> {
-        let planes: Vec<(Vec<f32>, usize, usize)> = frames
-            .iter()
-            .map(|(_, f)| {
-                let [y, _, _] = f.to_ycbcr();
-                (y.data, y.width as usize, y.height as usize)
-            })
-            .collect();
-        let _activations = self.exec.conv_stack_batch(&planes, self.cfg.cost_layers);
         frames
             .iter()
-            .map(|(t, f)| self.outputs(scene, *t, f))
+            .map(|(t, f)| self.detect(scene, *t, f))
             .collect()
     }
 
@@ -250,7 +231,7 @@ mod tests {
     #[test]
     fn detections_follow_ground_truth() {
         let ds = tiny_traffic();
-        let det = ObjectDetector::default_on(Device::Avx);
+        let det = ObjectDetector::default();
         let mut detected = 0usize;
         let mut truth = 0usize;
         for t in 0..ds.num_frames.min(60) {
@@ -278,7 +259,7 @@ mod tests {
     #[test]
     fn deterministic_across_calls() {
         let ds = tiny_traffic();
-        let det = ObjectDetector::default_on(Device::Cpu);
+        let det = ObjectDetector::default();
         let frame = ds.scene.render_frame(10);
         let a = det.detect(&ds.scene, 10, &frame);
         let b = det.detect(&ds.scene, 10, &frame);
@@ -292,7 +273,7 @@ mod tests {
     #[test]
     fn degraded_pixels_reduce_detections() {
         let ds = tiny_traffic();
-        let det = ObjectDetector::default_on(Device::Avx);
+        let det = ObjectDetector::default();
         // Find a frame with several objects.
         let t = (0..ds.num_frames)
             .max_by_key(|&t| ds.scene.visible_at(t).len())
@@ -319,7 +300,7 @@ mod tests {
         // High-quality encode keeps detections; a brutal quality drop loses
         // some — the Fig. 2 mechanism.
         let ds = tiny_traffic();
-        let det = ObjectDetector::default_on(Device::Avx);
+        let det = ObjectDetector::default();
         let mut hi_total = 0usize;
         let mut lo_total = 0usize;
         for t in (0..ds.num_frames.min(40)).step_by(5) {

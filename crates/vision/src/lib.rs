@@ -17,8 +17,8 @@
 //!   feed with distinct vehicle/pedestrian identities, 15 football clips
 //!   with jersey numbers.
 //! * [`detector`] / [`ocr`] / [`depth`] — *simulated* models: they run a
-//!   real convolution stack on the pixels for device-dependent compute cost
-//!   (via [`deeplens_exec`]), then derive their outputs from scene ground
+//!   real convolution stack on the pixels for a compute cost that grows with
+//!   them (via [`deeplens_exec::kernels`]), then derive their outputs from scene ground
 //!   truth corrupted with calibrated noise (missed detections, false
 //!   positives, bounding-box jitter, character errors, depth noise).
 //!   Ground-truth identities are retained on every output so the accuracy

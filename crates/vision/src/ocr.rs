@@ -6,7 +6,7 @@
 //! inside the region) is degraded by lossy encoding.
 
 use deeplens_codec::Image;
-use deeplens_exec::{Device, Executor};
+use deeplens_exec::kernels::conv_stack_vectorized;
 
 use crate::scene::BBox;
 
@@ -56,24 +56,15 @@ fn unit_hash(seed: u64, a: u64, b: u64) -> f64 {
 }
 
 /// The simulated OCR engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OcrEngine {
     cfg: OcrConfig,
-    exec: Executor,
 }
 
 impl OcrEngine {
-    /// Engine with an explicit profile on `device`.
-    pub fn new(cfg: OcrConfig, device: Device) -> Self {
-        OcrEngine {
-            cfg,
-            exec: Executor::new(device),
-        }
-    }
-
-    /// Default engine on `device`.
-    pub fn default_on(device: Device) -> Self {
-        Self::new(OcrConfig::default(), device)
+    /// Engine with an explicit profile.
+    pub fn new(cfg: OcrConfig) -> Self {
+        OcrEngine { cfg }
     }
 
     /// Luma range inside a region — the contrast signal lossy encoding kills.
@@ -107,7 +98,7 @@ impl OcrEngine {
         // Pay the recognition compute on the cropped pixels.
         let crop = img.crop(region.x, region.y, region.w, region.h);
         let [y, _, _] = crop.to_ycbcr();
-        let _ = self.exec.conv_stack(
+        let _ = conv_stack_vectorized(
             &y.data,
             y.width as usize,
             y.height as usize,
@@ -162,13 +153,10 @@ mod tests {
     #[test]
     fn clean_text_reads_mostly_correctly() {
         let (img, bb) = text_image("HELLO");
-        let ocr = OcrEngine::new(
-            OcrConfig {
-                char_error_rate: 0.0,
-                ..Default::default()
-            },
-            Device::Avx,
-        );
+        let ocr = OcrEngine::new(OcrConfig {
+            char_error_rate: 0.0,
+            ..Default::default()
+        });
         let res = ocr.recognize(&img, &bb, "HELLO", 0).unwrap();
         assert_eq!(res.text, "HELLO");
         assert_eq!(res.truth, "HELLO");
@@ -177,7 +165,7 @@ mod tests {
     #[test]
     fn zero_contrast_region_fails() {
         let img = Image::solid(96, 32, [128, 128, 128]);
-        let ocr = OcrEngine::default_on(Device::Avx);
+        let ocr = OcrEngine::default();
         let bb = BBox::new(4, 4, 40, 16);
         assert!(ocr.recognize(&img, &bb, "HELLO", 0).is_none());
     }
@@ -185,13 +173,10 @@ mod tests {
     #[test]
     fn corruption_is_deterministic() {
         let (img, bb) = text_image("DEEPLENS");
-        let ocr = OcrEngine::new(
-            OcrConfig {
-                char_error_rate: 0.5,
-                ..Default::default()
-            },
-            Device::Avx,
-        );
+        let ocr = OcrEngine::new(OcrConfig {
+            char_error_rate: 0.5,
+            ..Default::default()
+        });
         let a = ocr.recognize(&img, &bb, "DEEPLENS", 3).unwrap();
         let b = ocr.recognize(&img, &bb, "DEEPLENS", 3).unwrap();
         assert_eq!(a.text, b.text);
@@ -208,13 +193,10 @@ mod tests {
             deeplens_codec::Quality::Custom(2),
         ))
         .unwrap();
-        let ocr = OcrEngine::new(
-            OcrConfig {
-                char_error_rate: 0.01,
-                ..Default::default()
-            },
-            Device::Avx,
-        );
+        let ocr = OcrEngine::new(OcrConfig {
+            char_error_rate: 0.01,
+            ..Default::default()
+        });
         let clean_errs = {
             let r = ocr.recognize(&img, &bb, "QUICKBROWNFOX", 0).unwrap();
             r.text

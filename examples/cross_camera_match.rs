@@ -9,11 +9,10 @@ use deeplens::prelude::*;
 use deeplens::vision::datasets::TrafficDataset;
 use deeplens::vision::detector::ObjectDetector;
 use deeplens::vision::features::joint_histogram;
-use deeplens_exec::Device;
 
 /// ETL one camera into featurized vehicle patches.
 fn etl_camera(ds: &TrafficDataset, name: &str, catalog: &SharedCatalog) -> Vec<Patch> {
-    let detector = ObjectDetector::default_on(Device::Avx);
+    let detector = ObjectDetector::default();
     let mut patches = Vec::new();
     for t in 0..ds.num_frames {
         let frame = ds.scene.render_frame(t);

@@ -10,7 +10,6 @@ use deeplens::vision::datasets::PcDataset;
 use deeplens::vision::features::joint_histogram;
 use deeplens::vision::ocr::OcrEngine;
 use deeplens::vision::scene::BBox;
-use deeplens_exec::Device;
 
 fn main() {
     let ds = PcDataset::generate(0.15, 4242);
@@ -22,7 +21,7 @@ fn main() {
     let catalog = SharedCatalog::new();
 
     // ETL: whole-image feature patches + OCR string patches.
-    let ocr = OcrEngine::default_on(Device::Avx);
+    let ocr = OcrEngine::default();
     let mut image_patches = Vec::new();
     let mut strings = Vec::new();
     for (i, img) in ds.images.iter().enumerate() {

@@ -10,13 +10,12 @@ use deeplens::core::ops;
 use deeplens::prelude::*;
 use deeplens::vision::datasets::TrafficDataset;
 use deeplens::vision::detector::ObjectDetector;
-use deeplens_exec::Device;
 
 fn main() {
     // The "parking lot camera": a traffic scene works structurally — cars
     // enter, sit in lanes, and leave.
     let ds = TrafficDataset::generate(0.004, 99);
-    let detector = ObjectDetector::default_on(Device::Avx);
+    let detector = ObjectDetector::default();
     let catalog = SharedCatalog::new();
 
     // ETL: SSD-style patches per frame (paper: SSDPatch(Frame, Bbox, ...)).

@@ -13,7 +13,6 @@ use deeplens::prelude::*;
 use deeplens::vision::datasets::TrafficDataset;
 use deeplens::vision::detector::ObjectDetector;
 use deeplens::vision::features::joint_histogram;
-use deeplens_exec::Device;
 
 fn main() {
     // 1. A tiny traffic world: ~140 frames of cars and pedestrians.
@@ -49,7 +48,7 @@ fn main() {
         .map(|(t, frame)| (t as u64, frame))
         .collect();
     let session = Session::ephemeral().expect("session");
-    let detector = ObjectDetector::default_on(Device::Avx);
+    let detector = ObjectDetector::default();
     let mut patches = Vec::new();
     for (t, frame) in &window {
         for det in detector.detect(&ds.scene, *t, frame) {

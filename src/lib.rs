@@ -23,9 +23,10 @@
 //!   Ball-Tree, distance kernels, brute-force ground truth. (The KD-Tree,
 //!   LSH, R-Tree and sorted runs Fig. 6 measures live in the
 //!   `deeplens-bench` reproduction crate, outside this facade.)
-//! * [`exec`] ([`deeplens_exec`]) — scalar / vectorized / parallel-CPU
-//!   execution backends. (The simulated GPU Fig. 8 measures lives in
-//!   `deeplens-bench`, outside this facade.)
+//! * [`exec`] ([`deeplens_exec`]) — compute kernels: a scalar reference
+//!   and a vectorized form sharded over a worker count. (The CPU, AVX and
+//!   simulated GPU Fig. 8 measures live in `deeplens-bench`, outside this
+//!   facade.)
 //! * [`serve`] ([`deeplens_serve`]) — TCP query-serving front end:
 //!   connection-per-session dispatch over a shared catalog with
 //!   cost-weighted admission control.

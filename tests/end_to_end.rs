@@ -7,7 +7,6 @@ use deeplens::vision::datasets::TrafficDataset;
 use deeplens::vision::detector::ObjectDetector;
 use deeplens::vision::features::joint_histogram;
 use deeplens_bench::repro::storage::layout::{FrameFile, FrameFormat, SegmentedFile, VideoStore};
-use deeplens_exec::Device;
 
 fn workdir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()
@@ -32,7 +31,7 @@ fn ingest_detect_query_roundtrip() {
 
     // Decode everything back through the layout and run the detector.
     let decoded = store.scan_range(0, store.frame_count()).unwrap();
-    let detector = ObjectDetector::default_on(Device::Avx);
+    let detector = ObjectDetector::default();
     let session = Session::ephemeral().unwrap();
     let mut patches = Vec::new();
     for (t, frame) in &decoded {

@@ -1,12 +1,12 @@
-//! Integration: the multi-core `ParallelCpu` backend is a drop-in
-//! replacement for the scalar `Cpu` backend — identical answers across
-//! thread counts and degenerate shapes — and Fig. 8's placement planner
-//! knows when it wins.
+//! Integration: the sharded vectorized kernels of `deeplens::exec::kernels`
+//! answer as their scalar oracles do at every worker count and on
+//! degenerate shapes, and Fig. 8's placement planner knows when more
+//! workers win.
 
 use std::time::{Duration, Instant};
 
 use deeplens::core::optimizer::DevicePlanner;
-use deeplens::exec::{kernels, Device, Executor, Matrix, WorkerPool};
+use deeplens::exec::{kernels, Matrix, WorkerPool};
 use deeplens_bench::repro::devices::{Backend, GpuProfile, PlacementPlanner};
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -23,9 +23,8 @@ fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     )
 }
 
-/// ParallelCpu must produce byte-identical join results to the scalar Cpu
-/// backend for every thread count and awkward input shape — one worker
-/// being the AVX device.
+/// The sharded join must produce byte-identical pairs to the scalar kernel
+/// for every worker count and awkward input shape.
 #[test]
 fn parallel_join_equals_scalar_across_threads_and_shapes() {
     // (rows_a, rows_b) covering empty, singleton, odd, and uneven splits.
@@ -43,13 +42,9 @@ fn parallel_join_equals_scalar_across_threads_and_shapes() {
         let a = mat(ra, 12, ra as u64 + 1);
         let b = mat(rb, 12, rb as u64 + 101);
         let taus = [7.0, 3.0];
-        let scalar = Executor::new(Device::Cpu).threshold_join(&a, &b, &taus);
-        assert_eq!(
-            scalar,
-            Executor::new(Device::Avx).threshold_join(&a, &b, &taus)
-        );
+        let scalar = kernels::threshold_join_scalar(&a, &b, &taus);
         for threads in [1usize, 2, 8] {
-            let par = Executor::new(Device::ParallelCpu(threads)).threshold_join(&a, &b, &taus);
+            let par = kernels::threshold_join_sharded(&a, &b, &taus, threads);
             assert_eq!(
                 scalar, par,
                 "shape ({ra}x{rb}), {threads} threads: join results must match"
@@ -64,9 +59,9 @@ fn parallel_distances_equal_scalar_across_threads() {
     for rows in [0usize, 1, 3, 100] {
         let m = mat(rows, 16, rows as u64 + 7);
         let q: Vec<f32> = mat(1, 16, 999).row(0).to_vec();
-        let scalar = Executor::new(Device::Cpu).distances(&m, &q);
+        let scalar = kernels::distances_scalar(&m, &q);
         for threads in [1usize, 2, 8] {
-            let par = Executor::new(Device::ParallelCpu(threads)).distances(&m, &q);
+            let par = kernels::distances_sharded(&m, &q, threads);
             assert_eq!(scalar.len(), par.len());
             for (i, (s, p)) in scalar.iter().zip(&par).enumerate() {
                 assert!(
@@ -78,40 +73,34 @@ fn parallel_distances_equal_scalar_across_threads() {
     }
 }
 
-/// Same equivalence for the convolution stack and histogram kernels.
+/// Same equivalence for the batched convolution stack: each plane of a
+/// batch equals the scalar stack of that plane, whatever the worker count.
 #[test]
-fn parallel_conv_and_histogram_equal_scalar() {
-    let (w, h) = (61, 47);
-    let plane: Vec<f32> = (0..w * h).map(|i| ((i * 17) % 83) as f32).collect();
-    let scalar = kernels::conv_stack_scalar(&plane, w, h, 3);
+fn parallel_conv_equals_scalar() {
+    let shapes = [(61usize, 47usize), (1, 1), (2, 9), (33, 3)];
+    let planes: Vec<(Vec<f32>, usize, usize)> = shapes
+        .iter()
+        .map(|&(w, h)| ((0..w * h).map(|i| ((i * 17) % 83) as f32).collect(), w, h))
+        .collect();
+    let scalar: Vec<Vec<f32>> = planes
+        .iter()
+        .map(|(p, w, h)| kernels::conv_stack_scalar(p, *w, *h, 3))
+        .collect();
     for threads in [1usize, 2, 8] {
-        let par = kernels::conv_stack_parallel(&plane, w, h, 3, threads);
-        for i in 0..scalar.len() {
-            assert!(
-                (scalar[i] - par[i]).abs() < 1e-3,
-                "{threads} threads, px {i}"
-            );
+        let par = kernels::conv_stack_sharded(&planes, 3, threads);
+        assert_eq!(par.len(), scalar.len());
+        for (k, (s, p)) in scalar.iter().zip(&par).enumerate() {
+            assert_eq!(s.len(), p.len());
+            for i in 0..s.len() {
+                assert!(
+                    (s[i] - p[i]).abs() < 1e-3,
+                    "{threads} threads, plane {k}, px {i}"
+                );
+            }
         }
     }
-    let values: Vec<f32> = (0..9_999).map(|i| (i % 251) as f32).collect();
-    let s = kernels::histogram_scalar(&values, 32, 0.0, 256.0);
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            s,
-            kernels::histogram_parallel(&values, 32, 0.0, 256.0, threads)
-        );
-    }
-    // Empty and singleton inputs stay well-defined.
-    assert_eq!(
-        kernels::histogram_parallel(&[], 4, 0.0, 1.0, 8),
-        vec![0u32; 4]
-    );
-    assert_eq!(
-        kernels::histogram_parallel(&[0.5], 4, 0.0, 1.0, 8)
-            .iter()
-            .sum::<u32>(),
-        1
-    );
+    // An empty batch stays well-defined.
+    assert!(kernels::conv_stack_sharded(&[], 3, 8).is_empty());
 }
 
 /// The worker pool's morsel scheduling is deterministic: repeated runs of
@@ -121,42 +110,42 @@ fn parallel_conv_and_histogram_equal_scalar() {
 fn parallel_join_is_deterministic() {
     let a = mat(97, 24, 3);
     let b = mat(103, 24, 4);
-    let first = Executor::new(Device::ParallelCpu(8)).threshold_join(&a, &b, &[9.0]);
+    let first = kernels::threshold_join_sharded(&a, &b, &[9.0], 8);
     for _ in 0..5 {
-        let again = Executor::new(Device::ParallelCpu(8)).threshold_join(&a, &b, &[9.0]);
+        let again = kernels::threshold_join_sharded(&a, &b, &[9.0], 8);
         assert_eq!(first, again);
     }
 }
 
 /// Acceptance: on a large threshold-join (≥100k distance pairs) the
-/// parallel backend must beat the scalar backend on wall clock. This holds
-/// even on a single hardware thread because the parallel path runs the
-/// vectorized (norm + dot-product) inner kernel.
+/// sharded kernel on every hardware thread must beat the scalar kernel on
+/// wall clock. This holds even on a single hardware thread because the
+/// sharded kernel runs the vectorized (norm + dot-product) inner loop.
 #[test]
 fn parallel_beats_scalar_on_large_join() {
     let a = mat(400, 64, 21); // 400 x 400 = 160k distance pairs
     let b = mat(400, 64, 22);
 
     // Warm up once so page faults and lazy init don't skew either side.
-    let _ = Executor::new(Device::Cpu).threshold_join(&a, &b, &[0.1]);
+    let _ = kernels::threshold_join_scalar(&a, &b, &[0.1]);
 
     let t0 = Instant::now();
-    let scalar = Executor::new(Device::Cpu).threshold_join(&a, &b, &[8.0]);
+    let scalar = kernels::threshold_join_scalar(&a, &b, &[8.0]);
     let scalar_t = t0.elapsed();
 
     let t1 = Instant::now();
-    let par = Executor::new(Device::ParallelCpu(0)).threshold_join(&a, &b, &[8.0]);
+    let par = kernels::threshold_join_sharded(&a, &b, &[8.0], 0);
     let par_t = t1.elapsed();
 
-    assert_eq!(scalar, par, "backends must agree before comparing speed");
+    assert_eq!(scalar, par, "kernels must agree before comparing speed");
     assert!(
         par_t < scalar_t,
-        "ParallelCpu must beat scalar Cpu on 160k pairs: {par_t:?} vs {scalar_t:?}"
+        "the sharded kernel must beat the scalar one on 160k pairs: {par_t:?} vs {scalar_t:?}"
     );
 }
 
 /// Acceptance: Fig. 8's placement planner routes a mid-size kernel to the
-/// parallel backend when its cost model predicts a win, and the backend it
+/// host's workers when its cost model predicts a win, and the backend it
 /// names is runnable.
 #[test]
 fn optimizer_routes_midsize_kernels_to_parallel_cpu() {
@@ -182,12 +171,12 @@ fn optimizer_routes_midsize_kernels_to_parallel_cpu() {
     let placed = planner.place(5_000.0, 128 << 20);
     assert_eq!(
         placed,
-        Backend::Host(Device::ParallelCpu(8)),
-        "cost model must pick the parallel CPU"
+        Backend::Host(8),
+        "cost model must pick eight host workers"
     );
 
     // Tiny kernels still stay on the single vectorized core...
-    assert_eq!(planner.place(20.0, 4 << 10), Backend::Host(Device::Avx));
+    assert_eq!(planner.place(20.0, 4 << 10), Backend::Host(1));
     // ...and compute-dominated giants still offload.
     assert_eq!(
         planner.place(10_000_000.0, 1 << 20),
@@ -198,7 +187,7 @@ fn optimizer_routes_midsize_kernels_to_parallel_cpu() {
     let a = mat(60, 16, 31);
     let b = mat(60, 16, 32);
     let from_pick = placed.threshold_join(&a, &b, &[6.0]);
-    let reference = Executor::new(Device::Cpu).threshold_join(&a, &b, &[6.0]);
+    let reference = kernels::threshold_join_scalar(&a, &b, &[6.0]);
     assert_eq!(from_pick, reference);
 }
 
