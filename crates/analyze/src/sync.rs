@@ -5,8 +5,8 @@
 //! acquire a lock whose rank is **strictly greater** than every rank it
 //! already holds. Because all threads acquire in ascending rank order, no
 //! cycle of waits can form and deadlock is impossible. Same-rank acquisition
-//! is also rejected: sharded structures (catalog shards, buffer shards) allow
-//! at most one shard latch per thread at a time.
+//! is also rejected: sharded structures (catalog shards, result-cache shards)
+//! allow at most one shard latch per thread at a time.
 //!
 //! Under `debug_assertions` each thread keeps a stack of `(rank, name)` pairs
 //! for the locks it holds; a violating acquisition panics with the offending
@@ -30,10 +30,7 @@ use std::cell::RefCell;
 /// A thread holding a lock of rank `R` may only acquire locks of rank
 /// strictly greater than `R`. The discriminants are the single source of
 /// truth for the ordering rules documented in `core::shared`,
-/// `serve::admission`, and the reproduction crate's
-/// `deeplens_bench::repro::storage::buffer` (the only taker of
-/// `BufferShard` and `Pager`: the enum is closed, so its page stack can only
-/// be checked against the engine's locks if its ranks stay here).
+/// `serve::admission`, `core::cache` and `exec::pool`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum LockRank {
@@ -53,24 +50,15 @@ pub enum LockRank {
     /// `CatalogShard` latch (the materialize path), never the reverse.
     Lineage = 4,
     /// A session's decoded-frame cache (`core::session`). Leaf with respect
-    /// to catalog state: never held across catalog or buffer acquisitions.
+    /// to catalog state: never held across catalog acquisitions.
     FrameCache = 5,
-    /// One shard of the latch-sharded `BufferPool` in
-    /// `deeplens_bench::repro::storage::buffer`, the only place this rank is
-    /// taken: no engine crate runs a page stack. At most one shard latch per
-    /// thread.
-    BufferShard = 6,
-    /// That repro buffer pool's pager (backing-store allocator), likewise
-    /// taken nowhere else. May be taken while holding a single `BufferShard`
-    /// latch (flush/evict), never the reverse.
-    Pager = 7,
     /// `exec::pool` per-dispatch result collector. A worker takes it briefly
     /// at the end of a morsel batch, holding nothing else.
-    WorkerResults = 8,
+    WorkerResults = 6,
     /// One shard of the `core::cache` snapshot-keyed result cache. Innermost
     /// leaf: lookups and inserts hold exactly this lock, and cached values
     /// are cloned out before any other lock can be wanted.
-    ResultCacheShard = 9,
+    ResultCacheShard = 7,
 }
 
 impl fmt::Display for LockRank {
@@ -414,7 +402,7 @@ mod tests {
     fn ascending_acquisition_is_legal() {
         let outer = OrderedMutex::new(LockRank::SessionSlots, "slots", 1u32);
         let mid = OrderedRwLock::new(LockRank::CatalogShard, "shard-0", 2u32);
-        let inner = OrderedMutex::new(LockRank::Pager, "pager", 3u32);
+        let inner = OrderedMutex::new(LockRank::ResultCacheShard, "cache-shard-0", 3u32);
         let a = outer.lock();
         let b = mid.read();
         let c = inner.lock();
@@ -450,10 +438,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "lock-order inversion")]
     fn rank_inversion_panics() {
-        let pager = OrderedMutex::new(LockRank::Pager, "pager", ());
-        let shard = OrderedRwLock::new(LockRank::BufferShard, "buffer-shard-0", ());
-        let _g = pager.lock();
-        let _h = shard.write(); // Pager > BufferShard: inversion
+        let cache = OrderedMutex::new(LockRank::ResultCacheShard, "cache-shard-0", ());
+        let shard = OrderedRwLock::new(LockRank::CatalogShard, "shard-0", ());
+        let _g = cache.lock();
+        let _h = shard.write(); // ResultCacheShard > CatalogShard: inversion
     }
 
     #[cfg(debug_assertions)]
@@ -519,8 +507,6 @@ mod tests {
             CatalogShard,
             Lineage,
             FrameCache,
-            BufferShard,
-            Pager,
             WorkerResults,
             ResultCacheShard,
         ];

@@ -11,9 +11,9 @@
 //! keeps only the Ball-Tree family its joins and catalog use, and its
 //! `deeplens-storage` only the columnar chunk format.
 //!
-//! * [`storage`] — the page stack (pages, pager, sharded buffer pool, WAL,
-//!   B+Tree) and the Frame/Encoded/Segmented video layouts with the storage
-//!   advisor: Fig. 3's layouts and advisor, Fig. 6's B+Tree.
+//! * [`storage`] — the single-threaded page stack (pages, pager, LRU page
+//!   cache, B+Tree) and the Frame/Encoded/Segmented video layouts with the
+//!   storage advisor: Fig. 3's layouts and advisor, Fig. 6's B+Tree.
 //! * [`kdtree::KdTree`] — low-dimensional point index (the paper's example
 //!   of a KD-tree over color histograms).
 //! * [`lsh::LshIndex`] — locality-sensitive hashing, the paper's suggested

@@ -49,8 +49,6 @@ pub enum StorageError {
     },
     /// Decoding a stored video/image payload failed.
     Codec(String),
-    /// The WAL contains a malformed record.
-    WalCorrupt(String),
 }
 
 impl fmt::Display for StorageError {
@@ -89,7 +87,6 @@ impl fmt::Display for StorageError {
                 )
             }
             StorageError::Codec(msg) => write!(f, "codec failure: {msg}"),
-            StorageError::WalCorrupt(msg) => write!(f, "corrupt WAL: {msg}"),
         }
     }
 }

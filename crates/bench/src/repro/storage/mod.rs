@@ -8,9 +8,8 @@
 //!
 //! * [`page`] / [`pager`] — 4 KiB checksummed pages over a single file with a
 //!   free list.
-//! * [`buffer`] — a sharded LRU buffer pool (guarded by the ranked locks from
-//!   `deeplens-analyze`) between the access methods and the pager.
-//! * [`wal`] — a physical write-ahead log with commit records and replay.
+//! * [`buffer`] — a single-owner LRU page cache between the access methods
+//!   and the pager.
 //! * [`btree`] — an on-disk B+Tree with variable-length byte keys/values,
 //!   overflow pages for large values, and ordered range scans (the access
 //!   method behind sorted Frame Files and Fig. 6's B+Tree build).
@@ -34,7 +33,6 @@ pub mod error;
 pub mod layout;
 pub mod page;
 pub mod pager;
-pub mod wal;
 
 pub use error::StorageError;
 

@@ -2,8 +2,9 @@
 //!
 //! A database file is `[header page 0][page 1][page 2]...`. The header keeps
 //! a magic number, the page count, a free-list head, and two access-method
-//! root pointers that the B+Tree / hash store persist across opens. Freed
-//! pages are chained through the first four bytes of their payload.
+//! words that the B+Tree persists across opens (its root page and entry
+//! count). Freed pages are chained through the first four bytes of their
+//! payload.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -110,12 +111,12 @@ impl Pager {
         self.header_dirty = true;
     }
 
-    /// Secondary access-method root (used by the hash store directory).
+    /// Secondary access-method word (the B+Tree's entry count, low 32 bits).
     pub fn root_b(&self) -> PageId {
         self.root_b
     }
 
-    /// Set the secondary root pointer.
+    /// Set the secondary access-method word.
     pub fn set_root_b(&mut self, id: PageId) {
         self.root_b = id;
         self.header_dirty = true;

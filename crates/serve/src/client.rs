@@ -8,7 +8,7 @@
 //!
 //! [`Session`]: deeplens_core::session::Session
 
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 
 use deeplens_core::batch::{BatchQuery, BatchResult};
 
@@ -73,9 +73,20 @@ impl Client {
     }
 
     /// One request → one reply.
+    ///
+    /// A reply over the frame cap leaves its payload unread in the socket,
+    /// so the stream is shut: later calls fail cleanly instead of decoding
+    /// payload bytes as frame lengths.
     fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
         write_frame(&mut self.stream, &request.encode()?)?;
-        let payload = read_frame(&mut self.stream, self.max_frame_bytes)?.ok_or_else(|| {
+        let payload = match read_frame(&mut self.stream, self.max_frame_bytes) {
+            Err(e @ WireError::FrameTooLarge { .. }) => {
+                let _ = self.stream.shutdown(Shutdown::Both);
+                return Err(e.into());
+            }
+            read => read?,
+        }
+        .ok_or_else(|| {
             ClientError::Wire(WireError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",

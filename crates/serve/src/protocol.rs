@@ -165,8 +165,19 @@ const B_CLUSTERS: u8 = 0x02;
 const B_HITS: u8 = 0x03;
 
 /// Write one frame: 4-byte little-endian payload length, then the payload.
+/// A payload whose length does not fit the `u32` prefix is rejected with
+/// `InvalidInput` before anything is written.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "payload of {} bytes overflows the u32 frame length",
+                payload.len()
+            ),
+        )
+    })?;
+    w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
 }

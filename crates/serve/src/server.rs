@@ -50,7 +50,8 @@ pub struct ServerConfig {
     /// ([`Session::set_threads`]; `0` is one worker per hardware thread).
     pub threads: usize,
     /// Per-frame payload cap; larger announced frames are rejected without
-    /// allocating and the connection is closed.
+    /// allocating and the connection is closed, and a reply that encodes
+    /// larger is answered with an Error instead.
     pub max_frame_bytes: usize,
     /// Admission knobs (in-flight cost budget, queue depth).
     pub admission: AdmissionConfig,
@@ -236,7 +237,18 @@ impl Connection {
     }
 
     fn reply(&self, stream: &mut TcpStream, response: &Response) -> Result<(), WireError> {
-        let payload = response.encode_or_error();
+        let mut payload = response.encode_or_error();
+        // A client reading with the same cap would reject the frame and
+        // leave its payload in the socket; answer an Error instead so the
+        // connection stays in sync.
+        if payload.len() > self.max_frame_bytes {
+            payload = Response::Error(format!(
+                "reply of {} bytes exceeds the {}-byte frame limit",
+                payload.len(),
+                self.max_frame_bytes
+            ))
+            .encode_or_error();
+        }
         write_frame(stream, &payload)?;
         Ok(())
     }

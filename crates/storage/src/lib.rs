@@ -9,7 +9,7 @@
 //! frame-of-reference bit-packing, dictionaries, quantized features).
 //! `deeplens-core::scan` assembles these chunks into collections.
 //!
-//! The paper's BerkeleyDB-style page stack — pages, buffer pool, WAL,
+//! The paper's BerkeleyDB-style page stack — pages, an LRU page cache, a
 //! B+Tree and the Frame/Encoded/Segmented video layouts that Figs. 3 and
 //! 6 measure — is not part of the engine: it lives in the reproduction crate
 //! as `deeplens_bench::repro::storage`.

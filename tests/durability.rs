@@ -1,11 +1,16 @@
-//! Durability integration: encoded video payloads survive B+Tree persistence
-//! and WAL-based crash recovery.
+//! Durability integration for the reproduction's page stack: encoded video
+//! payloads survive B+Tree flush + reopen, the tree holds thousands of
+//! mixed-size entries, and pages written through a small LRU page cache
+//! survive eviction, flush and a cold reopen with the free list intact.
+
+use std::collections::HashSet;
 
 use deeplens::codec::video::{decode_video, encode_video, VideoConfig};
 use deeplens::codec::{Image, Quality};
 use deeplens_bench::repro::storage::btree::{keys, BTree};
+use deeplens_bench::repro::storage::buffer::BufferPool;
+use deeplens_bench::repro::storage::page::{Page, PageId};
 use deeplens_bench::repro::storage::pager::Pager;
-use deeplens_bench::repro::storage::wal::Wal;
 
 fn workdir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()
@@ -52,71 +57,6 @@ fn encoded_clips_survive_reopen() {
     }
 }
 
-/// A committed WAL transaction survives a simulated crash (main file never
-/// updated) and recovery reproduces the page contents.
-#[test]
-fn wal_crash_recovery_restores_pages() {
-    let dir = workdir("crash");
-    let db = dir.join("main.dlp");
-    let wal_path = dir.join("main.wal");
-
-    // Set up a database with one allocated page, then "crash" after logging
-    // new content to the WAL but before writing the main file.
-    let pid;
-    {
-        let mut pager = Pager::create(&db).unwrap();
-        pid = pager.allocate().unwrap();
-        pager.sync().unwrap();
-
-        let mut wal = Wal::open(&wal_path).unwrap();
-        let mut page = deeplens_bench::repro::storage::page::Page::zeroed();
-        page.put_slice(0, b"post-crash content");
-        wal.log_page(pid, &page.to_bytes()).unwrap();
-        wal.commit().unwrap();
-        // Crash: pager dropped without writing the page.
-    }
-
-    // Recovery path.
-    let mut pager = Pager::open(&db).unwrap();
-    let applied = Wal::recover_into(&wal_path, &mut pager).unwrap();
-    assert_eq!(applied, 1);
-    let page = pager.read_page(pid).unwrap();
-    assert_eq!(page.get_slice(0, 18), b"post-crash content");
-}
-
-/// An uncommitted transaction is discarded by recovery — the page keeps its
-/// pre-crash contents.
-#[test]
-fn wal_uncommitted_transaction_discarded() {
-    let dir = workdir("uncommitted");
-    let db = dir.join("main.dlp");
-    let wal_path = dir.join("main.wal");
-
-    let pid;
-    {
-        let mut pager = Pager::create(&db).unwrap();
-        pid = pager.allocate().unwrap();
-        let mut committed = deeplens_bench::repro::storage::page::Page::zeroed();
-        committed.put_slice(0, b"committed state");
-        pager.write_page(pid, &committed).unwrap();
-        pager.sync().unwrap();
-
-        let mut wal = Wal::open(&wal_path).unwrap();
-        let mut uncommitted = deeplens_bench::repro::storage::page::Page::zeroed();
-        uncommitted.put_slice(0, b"torn transaction");
-        wal.log_page(pid, &uncommitted.to_bytes()).unwrap();
-        // No commit record: crash.
-    }
-
-    let mut pager = Pager::open(&db).unwrap();
-    let applied = Wal::recover_into(&wal_path, &mut pager).unwrap();
-    assert_eq!(applied, 0, "uncommitted work must not replay");
-    assert_eq!(
-        pager.read_page(pid).unwrap().get_slice(0, 15),
-        b"committed state"
-    );
-}
-
 /// Frame files tolerate thousands of mixed-size entries with overflow.
 #[test]
 fn btree_stress_mixed_sizes() {
@@ -149,4 +89,78 @@ fn btree_stress_mixed_sizes() {
         .unwrap();
     assert_eq!(all.len(), 2_000);
     assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
+}
+
+/// Pages stamped through a pool far smaller than the working set (so dirty
+/// pages are evicted and written back constantly) read back intact, survive
+/// a flush and a cold reopen, and the free list returns exactly the freed
+/// ids: no page lost, none freed twice, no live page handed out.
+#[test]
+fn pool_loses_no_pages_and_double_frees_nothing() {
+    const PAGES: u32 = 384;
+    let stamp = |i: u32| i.wrapping_mul(0x9E37_79B9) ^ 0xA5A5;
+
+    let path = workdir("audit").join("pages.dlp");
+    let pool = BufferPool::with_capacity(Pager::create(&path).unwrap(), 8);
+
+    // Allocate and stamp every page, reading earlier ones back mid-stream
+    // (through the cache or, once evicted, from disk) and flushing now and
+    // then. Nothing is freed yet, so every id must be distinct.
+    let mut pages: Vec<(PageId, u32)> = Vec::new();
+    for i in 0..PAGES {
+        let id = pool.allocate().unwrap();
+        let mut page = Page::zeroed();
+        page.put_u32(0, stamp(i));
+        page.put_u32(4, id);
+        pool.put(id, page).unwrap();
+        pages.push((id, stamp(i)));
+        if i % 5 == 0 {
+            let (rid, rstamp) = pages[i as usize / 2];
+            let got = pool.get(rid).unwrap();
+            assert_eq!((got.get_u32(0), got.get_u32(4)), (rstamp, rid));
+        }
+        if i % 11 == 0 {
+            pool.flush().unwrap();
+        }
+    }
+    let unique: HashSet<PageId> = pages.iter().map(|&(id, _)| id).collect();
+    assert_eq!(unique.len(), pages.len(), "no id handed out twice");
+
+    // Free every third page; the survivors still read back.
+    let mut freed = HashSet::new();
+    let mut survivors = Vec::new();
+    for (j, entry) in pages.into_iter().enumerate() {
+        if j % 3 == 0 {
+            pool.free(entry.0).unwrap();
+            freed.insert(entry.0);
+        } else {
+            survivors.push(entry);
+        }
+    }
+    for &(id, s) in &survivors {
+        assert_eq!(pool.get(id).unwrap().get_u32(0), s);
+    }
+
+    // Flush, drop the pool, reopen the file cold.
+    pool.flush().unwrap();
+    drop(pool);
+    let mut pager = Pager::open(&path).unwrap();
+    for &(id, s) in &survivors {
+        let page = pager.read_page(id).unwrap();
+        assert_eq!(page.get_u32(0), s, "page {id} lost after reopen");
+        assert_eq!(page.get_u32(4), id);
+    }
+
+    // Draining the free list yields each freed id exactly once and never a
+    // surviving page; then allocation extends the file.
+    let live: HashSet<PageId> = survivors.iter().map(|&(id, _)| id).collect();
+    let mut recycled = HashSet::new();
+    for _ in 0..freed.len() {
+        let id = pager.allocate().unwrap();
+        assert!(recycled.insert(id), "double-free: {id} allocated twice");
+        assert!(!live.contains(&id), "live page {id} handed out");
+    }
+    assert_eq!(recycled, freed, "free list returns exactly the freed pages");
+    let fresh = pager.allocate().unwrap();
+    assert!(!recycled.contains(&fresh) && !live.contains(&fresh));
 }

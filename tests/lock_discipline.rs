@@ -3,14 +3,13 @@
 //! Two halves, mirroring the checker's contract:
 //!
 //! * **No false positives** — an 8-thread hammer drives the real engine
-//!   paths concurrently (catalog materialize/snapshot/drop + ball-index
-//!   builds, and shared-scan ingest batches through one contended session
-//!   frame cache) next to the buffer pool of
-//!   `deeplens_bench::repro::storage::buffer` (get/put/free/flush with dirty
-//!   evictions) — the only place the `BufferShard` → `Pager` ranks are
-//!   taken, so this hammer is what checks that nesting. Under
-//!   `debug_assertions` every acquisition is rank-checked; the test passing
-//!   means the documented order holds on every exercised path.
+//!   paths concurrently: catalog materialize/snapshot/drop + ball-index
+//!   builds, a query batch (join, dedup, index probe) issued until the
+//!   result cache replays it, and shared-scan ingest batches through one
+//!   contended session frame cache. Together they take six of the eight
+//!   ranks, all but the serving layer's two. Under `debug_assertions` every
+//!   acquisition is rank-checked; the test passing means the documented
+//!   order holds on every exercised path.
 //! * **True positives** — seeded violations using the same public wrappers
 //!   (a rank inversion and a double same-rank acquisition) must panic, and
 //!   the inversion diagnostic must name both locks.
@@ -28,9 +27,6 @@ use deeplens::codec::video::{encode_video, VideoConfig};
 use deeplens::codec::{Image, Quality};
 use deeplens::core::etl::{FeaturizeTransformer, TileGenerator};
 use deeplens::prelude::*;
-use deeplens_bench::repro::storage::buffer::BufferPool;
-use deeplens_bench::repro::storage::page::Page;
-use deeplens_bench::repro::storage::pager::Pager;
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 6;
@@ -71,27 +67,28 @@ fn mean_color_pipeline() -> Pipeline {
     }))
 }
 
-/// 8 threads exercise catalog read/write, the buffer pool, and the session
-/// frame cache **concurrently**, with the lockdep checker live under
-/// `debug_assertions` — the known-safe paths must produce zero violations
-/// (the checker panics on the first one, failing the test loudly).
+/// 8 threads exercise catalog read/write, query batches through the result
+/// cache, and the session frame cache **concurrently**, with the lockdep
+/// checker live under `debug_assertions` — the known-safe paths must produce
+/// zero violations (the checker panics on the first one, failing the test
+/// loudly).
 #[test]
 fn eight_thread_engine_hammer_has_no_false_positives() {
     let catalog = Arc::new(SharedCatalog::with_shards(4));
 
+    // One indexed collection per thread that lives through the whole run,
+    // so every thread's batch can name a peer's collection and index.
+    for t in 0..THREADS {
+        let base = format!("base_t{t}");
+        catalog.materialize(&base, feature_patches(&catalog, 32, t as u64));
+        catalog.build_ball_index(&base, "ball", 2).unwrap();
+    }
+
     // One shared session: every thread's ingest batch contends on the SAME
-    // ranked frame-cache mutex, the real FrameCache < BufferShard pattern.
+    // ranked frame-cache mutex, and its query batches run on two workers.
     let mut session = Session::ephemeral_attached(catalog.clone()).unwrap();
     session.set_threads(2);
     let session = &session;
-
-    // One shared buffer pool, capacity small enough that dirty evictions
-    // (the BufferShard → Pager nesting) happen constantly.
-    let dir = std::env::temp_dir().join("deeplens-lock-discipline");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("hammer-{}.dlp", std::process::id()));
-    let pool = BufferPool::with_capacity(Pager::create(&path).unwrap(), 16);
-    let pool = &pool;
 
     let snapshots_seen = AtomicU64::new(0);
 
@@ -102,11 +99,31 @@ fn eight_thread_engine_hammer_has_no_false_positives() {
             scope.spawn(move || {
                 for round in 0..ROUNDS {
                     // --- catalog writes: materialize + lineage (the
-                    // CatalogShard → Lineage nesting), then an index build,
-                    // then a drop on alternate rounds.
+                    // CatalogShard → Lineage nesting), then an index build.
                     let name = format!("col_t{t}_r{round}");
                     catalog.materialize(&name, feature_patches(&catalog, 24, t as u64));
                     catalog.build_ball_index(&name, "ball", 2).unwrap();
+
+                    // --- query batch: a join, a dedup and an index probe
+                    // over this round's collection and a peer's base, on the
+                    // session's two workers (WorkerResults). A query is
+                    // stored once it repeats, so the second issue inserts
+                    // into the result cache and the third replays it
+                    // (ResultCacheShard), contended by all eight threads.
+                    let peer = format!("base_t{}", (t + 1) % THREADS);
+                    let issue = || {
+                        let mut b = session.batch();
+                        b.similarity_join(&name, &peer, 2.0);
+                        b.dedup(&name, 1.0);
+                        b.index_probe(&peer, "ball", vec![3.0, t as f32, 3.0], 2.0);
+                        b.run().unwrap()
+                    };
+                    let first = issue();
+                    assert_eq!(first.len(), 3);
+                    assert_eq!(issue(), first);
+                    assert_eq!(issue(), first, "cached replay changed the answers");
+
+                    // --- then a drop on alternate rounds.
                     if round % 2 == 1 {
                         catalog.drop_collection(&name);
                     }
@@ -120,25 +137,6 @@ fn eight_thread_engine_hammer_has_no_false_positives() {
                         }
                     }
                     let _ = catalog.names();
-
-                    // --- buffer pool: allocate, stamp, read back, flush,
-                    // free — half the pages stay resident to force evictions.
-                    let mut mine = Vec::new();
-                    for i in 0..12u32 {
-                        let id = pool.allocate().unwrap();
-                        let mut page = Page::zeroed();
-                        page.put_u32(0, (t as u32) << 16 | i);
-                        pool.put(id, page).unwrap();
-                        mine.push(id);
-                    }
-                    for (i, &id) in mine.iter().enumerate() {
-                        let page = pool.get(id).unwrap();
-                        assert_eq!(page.get_u32(0), (t as u32) << 16 | i as u32);
-                    }
-                    pool.flush().unwrap();
-                    for id in mine {
-                        pool.free(id).unwrap();
-                    }
 
                     // --- frame cache: a shared-scan ingest batch through
                     // the session's ranked cache mutex, contended by all
@@ -165,10 +163,13 @@ fn eight_thread_engine_hammer_has_no_false_positives() {
         "readers must actually observe concurrent materializations"
     );
     assert!(
+        catalog.result_cache().hits() >= (THREADS * ROUNDS * 3) as u64,
+        "every batch's third issue must replay its three answers"
+    );
+    assert!(
         held_locks().is_empty(),
         "hammer left locks on the main thread's rank stack"
     );
-    drop(std::fs::remove_file(&path));
 }
 
 #[cfg(debug_assertions)]
@@ -178,11 +179,11 @@ mod seeded_violations {
     /// Acquiring against the documented order panics.
     #[test]
     #[should_panic(expected = "lock-order inversion")]
-    fn pager_before_catalog_shard_is_an_inversion() {
-        let pager = OrderedMutex::new(LockRank::Pager, "seeded-pager", ());
-        let shard = OrderedRwLock::new(LockRank::CatalogShard, "seeded-shard", ());
-        let _held = pager.lock();
-        let _bad = shard.read(); // CatalogShard < Pager: inversion
+    fn cache_before_catalog_is_an_inversion() {
+        let cache = OrderedMutex::new(LockRank::ResultCacheShard, "seeded-cache-shard", ());
+        let shard = OrderedRwLock::new(LockRank::CatalogShard, "seeded-catalog-shard", ());
+        let _held = cache.lock();
+        let _bad = shard.read(); // CatalogShard < ResultCacheShard: inversion
     }
 
     /// Two same-rank shard latches on one thread panic.
@@ -200,10 +201,10 @@ mod seeded_violations {
     #[test]
     fn inversion_panic_names_both_locks() {
         let result = std::thread::spawn(|| {
-            let inner = OrderedMutex::new(LockRank::Pager, "seeded-pager", ());
-            let outer = OrderedMutex::new(LockRank::SessionSlots, "seeded-slots", ());
+            let inner = OrderedMutex::new(LockRank::ResultCacheShard, "seeded-cache-shard", ());
+            let outer = OrderedRwLock::new(LockRank::CatalogShard, "seeded-catalog-shard", ());
             let _held = inner.lock();
-            let _bad = outer.lock();
+            let _bad = outer.read();
         })
         .join();
         let panic = result.expect_err("seeded inversion must panic");
@@ -212,9 +213,12 @@ mod seeded_violations {
             .cloned()
             .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
             .expect("panic payload is a message");
-        assert!(msg.contains("seeded-pager"), "names the held lock: {msg}");
         assert!(
-            msg.contains("seeded-slots"),
+            msg.contains("seeded-cache-shard"),
+            "names the held lock: {msg}"
+        );
+        assert!(
+            msg.contains("seeded-catalog-shard"),
             "names the attempted lock: {msg}"
         );
         assert!(msg.contains("held stack"), "dumps the held stack: {msg}");

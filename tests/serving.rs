@@ -12,7 +12,7 @@ use deeplens::core::batch::{BatchQuery, BatchResult};
 use deeplens::core::patch::{ImgRef, Patch};
 use deeplens::core::prelude::*;
 use deeplens::serve::{
-    protocol, serve, AdmissionConfig, Client, ClientError, ServerConfig, ServerHandle,
+    protocol, serve, AdmissionConfig, Client, ClientError, ServerConfig, ServerHandle, WireError,
 };
 
 fn feat_patches(n: u64, dim: usize, seed: u64) -> Vec<Patch> {
@@ -253,6 +253,57 @@ fn oversized_frames_are_rejected() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.ping().unwrap();
     server.stop();
+}
+
+/// A reply that encodes past the frame cap is answered with an Error naming
+/// both sizes instead of being written, and the connection keeps serving. A
+/// client whose cap is below the server's rejects such a reply and shuts its
+/// stream, so its next call fails cleanly instead of decoding the unread
+/// payload as frame lengths.
+#[test]
+fn oversized_replies_answer_errors_on_a_connection_that_keeps_serving() {
+    let (catalog, server) = seeded_server();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // 600 identical rows self-join into 360 000 pairs: ≈2.9 MB encoded,
+    // past the 1 MiB default cap on both ends.
+    client
+        .materialize("same", vec![vec![1.0, 2.0]; 600])
+        .unwrap();
+    let self_join = || {
+        vec![BatchQuery::SimilarityJoin {
+            left: "same".into(),
+            right: "same".into(),
+            tau: 0.5,
+            predicate: None,
+        }]
+    };
+    match client.batch(self_join()).unwrap_err() {
+        ClientError::Server(msg) => assert!(msg.contains("exceeds"), "{msg}"),
+        other => panic!("expected an Error reply, got {other:?}"),
+    }
+    client.ping().unwrap();
+
+    let roomy = serve(
+        catalog,
+        ServerConfig {
+            max_frame_bytes: 4 << 20,
+            admission: AdmissionConfig {
+                max_inflight_cost_us: 1e12,
+                max_queue_depth: 64,
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(roomy.local_addr()).unwrap();
+    match client.batch(self_join()).unwrap_err() {
+        ClientError::Wire(WireError::FrameTooLarge { .. }) => {}
+        other => panic!("expected the client to reject the frame, got {other:?}"),
+    }
+    match client.ping().unwrap_err() {
+        ClientError::Wire(WireError::Io(_)) => {}
+        other => panic!("expected a closed stream, got {other:?}"),
+    }
 }
 
 #[test]
