@@ -11,14 +11,14 @@
 //! (`Session::join_collections`, `Session::dedup_collection`) is a batch of
 //! one. Compatible members share physical work:
 //!
-//! * **tree joins and dedups** that index the same snapshot the same way
-//!   share one tree and one morsel-sharded probe pass per distinct probe
+//! * **joins and dedups** that index the same snapshot the same way share
+//!   one tree and one morsel-sharded probe pass per distinct probe
 //!   relation: either one on-the-fly Ball-Tree build
 //!   ([`JoinPlan::BallTree`]), or no build at all — the persisted,
 //!   delta-maintained Ball index the snapshot carries
 //!   ([`JoinPlan::Indexed`]). The pass probes at the group's outer radius
 //!   and demultiplexes candidates against each member's own threshold and
-//!   predicate (the tree arm of [`JoinPlan::run`]);
+//!   predicate (the pass [`JoinPlan::run`] runs);
 //! * **index probes** against the same prebuilt Ball-Tree index share the
 //!   snapshot and the index, sharded over the session's morsel pool.
 //!
@@ -213,10 +213,6 @@ struct JoinMember {
 }
 
 impl JoinMember {
-    fn predicate(&self) -> Option<PairPredicate<'_>> {
-        self.predicate.as_deref().map(|p| p as PairPredicate<'_>)
-    }
-
     fn result(&self, pairs: Vec<(u32, u32)>) -> Result<BatchResult> {
         Ok(match self.cluster_n {
             Some(n) => BatchResult::Clusters(ops::cluster_from_pairs(n, &pairs)?),
@@ -233,14 +229,6 @@ struct TreeGroup {
     indexed: usize,
     persisted: bool,
     members: Vec<(JoinMember, usize, bool)>,
-}
-
-/// Members over one exact `(left, right)` snapshot pair under the nested
-/// plan.
-struct PairGroup {
-    left: usize,
-    right: usize,
-    members: Vec<JoinMember>,
 }
 
 /// `(query, probe, tau)` probes of one prebuilt index.
@@ -264,7 +252,6 @@ pub struct PlannedBatch<'s> {
     /// Per member: the result the cache already held.
     results: Vec<Option<BatchResult>>,
     trees: Vec<TreeGroup>,
-    pairs: Vec<PairGroup>,
     probes: Vec<ProbeGroup>,
 }
 
@@ -382,7 +369,7 @@ impl<'s> QueryBatch<'s> {
         let cache = session.catalog.result_cache();
         let mut keys = Vec::with_capacity(queries.len());
         let mut results = Vec::with_capacity(queries.len());
-        let (mut trees, mut pairs, mut probes) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut trees, mut probes) = (Vec::new(), Vec::new());
         for (qi, (q, slots)) in queries.into_iter().zip(slots).enumerate() {
             let of_query: Vec<&PatchCollection> = slots.iter().map(|&i| &*snaps[i]).collect();
             let key = q.cache_key(&of_query);
@@ -428,39 +415,26 @@ impl<'s> QueryBatch<'s> {
                 predicate,
                 cluster_n,
             };
-            if let JoinPlan::BallTree { index_left } | JoinPlan::Indexed { index_left } = plan {
-                // Members group on the tree they probe: the snapshot it
-                // covers, and whether it is built or persisted.
-                let persisted = matches!(plan, JoinPlan::Indexed { .. });
-                let (indexed, probed) = if index_left {
-                    (left, right)
-                } else {
-                    (right, left)
-                };
-                let member = (member, probed, !index_left);
-                match trees
-                    .iter_mut()
-                    .find(|g: &&mut TreeGroup| (g.indexed, g.persisted) == (indexed, persisted))
-                {
-                    Some(g) => g.members.push(member),
-                    None => trees.push(TreeGroup {
-                        indexed,
-                        persisted,
-                        members: vec![member],
-                    }),
-                }
+            // Members group on the tree they probe: the snapshot it covers,
+            // and whether it is built or persisted.
+            let (JoinPlan::BallTree { index_left } | JoinPlan::Indexed { index_left }) = plan;
+            let persisted = matches!(plan, JoinPlan::Indexed { .. });
+            let (indexed, probed) = if index_left {
+                (left, right)
             } else {
-                match pairs
-                    .iter_mut()
-                    .find(|g: &&mut PairGroup| (g.left, g.right) == (left, right))
-                {
-                    Some(g) => g.members.push(member),
-                    None => pairs.push(PairGroup {
-                        left,
-                        right,
-                        members: vec![member],
-                    }),
-                }
+                (right, left)
+            };
+            let member = (member, probed, !index_left);
+            match trees
+                .iter_mut()
+                .find(|g: &&mut TreeGroup| (g.indexed, g.persisted) == (indexed, persisted))
+            {
+                Some(g) => g.members.push(member),
+                None => trees.push(TreeGroup {
+                    indexed,
+                    persisted,
+                    members: vec![member],
+                }),
             }
         }
         Ok(PlannedBatch {
@@ -469,7 +443,6 @@ impl<'s> QueryBatch<'s> {
             keys,
             results,
             trees,
-            pairs,
             probes,
         })
     }
@@ -500,16 +473,13 @@ impl PlannedBatch<'_> {
     /// [`CostModel::batched_index_join_cost`] per probe relation of a shared
     /// tree (one build for an on-the-fly tree; none for a persisted index,
     /// whose delta scan each probe pays instead),
-    /// [`CostModel::nested_loop_cost`] per nested member,
     /// [`CostModel::probe_cost`] per index probe, nothing for cache-resident
-    /// members — bridged to time by `planner` at the worker count each pass
-    /// runs with (the session's slice for a tree or probe pass, one worker
-    /// for the serial nested loop). The floor is 1 µs.
+    /// members — bridged to time by `planner` at the session's worker
+    /// slice, which every pass runs with. The floor is 1 µs.
     pub fn estimate_us(&self, planner: &DevicePlanner) -> f64 {
         let model = CostModel::default();
         let threads = self.session.effective_threads();
-        let bridge =
-            |workers: usize, units: f64| planner.estimate_us(workers, units / planner.units_per_us);
+        let bridge = |units: f64| planner.estimate_us(threads, units / planner.units_per_us);
         let mut total = 0.0;
         for group in &self.trees {
             let snap = &self.snaps[group.indexed];
@@ -528,28 +498,22 @@ impl PlannedBatch<'_> {
             let mut units = 0.0;
             for (i, (probed, k)) in passes.into_iter().enumerate() {
                 let probed = &self.snaps[probed].patches;
-                let dim = plan::join_dim(indexed, probed);
+                let dim = plan::feature_dim(indexed)
+                    .max(plan::feature_dim(probed))
+                    .max(1);
                 units += model.batched_index_join_cost(indexed.len(), probed.len(), dim, k, delta);
                 if i > 0 && delta.is_none() {
                     // An on-the-fly tree is built once for the whole group.
                     units -= model.build_cost(indexed.len(), dim);
                 }
             }
-            total += bridge(threads, units);
-        }
-        for group in &self.pairs {
-            let (l, r) = (&self.snaps[group.left], &self.snaps[group.right]);
-            let dim = plan::join_dim(&l.patches, &r.patches);
-            let k = group.members.len() as f64;
-            let units = k * model.nested_loop_cost(l.len(), r.len(), dim);
-            // The nested loop runs serially.
-            total += bridge(1, units);
+            total += bridge(units);
         }
         for group in &self.probes {
             let col = &self.snaps[group.collection];
             let dim = plan::feature_dim(&col.patches).max(1);
             let units = group.members.len() as f64 * model.probe_cost(col.len(), dim);
-            total += bridge(threads, units);
+            total += bridge(units);
         }
         total.max(1.0)
     }
@@ -568,7 +532,7 @@ impl PlannedBatch<'_> {
                     probes: &snaps[*probed].patches,
                     tau: m.tau,
                     probe_is_left: *probe_is_left,
-                    predicate: m.predicate(),
+                    predicate: m.predicate.as_deref().map(|p| p as PairPredicate<'_>),
                 })
                 .collect();
             let indexed = &*snaps[group.indexed];
@@ -576,18 +540,6 @@ impl PlannedBatch<'_> {
             let outs =
                 ops::similarity_join_balltree_multi(&tree, &indexed.patches, &passes, &pool)?;
             for ((m, _, _), pairs) in group.members.iter().zip(outs) {
-                results[m.query] = Some(m.result(pairs)?);
-            }
-        }
-        for group in &self.pairs {
-            let (left, right) = (&snaps[group.left], &snaps[group.right]);
-            let specs: Vec<_> = group
-                .members
-                .iter()
-                .map(|m| (m.tau, m.predicate()))
-                .collect();
-            let outs = JoinPlan::Nested.run(&left.patches, &right.patches, &specs, &pool)?;
-            for (m, pairs) in group.members.iter().zip(outs) {
                 results[m.query] = Some(m.result(pairs)?);
             }
         }
@@ -875,7 +827,6 @@ mod tests {
         let planned = batch().plan().unwrap();
         assert_eq!(planned.trees.len(), 1, "one group over `large`'s index");
         assert!(planned.trees[0].persisted);
-        assert!(planned.pairs.is_empty());
         // Two probe passes over the index (by `small`, by `large` itself),
         // no build.
         let units = model.batched_index_join_cost(220, 60, 6, 2, Some(0))

@@ -12,7 +12,7 @@
 //! the lineage store, not a collection index.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use deeplens_exec::WorkerPool;
@@ -25,23 +25,16 @@ use crate::scan::{ColumnarPatches, Projection, ScanFilter, ScanResult};
 use crate::value::Value;
 use crate::{DlError, Result};
 
-/// Process-wide count of Ball indexes carried across a re-materialize by
-/// delta maintenance (tombstones + side buffer), i.e. without a rebuild.
-static INDEX_DELTA_MAINTAINED: AtomicU64 = AtomicU64::new(0);
-/// Process-wide count of Ball-index deltas that crossed the cost model's
-/// merge threshold and were collapsed into a full rebuild.
-static INDEX_DELTA_MERGES: AtomicU64 = AtomicU64::new(0);
-
-/// Ball indexes carried across a re-materialize by delta maintenance since
-/// process start.
-pub fn index_deltas_maintained() -> u64 {
-    INDEX_DELTA_MAINTAINED.load(Ordering::Relaxed)
-}
-
-/// Ball-index deltas merged into a full rebuild since process start (the
-/// serve stats endpoint reports this as `delta_merges`).
-pub fn index_delta_merges() -> u64 {
-    INDEX_DELTA_MERGES.load(Ordering::Relaxed)
+/// What one [`PatchCollection::carry_from`] did with the prior version's
+/// Ball indexes.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Carried {
+    /// Ball indexes carried by delta maintenance (tombstones + side
+    /// buffer), i.e. without a rebuild.
+    pub maintained: u64,
+    /// Ball-index deltas that crossed the cost model's merge threshold and
+    /// were collapsed into a full rebuild.
+    pub merged: u64,
 }
 
 /// A secondary index over one collection.
@@ -79,15 +72,52 @@ impl SecondaryIndex {
     }
 }
 
+/// A collection's rows, read-only: they are fixed when the collection is
+/// built ([`PatchCollection::from_patches`]), so the column chunks its first
+/// scan encodes and the indexes built over it always describe them. Reads
+/// go through `Deref` to the `Vec`; there is no `DerefMut` and no `Clone` —
+/// `.clone()` through the deref copies the rows into a plain `Vec`, and a
+/// changed row is a new collection.
+///
+/// An in-place edit does not compile:
+///
+/// ```compile_fail
+/// use deeplens_core::catalog::PatchCollection;
+/// use deeplens_core::patch::{ImgRef, Patch, PatchId};
+///
+/// let row = |frame| Patch::empty(PatchId(frame), ImgRef::frame("cam", frame));
+/// let mut col = PatchCollection::from_patches(vec![row(0)]);
+/// col.patches[0] = row(99);
+/// ```
+#[derive(Debug, Default, PartialEq)]
+pub struct Rows(Vec<Patch>);
+
+impl Deref for Rows {
+    type Target = Vec<Patch>;
+
+    fn deref(&self) -> &Vec<Patch> {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Rows {
+    type Item = &'a Patch;
+    type IntoIter = std::slice::Iter<'a, Patch>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// A named, materialized collection of patches with its indexes.
 ///
 /// `Clone` supports the shared catalog's copy-on-write protocol: a writer
 /// that must preserve reader snapshots clones the collection and mutates the
-/// copy (see [`crate::shared::SharedCatalog`]).
-#[derive(Debug, Default, Clone)]
+/// copy's indexes or column chunks (see [`crate::shared::SharedCatalog`]).
+#[derive(Debug, Default)]
 pub struct PatchCollection {
-    /// The patches, addressed by position.
-    pub patches: Vec<Patch>,
+    /// The patches, addressed by position; read-only.
+    pub patches: Rows,
     indexes: HashMap<String, SecondaryIndex>,
     /// The rows as column chunks, encoded by the first scan (or by
     /// [`SharedCatalog::build_columnar`](crate::shared::SharedCatalog::build_columnar))
@@ -102,11 +132,22 @@ pub struct PatchCollection {
     version: u64,
 }
 
+impl Clone for PatchCollection {
+    fn clone(&self) -> Self {
+        PatchCollection {
+            patches: Rows(self.patches.0.clone()),
+            indexes: self.indexes.clone(),
+            columnar: self.columnar.clone(),
+            version: self.version,
+        }
+    }
+}
+
 impl PatchCollection {
     /// A collection over `patches` with no indexes yet.
     pub fn from_patches(patches: Vec<Patch>) -> Self {
         PatchCollection {
-            patches,
+            patches: Rows(patches),
             indexes: HashMap::new(),
             columnar: OnceLock::new(),
             version: 0,
@@ -214,7 +255,15 @@ impl PatchCollection {
     ///   crosses [`CostModel::rebuild_cost`]. A Ball index whose new rows
     ///   lack features (or change dimensionality) is dropped, exactly as a
     ///   fresh build over those rows would fail.
-    pub fn carry_from(&mut self, prior: &PatchCollection, model: &CostModel, threads: usize) {
+    ///
+    /// Returns how many Ball indexes it maintained and how many it merged.
+    pub fn carry_from(
+        &mut self,
+        prior: &PatchCollection,
+        model: &CostModel,
+        threads: usize,
+    ) -> Carried {
+        let mut carried = Carried::default();
         for (name, index) in &prior.indexes {
             match index {
                 SecondaryIndex::Hash { key, .. } => {
@@ -222,15 +271,18 @@ impl PatchCollection {
                     let _ = self.build_hash_index(name, key);
                 }
                 SecondaryIndex::Ball { index } => {
-                    self.carry_ball_index(name, index, &prior.patches, model, threads);
+                    let rows = &prior.patches;
+                    self.carry_ball_index(name, index, rows, model, threads, &mut carried);
                 }
             }
         }
+        carried
     }
 
     /// Delta-maintain one Ball index across a re-materialize, or collapse
     /// it into a rebuild when the cost model says the delta stopped being
-    /// cheap. `prior_rows` are the rows the prior index described.
+    /// cheap, counting which into `carried`. `prior_rows` are the rows the
+    /// prior index described.
     fn carry_ball_index(
         &mut self,
         index_name: &str,
@@ -238,6 +290,7 @@ impl PatchCollection {
         prior_rows: &[Patch],
         model: &CostModel,
         threads: usize,
+        carried: &mut Carried,
     ) {
         let Some(maintained) = self.maintained_ball(prior_index, prior_rows) else {
             // New rows without features (or with a different dimensionality)
@@ -250,13 +303,13 @@ impl PatchCollection {
         let merge = model.incremental_index_cost(self.len(), maintained.delta_rows(), dim)
             >= model.rebuild_cost(self.len(), dim);
         if merge && self.build_ball_index(index_name, threads).is_ok() {
-            INDEX_DELTA_MERGES.fetch_add(1, Ordering::Relaxed);
+            carried.merged += 1;
         } else if !merge {
             self.indexes.insert(
                 index_name.to_string(),
                 SecondaryIndex::Ball { index: maintained },
             );
-            INDEX_DELTA_MAINTAINED.fetch_add(1, Ordering::Relaxed);
+            carried.maintained += 1;
         }
     }
 
@@ -319,21 +372,17 @@ impl PatchCollection {
 
     /// Scan the collection's column chunks with zone-map pushdown. The
     /// first scan of a version encodes the chunks and every later scan
-    /// reuses them; concurrent first scans encode once. If `patches` grew or
-    /// shrank after the encoding (it is a public field), this call encodes
-    /// the current rows instead of answering from chunks of other rows.
+    /// reuses them; concurrent first scans encode once. The rows are
+    /// read-only ([`Rows`]), so the chunks always describe them.
     pub fn scan(
         &self,
         filter: &ScanFilter,
         projection: Projection,
         pool: &WorkerPool,
     ) -> ScanResult {
-        let chunks = self.columnar.get_or_init(|| encode(&self.patches));
-        if chunks.len() == self.patches.len() {
-            chunks.scan(filter, projection, pool)
-        } else {
-            encode(&self.patches).scan(filter, projection, pool)
-        }
+        self.columnar
+            .get_or_init(|| encode(&self.patches))
+            .scan(filter, projection, pool)
     }
 
     fn index(&self, name: &str) -> Result<&SecondaryIndex> {
@@ -451,7 +500,11 @@ mod tests {
     use crate::patch::ImgRef;
 
     fn make_collection() -> PatchCollection {
-        let patches: Vec<Patch> = (0..50)
+        PatchCollection::from_patches(make_rows())
+    }
+
+    fn make_rows() -> Vec<Patch> {
+        (0..50)
             .map(|i| {
                 Patch::features(
                     PatchId(i),
@@ -461,8 +514,7 @@ mod tests {
                 .with_meta("label", if i % 3 == 0 { "car" } else { "person" })
                 .with_meta("frameno", (i / 5) as i64)
             })
-            .collect();
-        PatchCollection::from_patches(patches)
+            .collect()
     }
 
     #[test]
@@ -500,13 +552,14 @@ mod tests {
             col.lookup_similar("by_feat", &[1.0, 2.0, 3.0], 1.0),
             Err(DlError::SchemaMismatch(_))
         ));
-        col.patches.push(Patch::features(
+        let mut rows = make_rows();
+        rows.push(Patch::features(
             PatchId(99),
             ImgRef::frame("cam", 99),
             vec![1.0; 4],
         ));
         assert!(matches!(
-            col.build_ball_index("mixed", 1),
+            PatchCollection::from_patches(rows).build_ball_index("mixed", 1),
             Err(DlError::SchemaMismatch(_))
         ));
     }
@@ -563,8 +616,9 @@ mod tests {
             col.build_hash_index("a_hash", "label").unwrap();
             col
         };
-        let mut col = make_collection();
-        col.patches[3] = Patch::features(PatchId(3), ImgRef::frame("cam", 0), vec![7.5, 1.0]);
+        let mut rows = make_rows();
+        rows[3] = Patch::features(PatchId(3), ImgRef::frame("cam", 0), vec![7.5, 1.0]);
+        let mut col = PatchCollection::from_patches(rows);
         col.carry_from(&prior, &CostModel::default(), 1);
         let is = |col: &PatchCollection, name: &str| {
             let want = col.ball_index(name, &[0.0, 0.0]).unwrap();
@@ -576,32 +630,22 @@ mod tests {
         assert!(is(&col, "z_fresh"), "fewer delta rows beat the name order");
         col.build_ball_index("c_fresh", 1).unwrap();
         assert!(is(&col, "c_fresh"), "ties break by name");
-        // An index that does not cover the rows is not live.
-        col.patches.push(Patch::features(
-            PatchId(50),
-            ImgRef::frame("cam", 10),
-            vec![0.0, 1.0],
-        ));
-        assert!(col.live_ball_index().is_none());
     }
 
     #[test]
-    fn rows_pushed_after_a_scan_are_answered() {
+    fn the_first_scan_encodes_and_later_scans_reuse_the_chunks() {
         use crate::scan::{Projection, ScanFilter};
-        let mut col = make_collection();
+        let col = make_collection();
         let pool = deeplens_exec::WorkerPool::new(1);
         assert!(col.columnar().is_none(), "nothing encodes before a scan");
         let served = col.scan(&ScanFilter::All, Projection::Count, &pool);
         assert!(served.stats.used_columnar);
         assert_eq!(served.stats.rows_matched, 50);
+        let chunks: *const ColumnarPatches = col.columnar().unwrap();
         assert_eq!(col.columnar().map(ColumnarPatches::len), Some(50));
-        // A row pushed after the encoding is still answered: the scan
-        // encodes the current rows rather than serve chunks that miss one.
-        col.patches
-            .push(Patch::empty(PatchId(9999), ImgRef::frame("cam", 99)));
-        let pushed = col.scan(&ScanFilter::All, Projection::Count, &pool);
-        assert!(pushed.stats.used_columnar);
-        assert_eq!(pushed.stats.rows_matched, 51);
+        let again = col.scan(&ScanFilter::All, Projection::Count, &pool);
+        assert_eq!(again.stats.rows_matched, 50);
+        assert!(std::ptr::eq(col.columnar().unwrap(), chunks));
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! Every patch records its direct parents; the [`LineageStore`] keeps the
 //! full derivation graph so a *backtracing query* — "which raw frames
 //! contributed to this patch?" — resolves by walking parent pointers instead
-//! of rescanning base data. The store also builds the **lineage index**
-//! (source frame → derived patch ids) that gives q3 its 41× speedup in the
-//! paper's Fig. 4.
+//! of rescanning base data. The store also builds a **frame index**
+//! (source frame → derived patch ids) for the forward question, "which
+//! patches came from this frame?". Fig. 4's q3 uses neither: its indexed
+//! plan (`deeplens_bench::queries::q3_optimized`) follows each OCR patch's
+//! parent pointer through a patch-id → position map built once, where the
+//! baseline rescans every detection per hit.
 //!
 //! # Representation
 //!

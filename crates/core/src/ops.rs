@@ -8,13 +8,13 @@
 //! [`ScanFilter`](crate::scan::ScanFilter), which the collection's
 //! column-chunk zone maps prune. The generic θ-join is [`nested_loop_join`].
 //!
-//! A *similarity* join or dedup does not run from here: its physical variant
-//! — a probe of the persisted Ball index a side's snapshot carries, an
-//! on-the-fly Ball-Tree over the smaller relation, or the nested loop — is
+//! A *similarity* join or dedup does not run from here: which Ball-Tree it
+//! probes — the persisted Ball index a side's snapshot carries, or an
+//! on-the-fly tree over the featured rows of the smaller relation — is
 //! chosen by [`crate::plan::JoinPlan::choose`] and executed by
 //! [`crate::plan::JoinPlan::run`]. This module keeps the pieces those plans
 //! are built from: the crate-private tree kernel (a fresh build, and the one
-//! probe pass both tree plans share over a `DeltaBallTree`),
+//! probe pass both plans share over a `DeltaBallTree`),
 //! [`cluster_from_pairs`] for dedup, and the brute-force oracles
 //! [`similarity_join_nested`] / [`dedup_bruteforce`] every plan is held to.
 //!
@@ -163,24 +163,28 @@ fn unplanned(what: &str, row: usize) -> DlError {
     DlError::SchemaMismatch(format!("{what} row {row} does not fit the Ball-Tree plan"))
 }
 
-/// The on-the-fly Ball-Tree of §5 over `indexed` (construction fanned out
-/// over `pool`), wrapped as a [`DeltaBallTree`] with an empty delta so the
-/// fresh tree and a persisted index share one probe pass
-/// ([`similarity_join_balltree_multi`]).
+/// The on-the-fly Ball-Tree of §5 over the featured rows of `indexed`, in
+/// row order (construction fanned out over `pool`), wrapped as a
+/// [`DeltaBallTree`] with an empty delta so the fresh tree and a persisted
+/// index share one probe pass ([`similarity_join_balltree_multi`], which
+/// maps the tree's ids back to row positions). Featureless rows match
+/// nothing under any plan, so leaving them out changes no answer.
 ///
-/// Every `indexed` row must carry features of one dimension, and every
-/// position must fit a `u32` row id; anything else is a
-/// [`DlError::SchemaMismatch`] — relations that break the rule get the
-/// nested plan from [`crate::plan::JoinPlan::choose`], not this kernel.
+/// Every featured row must share one dimension, and every position must
+/// fit a `u32` row id; anything else is a [`DlError::SchemaMismatch`].
 pub(crate) fn fresh_tree(indexed: &[Patch], pool: &WorkerPool) -> Result<DeltaBallTree> {
     plan::row_id(indexed.len().saturating_sub(1))?;
     let dim = plan::feature_dim(indexed);
     let vectors = indexed
         .iter()
         .enumerate()
-        .map(|(i, p)| match p.data.features() {
-            Some(f) if f.len() == dim => Ok(f.to_vec()),
-            _ => Err(unplanned("indexed", i)),
+        .filter_map(|(i, p)| {
+            let f = p.data.features()?;
+            Some(if f.len() == dim {
+                Ok(f.to_vec())
+            } else {
+                Err(unplanned("indexed", i))
+            })
         })
         .collect::<Result<Vec<Vec<f32>>>>()?;
     Ok(DeltaBallTree::from_tree(BallTree::from_vectors_parallel(
@@ -204,10 +208,12 @@ pub(crate) fn fresh_tree(indexed: &[Patch], pool: &WorkerPool) -> Result<DeltaBa
 /// matching join-then-filter. Output is byte-identical across thread counts
 /// and across the two tree sources.
 ///
-/// `tree` must cover exactly `indexed`'s rows, featured probe rows must share
-/// its dimension, and probe positions must fit a `u32` row id; featureless
-/// probe rows match nothing. Anything else is a
-/// [`DlError::SchemaMismatch`].
+/// `tree` must cover exactly `indexed`'s rows (a persisted index: its ids
+/// are positions) or exactly its featured rows in row order (a
+/// [`fresh_tree`]: its ids are ranks among them, mapped back to positions
+/// here). Featured probe rows must share its dimension, and probe positions
+/// must fit a `u32` row id; featureless probe rows match nothing. Anything
+/// else is a [`DlError::SchemaMismatch`].
 pub(crate) fn similarity_join_balltree_multi(
     tree: &DeltaBallTree,
     indexed: &[Patch],
@@ -232,13 +238,26 @@ pub(crate) fn similarity_join_balltree_multi(
     };
 
     let mut out: Vec<Vec<(u32, u32)>> = (0..members.len()).map(|_| Vec::new()).collect();
-    if tree.len() != indexed.len() {
-        return Err(DlError::SchemaMismatch(format!(
-            "the Ball-Tree covers {} rows but the indexed relation has {}",
-            tree.len(),
-            indexed.len()
-        )));
-    }
+    // A tree over every row answers positions; a fresh tree over the
+    // featured rows answers ranks among them, mapped through `positions`.
+    let positions: Option<Vec<u32>> = if tree.len() == indexed.len() {
+        None
+    } else {
+        let featured = (0..indexed.len())
+            .filter(|&i| indexed[i].data.features().is_some())
+            .map(plan::row_id)
+            .collect::<Result<Vec<u32>>>()?;
+        if featured.len() != tree.len() {
+            return Err(DlError::SchemaMismatch(format!(
+                "the Ball-Tree covers {} rows but the indexed relation has {} ({} featured)",
+                tree.len(),
+                indexed.len(),
+                featured.len()
+            )));
+        }
+        Some(featured)
+    };
+    let position = |hit: u32| positions.as_ref().map_or(hit, |p| p[hit as usize]);
     let Some(dim) = tree.dim() else {
         return Ok(out); // the tree covers no rows
     };
@@ -276,6 +295,7 @@ pub(crate) fn similarity_join_balltree_multi(
                 }
                 let probe_id = plan::row_id(j)?;
                 for (hit, d2) in tree.range_query_sq(f, tau_max) {
+                    let hit = position(hit);
                     for (slot, &k) in member_ids.iter().enumerate() {
                         let m = &members[k];
                         if d2 <= tau_sqs[slot] && passes_pred(m, &probes[j], &indexed[hit as usize])
@@ -474,10 +494,9 @@ mod tests {
         }
     }
 
-    const PLANS: [JoinPlan; 3] = [
+    const PLANS: [JoinPlan; 2] = [
         JoinPlan::BallTree { index_left: true },
         JoinPlan::BallTree { index_left: false },
-        JoinPlan::Nested,
     ];
 
     #[test]

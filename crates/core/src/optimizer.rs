@@ -56,8 +56,8 @@ impl CostModel {
             return 0.0;
         }
         let nf = n as f64;
-        // Per-distance-evaluation cost scales with dimension (dim/8 matches
-        // the nested-loop unit); the evaluation count blends a logarithmic
+        // Per-distance-evaluation cost scales with dimension (one unit is
+        // a dim-8 evaluation); the evaluation count blends a logarithmic
         // descent with a dimension-penalized linear leaf component, capped
         // by the full scan a degenerate tree would perform.
         let evals = (nf.log2().max(1.0) + Self::dim_penalty(dim) * nf).min(nf);
@@ -71,11 +71,6 @@ impl CostModel {
         }
         let nf = n as f64;
         self.build_factor * nf * nf.log2().max(1.0) * dim as f64 / 8.0
-    }
-
-    /// Estimated cost of an all-pairs nested-loop join.
-    pub fn nested_loop_cost(&self, n_left: usize, n_right: usize, dim: usize) -> f64 {
-        self.dist_eval_cost * n_left as f64 * n_right as f64 * dim as f64 / 8.0
     }
 
     /// Estimated total cost of an on-the-fly index join that indexes `n_idx`

@@ -3,16 +3,16 @@
 //!
 //! [`JoinPlan::choose`] is the only place the engine decides *how* a
 //! similarity join executes — probe the persisted Ball index one side's
-//! snapshot already carries, build an on-the-fly Ball-Tree over the smaller
-//! side, or fall back to the nested loop for relations with featureless
-//! rows — and where a join whose featured rows disagree on dimension is
-//! rejected. A dedup is the self-join `choose(rows, rows)`. The choice
-//! depends on the two sides only, never on the session's thread budget:
-//! the budget sets the worker count a tree plan runs with; the nested loop
-//! runs serially. It sees each side as a [`JoinSide`]: the rows, plus the
-//! live Ball index when the side is a materialized collection that has one. Bare slices
-//! carry no index, so for them the choice is between the last two plans
-//! only.
+//! snapshot already carries, or build an on-the-fly Ball-Tree over the
+//! featured rows of the smaller side — and where a join whose featured rows
+//! disagree on dimension is rejected. Either way the join is one Ball-Tree
+//! probe pass; featureless rows match nothing under any plan. A dedup is
+//! the self-join `choose(rows, rows)`. The choice depends on the two sides
+//! only, never on the session's thread budget: the budget sets the worker
+//! count the pass runs with. It sees each side as a [`JoinSide`]: the rows,
+//! plus the live Ball index when the side is a materialized collection that
+//! has one. Bare slices carry no index, so for them the only question is
+//! which side the on-the-fly tree indexes.
 //! [`crate::batch::QueryBatch::plan`] calls it once per join member,
 //! [`crate::batch::PlannedBatch::estimate_us`] prices the plan it returned,
 //! and [`crate::batch::PlannedBatch::run`] executes that same plan, so the
@@ -33,8 +33,9 @@ use crate::{DlError, Result};
 /// How one similarity join `left × right` executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinPlan {
-    /// On-the-fly Ball-Tree over the smaller relation (ties index the
-    /// left), probed with the other in one morsel-sharded pass.
+    /// On-the-fly Ball-Tree over the featured rows of the smaller relation
+    /// (ties index the left), probed with the other in one morsel-sharded
+    /// pass.
     BallTree {
         /// Whether the tree is built over the left relation.
         index_left: bool,
@@ -46,10 +47,6 @@ pub enum JoinPlan {
         /// Whether the probed index is the left relation's.
         index_left: bool,
     },
-    /// Brute-force nested loop, skipping featureless rows pair-wise: the
-    /// fallback when the relation a tree must index has a row without
-    /// features.
-    Nested,
 }
 
 /// One side of a join as the planner sees it: its rows and, when the side
@@ -85,23 +82,23 @@ impl<'a> From<&'a PatchCollection> for JoinSide<'a> {
 }
 
 impl<'a> JoinSide<'a> {
-    /// Whether any row is featureless, and the one dimension featured rows
-    /// share ([`feature_shape`], seeded with `dim`). A side with a live
-    /// index reads both off the index without walking its rows: every
-    /// indexed row has features of the index's dimension by construction.
-    fn shape(&self, dim: Option<usize>) -> Result<(bool, Option<usize>)> {
+    /// The one dimension featured rows share ([`feature_shape`], seeded
+    /// with `dim`). A side with a live index reads it off the index without
+    /// walking its rows: every indexed row has features of the index's
+    /// dimension by construction.
+    fn dim(&self, dim: Option<usize>) -> Result<Option<usize>> {
         match (self.index.and_then(DeltaBallTree::dim), dim) {
             (Some(d), Some(e)) if d != e => Err(DlError::SchemaMismatch(format!(
                 "indexed rows have dimension {d} but expected {e}"
             ))),
-            (Some(d), _) => Ok((false, Some(d))),
+            (Some(d), _) => Ok(Some(d)),
             (None, _) => feature_shape(self.rows, dim),
         }
     }
 
     /// The tree a tree pass over this side probes: the side's live index
     /// when `persisted` (a borrow, nothing built), else a fresh on-the-fly
-    /// tree over its rows.
+    /// tree over its featured rows.
     pub(crate) fn tree(
         &self,
         persisted: bool,
@@ -135,26 +132,15 @@ pub(crate) fn feature_dim(patches: &[Patch]) -> usize {
         .unwrap_or(0)
 }
 
-/// The cost model's `dim` for a join of `left × right` (at least 1).
-pub(crate) fn join_dim(left: &[Patch], right: &[Patch]) -> usize {
-    feature_dim(left).max(feature_dim(right)).max(1)
-}
-
-/// One walk over `patches`: whether any row is featureless, and the one
-/// dimension every featured row shares. `dim` seeds the walk with another
+/// One walk over `patches`: the one dimension every featured row shares
+/// (`None` when no row has features). `dim` seeds the walk with another
 /// relation's dimension, so both sides of a join are held to the same one.
 ///
 /// Errors with [`DlError::SchemaMismatch`] when two featured rows disagree:
-/// the tree kernels assume one dimension, and the nested loop
-/// would silently compare a prefix.
-pub(crate) fn feature_shape(
-    patches: &[Patch],
-    mut dim: Option<usize>,
-) -> Result<(bool, Option<usize>)> {
-    let mut ragged = false;
+/// the tree kernels assume one dimension.
+pub(crate) fn feature_shape(patches: &[Patch], mut dim: Option<usize>) -> Result<Option<usize>> {
     for (i, p) in patches.iter().enumerate() {
         let Some(f) = p.data.features() else {
-            ragged = true;
             continue;
         };
         match dim {
@@ -168,34 +154,16 @@ pub(crate) fn feature_shape(
             Some(_) => {}
         }
     }
-    Ok((ragged, dim))
-}
-
-/// The host-side tree plan: index the smaller side, ties going left (§5),
-/// unless it is ragged.
-fn tree_or_nested(
-    n_left: usize,
-    n_right: usize,
-    left_ragged: bool,
-    right_ragged: bool,
-) -> JoinPlan {
-    let index_left = n_left <= n_right;
-    if (index_left && left_ragged) || (!index_left && right_ragged) {
-        JoinPlan::Nested
-    } else {
-        JoinPlan::BallTree { index_left }
-    }
+    Ok(dim)
 }
 
 impl JoinPlan {
     /// The plan for joining `left × right` (a dedup passes one side twice):
     /// the cheapest, by [`CostModel::batched_index_join_cost`], of the
-    /// on-the-fly Ball-Tree over the smaller side (or [`JoinPlan::Nested`]
-    /// when that side is ragged, priced by [`CostModel::nested_loop_cost`]) and
-    /// [`JoinPlan::Indexed`] over each side that carries a live index —
-    /// priced without a build, plus the index's delta scan per probe. Ties
-    /// keep the on-the-fly plan, then the left index. Featureless probe rows
-    /// match nothing under `Indexed`, so a ragged probe side still takes it.
+    /// on-the-fly Ball-Tree over the smaller side and [`JoinPlan::Indexed`]
+    /// over each side that carries a live index — priced without a build,
+    /// plus the index's delta scan per probe. Ties keep the on-the-fly
+    /// plan, then the left index.
     ///
     /// Errors with [`DlError::SchemaMismatch`] when two featured rows across
     /// the two sides disagree on dimension (an indexed side answers with its
@@ -205,21 +173,17 @@ impl JoinPlan {
         right: impl Into<JoinSide<'a>>,
     ) -> Result<JoinPlan> {
         let (left, right) = (left.into(), right.into());
-        let (left_ragged, dim) = left.shape(None)?;
-        let (right_ragged, dim) = right.shape(dim)?;
+        let dim = right.dim(left.dim(None)?)?.unwrap_or(0).max(1);
         let (n_left, n_right) = (left.rows.len(), right.rows.len());
-        let dim = dim.unwrap_or(0).max(1);
         let model = CostModel::default();
-        let mut best = tree_or_nested(n_left, n_right, left_ragged, right_ragged);
-        let mut best_cost = match best {
-            JoinPlan::BallTree { index_left: true } => {
-                model.batched_index_join_cost(n_left, n_right, dim, 1, None)
-            }
-            JoinPlan::BallTree { index_left: false } => {
-                model.batched_index_join_cost(n_right, n_left, dim, 1, None)
-            }
-            _ => model.nested_loop_cost(n_left, n_right, dim),
+        let index_left = n_left <= n_right;
+        let (n_idx, n_probe) = if index_left {
+            (n_left, n_right)
+        } else {
+            (n_right, n_left)
         };
+        let mut best = JoinPlan::BallTree { index_left };
+        let mut best_cost = model.batched_index_join_cost(n_idx, n_probe, dim, 1, None);
         for (index_left, indexed, probed) in [(true, left, right), (false, right, left)] {
             let Some(index) = indexed.index else {
                 continue;
@@ -235,15 +199,15 @@ impl JoinPlan {
 
     /// Execute the plan for every `(tau, predicate)` member over one
     /// relation pair: one sorted, predicate-filtered `(left_idx, right_idx)`
-    /// vector per member. A tree plan gets its tree once (a build, or the
-    /// indexed side's live index) for all members. Bare slices join as
+    /// vector per member. The tree is built or borrowed (the indexed side's
+    /// live index) once for all members. Bare slices join as
     /// `JoinPlan::choose(l, r)?.run(l, r, &[(tau, None)], &pool)`.
     ///
     /// Errors with [`DlError::SchemaMismatch`] when the sides are not ones
     /// [`JoinPlan::choose`] would have given this plan: rows that disagree
-    /// on dimension, a featureless row where the tree must index one, or
-    /// [`JoinPlan::Indexed`] over a side without a live index — and when a
-    /// side has more rows than a `u32` row id can address.
+    /// on dimension, or [`JoinPlan::Indexed`] over a side without a live
+    /// index — and when a side has more rows than a `u32` row id can
+    /// address.
     pub fn run<'a>(
         self,
         left: impl Into<JoinSide<'a>>,
@@ -255,36 +219,19 @@ impl JoinPlan {
         let (l, r) = (left.rows, right.rows);
         row_id(l.len().saturating_sub(1))?;
         row_id(r.len().saturating_sub(1))?;
-        Ok(match self {
-            JoinPlan::BallTree { index_left } | JoinPlan::Indexed { index_left } => {
-                let (indexed, probes) = if index_left { (left, r) } else { (right, l) };
-                let tree = indexed.tree(matches!(self, JoinPlan::Indexed { .. }), pool)?;
-                let members: Vec<BatchJoinMember> = members
-                    .iter()
-                    .map(|&(tau, predicate)| BatchJoinMember {
-                        probes,
-                        tau,
-                        probe_is_left: !index_left,
-                        predicate,
-                    })
-                    .collect();
-                ops::similarity_join_balltree_multi(&tree, indexed.rows, &members, pool)?
-            }
-            JoinPlan::Nested => {
-                let (_, dim) = feature_shape(l, None)?;
-                feature_shape(r, dim)?;
-                members
-                    .iter()
-                    .map(|&(tau, pred)| {
-                        let mut pairs = ops::similarity_join_nested(l, r, tau)?;
-                        if let Some(p) = pred {
-                            pairs.retain(|&(i, j)| p(&l[i as usize], &r[j as usize]));
-                        }
-                        Ok(pairs)
-                    })
-                    .collect::<Result<_>>()?
-            }
-        })
+        let (JoinPlan::BallTree { index_left } | JoinPlan::Indexed { index_left }) = self;
+        let (indexed, probes) = if index_left { (left, r) } else { (right, l) };
+        let tree = indexed.tree(matches!(self, JoinPlan::Indexed { .. }), pool)?;
+        let members: Vec<BatchJoinMember> = members
+            .iter()
+            .map(|&(tau, predicate)| BatchJoinMember {
+                probes,
+                tau,
+                probe_is_left: !index_left,
+                predicate,
+            })
+            .collect();
+        ops::similarity_join_balltree_multi(&tree, indexed.rows, &members, pool)
     }
 }
 
@@ -303,18 +250,25 @@ mod tests {
     fn ragged_inputs_route_as_documented() {
         let (small, large) = (rows(12, 3), rows(90, 3));
         let mut ragged = small.clone();
-        ragged.push(Patch::empty(PatchId(999), ImgRef::frame("p", 999)));
+        ragged.insert(4, Patch::empty(PatchId(999), ImgRef::frame("p", 999)));
         let tree = |index_left| JoinPlan::BallTree { index_left };
+        let pool = WorkerPool::new(2);
         for (l, r, want) in [
-            // Only the indexed (smaller) side must be rectangular.
-            (&ragged, &large, JoinPlan::Nested),
+            // A featureless row on the indexed (smaller) side leaves the
+            // tree over the featured rows; on the probe side it matches
+            // nothing.
+            (&ragged, &large, tree(true)),
             (&small, &ragged, tree(true)),
             (&large, &small, tree(false)),
             // A dedup is the self-join.
             (&small, &small, tree(true)),
-            (&ragged, &ragged, JoinPlan::Nested),
+            (&ragged, &ragged, tree(true)),
         ] {
-            assert_eq!(JoinPlan::choose(l, r).unwrap(), want);
+            let plan = JoinPlan::choose(l, r).unwrap();
+            assert_eq!(plan, want);
+            let mut oracle = ops::similarity_join_nested(l, r, 2.0).unwrap();
+            oracle.sort_unstable();
+            assert_eq!(plan.run(l, r, &[(2.0, None)], &pool).unwrap(), [oracle]);
         }
     }
 
@@ -383,9 +337,10 @@ mod tests {
             ((&gallery).into(), (&probes).into(), tree(false)),
             // An index on the small side saves the build over it.
             ((&probes_ix).into(), (&gallery).into(), indexed_plan(true)),
-            // A featureless probe row matches nothing under `Indexed`.
+            // A featureless probe row matches nothing under `Indexed`, and
+            // the on-the-fly tree indexes only the featured rows.
             ((&ragged).into(), (&gallery_ix).into(), indexed_plan(false)),
-            ((&ragged).into(), (&gallery).into(), JoinPlan::Nested),
+            ((&ragged).into(), (&gallery).into(), tree(true)),
             // A dedup over an indexed collection probes its index.
             (
                 (&gallery_ix).into(),
@@ -397,10 +352,6 @@ mod tests {
             assert_eq!(JoinPlan::choose(l, r).unwrap(), want);
         }
         assert_eq!(JoinPlan::choose(&gallery, &gallery).unwrap(), tree(true));
-        // An index that no longer covers the rows is not live.
-        let mut stale = gallery_ix.clone();
-        stale.patches.pop();
-        assert_eq!(JoinPlan::choose(&probes, &stale).unwrap(), tree(true));
     }
 
     #[test]
@@ -412,13 +363,13 @@ mod tests {
         let members = [(1.5, None), (4.0, None)];
         let got = plan.run(&probes, &gallery, &members, &pool).unwrap();
         let want = JoinPlan::BallTree { index_left: false }
-            .run(&probes, &gallery.patches, &members, &pool)
+            .run(&probes, &gallery.patches[..], &members, &pool)
             .unwrap();
         assert_eq!(got, want);
         assert!(!got[1].is_empty());
         // Run over a bare slice, the same plan has no index to probe.
         assert!(matches!(
-            plan.run(&probes, &gallery.patches, &members, &pool),
+            plan.run(&probes, &gallery.patches[..], &members, &pool),
             Err(DlError::SchemaMismatch(_))
         ));
     }
@@ -442,16 +393,21 @@ mod tests {
         ragged.push(Patch::empty(PatchId(99), ImgRef::frame("p", 99)));
         let tree = |index_left| JoinPlan::BallTree { index_left };
         let mut cases = Vec::new();
-        for plan in [tree(true), tree(false), JoinPlan::Nested] {
+        for plan in [tree(true), tree(false)] {
             cases.extend([(plan, &mixed, &good), (plan, &good, &mixed)]);
         }
         // Bare slices carry no index to probe.
         for index_left in [true, false] {
             cases.push((JoinPlan::Indexed { index_left }, &good, &good));
         }
-        // A featureless row where the tree must index it.
-        cases.extend([(tree(true), &ragged, &good), (tree(false), &good, &ragged)]);
         let pool = WorkerPool::new(2);
+        // A featureless row where the tree must index it is left out of the
+        // tree, not an error.
+        for (plan, l, r) in [(tree(true), &ragged, &good), (tree(false), &good, &ragged)] {
+            let mut oracle = ops::similarity_join_nested(l, r, 1.0).unwrap();
+            oracle.sort_unstable();
+            assert_eq!(plan.run(l, r, &[(1.0, None)], &pool).unwrap(), [oracle]);
+        }
         for (plan, l, r) in cases {
             assert!(
                 matches!(

@@ -166,8 +166,8 @@ impl Session {
 
     /// [`Session::similarity_join`] over two materialized collections — a
     /// [`Session::batch`] of one: consistent snapshots, the result cache,
-    /// and the planner's persisted-index / on-the-fly tree / nested choice
-    /// all apply.
+    /// and the planner's persisted-index / on-the-fly tree choice all
+    /// apply.
     pub fn join_collections(&self, left: &str, right: &str, tau: f32) -> Result<Vec<(u32, u32)>> {
         match self.run_one(BatchQuery::SimilarityJoin {
             left: left.to_string(),
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn joins_and_dedup_agree_across_thread_counts() {
         let mut left = feat_patches(40);
-        // A featureless straggler: every pool must skip it pair-wise.
+        // A featureless straggler: it matches nothing, on every pool.
         left.push(Patch::empty(PatchId(999), ImgRef::frame("t", 999)));
         let right = feat_patches(25);
         let mut reference: Option<Vec<(u32, u32)>> = None;

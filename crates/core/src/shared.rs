@@ -75,6 +75,10 @@ pub struct SharedCatalog {
     /// The snapshot-keyed result cache sessions consult. Invalidation is
     /// the version counter: post-write keys never match pre-write entries.
     result_cache: ResultCache,
+    /// Ball indexes [`SharedCatalog::materialize`] carried by delta
+    /// maintenance, and Ball-index deltas it merged into a rebuild.
+    delta_maintained: AtomicU64,
+    delta_merges: AtomicU64,
 }
 
 impl Default for SharedCatalog {
@@ -124,6 +128,8 @@ impl SharedCatalog {
             ),
             version_counter: AtomicU64::new(0),
             result_cache: ResultCache::with_capacity(cache_capacity),
+            delta_maintained: AtomicU64::new(0),
+            delta_merges: AtomicU64::new(0),
         }
     }
 
@@ -131,6 +137,18 @@ impl SharedCatalog {
     /// once its query repeats (see [`crate::cache`]).
     pub fn result_cache(&self) -> &ResultCache {
         &self.result_cache
+    }
+
+    /// Ball indexes this catalog's re-materializes carried by delta
+    /// maintenance, without a rebuild.
+    pub fn index_deltas_maintained(&self) -> u64 {
+        self.delta_maintained.load(Ordering::Relaxed)
+    }
+
+    /// Ball-index deltas this catalog's re-materializes merged into a full
+    /// rebuild (the serve stats endpoint reports this as `delta_merges`).
+    pub fn index_delta_merges(&self) -> u64 {
+        self.delta_merges.load(Ordering::Relaxed)
     }
 
     /// The next globally unique snapshot version (never 0).
@@ -195,7 +213,11 @@ impl SharedCatalog {
         self.lineage.write().record_all(patches.iter());
         let mut collection = PatchCollection::from_patches(patches);
         if let Some(prior) = &prior {
-            collection.carry_from(prior, &CostModel::default(), 1);
+            let carried = collection.carry_from(prior, &CostModel::default(), 1);
+            self.delta_maintained
+                .fetch_add(carried.maintained, Ordering::Relaxed);
+            self.delta_merges
+                .fetch_add(carried.merged, Ordering::Relaxed);
         }
         collection.set_version(self.next_version());
         self.shard_of(name)

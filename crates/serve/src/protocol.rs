@@ -85,9 +85,9 @@ pub struct ServeStats {
     pub cache_misses: u64,
     /// Result-cache entries evicted by the LRU bound.
     pub cache_evictions: u64,
-    /// Ball-index deltas collapsed into a full rebuild by the cost model's
-    /// merge policy since process start
-    /// (`deeplens_core::catalog::index_delta_merges`).
+    /// Ball-index deltas the served catalog's writes collapsed into a full
+    /// rebuild by the cost model's merge policy
+    /// (`SharedCatalog::index_delta_merges`).
     pub delta_merges: u64,
 }
 

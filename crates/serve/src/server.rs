@@ -150,7 +150,13 @@ pub fn serve(catalog: Arc<SharedCatalog>, config: ServerConfig) -> std::io::Resu
                             max_frame_bytes: config.max_frame_bytes,
                         };
                         let handle = std::thread::spawn(move || conn.run(stream));
-                        connections.lock().push(handle);
+                        let mut registry = connections.lock();
+                        // Join the connections that have hung up: a
+                        // finished thread keeps its stack until joined.
+                        for finished in registry.extract_if(.., |h| h.is_finished()) {
+                            let _ = finished.join();
+                        }
+                        registry.push(handle);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(POLL_INTERVAL);
@@ -267,7 +273,7 @@ impl Connection {
                 cache_hits: self.catalog.result_cache().hits(),
                 cache_misses: self.catalog.result_cache().misses(),
                 cache_evictions: self.catalog.result_cache().evictions(),
-                delta_merges: deeplens_core::catalog::index_delta_merges(),
+                delta_merges: self.catalog.index_delta_merges(),
             }),
             Request::Batch(queries) => {
                 let mut batch = session.batch();
@@ -383,4 +389,25 @@ fn retryable(e: &std::io::Error) -> bool {
             | std::io::ErrorKind::TimedOut
             | std::io::ErrorKind::Interrupted
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn finished_connections_leave_the_registry() {
+        let mut server = serve(Arc::new(SharedCatalog::new()), ServerConfig::default()).unwrap();
+        for _ in 0..200 {
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            client.ping().unwrap();
+        }
+        let held = server.connections.lock().len();
+        server.stop();
+        assert!(
+            held <= 8,
+            "{held} handles held after 200 finished connections"
+        );
+    }
 }

@@ -66,8 +66,9 @@
 //! )?;
 //! assert_eq!(recent.patches.len(), 16);
 //!
-//! // A self-similarity join; the planner picks the Ball-Tree, all-pairs or
-//! // nested plan — whichever it picks, the pairs are byte-identical.
+//! // A self-similarity join; the planner picks which Ball-Tree to probe (a
+//! // persisted index or one built on the fly) — either way the pairs are
+//! // byte-identical.
 //! let pairs = session.join_collections("dets", "dets", 1.0)?;
 //! assert!(!pairs.is_empty());
 //! # Ok(())

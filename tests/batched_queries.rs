@@ -31,8 +31,8 @@ fn corpus_session(threads: usize, shards: usize) -> Session {
 }
 
 /// The corpus widened so every [`JoinPlan`] is reachable: `odd` carries a
-/// featureless straggler row, which forces the nested fallback wherever it
-/// must be indexed. `backed` encodes every collection's column chunks
+/// featureless straggler row, which the on-the-fly tree leaves out wherever
+/// it must be indexed. `backed` encodes every collection's column chunks
 /// ahead of time, which no plan reads.
 fn plan_corpus_session(threads: usize, shards: usize, backed: bool) -> Session {
     let catalog = Arc::new(SharedCatalog::with_shards(shards));
@@ -106,9 +106,9 @@ fn rewrite_big(s: &Session) {
         rows[pos] = fresh[k].clone();
     }
     rows.extend(fresh[8..].iter().cloned());
-    let maintained = deeplens::core::catalog::index_deltas_maintained();
+    let maintained = s.catalog.index_deltas_maintained();
     s.catalog.materialize("big", rows);
-    assert!(deeplens::core::catalog::index_deltas_maintained() > maintained);
+    assert_eq!(s.catalog.index_deltas_maintained(), maintained + 1);
 }
 
 /// One member's answer by brute force over the session's snapshots.
@@ -267,8 +267,9 @@ proptest! {
     /// joins, dedups, index probes over a shared corpus) returns
     /// byte-identical results to serial issuance *and* to the brute-force
     /// oracle — across 1/2/4 worker threads, 1/16 catalog shards, backed
-    /// and unbacked collections (the on-the-fly Ball-Tree, persisted-index
-    /// and nested plans all run, and a backing changes none of them),
+    /// and unbacked collections (the on-the-fly Ball-Tree over either side,
+    /// one with a featureless row, and the persisted-index plan all run,
+    /// and a backing changes none of them),
     /// before and after a write leaves `big`'s index delta-maintained, with
     /// every configuration agreeing on the bytes.
     #[test]
@@ -333,10 +334,137 @@ proptest! {
         }
         for plan in [
             JoinPlan::BallTree { index_left: true },
+            JoinPlan::BallTree { index_left: false },
             JoinPlan::Indexed { index_left: false },
-            JoinPlan::Nested,
         ] {
             prop_assert!(reached.contains(&plan), "{:?} never planned", plan);
+        }
+    }
+}
+
+/// A relation from generated rows: `(featureless, x, y)` is a row without
+/// features, or one at `[x / 2, y / 2]` (at `[]` when `zero_dim`). Ids start
+/// at `base`, so two relations' ids differ.
+fn ragged_relation(rows: &[(bool, u8, u8)], zero_dim: bool, base: u64) -> Vec<Patch> {
+    (0u64..)
+        .zip(rows)
+        .map(|(i, &(featureless, x, y))| {
+            let (id, frame) = (PatchId(base + i), ImgRef::frame("r", i));
+            if featureless {
+                Patch::empty(id, frame)
+            } else if zero_dim {
+                Patch::features(id, frame, vec![])
+            } else {
+                Patch::features(id, frame, vec![x as f32 * 0.5, y as f32 * 0.5])
+            }
+        })
+        .collect()
+}
+
+/// The rows of `rows` that carry features.
+fn featured(rows: &[Patch]) -> Vec<Patch> {
+    rows.iter()
+        .filter(|p| p.data.features().is_some())
+        .cloned()
+        .collect()
+}
+
+/// `rows` with every row's features dropped.
+fn featureless(rows: &[Patch]) -> Vec<Patch> {
+    rows.iter()
+        .map(|p| Patch::empty(p.id, p.img_ref.clone()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Joins, filtered joins and dedups over relations with featureless
+    /// rows equal the brute-force oracle at 1/2/4 threads, whichever side
+    /// the tree indexes: featureless rows on the indexed side, the probe
+    /// side or both, a side with no featured row, an empty side, and
+    /// zero-dimensional features among featureless rows. Checked through
+    /// `JoinPlan::run` on slices (the chosen plan and the tree over each
+    /// side) and through a `QueryBatch` planned, priced and run as a server
+    /// runs one, with a persisted index on a featured collection.
+    #[test]
+    fn featureless_rows_match_the_oracle_under_every_plan(
+        left in prop::collection::vec((any::<bool>(), 0u8..8, 0u8..8), 0..24),
+        right in prop::collection::vec((any::<bool>(), 0u8..8, 0u8..8), 0..24),
+        zero_dim in any::<bool>(),
+        t in 0usize..5,
+    ) {
+        let tau = TAUS[t];
+        let (l, r) = (ragged_relation(&left, zero_dim, 0), ragged_relation(&right, zero_dim, 100));
+        let sides = [
+            ("l", l.clone()),
+            ("r", r.clone()),
+            ("lf", featured(&l)),
+            ("none", featureless(&r)),
+            ("empty", Vec::new()),
+        ];
+        let pred: JoinPredicate = Arc::new(even_id_sum);
+        let join_oracle = |a: &[Patch], b: &[Patch], filtered: bool| {
+            let mut pairs = ops::similarity_join_nested(a, b, tau).unwrap();
+            if filtered {
+                pairs.retain(|&(i, j)| even_id_sum(&a[i as usize], &b[j as usize]));
+            }
+            pairs
+        };
+        for threads in [1usize, 2, 4] {
+            let pool = WorkerPool::new(threads);
+            for (_, a) in &sides {
+                for (_, b) in &sides {
+                    let chosen = JoinPlan::choose(a, b).unwrap();
+                    let members = [(tau, None), (tau, Some(&*pred as _))];
+                    let want = [join_oracle(a, b, false), join_oracle(a, b, true)];
+                    for plan in [
+                        chosen,
+                        JoinPlan::BallTree { index_left: true },
+                        JoinPlan::BallTree { index_left: false },
+                    ] {
+                        let got = plan.run(a, b, &members, &pool).unwrap();
+                        prop_assert_eq!(&got[..], &want[..], "{:?} at {} threads", plan, threads);
+                    }
+                }
+                let self_pairs = JoinPlan::choose(a, a).unwrap().run(a, a, &[(tau, None)], &pool);
+                let clusters = ops::cluster_from_pairs(a.len(), &self_pairs.unwrap()[0]).unwrap();
+                prop_assert_eq!(clusters, ops::dedup_bruteforce(a, tau).unwrap());
+            }
+
+            let catalog = Arc::new(SharedCatalog::new());
+            let mut s = Session::ephemeral_attached(catalog).unwrap();
+            s.set_threads(threads);
+            for (name, rows) in &sides {
+                s.catalog.materialize(name, rows.clone());
+            }
+            s.build_ball_index("lf", "by_feat").unwrap();
+            // The persisted index over `lf`, probed by every side.
+            let lf = s.catalog.snapshot("lf").unwrap();
+            let lf_rows = &lf.patches[..];
+            for (_, a) in &sides {
+                let members = [(tau, None), (tau, Some(&*pred as _))];
+                let got = JoinPlan::Indexed { index_left: false }.run(a, &*lf, &members, &pool);
+                let want = [join_oracle(a, lf_rows, false), join_oracle(a, lf_rows, true)];
+                prop_assert_eq!(got.unwrap(), want);
+                let got = JoinPlan::Indexed { index_left: true }.run(&*lf, a, &members, &pool);
+                let want = [join_oracle(lf_rows, a, false), join_oracle(lf_rows, a, true)];
+                prop_assert_eq!(got.unwrap(), want);
+            }
+            let mut batch = s.batch();
+            for (a, _) in &sides {
+                for (b, _) in &sides {
+                    batch.similarity_join(a, b, tau);
+                    batch.similarity_join_filtered(a, b, tau, pred.clone());
+                }
+                batch.dedup(a, tau);
+            }
+            let queries = batch.queries().to_vec();
+            let planned = batch.plan().unwrap();
+            prop_assert!(planned.estimate_us(&DevicePlanner::default()) >= 1.0);
+            for (q, got) in queries.iter().zip(planned.run().unwrap()) {
+                prop_assert_eq!(&got, &oracle(&s, q), "{:?} at {} threads", q, threads);
+            }
         }
     }
 }

@@ -12,7 +12,6 @@
 
 use std::sync::Arc;
 
-use deeplens::core::catalog;
 use deeplens::core::scan::row_scan;
 use deeplens::prelude::*;
 use proptest::prelude::*;
@@ -254,8 +253,6 @@ fn carry_forward_preserves_indexes_and_scans_the_new_rows() {
     catalog.build_columnar("col").unwrap();
     catalog.build_ball_index("col", "feat", 1).unwrap();
 
-    let maintained0 = catalog::index_deltas_maintained();
-
     // A small in-place change (~2% of rows) plus a re-materialize: every
     // index must survive the publish, and a scan must read the new rows.
     apply_write(&mut rows, 5, (1, 7));
@@ -271,10 +268,9 @@ fn carry_forward_preserves_indexes_and_scans_the_new_rows() {
         scanned.patches,
         row_scan(&rows, &window, Projection::Full).patches
     );
-    assert!(
-        catalog::index_deltas_maintained() > maintained0,
-        "a 2% change must be delta-maintained, not merged"
-    );
+    // A 2% change is delta-maintained, not merged.
+    assert_eq!(catalog.index_deltas_maintained(), 1);
+    assert_eq!(catalog.index_delta_merges(), 0);
 
     // The carried indexes answer over the *new* rows.
     let fresh = {
@@ -302,18 +298,18 @@ fn large_delta_crosses_merge_threshold_small_delta_does_not() {
     catalog.build_ball_index("col", "feat", 1).unwrap();
 
     // One changed row: far under the cost model's break-even fraction.
-    let maintained0 = catalog::index_deltas_maintained();
-    let merges0 = catalog::index_delta_merges();
     let mut small = rows.clone();
     apply_write(&mut small, 5, (1, 0));
     catalog.materialize("col", small);
-    assert!(catalog::index_deltas_maintained() > maintained0);
+    assert_eq!(catalog.index_deltas_maintained(), 1);
+    assert_eq!(catalog.index_delta_merges(), 0);
 
     // Replace ~all rows: the priced merge must trigger a full rebuild.
     let replaced = feature_patches(0..512, 5, 777);
     catalog.materialize("col", replaced.clone());
-    assert!(
-        catalog::index_delta_merges() > merges0,
+    assert_eq!(
+        catalog.index_delta_merges(),
+        1,
         "a ~100% delta must be merged into a rebuild"
     );
 

@@ -387,7 +387,7 @@ proptest! {
         for sc in &shared {
             prop_assert_eq!(sc.names(), want_names.clone(), "{} shards", sc.shard_count());
             for (name, rows) in &model {
-                prop_assert_eq!(&sc.snapshot(name).unwrap().patches, rows);
+                prop_assert_eq!(&*sc.snapshot(name).unwrap().patches, rows);
             }
             prop_assert_eq!(sc.with_lineage(|l| l.len()), lineage_records);
             prop_assert_eq!(sc.next_patch_id(), PatchId(next_id.get()), "id allocators agree");

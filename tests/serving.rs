@@ -136,6 +136,25 @@ fn remote_writes_publish_through_the_shared_catalog() {
 }
 
 #[test]
+fn delta_merges_count_only_the_served_catalog() {
+    let (merged, merging_server) = seeded_server();
+    let (untouched, other_server) = seeded_server();
+    let mut merging = Client::connect(merging_server.local_addr()).unwrap();
+    let mut other = Client::connect(other_server.local_addr()).unwrap();
+    // Every row of `large` changes: the delta crosses the merge threshold
+    // and its Ball index is rebuilt.
+    let rows: Vec<Vec<f32>> = feat_patches(220, 6, 9)
+        .iter()
+        .map(|p| p.data.features().unwrap().to_vec())
+        .collect();
+    merging.materialize("large", rows).unwrap();
+    assert_eq!(merging.stats().unwrap().delta_merges, 1);
+    assert_eq!(merged.index_delta_merges(), 1);
+    assert_eq!(other.stats().unwrap().delta_merges, 0);
+    assert_eq!(untouched.index_delta_merges(), 0);
+}
+
+#[test]
 fn query_errors_answer_without_closing_the_connection() {
     let (_catalog, server) = seeded_server();
     let mut client = Client::connect(server.local_addr()).unwrap();
