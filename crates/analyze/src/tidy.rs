@@ -34,6 +34,11 @@
 //!    that caller (or `crates/bench`), not in a crate the server links. The
 //!    match is by name only, so an unrelated item sharing the name can hide a
 //!    dead one, but a live item is never flagged.
+//! 7. **no-global-counter** — no `static …: Atomic*` in non-test code of
+//!    the engine crates: a process-global counter is shared by every
+//!    catalog and every test in the process, so counts belong to the
+//!    catalog that did the work. The two left are named in
+//!    [`GLOBAL_COUNTER_ALLOWLIST`].
 //!
 //! The scanner is deliberately line-based, not a Rust parser: it strips
 //! `//` comments (with a string-literal heuristic so `"https://..."`
@@ -49,6 +54,14 @@ use std::path::{Path, PathBuf};
 /// Files (workspace-relative, `/`-separated) exempt from the **raw-lock**
 /// rule: the ranked wrappers themselves.
 pub const RAW_LOCK_WHITELIST: &[&str] = &["crates/analyze/src/sync.rs"];
+
+/// `(file, static)` pairs exempt from the **no-global-counter** rule: the
+/// two process-global counters left. Both go with spine step 1 in
+/// `ROADMAP.md`: a counter registry owned by the catalog replaces them.
+pub const GLOBAL_COUNTER_ALLOWLIST: &[(&str, &str)] = &[
+    ("crates/codec/src/video.rs", "FRAMES_DECODED"),
+    ("crates/core/src/scan.rs", "ROWS_MATERIALIZED"),
+];
 
 /// Core files (workspace-relative) on every served query's plan and run
 /// path — including the result cache every served batch member is looked
@@ -224,6 +237,7 @@ pub fn check_source(rel_path: &str, text: &str) -> Vec<Violation> {
     check_debug_macros(rel_path, &lines, &mut out);
     check_allow_justifications(rel_path, &lines, &mut out);
     check_module_docs(rel_path, text, &mut out);
+    check_global_counters(rel_path, &lines, &mut out);
     out
 }
 
@@ -377,6 +391,52 @@ fn check_module_docs(rel_path: &str, text: &str, out: &mut Vec<Violation>) {
                 "module must open with `//!` docs (first non-blank line is \
                  `{}`); describe what the module is for",
                 raw.trim()
+            ),
+        });
+    }
+}
+
+/// The name and type of the `static` item `code` declares, if it declares
+/// one (`static mut` names what follows `mut`).
+fn static_decl(code: &str) -> Option<(&str, &str)> {
+    let mut rest = code.trim_start();
+    loop {
+        let (word, tail) = rest.split_once(char::is_whitespace)?;
+        rest = tail.trim_start();
+        if word == "static" {
+            break;
+        }
+    }
+    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+    let (name, ty) = rest.split_once(':')?;
+    let name = name.trim();
+    let ident = !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_');
+    ident.then(|| (name, ty.split('=').next().unwrap_or(ty)))
+}
+
+/// Rule 7: process-global atomic counters in non-test engine-crate code.
+fn check_global_counters(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<Violation>) {
+    if !is_engine_source(rel_path) {
+        return;
+    }
+    for line in lines {
+        if line.in_test {
+            continue;
+        }
+        let Some((name, ty)) = static_decl(&line.code) else {
+            continue;
+        };
+        if !has_word(ty, "Atomic") || GLOBAL_COUNTER_ALLOWLIST.contains(&(rel_path, name)) {
+            continue;
+        }
+        out.push(Violation {
+            file: rel_path.to_string(),
+            line: line.number,
+            rule: "no-global-counter",
+            msg: format!(
+                "process-global atomic `{name}`; give the count to the catalog \
+                 (or session) that does the work: `{}`",
+                line.raw.trim()
             ),
         });
     }
@@ -895,6 +955,42 @@ mod tests {
         ] {
             assert_eq!(pub_item_name(line), None, "{line}");
         }
+    }
+
+    #[test]
+    fn global_counter_flags_atomic_statics_in_engine_code() {
+        for decl in [
+            "static HITS: AtomicU64 = AtomicU64::new(0);\n",
+            "pub static HITS: std::sync::atomic::AtomicUsize = AtomicUsize::new(0);\n",
+            "fn f() {\n    static mut SEEN: AtomicBool = AtomicBool::new(false);\n}\n",
+        ] {
+            assert_eq!(
+                rules_hit("crates/index/src/balltree.rs", decl),
+                ["no-global-counter"],
+                "{decl}"
+            );
+        }
+    }
+
+    #[test]
+    fn global_counter_spares_allowlist_tests_other_statics_and_other_crates() {
+        let decl = |name: &str| format!("static {name}: AtomicU64 = AtomicU64::new(0);\n");
+        for (file, name) in GLOBAL_COUNTER_ALLOWLIST {
+            assert!(rules_hit(file, &decl(name)).is_empty(), "{file}");
+            // The allowlist names a static, not a file.
+            assert_eq!(
+                rules_hit(file, &decl("OTHER")),
+                ["no-global-counter"],
+                "{file}"
+            );
+        }
+        let test_only = format!("{CFG_TEST}\n{}", decl("HITS"));
+        assert!(rules_hit("crates/core/src/scan.rs", &test_only).is_empty());
+        // Binaries, the reproduction crate and non-atomic statics pass.
+        assert!(rules_hit("crates/serve/src/bin/serve.rs", &decl("HITS")).is_empty());
+        assert!(rules_hit("crates/bench/src/report.rs", &decl("HITS")).is_empty());
+        let plain = "static NAMES: &[&str] = &[\"a\"];\nconst GREETING: &'static str = \"hi\";\n";
+        assert!(rules_hit("crates/core/src/etl.rs", plain).is_empty());
     }
 
     #[test]

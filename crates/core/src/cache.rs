@@ -423,6 +423,29 @@ mod tests {
         }
     }
 
+    /// A string-valued `MetaEq` scan's fingerprint, pinned byte for byte:
+    /// cached answers stay addressable whatever a string value's in-memory
+    /// representation.
+    #[test]
+    fn string_filter_fingerprint_is_pinned() {
+        use crate::value::Value;
+        let filter = ScanFilter::MetaEq {
+            key: "label".into(),
+            value: Value::Str("car".into()),
+        };
+        let key = scan_key(3, &filter, Projection::Full).unwrap();
+        let want: &[u8] = &[
+            4, // TAG_SCAN
+            0, 0, 0, 0, 0, 0, 0, 3, // version
+            0, // Projection::Full
+            2, // MetaEq
+            0, 0, 0, 0, 0, 0, 0, 5, b'l', b'a', b'b', b'e', b'l', // key
+            4, b'c', b'a', b'r', // Value::encode_key
+        ];
+        assert_eq!(key, want);
+        assert_eq!(query_hash(&key), 0xf5ff_2931_c67f_06e2);
+    }
+
     fn hits(n: u32) -> CachedResult {
         CachedResult::Batch(BatchResult::Hits((0..n).collect()))
     }

@@ -140,6 +140,8 @@ impl Generator for TileGenerator {
     ) -> Result<Vec<Patch>> {
         // Guard direct (non-pipeline) callers against the step_by(0) panic.
         self.validate()?;
+        // One allocation per key per frame; every tile shares them.
+        let [frameno, x, y, w, h] = ["frameno", "x", "y", "w", "h"].map(Arc::<str>::from);
         let mut out = Vec::new();
         let t = self.tile;
         for ty in (0..img.height()).step_by(t as usize) {
@@ -150,11 +152,11 @@ impl Generator for TileGenerator {
                 }
                 out.push(
                     Patch::pixels(ids.alloc(), img_ref.clone(), crop)
-                        .with_meta("frameno", img_ref.frame_no as i64)
-                        .with_meta("x", tx as i64)
-                        .with_meta("y", ty as i64)
-                        .with_meta("w", t as i64)
-                        .with_meta("h", t as i64),
+                        .with_meta(frameno.clone(), img_ref.frame_no as i64)
+                        .with_meta(x.clone(), tx as i64)
+                        .with_meta(y.clone(), ty as i64)
+                        .with_meta(w.clone(), t as i64)
+                        .with_meta(h.clone(), t as i64),
                 );
             }
         }
@@ -254,8 +256,8 @@ impl Pipeline {
     /// stage outputs are slimmed to lineage stubs the moment the next stage
     /// has consumed them, so the frame buffer never holds more than one
     /// stage's full payloads — the serial implementation's memory profile.
-    fn run_frame(&self, source: &str, frame_no: u64, img: &Image) -> Result<FrameOutput> {
-        let img_ref = ImgRef::frame(source, frame_no);
+    fn run_frame(&self, source: &Arc<str>, frame_no: u64, img: &Image) -> Result<FrameOutput> {
+        let img_ref = ImgRef::frame(source.clone(), frame_no);
         let mut ids = PatchIdRange::speculative();
         let mut intermediates = Vec::new();
         let mut current = self.generator.generate(&img_ref, img, &mut ids)?;
@@ -295,12 +297,14 @@ impl Pipeline {
         pool: &WorkerPool,
     ) -> Result<usize> {
         self.validate()?;
+        // Every frame's patches share one source allocation.
+        let source: Arc<str> = source.into();
         let frames: Vec<(u64, &Image)> = frames.collect();
         let morsel_results: Vec<Result<Vec<FrameOutput>>> =
             pool.run_morsels(frames.len(), pool.morsel_size(frames.len()), |range| {
                 frames[range]
                     .iter()
-                    .map(|&(frame_no, img)| self.run_frame(source, frame_no, img))
+                    .map(|&(frame_no, img)| self.run_frame(&source, frame_no, img))
                     .collect()
             });
         let mut frame_outputs: Vec<FrameOutput> = Vec::new();
@@ -327,7 +331,7 @@ impl std::fmt::Debug for Pipeline {
 
 /// A named DLV1 stream registered with a [`PipelineBatch`].
 struct IngestSource {
-    name: String,
+    name: Arc<str>,
     bytes: Vec<u8>,
 }
 
@@ -402,13 +406,13 @@ impl<'s> PipelineBatch<'s> {
     /// on demand — once per batch per shared window, and not at all when
     /// the session's frame cache still holds them from an earlier batch.
     pub fn add_encoded_source(&mut self, name: &str, bytes: Vec<u8>) -> Result<()> {
-        if self.sources.iter().any(|s| s.name == name) {
+        if self.sources.iter().any(|s| &*s.name == name) {
             return Err(DlError::Conflict(format!(
                 "source '{name}' already registered with this batch"
             )));
         }
         self.sources.push(IngestSource {
-            name: name.to_string(),
+            name: name.into(),
             bytes,
         });
         Ok(())
@@ -429,7 +433,7 @@ impl<'s> PipelineBatch<'s> {
         let source = self
             .sources
             .iter()
-            .position(|s| s.name == source)
+            .position(|s| &*s.name == source)
             .ok_or_else(|| DlError::NotFound(format!("batch source '{source}'")))?;
         self.jobs.push(IngestJob {
             pipeline,

@@ -21,11 +21,12 @@
 //! A slot is 24 bytes: the frame number, an interned source id (`0` marks
 //! an empty slot), the parent count, and either the one parent inline or,
 //! for two or more, an offset into a shared overflow arena. Sources are
-//! interned once, with a fast path for the last source seen, so
+//! interned once, as the patch's own shared string, with a fast path for
+//! the last source seen (a pointer compare before a string compare), so
 //! [`LineageStore::record`] allocates only when it opens a page, stores a
 //! multi-parent record, meets a new source or grows a frame-index entry.
-//! `ImgRef`s are rebuilt only when a backtrace answers. A dense run of
-//! records costs ≈24 heap bytes each.
+//! `ImgRef`s are rebuilt only when a backtrace answers, and share the
+//! interned source. A dense run of records costs ≈24 heap bytes each.
 //!
 //! The frame index maps `(source id, frame_no)` to patch ids. Once built it
 //! always equals [`LineageStore::patches_of_frame_scan`]: sorted, without
@@ -36,6 +37,7 @@
 //! and `backtrace` answers change.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::patch::{ImgRef, Patch, PatchId};
 
@@ -85,9 +87,10 @@ pub struct LineageStore {
     last_page: Option<(u64, usize)>,
     /// Parent lists of the records with two or more parents.
     overflow: Vec<PatchId>,
-    /// Interned sources: id `i + 1` names `sources[i]`.
-    sources: Vec<String>,
-    source_ids: HashMap<String, u32>,
+    /// Interned sources: id `i + 1` names `sources[i]`. The table's key
+    /// is the same allocation.
+    sources: Vec<Arc<str>>,
+    source_ids: HashMap<Arc<str>, u32>,
     /// The source id `record` interned last (`0` before the first).
     last_source: u32,
     /// Number of occupied slots.
@@ -171,7 +174,10 @@ impl LineageStore {
         roots.dedup();
         roots
             .into_iter()
-            .map(|(source, frame_no)| ImgRef::frame(self.source_name(source), frame_no))
+            .map(|(source, frame_no)| ImgRef {
+                source: self.sources[source as usize - 1].clone(),
+                frame_no,
+            })
             .collect()
     }
 
@@ -218,16 +224,19 @@ impl LineageStore {
     }
 
     /// The interned id of `source`, interning it on first sight.
-    fn intern(&mut self, source: &str) -> u32 {
-        if self.last_source != 0 && self.source_name(self.last_source) == source {
-            return self.last_source;
+    fn intern(&mut self, source: &Arc<str>) -> u32 {
+        if self.last_source != 0 {
+            let last = &self.sources[self.last_source as usize - 1];
+            if Arc::ptr_eq(last, source) || last == source {
+                return self.last_source;
+            }
         }
-        let id = match self.source_ids.get(source) {
+        let id = match self.source_ids.get(&**source) {
             Some(&id) => id,
             None => {
-                self.sources.push(source.to_string());
+                self.sources.push(source.clone());
                 let id = self.sources.len() as u32;
-                self.source_ids.insert(source.to_string(), id);
+                self.source_ids.insert(source.clone(), id);
                 id
             }
         };
@@ -344,7 +353,10 @@ mod tests {
         let mut store = LineageStore::new();
         let p = patch(1, 42);
         store.record(&p);
-        assert_eq!(store.backtrace(PatchId(1)), vec![ImgRef::frame("cam", 42)]);
+        let roots = store.backtrace(PatchId(1));
+        assert_eq!(roots, vec![ImgRef::frame("cam", 42)]);
+        // The store interned the patch's own source and answers with it.
+        assert!(Arc::ptr_eq(&roots[0].source, &p.img_ref.source));
     }
 
     #[test]
@@ -484,8 +496,14 @@ mod tests {
             let pages = self.pages.capacity() * std::mem::size_of::<Box<[Slot]>>()
                 + self.pages.len() * PAGE_SLOTS * slot;
             let overflow = self.overflow.capacity() * std::mem::size_of::<PatchId>();
-            let sources: usize = self.sources.iter().map(|s| 2 * s.capacity()).sum::<usize>()
-                + self.sources.capacity() * std::mem::size_of::<String>()
+            // The interned strings are shared with the patches; charge each
+            // once, with its two reference counts.
+            let sources: usize = self
+                .sources
+                .iter()
+                .map(|s| s.len() + 2 * std::mem::size_of::<usize>())
+                .sum::<usize>()
+                + self.sources.capacity() * std::mem::size_of::<Arc<str>>()
                 + table(&self.source_ids);
             let index: usize = self
                 .frame_index
@@ -550,9 +568,7 @@ mod tests {
                     }
                 }
             }
-            out.sort_by(|a, b| {
-                (a.source.as_str(), a.frame_no).cmp(&(b.source.as_str(), b.frame_no))
-            });
+            out.sort_by(|a, b| (&*a.source, a.frame_no).cmp(&(&*b.source, b.frame_no)));
             out.dedup();
             out
         }
@@ -561,7 +577,7 @@ mod tests {
             let mut out: Vec<PatchId> = self
                 .records
                 .iter()
-                .filter(|(_, (r, _))| r.source == source && r.frame_no == frame_no)
+                .filter(|(_, (r, _))| &*r.source == source && r.frame_no == frame_no)
                 .map(|(id, _)| *id)
                 .collect();
             out.sort_unstable();

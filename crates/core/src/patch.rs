@@ -5,7 +5,8 @@
 //! consumes and produces patches, and every patch can be traced back to the
 //! image that generated it.
 
-use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
 use deeplens_codec::Image;
 
@@ -18,15 +19,16 @@ pub struct PatchId(pub u64);
 /// Reference to the source image a patch derives from.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ImgRef {
-    /// Source collection or video name.
-    pub source: String,
+    /// Source collection or video name, shared by every patch of the
+    /// source: cloning a reference is a refcount bump.
+    pub source: Arc<str>,
     /// Frame number within the source (0 for still images).
     pub frame_no: u64,
 }
 
 impl ImgRef {
     /// Reference frame `frame_no` of `source`.
-    pub fn frame(source: impl Into<String>, frame_no: u64) -> Self {
+    pub fn frame(source: impl Into<Arc<str>>, frame_no: u64) -> Self {
         ImgRef {
             source: source.into(),
             frame_no,
@@ -72,6 +74,83 @@ impl PatchData {
     }
 }
 
+/// A patch's metadata dictionary: entries kept sorted by key in one flat
+/// `Vec`, so a patch's metadata is one allocation and its keys are shared
+/// (`Arc<str>`) with every other patch carrying the same key. Lookups
+/// binary-search; iteration is in key order, and `Debug` prints a map.
+#[derive(Clone, Default, PartialEq)]
+pub struct MetaMap(Vec<(Arc<str>, Value)>);
+
+impl MetaMap {
+    /// An empty map with room for `n` entries.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        MetaMap(Vec::with_capacity(n))
+    }
+
+    /// Append an entry whose key sorts after every key in the map — how a
+    /// scan assembles a row from key-ordered columns without searching.
+    pub(crate) fn push_sorted(&mut self, key: Arc<str>, value: Value) {
+        debug_assert!(self.0.last().is_none_or(|(last, _)| *last < key));
+        self.0.push((key, value));
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the map has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn position(&self, key: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| (**k).cmp(key))
+    }
+
+    /// The value under `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.position(key).ok().map(|i| &self.0[i].1)
+    }
+
+    /// Set `key` to `value`, returning the value it replaces. An existing
+    /// entry keeps its key allocation; only a new key is converted.
+    pub fn insert<K: AsRef<str> + Into<Arc<str>>>(
+        &mut self,
+        key: K,
+        value: Value,
+    ) -> Option<Value> {
+        match self.position(key.as_ref()) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            Err(i) => {
+                self.0.insert(i, (key.into(), value));
+                None
+            }
+        }
+    }
+
+    /// Entries in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Arc<str>, &Value)> {
+        self.0.iter().map(|(k, v)| (k, v))
+    }
+
+    /// Keys in order.
+    pub fn keys(&self) -> impl Iterator<Item = &Arc<str>> {
+        self.0.iter().map(|(k, _)| k)
+    }
+
+    /// Values in key order, mutably.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Value> {
+        self.0.iter_mut().map(|(_, v)| v)
+    }
+}
+
+impl fmt::Debug for MetaMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// A patch: the unit of data in DeepLens.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Patch {
@@ -82,7 +161,7 @@ pub struct Patch {
     /// Dense payload.
     pub data: PatchData,
     /// Key-value metadata dictionary.
-    pub meta: BTreeMap<String, Value>,
+    pub meta: MetaMap,
     /// Direct lineage parents (empty for patches generated straight from a
     /// source image).
     pub parents: Vec<PatchId>,
@@ -95,7 +174,7 @@ impl Patch {
             id,
             img_ref,
             data: PatchData::Pixels(img),
-            meta: BTreeMap::new(),
+            meta: MetaMap::default(),
             parents: vec![],
         }
     }
@@ -106,7 +185,7 @@ impl Patch {
             id,
             img_ref,
             data: PatchData::Features(features),
-            meta: BTreeMap::new(),
+            meta: MetaMap::default(),
             parents: vec![],
         }
     }
@@ -117,14 +196,15 @@ impl Patch {
             id,
             img_ref,
             data: PatchData::Empty,
-            meta: BTreeMap::new(),
+            meta: MetaMap::default(),
             parents: vec![],
         }
     }
 
     /// Builder-style metadata insertion.
-    pub fn with_meta(mut self, key: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.meta.insert(key.into(), value.into());
+    pub fn with_meta(mut self, key: impl Into<Arc<str>>, value: impl Into<Value>) -> Self {
+        let key: Arc<str> = key.into();
+        self.meta.insert(key, value.into());
         self
     }
 
@@ -179,7 +259,7 @@ impl Patch {
             id: self.id,
             img_ref: self.img_ref,
             data: PatchData::Empty,
-            meta: BTreeMap::new(),
+            meta: MetaMap::default(),
             parents: self.parents,
         }
     }

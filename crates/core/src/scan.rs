@@ -22,7 +22,11 @@
 //!    Other projections compute the matching row indices, once; chunks
 //!    with none stop there.
 //! 3. **Late materialization** — the projected columns decode only the
-//!    matching rows, which are assembled back into [`Patch`]es.
+//!    matching rows, which are assembled back into [`Patch`]es. Strings are
+//!    shared, not copied: a row's metadata keys are the collection's
+//!    [`ColumnarPatches::meta_keys`], and its source and string values are
+//!    the chunk dictionaries' entries, so a featured row costs two
+//!    allocations — its feature vector and its metadata vector.
 //!
 //! Surviving chunks fan out over the caller's [`WorkerPool`] morsels and
 //! reassemble in chunk order, so the output is the row-scan output — same
@@ -31,7 +35,7 @@
 //! (the single definition of row semantics): a chunk is only skipped when
 //! no row in it can possibly match.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,7 +47,7 @@ use deeplens_storage::columnar::{
     BoolChunk, FeatureChunk, FloatChunk, IntChunk, PackedFeatures, StrChunk,
 };
 
-use crate::patch::{ImgRef, Patch, PatchData, PatchId};
+use crate::patch::{ImgRef, MetaMap, Patch, PatchData, PatchId};
 use crate::value::Value;
 
 /// Process-wide count of patches assembled back into rows from columnar
@@ -289,7 +293,7 @@ impl MetaColumn {
             MetaColumn::Str(c) => c
                 .values_at(rows)
                 .into_iter()
-                .map(|v| v.map(|s| Value::Str(s.to_string())))
+                .map(|v| v.map(|s| Value::Str(s.clone())))
                 .collect(),
             MetaColumn::Bool(c) => c
                 .values_at(rows)
@@ -427,12 +431,9 @@ struct ChunkGroup {
 }
 
 impl ChunkGroup {
-    fn encode(slice: &[Patch], meta_keys: &[String]) -> ChunkGroup {
+    fn encode(slice: &[Patch], meta_keys: &[Arc<str>]) -> ChunkGroup {
         let ids: Vec<Option<i64>> = slice.iter().map(|p| Some(ordered_i64(p.id.0))).collect();
-        let sources: Vec<Option<&str>> = slice
-            .iter()
-            .map(|p| Some(p.img_ref.source.as_str()))
-            .collect();
+        let sources: Vec<Option<&str>> = slice.iter().map(|p| Some(&*p.img_ref.source)).collect();
         let frame_nos: Vec<Option<i64>> = slice
             .iter()
             .map(|p| Some(ordered_i64(p.img_ref.frame_no)))
@@ -465,7 +466,8 @@ impl ChunkGroup {
 pub struct ColumnarPatches {
     len: usize,
     /// All metadata keys appearing anywhere in the collection, sorted.
-    meta_keys: Vec<String>,
+    /// Materialized rows share these allocations.
+    meta_keys: Vec<Arc<str>>,
     chunks: Vec<ChunkGroup>,
 }
 
@@ -473,11 +475,8 @@ impl ColumnarPatches {
     /// Shred `patches` into column chunks of `chunk_rows` rows (minimum 1).
     pub fn from_patches(patches: &[Patch], chunk_rows: usize) -> Self {
         let chunk_rows = chunk_rows.max(1);
-        let keys: BTreeSet<&str> = patches
-            .iter()
-            .flat_map(|p| p.meta.keys().map(String::as_str))
-            .collect();
-        let meta_keys: Vec<String> = keys.into_iter().map(str::to_string).collect();
+        let keys: BTreeSet<&Arc<str>> = patches.iter().flat_map(|p| p.meta.keys()).collect();
+        let meta_keys: Vec<Arc<str>> = keys.into_iter().cloned().collect();
         let chunks = patches
             .chunks(chunk_rows)
             .map(|slice| ChunkGroup::encode(slice, &meta_keys))
@@ -505,14 +504,12 @@ impl ColumnarPatches {
     }
 
     /// The collection's metadata keys, sorted.
-    pub fn meta_keys(&self) -> &[String] {
+    pub fn meta_keys(&self) -> &[Arc<str>] {
         &self.meta_keys
     }
 
     fn meta_index(&self, key: &str) -> Option<usize> {
-        self.meta_keys
-            .binary_search_by(|k| k.as_str().cmp(key))
-            .ok()
+        self.meta_keys.binary_search_by(|k| (**k).cmp(key)).ok()
     }
 
     /// Zone-map verdict for one chunk: `false` only when *no* row of the
@@ -640,18 +637,18 @@ impl ColumnarPatches {
             } else {
                 PatchData::Empty
             };
-            // Keys are sorted, so each insert appends at the right edge:
-            // no temporary `Vec`, no sort.
-            let mut meta = BTreeMap::new();
+            // Keys are sorted, so each entry appends: one allocation, sized
+            // once, and no search.
+            let mut meta = MetaMap::with_capacity(self.meta_keys.len());
             for (key, col) in self.meta_keys.iter().zip(meta_cols.iter_mut()) {
                 if let Some(v) = col.next().flatten() {
-                    meta.insert(key.clone(), v);
+                    meta.push_sorted(key.clone(), v);
                 }
             }
             out.push(Patch {
                 id: PatchId(ordered_u64(ids[i].unwrap_or(0))),
                 img_ref: ImgRef {
-                    source: sources[i].unwrap_or("").to_string(),
+                    source: sources[i].map_or_else(|| Arc::from(""), Arc::clone),
                     frame_no: ordered_u64(frame_nos[i].unwrap_or(0)),
                 },
                 data,
@@ -853,6 +850,39 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// Late materialization shares strings instead of copying them: every
+    /// row's keys are the collection's `meta_keys`, and its source and
+    /// string values are entries of its chunk's dictionaries.
+    #[test]
+    fn materialized_rows_share_keys_and_dictionary_strings() {
+        let patches = mixed_collection(40);
+        let columnar = ColumnarPatches::from_patches(&patches, 16);
+        let label = columnar.meta_index("label").unwrap();
+        let pool = WorkerPool::new(1);
+        for projection in [Projection::Full, Projection::MetaOnly] {
+            let rows = columnar.scan(&ScanFilter::All, projection, &pool).patches;
+            assert_eq!(rows.len(), patches.len());
+            for (i, row) in rows.iter().enumerate() {
+                for key in row.meta.keys() {
+                    let k = columnar.meta_index(key).unwrap();
+                    assert!(Arc::ptr_eq(key, &columnar.meta_keys()[k]), "{key}");
+                }
+                let group = &columnar.chunks[i / 16];
+                assert!(group
+                    .sources
+                    .dict()
+                    .iter()
+                    .any(|s| Arc::ptr_eq(s, &row.img_ref.source)));
+                let (Some(Value::Str(value)), MetaColumn::Str(dict)) =
+                    (row.get("label"), &group.meta[label])
+                else {
+                    panic!("label is a string column");
+                };
+                assert!(dict.dict().iter().any(|s| Arc::ptr_eq(s, value)), "{value}");
+            }
+        }
     }
 
     fn assert_scan_equiv(patches: &[Patch], filter: &ScanFilter, chunk_rows: usize) {

@@ -7,6 +7,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A metadata value.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,8 +16,10 @@ pub enum Value {
     Int(i64),
     /// Floating point (scores, depths).
     Float(f64),
-    /// String (labels, recognized text).
-    Str(String),
+    /// String (labels, recognized text), shared: a clone is a refcount
+    /// bump, so rows materialized from a column chunk hold the chunk
+    /// dictionary's allocation instead of a copy.
+    Str(Arc<str>),
     /// Boolean flags.
     Bool(bool),
 }
@@ -181,12 +184,18 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
+        Value::Str(v.into())
+    }
+}
+
+impl From<Arc<str>> for Value {
+    fn from(v: Arc<str>) -> Self {
         Value::Str(v)
     }
 }
@@ -244,6 +253,35 @@ mod tests {
         set.insert(Value::Bool(true));
         set.insert(Value::from("1"));
         assert_eq!(set.len(), 3);
+    }
+
+    /// A hasher that records the bytes it is fed.
+    #[derive(Default)]
+    struct Recorder(Vec<u8>);
+
+    impl std::hash::Hasher for Recorder {
+        fn finish(&self) -> u64 {
+            0
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+
+    /// The bytes a string value feeds a hasher and its key encoding, pinned:
+    /// hash indexes and cache keys over strings must not move when the
+    /// string's representation does.
+    #[test]
+    fn string_hash_input_and_key_bytes_are_pinned() {
+        use std::hash::Hash;
+        let mut fed = Recorder::default();
+        Value::from("car").hash(&mut fed);
+        assert_eq!(fed.0, [0x04, b'c', b'a', b'r', 0xff]);
+        assert_eq!(Value::from("car").encode_key(), [0x04, b'c', b'a', b'r']);
+        let mut empty = Recorder::default();
+        Value::from(String::new()).hash(&mut empty);
+        assert_eq!(empty.0, [0x04, 0xff]);
     }
 
     #[test]

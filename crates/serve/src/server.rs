@@ -18,7 +18,7 @@
 //! index builds by [`Session::build_ball_index_estimate_us`].
 
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -36,9 +36,14 @@ use crate::protocol::{
     write_frame, Request, Response, ServeStats, WireError, DEFAULT_MAX_FRAME_BYTES,
 };
 
-/// Poll interval of the accept loop and the per-connection read timeout:
-/// the granularity at which threads notice a shutdown request.
+/// The per-connection read timeout: the granularity at which connection
+/// threads notice a shutdown request. Also the pause after a failed
+/// `accept`, so an error the listener keeps returning cannot spin.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// How long [`ServerHandle::stop`] waits for its wake-up connection to the
+/// blocked accept loop before giving up on joining it.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -96,10 +101,17 @@ impl ServerHandle {
 
     /// Stop accepting, wake every connection thread, and join them all.
     /// Idempotent; also runs on drop.
+    ///
+    /// The accept loop blocks in `accept`, so `stop` wakes it with one
+    /// loopback connection to the bound port. If that connection cannot be
+    /// made, the accept thread is detached instead of joined: `stop` never
+    /// hangs, and the thread exits on the next connection it accepts.
     pub fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            if TcpStream::connect_timeout(&wake_addr(self.local_addr), WAKE_TIMEOUT).is_ok() {
+                let _ = t.join();
+            }
         }
         let drained: Vec<JoinHandle<()>> = std::mem::take(&mut *self.connections.lock());
         for t in drained {
@@ -120,7 +132,6 @@ impl Drop for ServerHandle {
 pub fn serve(catalog: Arc<SharedCatalog>, config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let shutdown = Arc::new(AtomicBool::new(false));
     let admission = Arc::new(AdmissionController::new(config.admission));
@@ -138,8 +149,11 @@ pub fn serve(catalog: Arc<SharedCatalog>, config: ServerConfig) -> std::io::Resu
         let connections = connections.clone();
         let admission = admission.clone();
         std::thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
+            loop {
                 match listener.accept() {
+                    // The wake-up connection of `stop` (or a client racing
+                    // it): serve nothing more.
+                    Ok(_) if shutdown.load(Ordering::SeqCst) => return,
                     Ok((stream, _peer)) => {
                         let conn = Connection {
                             catalog: catalog.clone(),
@@ -158,9 +172,7 @@ pub fn serve(catalog: Arc<SharedCatalog>, config: ServerConfig) -> std::io::Resu
                         }
                         registry.push(handle);
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
+                    Err(_) if shutdown.load(Ordering::SeqCst) => return,
                     Err(_) => std::thread::sleep(POLL_INTERVAL),
                 }
             }
@@ -174,6 +186,18 @@ pub fn serve(catalog: Arc<SharedCatalog>, config: ServerConfig) -> std::io::Resu
         connections,
         admission,
     })
+}
+
+/// Where [`ServerHandle::stop`] connects to wake the accept loop: the
+/// bound address, with an unspecified IP (`0.0.0.0`, `::`) replaced by the
+/// loopback address of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// Per-connection state and dispatch.
@@ -296,11 +320,17 @@ impl Connection {
                 let floats: usize = rows.iter().map(Vec::len).sum();
                 self.admitted(floats as f64 / self.planner.units_per_us, || {
                     let mut ids = self.catalog.reserve_patch_ids(rows.len() as u64);
+                    // Every row shares one source string.
+                    let source: Arc<str> = Arc::from("wire");
                     let patches: Vec<Patch> = rows
                         .into_iter()
                         .enumerate()
                         .map(|(i, row)| {
-                            Patch::features(ids.alloc(), ImgRef::frame("wire", i as u64), row)
+                            Patch::features(
+                                ids.alloc(),
+                                ImgRef::frame(source.clone(), i as u64),
+                                row,
+                            )
                         })
                         .collect();
                     self.catalog.materialize(&name, patches);
@@ -395,6 +425,45 @@ fn retryable(e: &std::io::Error) -> bool {
 mod tests {
     use super::*;
     use crate::client::Client;
+
+    #[test]
+    fn stop_returns_with_no_client_and_with_a_connection_open() {
+        let mut idle = serve(Arc::new(SharedCatalog::new()), ServerConfig::default()).unwrap();
+        idle.stop();
+        // The accept loop returned and dropped the listener.
+        assert!(TcpStream::connect(idle.local_addr()).is_err());
+
+        let mut busy = serve(Arc::new(SharedCatalog::new()), ServerConfig::default()).unwrap();
+        let mut client = Client::connect(busy.local_addr()).unwrap();
+        client.ping().unwrap();
+        busy.stop();
+        assert!(busy.connections.lock().is_empty());
+        assert!(TcpStream::connect(busy.local_addr()).is_err());
+        // Stopping again is a no-op.
+        busy.stop();
+        drop(client);
+    }
+
+    #[test]
+    fn unspecified_bind_addresses_wake_through_loopback() {
+        let v4: SocketAddr = "0.0.0.0:4000".parse().unwrap();
+        assert_eq!(wake_addr(v4), "127.0.0.1:4000".parse().unwrap());
+        let v6: SocketAddr = "[::]:4000".parse().unwrap();
+        assert_eq!(wake_addr(v6), "[::1]:4000".parse().unwrap());
+        let bound: SocketAddr = "10.1.2.3:4000".parse().unwrap();
+        assert_eq!(wake_addr(bound), bound);
+    }
+
+    #[test]
+    fn stop_on_an_unspecified_bind_address_returns() {
+        let config = ServerConfig {
+            addr: "0.0.0.0:0".into(),
+            ..ServerConfig::default()
+        };
+        let mut server = serve(Arc::new(SharedCatalog::new()), config).unwrap();
+        server.stop();
+        assert!(TcpStream::connect(wake_addr(server.local_addr())).is_err());
+    }
 
     #[test]
     fn finished_connections_leave_the_registry() {

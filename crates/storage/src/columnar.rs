@@ -20,6 +20,9 @@
 //! patch-level assembly and parallel scan live in `deeplens-core::scan`,
 //! which composes these columns into collections.
 
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
 /// Default number of rows per column chunk.
 ///
 /// Large enough that per-chunk statistics and encoding headers amortize,
@@ -573,7 +576,8 @@ impl FloatChunk {
 /// A chunk of nullable strings, dictionary-encoded: a sorted dictionary of
 /// the chunk's distinct values plus bit-packed codes. The dictionary makes
 /// equality pruning *exact* within the chunk (binary search), strictly
-/// stronger than a min/max zone map.
+/// stronger than a min/max zone map. Its entries are shared strings: a
+/// decoded value is a clone of the dictionary's `Arc`, not a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrChunk {
     validity: Validity,
@@ -581,7 +585,7 @@ pub struct StrChunk {
     null_count: usize,
     sorted: bool,
     /// Sorted distinct values.
-    dict: Vec<String>,
+    dict: Vec<Arc<str>>,
     /// Bit-packed dictionary codes, one per non-null row.
     code_width: u32,
     codes: Vec<u64>,
@@ -591,13 +595,9 @@ impl StrChunk {
     /// Encode one chunk of rows.
     pub fn encode(rows: &[Option<&str>]) -> Self {
         let validity = Validity::from_rows(rows);
-        let mut dict: Vec<String> = rows
-            .iter()
-            .filter_map(|r| r.map(str::to_string))
-            .collect::<std::collections::BTreeSet<String>>()
-            .into_iter()
-            .collect();
-        dict.shrink_to_fit();
+        // Dedup on the borrowed rows: one allocation per distinct value.
+        let distinct: BTreeSet<&str> = rows.iter().flatten().copied().collect();
+        let dict: Vec<Arc<str>> = distinct.into_iter().map(Arc::from).collect();
         let mut sorted = true;
         let mut prev: Option<&str> = None;
         let codes_raw: Vec<u64> = rows
@@ -609,8 +609,7 @@ impl StrChunk {
                 }
                 prev = Some(s);
                 // Dictionary lookup cannot fail: dict was built from rows.
-                dict.binary_search_by(|d| d.as_str().cmp(s))
-                    .map_or(0, |i| i) as u64
+                dict.binary_search_by(|d| (**d).cmp(s)).map_or(0, |i| i) as u64
             })
             .collect();
         let code_width = bitpack::width_for(dict.len().saturating_sub(1) as u64);
@@ -648,8 +647,9 @@ impl StrChunk {
     }
 
     /// The values of `rows` (chunk-local), `None` for a null row; only the
-    /// selected codes are unpacked.
-    pub fn values_at(&self, rows: &[usize]) -> Vec<Option<&str>> {
+    /// selected codes are unpacked. A value is the dictionary's entry:
+    /// cloning it shares the allocation.
+    pub fn values_at(&self, rows: &[usize]) -> Vec<Option<&Arc<str>>> {
         self.validity
             .ranks(rows)
             .map(|r| r.and_then(|r| self.dict_value(bitpack::get(&self.codes, self.code_width, r))))
@@ -659,13 +659,13 @@ impl StrChunk {
     /// The dictionary code of `s`, if any row holds it.
     fn code(&self, s: &str) -> Option<u64> {
         self.dict
-            .binary_search_by(|d| d.as_str().cmp(s))
+            .binary_search_by(|d| (**d).cmp(s))
             .ok()
             .map(|i| i as u64)
     }
 
-    fn dict_value(&self, code: u64) -> Option<&str> {
-        self.dict.get(code as usize).map(String::as_str)
+    fn dict_value(&self, code: u64) -> Option<&Arc<str>> {
+        self.dict.get(code as usize)
     }
 
     /// Rows in the chunk.
@@ -689,19 +689,19 @@ impl StrChunk {
     }
 
     /// The chunk's distinct values, sorted.
-    pub fn dict(&self) -> &[String] {
+    pub fn dict(&self) -> &[Arc<str>] {
         &self.dict
     }
 
     /// Exact equality pruning: whether any row of the chunk equals `s`.
     pub fn may_contain(&self, s: &str) -> bool {
-        self.dict.binary_search_by(|d| d.as_str().cmp(s)).is_ok()
+        self.code(s).is_some()
     }
 
     /// Lexicographic min/max of the chunk, if any row is valid.
     pub fn min_max(&self) -> Option<(&str, &str)> {
         match (self.dict.first(), self.dict.last()) {
-            (Some(a), Some(b)) => Some((a.as_str(), b.as_str())),
+            (Some(a), Some(b)) => Some((a, b)),
             _ => None,
         }
     }
@@ -1092,7 +1092,7 @@ impl StrChunk {
         (0..self.count)
             .map(|row| {
                 if self.validity.is_valid(row) {
-                    it.next().and_then(|c| self.dict_value(c))
+                    it.next().and_then(|c| self.dict_value(c)).map(|v| &**v)
                 } else {
                     None
                 }
@@ -1258,7 +1258,13 @@ mod tests {
         let rows = vec![Some("car"), Some("person"), None, Some("car"), Some("bike")];
         let chunk = StrChunk::encode(&rows);
         assert_eq!(chunk.decode(), rows);
-        assert_eq!(chunk.dict(), &["bike", "car", "person"]);
+        let dict: Vec<&str> = chunk.dict().iter().map(|s| &**s).collect();
+        assert_eq!(dict, ["bike", "car", "person"]);
+        // Decoded values are the dictionary's entries, shared.
+        let car = chunk.values_at(&[0, 3]);
+        assert!(car
+            .iter()
+            .all(|v| v.is_some_and(|v| Arc::ptr_eq(v, &chunk.dict()[1]))));
         assert_eq!(chunk.null_count(), 1);
         assert!(!chunk.sorted());
         assert!(chunk.may_contain("car"));
@@ -1627,7 +1633,12 @@ mod tests {
                     assert_eq!(chunk.rows_eq(s), want, "{s} of {distinct}");
                 }
                 for sel in selections(&mut rng, rows.len()) {
-                    assert_eq!(chunk.values_at(&sel), gather(&decoded, &sel));
+                    let values: Vec<Option<&str>> = chunk
+                        .values_at(&sel)
+                        .into_iter()
+                        .map(|v| v.map(|s| &**s))
+                        .collect();
+                    assert_eq!(values, gather(&decoded, &sel));
                 }
             }
             let rows: Vec<Option<bool>> = (0..150)

@@ -95,6 +95,6 @@ fn main() {
         "lineage: string patch {:?} backtraces to {} source image(s): {:?}",
         sample.get_str("text").unwrap_or("?"),
         roots.len(),
-        roots.first().map(|r| (r.source.as_str(), r.frame_no))
+        roots.first().map(|r| (&*r.source, r.frame_no))
     );
 }

@@ -197,7 +197,7 @@ fn bitwise(patches: &[Patch]) -> Vec<Patch> {
             let mut p = p.clone();
             for v in p.meta.values_mut() {
                 if let Value::Float(f) = v {
-                    *v = Value::Str(format!("f64 bits {:#x}", f.to_bits()));
+                    *v = Value::from(format!("f64 bits {:#x}", f.to_bits()));
                 }
             }
             p

@@ -145,7 +145,7 @@ fn lineage_backtrace_through_pipeline() {
     for (i, p) in col.patches.iter().enumerate() {
         let roots = catalog.backtrace(p.id);
         assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].source, "cam0");
+        assert_eq!(&*roots[0].source, "cam0");
         assert_eq!(roots[0].frame_no, i as u64);
     }
     // And the lineage index agrees with a full scan.

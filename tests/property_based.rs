@@ -1,5 +1,6 @@
 //! Property-based tests over the core invariants of the DeepLens stack:
-//! codec round-trips, index/bruteforce agreement, B+Tree vs BTreeMap model,
+//! codec round-trips, index/bruteforce agreement, B+Tree and patch
+//! metadata map vs BTreeMap models,
 //! and key-encoding order preservation. The KD-Tree, R-Tree and LSH cases
 //! hold the figure harnesses' reproduction-only structures
 //! (`deeplens_bench::repro`) to the same brute-force oracle as the
@@ -11,7 +12,8 @@ use std::ops::Bound;
 use proptest::prelude::*;
 
 use deeplens::codec::{decode_image, encode_image, psnr, Image, Quality};
-use deeplens::core::value::{encode_f64, encode_i64};
+use deeplens::core::patch::MetaMap;
+use deeplens::core::value::{encode_f64, encode_i64, Value};
 use deeplens::exec::{kernels, Matrix};
 use deeplens::index::{bruteforce, BallTree};
 use deeplens::prelude::{ImgRef, Patch, PatchId, SharedCatalog};
@@ -447,5 +449,96 @@ proptest! {
             prop_assert_eq!(got.len(), model.len());
         }
         std::fs::remove_file(path).ok();
+    }
+}
+
+/// Keys whose byte order differs from their length order, plus the empty
+/// key and a multi-byte one.
+const META_KEYS: [&str; 8] = ["", "a", "ab", "b", "frameno", "label", "x", "\u{e9}t\u{e9}"];
+
+/// A value of each metadata type, picked by `kind`.
+fn meta_value(kind: u8, n: i64) -> Value {
+    match kind {
+        0 => Value::Int(n),
+        1 => Value::Float(n as f64 / 4.0),
+        2 => Value::from(format!("v{n}")),
+        _ => Value::Bool(n % 2 == 0),
+    }
+}
+
+/// `map` against its model: lookups of every key, sorted iteration, size,
+/// and the map-shaped `Debug` output.
+fn assert_meta_matches(
+    map: &MetaMap,
+    model: &BTreeMap<String, Value>,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    for key in META_KEYS {
+        prop_assert_eq!(map.get(key), model.get(key), "get {:?}", key);
+    }
+    let entries: Vec<(&str, &Value)> = map.iter().map(|(k, v)| (&**k, v)).collect();
+    let want: Vec<(&str, &Value)> = model.iter().map(|(k, v)| (k.as_str(), v)).collect();
+    prop_assert_eq!(entries, want);
+    let keys: Vec<&str> = map.keys().map(|k| &**k).collect();
+    prop_assert_eq!(keys, model.keys().map(String::as_str).collect::<Vec<_>>());
+    prop_assert_eq!(map.len(), model.len());
+    prop_assert_eq!(map.is_empty(), model.is_empty());
+    prop_assert_eq!(format!("{map:?}"), format!("{model:?}"));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A patch's sorted metadata map behaves like a `BTreeMap` model under
+    /// any sequence of inserts (overwrites included), lookups and in-place
+    /// value edits; and two maps are equal exactly when their models are,
+    /// whatever order their entries were inserted in.
+    #[test]
+    fn meta_map_matches_btreemap_model(
+        a in prop::collection::vec((0u8..4, 0usize..8, 0u8..4, -20i64..20), 0..40),
+        b in prop::collection::vec((0u8..4, 0usize..8, 0u8..4, -20i64..20), 0..40),
+    ) {
+        let mut maps = [MetaMap::default(), MetaMap::default()];
+        let mut models = [BTreeMap::new(), BTreeMap::new()];
+        for (side, ops) in [&a, &b].into_iter().enumerate() {
+            let (map, model) = (&mut maps[side], &mut models[side]);
+            for &(op, key, kind, n) in ops {
+                let key = META_KEYS[key];
+                match op {
+                    // Insert through each accepted key type.
+                    0 => prop_assert_eq!(
+                        map.insert(key, meta_value(kind, n)),
+                        model.insert(key.to_string(), meta_value(kind, n))
+                    ),
+                    1 => prop_assert_eq!(
+                        map.insert(key.to_string(), meta_value(kind, n)),
+                        model.insert(key.to_string(), meta_value(kind, n))
+                    ),
+                    2 => {
+                        for v in map.values_mut() {
+                            if let Value::Int(i) = v {
+                                *i += n;
+                            }
+                        }
+                        for v in model.values_mut() {
+                            if let Value::Int(i) = v {
+                                *i += n;
+                            }
+                        }
+                    }
+                    _ => prop_assert_eq!(map.get(key), model.get(key)),
+                }
+                assert_meta_matches(map, model)?;
+            }
+        }
+        let [map_a, map_b] = &maps;
+        prop_assert_eq!(map_a == map_b, models[0] == models[1]);
+        // The same entries inserted in reverse order build an equal map.
+        let mut reversed = MetaMap::default();
+        for (k, v) in models[0].iter().rev() {
+            reversed.insert(k.as_str(), v.clone());
+        }
+        prop_assert_eq!(&reversed, map_a);
+        prop_assert_eq!(reversed.clone(), map_a.clone());
     }
 }
