@@ -163,6 +163,15 @@ impl BatchResult {
 }
 
 impl BatchQuery {
+    /// The query's similarity threshold.
+    fn tau(&self) -> f32 {
+        match self {
+            BatchQuery::SimilarityJoin { tau, .. }
+            | BatchQuery::Dedup { tau, .. }
+            | BatchQuery::IndexProbe { tau, .. } => *tau,
+        }
+    }
+
     /// The collections this query reads, in the order
     /// [`BatchQuery::cache_key`] takes their snapshots.
     fn collections(&self) -> Vec<&str> {
@@ -347,15 +356,17 @@ impl<'s> QueryBatch<'s> {
     /// every other join and dedup, and group the members that can share a
     /// pass.
     ///
-    /// A member whose rows disagree on feature dimension, or whose probe
-    /// disagrees with its index's, fails the whole batch here with
-    /// [`crate::DlError::SchemaMismatch`] — before anything is admitted or
-    /// run, just as a missing collection or index does.
+    /// A member whose rows disagree on feature dimension, whose probe
+    /// disagrees with its index's, or whose τ is negative or NaN fails the
+    /// whole batch here with [`crate::DlError::SchemaMismatch`] — before
+    /// anything is admitted or run, just as a missing collection or index
+    /// does.
     pub fn plan(self) -> Result<PlannedBatch<'s>> {
         let QueryBatch { session, queries } = self;
         let mut names: Vec<&str> = Vec::new();
         let mut slots: Vec<Vec<usize>> = Vec::with_capacity(queries.len());
         for q in &queries {
+            plan::check_tau(q.tau())?;
             let of_query = q.collections().into_iter().map(|name| {
                 names.iter().position(|n| *n == name).unwrap_or_else(|| {
                     names.push(name);

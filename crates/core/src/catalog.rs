@@ -20,7 +20,7 @@ use deeplens_index::{BallTree, DeltaBallTree};
 
 use crate::optimizer::CostModel;
 use crate::patch::{Patch, PatchId};
-use crate::plan::row_id;
+use crate::plan::{check_tau, row_id};
 use crate::scan::{ColumnarPatches, Projection, ScanFilter, ScanResult};
 use crate::value::Value;
 use crate::{DlError, Result};
@@ -406,8 +406,10 @@ impl PatchCollection {
     /// Similarity lookup through a Ball-Tree index: positions within `tau`
     /// of `query`, sorted ascending. The sorted order is deliberate — it is
     /// independent of the tree's shape, so a delta-maintained index answers
-    /// byte-identically to a freshly rebuilt one.
+    /// byte-identically to a freshly rebuilt one. A negative or NaN `tau`
+    /// is a [`DlError::SchemaMismatch`].
     pub fn lookup_similar(&self, index_name: &str, query: &[f32], tau: f32) -> Result<Vec<u32>> {
+        check_tau(tau)?;
         Ok(self.ball_index(index_name, query)?.range_query(query, tau))
     }
 

@@ -3,9 +3,7 @@
 //! Every patch records its direct parents; the [`LineageStore`] keeps the
 //! full derivation graph so a *backtracing query* — "which raw frames
 //! contributed to this patch?" — resolves by walking parent pointers instead
-//! of rescanning base data. The store also builds a **frame index**
-//! (source frame → derived patch ids) for the forward question, "which
-//! patches came from this frame?". Fig. 4's q3 uses neither: its indexed
+//! of rescanning base data. Fig. 4's q3 does not use the store: its indexed
 //! plan (`deeplens_bench::queries::q3_optimized`) follows each OCR patch's
 //! parent pointer through a patch-id → position map built once, where the
 //! baseline rescans every detection per hit.
@@ -24,13 +22,9 @@
 //! interned once, as the patch's own shared string, with a fast path for
 //! the last source seen (a pointer compare before a string compare), so
 //! [`LineageStore::record`] allocates only when it opens a page, stores a
-//! multi-parent record, meets a new source or grows a frame-index entry.
-//! `ImgRef`s are rebuilt only when a backtrace answers, and share the
-//! interned source. A dense run of records costs ≈24 heap bytes each.
-//!
-//! The frame index maps `(source id, frame_no)` to patch ids. Once built it
-//! always equals [`LineageStore::patches_of_frame_scan`]: sorted, without
-//! duplicates, and moved when a re-record changes a patch's frame.
+//! multi-parent record or meets a new source. `ImgRef`s are rebuilt only
+//! when a backtrace answers, and share the interned source. A dense run of
+//! records costs ≈24 heap bytes each.
 //!
 //! Records are never dropped. Dropping one is safe only once no reachable
 //! collection version contains or descends from its patch; any earlier,
@@ -95,10 +89,6 @@ pub struct LineageStore {
     last_source: u32,
     /// Number of occupied slots.
     len: usize,
-    /// Lineage index: (source id, frame) → patch ids derived from that
-    /// frame, sorted.
-    frame_index: HashMap<(u32, u64), Vec<PatchId>>,
-    index_built: bool,
 }
 
 impl LineageStore {
@@ -110,22 +100,18 @@ impl LineageStore {
     /// Register a patch. Re-registering an id replaces its record.
     pub fn record(&mut self, patch: &Patch) {
         let source = self.intern(&patch.img_ref.source);
-        let frame_no = patch.img_ref.frame_no;
         let (page, offset) = self.locate(patch.id);
-        let old = self.pages[page][offset];
+        let was_record = self.pages[page][offset].is_record();
         let parent = self.store_parents(&patch.parents);
         self.pages[page][offset] = Slot {
-            frame_no,
+            frame_no: patch.img_ref.frame_no,
             source,
             // 2^32 parents would be 32 GiB of ids in one `Vec`.
             n_parents: patch.parents.len() as u32,
             parent,
         };
-        if !old.is_record() {
+        if !was_record {
             self.len += 1;
-        }
-        if self.index_built {
-            self.reindex(patch.id, &old, (source, frame_no));
         }
     }
 
@@ -181,48 +167,6 @@ impl LineageStore {
             .collect()
     }
 
-    /// Build the lineage index over everything recorded so far. Subsequent
-    /// [`LineageStore::record`] calls maintain it incrementally.
-    pub fn build_frame_index(&mut self) {
-        let mut index: HashMap<(u32, u64), Vec<PatchId>> = HashMap::new();
-        for (id, slot) in self.records() {
-            index
-                .entry((slot.source, slot.frame_no))
-                .or_default()
-                .push(id);
-        }
-        for ids in index.values_mut() {
-            ids.sort_unstable();
-        }
-        self.frame_index = index;
-        self.index_built = true;
-    }
-
-    /// Indexed lookup: all patch ids derived from frame `frame_no` of
-    /// `source`, sorted. Requires [`LineageStore::build_frame_index`].
-    pub fn patches_of_frame(&self, source: &str, frame_no: u64) -> &[PatchId] {
-        debug_assert!(self.index_built, "call build_frame_index first");
-        self.source_ids
-            .get(source)
-            .and_then(|s| self.frame_index.get(&(*s, frame_no)))
-            .map_or(&[], Vec::as_slice)
-    }
-
-    /// Unindexed lookup: full scan of the lineage graph (the baseline the
-    /// paper's q3 compares against).
-    pub fn patches_of_frame_scan(&self, source: &str, frame_no: u64) -> Vec<PatchId> {
-        let Some(&source) = self.source_ids.get(source) else {
-            return Vec::new();
-        };
-        let mut out: Vec<PatchId> = self
-            .records()
-            .filter(|(_, slot)| slot.source == source && slot.frame_no == frame_no)
-            .map(|(id, _)| id)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// The interned id of `source`, interning it on first sight.
     fn intern(&mut self, source: &Arc<str>) -> u32 {
         if self.last_source != 0 {
@@ -273,17 +217,6 @@ impl LineageStore {
         Some(&self.pages[*page][slot_offset(id)]).filter(|s| s.is_record())
     }
 
-    /// Every record, in no particular order.
-    fn records(&self) -> impl Iterator<Item = (PatchId, &Slot)> + '_ {
-        self.page_of.iter().flat_map(move |(key, page)| {
-            self.pages[*page]
-                .iter()
-                .enumerate()
-                .filter(|(_, slot)| slot.is_record())
-                .map(move |(offset, slot)| (PatchId((key << PAGE_BITS) | offset as u64), slot))
-        })
-    }
-
     /// The direct parents of a record.
     fn parents<'a>(&'a self, slot: &'a Slot) -> &'a [PatchId] {
         match slot.n_parents {
@@ -307,29 +240,6 @@ impl LineageStore {
                 self.overflow.extend_from_slice(many);
                 PatchId(start as u64)
             }
-        }
-    }
-
-    /// Keep the frame index equal to the scan after `id`'s record went
-    /// from `old` to one under `key`.
-    fn reindex(&mut self, id: PatchId, old: &Slot, key: (u32, u64)) {
-        let old_key = (old.source, old.frame_no);
-        if old.is_record() {
-            if old_key == key {
-                return;
-            }
-            if let Some(ids) = self.frame_index.get_mut(&old_key) {
-                if let Ok(i) = ids.binary_search(&id) {
-                    ids.remove(i);
-                }
-                if ids.is_empty() {
-                    self.frame_index.remove(&old_key);
-                }
-            }
-        }
-        let ids = self.frame_index.entry(key).or_default();
-        if let Err(i) = ids.binary_search(&id) {
-            ids.insert(i, id);
         }
     }
 }
@@ -383,70 +293,18 @@ mod tests {
     }
 
     #[test]
-    fn frame_index_matches_scan() {
-        let mut store = LineageStore::new();
-        for i in 0..100u64 {
-            store.record(&patch(i, i % 10));
-        }
-        store.build_frame_index();
-        for f in 0..10u64 {
-            let indexed = store.patches_of_frame("cam", f).to_vec();
-            let scanned = store.patches_of_frame_scan("cam", f);
-            assert_eq!(indexed, scanned);
-            assert_eq!(indexed.len(), 10);
-        }
-        assert!(store.patches_of_frame("other", 0).is_empty());
-    }
-
-    #[test]
-    fn index_maintained_incrementally() {
-        let mut store = LineageStore::new();
-        store.record(&patch(1, 3));
-        store.build_frame_index();
-        store.record(&patch(2, 3));
-        assert_eq!(store.patches_of_frame("cam", 3).len(), 2);
-    }
-
-    #[test]
     fn backtrace_unknown_id_is_empty() {
         let store = LineageStore::new();
         assert!(store.backtrace(PatchId(99)).is_empty());
     }
 
     #[test]
-    fn rerecord_after_index_build_does_not_duplicate() {
-        let mut store = LineageStore::new();
-        store.record(&patch(1, 3));
-        store.build_frame_index();
-        store.record(&patch(1, 3));
-        assert_eq!(store.patches_of_frame("cam", 3), &[PatchId(1)]);
-        assert_eq!(store.patches_of_frame_scan("cam", 3), vec![PatchId(1)]);
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn rerecord_under_a_new_frame_moves_the_index_entry() {
+    fn rerecords_replace_the_record() {
         let mut store = LineageStore::new();
         store.record(&patch(2, 4));
-        store.build_frame_index();
         store.record(&patch(2, 5));
-        assert!(store.patches_of_frame("cam", 4).is_empty());
-        assert!(store.patches_of_frame_scan("cam", 4).is_empty());
-        assert_eq!(store.patches_of_frame("cam", 5), &[PatchId(2)]);
+        assert_eq!(store.len(), 1);
         assert_eq!(store.backtrace(PatchId(2)), vec![ImgRef::frame("cam", 5)]);
-    }
-
-    #[test]
-    fn out_of_order_records_after_index_build_stay_sorted() {
-        let mut store = LineageStore::new();
-        store.build_frame_index();
-        store.record(&patch(9, 7));
-        store.record(&patch(4, 7));
-        assert_eq!(store.patches_of_frame("cam", 7), &[PatchId(4), PatchId(9)]);
-        assert_eq!(
-            store.patches_of_frame("cam", 7),
-            store.patches_of_frame_scan("cam", 7).as_slice()
-        );
     }
 
     #[test]
@@ -462,8 +320,8 @@ mod tests {
             vec![ImgRef::frame("cam", 2)]
         );
         assert_eq!(
-            store.patches_of_frame_scan("cam", 1),
-            vec![PatchId(1 << 40)]
+            store.backtrace(PatchId(1 << 40)),
+            vec![ImgRef::frame("cam", 1)]
         );
         assert!(store.backtrace(PatchId((1 << 40) + 1)).is_empty());
     }
@@ -487,7 +345,7 @@ mod tests {
     impl LineageStore {
         /// Heap bytes the store owns: pages, map tables (buckets of entry
         /// plus one control byte, at hashbrown's 7/8 load factor), the
-        /// overflow arena, interned sources and the frame index.
+        /// overflow arena and interned sources.
         fn heap_bytes(&self) -> usize {
             fn table<K, V>(map: &HashMap<K, V>) -> usize {
                 map.capacity() * 8 / 7 * (std::mem::size_of::<(K, V)>() + 1)
@@ -505,13 +363,7 @@ mod tests {
                 .sum::<usize>()
                 + self.sources.capacity() * std::mem::size_of::<Arc<str>>()
                 + table(&self.source_ids);
-            let index: usize = self
-                .frame_index
-                .values()
-                .map(|ids| ids.capacity() * std::mem::size_of::<PatchId>())
-                .sum::<usize>()
-                + table(&self.frame_index);
-            pages + table(&self.page_of) + overflow + sources + index
+            pages + table(&self.page_of) + overflow + sources
         }
     }
 
@@ -572,17 +424,6 @@ mod tests {
             out.dedup();
             out
         }
-
-        fn patches_of_frame_scan(&self, source: &str, frame_no: u64) -> Vec<PatchId> {
-            let mut out: Vec<PatchId> = self
-                .records
-                .iter()
-                .filter(|(_, (r, _))| &*r.source == source && r.frame_no == frame_no)
-                .map(|(id, _)| *id)
-                .collect();
-            out.sort_unstable();
-            out
-        }
     }
 
     /// SplitMix64 (the crate has no dependency to draw a generator from).
@@ -623,23 +464,6 @@ mod tests {
                 "{ctx}: backtrace of {id:?}"
             );
         }
-        for source in SOURCES.iter().chain(&["missing"]) {
-            for frame in FRAMES {
-                let want = reference.patches_of_frame_scan(source, frame);
-                assert_eq!(
-                    store.patches_of_frame_scan(source, frame),
-                    want,
-                    "{ctx}: scan of {source:?}/{frame}"
-                );
-                if store.index_built {
-                    assert_eq!(
-                        store.patches_of_frame(source, frame),
-                        want.as_slice(),
-                        "{ctx}: index of {source:?}/{frame}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -650,12 +474,7 @@ mod tests {
             let mut reference = ReferenceStore::default();
             let mut ids: Vec<PatchId> = Vec::new();
             let steps = 50 + rng.below(400);
-            // Build the index before, during, or never.
-            let build_at = rng.below(steps + 10);
             for step in 0..steps {
-                if step == build_at {
-                    store.build_frame_index();
-                }
                 // Re-record a known id a third of the time.
                 let id = if !ids.is_empty() && rng.below(3) == 0 {
                     ids[rng.below(ids.len() as u64) as usize]
@@ -689,8 +508,6 @@ mod tests {
             }
             ids.extend([PatchId(2_501), PatchId(1 << 41)]);
             assert_same(&store, &reference, &ids, &format!("seed {seed} end"));
-            store.build_frame_index();
-            assert_same(&store, &reference, &ids, &format!("seed {seed} rebuilt"));
         }
     }
 }

@@ -123,6 +123,21 @@ pub(crate) fn row_id(pos: usize) -> Result<u32> {
         .map_err(|_| DlError::SchemaMismatch(format!("row {pos} does not fit a u32 row id")))
 }
 
+/// `tau` as a similarity threshold, or [`DlError::SchemaMismatch`] when it
+/// is negative or NaN. Such a τ has no answer every plan agrees on: the
+/// Ball-Tree prunes on `d > r + τ` while leaves, delta rows and the
+/// brute-force oracle test `d² ≤ τ²`, and a batch probes at its members'
+/// largest τ. Every entry point that probes a tree checks it first.
+pub(crate) fn check_tau(tau: f32) -> Result<()> {
+    if tau >= 0.0 {
+        Ok(())
+    } else {
+        Err(DlError::SchemaMismatch(format!(
+            "similarity threshold {tau} is negative or NaN"
+        )))
+    }
+}
+
 /// Dimensionality of the first feature payload in `patches` (0 if none):
 /// the cost model's `dim` input.
 pub(crate) fn feature_dim(patches: &[Patch]) -> usize {
@@ -207,7 +222,8 @@ impl JoinPlan {
     /// [`JoinPlan::choose`] would have given this plan: rows that disagree
     /// on dimension, or [`JoinPlan::Indexed`] over a side without a live
     /// index — and when a side has more rows than a `u32` row id can
-    /// address.
+    /// address. A negative or NaN `tau` is a [`DlError::SchemaMismatch`]
+    /// before any tree is built or probed.
     pub fn run<'a>(
         self,
         left: impl Into<JoinSide<'a>>,
@@ -215,6 +231,9 @@ impl JoinPlan {
         members: &[(f32, Option<PairPredicate<'_>>)],
         pool: &WorkerPool,
     ) -> Result<Vec<Vec<(u32, u32)>>> {
+        for &(tau, _) in members {
+            check_tau(tau)?;
+        }
         let (left, right) = (left.into(), right.into());
         let (l, r) = (left.rows, right.rows);
         row_id(l.len().saturating_sub(1))?;
@@ -418,6 +437,34 @@ mod tests {
                 l.len(),
                 r.len()
             );
+        }
+    }
+
+    #[test]
+    fn negative_and_nan_taus_error_before_any_probe() {
+        let rows = rows(64, 2);
+        let pool = WorkerPool::new(1);
+        for plan in [
+            JoinPlan::BallTree { index_left: true },
+            JoinPlan::BallTree { index_left: false },
+        ] {
+            for tau in [-1.5, -f32::MIN_POSITIVE, f32::NAN, f32::NEG_INFINITY] {
+                let got = plan.run(&rows, &rows, &[(1.0, None), (tau, None)], &pool);
+                assert!(
+                    matches!(got, Err(DlError::SchemaMismatch(_))),
+                    "{plan:?} at {tau}"
+                );
+            }
+            // Zero, negative zero and infinity are thresholds every plan
+            // agrees on.
+            for tau in [0.0, -0.0, f32::INFINITY] {
+                let mut oracle = ops::similarity_join_nested(&rows, &rows, tau).unwrap();
+                oracle.sort_unstable();
+                assert_eq!(
+                    plan.run(&rows, &rows, &[(tau, None)], &pool).unwrap(),
+                    [oracle]
+                );
+            }
         }
     }
 }

@@ -393,13 +393,6 @@ impl SharedCatalog {
         f(&self.lineage.read())
     }
 
-    /// Write access to the lineage store (index builds, bulk maintenance).
-    /// The same closure restriction as [`SharedCatalog::with_lineage`]
-    /// applies.
-    pub fn with_lineage_mut<T>(&self, f: impl FnOnce(&mut LineageStore) -> T) -> T {
-        f(&mut self.lineage.write())
-    }
-
     // ---- session tracking -------------------------------------------------
 
     /// Number of sessions currently attached (drives per-session thread

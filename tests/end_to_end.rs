@@ -148,10 +148,4 @@ fn lineage_backtrace_through_pipeline() {
         assert_eq!(&*roots[0].source, "cam0");
         assert_eq!(roots[0].frame_no, i as u64);
     }
-    // And the lineage index agrees with a full scan.
-    catalog.with_lineage_mut(|l| l.build_frame_index());
-    let indexed = catalog.with_lineage(|l| l.patches_of_frame("cam0", 3).to_vec());
-    let scanned = catalog.with_lineage(|l| l.patches_of_frame_scan("cam0", 3));
-    assert_eq!(indexed, scanned);
-    assert!(!indexed.is_empty());
 }

@@ -1,19 +1,21 @@
 //! Integration: incremental index maintenance + the snapshot-keyed result
-//! cache.
+//! cache. Queries over a delta-maintained index and replayed from the cache
+//! answer as the oracle of the shared harness (`harness/mod.rs`), whose
+//! whole sweep `tests/oracle.rs` runs.
 //!
-//! The contract under test is twofold. First, re-materializing an indexed
-//! collection delta-maintains its Ball index (side structure + tombstones)
-//! instead of discarding the tree, and every query shape that can touch
-//! the index — probes, joins, dedups — answers byte-identically to a
-//! collection whose index was rebuilt from scratch, across random write
-//! interleavings and 1/2/4 worker threads. Second, the result cache can
-//! never serve a stale answer: every publish path stamps a fresh snapshot
-//! version, so post-write queries miss and recompute.
+//! Re-materializing an indexed collection carries every index and
+//! delta-maintains its Ball index (side structure + tombstones) until the
+//! cost model merges it into a rebuild. The result cache stores an answer
+//! once its query repeats and hands a cached scan's rows out without a
+//! copy, until a write publishes a new version.
+
+mod harness;
 
 use std::sync::Arc;
 
 use deeplens::core::scan::row_scan;
 use deeplens::prelude::*;
+use harness::{sweep, sweep_scans, Kind};
 use proptest::prelude::*;
 
 fn feature_patches(ids: std::ops::Range<u64>, dim: usize, seed: u64) -> Vec<Patch> {
@@ -57,147 +59,6 @@ fn apply_write(rows: &mut Vec<Patch>, dim: usize, op: (u8, u64)) {
             rows.truncate(keep);
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
-
-    /// Random write interleavings over an indexed collection: after every
-    /// publish the delta-maintained index must answer probes, joins, and
-    /// dedups byte-identically to a collection freshly materialized and
-    /// freshly indexed over the same rows — at 1, 2, and 4 worker threads,
-    /// with all configurations agreeing on the bytes.
-    #[test]
-    fn delta_maintained_queries_match_full_rebuild(
-        n in 40u64..160,
-        writes in prop::collection::vec((0u8..3, any::<u64>()), 2..6),
-        tau in 1.0f32..6.0,
-        seed in any::<u64>(),
-    ) {
-        let dim = 6usize;
-        let mut reference_bytes: Option<Vec<BatchResult>> = None;
-        for threads in [1usize, 2, 4] {
-            // The evolving side: one catalog, the index built once and then
-            // carried (delta-maintained or cost-model-merged) across every
-            // subsequent materialize. Cache off so every run recomputes.
-            let evolving = Arc::new(SharedCatalog::with_shards_and_cache(4, 0));
-            let mut rows = feature_patches(0..n, dim, seed);
-            evolving.materialize("col", rows.clone());
-            evolving.build_ball_index("col", "feat", threads).unwrap();
-            evolving.materialize("probes", feature_patches(0..24, dim, seed ^ 0xbeef));
-            for &op in &writes {
-                apply_write(&mut rows, dim, op);
-                evolving.materialize("col", rows.clone());
-            }
-
-            // The reference: the final rows materialized once, the index
-            // built from scratch — the pre-incremental semantics.
-            let rebuilt = Arc::new(SharedCatalog::with_shards_and_cache(4, 0));
-            rebuilt.materialize("col", rows.clone());
-            rebuilt.build_ball_index("col", "feat", threads).unwrap();
-            rebuilt.materialize("probes", feature_patches(0..24, dim, seed ^ 0xbeef));
-
-            // Direct index probes.
-            let e = evolving.snapshot("col").unwrap();
-            let r = rebuilt.snapshot("col").unwrap();
-            for q in 0..4u64 {
-                let probe: Vec<f32> = (0..dim).map(|d| ((q + d as u64) % 9) as f32).collect();
-                prop_assert_eq!(
-                    e.lookup_similar("feat", &probe, tau).unwrap(),
-                    r.lookup_similar("feat", &probe, tau).unwrap(),
-                    "probe diverged at {} threads", threads
-                );
-            }
-
-            // Batched join / dedup / probe through the session layer.
-            let run_batch = |catalog: &Arc<SharedCatalog>| {
-                let mut s = Session::ephemeral_attached(Arc::clone(catalog)).unwrap();
-                s.set_threads(threads);
-                let mut b = s.batch();
-                b.similarity_join("probes", "col", tau);
-                b.dedup("col", tau);
-                b.index_probe("col", "feat", vec![5.0; dim], tau);
-                b.run().unwrap()
-            };
-            let got = run_batch(&evolving);
-            prop_assert_eq!(&got, &run_batch(&rebuilt), "{} threads", threads);
-            match &reference_bytes {
-                None => reference_bytes = Some(got),
-                Some(want) => prop_assert_eq!(
-                    want, &got,
-                    "{} threads diverged from the 1-thread bytes", threads
-                ),
-            }
-        }
-    }
-}
-
-#[test]
-fn post_write_queries_never_serve_stale_results() {
-    let catalog = Arc::new(SharedCatalog::new());
-    let session = Session::ephemeral_attached(Arc::clone(&catalog)).unwrap();
-    let reference =
-        Session::ephemeral_attached(Arc::new(SharedCatalog::with_shards_and_cache(16, 0))).unwrap();
-
-    let before = feature_patches(0..120, 5, 1);
-    catalog.materialize("col", before.clone());
-    reference.catalog.materialize("col", before);
-
-    // Populate then replay: the cache stores an answer when its query
-    // repeats, so the third issue must be a cache hit.
-    let first = session.dedup_collection("col", 2.0).unwrap();
-    assert_eq!(session.dedup_collection("col", 2.0).unwrap(), first);
-    let hits0 = catalog.result_cache().hits();
-    let replay = session.dedup_collection("col", 2.0).unwrap();
-    assert_eq!(first, replay);
-    assert!(catalog.result_cache().hits() > hits0, "replay must hit");
-
-    // Overwrite through every publish path in turn; after each, the same
-    // query must recompute against the new version, never replay `first`.
-    let after = feature_patches(0..120, 5, 999);
-    catalog.materialize("col", after.clone());
-    reference.catalog.materialize("col", after);
-    let misses0 = catalog.result_cache().misses();
-    let post_write = session.dedup_collection("col", 2.0).unwrap();
-    assert!(
-        catalog.result_cache().misses() > misses0,
-        "post-write query must miss the cache"
-    );
-    assert_eq!(
-        post_write,
-        reference.dedup_collection("col", 2.0).unwrap(),
-        "post-write answer must match an uncached catalog"
-    );
-    assert_ne!(post_write, first, "stale pre-write clusters were replayed");
-
-    // Copy-on-write index/columnar builds bump the version too: a scan
-    // cached before `build_columnar` cannot be replayed after it. The scan
-    // is issued twice, so that it is resident before the build.
-    let window = ScanFilter::FrameRange { lo: 5, hi: 20 };
-    let v_before = catalog.snapshot("col").unwrap().version();
-    session.scan("col", &window, Projection::Full).unwrap();
-    let pre_build = session.scan("col", &window, Projection::Full).unwrap();
-    assert_eq!(
-        session
-            .scan("col", &window, Projection::Full)
-            .unwrap()
-            .patches
-            .as_ptr(),
-        pre_build.patches.as_ptr(),
-        "the pre-build scan must be resident"
-    );
-    session.build_columnar("col").unwrap();
-    assert!(
-        catalog.snapshot("col").unwrap().version() > v_before,
-        "build_columnar must publish a fresh version"
-    );
-    let post_build = session.scan("col", &window, Projection::Full).unwrap();
-    assert_eq!(pre_build.patches, post_build.patches);
-    assert_ne!(
-        pre_build.patches.as_ptr(),
-        post_build.patches.as_ptr(),
-        "post-build scan must re-execute, not replay the cached rows"
-    );
 }
 
 /// A repeated scan of an unchanged collection is handed the rows the scan
@@ -323,33 +184,6 @@ fn large_delta_crosses_merge_threshold_small_delta_does_not() {
     );
 }
 
-#[test]
-fn cached_batch_members_replay_identically() {
-    let catalog = Arc::new(SharedCatalog::new());
-    let session = Session::ephemeral_attached(Arc::clone(&catalog)).unwrap();
-    catalog.materialize("a", feature_patches(0..150, 5, 21));
-    catalog.materialize("b", feature_patches(0..90, 5, 22));
-    catalog.build_ball_index("b", "feat", 1).unwrap();
-
-    let issue = || {
-        let mut b = session.batch();
-        b.similarity_join("a", "b", 2.5);
-        b.dedup("a", 1.5);
-        b.index_probe("b", "feat", vec![4.0; 5], 3.0);
-        b.run().unwrap()
-    };
-    // The second issue stores the answers; the third replays them.
-    let first = issue();
-    assert_eq!(issue(), first);
-    let hits0 = catalog.result_cache().hits();
-    let replay = issue();
-    assert_eq!(first, replay, "cached batch replay changed bytes");
-    assert!(
-        catalog.result_cache().hits() >= hits0 + 3,
-        "all three members should replay from the cache"
-    );
-}
-
 /// The cache stores an answer only once its query repeats: a scan and a
 /// batch member issued once are answered and not stored, the second issue
 /// stores them, and the third is a hit that shares the stored rows. A query
@@ -403,4 +237,32 @@ fn answers_are_stored_once_their_query_repeats() {
     let expected =
         PatchCollection::from_patches(after).scan(&window, Projection::Full, &WorkerPool::new(1));
     assert_eq!(fresh.patches, expected.patches);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1, ..ProptestConfig::default() })]
+
+    /// Probes, joins and dedups over `big`, its index delta-maintained
+    /// across random writes, in a batch and under every plan.
+    #[test]
+    fn delta_maintained_queries_match_full_rebuild(seed in any::<u64>()) {
+        sweep(seed, |q| q.l == "big" || q.r == "big");
+    }
+
+    /// Every answer is stored (by a batch, the wire and batches of one)
+    /// before the writes; after them, each query that reads a written
+    /// collection misses the cache on its first issue and answers as the
+    /// oracle, and so does each scan of the rewritten log.
+    #[test]
+    fn post_write_queries_never_serve_stale_results(seed in any::<u64>()) {
+        sweep(seed, |_| true);
+        sweep_scans(seed);
+    }
+
+    /// Every member of a batch is stored on its repeat and replayed from the
+    /// cache, and the replay answers as the oracle.
+    #[test]
+    fn cached_batch_members_replay_identically(seed in any::<u64>()) {
+        sweep(seed, |q| q.kind != Kind::Filtered);
+    }
 }

@@ -1,72 +1,27 @@
 //! Integration: the parallel operator layer — joins, dedup, ETL pipelines,
 //! and Ball-Tree index builds — produces byte-identical results across
-//! thread counts, and the `Session` device routes its thread budget into
-//! every one of them.
+//! thread counts, and the `Session` routes its thread budget into every
+//! one of them. Joins and dedups answer as the oracle of the shared harness
+//! (`harness/mod.rs`), whose whole sweep `tests/oracle.rs` runs.
+
+mod harness;
 
 use deeplens::codec::Image;
-use deeplens::core::etl::{FeaturizeTransformer, TileGenerator, WholeImageGenerator};
+use deeplens::core::etl::{FeaturizeTransformer, TileGenerator};
 use deeplens::core::ops;
 use deeplens::index::BallTree;
 use deeplens::prelude::*;
-
-fn feature_patches(n: usize, dim: usize, seed: u64) -> Vec<Patch> {
-    let mut s = seed;
-    (0..n)
-        .map(|i| {
-            let f: Vec<f32> = (0..dim)
-                .map(|_| {
-                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    (s >> 33) as f32 / (1u64 << 31) as f32 * 10.0
-                })
-                .collect();
-            Patch::features(PatchId(i as u64), ImgRef::frame("t", i as u64), f)
-        })
-        .collect()
-}
+use harness::{feature_rows, sweep, Kind};
+use proptest::prelude::*;
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
-
-/// `left × right` within `tau` under the plan the planner picks for a CPU
-/// device, on a `threads`-worker pool.
-fn planned_join(left: &[Patch], right: &[Patch], tau: f32, threads: usize) -> Vec<(u32, u32)> {
-    let plan = JoinPlan::choose(left, right).unwrap();
-    let pool = WorkerPool::new(threads);
-    plan.run(left, right, &[(tau, None)], &pool)
-        .unwrap()
-        .remove(0)
-}
-
-/// A session on `threads` morsel workers.
-fn session_on(threads: usize) -> Session {
-    let mut s = Session::ephemeral().unwrap();
-    s.set_threads(threads);
-    s
-}
-
-/// Property: for every input shape and thread count, the Ball-Tree join
-/// returns the identical pair sequence — and it always equals the serial
-/// nested-loop reference.
-#[test]
-fn balltree_join_identical_across_thread_counts_and_shapes() {
-    let shapes = [(0usize, 7usize), (1, 1), (5, 200), (200, 5), (61, 89)];
-    for &(nl, nr) in &shapes {
-        let left = feature_patches(nl, 6, nl as u64 + 1);
-        let right = feature_patches(nr, 6, nr as u64 + 77);
-        let mut reference = ops::similarity_join_nested(&left, &right, 2.5).unwrap();
-        reference.sort_unstable();
-        for threads in THREADS {
-            let got = planned_join(&left, &right, 2.5, threads);
-            assert_eq!(got, reference, "shape {nl}x{nr}, {threads} threads");
-        }
-    }
-}
 
 /// Property: the parallel nested-loop θ-join emits the exact serial pair
 /// order (left-major) for every thread count.
 #[test]
 fn nested_loop_join_order_stable_across_threads() {
-    let left = feature_patches(83, 4, 5);
-    let right = feature_patches(59, 4, 6);
+    let left = feature_rows(83, 4, 5);
+    let right = feature_rows(59, 4, 6);
     let theta = |a: &Patch, b: &Patch| {
         let (fa, fb) = (a.data.features().unwrap(), b.data.features().unwrap());
         deeplens::index::dist::sq_euclidean(fa, fb) <= 9.0
@@ -84,21 +39,6 @@ fn nested_loop_join_order_stable_across_threads() {
     let mut sorted = reference.clone();
     sorted.sort_unstable();
     assert_eq!(reference, sorted);
-}
-
-/// Property: dedup clusters are identical across thread counts and match
-/// the brute-force baseline.
-#[test]
-fn dedup_identical_across_thread_counts() {
-    let patches = feature_patches(400, 5, 11);
-    let reference = ops::dedup_bruteforce(&patches, 3.0).unwrap();
-    for threads in THREADS {
-        assert_eq!(
-            session_on(threads).dedup(&patches, 3.0).unwrap(),
-            reference,
-            "{threads} threads"
-        );
-    }
 }
 
 /// Property: a tiling + featurization pipeline materializes byte-identical
@@ -149,7 +89,7 @@ fn pipeline_outputs_identical_across_thread_counts() {
 /// identical index — every range query returns the same id sequence.
 #[test]
 fn parallel_index_build_identical_across_thread_counts() {
-    let patches = feature_patches(5000, 8, 21);
+    let patches = feature_rows(5000, 8, 21);
     let vectors: Vec<Vec<f32>> = patches
         .iter()
         .map(|p| p.data.features().unwrap().to_vec())
@@ -167,58 +107,33 @@ fn parallel_index_build_identical_across_thread_counts() {
     }
 }
 
-/// The session's thread budget routes every join/dedup/pipeline/index
-/// request, and a many-worker session answers each identically to a serial
-/// one.
-#[test]
-fn session_device_routes_thread_budget_end_to_end() {
-    let frames: Vec<Image> = (0..8)
-        .map(|t| Image::solid(32, 32, [(t * 31) as u8, 90, (t * 13) as u8]))
-        .collect();
-    let run = |threads: usize| {
-        let mut s = Session::ephemeral().unwrap();
-        s.set_threads(threads);
-        let pipe =
-            Pipeline::new(Box::new(WholeImageGenerator)).then(Box::new(FeaturizeTransformer {
-                label: "mean".into(),
-                dim: 3,
-                f: Box::new(|img| img.mean_color().to_vec()),
-            }));
-        let n = s
-            .run_pipeline(
-                &pipe,
-                frames.iter().enumerate().map(|(i, f)| (i as u64, f)),
-                "cam",
-                "feats",
-            )
-            .unwrap();
-        assert_eq!(n, 8);
-        s.build_ball_index("feats", "by_feat").unwrap();
-        let snap = s.catalog.snapshot("feats").unwrap();
-        let patches = snap.patches.clone();
-        let joined = s.similarity_join(&patches, &patches, 40.0).unwrap();
-        let clusters = s.dedup(&patches, 40.0).unwrap();
-        let probe = patches[0].data.features().unwrap().to_vec();
-        let hits = snap.lookup_similar("by_feat", &probe, 35.0).unwrap();
-        (patches, joined, clusters, hits)
-    };
-    let serial = run(1);
-    for threads in [2, 4, 8] {
-        assert_eq!(run(threads), serial, "{threads} threads");
-    }
-}
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1, ..ProptestConfig::default() })]
 
-/// The degenerate-feature path: zero-length vectors flow through the
-/// Ball-Tree variant exactly like the nested one, on every thread count.
-#[test]
-fn zero_dim_features_equivalent_across_variants() {
-    let patches: Vec<Patch> = (0..30)
-        .map(|i| Patch::features(PatchId(i), ImgRef::frame("z", i), vec![]))
-        .collect();
-    let mut reference = ops::similarity_join_nested(&patches, &patches, 1.0).unwrap();
-    reference.sort_unstable();
-    assert_eq!(reference.len(), 30 * 30);
-    for threads in THREADS {
-        assert_eq!(planned_join(&patches, &patches, 1.0, threads), reference);
+    /// Plain and filtered joins of every drawn shape (16 to 400 rows a side,
+    /// empty and featureless sides among them) under the chosen plan and
+    /// the tree over either side, at 1, 2 and 4 threads.
+    #[test]
+    fn balltree_join_identical_across_thread_counts_and_shapes(seed in any::<u64>()) {
+        sweep(seed, |q| matches!(q.kind, Kind::Join | Kind::Filtered));
+    }
+
+    /// Dedups through every plan and `Session::dedup`.
+    #[test]
+    fn dedup_identical_across_thread_counts(seed in any::<u64>()) {
+        sweep(seed, |q| q.kind == Kind::Dedup);
+    }
+
+    /// A session's thread budget routes its batches, joins, dedups and
+    /// index lookups.
+    #[test]
+    fn session_device_routes_thread_budget_end_to_end(seed in any::<u64>()) {
+        sweep(seed, |_| true);
+    }
+
+    /// Zero-length feature vectors join, dedup and probe under every plan.
+    #[test]
+    fn zero_dim_features_equivalent_across_variants(seed in any::<u64>()) {
+        sweep(seed, |q| q.l == "flat" || q.r == "flat" || q.l == "gappy" || q.r == "gappy");
     }
 }

@@ -70,17 +70,7 @@ proptest! {
         tau in 0.1f32..8.0,
         seed in any::<u64>(),
     ) {
-        let mut s = seed | 1;
-        let pts: Vec<Vec<f32>> = (0..n)
-            .map(|_| {
-                (0..dim)
-                    .map(|_| {
-                        s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        (s >> 33) as f32 / (1u64 << 31) as f32 * 10.0
-                    })
-                    .collect()
-            })
-            .collect();
+        let pts = random_points(n, dim, seed);
         let tree = BallTree::from_vectors(&pts);
         let q = &pts[n / 2];
         let mut got = tree.range_query(q, tau);
@@ -96,17 +86,7 @@ proptest! {
         n in 2usize..150,
         seed in any::<u64>(),
     ) {
-        let mut s = seed | 1;
-        let pts: Vec<Vec<f32>> = (0..n)
-            .map(|_| {
-                (0..3)
-                    .map(|_| {
-                        s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        (s >> 33) as f32 / (1u64 << 31) as f32 * 10.0
-                    })
-                    .collect()
-            })
-            .collect();
+        let pts = random_points(n, 3, seed);
         let tree = KdTree::from_vectors(&pts);
         let q = vec![5.0f32, 5.0, 5.0];
         let (_, got_d) = tree.nearest(&q).unwrap();
@@ -265,8 +245,8 @@ proptest! {
     }
 
     /// The sharded threshold join equals brute-force all-pairs for any
-    /// shape and thread count (the morsel pool drops no pair at shard
-    /// boundaries).
+    /// shape and thread count, pair for pair and in order (the morsel pool
+    /// drops no pair at shard boundaries, rounding flips none at τ).
     #[test]
     fn parallel_join_matches_bruteforce(
         n in 0usize..60,
@@ -287,7 +267,7 @@ proptest! {
             Matrix::from_rows(&b)
         };
         let ma = if n == 0 { Matrix::zeros(0, dim) } else { ma };
-        let mut got = kernels::threshold_join_sharded(&ma, &mb, &[tau], threads).remove(0);
+        let got = kernels::threshold_join_sharded(&ma, &mb, &[tau], threads).remove(0);
         let mut want = Vec::new();
         for (i, pa) in a.iter().enumerate() {
             for (j, pb) in b.iter().enumerate() {
@@ -297,21 +277,9 @@ proptest! {
                 }
             }
         }
-        got.sort_unstable();
-        want.sort_unstable();
-        // Norm-decomposition rounding can flip pairs sitting exactly on the
-        // boundary; demand agreement away from it.
-        let boundary = |p: &(u32, u32)| {
-            let d2: f32 = a[p.0 as usize]
-                .iter()
-                .zip(&b[p.1 as usize])
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum();
-            (d2 - tau * tau).abs() < 1e-3 * tau * tau
-        };
-        let got_core: Vec<_> = got.iter().filter(|p| !boundary(p)).collect();
-        let want_core: Vec<_> = want.iter().filter(|p| !boundary(p)).collect();
-        prop_assert_eq!(got_core, want_core);
+        // Row-major, and exact: boundary pairs are decided by the
+        // element-wise sum, not the norm decomposition.
+        prop_assert_eq!(got, want);
     }
 }
 

@@ -1,7 +1,10 @@
 //! Wire-protocol robustness and admission behavior of the serving front
 //! end (`deeplens-serve`): malformed and truncated frames, oversized
-//! payload rejection, mid-request disconnects, overload shedding, and
-//! byte-identity of served results against direct `Session` execution.
+//! payload rejection, mid-request disconnects and overload shedding; and
+//! served answers equal to the oracle of the shared harness
+//! (`harness/mod.rs`), whose whole sweep `tests/oracle.rs` runs.
+
+mod harness;
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -9,33 +12,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use deeplens::core::batch::{BatchQuery, BatchResult};
-use deeplens::core::patch::{ImgRef, Patch};
 use deeplens::core::prelude::*;
 use deeplens::serve::{
     protocol, serve, AdmissionConfig, Client, ClientError, ServerConfig, ServerHandle, WireError,
 };
-
-fn feat_patches(n: u64, dim: usize, seed: u64) -> Vec<Patch> {
-    let mut s = seed;
-    (0..n)
-        .map(|i| {
-            let f: Vec<f32> = (0..dim)
-                .map(|_| {
-                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    (s >> 33) as f32 / (1u64 << 31) as f32 * 10.0
-                })
-                .collect();
-            Patch::features(PatchId(i), ImgRef::frame("t", i), f)
-        })
-        .collect()
-}
+use harness::{feature_rows, sweep};
 
 /// A served catalog with the standard test corpus and a generous admission
 /// budget (nothing sheds unless a test says so).
 fn seeded_server() -> (Arc<SharedCatalog>, ServerHandle) {
     let catalog = Arc::new(SharedCatalog::new());
-    catalog.materialize("small", feat_patches(60, 6, 1));
-    catalog.materialize("large", feat_patches(220, 6, 2));
+    catalog.materialize("small", feature_rows(60, 6, 1));
+    catalog.materialize("large", feature_rows(220, 6, 2));
     catalog.build_ball_index("large", "by_feat", 1).unwrap();
     let server = serve(
         catalog.clone(),
@@ -73,44 +61,6 @@ fn test_queries() -> Vec<BatchQuery> {
 }
 
 #[test]
-fn served_results_are_byte_identical_to_direct_execution() {
-    let (catalog, server) = seeded_server();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    let served = client.batch(test_queries()).unwrap();
-
-    // The reference path: the same queries through an in-process session
-    // against the same snapshots.
-    let session = Session::ephemeral_attached(catalog).unwrap();
-    let mut batch = session.batch();
-    for q in test_queries() {
-        batch.push(q);
-    }
-    let direct = batch.run().unwrap();
-    assert_eq!(served, direct, "wire round-trip must be lossless");
-    assert!(!served[0].pairs().unwrap().is_empty());
-    assert!(!served[1].clusters().unwrap().is_empty());
-    drop(session);
-
-    // And the serial reference too (run() itself is tested identical to
-    // run_serial, but the wire adds encode/decode on top — pin the whole
-    // chain).
-    let session = Session::ephemeral().unwrap();
-    session.catalog.materialize("small", feat_patches(60, 6, 1));
-    session
-        .catalog
-        .materialize("large", feat_patches(220, 6, 2));
-    session
-        .catalog
-        .build_ball_index("large", "by_feat", 1)
-        .unwrap();
-    let mut batch = session.batch();
-    for q in test_queries() {
-        batch.push(q);
-    }
-    assert_eq!(served, batch.run_serial().unwrap());
-}
-
-#[test]
 fn remote_writes_publish_through_the_shared_catalog() {
     let (catalog, server) = seeded_server();
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -143,7 +93,7 @@ fn delta_merges_count_only_the_served_catalog() {
     let mut other = Client::connect(other_server.local_addr()).unwrap();
     // Every row of `large` changes: the delta crosses the merge threshold
     // and its Ball index is rebuilt.
-    let rows: Vec<Vec<f32>> = feat_patches(220, 6, 9)
+    let rows: Vec<Vec<f32>> = feature_rows(220, 6, 9)
         .iter()
         .map(|p| p.data.features().unwrap().to_vec())
         .collect();
@@ -368,8 +318,8 @@ fn each_connection_is_a_catalog_session() {
 fn sheds_start_only_past_the_queue_depth_and_report_overloaded() {
     const DEPTH: usize = 2;
     let catalog = Arc::new(SharedCatalog::new());
-    catalog.materialize("small", feat_patches(60, 6, 1));
-    catalog.materialize("large", feat_patches(220, 6, 2));
+    catalog.materialize("small", feature_rows(60, 6, 1));
+    catalog.materialize("large", feature_rows(220, 6, 2));
     // A tiny budget forces every join to queue behind the first; depth 2
     // bounds the queue.
     let server = serve(
@@ -463,4 +413,11 @@ fn generous_budget_sheds_nothing() {
     }
     assert_eq!(server.shed(), 0, "a generous budget must not shed");
     assert_eq!(server.admitted(), 12);
+}
+
+/// Served batches from two concurrent clients, rejected thresholds on a
+/// connection that keeps serving, and every in-process plan, on every route.
+#[test]
+fn served_results_are_byte_identical_to_direct_execution() {
+    sweep(0x5e7e, |_| true);
 }
