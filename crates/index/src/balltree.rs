@@ -1,4 +1,4 @@
-//! Ball-Tree for Euclidean threshold and k-nearest-neighbour queries.
+//! Ball-Tree for Euclidean threshold queries.
 //!
 //! Kumar et al. [17 in the paper] found Ball-Trees the most effective
 //! structure for "find patches within distance τ" queries on image features.
@@ -8,13 +8,26 @@
 //! Similarity Join").
 //!
 //! Construction recursively splits points along the dimension of maximum
-//! spread; every node stores the centroid and covering radius of its subtree
-//! so queries can prune whole subtrees via the triangle inequality.
-//! Subtrees above [`PARALLEL_BUILD_CUTOFF`] points can build as scoped-thread
-//! morsels ([`BallTree::build_parallel`]): the split is computed before the
-//! spawn, so the parallel tree is structurally identical to the serial one.
+//! spread at its median; every node stores the centroid and covering radius
+//! of its subtree so queries can prune whole subtrees via the triangle
+//! inequality. Subtrees above [`PARALLEL_BUILD_CUTOFF`] points can build as
+//! scoped-thread morsels ([`BallTree::build_parallel`]): the split is
+//! computed before the spawn, so the parallel tree is structurally identical
+//! to the serial one.
+//!
+//! # Layout
+//!
+//! The tree is flat arrays, with no per-node allocation. The nodes sit in
+//! DFS pre-order as parallel arrays: `centroids` (node-major, `dim` values
+//! per node), `radii`, `skip` (one past the node's subtree, so a leaf has
+//! `skip[i] == i + 1`, a branch's children are `i + 1` and `skip[i + 1]`)
+//! and `span` (the node's `[lo, hi)` rows of the point buffer). The points
+//! are in *leaf order*: the build permutes an id array so that every leaf's
+//! points are one contiguous run of it, then permutes the point buffer
+//! once, in place, to match; `ids` maps each row back to the insertion-order
+//! id that queries report. A range probe is one forward loop: a pruned node
+//! jumps to its `skip`, and a leaf scans its contiguous rows.
 
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::dist::{euclidean, sq_euclidean};
@@ -25,18 +38,27 @@ pub const LEAF_SIZE: usize = 16;
 /// Minimum subtree size worth spawning a scoped build thread for.
 pub const PARALLEL_BUILD_CUTOFF: usize = 2048;
 
-#[derive(Debug, Clone)]
-struct TreeNode {
-    centroid: Vec<f32>,
-    radius: f32,
-    kind: NodeKind,
+/// The nodes in DFS pre-order (see the module docs).
+#[derive(Debug, Clone, Default)]
+struct Nodes {
+    /// Node-major, `dim` values per node.
+    centroids: Vec<f32>,
+    radii: Vec<f32>,
+    /// One past the node's subtree: `i + 1` for a leaf.
+    skip: Vec<u32>,
+    /// The node's `[lo, hi)` rows of the leaf-ordered point buffer.
+    span: Vec<[u32; 2]>,
 }
 
-#[derive(Debug, Clone)]
-enum NodeKind {
-    /// Indices into the point set.
-    Leaf(Vec<u32>),
-    Branch(Box<TreeNode>, Box<TreeNode>),
+impl Nodes {
+    /// Append a subtree built into arrays of its own after the last node.
+    fn append(&mut self, other: Nodes) {
+        let offset = self.radii.len() as u32;
+        self.centroids.extend_from_slice(&other.centroids);
+        self.radii.extend_from_slice(&other.radii);
+        self.skip.extend(other.skip.iter().map(|s| s + offset));
+        self.span.extend_from_slice(&other.span);
+    }
 }
 
 /// A Ball-Tree over a dense set of `f32` vectors.
@@ -46,9 +68,11 @@ enum NodeKind {
 #[derive(Debug)]
 pub struct BallTree {
     dim: usize,
-    n: usize,
+    /// The points in leaf order, row-major, `dim` components each.
     points: Vec<f32>,
-    root: Option<TreeNode>,
+    /// The insertion-order id of each row of `points`.
+    ids: Vec<u32>,
+    nodes: Nodes,
     /// Distance computations performed by queries — the cost metric behind
     /// the paper's Fig. 7 non-linearity study. Each query tallies its
     /// evaluations in a local count and publishes it here with one relaxed
@@ -64,9 +88,9 @@ impl Clone for BallTree {
     fn clone(&self) -> Self {
         BallTree {
             dim: self.dim,
-            n: self.n,
             points: self.points.clone(),
-            root: self.root.clone(),
+            ids: self.ids.clone(),
+            nodes: self.nodes.clone(),
             distance_evals: AtomicU64::new(self.distance_evals.load(Ordering::Relaxed)),
         }
     }
@@ -129,29 +153,34 @@ impl BallTree {
         Self::build_inner(dim, vectors.len(), flat, threads)
     }
 
-    fn build_inner(dim: usize, n: usize, points: Vec<f32>, threads: usize) -> Self {
-        let mut tree = BallTree {
-            dim,
-            n,
-            points,
-            root: None,
-            distance_evals: AtomicU64::new(0),
-        };
+    fn build_inner(dim: usize, n: usize, mut points: Vec<f32>, threads: usize) -> Self {
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        let mut nodes = Nodes::default();
         if n > 0 {
-            let mut ids: Vec<u32> = (0..n as u32).collect();
-            tree.root = Some(tree.build_node_budget(&mut ids, threads.max(1)));
+            let build = Build {
+                dim,
+                points: &points,
+            };
+            build.subtree(&mut ids, 0, threads.max(1), &mut nodes);
         }
-        tree
+        gather_rows(&mut points, dim, &ids);
+        BallTree {
+            dim,
+            points,
+            ids,
+            nodes,
+            distance_evals: AtomicU64::new(0),
+        }
     }
 
     /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.n
+        self.ids.len()
     }
 
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.ids.is_empty()
     }
 
     /// Dimensionality of indexed points.
@@ -159,96 +188,9 @@ impl BallTree {
         self.dim
     }
 
-    /// Borrow the point stored under `id`.
-    #[inline]
-    pub fn point(&self, id: u32) -> &[f32] {
-        let s = id as usize * self.dim;
-        &self.points[s..s + self.dim]
-    }
-
-    fn make_meta(&self, ids: &[u32]) -> (Vec<f32>, f32) {
-        let mut centroid = vec![0f32; self.dim];
-        for &id in ids {
-            for (c, v) in centroid.iter_mut().zip(self.point(id)) {
-                *c += v;
-            }
-        }
-        let n = ids.len().max(1) as f32;
-        for c in centroid.iter_mut() {
-            *c /= n;
-        }
-        let radius = ids
-            .iter()
-            .map(|&id| euclidean(&centroid, self.point(id)))
-            .fold(0f32, f32::max);
-        (centroid, radius)
-    }
-
-    /// Build the subtree over `ids` with a budget of `budget` worker
-    /// threads. The split point is chosen *before* any thread spawns, so the
-    /// result is byte-identical to the serial build for every budget.
-    fn build_node_budget(&self, ids: &mut [u32], budget: usize) -> TreeNode {
-        let (centroid, radius) = self.make_meta(ids);
-        let leaf = |ids: &[u32], centroid: Vec<f32>, radius: f32| TreeNode {
-            centroid,
-            radius,
-            kind: NodeKind::Leaf(ids.to_vec()),
-        };
-        if ids.len() <= LEAF_SIZE {
-            return leaf(ids, centroid, radius);
-        }
-        // Split on the dimension of maximum spread at its median.
-        let spread = |d: usize| {
-            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-            for &id in ids.iter() {
-                let v = self.point(id)[d];
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            hi - lo
-        };
-        // `None` only for dim == 0, where all points coincide at the origin.
-        let Some(split_dim) = (0..self.dim).max_by(|&a, &b| spread(a).total_cmp(&spread(b))) else {
-            return leaf(ids, centroid, radius);
-        };
-        if spread(split_dim) <= f32::EPSILON {
-            // All points identical: no split is possible.
-            return leaf(ids, centroid, radius);
-        }
-        let n = ids.len();
-        let mid = n / 2;
-        ids.select_nth_unstable_by(mid, |&a, &b| {
-            self.point(a)[split_dim].total_cmp(&self.point(b)[split_dim])
-        });
-        let (left_ids, right_ids) = ids.split_at_mut(mid);
-        let (left, right) = if budget > 1 && n >= PARALLEL_BUILD_CUTOFF {
-            let right_budget = budget / 2;
-            let left_budget = budget - right_budget;
-            std::thread::scope(|s| {
-                let right = s.spawn(move || self.build_node_budget(right_ids, right_budget));
-                let left = self.build_node_budget(left_ids, left_budget);
-                (left, right.join().expect("subtree build panicked"))
-            })
-        } else {
-            (
-                self.build_node_budget(left_ids, 1),
-                self.build_node_budget(right_ids, 1),
-            )
-        };
-        TreeNode {
-            centroid,
-            radius,
-            kind: NodeKind::Branch(Box::new(left), Box::new(right)),
-        }
-    }
-
-    /// Publish one query's distance evaluations.
-    #[inline]
-    fn count_dist(&self, n: u64) {
-        self.distance_evals.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// All point ids within Euclidean distance `tau` of `query`.
+    /// All point ids within Euclidean distance `tau` of `query`. Panics if
+    /// `query` has another dimension than the points, or `tau` is negative
+    /// or NaN.
     pub fn range_query(&self, query: &[f32], tau: f32) -> Vec<u32> {
         let mut out = Vec::new();
         self.range_walk(query, tau, |id, _| out.push(id));
@@ -267,109 +209,34 @@ impl BallTree {
         out
     }
 
-    /// One range traversal, counting its distance evaluations locally and
-    /// publishing the total once.
+    /// One range traversal in DFS pre-order, counting its distance
+    /// evaluations locally and publishing the total once.
     fn range_walk(&self, query: &[f32], tau: f32, mut emit: impl FnMut(u32, f32)) {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        if let Some(root) = &self.root {
-            let mut evals = 0;
-            self.range_rec(root, query, tau, &mut evals, &mut emit);
-            self.count_dist(evals);
-        }
-    }
-
-    fn range_rec(
-        &self,
-        node: &TreeNode,
-        query: &[f32],
-        tau: f32,
-        evals: &mut u64,
-        emit: &mut impl FnMut(u32, f32),
-    ) {
-        *evals += 1;
-        let d_centroid = euclidean(query, &node.centroid);
-        if d_centroid > node.radius + tau {
-            return; // ball entirely outside the query radius
-        }
-        match &node.kind {
-            NodeKind::Leaf(ids) => {
-                let tau_sq = tau * tau;
-                *evals += ids.len() as u64;
-                for &id in ids {
-                    let d2 = sq_euclidean(query, self.point(id));
+        assert!(tau >= 0.0, "range threshold {tau} is negative or NaN");
+        let (nodes, dim, tau_sq) = (&self.nodes, self.dim, tau * tau);
+        let mut evals = 0;
+        let mut i = 0;
+        while i < nodes.radii.len() {
+            evals += 1;
+            if euclidean(query, &nodes.centroids[i * dim..][..dim]) > nodes.radii[i] + tau {
+                // Ball entirely outside the query radius.
+                i = nodes.skip[i] as usize;
+                continue;
+            }
+            if nodes.skip[i] as usize == i + 1 {
+                let [lo, hi] = nodes.span[i].map(|r| r as usize);
+                evals += (hi - lo) as u64;
+                for (row, &id) in (lo..hi).zip(&self.ids[lo..hi]) {
+                    let d2 = sq_euclidean(query, &self.points[row * dim..][..dim]);
                     if d2 <= tau_sq {
                         emit(id, d2);
                     }
                 }
             }
-            NodeKind::Branch(left, right) => {
-                self.range_rec(left, query, tau, evals, emit);
-                self.range_rec(right, query, tau, evals, emit);
-            }
+            i += 1;
         }
-    }
-
-    /// The `k` nearest neighbours of `query` as `(id, distance)` pairs,
-    /// closest first.
-    pub fn knn(&self, query: &[f32], k: usize) -> Vec<(u32, f32)> {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        if k == 0 || self.is_empty() {
-            return vec![];
-        }
-        let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
-        if let Some(root) = &self.root {
-            let mut evals = 0;
-            self.knn_rec(root, query, k, &mut evals, &mut heap);
-            self.count_dist(evals);
-        }
-        let mut out: Vec<(u32, f32)> = heap.into_iter().map(|h| (h.id, h.dist)).collect();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1));
-        out
-    }
-
-    fn knn_rec(
-        &self,
-        node: &TreeNode,
-        query: &[f32],
-        k: usize,
-        evals: &mut u64,
-        heap: &mut BinaryHeap<HeapItem>,
-    ) {
-        *evals += 1;
-        let d_centroid = euclidean(query, &node.centroid);
-        if heap.len() == k {
-            let worst = heap.peek().expect("heap non-empty").dist;
-            if d_centroid - node.radius > worst {
-                return;
-            }
-        }
-        match &node.kind {
-            NodeKind::Leaf(ids) => {
-                *evals += ids.len() as u64;
-                for &id in ids {
-                    let d = euclidean(query, self.point(id));
-                    if heap.len() < k {
-                        heap.push(HeapItem { dist: d, id });
-                    } else if d < heap.peek().expect("heap non-empty").dist {
-                        heap.pop();
-                        heap.push(HeapItem { dist: d, id });
-                    }
-                }
-            }
-            NodeKind::Branch(left, right) => {
-                // Visit the closer child first for tighter pruning bounds.
-                let dl = euclidean(query, &left.centroid);
-                let dr = euclidean(query, &right.centroid);
-                *evals += 2;
-                let (first, second) = if dl <= dr {
-                    (left, right)
-                } else {
-                    (right, left)
-                };
-                self.knn_rec(first, query, k, evals, heap);
-                self.knn_rec(second, query, k, evals, heap);
-            }
-        }
+        self.distance_evals.fetch_add(evals, Ordering::Relaxed);
     }
 
     /// Reset the distance-evaluation counter and return its previous value.
@@ -378,23 +245,117 @@ impl BallTree {
     }
 }
 
-#[derive(Debug, PartialEq)]
-struct HeapItem {
-    dist: f32,
-    id: u32,
-}
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// Rewrite `points` (row-major, `dim` values a row) in place so that row
+/// `j` holds what row `ids[j]` held, moving each row once along the cycles
+/// of the permutation: the tree never holds two copies of its points.
+fn gather_rows(points: &mut [f32], dim: usize, ids: &[u32]) {
+    let mut placed = vec![false; ids.len()];
+    let mut held = vec![0f32; dim];
+    for start in 0..ids.len() {
+        if placed[start] {
+            continue;
+        }
+        held.copy_from_slice(&points[start * dim..][..dim]);
+        let mut row = start;
+        loop {
+            placed[row] = true;
+            let src = ids[row] as usize;
+            if src == start {
+                points[row * dim..][..dim].copy_from_slice(&held);
+                break;
+            }
+            points.copy_within(src * dim..(src + 1) * dim, row * dim);
+            row = src;
+        }
     }
 }
 
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist.total_cmp(&other.dist)
+/// The build's view of the insertion-order point buffer.
+struct Build<'a> {
+    dim: usize,
+    points: &'a [f32],
+}
+
+impl Build<'_> {
+    fn point(&self, id: u32) -> &[f32] {
+        &self.points[id as usize * self.dim..][..self.dim]
+    }
+
+    /// Append the subtree over `ids` — rows `lo..lo + ids.len()` of the
+    /// leaf order — to `out` in DFS pre-order, with a budget of `budget`
+    /// worker threads. The split point is chosen *before* any thread spawns,
+    /// so the result is identical to the serial build for every budget.
+    fn subtree(&self, ids: &mut [u32], lo: usize, budget: usize, out: &mut Nodes) {
+        let node = out.radii.len();
+        let start = out.centroids.len();
+        out.centroids.resize(start + self.dim, 0.0);
+        let centroid = &mut out.centroids[start..];
+        for &id in ids.iter() {
+            for (c, v) in centroid.iter_mut().zip(self.point(id)) {
+                *c += v;
+            }
+        }
+        let n = ids.len();
+        for c in centroid.iter_mut() {
+            *c /= n as f32;
+        }
+        let radius = ids
+            .iter()
+            .map(|&id| euclidean(centroid, self.point(id)))
+            .fold(0f32, f32::max);
+        out.radii.push(radius);
+        out.skip.push(0);
+        out.span.push([lo as u32, (lo + n) as u32]);
+        if let Some(split_dim) = self.split_dim(ids) {
+            let mid = n / 2;
+            ids.select_nth_unstable_by(mid, |&a, &b| {
+                self.point(a)[split_dim].total_cmp(&self.point(b)[split_dim])
+            });
+            let (left_ids, right_ids) = ids.split_at_mut(mid);
+            if budget > 1 && n >= PARALLEL_BUILD_CUTOFF {
+                let right_budget = budget / 2;
+                let right = std::thread::scope(|s| {
+                    let right = s.spawn(move || {
+                        let mut right = Nodes::default();
+                        self.subtree(right_ids, lo + mid, right_budget, &mut right);
+                        right
+                    });
+                    self.subtree(left_ids, lo, budget - right_budget, out);
+                    right.join().expect("subtree build panicked")
+                });
+                out.append(right);
+            } else {
+                self.subtree(left_ids, lo, 1, out);
+                self.subtree(right_ids, lo + mid, 1, out);
+            }
+        }
+        out.skip[node] = out.radii.len() as u32;
+    }
+
+    /// The dimension of maximum spread to split `ids` on at its median, or
+    /// `None` for a leaf: at most [`LEAF_SIZE`] points, zero dimensions
+    /// (all points coincide at the origin), or no spread to split.
+    fn split_dim(&self, ids: &[u32]) -> Option<usize> {
+        if ids.len() <= LEAF_SIZE {
+            return None;
+        }
+        let spread = |d: usize| {
+            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+            for &id in ids {
+                let v = self.point(id)[d];
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            hi - lo
+        };
+        let (split_dim, widest) = (0..self.dim)
+            .map(|d| (d, spread(d)))
+            .max_by(|a, b| a.1.total_cmp(&b.1))?;
+        if widest <= f32::EPSILON {
+            None
+        } else {
+            Some(split_dim)
+        }
     }
 }
 
@@ -420,7 +381,6 @@ mod tests {
         let t = BallTree::build(3, vec![]);
         assert!(t.is_empty());
         assert!(t.range_query(&[0.0, 0.0, 0.0], 1.0).is_empty());
-        assert!(t.knn(&[0.0, 0.0, 0.0], 5).is_empty());
     }
 
     #[test]
@@ -453,22 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn knn_matches_bruteforce() {
-        let pts = grid_points(400, 8);
-        let tree = BallTree::from_vectors(&pts);
-        for qi in [0usize, 101, 399] {
-            let got = tree.knn(&pts[qi], 7);
-            let expect = bruteforce::knn(&pts, &pts[qi], 7);
-            assert_eq!(got.len(), 7);
-            // The nearest neighbour of a member point is itself.
-            assert_eq!(got[0].0 as usize, qi);
-            for (g, e) in got.iter().zip(&expect) {
-                assert!((g.1 - e.1).abs() < 1e-4, "distance order must agree");
-            }
-        }
-    }
-
-    #[test]
     fn range_query_sq_carries_exact_leaf_distances() {
         let pts = grid_points(800, 6);
         let tree = BallTree::from_vectors(&pts);
@@ -484,7 +428,7 @@ mod tests {
                 for &(id, d2) in &with_d {
                     // Bit-identical to an independent evaluation of the same
                     // expression (this is the demux guarantee).
-                    assert_eq!(d2, sq_euclidean(&pts[qi], tree.point(id)));
+                    assert_eq!(d2, sq_euclidean(&pts[qi], &pts[id as usize]));
                     assert!(d2 <= tau * tau);
                 }
             }
@@ -496,7 +440,6 @@ mod tests {
         let pts: Vec<Vec<f32>> = (0..100).map(|_| vec![1.0, 2.0, 3.0]).collect();
         let tree = BallTree::from_vectors(&pts);
         assert_eq!(tree.range_query(&[1.0, 2.0, 3.0], 0.001).len(), 100);
-        assert_eq!(tree.knn(&[1.0, 2.0, 3.0], 5).len(), 5);
     }
 
     #[test]
@@ -542,6 +485,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "negative or NaN")]
+    fn negative_tau_rejected() {
+        // Brute force would admit the point itself at d² = 0 <= (-1)²; a
+        // tree pruning at d > r + τ would not. Neither answers.
+        let tree = BallTree::from_vectors(&[vec![1.0, 2.0]]);
+        let _ = tree.range_query(&[1.0, 2.0], -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative or NaN")]
+    fn nan_tau_rejected() {
+        let tree = BallTree::from_vectors(&[vec![1.0, 2.0]]);
+        let _ = tree.range_query(&[1.0, 2.0], f32::NAN);
+    }
+
+    #[test]
     fn zero_dimensional_vectors_match_bruteforce() {
         // Degenerate features (empty vectors) must not panic: every point
         // sits at the zero-dimensional origin, so a tau >= 0 range query
@@ -556,7 +515,6 @@ mod tests {
         expect.sort_unstable();
         assert_eq!(got, expect);
         assert_eq!(got.len(), 40);
-        assert_eq!(tree.knn(&[], 5).len(), 5);
     }
 
     #[test]
@@ -584,7 +542,6 @@ mod tests {
                         "threads={threads} qi={qi} tau={tau}"
                     );
                 }
-                assert_eq!(serial.knn(&pts[qi], 9), par.knn(&pts[qi], 9));
             }
         }
     }
@@ -618,7 +575,6 @@ mod tests {
         tree.take_distance_evals();
         for &(qi, tau) in &queries {
             let _ = tree.range_query_sq(&pts[qi], tau);
-            let _ = tree.knn(&pts[qi], 5);
         }
         let serial = tree.take_distance_evals();
         assert!(serial > 0);
@@ -631,28 +587,10 @@ mod tests {
                     start.wait();
                     for &(qi, tau) in half {
                         let _ = tree.range_query_sq(&pts[qi], tau);
-                        let _ = tree.knn(&pts[qi], 5);
                     }
                 });
             }
         });
         assert_eq!(tree.take_distance_evals(), serial);
-    }
-
-    #[test]
-    fn knn_k_larger_than_n() {
-        let pts = grid_points(5, 2);
-        let tree = BallTree::from_vectors(&pts);
-        assert_eq!(tree.knn(&pts[0], 100).len(), 5);
-    }
-
-    #[test]
-    fn knn_results_sorted_ascending() {
-        let pts = grid_points(200, 6);
-        let tree = BallTree::from_vectors(&pts);
-        let res = tree.knn(&pts[50], 10);
-        for w in res.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
     }
 }

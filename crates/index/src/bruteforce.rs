@@ -5,8 +5,11 @@
 
 use crate::dist::sq_euclidean;
 
-/// Ids of all points within Euclidean distance `tau` of `query`.
+/// Ids of all points within Euclidean distance `tau` of `query`. Panics on
+/// a `tau` that is negative or NaN, as the indexes do: `d² <= τ²` would
+/// admit points a negative `τ` excludes.
 pub fn range_query(points: &[Vec<f32>], query: &[f32], tau: f32) -> Vec<u32> {
+    assert!(tau >= 0.0, "range threshold {tau} is negative or NaN");
     let tau_sq = tau * tau;
     points
         .iter()
@@ -45,6 +48,12 @@ mod tests {
     fn range_query_basic() {
         let r = range_query(&pts(), &[0.0, 0.0], 1.1);
         assert_eq!(r, vec![0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative or NaN")]
+    fn negative_tau_rejected() {
+        let _ = range_query(&pts(), &[0.0, 0.0], -1.0);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!
 //! * **tombstones** — base positions whose row changed or disappeared; hits
 //!   from the base tree at these ids are suppressed;
-//! * **delta rows** — `(position, features)` pairs for appended or changed
-//!   rows, kept in a flat ordered buffer and scanned exactly.
+//! * **delta rows** — appended or changed rows, kept in a map from position
+//!   to feature vector (one allocation per row) and scanned exactly, in
+//!   ascending position.
 //!
 //! [`DeltaBallTree::range_query`] therefore answers with *identical
 //! leaf-distance semantics* to a fresh tree over the current rows: the base
@@ -34,8 +35,8 @@ use std::sync::Arc;
 use crate::balltree::BallTree;
 use crate::dist::sq_euclidean;
 
-/// A base [`BallTree`] plus a tombstone set and a flat buffer of delta
-/// rows, answering range queries byte-identically to a fresh build over
+/// A base [`BallTree`] plus a tombstone set and a position-ordered map of
+/// delta rows, answering range queries byte-identically to a fresh build over
 /// the current rows (sorted by position).
 #[derive(Debug, Clone)]
 pub struct DeltaBallTree {
@@ -134,7 +135,13 @@ impl DeltaBallTree {
     /// bit-identical values. The order depends on the tree's shape; sort
     /// for a shape-independent answer, as [`DeltaBallTree::range_query`]
     /// does.
+    ///
+    /// Panics as [`BallTree::range_query`] does, even when only delta rows
+    /// answer.
     pub fn range_query_sq(&self, query: &[f32], tau: f32) -> Vec<(u32, f32)> {
+        let dim = self.dim().unwrap_or(query.len());
+        assert_eq!(query.len(), dim, "query dimension mismatch");
+        assert!(tau >= 0.0, "range threshold {tau} is negative or NaN");
         let mut hits = if self.base.is_empty() {
             Vec::new()
         } else {
@@ -291,6 +298,30 @@ mod tests {
         for q in &grown {
             assert_eq!(delta.range_query(q, 1.0), fresh_query(&grown, q, 1.0));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimension mismatch")]
+    fn delta_only_index_rejects_a_wrong_length_query() {
+        // No base tree checks the query here: only delta rows answer.
+        let mut delta = DeltaBallTree::from_tree(BallTree::from_vectors(&[]));
+        assert!(delta.upsert(0, vec![0.0, 0.0, 0.0]));
+        assert!(delta.upsert(1, vec![5.0, 5.0, 5.0]));
+        let _ = delta.range_query(&[5.0], 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative or NaN")]
+    fn negative_tau_rejected() {
+        let mut delta = DeltaBallTree::from_tree(BallTree::from_vectors(&[]));
+        assert!(delta.upsert(0, vec![1.0]));
+        let _ = delta.range_query(&[1.0], -1.0);
+    }
+
+    #[test]
+    fn empty_index_answers_any_query() {
+        let delta = DeltaBallTree::from_tree(BallTree::from_vectors(&[]));
+        assert!(delta.range_query(&[1.0, 2.0], 1.0).is_empty());
     }
 
     #[test]

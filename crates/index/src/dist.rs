@@ -1,23 +1,25 @@
 //! Distance kernels shared by the index structures.
 
-/// Squared Euclidean distance between two equal-length vectors.
-///
-/// Processed in 4-wide chunks so the compiler can autovectorize; this is the
-/// hot inner loop of every similarity query in the system.
+/// Squared Euclidean distance between two equal-length vectors (panics
+/// otherwise): four lanes over `chunks_exact(4)`, summed `acc[0] + acc[1] +
+/// acc[2] + acc[3]`, then the scalar tail. The loop autovectorizes with no
+/// bounds check; every caller relies on this operation order for
+/// bit-identical distances. The hot inner loop of every similarity query.
 #[inline]
 pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "vectors of unequal length");
+    let (a4, b4) = (a.chunks_exact(4), b.chunks_exact(4));
+    let (a_tail, b_tail) = (a4.remainder(), b4.remainder());
     let mut acc = [0f32; 4];
-    let chunks = a.len() / 4;
-    for i in 0..chunks {
+    for (x, y) in a4.zip(b4) {
         for lane in 0..4 {
-            let d = a[i * 4 + lane] - b[i * 4 + lane];
+            let d = x[lane] - y[lane];
             acc[lane] += d * d;
         }
     }
     let mut sum = acc[0] + acc[1] + acc[2] + acc[3];
-    for i in chunks * 4..a.len() {
-        let d = a[i] - b[i];
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        let d = x - y;
         sum += d * d;
     }
     sum
@@ -46,6 +48,12 @@ mod tests {
         let a = [1.0f32; 7];
         let b = [2.0f32; 7];
         assert!((sq_euclidean(&a, &b) - 7.0).abs() < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal length")]
+    fn unequal_lengths_rejected() {
+        let _ = sq_euclidean(&[1.0, 2.0, 3.0], &[1.0]);
     }
 
     #[test]

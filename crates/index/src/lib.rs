@@ -7,12 +7,14 @@
 //! need exactly one family of them. This crate implements, from scratch and
 //! with no dependencies:
 //!
-//! * [`balltree::BallTree`] — Euclidean threshold and kNN queries in high
-//!   dimensions; the structure behind image-matching similarity joins
-//!   (and the subject of Fig. 7's non-linear cost study).
-//! * [`delta::DeltaBallTree`] — a Ball-Tree plus tombstones and a flat
-//!   delta buffer, maintaining threshold queries incrementally under
-//!   writes (byte-identical to a fresh build, sorted by position).
+//! * [`balltree::BallTree`] — Euclidean threshold queries in high
+//!   dimensions, over flat node arrays and leaf-ordered points; the
+//!   structure behind image-matching similarity joins (and the subject of
+//!   Fig. 7's non-linear cost study).
+//! * [`delta::DeltaBallTree`] — a Ball-Tree plus tombstones and a
+//!   position-ordered map of delta rows, maintaining threshold queries
+//!   incrementally under writes (byte-identical to a fresh build, sorted
+//!   by position).
 //! * [`dist`] — the Euclidean distance kernels both share.
 //! * [`bruteforce`] — linear-scan reference implementations used as the
 //!   unindexed baseline and as ground truth in tests.

@@ -1,15 +1,15 @@
-//! Integration: the parallel operator layer — joins, dedup, ETL pipelines,
-//! and Ball-Tree index builds — produces byte-identical results across
-//! thread counts, and the `Session` routes its thread budget into every
-//! one of them. Joins and dedups answer as the oracle of the shared harness
-//! (`harness/mod.rs`), whose whole sweep `tests/oracle.rs` runs.
+//! Integration: the parallel operator layer — joins, dedup and ETL
+//! pipelines — produces byte-identical results across thread counts, and
+//! the `Session` routes its thread budget into every one of them. Joins and
+//! dedups answer as the oracle of the shared harness (`harness/mod.rs`),
+//! whose whole sweep `tests/oracle.rs` runs; parallel Ball-Tree builds are
+//! pinned in `tests/balltree_pin.rs`.
 
 mod harness;
 
 use deeplens::codec::Image;
 use deeplens::core::etl::{FeaturizeTransformer, TileGenerator};
 use deeplens::core::ops;
-use deeplens::index::BallTree;
 use deeplens::prelude::*;
 use harness::{feature_rows, sweep, Kind};
 use proptest::prelude::*;
@@ -80,28 +80,6 @@ fn pipeline_outputs_identical_across_thread_counts() {
                 par.backtrace(p.id),
                 "lineage of {:?} diverged at {threads} threads",
                 p.id
-            );
-        }
-    }
-}
-
-/// Property: parallel Ball-Tree construction yields a structurally
-/// identical index — every range query returns the same id sequence.
-#[test]
-fn parallel_index_build_identical_across_thread_counts() {
-    let patches = feature_rows(5000, 8, 21);
-    let vectors: Vec<Vec<f32>> = patches
-        .iter()
-        .map(|p| p.data.features().unwrap().to_vec())
-        .collect();
-    let serial = BallTree::from_vectors(&vectors);
-    for threads in [2usize, 4, 8] {
-        let par = BallTree::from_vectors_parallel(&vectors, threads);
-        for qi in (0..5000).step_by(431) {
-            assert_eq!(
-                serial.range_query(&vectors[qi], 1.5),
-                par.range_query(&vectors[qi], 1.5),
-                "{threads} threads, query {qi}"
             );
         }
     }

@@ -157,26 +157,6 @@ fn random_points(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Ball-Tree kNN agrees with brute force: identical neighbour distances
-    /// (ids may differ only where distances tie).
-    #[test]
-    fn balltree_knn_matches_bruteforce(
-        n in 1usize..200,
-        dim in 1usize..12,
-        k in 1usize..12,
-        seed in any::<u64>(),
-    ) {
-        let pts = random_points(n, dim, seed);
-        let tree = BallTree::from_vectors(&pts);
-        let q = &pts[n / 2];
-        let got = tree.knn(q, k);
-        let want = bruteforce::knn(&pts, q, k);
-        prop_assert_eq!(got.len(), want.len());
-        for (i, ((_, gd), (_, wd))) in got.iter().zip(&want).enumerate() {
-            prop_assert!((gd - wd).abs() < 1e-4, "neighbour {} distance {} vs {}", i, gd, wd);
-        }
-    }
-
     /// KD-Tree range queries agree exactly with brute force in low
     /// dimension.
     #[test]
