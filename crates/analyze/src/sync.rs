@@ -46,19 +46,16 @@ pub enum LockRank {
     /// One shard of the name-sharded `core::shared::SharedCatalog` map. At
     /// most one shard latch per thread (same-rank acquisition panics).
     CatalogShard = 3,
-    /// The `core::shared` lineage store. May be taken while holding a single
-    /// `CatalogShard` latch (the materialize path), never the reverse.
-    Lineage = 4,
     /// A session's decoded-frame cache (`core::session`). Leaf with respect
     /// to catalog state: never held across catalog acquisitions.
-    FrameCache = 5,
+    FrameCache = 4,
     /// `exec::pool` per-dispatch result collector. A worker takes it briefly
     /// at the end of a morsel batch, holding nothing else.
-    WorkerResults = 6,
+    WorkerResults = 5,
     /// One shard of the `core::cache` snapshot-keyed result cache. Innermost
     /// leaf: lookups and inserts hold exactly this lock, and cached values
     /// are cloned out before any other lock can be wanted.
-    ResultCacheShard = 7,
+    ResultCacheShard = 6,
 }
 
 impl fmt::Display for LockRank {
@@ -414,7 +411,7 @@ mod tests {
     #[test]
     fn out_of_order_release_keeps_stack_consistent() {
         let a = OrderedMutex::new(LockRank::CatalogShard, "shard-0", ());
-        let b = OrderedMutex::new(LockRank::Lineage, "lineage", ());
+        let b = OrderedMutex::new(LockRank::FrameCache, "frame-cache", ());
         let ga = a.lock();
         let gb = b.lock();
         drop(ga); // release outer first
@@ -505,7 +502,6 @@ mod tests {
             ConnectionRegistry,
             SessionSlots,
             CatalogShard,
-            Lineage,
             FrameCache,
             WorkerResults,
             ResultCacheShard,

@@ -75,13 +75,10 @@ pub const SERVED_CORE_FILES: &[&str] = &[
 ];
 
 /// Core files (workspace-relative) every served `Materialize` runs through
-/// — publish, carry and lineage — held to the **serve-panic** rule like
+/// — publish and carry — held to the **serve-panic** rule like
 /// [`SERVED_CORE_FILES`].
-pub const SERVED_WRITE_FILES: &[&str] = &[
-    "crates/core/src/shared.rs",
-    "crates/core/src/catalog.rs",
-    "crates/core/src/lineage.rs",
-];
+pub const SERVED_WRITE_FILES: &[&str] =
+    &["crates/core/src/shared.rs", "crates/core/src/catalog.rs"];
 
 /// Codec files (workspace-relative) every ingest decodes its DLV1 bytes
 /// through, held to the **serve-panic** rule: a corrupt stream must come
@@ -991,6 +988,21 @@ mod tests {
         assert!(rules_hit("crates/bench/src/report.rs", &decl("HITS")).is_empty());
         let plain = "static NAMES: &[&str] = &[\"a\"];\nconst GREETING: &'static str = \"hi\";\n";
         assert!(rules_hit("crates/core/src/etl.rs", plain).is_empty());
+    }
+
+    #[test]
+    fn every_listed_path_exists_in_the_workspace() {
+        // A deleted or renamed file must leave no stale entry behind.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let counters = GLOBAL_COUNTER_ALLOWLIST.iter().map(|(file, _)| file);
+        let listed = SERVED_CORE_FILES
+            .iter()
+            .chain(SERVED_WRITE_FILES)
+            .chain(DECODE_PATH_FILES)
+            .chain(counters);
+        for rel in listed {
+            assert!(root.join(rel).is_file(), "{rel} is listed but missing");
+        }
     }
 
     #[test]

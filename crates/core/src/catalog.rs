@@ -8,8 +8,8 @@
 //!
 //! Range predicates (`frame_no` windows, numeric metadata ranges) are
 //! [`ScanFilter::FrameRange`] / [`ScanFilter::MetaRange`] scans, pruned by
-//! the collection's column-chunk zone maps; backtracing (§5.1) goes through
-//! the lineage store, not a collection index.
+//! the collection's column-chunk zone maps; backtracing (§5.1) reads a
+//! patch's own `img_ref`, not a collection index.
 
 use std::collections::HashMap;
 use std::ops::Deref;

@@ -5,21 +5,24 @@
 //! tiling); a [`Transformer`] maps patch to patch (featurization,
 //! compression). A [`Pipeline`] composes one generator with any number of
 //! transformers, validates the stage schemas before running (§4.2), and
-//! maintains lineage automatically.
+//! holds every stage to §2.2's lineage contract: each patch keeps the
+//! `ImgRef` of the frame it came from, so that reference answers a §5.1
+//! backtrace.
 //!
 //! [`Pipeline::run`] executes frames as morsels on a [`WorkerPool`]: each
 //! frame generates and transforms with a *speculative* zero-based
 //! [`PatchIdRange`], and the sequential epilogue rebases every frame onto a
 //! real reservation from the catalog ([`SharedCatalog::reserve_patch_ids`]) in
-//! frame order. Ids, lineage, and patch payloads are therefore byte-
+//! frame order. Ids, parents, and patch payloads are therefore byte-
 //! identical across thread counts — and identical to what the historical
 //! serial implementation produced.
 //!
 //! [`PipelineBatch`] runs K pipelines over DLV1 streams with one shared
 //! decode per stream; frames already in memory have no decode to share and
 //! go through [`Session::run_pipeline`]. A stage that breaks its declared
-//! schema at run time (a featurizer returning the wrong dimension) fails the
-//! run with [`DlError::SchemaMismatch`] before anything is published.
+//! schema at run time (a featurizer returning the wrong dimension) or the
+//! lineage contract (a patch naming another frame) fails the run with
+//! [`DlError::SchemaMismatch`] before anything is published.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -53,7 +56,8 @@ pub trait Generator: Send + Sync {
     }
 
     /// Generate patches for one frame. `ids` hands out fresh patch ids from
-    /// a pre-reserved range.
+    /// a pre-reserved range. Every patch must carry `img_ref`; a pipeline
+    /// fails the run on one that does not.
     fn generate(&self, img_ref: &ImgRef, img: &Image, ids: &mut PatchIdRange)
         -> Result<Vec<Patch>>;
 }
@@ -73,7 +77,8 @@ pub trait Transformer: Send + Sync {
 
     /// Transform one patch. `ids` hands out fresh patch ids; the
     /// implementation must derive the output from the input so lineage is
-    /// preserved (use [`Patch::derive`]).
+    /// preserved (use [`Patch::derive`]). A pipeline fails the run on an
+    /// output whose `img_ref` differs from the input's.
     fn transform(&self, patch: &Patch, ids: &mut PatchIdRange) -> Result<Patch>;
 }
 
@@ -164,11 +169,9 @@ impl Generator for TileGenerator {
     }
 }
 
-/// Everything one frame produced, with frame-local ids: the final stage's
-/// patches in full, intermediate patches slimmed to lineage stubs (id,
-/// source ref, parents) so buffered frames don't hold pixel payloads.
+/// Everything one frame produced: the final stage's patches with
+/// frame-local ids, and how many ids every stage of the frame used.
 struct FrameOutput {
-    intermediates: Vec<Patch>,
     finals: Vec<Patch>,
     ids_used: u64,
 }
@@ -177,7 +180,7 @@ impl FrameOutput {
     /// Rebase every frame-local id (and parent pointer) onto a real
     /// reservation starting at `base`.
     fn rebase(&mut self, base: u64) {
-        for p in self.intermediates.iter_mut().chain(self.finals.iter_mut()) {
+        for p in &mut self.finals {
             p.id = PatchId(base + p.id.0);
             for parent in p.parents.iter_mut() {
                 *parent = PatchId(base + parent.0);
@@ -188,9 +191,7 @@ impl FrameOutput {
 
 /// The sequential epilogue [`Pipeline::run`] and [`PipelineBatch::run`]
 /// share: rebase each frame onto a real id reservation **in frame order**
-/// (so ids are deterministic and identical to serial issuance), record
-/// intermediate-stage lineage with one lineage-lock acquisition (released
-/// before the collection shard is touched — latch ordering rule 2), and
+/// (so ids are deterministic and identical to serial issuance), and
 /// publish the final stage under `output_name` with one materialize (one
 /// atomic snapshot swap — concurrent readers never see it half
 /// materialized).
@@ -201,21 +202,27 @@ fn issue_frames(
     catalog: &SharedCatalog,
     output_name: &str,
 ) -> usize {
-    let mut intermediates = Vec::new();
     let mut patches = Vec::new();
     for mut frame in frame_outputs {
         let base = catalog.reserve_patch_ids(frame.ids_used).start();
         frame.rebase(base);
-        // Intermediate patches are not materialized, but their lineage
-        // records must exist so downstream backtraces can walk through
-        // them to the source frames (§5.1).
-        intermediates.extend(frame.intermediates);
         patches.extend(frame.finals);
     }
-    catalog.record_lineage(intermediates.iter());
     let n = patches.len();
     catalog.materialize(output_name, patches);
     n
+}
+
+/// §2.2's lineage contract for one stage's output: every patch of a frame
+/// keeps that frame's `img_ref`.
+fn check_img_refs(stage: &str, patches: &[Patch], img_ref: &ImgRef) -> Result<()> {
+    match patches.iter().find(|p| p.img_ref != *img_ref) {
+        Some(p) => Err(DlError::SchemaMismatch(format!(
+            "stage '{stage}' gave patch {:?} the ImgRef {:?} of another frame than {:?}",
+            p.id, p.img_ref, img_ref
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// A composed ETL pipeline: one generator, then transformers in order.
@@ -252,25 +259,21 @@ impl Pipeline {
     }
 
     /// Run one frame through every stage with a frame-local speculative id
-    /// range (ids start at 0 and are rebased by the caller). Intermediate
-    /// stage outputs are slimmed to lineage stubs the moment the next stage
-    /// has consumed them, so the frame buffer never holds more than one
-    /// stage's full payloads — the serial implementation's memory profile.
+    /// range (ids start at 0 and are rebased by the caller), checking every
+    /// stage's output against the frame's `ImgRef` ([`check_img_refs`]).
     fn run_frame(&self, source: &Arc<str>, frame_no: u64, img: &Image) -> Result<FrameOutput> {
         let img_ref = ImgRef::frame(source.clone(), frame_no);
         let mut ids = PatchIdRange::speculative();
-        let mut intermediates = Vec::new();
         let mut current = self.generator.generate(&img_ref, img, &mut ids)?;
+        check_img_refs(self.generator.name(), &current, &img_ref)?;
         for t in &self.transformers {
-            let next: Vec<Patch> = current
+            current = current
                 .iter()
                 .map(|p| t.transform(p, &mut ids))
                 .collect::<Result<_>>()?;
-            intermediates.extend(current.into_iter().map(Patch::into_lineage_stub));
-            current = next;
+            check_img_refs(t.name(), &current, &img_ref)?;
         }
         Ok(FrameOutput {
-            intermediates,
             finals: current,
             ids_used: ids.used(),
         })
@@ -280,12 +283,13 @@ impl Pipeline {
     /// materializing the result into `catalog` under `output_name`. Frames
     /// generate + transform as morsels on `pool` with frame-local
     /// speculative ids; with no other session interleaving reservations,
-    /// ids, payloads, and lineage are identical for every thread count and
+    /// ids, payloads, and parents are identical for every thread count and
     /// shard count.
     ///
     /// Any stage error surfaces before the catalog is touched: a mid-run
-    /// failure leaves no orphan lineage records, consumed ids, or
-    /// half-materialized output behind.
+    /// failure, a featurizer returning the wrong dimension, or a stage whose
+    /// output names another frame than its input leaves no consumed ids
+    /// or half-materialized output behind.
     ///
     /// Returns the number of patches materialized.
     pub fn run<'a>(
@@ -364,15 +368,15 @@ struct IngestJob {
 /// chains fan out over the shared frames as one interleaved morsel set on
 /// the session's worker pool.
 ///
-/// **Determinism**: every job's ids, payloads, and lineage are
+/// **Determinism**: every job's ids, payloads, and parents are
 /// byte-identical to issuing the jobs one at a time through
 /// [`Pipeline::run`] ([`PipelineBatch::run_serial`] is that
 /// reference path, verbatim) — the speculative per-frame id ranges are
 /// rebased job-major in frame order, exactly the serial reservation order.
 ///
 /// **Atomicity**: any stage error surfaces before the batch touches the
-/// catalog — no ids are consumed, no lineage is recorded, and no output
-/// collection (of *any* job) is published.
+/// catalog — no ids are consumed and no output collection (of *any* job)
+/// is published.
 ///
 /// **Admission**: the whole batch is one admission unit on the session's
 /// thread slice (`Session::pool`), composing with the multi-session budget
@@ -552,8 +556,8 @@ impl<'s> PipelineBatch<'s> {
                     .collect()
             });
         // Surface any stage error before the epilogue touches the catalog:
-        // a mid-batch failure must leave every output collection, lineage
-        // record, and id reservation of the whole batch unmade.
+        // a mid-batch failure must leave every output collection and id
+        // reservation of the whole batch unmade.
         let mut per_job: Vec<Vec<FrameOutput>> = (0..self.jobs.len()).map(|_| Vec::new()).collect();
         for morsel in morsel_results {
             for (ji, out) in morsel? {
@@ -817,12 +821,8 @@ mod tests {
             let par_patches = &par_cat.snapshot("feats").unwrap().patches;
             assert_eq!(
                 serial_patches, par_patches,
-                "{shards} shards x {threads} threads: ids, payloads and metadata must be byte-identical"
+                "{shards} shards x {threads} threads: ids, payloads, metadata and lineage must be byte-identical"
             );
-            // Lineage must resolve identically too.
-            for p in par_patches.iter() {
-                assert_eq!(serial_cat.backtrace(p.id), par_cat.backtrace(p.id));
-            }
         }
     }
 
@@ -866,8 +866,7 @@ mod tests {
                 &serial(),
             );
             assert!(matches!(res, Err(DlError::TypeError(_))), "{pipe:?}");
-            // No orphan lineage, no consumed ids, no half-materialized output.
-            assert_eq!(catalog.with_lineage(|l| l.len()), 0, "no orphan lineage");
+            // No consumed ids, no half-materialized output.
             assert!(catalog.snapshot("out").is_err());
             assert_eq!(
                 catalog.next_patch_id(),
@@ -976,12 +975,6 @@ mod tests {
             let g = got.1.catalog.snapshot(name).unwrap();
             let w = want.1.catalog.snapshot(name).unwrap();
             assert_eq!(g.patches, w.patches, "collection '{name}'");
-            for p in &g.patches {
-                assert_eq!(
-                    got.1.catalog.backtrace(p.id),
-                    want.1.catalog.backtrace(p.id)
-                );
-            }
         }
     }
 
@@ -1119,8 +1112,8 @@ mod tests {
     #[test]
     fn ingest_batch_stage_error_leaves_catalog_untouched() {
         // Job 0 is healthy, job 1 fails mid-stream: the whole batch must
-        // surface the error with no collection (of either job) published,
-        // no lineage recorded, and no ids consumed.
+        // surface the error with no collection (of either job) published
+        // and no ids consumed.
         let _serialize = serialize_decodes();
         let s = crate::session::Session::ephemeral().unwrap();
         let mut b = s.ingest_batch();
@@ -1137,13 +1130,59 @@ mod tests {
         assert!(matches!(res, Err(DlError::TypeError(_))));
         assert!(s.catalog.snapshot("good").is_err(), "batch is atomic");
         assert!(s.catalog.snapshot("bad").is_err());
-        assert_eq!(s.catalog.with_lineage(|l| l.len()), 0);
         assert_eq!(s.catalog.next_patch_id(), PatchId(0), "no ids consumed");
+    }
+
+    /// A transformer that breaks §2.2's lineage contract: its output names
+    /// another frame than its input.
+    struct Relabel;
+
+    impl Transformer for Relabel {
+        fn name(&self) -> &str {
+            "relabel"
+        }
+        fn input_schema(&self) -> PatchSchema {
+            PatchSchema::pixels()
+        }
+        fn output_schema(&self) -> PatchSchema {
+            PatchSchema::features(1)
+        }
+        fn transform(&self, _patch: &Patch, ids: &mut PatchIdRange) -> Result<Patch> {
+            Ok(Patch::features(
+                ids.alloc(),
+                ImgRef::frame("elsewhere", 0),
+                vec![1.0],
+            ))
+        }
+    }
+
+    /// A generator that breaks the same contract: its patches name the
+    /// frame after theirs.
+    struct NextFrame;
+
+    impl Generator for NextFrame {
+        fn name(&self) -> &str {
+            "next-frame"
+        }
+        fn output_schema(&self) -> PatchSchema {
+            PatchSchema::pixels()
+        }
+        fn generate(
+            &self,
+            img_ref: &ImgRef,
+            img: &Image,
+            ids: &mut PatchIdRange,
+        ) -> Result<Vec<Patch>> {
+            let next = ImgRef::frame(img_ref.source.clone(), img_ref.frame_no + 1);
+            Ok(vec![Patch::pixels(ids.alloc(), next, img.clone())])
+        }
     }
 
     #[test]
     fn featurizer_dim_mismatch_is_an_error_on_both_run_paths() {
-        // A featurizer declaring dim 3 that returns 4 values.
+        // A featurizer declaring dim 3 that returns 4 values, a transformer
+        // whose output names another frame than its input, and a generator
+        // whose patches name another frame than the one they came from.
         let lying = || {
             Pipeline::new(Box::new(WholeImageGenerator)).then(Box::new(FeaturizeTransformer {
                 label: "lying".into(),
@@ -1151,32 +1190,36 @@ mod tests {
                 f: Box::new(|_| vec![0.0; 4]),
             }))
         };
+        let relabel = || Pipeline::new(Box::new(WholeImageGenerator)).then(Box::new(Relabel));
+        let next_frame = || Pipeline::new(Box::new(NextFrame));
         let untouched = |catalog: &SharedCatalog| {
             assert!(catalog.snapshot("out").is_err(), "no collection");
-            assert_eq!(catalog.with_lineage(|l| l.len()), 0, "no lineage");
             assert_eq!(catalog.next_patch_id(), PatchId(0), "no ids consumed");
         };
 
-        let imgs = frames(3);
-        let catalog = SharedCatalog::new();
-        let res = lying().run(
-            imgs.iter().enumerate().map(|(i, f)| (i as u64, f)),
-            "vid",
-            &catalog,
-            "out",
-            &serial(),
-        );
-        assert!(matches!(res, Err(DlError::SchemaMismatch(_))), "{res:?}");
-        untouched(&catalog);
-
         let _serialize = serialize_decodes();
-        let s = crate::session::Session::ephemeral().unwrap();
-        let mut b = s.ingest_batch();
-        b.add_encoded_source("cam", encoded(3)).unwrap();
-        b.ingest(lying(), "cam", 0..3, "out").unwrap();
-        let res = b.run();
-        assert!(matches!(res, Err(DlError::SchemaMismatch(_))), "{res:?}");
-        untouched(&s.catalog);
+        let imgs = frames(3);
+        let bytes = encoded(3);
+        for make in [lying as fn() -> Pipeline, relabel, next_frame] {
+            let catalog = SharedCatalog::new();
+            let res = make().run(
+                imgs.iter().enumerate().map(|(i, f)| (i as u64, f)),
+                "vid",
+                &catalog,
+                "out",
+                &serial(),
+            );
+            assert!(matches!(res, Err(DlError::SchemaMismatch(_))), "{res:?}");
+            untouched(&catalog);
+
+            let s = crate::session::Session::ephemeral().unwrap();
+            let mut b = s.ingest_batch();
+            b.add_encoded_source("cam", bytes.clone()).unwrap();
+            b.ingest(make(), "cam", 0..3, "out").unwrap();
+            let res = b.run();
+            assert!(matches!(res, Err(DlError::SchemaMismatch(_))), "{res:?}");
+            untouched(&s.catalog);
+        }
     }
 
     #[test]

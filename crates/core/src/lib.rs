@@ -12,12 +12,11 @@
 //!
 //! Module map (paper section in parentheses):
 //!
-//! * [`patch`] — the `Patch(ImgRef, Data, MetaData)` abstract data type (§2.2).
+//! * [`patch`] — the `Patch(ImgRef, Data, MetaData)` abstract data type
+//!   (§2.2); a patch's `ImgRef` answers §5.1's backtracing query.
 //! * [`value`] — typed metadata values with order-preserving key encodings.
 //! * [`types`] — the pipeline type system: payload kinds, resolutions and
 //!   feature dimensions, checked stage to stage (§4.2).
-//! * [`lineage`] — tuple-level lineage chains and the lineage index that
-//!   accelerates backtracing queries (§5.1).
 //! * [`etl`] — patch generators, transformers and pipelines (§4.1).
 //! * [`ops`] — dataflow query operators: select, aggregate, the
 //!   nested-loop θ-join, and what similarity plans are built from: the
@@ -69,7 +68,6 @@ pub mod cache;
 pub mod catalog;
 pub mod error;
 pub mod etl;
-pub mod lineage;
 pub mod ops;
 pub mod optimizer;
 pub mod patch;
@@ -92,7 +90,6 @@ pub mod prelude {
     pub use crate::catalog::{PatchCollection, PatchIdRange, SecondaryIndex};
     pub use crate::error::DlError;
     pub use crate::etl::{Generator, Pipeline, PipelineBatch, Transformer};
-    pub use crate::lineage::LineageStore;
     pub use crate::ops;
     pub use crate::optimizer::{CostModel, DevicePlanner};
     pub use crate::patch::{ImgRef, Patch, PatchData, PatchId};

@@ -156,14 +156,20 @@ impl fmt::Debug for MetaMap {
 pub struct Patch {
     /// Unique id (assigned by the catalog).
     pub id: PatchId,
-    /// Source image reference — the root of the lineage chain.
+    /// Source image reference — the root of the lineage chain, and the
+    /// answer to §5.1's backtracing query ("which frame did this patch come
+    /// from?"). Every operator carries it forward ([`Patch::derive`]), and
+    /// a pipeline stage that rewrites it fails the run
+    /// ([`Pipeline::run`](crate::etl::Pipeline::run)). Nothing walks
+    /// `parents` to answer a backtrace: a hand-built patch whose parents
+    /// carry another `ImgRef` backtraces to its own.
     pub img_ref: ImgRef,
     /// Dense payload.
     pub data: PatchData,
     /// Key-value metadata dictionary.
     pub meta: MetaMap,
     /// Direct lineage parents (empty for patches generated straight from a
-    /// source image).
+    /// source image). Fig. 4's q3 indexed plan follows them.
     pub parents: Vec<PatchId>,
 }
 
@@ -247,20 +253,6 @@ impl Patch {
             data,
             meta: self.meta.clone(),
             parents: vec![self.id],
-        }
-    }
-
-    /// Reduce the patch to what lineage recording needs — id, source
-    /// reference, and parent pointers — dropping the payload and metadata.
-    /// Pipelines use this to keep intermediate stages alive for lineage
-    /// without holding their pixel buffers in memory.
-    pub fn into_lineage_stub(self) -> Patch {
-        Patch {
-            id: self.id,
-            img_ref: self.img_ref,
-            data: PatchData::Empty,
-            meta: MetaMap::default(),
-            parents: self.parents,
         }
     }
 

@@ -15,22 +15,16 @@
 //!
 //! **Latch ordering** (deadlock freedom): every lock here is ranked, and the
 //! [`LockRank`] enum in `deeplens-analyze` is the single source of truth for
-//! the order — `SessionSlots` < `CatalogShard` < `Lineage`, checked at
-//! runtime under `debug_assertions`. Concretely:
+//! the order — `SessionSlots` < `CatalogShard`, checked at runtime under
+//! `debug_assertions`. Concretely:
 //!
 //! 1. at most one `CatalogShard` latch is held at a time (the checker
 //!    rejects a second same-rank acquisition) — cross-shard operations
 //!    ([`SharedCatalog::names`]) visit shards sequentially, releasing each
 //!    latch before taking the next;
-//! 2. the `Lineage` lock is never held while *acquiring* a shard latch —
-//!    [`SharedCatalog::materialize`] records lineage before it touches the
-//!    collection shard, and the one place that nests the two
-//!    ([`SharedCatalog::materialize_new`], which must publish lineage and
-//!    collection atomically) takes them in the ascending
-//!    `CatalogShard` → `Lineage` rank order;
-//! 3. patch-id reservation ([`SharedCatalog::reserve_patch_ids`]) is a
+//! 2. patch-id reservation ([`SharedCatalog::reserve_patch_ids`]) is a
 //!    lock-free atomic fetch-add and participates in no ordering at all;
-//! 4. the result cache's shard locks (`ResultCacheShard`, the innermost
+//! 3. the result cache's shard locks (`ResultCacheShard`, the innermost
 //!    rank) are taken only inside [`crate::cache::ResultCache`] lookups and
 //!    inserts, never while acquiring anything else — and the snapshot
 //!    version counter feeding the cache keys is, like the id allocator, a
@@ -44,21 +38,18 @@ use deeplens_analyze::sync::{LockRank, OrderedMutex, OrderedRwLock};
 
 use crate::cache::{ResultCache, DEFAULT_RESULT_CACHE_CAPACITY};
 use crate::catalog::{PatchCollection, PatchIdRange};
-use crate::lineage::LineageStore;
 use crate::optimizer::CostModel;
-use crate::patch::{ImgRef, Patch, PatchId};
+use crate::patch::{Patch, PatchId};
 use crate::{DlError, Result};
 
 /// Default number of collection shards.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// A catalog shared by concurrent query sessions: sharded collection map,
-/// copy-on-write collection snapshots, a locked lineage store, and a
-/// lock-free patch-id allocator.
+/// copy-on-write collection snapshots and a lock-free patch-id allocator.
 #[derive(Debug)]
 pub struct SharedCatalog {
     shards: Vec<OrderedRwLock<HashMap<String, Arc<PatchCollection>>>>,
-    lineage: OrderedRwLock<LineageStore>,
     next_id: AtomicU64,
     /// Slot numbers of the currently attached sessions. Each session holds
     /// the lowest slot that was free when it attached; the *rank* of a
@@ -115,11 +106,6 @@ impl SharedCatalog {
                     )
                 })
                 .collect(),
-            lineage: OrderedRwLock::new(
-                LockRank::Lineage,
-                "SharedCatalog::lineage",
-                LineageStore::new(),
-            ),
             next_id: AtomicU64::new(0),
             session_slots: OrderedMutex::new(
                 LockRank::SessionSlots,
@@ -188,7 +174,7 @@ impl SharedCatalog {
 
     // ---- collections ------------------------------------------------------
 
-    /// Materialize `patches` under `name`, recording their lineage.
+    /// Materialize `patches` under `name`.
     ///
     /// The collection is fully constructed before the shard's write latch is
     /// taken, so readers only ever see it complete. Returns the snapshot it
@@ -202,15 +188,14 @@ impl SharedCatalog {
     /// rows keep the prior tree; only a cost-model-priced merge triggers a
     /// full rebuild. Column chunks are not carried: the new version's first
     /// scan encodes its own. The prior snapshot is peeked under the shard's
-    /// *read* latch, which is released before the lineage lock or the write
-    /// latch is taken (ordering rules 1–2); a version raced in between the
-    /// peek and the publish is missed, which only costs a dropped carry,
-    /// never correctness. The publish stamps a fresh snapshot version, so
+    /// *read* latch, which is released before the write latch is taken
+    /// (ordering rule 1); a version raced in between the peek and the
+    /// publish is missed, which only costs a dropped carry, never
+    /// correctness. The publish stamps a fresh snapshot version, so
     /// result cache entries keyed to the replaced version can never be
     /// served again.
     pub fn materialize(&self, name: &str, patches: Vec<Patch>) -> Option<Arc<PatchCollection>> {
         let prior = self.shard_of(name).read().get(name).cloned();
-        self.lineage.write().record_all(patches.iter());
         let mut collection = PatchCollection::from_patches(patches);
         if let Some(prior) = &prior {
             let carried = collection.carry_from(prior, &CostModel::default(), 1);
@@ -228,15 +213,10 @@ impl SharedCatalog {
     /// [`SharedCatalog::materialize`] that refuses to replace: errors with
     /// [`DlError::Conflict`] if `name` already exists (checked under the
     /// shard's write latch, so two racing `materialize_new` calls cannot
-    /// both succeed), leaving existing state and lineage untouched.
+    /// both succeed), leaving existing state untouched.
     pub fn materialize_new(&self, name: &str, patches: Vec<Patch>) -> Result<()> {
-        // Construct outside the latch; the occupancy check, lineage record,
-        // and insert all happen inside it, so a loser has zero side effects
-        // and a reader can never snapshot the collection before its lineage
-        // exists. Taking the lineage lock *inside* the shard latch is the
-        // one sanctioned shard→lineage nesting (ordering rule 2): it cannot
-        // deadlock because no code path acquires a shard latch while
-        // holding the lineage lock.
+        // Construct outside the latch; the occupancy check and the insert
+        // both happen inside it, so a loser has zero side effects.
         let mut collection = PatchCollection::from_patches(patches);
         collection.set_version(self.next_version());
         let collection = Arc::new(collection);
@@ -246,7 +226,6 @@ impl SharedCatalog {
                 "collection '{name}' already exists"
             )));
         }
-        self.lineage.write().record_all(collection.patches.iter());
         shard.insert(name.to_string(), collection);
         Ok(())
     }
@@ -371,28 +350,6 @@ impl SharedCatalog {
         self.update_collection(collection, |c| c.build_ball_index(index_name, threads))?
     }
 
-    // ---- lineage ----------------------------------------------------------
-
-    /// Record lineage for `patches` (used by ETL epilogues for intermediate
-    /// stages that are not materialized).
-    pub fn record_lineage<'a>(&self, patches: impl IntoIterator<Item = &'a Patch>) {
-        self.lineage.write().record_all(patches);
-    }
-
-    /// Backtrace `id` to its root image references (§5.1).
-    pub fn backtrace(&self, id: PatchId) -> Vec<ImgRef> {
-        self.lineage.read().backtrace(id)
-    }
-
-    /// Read access to the lineage store.
-    ///
-    /// The closure runs with the lineage lock held: it must not call
-    /// collection operations on this catalog (ordering rule 2 — nothing may
-    /// acquire a shard latch while holding the lineage lock).
-    pub fn with_lineage<T>(&self, f: impl FnOnce(&LineageStore) -> T) -> T {
-        f(&self.lineage.read())
-    }
-
     // ---- session tracking -------------------------------------------------
 
     /// Number of sessions currently attached (drives per-session thread
@@ -442,6 +399,7 @@ impl SharedCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::patch::ImgRef;
     use crate::value::Value;
 
     fn feat_patches(cat: &SharedCatalog, n: u64, tag: i64) -> Vec<Patch> {
@@ -486,16 +444,10 @@ mod tests {
     fn materialize_new_conflicts() {
         let cat = SharedCatalog::new();
         cat.materialize_new("c", feat_patches(&cat, 2, 0)).unwrap();
-        let lineage_before = cat.with_lineage(|l| l.len());
         let err = cat
             .materialize_new("c", feat_patches(&cat, 2, 1))
             .unwrap_err();
         assert!(matches!(err, DlError::Conflict(_)), "got {err:?}");
-        assert_eq!(
-            cat.with_lineage(|l| l.len()),
-            lineage_before,
-            "no lineage side effect"
-        );
         let snap = cat.snapshot("c").unwrap();
         assert_eq!(
             snap.patches[0].get_int("tag"),
@@ -603,16 +555,6 @@ mod tests {
             cat.snapshot_many(&["a", "missing", "b"]),
             Err(DlError::NotFound(_))
         ));
-    }
-
-    #[test]
-    fn lineage_shared_across_collections() {
-        let cat = SharedCatalog::new();
-        let patches = feat_patches(&cat, 3, 0);
-        let id = patches[0].id;
-        cat.materialize("c", patches);
-        assert_eq!(cat.with_lineage(|l| l.len()), 3);
-        assert_eq!(cat.backtrace(id), vec![ImgRef::frame("cam", 0)]);
     }
 
     #[test]

@@ -86,15 +86,17 @@ fn main() {
         truth.len()
     );
 
-    // Lineage: every string patch backtraces to its source image.
-    catalog.materialize("pc_images", image_patches);
-    catalog.materialize("pc_strings", strings.clone());
+    // Lineage: every string patch backtraces to its source image — the
+    // `ImgRef` `Patch::derive` carried over from it (§5.1).
+    for p in &strings {
+        let imgno = p.get_int("imgno").expect("every string names its image");
+        assert_eq!(p.img_ref, ImgRef::frame("pc", imgno as u64));
+    }
     let sample = &strings[0];
-    let roots = catalog.backtrace(sample.id);
+    let root = &sample.img_ref;
     println!(
-        "lineage: string patch {:?} backtraces to {} source image(s): {:?}",
+        "lineage: string patch {:?} backtraces to 1 source image(s): {:?}",
         sample.get_str("text").unwrap_or("?"),
-        roots.len(),
-        roots.first().map(|r| (&*r.source, r.frame_no))
+        Some((&*root.source, root.frame_no))
     );
 }

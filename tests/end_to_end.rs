@@ -141,11 +141,103 @@ fn lineage_backtrace_through_pipeline() {
 
     let col = catalog.snapshot("feats").unwrap();
     assert_eq!(col.len(), 10);
-    // Every derived patch backtraces to exactly its own source frame.
+    // Every derived patch backtraces to exactly its own source frame: the
+    // `ImgRef` it carries.
     for (i, p) in col.patches.iter().enumerate() {
-        let roots = catalog.backtrace(p.id);
-        assert_eq!(roots.len(), 1);
-        assert_eq!(&*roots[0].source, "cam0");
-        assert_eq!(roots[0].frame_no, i as u64);
+        assert_eq!(&*p.img_ref.source, "cam0");
+        assert_eq!(p.img_ref.frame_no, i as u64);
     }
+}
+
+/// Assert that every patch of collection `name` carries the `ImgRef` of the
+/// frame it came from: the collection is in frame order, `per_frame`
+/// patches per frame, starting at frame `first` of `source`.
+fn assert_from_frames(
+    catalog: &SharedCatalog,
+    name: &str,
+    source: &str,
+    first: u64,
+    per_frame: usize,
+    frames: usize,
+) {
+    let col = catalog.snapshot(name).unwrap();
+    assert_eq!(col.len(), frames * per_frame, "'{name}' size");
+    for (j, p) in col.patches.iter().enumerate() {
+        let frame = ImgRef::frame(source, first + (j / per_frame) as u64);
+        assert_eq!(p.img_ref, frame, "'{name}' row {j}");
+    }
+}
+
+/// Every ETL route — `Pipeline::run` on one and four workers, a
+/// `PipelineBatch` over a DLV1 stream (shared scan and serial reference, two
+/// jobs over overlapping windows), and a served `Materialize` — stamps each
+/// output with the `ImgRef` of the frame it came from, so a §5.1 backtrace
+/// is answered by the patch itself.
+#[test]
+fn every_etl_route_outputs_carry_their_frame() {
+    use deeplens::codec::video::{encode_video, VideoConfig};
+    use deeplens::codec::Image;
+    use deeplens::core::etl::{FeaturizeTransformer, TileGenerator, WholeImageGenerator};
+    use deeplens::serve::{serve, Client, ServerConfig};
+    use std::sync::Arc;
+
+    let tiles = || {
+        Pipeline::new(Box::new(TileGenerator { tile: 16 })).then(Box::new(FeaturizeTransformer {
+            label: "mean-color".into(),
+            dim: 3,
+            f: Box::new(|img| img.mean_color().to_vec()),
+        }))
+    };
+    let whole = || Pipeline::new(Box::new(WholeImageGenerator));
+    let frames: Vec<Image> = (0..10)
+        .map(|t| {
+            let mut img = Image::solid(32, 32, [40, 60, 80]);
+            img.fill_rect(2 + t * 2, 4, 10, 10, [220, 40, 40]);
+            img
+        })
+        .collect();
+
+    // In-memory frames: 4 tiles per frame, on one and on four workers.
+    for workers in [1, 4] {
+        let catalog = SharedCatalog::new();
+        tiles()
+            .run(
+                frames.iter().enumerate().map(|(t, f)| (t as u64, f)),
+                "cam",
+                &catalog,
+                "tiles",
+                &WorkerPool::new(workers),
+            )
+            .unwrap();
+        assert_from_frames(&catalog, "tiles", "cam", 0, 4, frames.len());
+    }
+
+    // A DLV1 stream: two jobs over overlapping windows, through the shared
+    // scan and through the serial reference.
+    let bytes = encode_video(&frames, VideoConfig::sequential(Quality::High)).unwrap();
+    for serial in [false, true] {
+        let session = Session::ephemeral().unwrap();
+        let mut batch = session.ingest_batch();
+        batch.add_encoded_source("clip", bytes.clone()).unwrap();
+        batch.ingest(tiles(), "clip", 2..7, "a").unwrap();
+        batch.ingest(whole(), "clip", 4..10, "b").unwrap();
+        let counts = if serial {
+            batch.run_serial().unwrap()
+        } else {
+            batch.run().unwrap()
+        };
+        assert_eq!(counts, vec![20, 6]);
+        assert_from_frames(&session.catalog, "a", "clip", 2, 4, 5);
+        assert_from_frames(&session.catalog, "b", "clip", 4, 1, 6);
+    }
+
+    // A served write: row i is frame i of the "wire" source.
+    let catalog = Arc::new(SharedCatalog::new());
+    let mut server = serve(catalog.clone(), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr().to_string()).unwrap();
+    let rows: Vec<Vec<f32>> = (0..12).map(|i| vec![i as f32, 1.0]).collect();
+    client.materialize("served", rows).unwrap();
+    drop(client);
+    server.stop();
+    assert_from_frames(&catalog, "served", "wire", 0, 1, 12);
 }

@@ -6,7 +6,7 @@
 //!   paths concurrently: catalog materialize/snapshot/drop + ball-index
 //!   builds, a query batch (join, dedup, index probe) issued until the
 //!   result cache replays it, and shared-scan ingest batches through one
-//!   contended session frame cache. Together they take six of the eight
+//!   contended session frame cache. Together they take five of the seven
 //!   ranks, all but the serving layer's two. Under `debug_assertions` every
 //!   acquisition is rank-checked; the test passing means the documented
 //!   order holds on every exercised path.
@@ -98,8 +98,8 @@ fn eight_thread_engine_hammer_has_no_false_positives() {
             let snapshots_seen = &snapshots_seen;
             scope.spawn(move || {
                 for round in 0..ROUNDS {
-                    // --- catalog writes: materialize + lineage (the
-                    // CatalogShard → Lineage nesting), then an index build.
+                    // --- catalog writes: a materialize (one CatalogShard
+                    // latch at a time), then an index build.
                     let name = format!("col_t{t}_r{round}");
                     catalog.materialize(&name, feature_patches(&catalog, 24, t as u64));
                     catalog.build_ball_index(&name, "ball", 2).unwrap();

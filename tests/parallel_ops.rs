@@ -74,14 +74,6 @@ fn pipeline_outputs_identical_across_thread_counts() {
         let par = run(threads);
         let par_patches = &par.snapshot("tiles").unwrap().patches;
         assert_eq!(serial_patches, par_patches, "{threads} threads");
-        for p in par_patches {
-            assert_eq!(
-                serial.backtrace(p.id),
-                par.backtrace(p.id),
-                "lineage of {:?} diverged at {threads} threads",
-                p.id
-            );
-        }
     }
 }
 
