@@ -20,10 +20,10 @@
 //! 4. **allow-justification** — every `#[allow(...)]` in non-test code
 //!    carries a justification: a trailing `//` comment on the same line or a
 //!    `//` comment on the line directly above.
-//! 5. **module-doc** — every `src/**/*.rs` file in a non-shim crate opens
-//!    with a `//!` module doc as its first non-blank line, so `cargo doc`
-//!    renders a description for every module and the docs burndown cannot
-//!    silently regress (the shims are vendored API stand-ins and exempt).
+//! 5. **module-doc** — every `src/**/*.rs` file of a crate opens with a
+//!    `//!` module doc as its first non-blank line, so `cargo doc` renders a
+//!    description for every module and the docs burndown cannot silently
+//!    regress.
 //! 6. **unreached-pub** — every `pub fn|struct|enum|trait|const|type|static|mod`
 //!    in non-test code of the seven engine crates (`analyze`, `codec`, `core`,
 //!    `exec`, `index`, `serve`, `storage`; `src/bin/` excluded) names
@@ -357,15 +357,11 @@ fn check_allow_justifications(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<
     }
 }
 
-/// Rule 5: every non-shim module file opens with `//!` module docs.
+/// Rule 5: every module file opens with `//!` module docs.
 ///
 /// Works on the raw text (not the comment-stripped lines — the doc comment
-/// IS a comment): the first non-blank line must start with `//!`. Shim
-/// crates mirror external APIs verbatim and are exempt.
+/// IS a comment): the first non-blank line must start with `//!`.
 fn check_module_docs(rel_path: &str, text: &str, out: &mut Vec<Violation>) {
-    if rel_path.starts_with("crates/shims/") {
-        return;
-    }
     let first = text
         .lines()
         .enumerate()
@@ -581,13 +577,12 @@ fn collect_rs(dir: &Path, acc: &mut Vec<PathBuf>) {
 }
 
 /// Whether `rel_path` is crate library or binary source the per-file rules
-/// (1–5) scan: `crates/<name>/src/**` or `crates/shims/<name>/src/**`.
+/// (1–5) scan: `crates/<name>/src/**`.
 fn is_crate_source(rel_path: &str) -> bool {
     let Some(rest) = rel_path.strip_prefix("crates/") else {
         return false;
     };
-    let parts: Vec<&str> = rest.split('/').collect();
-    parts.get(1) == Some(&"src") || (parts[0] == "shims" && parts.get(2) == Some(&"src"))
+    rest.split('/').nth(1) == Some("src")
 }
 
 /// Run every rule over the workspace rooted at `root`. Returns all
@@ -820,13 +815,17 @@ mod tests {
     }
 
     #[test]
-    fn module_doc_passes_documented_and_exempts_shims() {
+    fn module_doc_passes_documented_files_and_flags_every_crate() {
         let documented = "//! Module docs.\nuse std::fmt;\n";
         assert!(check_source("crates/core/src/ops.rs", documented).is_empty());
         let indented = "  //! Indented docs still count.\nfn f() {}\n";
         assert!(check_source("crates/exec/src/pool.rs", indented).is_empty());
-        let undocumented = "pub struct Mirror;\n";
-        assert!(check_source("crates/shims/proptest/src/lib.rs", undocumented).is_empty());
+        let undocumented = "pub struct SplitMix64;\n";
+        let flagged = check_source("crates/vision/src/rng.rs", undocumented);
+        assert_eq!(
+            flagged.into_iter().map(|v| v.rule).collect::<Vec<_>>(),
+            ["module-doc"]
+        );
     }
 
     #[test]
@@ -918,7 +917,7 @@ mod tests {
         for rel in [
             "crates/core/src/ops.rs",
             "crates/bench/src/bin/run_all.rs",
-            "crates/shims/rand/src/lib.rs",
+            "crates/vision/src/rng.rs",
         ] {
             assert!(is_crate_source(rel), "{rel}");
         }

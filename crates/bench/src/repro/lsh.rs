@@ -9,11 +9,10 @@
 //! are verified with an exact distance check, so precision is always 1.0
 //! and only recall is approximate.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 use deeplens_index::dist::sq_euclidean;
+use deeplens_vision::rng::SplitMix64;
 
 /// Configuration for an [`LshIndex`].
 #[derive(Debug, Clone, Copy)]
@@ -59,9 +58,9 @@ pub struct LshIndex {
 }
 
 /// Sample a standard normal via Box–Muller from a uniform RNG.
-fn gaussian(rng: &mut StdRng) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
+fn gaussian(rng: &mut SplitMix64) -> f32 {
+    let u1 = rng.range_f32(f32::EPSILON, 1.0);
+    let u2 = rng.range_f32(0.0, 1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
@@ -75,7 +74,7 @@ impl LshIndex {
             "point buffer must be a multiple of dim"
         );
         assert!(params.width > 0.0, "cell width must be positive");
-        let mut rng = StdRng::seed_from_u64(params.seed);
+        let mut rng = SplitMix64::seeded(params.seed);
         let n = points.len() / dim;
         let mut tables = Vec::with_capacity(params.tables);
         for _ in 0..params.tables {
@@ -83,7 +82,7 @@ impl LshIndex {
                 .map(|_| gaussian(&mut rng))
                 .collect();
             let offsets: Vec<f32> = (0..params.projections)
-                .map(|_| rng.gen_range(0.0..params.width))
+                .map(|_| rng.range_f32(0.0, params.width))
                 .collect();
             tables.push(Table {
                 planes,

@@ -81,7 +81,7 @@ fn ordered_u64(x: i64) -> u64 {
 /// A pushdown-able scan predicate.
 ///
 /// [`ScanFilter::matches`] defines the row semantics; the columnar path
-/// reproduces them exactly (the equivalence proptests hold it to that).
+/// reproduces them exactly (the equivalence property tests of `tests/columnar_scan.rs` hold it to that).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScanFilter {
     /// Every patch matches.

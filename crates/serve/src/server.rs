@@ -320,17 +320,15 @@ impl Connection {
                 let floats: usize = rows.iter().map(Vec::len).sum();
                 self.admitted(floats as f64 / self.planner.units_per_us, || {
                     let mut ids = self.catalog.reserve_patch_ids(rows.len() as u64);
-                    // Every row shares one source string.
-                    let source: Arc<str> = Arc::from("wire");
+                    // A served row is its own source frame: the collection's
+                    // name (one string shared by every row) and the row's
+                    // id, so no two served rows share an `ImgRef`.
+                    let source: Arc<str> = Arc::from(name.as_str());
                     let patches: Vec<Patch> = rows
                         .into_iter()
-                        .enumerate()
-                        .map(|(i, row)| {
-                            Patch::features(
-                                ids.alloc(),
-                                ImgRef::frame(source.clone(), i as u64),
-                                row,
-                            )
+                        .map(|row| {
+                            let id = ids.alloc();
+                            Patch::features(id, ImgRef::frame(source.clone(), id.0), row)
                         })
                         .collect();
                     self.catalog.materialize(&name, patches);

@@ -6,10 +6,9 @@
 //! structure; `scale = 1.0` reproduces the paper's corpus sizes.
 
 use deeplens_codec::Image;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::font;
+use crate::rng::SplitMix64;
 use crate::scene::{ObjectClass, Scene, SceneObject};
 
 /// Paper-scale frame counts.
@@ -40,20 +39,20 @@ impl TrafficDataset {
         let num_frames = ((paper_scale::TRAFFIC_FRAMES as f64 * scale) as u64).max(60);
         let (w, h) = (192u32, 108u32);
         let mut scene = Scene::new(w, h, [58, 66, 60]);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seeded(seed);
         let mut next_id = 1u64;
 
         // Vehicles cross the road band every few dozen frames.
         let mut t = 0u64;
         while t < num_frames {
-            let gap = rng.gen_range(8..40);
+            let gap = rng.range(8, 40) as u64;
             t += gap;
-            let truck = rng.gen_bool(0.25);
+            let truck = rng.chance(0.25);
             let (ow, oh) = if truck { (26, 14) } else { (18, 10) };
-            let lane = rng.gen_range(0..3);
+            let lane = rng.range(0, 3);
             let y = 40.0 + lane as f64 * 18.0;
-            let leftward = rng.gen_bool(0.5);
-            let speed = rng.gen_range(1.2..3.0);
+            let leftward = rng.chance(0.5);
+            let speed = rng.range_f64(1.2, 3.0);
             let (x0, vx) = if leftward {
                 (w as f64 + 4.0, -speed)
             } else {
@@ -74,11 +73,11 @@ impl TrafficDataset {
                 vx,
                 vy: 0.0,
                 color: [
-                    rng.gen_range(90..255),
-                    rng.gen_range(40..200),
-                    rng.gen_range(40..200),
+                    rng.range(90, 255) as u8,
+                    rng.range(40, 200) as u8,
+                    rng.range(40, 200) as u8,
                 ],
-                depth: rng.gen_range(8.0..20.0),
+                depth: rng.range_f64(8.0, 20.0),
                 text: None,
                 enter: t,
                 exit: t + travel,
@@ -96,17 +95,17 @@ impl TrafficDataset {
             let id = next_id;
             next_id += 1;
             let color = [
-                rng.gen_range(60..220),
-                rng.gen_range(60..220),
-                rng.gen_range(120..255),
+                rng.range(60, 220) as u8,
+                rng.range(60, 220) as u8,
+                rng.range(120, 255) as u8,
             ];
-            let depth = rng.gen_range(4.0..15.0);
-            let appearances = if rng.gen_bool(0.3) { 2 } else { 1 };
+            let depth = rng.range_f64(4.0, 15.0);
+            let appearances = if rng.chance(0.3) { 2 } else { 1 };
             for a in 0..appearances {
-                let enter = rng.gen_range(0..num_frames.max(2) - 1) / appearances
+                let enter = rng.below(num_frames.max(2) - 1) / appearances
                     + a * num_frames / appearances.max(1);
-                let speed = rng.gen_range(1.2..2.5);
-                let leftward = rng.gen_bool(0.5);
+                let speed = rng.range_f64(1.2, 2.5);
+                let leftward = rng.chance(0.5);
                 let (x0, vx) = if leftward {
                     (w as f64, -speed)
                 } else {
@@ -183,35 +182,35 @@ impl FootballDataset {
         let per_clip = ((paper_scale::FOOTBALL_FRAMES as f64 * scale
             / paper_scale::FOOTBALL_CLIPS as f64) as u64)
             .max(24);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seeded(seed);
         let target_jersey = "7".to_string();
         let mut clips = Vec::with_capacity(paper_scale::FOOTBALL_CLIPS);
         for clip_idx in 0..paper_scale::FOOTBALL_CLIPS {
             let (w, h) = (176u32, 99u32);
             let mut scene = Scene::new(w, h, [34, 120, 44]); // grass
-            let n_players = rng.gen_range(6..10);
+            let n_players = rng.range(6, 10) as usize;
             for p in 0..n_players {
                 let jersey = if p == 0 {
                     target_jersey.clone()
                 } else {
-                    format!("{}", rng.gen_range(10..99))
+                    format!("{}", rng.range(10, 99))
                 };
                 let team_red = p % 2 == 0;
                 scene.objects.push(SceneObject {
                     id: (clip_idx * 100 + p) as u64 + 1,
                     class: ObjectClass::Player,
-                    x0: rng.gen_range(4.0..(w as f64 - 20.0)),
-                    y0: rng.gen_range(4.0..(h as f64 - 24.0)),
+                    x0: rng.range_f64(4.0, w as f64 - 20.0),
+                    y0: rng.range_f64(4.0, h as f64 - 24.0),
                     w: 10,
                     h: 18,
-                    vx: rng.gen_range(-0.9..0.9),
-                    vy: rng.gen_range(-0.5..0.5),
+                    vx: rng.range_f64(-0.9, 0.9),
+                    vy: rng.range_f64(-0.5, 0.5),
                     color: if team_red {
                         [180, 30, 30]
                     } else {
                         [230, 230, 240]
                     },
-                    depth: rng.gen_range(10.0..40.0),
+                    depth: rng.range_f64(10.0, 40.0),
                     text: Some(jersey),
                     enter: 0,
                     exit: per_clip,
@@ -260,11 +259,16 @@ pub struct PcDataset {
     pub needle: String,
 }
 
+/// A uniformly random color.
+fn random_color(rng: &mut SplitMix64) -> [u8; 3] {
+    [0; 3].map(|_| rng.next_u64() as u8)
+}
+
 /// Random uppercase word of 3–8 characters.
-fn random_word(rng: &mut StdRng) -> String {
-    let len = rng.gen_range(3..=8);
+fn random_word(rng: &mut SplitMix64) -> String {
+    let len = rng.range(3, 9);
     (0..len)
-        .map(|_| (b'A' + rng.gen_range(0..26u8)) as char)
+        .map(|_| (b'A' + rng.below(26) as u8) as char)
         .collect()
 }
 
@@ -273,7 +277,7 @@ impl PcDataset {
     /// (`1.0` = the paper's 779 images).
     pub fn generate(scale: f64, seed: u64) -> Self {
         let n_base = ((paper_scale::PC_IMAGES as f64 * scale) as usize).max(40);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seeded(seed);
         let needle = "DEEPLENS".to_string();
         let mut images = Vec::new();
         let mut kinds = Vec::new();
@@ -282,7 +286,7 @@ impl PcDataset {
 
         let mut needle_planted = false;
         for _i in 0..n_base {
-            let kind = match rng.gen_range(0..10) {
+            let kind = match rng.below(10) {
                 0..=4 => PcImageKind::Photo,
                 5..=7 => PcImageKind::Screenshot,
                 _ => PcImageKind::DocumentScan,
@@ -298,7 +302,7 @@ impl PcDataset {
             kinds.push(kind);
             texts.push(strings);
             // ~8% of images get a near-duplicate (slightly corrupted copy).
-            if rng.gen_bool(0.08) {
+            if rng.chance(0.08) {
                 let orig = images.len() - 1;
                 let dup = Self::near_duplicate(&images[orig], &mut rng);
                 duplicate_pairs.push((orig as u32, images.len() as u32));
@@ -318,15 +322,15 @@ impl PcDataset {
 
     fn make_image(
         kind: PcImageKind,
-        rng: &mut StdRng,
+        rng: &mut SplitMix64,
         plant_needle: bool,
         needle: &str,
     ) -> (Image, Vec<String>) {
         let (w, h) = (96u32, 64u32);
         match kind {
             PcImageKind::Photo => {
-                let top = [rng.gen(), rng.gen(), rng.gen::<u8>()];
-                let bottom = [rng.gen(), rng.gen(), rng.gen::<u8>()];
+                let top = random_color(rng);
+                let bottom = random_color(rng);
                 let mut img = Image::new(w, h);
                 for y in 0..h {
                     let f = y as f32 / h as f32;
@@ -339,13 +343,13 @@ impl PcDataset {
                         img.set(x, y, c);
                     }
                 }
-                for _ in 0..rng.gen_range(2..6) {
+                for _ in 0..rng.range(2, 6) {
                     img.fill_rect(
-                        rng.gen_range(0..w as i64),
-                        rng.gen_range(0..h as i64),
-                        rng.gen_range(8..30),
-                        rng.gen_range(8..24),
-                        [rng.gen(), rng.gen(), rng.gen::<u8>()],
+                        rng.range(0, w as i64),
+                        rng.range(0, h as i64),
+                        rng.range(8, 30) as u32,
+                        rng.range(8, 24) as u32,
+                        random_color(rng),
                     );
                 }
                 (img, vec![])
@@ -387,16 +391,16 @@ impl PcDataset {
     }
 
     /// A visually-near copy: small brightness shift plus sparse pixel noise.
-    fn near_duplicate(img: &Image, rng: &mut StdRng) -> Image {
+    fn near_duplicate(img: &Image, rng: &mut SplitMix64) -> Image {
         let mut out = img.clone();
-        let shift = rng.gen_range(-6i32..=6);
+        let shift = rng.range(-6, 7) as i32;
         let data = out.data_mut();
         for px in data.iter_mut() {
             *px = (*px as i32 + shift).clamp(0, 255) as u8;
         }
         for _ in 0..40 {
-            let i = rng.gen_range(0..data.len());
-            data[i] = data[i].wrapping_add(rng.gen_range(0..24));
+            let i = rng.below(data.len() as u64) as usize;
+            data[i] = data[i].wrapping_add(rng.below(24) as u8);
         }
         out
     }

@@ -26,6 +26,8 @@
 //!   annotation.
 //! * [`features`] — patch transformers: color histograms and random-
 //!   projection embeddings used by the image-matching queries.
+//! * [`rng`] — the seeded generator (SplitMix64) the corpora, the figure
+//!   harnesses and the test suite draw from.
 
 pub mod datasets;
 pub mod depth;
@@ -33,6 +35,7 @@ pub mod detector;
 pub mod features;
 pub mod font;
 pub mod ocr;
+pub mod rng;
 pub mod scene;
 
 pub use detector::{Detection, DetectorConfig, ObjectDetector};

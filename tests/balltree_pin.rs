@@ -10,10 +10,11 @@
 //! evaluates one distance more or less fails here. Fig. 7's evaluation
 //! column is the same tally.
 //!
-//! The generator is local to this file on purpose: the constants pin the
-//! tree, so the points must not move when a shared generator does.
+//! The points are drawn from the shared generator seeded by raw state, whose
+//! draws the constants pin as well.
 
 use deeplens::index::BallTree;
+use deeplens::vision::rng::SplitMix64;
 
 /// Build budgets (scoped worker threads) every tree is built under.
 const BUDGETS: [usize; 5] = [1, 2, 3, 4, 8];
@@ -30,31 +31,18 @@ const PINNED: [(usize, u64, u64); 4] = [
     (64, 0x2025_5787_bbc9_e109, 80_893),
 ];
 
-/// SplitMix64, uniform in `[0, 1)` as `f32`.
-struct Gen(u64);
-
-impl Gen {
-    fn unit(&mut self) -> f32 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) >> 40) as f32 / (1u64 << 24) as f32
-    }
-}
-
 /// `n` points in 24 clusters of `[0, 10)^dim`, each within ±0.5 of its
 /// centre per component; the first 40 points (or all, when fewer) coincide,
 /// so a subtree with no spread to split on forms.
 fn clustered(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
-    let mut g = Gen(seed);
+    let mut g = SplitMix64::from_state(seed);
     let centres: Vec<Vec<f32>> = (0..24)
-        .map(|_| (0..dim).map(|_| g.unit() * 10.0).collect())
+        .map(|_| (0..dim).map(|_| g.unit_f32() * 10.0).collect())
         .collect();
     let mut pts: Vec<Vec<f32>> = (0..n)
         .map(|i| {
             let c = &centres[(i * 7 + i / 3) % centres.len()];
-            c.iter().map(|&x| x + g.unit() - 0.5).collect()
+            c.iter().map(|&x| x + g.unit_f32() - 0.5).collect()
         })
         .collect();
     let dup = pts[0].clone();
@@ -80,13 +68,13 @@ fn probe_all(dim: usize, budget: usize) -> (u64, u64) {
     for (s, &n) in SIZES.iter().enumerate() {
         let pts = clustered(n, dim, 0xD1CE + (dim * 31 + s) as u64);
         let tree = BallTree::from_vectors_parallel(&pts, budget);
-        let mut g = Gen(0xBEEF + dim as u64);
+        let mut g = SplitMix64::from_state(0xBEEF + dim as u64);
         let queries: Vec<Vec<f32>> = (0..48)
             .map(|q| {
                 if q % 2 == 0 {
                     pts[q * 131 % n].clone()
                 } else {
-                    (0..dim).map(|_| g.unit() * 10.0).collect()
+                    (0..dim).map(|_| g.unit_f32() * 10.0).collect()
                 }
             })
             .collect();

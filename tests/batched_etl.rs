@@ -4,6 +4,8 @@
 //! per batch (asserted via the codec decode counter), and a mid-batch
 //! stage error leaves the shared catalog untouched.
 
+mod harness;
+
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -11,7 +13,7 @@ use deeplens::codec::video::{encode_video, frames_decoded, VideoConfig};
 use deeplens::codec::{Image, Quality};
 use deeplens::core::etl::{FeaturizeTransformer, TileGenerator, WholeImageGenerator};
 use deeplens::prelude::*;
-use proptest::prelude::*;
+use harness::cases;
 
 const CLIP_FRAMES: u64 = 10;
 
@@ -209,17 +211,16 @@ fn mid_batch_stage_error_leaves_shared_catalog_untouched() {
     assert_eq!(s.catalog.next_patch_id(), PatchId(0), "no ids consumed");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// K random pipelines over random (overlapping) frame windows of one
-    /// encoded source produce catalogs byte-identical to serial issuance —
-    /// across 1/2/4 worker threads and 1/16 catalog shards, with every
-    /// configuration agreeing on the bytes.
-    #[test]
-    fn random_ingest_batches_byte_identical_to_serial(
-        specs in prop::collection::vec((0u8..3, 0u64..10, 0u64..10), 2..6),
-    ) {
+/// K random pipelines over random (overlapping) frame windows of one
+/// encoded source produce catalogs byte-identical to serial issuance —
+/// across 1/2/4 worker threads and 1/16 catalog shards, with every
+/// configuration agreeing on the bytes.
+#[test]
+fn random_ingest_batches_byte_identical_to_serial() {
+    cases("random_ingest_batches_byte_identical_to_serial", 12, |g| {
+        let specs: Vec<(u8, u64, u64)> = (0..g.range(2, 6))
+            .map(|_| (g.below(3) as u8, g.below(10), g.below(10)))
+            .collect();
         let _serialize = DECODE_COUNTER_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
@@ -236,5 +237,5 @@ proptest! {
                 );
             }
         }
-    }
+    });
 }

@@ -9,8 +9,7 @@ mod harness;
 
 use std::sync::{Arc, Barrier};
 
-use harness::{bitwise, log_rows, sweep_scans};
-use proptest::prelude::*;
+use harness::{bitwise, cases, log_rows, sweep_scans};
 
 use deeplens::core::scan::row_scan;
 use deeplens::prelude::{
@@ -122,30 +121,25 @@ fn filters_under_test() -> Vec<ScanFilter> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// The tentpole equivalence: for any collection, every filter, every
-    /// projection, chunk sizes 1/7/1024, and 1/2/4 threads, the columnar
-    /// scan's output is bit-identical (every field, in order) to the row
-    /// scan's; every projection matches the same rows, and the columnar
-    /// projections prune and decode the same chunks. A never-built
-    /// collection, whose first scan encodes its chunks, agrees too.
-    #[test]
-    fn columnar_scan_equals_row_scan(
-        seed in any::<u64>(),
-        n in 0usize..300,
-    ) {
-        let patches = log_rows(seed, n);
+/// The tentpole equivalence: for any collection, every filter, every
+/// projection, chunk sizes 1/7/1024, and 1/2/4 threads, the columnar
+/// scan's output is bit-identical (every field, in order) to the row
+/// scan's; every projection matches the same rows, and the columnar
+/// projections prune and decode the same chunks. A never-built
+/// collection, whose first scan encodes its chunks, agrees too.
+#[test]
+fn columnar_scan_equals_row_scan() {
+    cases("columnar_scan_equals_row_scan", 24, |g| {
+        let patches = log_rows(g.next_u64(), g.below(300) as usize);
         let lazy = PatchCollection::from_patches(patches.clone());
         for filter in filters_under_test() {
             let matched = patches.iter().filter(|p| filter.matches(p)).count();
             for projection in [Projection::Full, Projection::MetaOnly, Projection::Count] {
                 let row = row_scan(&patches, &filter, projection);
                 let col = lazy.scan(&filter, projection, &WorkerPool::new(2));
-                prop_assert_eq!(bitwise(&row.patches), bitwise(&col.patches));
-                prop_assert_eq!(col.stats.rows_matched, matched);
-                prop_assert!(col.stats.used_columnar);
+                assert_eq!(bitwise(&row.patches), bitwise(&col.patches));
+                assert_eq!(col.stats.rows_matched, matched);
+                assert!(col.stats.used_columnar);
             }
             for chunk_rows in [1usize, 7, 1024] {
                 let columnar = ColumnarPatches::from_patches(&patches, chunk_rows);
@@ -155,7 +149,7 @@ proptest! {
                     for projection in [Projection::Full, Projection::MetaOnly, Projection::Count] {
                         let row = row_scan(&patches, &filter, projection);
                         let col = columnar.scan(&filter, projection, &pool);
-                        prop_assert_eq!(
+                        assert_eq!(
                             bitwise(&row.patches),
                             bitwise(&col.patches),
                             "filter {:?}, {:?}, chunk_rows {}, threads {}",
@@ -164,11 +158,15 @@ proptest! {
                             chunk_rows,
                             threads
                         );
-                        prop_assert_eq!(row.stats.rows_matched, matched);
-                        prop_assert_eq!(col.stats.rows_matched, matched, "{:?} {:?}", filter, projection);
-                        prop_assert!(col.stats.used_columnar);
-                        prop_assert_eq!(col.stats, full.stats, "{:?} {:?}", filter, projection);
-                        prop_assert_eq!(
+                        assert_eq!(row.stats.rows_matched, matched);
+                        assert_eq!(
+                            col.stats.rows_matched, matched,
+                            "{:?} {:?}",
+                            filter, projection
+                        );
+                        assert!(col.stats.used_columnar);
+                        assert_eq!(col.stats, full.stats, "{:?} {:?}", filter, projection);
+                        assert_eq!(
                             col.stats.chunks_pruned + col.stats.chunks_decoded,
                             col.stats.chunks_total
                         );
@@ -176,30 +174,28 @@ proptest! {
                 }
             }
         }
-    }
+    });
+}
 
-    /// Zone maps are conservative, never wrong: a pruned chunk contributes
-    /// zero matches, so decoded chunks alone always reproduce the full
-    /// match count — and pruning is monotone in chunk count.
-    #[test]
-    fn pruning_is_conservative(
-        seed in any::<u64>(),
-        n in 1usize..400,
-        chunk_rows in 1usize..64,
-    ) {
-        let patches = log_rows(seed, n);
-        let columnar = ColumnarPatches::from_patches(&patches, chunk_rows);
+/// Zone maps are conservative, never wrong: a pruned chunk contributes
+/// zero matches, so decoded chunks alone always reproduce the full
+/// match count — and pruning is monotone in chunk count.
+#[test]
+fn pruning_is_conservative() {
+    cases("pruning_is_conservative", 24, |g| {
+        let patches = log_rows(g.next_u64(), g.range(1, 400) as usize);
+        let columnar = ColumnarPatches::from_patches(&patches, g.range(1, 64) as usize);
         let pool = WorkerPool::new(1);
         for filter in filters_under_test() {
             let expect = patches.iter().filter(|p| filter.matches(p)).count();
             let got = columnar.scan(&filter, Projection::Count, &pool);
-            prop_assert_eq!(got.stats.rows_matched, expect, "filter {:?}", filter);
-            prop_assert_eq!(
+            assert_eq!(got.stats.rows_matched, expect, "filter {:?}", filter);
+            assert_eq!(
                 got.stats.chunks_pruned + got.stats.chunks_decoded,
                 got.stats.chunks_total
             );
         }
-    }
+    });
 }
 
 #[test]
@@ -374,20 +370,20 @@ fn only_scans_encode_and_concurrent_first_scans_encode_once() {
     assert!(seen.iter().all(|&p| p == seen[0]), "one encoding, shared");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 1, ..ProptestConfig::default() })]
+/// Session scans of unbacked and backed logs: the first sighting scans
+/// columnar either way, and the answer, the repeat, the replay and
+/// `scan_count` equal `row_scan` bit for bit.
+#[test]
+fn session_scan_routes_through_columnar_backing() {
+    cases("session_scan_routes_through_columnar_backing", 1, |g| {
+        sweep_scans(g.next_u64())
+    });
+}
 
-    /// Session scans of unbacked and backed logs: the first sighting scans
-    /// columnar either way, and the answer, the repeat, the replay and
-    /// `scan_count` equal `row_scan` bit for bit.
-    #[test]
-    fn session_scan_routes_through_columnar_backing(seed in any::<u64>()) {
-        sweep_scans(seed);
-    }
-
-    /// Session scans at 1, 2 and 4 threads equal `row_scan` bit for bit.
-    #[test]
-    fn scan_agrees_across_session_thread_budgets(seed in any::<u64>()) {
-        sweep_scans(seed);
-    }
+/// Session scans at 1, 2 and 4 threads equal `row_scan` bit for bit.
+#[test]
+fn scan_agrees_across_session_thread_budgets() {
+    cases("scan_agrees_across_session_thread_budgets", 1, |g| {
+        sweep_scans(g.next_u64())
+    });
 }

@@ -168,11 +168,12 @@ fn assert_from_frames(
     }
 }
 
-/// Every ETL route — `Pipeline::run` on one and four workers, a
+/// Every ETL route — `Pipeline::run` on one and four workers, and a
 /// `PipelineBatch` over a DLV1 stream (shared scan and serial reference, two
-/// jobs over overlapping windows), and a served `Materialize` — stamps each
-/// output with the `ImgRef` of the frame it came from, so a §5.1 backtrace
-/// is answered by the patch itself.
+/// jobs over overlapping windows) — stamps each output with the `ImgRef` of
+/// the frame it came from, so a §5.1 backtrace is answered by the patch
+/// itself. A served `Materialize` row is its own frame: its collection and
+/// its id, so rows of two writes or of two collections never share one.
 #[test]
 fn every_etl_route_outputs_carry_their_frame() {
     use deeplens::codec::video::{encode_video, VideoConfig};
@@ -231,13 +232,27 @@ fn every_etl_route_outputs_carry_their_frame() {
         assert_from_frames(&session.catalog, "b", "clip", 4, 1, 6);
     }
 
-    // A served write: row i is frame i of the "wire" source.
+    // Two served writes to one collection, and one to another.
     let catalog = Arc::new(SharedCatalog::new());
     let mut server = serve(catalog.clone(), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr().to_string()).unwrap();
     let rows: Vec<Vec<f32>> = (0..12).map(|i| vec![i as f32, 1.0]).collect();
-    client.materialize("served", rows).unwrap();
+    let mut served = Vec::new();
+    for name in ["served", "served", "other"] {
+        client.materialize(name, rows.clone()).unwrap();
+        let col = catalog.snapshot(name).unwrap();
+        assert_eq!(col.len(), rows.len(), "'{name}' size");
+        for p in col.patches.iter() {
+            assert_eq!(p.img_ref, ImgRef::frame(name, p.id.0), "'{name}' row");
+            served.push(p.img_ref.clone());
+        }
+    }
     drop(client);
     server.stop();
-    assert_from_frames(&catalog, "served", "wire", 0, 1, 12);
+    let distinct: std::collections::HashSet<_> = served.iter().collect();
+    assert_eq!(
+        distinct.len(),
+        served.len(),
+        "two served rows share an ImgRef"
+    );
 }

@@ -20,8 +20,11 @@
 //! reached every route: a delta-maintained index, a cache replay of every
 //! cacheable member, a post-write miss, an admitted served batch, a backed
 //! scan, and joins that leave an unbacked collection unencoded. [`sweep`]
-//! returns the join plans chosen, so a caller can assert which of the four
-//! plans it reached.
+//! returns each join next to the plan chosen for it, so a caller can assert
+//! which of the four plans it reached, and where.
+//!
+//! [`cases`] runs a property over seeded cases; `PROPTEST_SEED` draws a
+//! different stream.
 
 // Each suite that mounts the harness calls only part of it.
 #![allow(dead_code)]
@@ -32,6 +35,7 @@ use deeplens::core::scan::row_scan;
 use deeplens::index::bruteforce;
 use deeplens::prelude::*;
 use deeplens::serve::{serve, AdmissionConfig, Client, ClientError, ServerConfig, ServerHandle};
+use deeplens::vision::rng::SplitMix64;
 
 /// The route sweep as `(shards, backed, threads)`: every pair of values of
 /// any two axes is on some route.
@@ -56,36 +60,36 @@ const PROJECTIONS: [Projection; 3] = [Projection::Count, Projection::MetaOnly, P
 
 /// `n` log rows ([`Rng::log_row`]) drawn from `seed`.
 pub fn log_rows(seed: u64, n: usize) -> Vec<Patch> {
-    let mut g = Rng(seed);
+    let mut g = Rng::new(seed);
     (0..n as u64).map(|id| g.log_row(id)).collect()
 }
 
 /// `n` rows with `dim` features each, uniform in `[0, 10)`, drawn from
 /// `seed`; row `i` is frame `i`.
 pub fn feature_rows(n: u64, dim: usize, seed: u64) -> Vec<Patch> {
-    let mut g = Rng(seed);
+    let mut g = Rng::new(seed);
     (0..n)
         .map(|i| {
-            let f = (0..dim).map(|_| (g.next() >> 40) as f32 / (1 << 24) as f32 * 10.0);
+            let f = (0..dim).map(|_| g.0.unit_f32() * 10.0);
             Patch::features(PatchId(i), ImgRef::frame("t", i), f.collect())
         })
         .collect()
 }
 
-/// The one seeded generator (SplitMix64).
-struct Rng(u64);
+/// The harness's draws over the one seeded generator, seeded by raw state.
+struct Rng(SplitMix64);
 
 impl Rng {
+    fn new(seed: u64) -> Rng {
+        Rng(SplitMix64::from_state(seed))
+    }
+
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
+        self.0.below(n)
     }
 
     fn pick<'a, T>(&mut self, of: &'a [T]) -> &'a T {
@@ -242,7 +246,7 @@ struct Case {
 
 impl Case {
     fn draw(seed: u64) -> Case {
-        let mut g = Rng(seed);
+        let mut g = Rng::new(seed);
         let log_rows = 150 + g.below(150);
         let mut rows = |base: u64, n: u64, row: fn(&mut Rng, u64) -> Patch| {
             (base..base + n)
@@ -527,8 +531,9 @@ pub fn bitwise(rows: &[Patch]) -> Vec<Patch> {
 }
 
 /// Every query `keep` admits, of the case `seed` draws, on every route
-/// ([`check_queries`]); returns the join plans chosen.
-pub fn sweep(seed: u64, keep: fn(&Query) -> bool) -> Vec<JoinPlan> {
+/// ([`check_queries`]); returns each join (on the fresh catalog, then after
+/// the writes) with the plan chosen for it.
+pub fn sweep(seed: u64, keep: fn(&Query) -> bool) -> Vec<(Query, JoinPlan)> {
     let mut case = Case::draw(seed);
     case.queries.retain(keep);
     case.bad.retain(keep);
@@ -548,9 +553,9 @@ type First = Option<(Vec<JoinPlan>, Vec<BatchResult>)>;
 type Check = fn(&Harness, &Case, &str, &mut First, &[&str]);
 
 /// `check` at each route, on the fresh catalog and after the case's writes
-/// (which must leave `big`'s index delta-maintained), returning the join
-/// plans chosen.
-fn run(seed: u64, case: &Case, check: Check) -> Vec<JoinPlan> {
+/// (which must leave `big`'s index delta-maintained), returning each join
+/// with the plan chosen for it.
+fn run(seed: u64, case: &Case, check: Check) -> Vec<(Query, JoinPlan)> {
     let mut plans: [First; 2] = Default::default();
     for route in ROUTES {
         let h = Harness::new(case, route);
@@ -568,11 +573,37 @@ fn run(seed: u64, case: &Case, check: Check) -> Vec<JoinPlan> {
         let ctx = format!("{ctx}, after writes");
         check(&h, case, &ctx, &mut plans[1], &written);
     }
-    plans
-        .into_iter()
-        .flatten()
-        .flat_map(|(plans, _)| plans)
+    let joins = case.queries.iter().filter(|q| q.kind != Kind::Probe);
+    (plans.into_iter().flatten())
+        .flat_map(|(plans, _)| joins.clone().cloned().zip(plans))
         .collect()
+}
+
+/// Runs `case` `cases` times, each on a generator of its own whose seed is
+/// drawn from an FNV-1a hash of `name`, xored with `PROPTEST_SEED` (times
+/// the golden ratio) when that is set: the same value replays the same
+/// cases, another draws new ones. A failing case names its seed.
+pub fn cases(name: &str, cases: u32, mut case: impl FnMut(&mut SplitMix64)) {
+    let mut h = name.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    });
+    if let Some(extra) = std::env::var("PROPTEST_SEED")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+    {
+        h ^= extra.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    let mut seeds = SplitMix64::from_state(h);
+    for i in 1..=cases {
+        let seed = seeds.next_u64();
+        let mut g = SplitMix64::from_state(seed);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut g)));
+        if run.is_err() {
+            panic!(
+                "{name}: case {i}/{cases} failed; it draws from SplitMix64::from_state({seed:#x})"
+            );
+        }
+    }
 }
 
 /// Joins, dedups and probes, in this order: a batch (first sighting), two

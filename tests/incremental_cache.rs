@@ -15,8 +15,7 @@ use std::sync::Arc;
 
 use deeplens::core::scan::row_scan;
 use deeplens::prelude::*;
-use harness::{sweep, sweep_scans, Kind};
-use proptest::prelude::*;
+use harness::{cases, sweep, sweep_scans, Kind};
 
 fn feature_patches(ids: std::ops::Range<u64>, dim: usize, seed: u64) -> Vec<Patch> {
     let mut s = seed | 1;
@@ -239,30 +238,33 @@ fn answers_are_stored_once_their_query_repeats() {
     assert_eq!(fresh.patches, expected.patches);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 1, ..ProptestConfig::default() })]
+/// Probes, joins and dedups over `big`, its index delta-maintained across
+/// random writes, in a batch and under every plan.
+#[test]
+fn delta_maintained_queries_match_full_rebuild() {
+    cases("delta_maintained_queries_match_full_rebuild", 1, |g| {
+        sweep(g.next_u64(), |q| q.l == "big" || q.r == "big");
+    });
+}
 
-    /// Probes, joins and dedups over `big`, its index delta-maintained
-    /// across random writes, in a batch and under every plan.
-    #[test]
-    fn delta_maintained_queries_match_full_rebuild(seed in any::<u64>()) {
-        sweep(seed, |q| q.l == "big" || q.r == "big");
-    }
-
-    /// Every answer is stored (by a batch, the wire and batches of one)
-    /// before the writes; after them, each query that reads a written
-    /// collection misses the cache on its first issue and answers as the
-    /// oracle, and so does each scan of the rewritten log.
-    #[test]
-    fn post_write_queries_never_serve_stale_results(seed in any::<u64>()) {
+/// Every answer is stored (by a batch, the wire and batches of one) before
+/// the writes; after them, each query that reads a written collection
+/// misses the cache on its first issue and answers as the oracle, and so
+/// does each scan of the rewritten log.
+#[test]
+fn post_write_queries_never_serve_stale_results() {
+    cases("post_write_queries_never_serve_stale_results", 1, |g| {
+        let seed = g.next_u64();
         sweep(seed, |_| true);
         sweep_scans(seed);
-    }
+    });
+}
 
-    /// Every member of a batch is stored on its repeat and replayed from the
-    /// cache, and the replay answers as the oracle.
-    #[test]
-    fn cached_batch_members_replay_identically(seed in any::<u64>()) {
-        sweep(seed, |q| q.kind != Kind::Filtered);
-    }
+/// Every member of a batch is stored on its repeat and replayed from the
+/// cache, and the replay answers as the oracle.
+#[test]
+fn cached_batch_members_replay_identically() {
+    cases("cached_batch_members_replay_identically", 1, |g| {
+        sweep(g.next_u64(), |q| q.kind != Kind::Filtered);
+    });
 }

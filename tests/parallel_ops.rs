@@ -11,8 +11,7 @@ use deeplens::codec::Image;
 use deeplens::core::etl::{FeaturizeTransformer, TileGenerator};
 use deeplens::core::ops;
 use deeplens::prelude::*;
-use harness::{feature_rows, sweep, Kind};
-use proptest::prelude::*;
+use harness::{cases, feature_rows, sweep, Kind};
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
@@ -77,33 +76,45 @@ fn pipeline_outputs_identical_across_thread_counts() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 1, ..ProptestConfig::default() })]
+/// Plain and filtered joins of every drawn shape (16 to 400 rows a side,
+/// empty and featureless sides among them) under the chosen plan and the
+/// tree over either side, at 1, 2 and 4 threads.
+#[test]
+fn balltree_join_identical_across_thread_counts_and_shapes() {
+    cases(
+        "balltree_join_identical_across_thread_counts_and_shapes",
+        1,
+        |g| {
+            sweep(g.next_u64(), |q| {
+                matches!(q.kind, Kind::Join | Kind::Filtered)
+            });
+        },
+    );
+}
 
-    /// Plain and filtered joins of every drawn shape (16 to 400 rows a side,
-    /// empty and featureless sides among them) under the chosen plan and
-    /// the tree over either side, at 1, 2 and 4 threads.
-    #[test]
-    fn balltree_join_identical_across_thread_counts_and_shapes(seed in any::<u64>()) {
-        sweep(seed, |q| matches!(q.kind, Kind::Join | Kind::Filtered));
-    }
+/// Dedups through every plan and `Session::dedup`.
+#[test]
+fn dedup_identical_across_thread_counts() {
+    cases("dedup_identical_across_thread_counts", 1, |g| {
+        sweep(g.next_u64(), |q| q.kind == Kind::Dedup);
+    });
+}
 
-    /// Dedups through every plan and `Session::dedup`.
-    #[test]
-    fn dedup_identical_across_thread_counts(seed in any::<u64>()) {
-        sweep(seed, |q| q.kind == Kind::Dedup);
-    }
+/// A session's thread budget routes its batches, joins, dedups and index
+/// lookups.
+#[test]
+fn session_device_routes_thread_budget_end_to_end() {
+    cases("session_device_routes_thread_budget_end_to_end", 1, |g| {
+        sweep(g.next_u64(), |_| true);
+    });
+}
 
-    /// A session's thread budget routes its batches, joins, dedups and
-    /// index lookups.
-    #[test]
-    fn session_device_routes_thread_budget_end_to_end(seed in any::<u64>()) {
-        sweep(seed, |_| true);
-    }
-
-    /// Zero-length feature vectors join, dedup and probe under every plan.
-    #[test]
-    fn zero_dim_features_equivalent_across_variants(seed in any::<u64>()) {
-        sweep(seed, |q| q.l == "flat" || q.r == "flat" || q.l == "gappy" || q.r == "gappy");
-    }
+/// Zero-length feature vectors join, dedup and probe under every plan.
+#[test]
+fn zero_dim_features_equivalent_across_variants() {
+    cases("zero_dim_features_equivalent_across_variants", 1, |g| {
+        sweep(g.next_u64(), |q| {
+            q.l == "flat" || q.r == "flat" || q.l == "gappy" || q.r == "gappy"
+        });
+    });
 }

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use proptest::prelude::*;
+mod harness;
 
 use deeplens::codec::{decode_image, encode_image, psnr, Image, Quality};
 use deeplens::core::patch::MetaMap;
@@ -21,6 +21,7 @@ use deeplens_bench::repro::kdtree::KdTree;
 use deeplens_bench::repro::lsh::{LshIndex, LshParams};
 use deeplens_bench::repro::rtree::{RTree, Rect};
 use deeplens_bench::repro::storage::btree::BTree;
+use harness::cases;
 
 fn unique_tmp(tag: &str) -> std::path::PathBuf {
     static CTR: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -30,17 +31,12 @@ fn unique_tmp(tag: &str) -> std::path::PathBuf {
     dir.join(format!("{tag}-{}-{n}.dlb", std::process::id()))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Intra codec: any image round-trips with bounded distortion at
-    /// high quality and always preserves dimensions.
-    #[test]
-    fn intra_codec_roundtrip(
-        w in 1u32..80,
-        h in 1u32..60,
-        seed in any::<u64>(),
-    ) {
+/// Intra codec: any image round-trips with bounded distortion at
+/// high quality and always preserves dimensions.
+#[test]
+fn intra_codec_roundtrip() {
+    cases("intra_codec_roundtrip", 24, |g| {
+        let (w, h, seed) = (g.range(1, 80) as u32, g.range(1, 60) as u32, g.next_u64());
         let mut img = Image::new(w, h);
         let mut s = seed;
         for y in 0..h {
@@ -52,24 +48,23 @@ proptest! {
         }
         let bytes = encode_image(&img, Quality::High);
         let back = decode_image(&bytes).unwrap();
-        prop_assert_eq!(back.width(), w);
-        prop_assert_eq!(back.height(), h);
+        assert_eq!(back.width(), w);
+        assert_eq!(back.height(), h);
         // Random noise is the worst case for a DCT coder, and 4:2:0 chroma
         // subsampling legitimately wrecks sub-block images — only demand a
         // distortion floor once a full 8x8 block exists.
         if w >= 8 && h >= 8 {
-            prop_assert!(psnr(&img, &back) > 12.0);
+            assert!(psnr(&img, &back) > 12.0);
         }
-    }
+    });
+}
 
-    /// Ball-Tree range queries agree exactly with brute force.
-    #[test]
-    fn balltree_matches_bruteforce(
-        n in 1usize..200,
-        dim in 1usize..12,
-        tau in 0.1f32..8.0,
-        seed in any::<u64>(),
-    ) {
+/// Ball-Tree range queries agree exactly with brute force.
+#[test]
+fn balltree_matches_bruteforce() {
+    cases("balltree_matches_bruteforce", 24, |g| {
+        let (n, dim) = (g.range(1, 200) as usize, g.range(1, 12) as usize);
+        let (tau, seed) = (g.range_f32(0.1, 8.0), g.next_u64());
         let pts = random_points(n, dim, seed);
         let tree = BallTree::from_vectors(&pts);
         let q = &pts[n / 2];
@@ -77,37 +72,37 @@ proptest! {
         let mut expect = bruteforce::range_query(&pts, q, tau);
         got.sort_unstable();
         expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
+        assert_eq!(got, expect);
+    });
+}
 
-    /// KD-Tree nearest neighbour agrees with brute force.
-    #[test]
-    fn kdtree_nearest_matches_bruteforce(
-        n in 2usize..150,
-        seed in any::<u64>(),
-    ) {
+/// KD-Tree nearest neighbour agrees with brute force.
+#[test]
+fn kdtree_nearest_matches_bruteforce() {
+    cases("kdtree_nearest_matches_bruteforce", 24, |g| {
+        let (n, seed) = (g.range(2, 150) as usize, g.next_u64());
         let pts = random_points(n, 3, seed);
         let tree = KdTree::from_vectors(&pts);
         let q = vec![5.0f32, 5.0, 5.0];
         let (_, got_d) = tree.nearest(&q).unwrap();
         let (_, want_d) = bruteforce::knn(&pts, &q, 1)[0];
-        prop_assert!((got_d - want_d).abs() < 1e-4);
-    }
+        assert!((got_d - want_d).abs() < 1e-4);
+    });
+}
 
-    /// R-Tree intersection queries agree with a linear filter.
-    #[test]
-    fn rtree_matches_linear_filter(
-        n in 1usize..150,
-        qx in 0f32..900.0,
-        qy in 0f32..900.0,
-        seed in any::<u64>(),
-    ) {
+/// R-Tree intersection queries agree with a linear filter.
+#[test]
+fn rtree_matches_linear_filter() {
+    cases("rtree_matches_linear_filter", 24, |g| {
+        let n = g.range(1, 150) as u64;
+        let (qx, qy) = (g.range_f32(0.0, 900.0), g.range_f32(0.0, 900.0));
+        let seed = g.next_u64();
         let mut s = seed | 1;
         let mut next = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
             (s >> 33) as f32 / (1u64 << 31) as f32 * 1000.0
         };
-        let rects: Vec<(Rect, u64)> = (0..n as u64)
+        let rects: Vec<(Rect, u64)> = (0..n)
             .map(|i| {
                 let x = next();
                 let y = next();
@@ -127,16 +122,19 @@ proptest! {
             .map(|(_, id)| *id)
             .collect();
         expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
+        assert_eq!(got, expect);
+    });
+}
 
-    /// Numeric key encodings preserve order for arbitrary values.
-    #[test]
-    fn key_encodings_preserve_order(a in any::<i64>(), b in any::<i64>()) {
-        prop_assert_eq!(a.cmp(&b), encode_i64(a).cmp(&encode_i64(b)));
+/// Numeric key encodings preserve order for arbitrary values.
+#[test]
+fn key_encodings_preserve_order() {
+    cases("key_encodings_preserve_order", 24, |g| {
+        let (a, b) = (g.next_u64() as i64, g.next_u64() as i64);
+        assert_eq!(a.cmp(&b), encode_i64(a).cmp(&encode_i64(b)));
         let (fa, fb) = (a as f64 / 1e6, b as f64 / 1e6);
-        prop_assert_eq!(fa.total_cmp(&fb), encode_f64(fa).cmp(&encode_f64(fb)));
-    }
+        assert_eq!(fa.total_cmp(&fb), encode_f64(fa).cmp(&encode_f64(fb)));
+    });
 }
 
 /// Deterministic point cloud shared by the index-equivalence properties.
@@ -154,17 +152,13 @@ fn random_points(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// KD-Tree range queries agree exactly with brute force in low
-    /// dimension.
-    #[test]
-    fn kdtree_range_matches_bruteforce(
-        n in 1usize..200,
-        tau in 0.1f32..8.0,
-        seed in any::<u64>(),
-    ) {
+/// KD-Tree range queries agree exactly with brute force in low
+/// dimension.
+#[test]
+fn kdtree_range_matches_bruteforce() {
+    cases("kdtree_range_matches_bruteforce", 24, |g| {
+        let n = g.range(1, 200) as usize;
+        let (tau, seed) = (g.range_f32(0.1, 8.0), g.next_u64());
         let pts = random_points(n, 3, seed);
         let tree = KdTree::from_vectors(&pts);
         let q = &pts[n / 2];
@@ -172,19 +166,19 @@ proptest! {
         let mut want = bruteforce::range_query(&pts, q, tau);
         got.sort_unstable();
         want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
+        assert_eq!(got, want);
+    });
+}
 
-    /// LSH range queries: every returned id is a true neighbour (verified
-    /// candidates), the query point always finds itself, and recall against
-    /// brute force clears a bound when the bucket width comfortably exceeds
-    /// the query radius.
-    #[test]
-    fn lsh_range_precision_exact_and_recall_bounded(
-        clusters in 1usize..6,
-        per_cluster in 2usize..12,
-        seed in any::<u64>(),
-    ) {
+/// LSH range queries: every returned id is a true neighbour (verified
+/// candidates), the query point always finds itself, and recall against
+/// brute force clears a bound when the bucket width comfortably exceeds
+/// the query radius.
+#[test]
+fn lsh_range_precision_exact_and_recall_bounded() {
+    cases("lsh_range_precision_exact_and_recall_bounded", 24, |g| {
+        let (clusters, per_cluster) = (g.range(1, 6), g.range(2, 12));
+        let seed = g.next_u64();
         // Tight clusters (spread ±1) queried at tau 3 with width 16: the
         // regime LSH is built for.
         let mut s = seed | 1;
@@ -195,15 +189,19 @@ proptest! {
         let dim = 8usize;
         let mut pts: Vec<Vec<f32>> = Vec::new();
         for c in 0..clusters {
-            let center: Vec<f32> =
-                (0..dim).map(|_| next() * 100.0 + c as f32 * 40.0).collect();
+            let center: Vec<f32> = (0..dim).map(|_| next() * 100.0 + c as f32 * 40.0).collect();
             for _ in 0..per_cluster {
                 pts.push(center.iter().map(|&v| v + next() * 2.0 - 1.0).collect());
             }
         }
         let idx = LshIndex::from_vectors(
             &pts,
-            LshParams { tables: 12, projections: 4, width: 16.0, seed: 0xD1CE },
+            LshParams {
+                tables: 12,
+                projections: 4,
+                width: 16.0,
+                seed: 0xD1CE,
+            },
         );
         let tau = 3.0f32;
         let mut found = 0usize;
@@ -213,29 +211,27 @@ proptest! {
             let truth = bruteforce::range_query(&pts, q, tau);
             // Precision is exact: candidates are distance-verified.
             for id in &got {
-                prop_assert!(truth.contains(id), "false positive {}", id);
+                assert!(truth.contains(id), "false positive {}", id);
             }
             // A point always collides with itself in every table.
-            prop_assert!(got.contains(&(qi as u32)), "query {} must find itself", qi);
+            assert!(got.contains(&(qi as u32)), "query {} must find itself", qi);
             total += truth.len();
             found += truth.iter().filter(|t| got.contains(t)).count();
         }
         let recall = found as f64 / total.max(1) as f64;
-        prop_assert!(recall >= 0.8, "recall {} below bound", recall);
-    }
+        assert!(recall >= 0.8, "recall {} below bound", recall);
+    });
+}
 
-    /// The sharded threshold join equals brute-force all-pairs for any
-    /// shape and thread count, pair for pair and in order (the morsel pool
-    /// drops no pair at shard boundaries, rounding flips none at τ).
-    #[test]
-    fn parallel_join_matches_bruteforce(
-        n in 0usize..60,
-        m in 0usize..60,
-        dim in 1usize..10,
-        threads in 1usize..9,
-        tau in 0.5f32..10.0,
-        seed in any::<u64>(),
-    ) {
+/// The sharded threshold join equals brute-force all-pairs for any
+/// shape and thread count, pair for pair and in order (the morsel pool
+/// drops no pair at shard boundaries, rounding flips none at τ).
+#[test]
+fn parallel_join_matches_bruteforce() {
+    cases("parallel_join_matches_bruteforce", 24, |g| {
+        let (n, m) = (g.below(60) as usize, g.below(60) as usize);
+        let (dim, threads) = (g.range(1, 10) as usize, g.range(1, 9) as usize);
+        let (tau, seed) = (g.range_f32(0.5, 10.0), g.next_u64());
         let a = random_points(n, dim, seed);
         let b = random_points(m, dim, seed ^ 0xFFFF);
         let ma = Matrix::from_rows(&a);
@@ -259,8 +255,8 @@ proptest! {
         }
         // Row-major, and exact: boundary pairs are decided by the
         // element-wise sum, not the norm decomposition.
-        prop_assert_eq!(got, want);
-    }
+        assert_eq!(got, want);
+    });
 }
 
 /// Build `n` deterministic feature patches with ids from `alloc` (each
@@ -278,84 +274,107 @@ fn catalog_patches(alloc: impl Fn() -> PatchId, n: usize, tag: u64) -> Vec<Patch
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+/// The sharded `SharedCatalog` behaves exactly like a reference model
+/// (an ordered map of rows and an id counter — no code shared with the
+/// engine) under an arbitrary interleaving of
+/// materialize, drop and query operations — and its behaviour is
+/// independent of the shard count (1, 2, and 4 shards all converge to
+/// the same end state).
+#[test]
+fn shared_catalog_matches_reference_model_across_shard_counts() {
+    cases(
+        "shared_catalog_matches_reference_model_across_shard_counts",
+        24,
+        |g| {
+            let ops: Vec<(u8, usize, usize)> = (0..g.range(1, 40))
+                .map(|_| {
+                    (
+                        g.below(4) as u8,
+                        g.below(5) as usize,
+                        g.range(1, 12) as usize,
+                    )
+                })
+                .collect();
+            let names = ["alpha", "beta", "gamma", "delta", "epsilon"];
+            let mut model: BTreeMap<String, Vec<Patch>> = BTreeMap::new();
+            let next_id = std::cell::Cell::new(0u64);
+            let shared: Vec<SharedCatalog> = [1usize, 2, 4]
+                .iter()
+                .map(|&s| SharedCatalog::with_shards(s))
+                .collect();
 
-    /// The sharded `SharedCatalog` behaves exactly like a reference model
-    /// (an ordered map of rows and an id counter — no code shared with the
-    /// engine) under an arbitrary interleaving of
-    /// materialize, drop and query operations — and its behaviour is
-    /// independent of the shard count (1, 2, and 4 shards all converge to
-    /// the same end state).
-    #[test]
-    fn shared_catalog_matches_reference_model_across_shard_counts(
-        ops in prop::collection::vec((0u8..4, 0usize..5, 1usize..12), 1..40),
-    ) {
-        let names = ["alpha", "beta", "gamma", "delta", "epsilon"];
-        let mut model: BTreeMap<String, Vec<Patch>> = BTreeMap::new();
-        let next_id = std::cell::Cell::new(0u64);
-        let shared: Vec<SharedCatalog> =
-            [1usize, 2, 4].iter().map(|&s| SharedCatalog::with_shards(s)).collect();
-
-        for (op, name_i, size) in &ops {
-            let name = names[*name_i];
-            match op {
-                0 | 3 => {
-                    // Materialize (twice as likely as the others): identical
-                    // patches built against each catalog's own allocator.
-                    let tag = (*name_i * 1000 + *size) as u64;
-                    let model_patches =
-                        catalog_patches(|| PatchId(next_id.replace(next_id.get() + 1)), *size, tag);
-                    let replaced_ref = model.insert(name.to_string(), model_patches).is_some();
-                    for sc in &shared {
-                        let replaced = sc
-                            .materialize(name, catalog_patches(|| sc.next_patch_id(), *size, tag))
-                            .is_some();
-                        prop_assert_eq!(replaced, replaced_ref, "clobber visibility diverged");
+            for (op, name_i, size) in &ops {
+                let name = names[*name_i];
+                match op {
+                    0 | 3 => {
+                        // Materialize (twice as likely as the others): identical
+                        // patches built against each catalog's own allocator.
+                        let tag = (*name_i * 1000 + *size) as u64;
+                        let model_patches = catalog_patches(
+                            || PatchId(next_id.replace(next_id.get() + 1)),
+                            *size,
+                            tag,
+                        );
+                        let replaced_ref = model.insert(name.to_string(), model_patches).is_some();
+                        for sc in &shared {
+                            let replaced = sc
+                                .materialize(
+                                    name,
+                                    catalog_patches(|| sc.next_patch_id(), *size, tag),
+                                )
+                                .is_some();
+                            assert_eq!(replaced, replaced_ref, "clobber visibility diverged");
+                        }
                     }
-                }
-                1 => {
-                    let dropped_ref = model.remove(name).is_some();
-                    for sc in &shared {
-                        prop_assert_eq!(sc.drop_collection(name).is_some(), dropped_ref);
+                    1 => {
+                        let dropped_ref = model.remove(name).is_some();
+                        for sc in &shared {
+                            assert_eq!(sc.drop_collection(name).is_some(), dropped_ref);
+                        }
                     }
-                }
-                _ => {
-                    let want = model.get(name).cloned();
-                    for sc in &shared {
-                        let got = sc.snapshot(name).ok().map(|c| c.patches.clone());
-                        prop_assert_eq!(&got, &want, "query diverged on '{}'", name);
+                    _ => {
+                        let want = model.get(name).cloned();
+                        for sc in &shared {
+                            let got = sc.snapshot(name).ok().map(|c| c.patches.clone());
+                            assert_eq!(&got, &want, "query diverged on '{}'", name);
+                        }
                     }
                 }
             }
-        }
 
-        // Equivalent end states across every shard count.
-        let want_names: Vec<String> = model.keys().cloned().collect();
-        for sc in &shared {
-            prop_assert_eq!(sc.names(), want_names.clone(), "{} shards", sc.shard_count());
-            for (name, rows) in &model {
-                prop_assert_eq!(&*sc.snapshot(name).unwrap().patches, rows);
+            // Equivalent end states across every shard count.
+            let want_names: Vec<String> = model.keys().cloned().collect();
+            for sc in &shared {
+                assert_eq!(
+                    sc.names(),
+                    want_names.clone(),
+                    "{} shards",
+                    sc.shard_count()
+                );
+                for (name, rows) in &model {
+                    assert_eq!(&*sc.snapshot(name).unwrap().patches, rows);
+                }
+                assert_eq!(
+                    sc.next_patch_id(),
+                    PatchId(next_id.get()),
+                    "id allocators agree"
+                );
             }
-            prop_assert_eq!(sc.next_patch_id(), PatchId(next_id.get()), "id allocators agree");
-        }
-    }
+        },
+    );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// The on-disk B+Tree behaves exactly like a BTreeMap model under an
-    /// arbitrary interleaving of inserts, deletes and lookups, including
-    /// range scans.
-    #[test]
-    fn btree_matches_model(
-        ops in prop::collection::vec(
-            (0u8..3, prop::collection::vec(any::<u8>(), 1..24),
-             prop::collection::vec(any::<u8>(), 0..600)),
-            1..150,
-        )
-    ) {
+/// The on-disk B+Tree behaves exactly like a BTreeMap model under an
+/// arbitrary interleaving of inserts, deletes and lookups, including
+/// range scans.
+#[test]
+fn btree_matches_model() {
+    cases("btree_matches_model", 12, |g| {
+        let mut bytes =
+            |lo, hi| -> Vec<u8> { (0..g.range(lo, hi)).map(|_| g.next_u64() as u8).collect() };
+        let ops: Vec<(u8, Vec<u8>, Vec<u8>)> = (0..bytes(1, 150).len())
+            .map(|_| (bytes(0, 3).len() as u8, bytes(1, 24), bytes(0, 600)))
+            .collect();
         let path = unique_tmp("model");
         let mut tree = BTree::create(&path).unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -368,33 +387,36 @@ proptest! {
                 1 => {
                     let got = tree.delete(key).unwrap();
                     let want = model.remove(key).is_some();
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
                 _ => {
                     let got = tree.get(key).unwrap();
                     let want = model.get(key).cloned();
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                 }
             }
         }
-        prop_assert_eq!(tree.len() as usize, model.len());
+        assert_eq!(tree.len() as usize, model.len());
         // Full ordered scan equals the model.
         let scan: Vec<(Vec<u8>, Vec<u8>)> =
             tree.scan_all().unwrap().collect::<Result<_, _>>().unwrap();
         let want: Vec<(Vec<u8>, Vec<u8>)> =
             model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        prop_assert_eq!(scan, want);
+        assert_eq!(scan, want);
         // A bounded range scan equals the model's range.
         if let (Some(first), Some(last)) = (model.keys().next(), model.keys().last()) {
             let got: Vec<_> = tree
-                .scan(Bound::Included(first.as_slice()), Bound::Included(last.as_slice()))
+                .scan(
+                    Bound::Included(first.as_slice()),
+                    Bound::Included(last.as_slice()),
+                )
                 .unwrap()
                 .collect::<Result<Vec<_>, _>>()
                 .unwrap();
-            prop_assert_eq!(got.len(), model.len());
+            assert_eq!(got.len(), model.len());
         }
         std::fs::remove_file(path).ok();
-    }
+    });
 }
 
 /// Keys whose byte order differs from their length order, plus the empty
@@ -413,36 +435,40 @@ fn meta_value(kind: u8, n: i64) -> Value {
 
 /// `map` against its model: lookups of every key, sorted iteration, size,
 /// and the map-shaped `Debug` output.
-fn assert_meta_matches(
-    map: &MetaMap,
-    model: &BTreeMap<String, Value>,
-) -> Result<(), proptest::test_runner::TestCaseError> {
+fn assert_meta_matches(map: &MetaMap, model: &BTreeMap<String, Value>) {
     for key in META_KEYS {
-        prop_assert_eq!(map.get(key), model.get(key), "get {:?}", key);
+        assert_eq!(map.get(key), model.get(key), "get {:?}", key);
     }
     let entries: Vec<(&str, &Value)> = map.iter().map(|(k, v)| (&**k, v)).collect();
     let want: Vec<(&str, &Value)> = model.iter().map(|(k, v)| (k.as_str(), v)).collect();
-    prop_assert_eq!(entries, want);
+    assert_eq!(entries, want);
     let keys: Vec<&str> = map.keys().map(|k| &**k).collect();
-    prop_assert_eq!(keys, model.keys().map(String::as_str).collect::<Vec<_>>());
-    prop_assert_eq!(map.len(), model.len());
-    prop_assert_eq!(map.is_empty(), model.is_empty());
-    prop_assert_eq!(format!("{map:?}"), format!("{model:?}"));
-    Ok(())
+    assert_eq!(keys, model.keys().map(String::as_str).collect::<Vec<_>>());
+    assert_eq!(map.len(), model.len());
+    assert_eq!(map.is_empty(), model.is_empty());
+    assert_eq!(format!("{map:?}"), format!("{model:?}"));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// A patch's sorted metadata map behaves like a `BTreeMap` model under
-    /// any sequence of inserts (overwrites included), lookups and in-place
-    /// value edits; and two maps are equal exactly when their models are,
-    /// whatever order their entries were inserted in.
-    #[test]
-    fn meta_map_matches_btreemap_model(
-        a in prop::collection::vec((0u8..4, 0usize..8, 0u8..4, -20i64..20), 0..40),
-        b in prop::collection::vec((0u8..4, 0usize..8, 0u8..4, -20i64..20), 0..40),
-    ) {
+/// A patch's sorted metadata map behaves like a `BTreeMap` model under
+/// any sequence of inserts (overwrites included), lookups and in-place
+/// value edits; and two maps are equal exactly when their models are,
+/// whatever order their entries were inserted in.
+#[test]
+fn meta_map_matches_btreemap_model() {
+    cases("meta_map_matches_btreemap_model", 64, |g| {
+        let mut ops = || -> Vec<(u8, usize, u8, i64)> {
+            (0..g.below(40))
+                .map(|_| {
+                    (
+                        g.below(4) as u8,
+                        g.below(8) as usize,
+                        g.below(4) as u8,
+                        g.range(-20, 20),
+                    )
+                })
+                .collect()
+        };
+        let (a, b) = (ops(), ops());
         let mut maps = [MetaMap::default(), MetaMap::default()];
         let mut models = [BTreeMap::new(), BTreeMap::new()];
         for (side, ops) in [&a, &b].into_iter().enumerate() {
@@ -451,11 +477,11 @@ proptest! {
                 let key = META_KEYS[key];
                 match op {
                     // Insert through each accepted key type.
-                    0 => prop_assert_eq!(
+                    0 => assert_eq!(
                         map.insert(key, meta_value(kind, n)),
                         model.insert(key.to_string(), meta_value(kind, n))
                     ),
-                    1 => prop_assert_eq!(
+                    1 => assert_eq!(
                         map.insert(key.to_string(), meta_value(kind, n)),
                         model.insert(key.to_string(), meta_value(kind, n))
                     ),
@@ -471,19 +497,19 @@ proptest! {
                             }
                         }
                     }
-                    _ => prop_assert_eq!(map.get(key), model.get(key)),
+                    _ => assert_eq!(map.get(key), model.get(key)),
                 }
-                assert_meta_matches(map, model)?;
+                assert_meta_matches(map, model);
             }
         }
         let [map_a, map_b] = &maps;
-        prop_assert_eq!(map_a == map_b, models[0] == models[1]);
+        assert_eq!(map_a == map_b, models[0] == models[1]);
         // The same entries inserted in reverse order build an equal map.
         let mut reversed = MetaMap::default();
         for (k, v) in models[0].iter().rev() {
             reversed.insert(k.as_str(), v.clone());
         }
-        prop_assert_eq!(&reversed, map_a);
-        prop_assert_eq!(reversed.clone(), map_a.clone());
-    }
+        assert_eq!(&reversed, map_a);
+        assert_eq!(reversed.clone(), map_a.clone());
+    });
 }
