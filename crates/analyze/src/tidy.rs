@@ -39,6 +39,12 @@
 //!    catalog and every test in the process, so counts belong to the
 //!    catalog that did the work. The two left are named in
 //!    [`GLOBAL_COUNTER_ALLOWLIST`].
+//! 8. **no-unsafe** — no `unsafe` block, function, impl or trait in non-test
+//!    code of the engine crates. Every kernel's speed comes from code the
+//!    compiler can vectorize as written (safe selects and bit casts, not
+//!    unchecked conversions or indexing), so a memory-safety bug cannot
+//!    hide in the engine. The counting allocators of the integration tests
+//!    under `tests/` are outside the crates this rule scans.
 //!
 //! The scanner is deliberately line-based, not a Rust parser: it strips
 //! `//` comments (with a string-literal heuristic so `"https://..."`
@@ -134,6 +140,7 @@ const STD_SYNC_PATH: &str = concat!("std::", "sync");
 const MUTEX_TYPE: &str = concat!("Mu", "tex");
 const RWLOCK_TYPE: &str = concat!("Rw", "Lock");
 const CONDVAR_TYPE: &str = concat!("Cond", "var");
+const UNSAFE_KEYWORD: &str = concat!("un", "safe");
 
 /// One preprocessed source line.
 struct Line<'a> {
@@ -202,6 +209,21 @@ fn has_word(haystack: &str, needle: &str) -> bool {
     false
 }
 
+/// True when `word` occurs in `haystack` as a whole word: neither preceded
+/// nor followed by an identifier character, so a keyword does not match
+/// inside a longer identifier.
+fn has_keyword(haystack: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    haystack.match_indices(word).any(|(at, _)| {
+        let before = haystack[..at].chars().next_back().is_some_and(ident);
+        let after = haystack[at + word.len()..]
+            .chars()
+            .next()
+            .is_some_and(ident);
+        !before && !after
+    })
+}
+
 /// Preprocess a file into lines: strip comments, mark the trailing test
 /// section.
 fn preprocess(text: &str) -> Vec<Line<'_>> {
@@ -222,7 +244,7 @@ fn preprocess(text: &str) -> Vec<Line<'_>> {
         .collect()
 }
 
-/// Run the per-file rules (1–4) against one source file.
+/// Run the per-file rules (all but rule 6) against one source file.
 ///
 /// `rel_path` is the workspace-relative, `/`-separated path; it decides rule
 /// applicability (whitelists, the serve-only panic rule).
@@ -235,6 +257,7 @@ pub fn check_source(rel_path: &str, text: &str) -> Vec<Violation> {
     check_allow_justifications(rel_path, &lines, &mut out);
     check_module_docs(rel_path, text, &mut out);
     check_global_counters(rel_path, &lines, &mut out);
+    check_unsafe(rel_path, &lines, &mut out);
     out
 }
 
@@ -435,6 +458,28 @@ fn check_global_counters(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<Viola
     }
 }
 
+/// Rule 8: `unsafe` in non-test engine-crate code.
+fn check_unsafe(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<Violation>) {
+    if !is_engine_source(rel_path) {
+        return;
+    }
+    for line in lines {
+        if line.in_test || !has_keyword(&line.code, UNSAFE_KEYWORD) {
+            continue;
+        }
+        out.push(Violation {
+            file: rel_path.to_string(),
+            line: line.number,
+            rule: concat!("no-", "un", "safe"),
+            msg: format!(
+                "`{UNSAFE_KEYWORD}` in engine code; write the kernel so the compiler \
+                 vectorizes it safely (selects, bit casts, chunked slices): `{}`",
+                line.raw.trim()
+            ),
+        });
+    }
+}
+
 /// Engine crates (under `crates/`) whose `pub` items rule 6 covers.
 const ENGINE_CRATES: &[&str] = &[
     "analyze", "codec", "core", "exec", "index", "serve", "storage",
@@ -468,7 +513,8 @@ fn pub_item_name(code: &str) -> Option<&str> {
         .strip_prefix("pub ")?
         .split_whitespace()
         .collect();
-    let qualifier = |w: &str| matches!(w, "const" | "unsafe" | "async" | "extern" | "\"C\"");
+    let qualifier =
+        |w: &str| w == UNSAFE_KEYWORD || matches!(w, "const" | "async" | "extern" | "\"C\"");
     let mut i = 0;
     while i + 1 < words.len()
         && qualifier(words[i])
@@ -987,6 +1033,38 @@ mod tests {
         assert!(rules_hit("crates/bench/src/report.rs", &decl("HITS")).is_empty());
         let plain = "static NAMES: &[&str] = &[\"a\"];\nconst GREETING: &'static str = \"hi\";\n";
         assert!(rules_hit("crates/core/src/etl.rs", plain).is_empty());
+    }
+
+    #[test]
+    fn no_unsafe_flags_blocks_functions_and_impls_in_engine_code() {
+        for src in [
+            format!("fn f(v: f32) -> u8 {{ {UNSAFE_KEYWORD} {{ v.to_int_unchecked() }} }}\n"),
+            format!("pub {UNSAFE_KEYWORD} fn raw(p: *const u8) -> u8 {{ *p }}\n"),
+            format!("{UNSAFE_KEYWORD} impl Send for Frame {{}}\n"),
+            format!("let b = {UNSAFE_KEYWORD}{{ *data.get_unchecked(i) }};\n"),
+        ] {
+            for rel in ["crates/codec/src/image.rs", "crates/core/src/etl.rs"] {
+                assert_eq!(rules_hit(rel, &src), ["no-unsafe"], "{rel}: {src}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_unsafe_spares_tests_comments_identifiers_and_other_crates() {
+        let block = format!("fn f() {{ {UNSAFE_KEYWORD} {{ g() }} }}\n");
+        let test_only = format!("{CFG_TEST}\n{block}");
+        assert!(rules_hit("crates/codec/src/image.rs", &test_only).is_empty());
+        // Binaries and the non-engine crates are out of scope.
+        assert!(rules_hit("crates/serve/src/bin/serve.rs", &block).is_empty());
+        assert!(rules_hit("crates/bench/src/report.rs", &block).is_empty());
+        assert!(rules_hit("crates/vision/src/rng.rs", &block).is_empty());
+        // The word inside a longer identifier, or in a comment, is no
+        // `unsafe` code.
+        let words = format!(
+            "#![forbid({UNSAFE_KEYWORD}_code)]\nfn is_{UNSAFE_KEYWORD}() {{}}\n\
+             // no {UNSAFE_KEYWORD} here\n/// Never {UNSAFE_KEYWORD}.\nfn g() {{}}\n"
+        );
+        assert!(rules_hit("crates/codec/src/image.rs", &words).is_empty());
     }
 
     #[test]

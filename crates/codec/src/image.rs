@@ -193,7 +193,9 @@ impl Image {
     /// `0.714136·cr`, `1.772·cb`) are formed once for the four pixels that
     /// share it; each pixel then computes `r = y + 1.402·cr`,
     /// `g = (y − 0.344136·cb) − 0.714136·cr` and `b = y + 1.772·cb` with
-    /// exactly the operations of a per-pixel conversion.
+    /// exactly the operations of a per-pixel conversion. A row is converted
+    /// into an interleaved `f32` buffer first and rounded to bytes in a
+    /// second, branch-free pass ([`clamp_u8`]) that the compiler vectorizes.
     pub(crate) fn from_ycbcr420(y: &Plane, cb: &Plane, cr: &Plane) -> Image {
         let (w, h) = (y.width as usize, y.height as usize);
         let cw = w.div_ceil(2);
@@ -203,6 +205,8 @@ impl Image {
         let mut data = vec![0u8; w * h * 3];
         // Per chroma column of the current chroma row: the four products.
         let mut products = vec![[0f32; 4]; cw];
+        // The current row's r, g, b before rounding.
+        let mut unrounded = vec![0f32; 3 * w];
         // `max(1)`: a zero-width image has no rows to convert.
         let rows = y
             .data
@@ -217,13 +221,24 @@ impl Image {
                     *p = [1.402 * cr, 0.344_136 * cb, 0.714_136 * cr, 1.772 * cb];
                 }
             }
-            let pairs = rgb_row.chunks_mut(6).zip(y_row.chunks(2));
+            let pairs = unrounded.chunks_exact_mut(6).zip(y_row.chunks_exact(2));
             for ((rgb2, y2), p) in pairs.zip(&products) {
-                for (rgb, &y) in rgb2.chunks_exact_mut(3).zip(y2) {
-                    rgb[0] = clamp_u8(y + p[0]);
-                    rgb[1] = clamp_u8(y - p[1] - p[2]);
-                    rgb[2] = clamp_u8(y + p[3]);
-                }
+                rgb2.copy_from_slice(&[
+                    y2[0] + p[0],
+                    y2[0] - p[1] - p[2],
+                    y2[0] + p[3],
+                    y2[1] + p[0],
+                    y2[1] - p[1] - p[2],
+                    y2[1] + p[3],
+                ]);
+            }
+            // An odd width leaves one pixel on the last chroma column.
+            if w % 2 == 1 {
+                let (y, p) = (y_row[w - 1], products[cw - 1]);
+                unrounded[3 * w - 3..].copy_from_slice(&[y + p[0], y - p[1] - p[2], y + p[3]]);
+            }
+            for (byte, &v) in rgb_row.iter_mut().zip(&unrounded) {
+                *byte = clamp_u8(v);
             }
         }
         Image {
@@ -234,32 +249,42 @@ impl Image {
     }
 
     /// Mean color of the whole image, as f32 RGB.
+    ///
+    /// Each channel is summed in `u64` and converted once. That is the
+    /// `f64` running sum exactly: every partial sum of bytes is an integer
+    /// below 2⁵³, which an `f64` holds without rounding.
     pub fn mean_color(&self) -> [f32; 3] {
-        let mut acc = [0f64; 3];
+        let mut acc = [0u64; 3];
         for px in self.data.chunks_exact(3) {
-            acc[0] += px[0] as f64;
-            acc[1] += px[1] as f64;
-            acc[2] += px[2] as f64;
+            acc[0] += u64::from(px[0]);
+            acc[1] += u64::from(px[1]);
+            acc[2] += u64::from(px[2]);
         }
         let n = (self.width * self.height).max(1) as f64;
-        [
-            (acc[0] / n) as f32,
-            (acc[1] / n) as f32,
-            (acc[2] / n) as f32,
-        ]
+        acc.map(|sum| (sum as f64 / n) as f32)
     }
 }
 
+/// 2²³: adding it to an `f32` in `[0, 2²³)` rounds the sum to an integer,
+/// ties to even, and leaves that integer in the low mantissa bits.
+const ROUNDING_BIAS: f32 = 8_388_608.0;
+
 /// Round half away from zero into `0..=255`, equal to
-/// `v.round().clamp(0.0, 255.0) as u8` for every `f32` (NaN → 0, ±∞ → 255 / 0)
-/// without the `roundf` call the baseline x86-64 target makes for `round`.
-/// After the clamp `v ∈ [0, 255]` (or NaN), `v - trunc(v)` is exact, and
-/// rounding up from 254.5 or above lands on 255 at most.
+/// `v.round().clamp(0.0, 255.0) as u8` for every `f32` (NaN → 0, ±∞ → 255 / 0),
+/// with no branch and no `roundf` call, so a loop of it vectorizes on the
+/// baseline x86-64 target.
+///
+/// After the two selects `v ∈ [-0, 255]`. `v + 2²³` rounds to the nearest
+/// integer `r` with ties to even, and its low byte is `r`; `v − r` is exact
+/// (Sterbenz), so it equals `0.5` exactly on the ties that went down to an
+/// even `r ≤ 254`, which round half away from zero takes up by one.
 #[inline]
 fn clamp_u8(v: f32) -> u8 {
-    let v = v.clamp(0.0, 255.0);
-    let t = v as u8;
-    t + u8::from(v - f32::from(t) >= 0.5)
+    let v = if v >= 0.0 { v } else { 0.0 };
+    let v = if v <= 255.0 { v } else { 255.0 };
+    let biased = v + ROUNDING_BIAS;
+    let r = biased - ROUNDING_BIAS;
+    (biased.to_bits() as u8) + u8::from(v - r == 0.5)
 }
 
 /// Largest `width × height` (4096 × 4096) a decoder accepts from a stream
@@ -384,6 +409,23 @@ pub(crate) mod reference {
         }
     }
 
+    /// The per-pixel `f64` running sums [`Image::mean_color`] must equal
+    /// bit for bit.
+    pub(crate) fn mean_color(img: &Image) -> [f32; 3] {
+        let mut acc = [0f64; 3];
+        for px in img.data.chunks_exact(3) {
+            acc[0] += px[0] as f64;
+            acc[1] += px[1] as f64;
+            acc[2] += px[2] as f64;
+        }
+        let n = (img.width * img.height).max(1) as f64;
+        [
+            (acc[0] / n) as f32,
+            (acc[1] / n) as f32,
+            (acc[2] / n) as f32,
+        ]
+    }
+
     /// Reference for a decoded frame: upsample the chroma, then convert.
     pub(crate) fn from_ycbcr420(y: &Plane, cb: &Plane, cr: &Plane) -> Image {
         let (w, h) = (y.width, y.height);
@@ -417,10 +459,14 @@ mod tests {
             f32::MIN_POSITIVE,
             -f32::MIN_POSITIVE,
         ];
-        // Every half step across the range and beyond it, then random bit
-        // patterns (NaN payloads, subnormals, huge magnitudes) and random
-        // values near the byte range.
-        let halves = (-1024..1024).map(|k| k as f32 / 2.0);
+        // Every half step across the range and beyond it with its two
+        // neighbouring floats (the ties and near-ties the rounding must
+        // tell apart), then random bit patterns (NaN payloads, subnormals,
+        // huge magnitudes) and random values near the byte range.
+        let halves = (-1024..1024).flat_map(|k| {
+            let half = k as f32 / 2.0;
+            [half.next_down(), half, half.next_up()]
+        });
         let bits: Vec<f32> = (0..200_000)
             .map(|_| f32::from_bits(rng.next_u64() as u32))
             .collect();
@@ -539,6 +585,22 @@ mod tests {
         let p = Plane::new(5, 7);
         let d = p.downsample2();
         assert_eq!((d.width, d.height), (3, 4));
+    }
+
+    #[test]
+    fn mean_color_equals_the_f64_running_sums() {
+        let mut rng = Rng::new(0x3EA7);
+        for _ in 0..500 {
+            let (w, h) = (rng.below(70) as u32, rng.below(70) as u32);
+            let data = (0..w * h * 3).map(|_| rng.below(256) as u8).collect();
+            let img = Image::from_rgb(w, h, data).unwrap();
+            let (fast, slow) = (img.mean_color(), reference::mean_color(&img));
+            assert_eq!(fast.map(f32::to_bits), slow.map(f32::to_bits), "{w}x{h}");
+        }
+        // The largest sums: every byte 255, over a 1024 × 1024 image.
+        let white = Image::solid(1024, 1024, [255; 3]);
+        assert_eq!(white.mean_color(), reference::mean_color(&white));
+        assert_eq!(white.mean_color(), [255.0; 3]);
     }
 
     #[test]

@@ -56,6 +56,10 @@ pub(crate) fn encode_plane(
 }
 
 /// Decode a plane written by [`encode_plane`].
+///
+/// A block whose levels are all zero dequantizes to `+0.0` coefficients,
+/// and the inverse DCT of those is `+0.0` in every sample, so such a block
+/// writes `0.0 + shift` without running either.
 pub(crate) fn decode_plane(
     width: u32,
     height: u32,
@@ -70,11 +74,16 @@ pub(crate) fn decode_plane(
     for y0 in (0..h).step_by(BLOCK) {
         for x0 in (0..w).step_by(BLOCK) {
             let levels = dec.decode(r)?;
-            let coef = dequantize(&levels, table);
-            dct::inverse(&coef, &mut pixels);
             // Edge blocks are clipped at the right and bottom borders.
             let cols = BLOCK.min(w - x0);
             let rows = plane.data[y0 * w..].chunks_mut(w).take(BLOCK);
+            if levels.iter().all(|&l| l == 0) {
+                for dst in rows {
+                    dst[x0..x0 + cols].fill(0.0 + shift);
+                }
+                continue;
+            }
+            dct::inverse(&dequantize(&levels, table), &mut pixels);
             for (dst, src) in rows.zip(pixels.chunks_exact(BLOCK)) {
                 for (d, &p) in dst[x0..x0 + cols].iter_mut().zip(src) {
                     *d = p + shift;
@@ -207,6 +216,49 @@ mod tests {
             }
         }
         img
+    }
+
+    /// Planes of all-zero, DC-only and dense blocks in random order, edge
+    /// blocks included: the zero-block path writes the bits the reference
+    /// decode's dequantize and inverse DCT produce, at both shifts.
+    #[test]
+    fn decode_plane_matches_the_reference_on_zero_dc_only_and_dense_blocks() {
+        let mut rng = crate::test_rng::Rng::new(0x2E50);
+        let tables = QuantTables::for_quality(Quality::High);
+        for _ in 0..400 {
+            let (w, h) = (1 + rng.below(40) as u32, 1 + rng.below(40) as u32);
+            let mut enc = BlockEncoder::new();
+            let mut bits = BitWriter::new();
+            for _ in 0..w.div_ceil(8) * h.div_ceil(8) {
+                let mut levels = [0i32; BLOCK * BLOCK];
+                match rng.below(3) {
+                    0 => {}
+                    1 => levels[0] = rng.below(41) as i32 - 20,
+                    _ => {
+                        for l in &mut levels {
+                            if rng.below(3) == 0 {
+                                *l = rng.below(61) as i32 - 30;
+                            }
+                        }
+                    }
+                }
+                enc.encode(&levels, &mut bits);
+            }
+            let bytes = bits.finish();
+            for (table, shift) in [(&tables.luma, 128.0), (&tables.chroma, 0.0)] {
+                let decode = |reference: bool| {
+                    let r = &mut BitReader::new(&bytes);
+                    let plane = if reference {
+                        super::reference::decode_plane(w, h, table, shift, r)
+                    } else {
+                        decode_plane(w, h, table, shift, r)
+                    };
+                    let plane = plane.unwrap();
+                    plane.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(decode(false), decode(true), "{w}x{h} shift {shift}");
+            }
+        }
     }
 
     #[test]

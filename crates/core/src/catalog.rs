@@ -283,6 +283,14 @@ impl PatchCollection {
     /// it into a rebuild when the cost model says the delta stopped being
     /// cheap, counting which into `carried`. `prior_rows` are the rows the
     /// prior index described.
+    ///
+    /// One comparison pass ([`PatchCollection::changed_rows`]) finds the
+    /// changed and appended rows. Every one of them becomes a delta row of
+    /// the maintained index, so their count is a lower bound on its
+    /// `delta_rows()`; the incremental cost grows with the delta, so when
+    /// the count alone already reaches the rebuild cost the index is rebuilt
+    /// without building the delta first. The decision, the counts and the
+    /// tree are those of pricing the built delta.
     fn carry_ball_index(
         &mut self,
         index_name: &str,
@@ -292,57 +300,68 @@ impl PatchCollection {
         threads: usize,
         carried: &mut Carried,
     ) {
-        let Some(maintained) = self.maintained_ball(prior_index, prior_rows) else {
+        let mut index = prior_index.clone();
+        if self.patches.len() < prior_rows.len() {
+            index.truncate(self.patches.len());
+        }
+        let Some((changed, dim)) = self.changed_rows(index.dim(), prior_rows) else {
             // New rows without features (or with a different dimensionality)
             // cannot be indexed — a fresh build over them would fail the
             // same way, so the index is dropped, as every re-materialize
             // did before maintenance existed.
             return;
         };
-        let dim = maintained.dim().unwrap_or(1);
-        let merge = model.incremental_index_cost(self.len(), maintained.delta_rows(), dim)
-            >= model.rebuild_cost(self.len(), dim);
-        if merge && self.build_ball_index(index_name, threads).is_ok() {
+        let (n, dim) = (self.len(), dim.unwrap_or(1));
+        let merge = |delta_rows| {
+            model.incremental_index_cost(n, delta_rows, dim) >= model.rebuild_cost(n, dim)
+        };
+        if !merge(changed.len()) {
+            for &pos in &changed {
+                let features = self.patches[pos as usize].data.features();
+                let upserted = features.is_some_and(|f| index.upsert(pos, f.to_vec()));
+                debug_assert!(upserted, "changed_rows checked row {pos}");
+            }
+            if !merge(index.delta_rows()) {
+                self.indexes
+                    .insert(index_name.to_string(), SecondaryIndex::Ball { index });
+                carried.maintained += 1;
+                return;
+            }
+        }
+        if self.build_ball_index(index_name, threads).is_ok() {
             carried.merged += 1;
-        } else if !merge {
-            self.indexes.insert(
-                index_name.to_string(),
-                SecondaryIndex::Ball { index: maintained },
-            );
-            carried.maintained += 1;
         }
     }
 
-    /// The delta-maintained form of `prior_index` updated to this
-    /// collection's rows: bitwise-unchanged rows stay on the base tree,
-    /// changed/appended rows become tombstones + delta entries, truncation
-    /// tombstones the tail. `None` when maintenance is impossible (a row
-    /// lost its features or changed dimensionality, or a position does not
-    /// fit a `u32` row id).
-    fn maintained_ball(
+    /// The positions whose rows a Ball index over `prior_rows` must take
+    /// into its delta to describe this collection's rows — changed rows in
+    /// order, then appended ones — and the dimension of the maintained
+    /// index. `dim` is the index's dimension before any upsert (`None` for
+    /// one that covers no rows yet; the first upserted row then sets it).
+    /// `None` when maintenance is impossible: a changed or appended row has
+    /// no features or another dimension, or a position does not fit a `u32`
+    /// row id.
+    fn changed_rows(
         &self,
-        prior_index: &DeltaBallTree,
+        mut dim: Option<usize>,
         prior_rows: &[Patch],
-    ) -> Option<DeltaBallTree> {
-        let mut index = prior_index.clone();
-        if self.patches.len() < prior_rows.len() {
-            index.truncate(self.patches.len());
-        }
-        for (pos, (new, old)) in self.patches.iter().zip(prior_rows).enumerate() {
+    ) -> Option<(Vec<u32>, Option<usize>)> {
+        let mut changed = Vec::new();
+        for (pos, new) in self.patches.iter().enumerate() {
             let features = new.data.features();
-            if features == old.data.features() {
+            if prior_rows
+                .get(pos)
+                .is_some_and(|old| features == old.data.features())
+            {
                 continue;
             }
-            if !index.upsert(row_id(pos).ok()?, features?.to_vec()) {
+            let len = features?.len();
+            if *dim.get_or_insert(len) != len {
                 return None;
             }
+            changed.push(row_id(pos).ok()?);
         }
-        for (pos, p) in self.patches.iter().enumerate().skip(prior_rows.len()) {
-            if !index.upsert(row_id(pos).ok()?, p.data.features()?.to_vec()) {
-                return None;
-            }
-        }
-        Some(index)
+        Some((changed, dim))
     }
 
     /// The Ball index a join over this collection probes instead of
@@ -498,8 +517,10 @@ impl PatchIdRange {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::Range;
+
     use super::*;
-    use crate::patch::ImgRef;
+    use crate::patch::{ImgRef, PatchData};
 
     fn make_collection() -> PatchCollection {
         PatchCollection::from_patches(make_rows())
@@ -632,6 +653,196 @@ mod tests {
         assert!(is(&col, "z_fresh"), "fewer delta rows beat the name order");
         col.build_ball_index("c_fresh", 1).unwrap();
         assert!(is(&col, "c_fresh"), "ties break by name");
+    }
+
+    /// `n` rows of `dim` features each; `version` picks their values, so
+    /// two versions differ in every row.
+    fn feature_rows(n: usize, dim: usize, version: u32) -> Vec<Patch> {
+        (0..n)
+            .map(|i| {
+                let f = (0..dim)
+                    .map(|j| ((i * 7 + j * 3 + version as usize * 11) % 31) as f32 * 0.25)
+                    .collect();
+                Patch::features(PatchId(i as u64), ImgRef::frame("cam", i as u64), f)
+            })
+            .collect()
+    }
+
+    /// `rows` with the rows at `positions` replaced by `version`'s values.
+    fn changed(mut rows: Vec<Patch>, positions: Range<usize>, version: u32) -> Vec<Patch> {
+        let dim = rows[0].data.features().unwrap().len();
+        let fresh = feature_rows(rows.len(), dim, version);
+        rows[positions.clone()].clone_from_slice(&fresh[positions]);
+        rows
+    }
+
+    /// Materialize `rows` over `prior`, carrying its Ball index `feat`:
+    /// the new collection, what the carry did, and the carried index's
+    /// delta rows (`None` when it dropped the index).
+    fn carry(
+        prior: &PatchCollection,
+        rows: Vec<Patch>,
+    ) -> (PatchCollection, Carried, Option<usize>) {
+        let mut col = PatchCollection::from_patches(rows);
+        let carried = col.carry_from(prior, &CostModel::default(), 1);
+        let delta_rows = match col.indexes.get("feat") {
+            Some(SecondaryIndex::Ball { index }) => Some(index.delta_rows()),
+            _ => None,
+        };
+        (col, carried, delta_rows)
+    }
+
+    fn indexed(rows: Vec<Patch>) -> PatchCollection {
+        let mut col = PatchCollection::from_patches(rows);
+        col.build_ball_index("feat", 1).unwrap();
+        col
+    }
+
+    const MAINTAINED: Carried = Carried {
+        maintained: 1,
+        merged: 0,
+    };
+    const MERGED: Carried = Carried {
+        maintained: 0,
+        merged: 1,
+    };
+
+    /// The smallest `k` whose write `write(k)` the carry merges; below it
+    /// every write is maintained with `delta_rows(k)` delta rows, and at or
+    /// above it every write merges into a fresh tree.
+    fn first_merge(
+        prior: &PatchCollection,
+        ks: Range<usize>,
+        write: impl Fn(usize) -> Vec<Patch>,
+        delta_rows: impl Fn(usize) -> usize,
+    ) -> usize {
+        let mut first = None;
+        for k in ks {
+            let (_, carried, rows) = carry(prior, write(k));
+            match first {
+                None if carried == MAINTAINED => assert_eq!(rows, Some(delta_rows(k)), "k = {k}"),
+                None => {
+                    assert_eq!((carried, rows), (MERGED, Some(0)), "k = {k}");
+                    first = Some(k);
+                }
+                Some(_) => assert_eq!((carried, rows), (MERGED, Some(0)), "k = {k}"),
+            }
+        }
+        first.expect("the sweep reaches a merge")
+    }
+
+    /// Where the carry stops maintaining and merges, for in-place changes,
+    /// appends, shrinks and a prior index that already holds a delta. The
+    /// thresholds are the ones the carry had when it built every delta
+    /// before pricing it; pricing the changed-row count first moves none.
+    #[test]
+    fn carry_merges_at_the_thresholds_of_the_priced_delta() {
+        let (n, dim) = (200, 3);
+        let base = feature_rows(n, dim, 0);
+        let prior = indexed(base.clone());
+        let in_place = first_merge(
+            &prior,
+            0..n + 1,
+            |k| changed(base.clone(), 0..k, 1),
+            |k| 2 * k,
+        );
+        let appended = first_merge(
+            &prior,
+            0..n + 1,
+            |a| [base.clone(), feature_rows(n + a, dim, 2).split_off(n)].concat(),
+            |a| a,
+        );
+        let shrunk = first_merge(
+            &prior,
+            0..190,
+            |k| changed(base[..190].to_vec(), 0..k, 1),
+            |k| 10 + 2 * k,
+        );
+        // A prior version that already carries 10 changed rows.
+        let (prior_delta, carried, rows) = carry(&prior, changed(base.clone(), 0..10, 1));
+        assert_eq!((carried, rows), (MAINTAINED, Some(20)));
+        let on_a_delta = first_merge(
+            &prior_delta,
+            0..n - 100,
+            |k| changed(prior_delta.patches.to_vec(), 100..100 + k, 2),
+            |k| 20 + 2 * k,
+        );
+        assert_eq!([in_place, appended, shrunk, on_a_delta], [18, 46, 12, 8]);
+    }
+
+    /// A re-materialize that changes every row merges into the tree a fresh
+    /// build makes: every probe returns the same hits in the same order,
+    /// with the same squared-distance bits.
+    #[test]
+    fn a_write_of_every_row_merges_into_the_fresh_tree() {
+        let prior = indexed(feature_rows(300, 4, 0));
+        let rows = feature_rows(300, 4, 5);
+        let (col, carried, delta_rows) = carry(&prior, rows.clone());
+        assert_eq!((carried, delta_rows), (MERGED, Some(0)));
+        let fresh = indexed(rows.clone());
+        for probe in rows.iter().step_by(17) {
+            let q = probe.data.features().unwrap();
+            let hits = |c: &PatchCollection| -> Vec<(u32, u32)> {
+                let index = c.ball_index("feat", q).unwrap();
+                let hits = index.range_query_sq(q, 2.5);
+                hits.into_iter()
+                    .map(|(id, d2)| (id, d2.to_bits()))
+                    .collect()
+            };
+            assert!(!hits(&fresh).is_empty());
+            assert_eq!(hits(&col), hits(&fresh));
+        }
+    }
+
+    /// A 2 % write keeps the index: its delta holds a tombstone and a
+    /// delta row per changed row.
+    #[test]
+    fn a_two_percent_write_is_maintained() {
+        let base = feature_rows(500, 3, 0);
+        let prior = indexed(base.clone());
+        let (col, carried, delta_rows) = carry(&prior, changed(base, 40..50, 1));
+        assert_eq!((carried, delta_rows), (MAINTAINED, Some(20)));
+        let fresh = indexed(col.patches.to_vec());
+        let q = [2.0, 3.0, 4.0];
+        assert_eq!(
+            col.lookup_similar("feat", &q, 2.0).unwrap(),
+            fresh.lookup_similar("feat", &q, 2.0).unwrap()
+        );
+    }
+
+    /// Changed or appended rows that lose their features or change
+    /// dimension drop the index, whatever the size of the write — even when
+    /// every row changes to one new dimension, which a fresh build would
+    /// index.
+    #[test]
+    fn rows_that_lose_features_or_change_dimension_drop_the_index() {
+        let base = feature_rows(200, 3, 0);
+        let prior = indexed(base.clone());
+        let featureless = |mut rows: Vec<Patch>, at: Range<usize>| {
+            for p in &mut rows[at] {
+                p.data = PatchData::Empty;
+            }
+            rows
+        };
+        let writes = [
+            featureless(base.clone(), 7..8),
+            featureless(changed(base.clone(), 0..200, 1), 199..200),
+            changed(base.clone(), 0..3, 1)
+                .into_iter()
+                .chain(feature_rows(201, 4, 1).split_off(200))
+                .collect(),
+            [changed(base.clone(), 0..5, 1), feature_rows(1, 2, 0)].concat(),
+            feature_rows(200, 5, 1),
+            feature_rows(250, 2, 1),
+        ];
+        for (i, rows) in writes.into_iter().enumerate() {
+            let (_, carried, delta_rows) = carry(&prior, rows);
+            assert_eq!(
+                (carried, delta_rows),
+                (Carried::default(), None),
+                "write {i}"
+            );
+        }
     }
 
     #[test]

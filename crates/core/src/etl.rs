@@ -32,7 +32,7 @@ use deeplens_codec::Image;
 use deeplens_exec::WorkerPool;
 
 use crate::catalog::PatchIdRange;
-use crate::patch::{ImgRef, Patch, PatchData, PatchId};
+use crate::patch::{ImgRef, MetaMap, Patch, PatchData, PatchId};
 use crate::session::Session;
 use crate::shared::SharedCatalog;
 use crate::types::PatchSchema;
@@ -75,11 +75,14 @@ pub trait Transformer: Send + Sync {
     /// Schema of its output.
     fn output_schema(&self) -> PatchSchema;
 
-    /// Transform one patch. `ids` hands out fresh patch ids; the
-    /// implementation must derive the output from the input so lineage is
-    /// preserved (use [`Patch::derive`]). A pipeline fails the run on an
-    /// output whose `img_ref` differs from the input's.
-    fn transform(&self, patch: &Patch, ids: &mut PatchIdRange) -> Result<Patch>;
+    /// Transform one patch, which the stage owns: the pipeline hands each
+    /// patch to one transformer and keeps only what it returns. `ids` hands
+    /// out fresh patch ids; the implementation must derive the output from
+    /// the input so lineage is preserved (use [`Patch::into_derived`], which
+    /// moves the source reference and metadata rather than cloning them). A
+    /// pipeline fails the run on an output whose `img_ref` differs from the
+    /// input's.
+    fn transform(&self, patch: Patch, ids: &mut PatchIdRange) -> Result<Patch>;
 }
 
 /// The identity generator: each frame becomes one whole-image patch
@@ -145,24 +148,32 @@ impl Generator for TileGenerator {
     ) -> Result<Vec<Patch>> {
         // Guard direct (non-pipeline) callers against the step_by(0) panic.
         self.validate()?;
-        // One allocation per key per frame; every tile shares them.
-        let [frameno, x, y, w, h] = ["frameno", "x", "y", "w", "h"].map(Arc::<str>::from);
-        let mut out = Vec::new();
+        // One allocation per key per frame; every tile shares them. In key
+        // order, so each tile's map is filled by appending.
+        let keys = ["frameno", "h", "w", "x", "y"].map(Arc::<str>::from);
         let t = self.tile;
+        let mut out = Vec::with_capacity(((img.width() / t) * (img.height() / t)) as usize);
         for ty in (0..img.height()).step_by(t as usize) {
             for tx in (0..img.width()).step_by(t as usize) {
                 let crop = img.crop(tx as i64, ty as i64, t, t);
                 if crop.width() != t || crop.height() != t {
                     continue; // drop ragged border tiles to keep the schema exact
                 }
-                out.push(
-                    Patch::pixels(ids.alloc(), img_ref.clone(), crop)
-                        .with_meta(frameno.clone(), img_ref.frame_no as i64)
-                        .with_meta(x.clone(), tx as i64)
-                        .with_meta(y.clone(), ty as i64)
-                        .with_meta(w.clone(), t as i64)
-                        .with_meta(h.clone(), t as i64),
-                );
+                let values = [
+                    img_ref.frame_no as i64,
+                    t.into(),
+                    t.into(),
+                    tx.into(),
+                    ty.into(),
+                ];
+                let mut meta = MetaMap::with_capacity(keys.len());
+                for (key, value) in keys.iter().zip(values) {
+                    meta.push_sorted(key.clone(), value.into());
+                }
+                out.push(Patch {
+                    meta,
+                    ..Patch::pixels(ids.alloc(), img_ref.clone(), crop)
+                });
             }
         }
         Ok(out)
@@ -268,7 +279,7 @@ impl Pipeline {
         check_img_refs(self.generator.name(), &current, &img_ref)?;
         for t in &self.transformers {
             current = current
-                .iter()
+                .into_iter()
                 .map(|p| t.transform(p, &mut ids))
                 .collect::<Result<_>>()?;
             check_img_refs(t.name(), &current, &img_ref)?;
@@ -643,7 +654,7 @@ impl Transformer for FeaturizeTransformer {
         PatchSchema::features(self.dim)
     }
 
-    fn transform(&self, patch: &Patch, ids: &mut PatchIdRange) -> Result<Patch> {
+    fn transform(&self, patch: Patch, ids: &mut PatchIdRange) -> Result<Patch> {
         // Schema validation makes a non-pixel input unreachable through a
         // pipeline; surface the violation instead of fabricating an all-zero
         // feature vector that would silently poison similarity joins.
@@ -666,7 +677,7 @@ impl Transformer for FeaturizeTransformer {
                 patch.id
             )));
         }
-        Ok(patch.derive(ids.alloc(), PatchData::Features(features)))
+        Ok(patch.into_derived(ids.alloc(), PatchData::Features(features)))
     }
 }
 
@@ -789,13 +800,13 @@ mod tests {
         };
         let mut ids = PatchIdRange::speculative();
         let featureless = Patch::features(PatchId(9), ImgRef::frame("v", 0), vec![1.0]);
-        let err = t.transform(&featureless, &mut ids).unwrap_err();
+        let err = t.transform(featureless, &mut ids).unwrap_err();
         assert!(
             matches!(err, DlError::SchemaMismatch(_)),
             "non-pixel input must surface a schema violation, got {err:?}"
         );
         let empty = Patch::empty(PatchId(10), ImgRef::frame("v", 0));
-        assert!(t.transform(&empty, &mut ids).is_err());
+        assert!(t.transform(empty, &mut ids).is_err());
     }
 
     #[test]
@@ -841,11 +852,11 @@ mod tests {
         fn output_schema(&self) -> PatchSchema {
             PatchSchema::features(1)
         }
-        fn transform(&self, patch: &Patch, ids: &mut PatchIdRange) -> Result<Patch> {
+        fn transform(&self, patch: Patch, ids: &mut PatchIdRange) -> Result<Patch> {
             if patch.get_int("frameno") == Some(self.frame) {
                 return Err(DlError::TypeError("injected stage failure".into()));
             }
-            Ok(patch.derive(ids.alloc(), PatchData::Features(vec![1.0])))
+            Ok(patch.into_derived(ids.alloc(), PatchData::Features(vec![1.0])))
         }
     }
 
@@ -1147,7 +1158,7 @@ mod tests {
         fn output_schema(&self) -> PatchSchema {
             PatchSchema::features(1)
         }
-        fn transform(&self, _patch: &Patch, ids: &mut PatchIdRange) -> Result<Patch> {
+        fn transform(&self, _patch: Patch, ids: &mut PatchIdRange) -> Result<Patch> {
             Ok(Patch::features(
                 ids.alloc(),
                 ImgRef::frame("elsewhere", 0),

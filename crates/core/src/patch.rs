@@ -256,6 +256,19 @@ impl Patch {
         }
     }
 
+    /// [`Patch::derive`] for an owner that is done with this patch: the
+    /// source reference and metadata move into the child instead of being
+    /// cloned, and this patch's payload is dropped.
+    pub fn into_derived(self, new_id: PatchId, data: PatchData) -> Patch {
+        Patch {
+            id: new_id,
+            img_ref: self.img_ref,
+            data,
+            meta: self.meta,
+            parents: vec![self.id],
+        }
+    }
+
     /// The patch's bounding box from conventional metadata keys
     /// (`x`, `y`, `w`, `h`), if present.
     pub fn bbox(&self) -> Option<(i64, i64, u32, u32)> {

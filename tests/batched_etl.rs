@@ -171,15 +171,11 @@ fn mid_batch_stage_error_leaves_shared_catalog_untouched() {
         fn output_schema(&self) -> PatchSchema {
             PatchSchema::features(1)
         }
-        fn transform(
-            &self,
-            patch: &Patch,
-            ids: &mut PatchIdRange,
-        ) -> deeplens::core::Result<Patch> {
+        fn transform(&self, patch: Patch, ids: &mut PatchIdRange) -> deeplens::core::Result<Patch> {
             if patch.get_int("frameno") == Some(self.frame) {
                 return Err(DlError::TypeError("injected mid-batch failure".into()));
             }
-            Ok(patch.derive(ids.alloc(), PatchData::Features(vec![1.0])))
+            Ok(patch.into_derived(ids.alloc(), PatchData::Features(vec![1.0])))
         }
     }
     let _serialize = DECODE_COUNTER_LOCK

@@ -132,23 +132,25 @@ fn columnar_scan_equals_row_scan() {
     cases("columnar_scan_equals_row_scan", 24, |g| {
         let patches = log_rows(g.next_u64(), g.below(300) as usize);
         let lazy = PatchCollection::from_patches(patches.clone());
+        // Built once per case: each filter scans the same chunks and pools.
+        let columnars = [1usize, 7, 1024].map(|c| (c, ColumnarPatches::from_patches(&patches, c)));
+        let pools = [1usize, 2, 4].map(|t| (t, WorkerPool::new(t)));
+        let projections = [Projection::Full, Projection::MetaOnly, Projection::Count];
         for filter in filters_under_test() {
             let matched = patches.iter().filter(|p| filter.matches(p)).count();
-            for projection in [Projection::Full, Projection::MetaOnly, Projection::Count] {
-                let row = row_scan(&patches, &filter, projection);
-                let col = lazy.scan(&filter, projection, &WorkerPool::new(2));
+            // The row-scan reference of each projection, computed once.
+            let rows = projections.map(|projection| row_scan(&patches, &filter, projection));
+            for (&projection, row) in projections.iter().zip(&rows) {
+                let col = lazy.scan(&filter, projection, &pools[1].1);
                 assert_eq!(bitwise(&row.patches), bitwise(&col.patches));
                 assert_eq!(col.stats.rows_matched, matched);
                 assert!(col.stats.used_columnar);
             }
-            for chunk_rows in [1usize, 7, 1024] {
-                let columnar = ColumnarPatches::from_patches(&patches, chunk_rows);
-                for threads in [1usize, 2, 4] {
-                    let pool = WorkerPool::new(threads);
-                    let full = columnar.scan(&filter, Projection::Full, &pool);
-                    for projection in [Projection::Full, Projection::MetaOnly, Projection::Count] {
-                        let row = row_scan(&patches, &filter, projection);
-                        let col = columnar.scan(&filter, projection, &pool);
+            for (chunk_rows, columnar) in &columnars {
+                for (threads, pool) in &pools {
+                    let full = columnar.scan(&filter, Projection::Full, pool);
+                    for (&projection, row) in projections.iter().zip(&rows) {
+                        let col = columnar.scan(&filter, projection, pool);
                         assert_eq!(
                             bitwise(&row.patches),
                             bitwise(&col.patches),

@@ -183,6 +183,78 @@ fn large_delta_crosses_merge_threshold_small_delta_does_not() {
     );
 }
 
+/// A seeded run of writes of every size — a few rows to all of them,
+/// appends and shrinks, and a write that drops the index now and then —
+/// carries the Ball index as the carry that built every delta before
+/// pricing it did: the catalog's `delta_maintained` and `delta_merges`
+/// counts after each write are that carry's, pinned as one checksum, and
+/// the carried index answers like a fresh build.
+#[test]
+fn carry_counts_over_seeded_writes_are_pinned() {
+    let catalog = Arc::new(SharedCatalog::with_shards_and_cache(4, 0));
+    let dim = 5;
+    let mut rows = feature_patches(0..400, dim, 9);
+    let mut checksum = 0u64;
+    let mut steps = Vec::new();
+    let mut s = 0x5EED_u64;
+    for step in 0..80 {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let seed = s >> 20;
+        if step == 0 {
+            catalog.materialize("col", rows.clone());
+            catalog.build_ball_index("col", "feat", 1).unwrap();
+        }
+        match seed % 8 {
+            0..=2 => apply_write(&mut rows, dim, ((seed >> 8) as u8, seed >> 16)),
+            3..=6 => {
+                // Rewrite a run of any length up to every row.
+                let start = (seed >> 8) as usize % rows.len();
+                let run = 1 + (seed >> 24) as usize % (rows.len() - start);
+                let fresh = feature_patches(0..run as u64, dim, seed);
+                for (slot, f) in rows[start..start + run].iter_mut().zip(fresh) {
+                    slot.data = f.data;
+                }
+            }
+            _ => {
+                // One row loses its features: the carry drops the index.
+                let at = (seed >> 8) as usize % rows.len();
+                let mut dropped = rows.clone();
+                dropped[at].data = PatchData::Empty;
+                catalog.materialize("col", dropped);
+                assert!(catalog.snapshot("col").unwrap().index_names().is_empty());
+                catalog.materialize("col", rows.clone());
+                catalog.build_ball_index("col", "feat", 1).unwrap();
+            }
+        }
+        if rows.is_empty() {
+            rows = feature_patches(0..400, dim, seed);
+        }
+        catalog.materialize("col", rows.clone());
+        let counts = (
+            catalog.index_deltas_maintained(),
+            catalog.index_delta_merges(),
+        );
+        checksum = (checksum ^ counts.0 ^ (counts.1 << 32)).wrapping_mul(0x100_0000_01b3);
+        steps.push(counts);
+        let snap = catalog.snapshot("col").unwrap();
+        let mut fresh = PatchCollection::from_patches(rows.clone());
+        fresh.build_ball_index("feat", 1).unwrap();
+        let q = rows[step % rows.len()].data.features().unwrap().to_vec();
+        assert_eq!(
+            snap.lookup_similar("feat", &q, 6.0).unwrap(),
+            fresh.lookup_similar("feat", &q, 6.0).unwrap(),
+            "step {step}"
+        );
+    }
+    assert_eq!(
+        (steps.last().copied(), checksum),
+        (Some((36, 44)), 0x35FD_CF01_23EF_5189),
+        "per-write counts: {steps:?}"
+    );
+}
+
 /// The cache stores an answer only once its query repeats: a scan and a
 /// batch member issued once are answered and not stored, the second issue
 /// stores them, and the third is a hit that shares the stored rows. A query
