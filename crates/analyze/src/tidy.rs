@@ -37,14 +37,21 @@
 //! 7. **no-global-counter** — no `static …: Atomic*` in non-test code of
 //!    the engine crates: a process-global counter is shared by every
 //!    catalog and every test in the process, so counts belong to the
-//!    catalog that did the work. The two left are named in
-//!    [`GLOBAL_COUNTER_ALLOWLIST`].
+//!    catalog that did the work (its counter registry,
+//!    `deeplens_core::counters`). The two left are named in
+//!    [`GLOBAL_COUNTER_ALLOWLIST`]; only the benchmark still reads them.
 //! 8. **no-unsafe** — no `unsafe` block, function, impl or trait in non-test
 //!    code of the engine crates. Every kernel's speed comes from code the
 //!    compiler can vectorize as written (safe selects and bit casts, not
 //!    unchecked conversions or indexing), so a memory-safety bug cannot
 //!    hide in the engine. The counting allocators of the integration tests
 //!    under `tests/` are outside the crates this rule scans.
+//! 9. **no-test-lock** — no `static …: Mutex<()>` in a file under a
+//!    `tests/` directory or in the `#[cfg(test)]` section of an
+//!    engine-crate file. A lock that guards nothing serializes tests, and
+//!    tests serialize only to read a process-global count; each test reads
+//!    its own catalog's counters instead. Test files are scanned for this
+//!    rule alone.
 //!
 //! The scanner is deliberately line-based, not a Rust parser: it strips
 //! `//` comments (with a string-literal heuristic so `"https://..."`
@@ -62,8 +69,9 @@ use std::path::{Path, PathBuf};
 pub const RAW_LOCK_WHITELIST: &[&str] = &["crates/analyze/src/sync.rs"];
 
 /// `(file, static)` pairs exempt from the **no-global-counter** rule: the
-/// two process-global counters left. Both go with spine step 1 in
-/// `ROADMAP.md`: a counter registry owned by the catalog replaces them.
+/// two process-global counters left. The engine and its tests count on each
+/// catalog's registry; only the benchmark's `*_per_op` layer metrics still
+/// read these two, and they go when the benchmark reads the registry.
 pub const GLOBAL_COUNTER_ALLOWLIST: &[(&str, &str)] = &[
     ("crates/codec/src/video.rs", "FRAMES_DECODED"),
     ("crates/core/src/scan.rs", "ROWS_MATERIALIZED"),
@@ -258,6 +266,15 @@ pub fn check_source(rel_path: &str, text: &str) -> Vec<Violation> {
     check_module_docs(rel_path, text, &mut out);
     check_global_counters(rel_path, &lines, &mut out);
     check_unsafe(rel_path, &lines, &mut out);
+    check_test_locks(rel_path, &lines, &mut out);
+    out
+}
+
+/// Run the one rule that reads test files (rule 9) against a file under a
+/// `tests/` directory.
+fn check_test_source(rel_path: &str, text: &str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    check_test_locks(rel_path, &preprocess(text), &mut out);
     out
 }
 
@@ -480,6 +497,45 @@ fn check_unsafe(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<Violation>) {
     }
 }
 
+/// Rule 9: a `static …: Mutex<()>` anywhere in a test file, or in the
+/// test section of an engine-crate file.
+fn check_test_locks(rel_path: &str, lines: &[Line<'_>], out: &mut Vec<Violation>) {
+    let whole_file = is_test_file(rel_path);
+    if !whole_file && !is_engine_source(rel_path) {
+        return;
+    }
+    let unit_mutex = format!("{MUTEX_TYPE}<()>");
+    for line in lines {
+        if !(whole_file || line.in_test) {
+            continue;
+        }
+        let Some((name, ty)) = static_decl(&line.code) else {
+            continue;
+        };
+        let ty: String = ty.split_whitespace().collect();
+        if !has_word(&ty, &unit_mutex) {
+            continue;
+        }
+        out.push(Violation {
+            file: rel_path.to_string(),
+            line: line.number,
+            rule: "no-test-lock",
+            msg: format!(
+                "test-serialization lock `{name}`; read the counts of the test's \
+                 own catalog (`SharedCatalog::counters`) instead of a \
+                 process-global one: `{}`",
+                line.raw.trim()
+            ),
+        });
+    }
+}
+
+/// Whether `rel_path` sits under a `tests/` directory (the workspace's
+/// integration tests, or a crate's).
+fn is_test_file(rel_path: &str) -> bool {
+    rel_path.starts_with("tests/") || rel_path.contains("/tests/")
+}
+
 /// Engine crates (under `crates/`) whose `pub` items rule 6 covers.
 const ENGINE_CRATES: &[&str] = &[
     "analyze", "codec", "core", "exec", "index", "serve", "storage",
@@ -669,6 +725,8 @@ pub fn check_workspace(root: &Path) -> Vec<Violation> {
     for (rel, text) in &sources {
         if is_crate_source(rel) {
             out.extend(check_source(rel, text));
+        } else if is_test_file(rel) {
+            out.extend(check_test_source(rel, text));
         }
     }
     // Rule 6 reads the whole tree at once: callers live outside `crates/`.
@@ -1065,6 +1123,53 @@ mod tests {
              // no {UNSAFE_KEYWORD} here\n/// Never {UNSAFE_KEYWORD}.\nfn g() {{}}\n"
         );
         assert!(rules_hit("crates/codec/src/image.rs", &words).is_empty());
+    }
+
+    #[test]
+    fn test_lock_flags_unit_mutex_statics_in_tests_and_engine_test_modules() {
+        let lock = |ty: &str| format!("static COUNTER_LOCK: {ty} = {MUTEX_TYPE}::new(());\n");
+        for ty in [
+            format!("{MUTEX_TYPE}<()>"),
+            format!("{STD_SYNC_PATH}::{MUTEX_TYPE}<()>"),
+            format!("{MUTEX_TYPE}< ( ) >"),
+        ] {
+            // Anywhere in an integration-test file, a crate's included.
+            for rel in ["tests/batched_etl.rs", "crates/codec/tests/decode.rs"] {
+                let hits: Vec<_> = check_test_source(rel, &lock(&ty))
+                    .into_iter()
+                    .map(|v| v.rule)
+                    .collect();
+                assert_eq!(hits, ["no-test-lock"], "{rel}: {ty}");
+            }
+            // In the test module of an engine-crate file.
+            let in_test = format!("{CFG_TEST}\nmod tests {{\n    {}}}\n", lock(&ty));
+            assert_eq!(
+                rules_hit("crates/core/src/etl.rs", &in_test),
+                ["no-test-lock"],
+                "{ty}"
+            );
+        }
+    }
+
+    #[test]
+    fn test_lock_spares_other_statics_and_non_test_code() {
+        let statics = format!(
+            "static BYTES: OnceLock<Vec<u8>> = OnceLock::new();\n\
+             static CACHE: {MUTEX_TYPE}<Vec<u8>> = {MUTEX_TYPE}::new(Vec::new());\n\
+             static RANKED: Ordered{MUTEX_TYPE}<()> = ranked();\n\
+             static GLOBAL: CountingAlloc = CountingAlloc;\n\
+             // static OLD_LOCK: {MUTEX_TYPE}<()> = {MUTEX_TYPE}::new(());\n"
+        );
+        assert!(check_test_source("tests/columnar_counters.rs", &statics).is_empty());
+        let in_test = format!("{CFG_TEST}\nmod tests {{\n{statics}}}\n");
+        assert!(rules_hit("crates/core/src/etl.rs", &in_test).is_empty());
+        // Outside test code, and outside the engine crates, rule 9 is silent
+        // (rule 1 covers raw locks in engine code).
+        let lock = format!("static LOCK: {MUTEX_TYPE}<()> = {MUTEX_TYPE}::new(());\n");
+        assert!(rules_hit("crates/core/src/etl.rs", &lock).is_empty());
+        let bench_test = format!("{CFG_TEST}\n{lock}");
+        assert!(rules_hit("crates/bench/src/report.rs", &bench_test).is_empty());
+        assert!(!is_test_file("crates/core/src/etl.rs"));
     }
 
     #[test]

@@ -50,8 +50,11 @@ static FRAMES_DECODED: AtomicU64 = AtomicU64::new(0);
 
 /// Total frames decoded by every [`VideoDecoder`] in this process so far.
 ///
-/// The shared-scan ETL tests assert "each frame window is decoded exactly
-/// once per batch" against deltas of this counter.
+/// Process-global, so every catalog and every test in the process moves
+/// it. Only the benchmark's `codec.video.frames_decoded_per_op` metric
+/// reads it; engine code and tests read the decodes of one catalog from
+/// that catalog's counter registry (`SharedCatalog::counters` in
+/// `deeplens-core`), or of one cache from [`FrameCache::decoded`].
 pub fn frames_decoded() -> u64 {
     FRAMES_DECODED.load(Ordering::Relaxed)
 }
@@ -581,8 +584,8 @@ impl FrameCache {
 
     /// Frames this cache has decoded across every
     /// [`FrameCache::scan_frames`] call — the decode work its scans
-    /// actually paid (unlike the process-global [`frames_decoded`], this
-    /// counter is unperturbed by unrelated decoders).
+    /// actually paid, unperturbed by unrelated decoders. A shared-scan
+    /// ingest batch adds this count's growth to its catalog's counters.
     pub fn decoded(&self) -> u64 {
         self.decoded
     }

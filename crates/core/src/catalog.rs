@@ -214,16 +214,16 @@ impl PatchCollection {
     pub fn build_ball_index(&mut self, index_name: &str, threads: usize) -> Result<()> {
         crate::plan::feature_shape(&self.patches, None)?;
         row_id(self.patches.len().saturating_sub(1))?;
-        let vectors: Vec<Vec<f32>> =
-            self.patches
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    p.data.features().map(<[f32]>::to_vec).ok_or_else(|| {
-                        DlError::SchemaMismatch(format!("patch {i} has no features"))
-                    })
-                })
-                .collect::<Result<_>>()?;
+        let vectors: Vec<&[f32]> = self
+            .patches
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                p.data
+                    .features()
+                    .ok_or_else(|| DlError::SchemaMismatch(format!("patch {i} has no features")))
+            })
+            .collect::<Result<_>>()?;
         self.indexes.insert(
             index_name.to_string(),
             SecondaryIndex::Ball {

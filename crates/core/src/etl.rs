@@ -389,6 +389,11 @@ struct IngestJob {
 /// catalog — no ids are consumed and no output collection (of *any* job)
 /// is published.
 ///
+/// **Counting**: both run paths add the frames they decoded to the
+/// catalog's `frames_decoded`
+/// ([`SharedCatalog::counters`](crate::shared::SharedCatalog::counters)),
+/// a failed run's too: the count is decode work done, not rows published.
+///
 /// **Admission**: the whole batch is one admission unit on the session's
 /// thread slice (`Session::pool`), composing with the multi-session budget
 /// split instead of multiplying it.
@@ -512,14 +517,16 @@ impl<'s> PipelineBatch<'s> {
             let frames: Vec<u64> = needed.into_iter().collect();
             // One sequential decode for every job over this source, served
             // through the session's bounded frame cache so a later batch
-            // over the same stream can skip it too.
+            // over the same stream can skip it too. The catalog counts the
+            // frames the cache had to decode, a failed scan's included.
             let mut cache = self.session.frame_cache().lock();
-            scans.push(
-                cache
-                    .scan_frames(&source.bytes, &frames)?
-                    .into_iter()
-                    .collect(),
-            );
+            let decoded = cache.decoded();
+            let scanned = cache.scan_frames(&source.bytes, &frames);
+            self.session
+                .catalog
+                .registry()
+                .add_frames_decoded(cache.decoded() - decoded);
+            scans.push(scanned?.into_iter().collect());
         }
         Ok(scans)
     }
@@ -605,14 +612,22 @@ impl<'s> PipelineBatch<'s> {
                 return Err(Self::window_overrun(&job.window, available));
             }
             let mut frames = Vec::new();
-            for t in 0..job.window.end {
+            let decoded = (0..job.window.end).try_for_each(|t| {
                 let img = decoder
                     .next_frame()
                     .ok_or(DlError::Codec(deeplens_codec::CodecError::UnexpectedEof))??;
                 if job.window.contains(&t) {
                     frames.push((t, img));
                 }
-            }
+                Ok::<_, DlError>(())
+            });
+            // Every frame the private decoder returned, a failed job's too.
+            let returned = decoder.header().frame_count - decoder.remaining();
+            self.session
+                .catalog
+                .registry()
+                .add_frames_decoded(u64::from(returned));
+            decoded?;
             counts.push(job.pipeline.run(
                 frames.iter().map(|(t, img)| (*t, img)),
                 &source.name,
@@ -924,16 +939,8 @@ mod tests {
         }))
     }
 
-    /// Serializes every test in this crate that decodes video:
-    /// `ingest_batch_matches_serial_issuance_with_one_decode` asserts
-    /// **exact** deltas of the process-global `frames_decoded` counter, so
-    /// any concurrently decoding test would perturb it.
-    static DECODE_COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn ingest_batch_matches_serial_issuance_with_one_decode() {
-        use deeplens_codec::video::frames_decoded;
-        let _serialize = serialize_decodes();
         let bytes = encoded(10);
 
         let want = {
@@ -949,10 +956,9 @@ mod tests {
                 "c",
             )
             .unwrap();
-            let before = frames_decoded();
             let counts = b.run_serial().unwrap();
             assert_eq!(
-                frames_decoded() - before,
+                s.catalog.counters().frames_decoded,
                 10 + 9 + 10,
                 "serial issuance pays a prefix decode per job"
             );
@@ -978,6 +984,11 @@ mod tests {
                 10,
                 "the shared scan decodes the union window exactly once"
             );
+            assert_eq!(
+                s.catalog.counters().frames_decoded,
+                10,
+                "the catalog counts the shared scan's decodes"
+            );
             (counts, s)
         };
 
@@ -989,13 +1000,6 @@ mod tests {
         }
     }
 
-    /// Hold [`DECODE_COUNTER_LOCK`] for the rest of a decoding test.
-    fn serialize_decodes() -> std::sync::MutexGuard<'static, ()> {
-        DECODE_COUNTER_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
     /// `frames(n)` as a DLV1 stream.
     fn encoded(n: u64) -> Vec<u8> {
         use deeplens_codec::video::{encode_video, VideoConfig};
@@ -1004,7 +1008,6 @@ mod tests {
 
     #[test]
     fn ingest_batch_encoded_source_jobs_share_the_scan() {
-        let _serialize = serialize_decodes();
         let bytes = encoded(6);
         let s = crate::session::Session::ephemeral().unwrap();
         let mut b = s.ingest_batch();
@@ -1041,7 +1044,6 @@ mod tests {
 
     #[test]
     fn ingest_batch_rejects_bad_configuration_up_front() {
-        let _serialize = serialize_decodes();
         let s = crate::session::Session::ephemeral().unwrap();
         let mut b = s.ingest_batch();
         b.add_encoded_source("cam", encoded(2)).unwrap();
@@ -1088,7 +1090,6 @@ mod tests {
         // `run` must reject exactly the batches `run_serial` rejects
         // (regression: `run` once answered Ok(vec![0]) for a 9..9 window
         // over a 2-frame stream), and a non-empty overrun the same way.
-        let _serialize = serialize_decodes();
         let bytes = encoded(2);
         let s = crate::session::Session::ephemeral().unwrap();
         let overrun = |window: Range<u64>, serial: bool| {
@@ -1125,7 +1126,6 @@ mod tests {
         // Job 0 is healthy, job 1 fails mid-stream: the whole batch must
         // surface the error with no collection (of either job) published
         // and no ids consumed.
-        let _serialize = serialize_decodes();
         let s = crate::session::Session::ephemeral().unwrap();
         let mut b = s.ingest_batch();
         b.add_encoded_source("cam", encoded(6)).unwrap();
@@ -1208,7 +1208,6 @@ mod tests {
             assert_eq!(catalog.next_patch_id(), PatchId(0), "no ids consumed");
         };
 
-        let _serialize = serialize_decodes();
         let imgs = frames(3);
         let bytes = encoded(3);
         for make in [lying as fn() -> Pipeline, relabel, next_frame] {
@@ -1235,7 +1234,6 @@ mod tests {
 
     #[test]
     fn session_frame_cache_spans_batches_and_is_boundable() {
-        let _serialize = serialize_decodes();
         let bytes = encoded(8);
         let s = crate::session::Session::ephemeral().unwrap();
         let run_once = |s: &crate::session::Session, out: &str| {
@@ -1258,5 +1256,10 @@ mod tests {
         *s.frame_cache().lock() = deeplens_codec::FrameCache::new(0);
         run_once(&s, "third");
         assert_eq!(decoded(&s), 8, "capacity 0 retains nothing: full rescan");
+        assert_eq!(
+            s.catalog.counters().frames_decoded,
+            16,
+            "the catalog counts both decodes, across frame caches"
+        );
     }
 }

@@ -29,6 +29,8 @@
 //!   tables and zone-map scan pushdown (§3.1).
 //! * [`shared`] — the sharded, copy-on-write [`shared::SharedCatalog`]:
 //!   the one catalog, whether one session attaches to it or many.
+//! * [`counters`] — the work counters each catalog owns: frames decoded,
+//!   rows materialized, index carries, with the result cache's counts.
 //! * [`cache`] — the snapshot-keyed result cache in front of session
 //!   queries, invalidated for free by the catalog's version counters.
 //! * [`optimizer`] — the cost model (non-linear join costs, §7.4.1) and
@@ -66,6 +68,7 @@
 pub mod batch;
 pub mod cache;
 pub mod catalog;
+pub mod counters;
 pub mod error;
 pub mod etl;
 pub mod ops;
@@ -88,6 +91,7 @@ pub mod prelude {
     pub use crate::batch::{BatchQuery, BatchResult, JoinPredicate, QueryBatch};
     pub use crate::cache::{CachedResult, ResultCache};
     pub use crate::catalog::{PatchCollection, PatchIdRange, SecondaryIndex};
+    pub use crate::counters::CounterSnapshot;
     pub use crate::error::DlError;
     pub use crate::etl::{Generator, Pipeline, PipelineBatch, Transformer};
     pub use crate::ops;

@@ -181,12 +181,12 @@ pub(crate) fn fresh_tree(indexed: &[Patch], pool: &WorkerPool) -> Result<DeltaBa
         .filter_map(|(i, p)| {
             let f = p.data.features()?;
             Some(if f.len() == dim {
-                Ok(f.to_vec())
+                Ok(f)
             } else {
                 Err(unplanned("indexed", i))
             })
         })
-        .collect::<Result<Vec<Vec<f32>>>>()?;
+        .collect::<Result<Vec<&[f32]>>>()?;
     Ok(DeltaBallTree::from_tree(BallTree::from_vectors_parallel(
         &vectors,
         pool.threads(),

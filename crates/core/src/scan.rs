@@ -52,12 +52,16 @@ use crate::value::Value;
 
 /// Process-wide count of patches assembled back into rows from columnar
 /// chunks by full/meta-projection scans: one per matching row a scan
-/// returns, none for [`Projection::Count`]. The benchmark reports it per
-/// operation, the way the ETL layer's decode-once invariant is reported
-/// through `deeplens_codec::frames_decoded`.
+/// returns, none for [`Projection::Count`].
 static ROWS_MATERIALIZED: AtomicU64 = AtomicU64::new(0);
 
 /// Total patches materialized from columnar chunks, process-wide.
+///
+/// Process-global, so every catalog and every test in the process moves
+/// it. Only the benchmark's `core.scan.rows_materialized_per_op` metric
+/// reads it; engine code and tests read the rows one catalog's scans
+/// materialized from its counter registry
+/// ([`SharedCatalog::counters`](crate::shared::SharedCatalog::counters)).
 pub fn rows_materialized() -> u64 {
     ROWS_MATERIALIZED.load(Ordering::Relaxed)
 }

@@ -243,7 +243,9 @@ impl Session {
     /// a miss materializes them once and offers the same allocation to the
     /// cache, which keeps it only if the query was asked before (at any
     /// version of the collection); a hit hands that allocation out again.
-    /// Neither copies a row.
+    /// Neither copies a row. An executed scan counts the rows it
+    /// materialized on the catalog ([`SharedCatalog::counters`]); a hit
+    /// counts none.
     pub fn scan(
         &self,
         collection: &str,
@@ -256,11 +258,15 @@ impl Session {
         if let Some(key) = &key {
             if let Some(CachedResult::Scan(result)) = cache.get(key) {
                 // Replayed stats describe the execution that populated the
-                // entry; the replay itself touched no chunk.
+                // entry; the replay itself touched no chunk and
+                // materialized no row, so it counts none.
                 return Ok(result);
             }
         }
         let result = snap.scan(filter, projection, &self.pool());
+        self.catalog
+            .registry()
+            .add_rows_materialized(result.patches.len() as u64);
         if let Some(key) = key {
             // O(1): if the cache keeps the rows, it shares them with the
             // caller.

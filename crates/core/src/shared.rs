@@ -38,6 +38,7 @@ use deeplens_analyze::sync::{LockRank, OrderedMutex, OrderedRwLock};
 
 use crate::cache::{ResultCache, DEFAULT_RESULT_CACHE_CAPACITY};
 use crate::catalog::{PatchCollection, PatchIdRange};
+use crate::counters::{CounterSnapshot, Counters};
 use crate::optimizer::CostModel;
 use crate::patch::{Patch, PatchId};
 use crate::{DlError, Result};
@@ -66,10 +67,8 @@ pub struct SharedCatalog {
     /// The snapshot-keyed result cache sessions consult. Invalidation is
     /// the version counter: post-write keys never match pre-write entries.
     result_cache: ResultCache,
-    /// Ball indexes [`SharedCatalog::materialize`] carried by delta
-    /// maintenance, and Ball-index deltas it merged into a rebuild.
-    delta_maintained: AtomicU64,
-    delta_merges: AtomicU64,
+    /// The work counted against this catalog ([`SharedCatalog::counters`]).
+    counters: Counters,
 }
 
 impl Default for SharedCatalog {
@@ -114,8 +113,7 @@ impl SharedCatalog {
             ),
             version_counter: AtomicU64::new(0),
             result_cache: ResultCache::with_capacity(cache_capacity),
-            delta_maintained: AtomicU64::new(0),
-            delta_merges: AtomicU64::new(0),
+            counters: Counters::default(),
         }
     }
 
@@ -125,16 +123,16 @@ impl SharedCatalog {
         &self.result_cache
     }
 
-    /// Ball indexes this catalog's re-materializes carried by delta
-    /// maintenance, without a rebuild.
-    pub fn index_deltas_maintained(&self) -> u64 {
-        self.delta_maintained.load(Ordering::Relaxed)
+    /// The work done against this catalog so far — frames decoded, rows
+    /// materialized, index carries — with the result cache's counts, as
+    /// one plain snapshot (see [`crate::counters`]).
+    pub fn counters(&self) -> CounterSnapshot {
+        self.counters.snapshot(&self.result_cache)
     }
 
-    /// Ball-index deltas this catalog's re-materializes merged into a full
-    /// rebuild (the serve stats endpoint reports this as `delta_merges`).
-    pub fn index_delta_merges(&self) -> u64 {
-        self.delta_merges.load(Ordering::Relaxed)
+    /// The registry the sites that do the work count on.
+    pub(crate) fn registry(&self) -> &Counters {
+        &self.counters
     }
 
     /// The next globally unique snapshot version (never 0).
@@ -199,10 +197,8 @@ impl SharedCatalog {
         let mut collection = PatchCollection::from_patches(patches);
         if let Some(prior) = &prior {
             let carried = collection.carry_from(prior, &CostModel::default(), 1);
-            self.delta_maintained
-                .fetch_add(carried.maintained, Ordering::Relaxed);
-            self.delta_merges
-                .fetch_add(carried.merged, Ordering::Relaxed);
+            self.counters
+                .add_index_carry(carried.maintained, carried.merged);
         }
         collection.set_version(self.next_version());
         self.shard_of(name)

@@ -137,18 +137,20 @@ impl BallTree {
     }
 
     /// [`BallTree::from_vectors`] with a parallel construction budget of
-    /// `threads` scoped workers.
-    pub fn from_vectors_parallel(vectors: &[Vec<f32>], threads: usize) -> Self {
-        let dim = vectors.first().map(|v| v.len()).unwrap_or(1);
+    /// `threads` scoped workers. The vectors may be owned or borrowed (a
+    /// `&[f32]` per row of a collection): either way they are copied once,
+    /// into the tree's one flat buffer.
+    pub fn from_vectors_parallel<V: AsRef<[f32]>>(vectors: &[V], threads: usize) -> Self {
+        let dim = vectors.first().map_or(1, |v| v.as_ref().len());
         for v in vectors {
-            assert_eq!(v.len(), dim, "all vectors must share a dimension");
+            assert_eq!(v.as_ref().len(), dim, "all vectors must share a dimension");
         }
         if dim == 0 {
             return Self::build_inner(0, vectors.len(), Vec::new(), 1);
         }
         let mut flat = Vec::with_capacity(vectors.len() * dim);
         for v in vectors {
-            flat.extend_from_slice(v);
+            flat.extend_from_slice(v.as_ref());
         }
         Self::build_inner(dim, vectors.len(), flat, threads)
     }

@@ -79,15 +79,17 @@ pub struct ServeStats {
     /// Requests shed with [`Response::Overloaded`] since the server started.
     pub shed: u64,
     /// Result-cache lookups served from cache since the catalog was built
-    /// (`SharedCatalog::result_cache`).
+    /// (`SharedCatalog::counters`, which reads them from the result cache).
     pub cache_hits: u64,
     /// Result-cache lookups that fell through to execution.
     pub cache_misses: u64,
     /// Result-cache entries evicted by the LRU bound.
     pub cache_evictions: u64,
     /// Ball-index deltas the served catalog's writes collapsed into a full
-    /// rebuild by the cost model's merge policy
-    /// (`SharedCatalog::index_delta_merges`).
+    /// rebuild by the cost model's merge policy: the
+    /// `index_delta_merges` of that catalog's counter registry
+    /// (`SharedCatalog::counters`), so another catalog in the same process
+    /// never moves it.
     pub delta_merges: u64,
 }
 

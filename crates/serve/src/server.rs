@@ -289,16 +289,19 @@ impl Connection {
     fn handle(&self, session: &Session, request: Request) -> Response {
         match request {
             Request::Ping => Response::Pong,
-            Request::Stats => Response::Stats(ServeStats {
-                active_sessions: self.catalog.active_sessions() as u32,
-                collections: self.catalog.names().len() as u32,
-                admitted: self.admission.admitted(),
-                shed: self.admission.shed(),
-                cache_hits: self.catalog.result_cache().hits(),
-                cache_misses: self.catalog.result_cache().misses(),
-                cache_evictions: self.catalog.result_cache().evictions(),
-                delta_merges: self.catalog.index_delta_merges(),
-            }),
+            Request::Stats => {
+                let counts = self.catalog.counters();
+                Response::Stats(ServeStats {
+                    active_sessions: self.catalog.active_sessions() as u32,
+                    collections: self.catalog.names().len() as u32,
+                    admitted: self.admission.admitted(),
+                    shed: self.admission.shed(),
+                    cache_hits: counts.cache_hits,
+                    cache_misses: counts.cache_misses,
+                    cache_evictions: counts.cache_evictions,
+                    delta_merges: counts.index_delta_merges,
+                })
+            }
             Request::Batch(queries) => {
                 let mut batch = session.batch();
                 for q in queries {

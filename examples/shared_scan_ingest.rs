@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example shared_scan_ingest`
 
-use deeplens::codec::video::{encode_video, frames_decoded, VideoConfig};
+use deeplens::codec::video::{encode_video, VideoConfig};
 use deeplens::codec::Quality;
 use deeplens::core::etl::{FeaturizeTransformer, TileGenerator, WholeImageGenerator};
 use deeplens::prelude::*;
@@ -65,9 +65,8 @@ fn main() {
         .expect("enqueue frame pipeline");
 
     // 3. One decode pass serves both pipelines.
-    let decoded_before = frames_decoded();
     let counts = batch.run().expect("ingest batch");
-    let decoded = frames_decoded() - decoded_before;
+    let decoded = session.catalog.counters().frames_decoded;
     println!(
         "ingested {} tile patches + {} frame patches with {} decoded frames",
         counts[0], counts[1], decoded

@@ -1,27 +1,22 @@
 //! Integration: shared-scan ETL batches (`Session::ingest_batch`) are
 //! byte-identical to serial pipeline issuance for every thread count and
 //! catalog shard count, each shared frame window is decoded exactly once
-//! per batch (asserted via the codec decode counter), and a mid-batch
-//! stage error leaves the shared catalog untouched.
+//! per batch (asserted on the `frames_decoded` count of the batch's own
+//! catalog), and a mid-batch stage error leaves the shared catalog
+//! untouched.
 
 mod harness;
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-use deeplens::codec::video::{encode_video, frames_decoded, VideoConfig};
+use deeplens::codec::video::{encode_video, VideoConfig};
 use deeplens::codec::{Image, Quality};
 use deeplens::core::etl::{FeaturizeTransformer, TileGenerator, WholeImageGenerator};
 use deeplens::prelude::*;
 use harness::cases;
 
 const CLIP_FRAMES: u64 = 10;
-
-/// Serializes every test in this binary that decodes video: the k4 test
-/// asserts **exact** deltas of the process-global decode counter, so any
-/// concurrently decoding test would perturb it. Each test takes this lock
-/// before its first decode.
-static DECODE_COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 /// One shared encoded clip for every test: a moving square over a textured
 /// background, single sequential GOP (the decode-heaviest layout).
@@ -126,24 +121,19 @@ fn assert_catalogs_identical(a: &RunResult, b: &RunResult, outputs: &[String], c
 fn k4_shared_scan_decodes_once_and_matches_serial() {
     // The acceptance shape: K=4 pipelines over overlapping windows of one
     // encoded source — one decode for the whole batch, K decodes serially,
-    // identical bytes out.
-    let _serialize = DECODE_COUNTER_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
+    // identical bytes out. Each run's catalog counts its own decodes.
     let specs: [(u8, u64, u64); 4] = [(0, 0, 9), (1, 2, 7), (2, 4, 5), (0, 0, 5)];
 
-    let before = frames_decoded();
     let shared = run_specs(2, 16, &specs, false);
     assert_eq!(
-        frames_decoded() - before,
+        shared.session.catalog.counters().frames_decoded,
         CLIP_FRAMES,
         "the union frame window is decoded exactly once per batch"
     );
 
-    let before = frames_decoded();
     let serial = run_specs(2, 16, &specs, true);
     assert_eq!(
-        frames_decoded() - before,
+        serial.session.catalog.counters().frames_decoded,
         10 + 10 + 10 + 6,
         "serial issuance decodes each job's prefix privately"
     );
@@ -178,9 +168,6 @@ fn mid_batch_stage_error_leaves_shared_catalog_untouched() {
             Ok(patch.into_derived(ids.alloc(), PatchData::Features(vec![1.0])))
         }
     }
-    let _serialize = DECODE_COUNTER_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
     let s = session(4, 16);
     let mut batch = s.ingest_batch();
     batch
@@ -217,9 +204,6 @@ fn random_ingest_batches_byte_identical_to_serial() {
         let specs: Vec<(u8, u64, u64)> = (0..g.range(2, 6))
             .map(|_| (g.below(3) as u8, g.below(10), g.below(10)))
             .collect();
-        let _serialize = DECODE_COUNTER_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         let outputs: Vec<String> = (0..specs.len()).map(|i| format!("out_{i}")).collect();
         let reference = run_specs(1, 1, &specs, true);
         for shards in [1usize, 16] {

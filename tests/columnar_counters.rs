@@ -1,11 +1,9 @@
-//! The columnar counter counts what it names: `rows_materialized` moves
-//! by one per row a materializing scan assembles, and by none on a
-//! result-cache hit. Joins and dedups read rows, so they never encode a
-//! collection's column chunks; only a scan does.
-//!
-//! The counter is process-global and integration test binaries run their
-//! tests in threads, so every test that scans holds `COUNTER_LOCK`: a
-//! scan in one test would otherwise race the deltas read in another.
+//! The columnar counter counts what it names: a catalog's
+//! `rows_materialized` moves by one per row a materializing scan of it
+//! assembles, and by none on a result-cache hit. Joins and dedups read
+//! rows, so they never encode a collection's column chunks; only a scan
+//! does. Each test reads its own catalog's counters, so the tests run in
+//! parallel.
 //!
 //! The binary also counts heap allocations per thread, so a test can bound
 //! the allocations of one call on its own thread: a result-cache hit on a
@@ -13,12 +11,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::{Mutex, MutexGuard};
 
-use deeplens::core::scan::rows_materialized;
-use deeplens::prelude::{
-    ColumnarPatches, ImgRef, Patch, PatchId, Projection, ScanFilter, Session, WorkerPool,
-};
+use deeplens::prelude::{ImgRef, Patch, PatchId, Projection, ScanFilter, Session};
 
 /// The system allocator, counting `alloc`/`realloc` calls on the calling
 /// thread.
@@ -60,15 +54,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Held by every test that scans, so no two tests move `rows_materialized`
-/// at once.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
-fn counter_lock() -> MutexGuard<'static, ()> {
-    // A failed test poisons the lock; the counter it guards is still sound.
-    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 fn patches(n: usize) -> Vec<Patch> {
     (0..n)
         .map(|i| {
@@ -84,20 +69,23 @@ fn patches(n: usize) -> Vec<Patch> {
 
 #[test]
 fn scans_move_the_columnar_counters_and_joins_do_not() {
-    let _guard = counter_lock();
-    let filter = ScanFilter::FrameRange { lo: 100, hi: 160 };
+    let filter = ScanFilter::FrameRange { lo: 1000, hi: 1060 };
     let tau = 1.0f32;
 
-    // A materializing scan counts each assembled row.
-    let columnar = ColumnarPatches::from_patches(&patches(500), 32);
-    let before = rows_materialized();
-    let scanned = columnar.scan(&filter, Projection::Full, &WorkerPool::new(2));
-    assert!(!scanned.patches.is_empty());
+    // A materializing scan counts each assembled row — here from two
+    // chunks on two workers — and a count scan assembles none.
+    let mut scanner = Session::ephemeral().unwrap();
+    scanner.set_threads(2);
+    scanner.catalog.materialize("log", patches(1500));
+    let scanned = scanner.scan("log", &filter, Projection::Full).unwrap();
+    assert_eq!(scanned.patches.len(), 60);
     assert_eq!(
-        rows_materialized() - before,
-        scanned.patches.len() as u64,
+        scanner.catalog.counters().rows_materialized,
+        60,
         "materializing scan counts each assembled row"
     );
+    assert_eq!(scanner.scan_count("log", &filter).unwrap(), 60);
+    assert_eq!(scanner.catalog.counters().rows_materialized, 60);
 
     // Joins and dedups — small and large, self and distinct — read rows
     // and encode no collection's chunks.
@@ -121,6 +109,7 @@ fn scans_move_the_columnar_counters_and_joins_do_not() {
         let snap = session.catalog.snapshot(name).unwrap();
         assert!(snap.columnar().is_none(), "a join or dedup encoded {name}");
     }
+    assert_eq!(session.catalog.counters().rows_materialized, 0);
 }
 
 /// The first scan of a collection encodes it and materializes each
@@ -131,15 +120,14 @@ fn scans_move_the_columnar_counters_and_joins_do_not() {
 /// with the caller.
 #[test]
 fn a_cached_scan_hit_copies_no_row() {
-    let _guard = counter_lock();
     let session = Session::ephemeral().unwrap();
     session.catalog.materialize("log", patches(600));
     let window = ScanFilter::FrameRange { lo: 50, hi: 550 };
-    let before = rows_materialized();
+    let counted = || session.catalog.counters().rows_materialized;
     let first = session.scan("log", &window, Projection::Full).unwrap();
     assert!(first.stats.used_columnar);
     assert_eq!(first.patches.len(), 500);
-    assert_eq!(rows_materialized() - before, 500);
+    assert_eq!(counted(), 500);
     assert!(session
         .catalog
         .snapshot("log")
@@ -148,11 +136,7 @@ fn a_cached_scan_hit_copies_no_row() {
         .is_some());
     let miss = session.scan("log", &window, Projection::Full).unwrap();
     assert_eq!(miss.patches, first.patches);
-    assert_eq!(
-        rows_materialized() - before,
-        1000,
-        "a repeat stores, not hits"
-    );
+    assert_eq!(counted(), 1000, "a repeat stores, not hits");
 
     let allocated = allocations();
     let hit = session.scan("log", &window, Projection::Full).unwrap();
@@ -163,9 +147,5 @@ fn a_cached_scan_hit_copies_no_row() {
         "a cache hit on {} rows made {spent} allocations",
         hit.patches.len()
     );
-    assert_eq!(
-        rows_materialized() - before,
-        1000,
-        "a cache hit copies no row"
-    );
+    assert_eq!(counted(), 1000, "a cache hit copies no row");
 }

@@ -561,12 +561,12 @@ fn run(seed: u64, case: &Case, check: Check) -> Vec<(Query, JoinPlan)> {
         let h = Harness::new(case, route);
         let ctx = format!("seed {seed:#x}, (shards, backed, threads) {route:?}");
         check(&h, case, &format!("{ctx}, fresh"), &mut plans[0], &[]);
-        let maintained = h.catalog.index_deltas_maintained();
+        let maintained = h.catalog.counters().index_deltas_maintained;
         for (name, rows) in &case.writes {
             h.publish(name, rows);
         }
         assert!(
-            h.catalog.index_deltas_maintained() > maintained,
+            h.catalog.counters().index_deltas_maintained > maintained,
             "{ctx}: no index was delta-maintained"
         );
         let written: Vec<&str> = case.writes.iter().map(|(name, _)| *name).collect();

@@ -129,8 +129,8 @@ fn carry_forward_preserves_indexes_and_scans_the_new_rows() {
         row_scan(&rows, &window, Projection::Full).patches
     );
     // A 2% change is delta-maintained, not merged.
-    assert_eq!(catalog.index_deltas_maintained(), 1);
-    assert_eq!(catalog.index_delta_merges(), 0);
+    assert_eq!(catalog.counters().index_deltas_maintained, 1);
+    assert_eq!(catalog.counters().index_delta_merges, 0);
 
     // The carried indexes answer over the *new* rows.
     let fresh = {
@@ -161,14 +161,14 @@ fn large_delta_crosses_merge_threshold_small_delta_does_not() {
     let mut small = rows.clone();
     apply_write(&mut small, 5, (1, 0));
     catalog.materialize("col", small);
-    assert_eq!(catalog.index_deltas_maintained(), 1);
-    assert_eq!(catalog.index_delta_merges(), 0);
+    assert_eq!(catalog.counters().index_deltas_maintained, 1);
+    assert_eq!(catalog.counters().index_delta_merges, 0);
 
     // Replace ~all rows: the priced merge must trigger a full rebuild.
     let replaced = feature_patches(0..512, 5, 777);
     catalog.materialize("col", replaced.clone());
     assert_eq!(
-        catalog.index_delta_merges(),
+        catalog.counters().index_delta_merges,
         1,
         "a ~100% delta must be merged into a rebuild"
     );
@@ -186,9 +186,9 @@ fn large_delta_crosses_merge_threshold_small_delta_does_not() {
 /// A seeded run of writes of every size — a few rows to all of them,
 /// appends and shrinks, and a write that drops the index now and then —
 /// carries the Ball index as the carry that built every delta before
-/// pricing it did: the catalog's `delta_maintained` and `delta_merges`
-/// counts after each write are that carry's, pinned as one checksum, and
-/// the carried index answers like a fresh build.
+/// pricing it did: the catalog's `index_deltas_maintained` and
+/// `index_delta_merges` counts after each write are that carry's, pinned as
+/// one checksum, and the carried index answers like a fresh build.
 #[test]
 fn carry_counts_over_seeded_writes_are_pinned() {
     let catalog = Arc::new(SharedCatalog::with_shards_and_cache(4, 0));
@@ -232,10 +232,8 @@ fn carry_counts_over_seeded_writes_are_pinned() {
             rows = feature_patches(0..400, dim, seed);
         }
         catalog.materialize("col", rows.clone());
-        let counts = (
-            catalog.index_deltas_maintained(),
-            catalog.index_delta_merges(),
-        );
+        let counts = catalog.counters();
+        let counts = (counts.index_deltas_maintained, counts.index_delta_merges);
         checksum = (checksum ^ counts.0 ^ (counts.1 << 32)).wrapping_mul(0x100_0000_01b3);
         steps.push(counts);
         let snap = catalog.snapshot("col").unwrap();

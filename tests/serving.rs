@@ -99,9 +99,14 @@ fn delta_merges_count_only_the_served_catalog() {
         .collect();
     merging.materialize("large", rows).unwrap();
     assert_eq!(merging.stats().unwrap().delta_merges, 1);
-    assert_eq!(merged.index_delta_merges(), 1);
+    assert_eq!(merged.counters().index_delta_merges, 1);
+    assert_eq!(merged.counters().index_deltas_maintained, 0);
     assert_eq!(other.stats().unwrap().delta_merges, 0);
-    assert_eq!(untouched.index_delta_merges(), 0);
+    assert_eq!(
+        untouched.counters(),
+        CounterSnapshot::default(),
+        "the other catalog counts nothing"
+    );
 }
 
 #[test]
